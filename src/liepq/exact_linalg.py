@@ -22,7 +22,8 @@ ZERO = Rational(0)
 ONE = Rational(1)
 
 
-_RAT_TOKEN = _re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+# optional sign, digits, then optionally '/' and an unsigned nonzero denominator
+_RAT_TOKEN = _re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def rat(value) -> Rational:
@@ -59,7 +60,12 @@ def _isqrt_exact(n):
 
 
 class Matrix:
-    """Dense rational matrix with shape; entries stored row-major."""
+    """Dense rational matrix with shape; entries stored row-major.
+
+    `Matrix(...)` and the public constructors validate every entry through
+    `rat()`.  Results of matrix operations come from `_trusted`, which skips
+    that: their entries are already scalars of the type in use.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -74,6 +80,18 @@ class Matrix:
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: list) -> "Matrix":
+        """Wrap a fresh list of rows * cols scalars without re-coercion.
+
+        The new matrix owns `entries`; callers must not keep or share it.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -86,7 +104,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._trusted(rows, cols, [ZERO] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -123,7 +141,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         r, c, e = self.rows, self.cols, self.entries
-        return Matrix(c, r, [e[i * c + j] for j in range(c) for i in range(r)])
+        return Matrix._trusted(c, r, [e[i * c + j] for j in range(c) for i in range(r)])
 
     def trace(self) -> Rational:
         if self.rows != self.cols:
@@ -157,7 +175,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatchError("matrix addition shape mismatch")
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
             [
@@ -169,7 +187,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatchError("matrix subtraction shape mismatch")
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
             [
@@ -179,11 +197,13 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix._trusted(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, k) -> "Matrix":
         k = rat(k)
-        return Matrix(self.rows, self.cols, [k * a if a else ZERO for a in self.entries])
+        return Matrix._trusted(
+            self.rows, self.cols, [k * a if a else ZERO for a in self.entries]
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -215,7 +235,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for l, y in brows[j]:
                     acc[l] += aij * y
         out.extend(acc)
-    return Matrix(n, k, out)
+    return Matrix._trusted(n, k, out)
 
 
 def mat_vec(a: Matrix, v):
@@ -297,11 +317,6 @@ def rref(rows):
                 ri = rows[i]
                 rows[i] = [x - f * y for x, y in zip(ri, prow)]
     return rows[: len(pivots)], pivots
-
-
-def rank(a: Matrix) -> int:
-    _, pivots = rref(a.to_rows())
-    return len(pivots)
 
 
 class Subspace:

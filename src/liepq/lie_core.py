@@ -228,25 +228,29 @@ class LieAlgebra:
     # -- spec operations ----------------------------------------------
 
     def killing_form(self) -> "BilinearForm":
+        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j,
+        contracted over the nonzero structure constants only."""
         if self._killing is None:
             d = self.dim
-            ads = [self.ad_basis_matrix(i) for i in range(d)]
-            gram = Matrix.zeros(d, d)
+            # ads[a] holds the nonzeros of ad(b_a): {(k, j): c_{aj}^k}
+            ads = [{} for _ in range(d)]
+            for (i, j), entry in self.structure.items():
+                ad_i, ad_j = ads[i], ads[j]
+                for k, v in entry.items():
+                    ad_i[(k, j)] = v
+                    ad_j[(k, i)] = -v
+            gram = [ZERO] * (d * d)
             for a in range(d):
-                ea = ads[a].entries
+                ad_a = ads[a]
                 for b in range(a, d):
-                    eb = ads[b].entries
+                    ad_b = ads[b]
                     s = ZERO
-                    for i in range(d):
-                        row_a = ea[i * d : (i + 1) * d]
-                        for j, v in enumerate(row_a):
-                            if v:
-                                w = eb[j * d + i]
-                                if w:
-                                    s += v * w
-                    gram.entries[a * d + b] = s
-                    gram.entries[b * d + a] = s
-            self._killing = BilinearForm(d, gram)
+                    for (k, j), v in ad_a.items():
+                        w = ad_b.get((j, k))
+                        if w is not None:
+                            s += v * w
+                    gram[a * d + b] = gram[b * d + a] = s
+            self._killing = BilinearForm(d, Matrix._trusted(d, d, gram))
         return self._killing
 
     def trace_form(self) -> "BilinearForm":
@@ -333,10 +337,6 @@ class BilinearForm:
     def evaluate(self, x, y) -> Rational:
         gx = [sum((self.gram[i, j] * y[j] for j in range(self.on) if y[j]), ZERO) for i in range(self.on)]
         return sum((x[i] * gx[i] for i in range(self.on) if x[i]), ZERO)
-
-    def rank(self) -> int:
-        reduced, pivots = rref(self.gram.to_rows())
-        return len(pivots)
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.gram == other.gram

@@ -178,6 +178,15 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+def test_bad_c_list_token_exits_2_with_error_line():
+    for token in ("1/0", "1/-2"):
+        code, out, err = run_cli("verify", "--suite", "appendix", "--p", "2", "--q", "1",
+                                 "--c-list", token)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_run_suite_schema_fields():
     report = run_suite("section2", 2, 1, ["1"], ["2"])
     assert set(report) == {"schema", "tool_version", "parameters", "checks", "overall"}

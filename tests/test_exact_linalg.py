@@ -256,3 +256,44 @@ def test_zero_skipping_ops_match_dense_formulas(operands):
     assert_exact_entries(a + a2, [x + y for x, y in zip(a.entries, a2.entries)])
     assert_exact_entries(a - a2, [x - y for x, y in zip(a.entries, a2.entries)])
     assert_exact_entries(a.scale(k), [k * x for x in a.entries])
+
+
+@given(sparse_operands())
+@settings(max_examples=60)
+def test_op_results_own_their_entries(operands):
+    a, a2, b, k = operands
+    operands_before = [list(m.entries) for m in (a, a2, b)]
+    results = [a + a2, a - a2, -a, a.scale(k), a.transpose(), mat_mul(a, b),
+               Matrix.zeros(a.rows, a.cols)]
+    assert_exact_entries(results[2], [-x for x in a.entries])
+    assert_exact_entries(results[4], [a[i, j] for j in range(a.cols) for i in range(a.rows)])
+    for result in results:
+        assert all(result.entries is not m.entries for m in (a, a2, b))
+        result.entries[:] = [rat(7)] * len(result.entries)
+    assert [m.entries for m in (a, a2, b)] == operands_before
+    assert Matrix.zeros(a.rows, a.cols).is_zero()
+
+
+def test_rat_token_grammar():
+    assert rat("-3/4") == Rational(-3, 4)
+    assert rat(" +6/04 ") == Rational(3, 2)
+    for token in ("1/-2", "1/+2", "1/0", "-5/00", "1/", "/2", "1.5", "1e3", "1_000"):
+        with pytest.raises(ContractError):
+            rat(token)
+
+
+def test_public_constructors_still_validate_entries():
+    for bad in (0.5, "1/0", "2/-3", "x"):
+        with pytest.raises(ContractError):
+            Matrix(1, 1, [bad])
+        with pytest.raises(ContractError):
+            Matrix.from_rows([[bad]])
+        with pytest.raises(ContractError):
+            Matrix.column([bad])
+        with pytest.raises(ContractError):
+            Matrix.diagonal([bad])
+    for body in ("0.5", "1/0", "2/-3", "x"):
+        with pytest.raises(ContractError):
+            load_matrix_text(f"1 1\n{body}\n")
+    with pytest.raises(ShapeMismatchError):
+        Matrix(2, 2, [1, 2, 3])

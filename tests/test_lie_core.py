@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from liepq.errors import ContractError, NotClosedError, NotStableError
 from liepq.exact_linalg import (
     Matrix,
+    Rational,
     Subspace,
     inertia_of_diagonalizable_form,
     mat_mul,
@@ -291,3 +292,35 @@ def test_dim_zero_algebra():
     assert killing_form(empty).gram.rows == 0
     matrix_empty = LieAlgebra.from_matrices([])
     assert trace_form(matrix_empty).gram.rows == 0
+
+
+def dense_killing_entries(algebra):
+    """The obvious formula K_ab = tr(ad b_a . ad b_b) on dense ad matrices."""
+    d = algebra.dim
+    ads = [algebra.ad_basis_matrix(i) for i in range(d)]
+    return [mat_mul(ads[a], ads[b]).trace() for a in range(d) for b in range(d)]
+
+
+small_height_c = st.one_of(
+    st.just(0),
+    st.builds(lambda n, d: rat(f"{n}/{d}"), st.integers(-3, 3), st.integers(1, 3)),
+)
+signatures_3_to_5 = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+    lambda pq: 3 <= pq[0] + pq[1] <= 5
+)
+killing_test_algebras = st.one_of(
+    st.builds(lambda pq, c: deformed_algebra(*pq, c).algebra, signatures_3_to_5, small_height_c),
+    st.builds(
+        lambda pq: so_pq_algebra(*pq),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda pq: 2 <= sum(pq) <= 5),
+    ),
+    st.builds(lambda d: LieAlgebra.from_structure(d, []), st.integers(0, 4)),
+)
+
+
+@given(killing_test_algebras)
+@settings(max_examples=30, deadline=None)
+def test_sparse_killing_matches_dense_trace(algebra):
+    gram = algebra.killing_form().gram
+    assert gram.entries == dense_killing_entries(algebra)
+    assert all(type(x) is Rational for x in gram.entries)
