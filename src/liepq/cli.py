@@ -8,6 +8,7 @@ parameters) so two runs differ only in elapsed_ms.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -76,6 +77,14 @@ SMALL_EXCLUSION_REASON = (
 # -- individual checks --------------------------------------------------
 # Every check takes primitive parameters and returns a result dict with
 # at least {"status": "pass" | "fail" | "skipped"}.
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _shared_deformed_algebra(p, q, c):
+    """One Jacobi-validated deformed algebra per (p, q, c), shared by the
+    appendix checks; check_deformed_jacobi builds its own, so that the
+    Jacobi certificate is computed inside that check."""
+    return deformed_algebra(p, q, c)
 
 
 def _pass(**extra):
@@ -215,7 +224,7 @@ def check_deformed_radical(p, q, c):
     n = p + q
     if n < 3:
         return _skip(SMALL_EXCLUSION_REASON)
-    dalg = deformed_algebra(p, q, rat(c))
+    dalg = _shared_deformed_algebra(p, q, rat(c))
     semisimple = dalg.algebra.is_semisimple()
     expected = rat(c) != 0
     if semisimple != expected:
@@ -257,7 +266,7 @@ def check_embedding(p, q, c):
         return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("embedding_iso requires c != 0 (c = 0 is the semidirect product)")
-    dalg = deformed_algebra(p, q, c)
+    dalg = _shared_deformed_algebra(p, q, c)
     emb = embedding_iso(p, q, c)
     form = emb.target_form
     for im in emb.images:
@@ -316,7 +325,7 @@ def check_maximality(p, q, c):
     n = p + q
     if n < 3:
         return _skip(SMALL_EXCLUSION_REASON)
-    dalg = deformed_algebra(p, q, rat(c))
+    dalg = _shared_deformed_algebra(p, q, rat(c))
     maximal, witness = is_maximal_subalgebra(dalg.algebra, dalg.so_block_subspace())
     if not maximal:
         return _fail(witness=_subspace_payload(witness))
@@ -327,7 +336,7 @@ def check_centralizer(p, q, c):
     n = p + q
     if n < 3:
         return _skip(SMALL_EXCLUSION_REASON)
-    dalg = deformed_algebra(p, q, rat(c))
+    dalg = _shared_deformed_algebra(p, q, rat(c))
     cent = centralizer(dalg.algebra, dalg.so_block_subspace())
     if cent.dim != 0:
         return _fail(witness=_subspace_payload(cent))
@@ -344,7 +353,7 @@ def check_killing_blocks(p, q, c):
         return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("block proportionality with nonzero constants needs c != 0")
-    dalg = deformed_algebra(p, q, c)
+    dalg = _shared_deformed_algebra(p, q, c)
     gram = dalg.algebra.killing_form().gram
     so = so_pq_algebra(p, q)
     m = so.dim

@@ -2,11 +2,14 @@
 induced actions, and the boost-family character test.
 
 Hom spaces are cut out by the exact linear system
-phi . rho_V(x) = rho_W(x) . phi for every basis element x.  When some algebra
-element acts diagonalizably with rational eigenvalues on both modules the
-solver splits along its eigenspaces first and then intersects with the
-remaining constraints; otherwise it falls back to one dense stacked kernel.
-Both paths return the same canonical (reduced-echelon) basis.
+phi . rho_V(x) = rho_W(x) . phi for every basis element x.  When some basis
+elements act diagonalizably with rational eigenvalues on both modules, the
+solver starts from the joint eigenspaces of a pool of pairwise-commuting such
+elements (an intertwiner maps each joint eigenspace of V into the one of W
+with the same eigenvalues) and then intersects with the constraint kernels;
+otherwise it starts from all of Hom(V, W).  Both paths return the same
+canonical (reduced-echelon) basis.  `rational_eigensplit` rejects most
+non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ class Representation:
         self.algebra = algebra
         self.module_dim = module_dim
         self.actions = actions
-
-    def action_of(self, coeffs) -> Matrix:
-        out = Matrix.zeros(self.module_dim, self.module_dim)
-        for c, a in zip(coeffs, self.actions):
-            if c:
-                out = out + a.scale(c)
-        return out
 
     def validate(self):
         """Check the homomorphism property on every basis pair exactly."""
@@ -214,12 +210,16 @@ def hom_space_dense(v: Representation, w: Representation):
     return [Matrix(m, n, r) for r in ker.basis_rows()]
 
 
-def _combine_maps(maps, coeffs, m, n):
-    out = [ZERO] * (m * n)
-    for c, phi in zip(coeffs, maps):
+def _combine_rows(coeffs, rows):
+    out = [ZERO] * len(rows[0])
+    for c, r in zip(coeffs, rows):
         if c:
-            out = [x + c * y for x, y in zip(out, phi.entries)]
-    return Matrix(m, n, out)
+            out = [x + c * y for x, y in zip(out, r)]
+    return out
+
+
+def _combine_maps(maps, coeffs, m, n):
+    return Matrix(m, n, _combine_rows(coeffs, [phi.entries for phi in maps]))
 
 
 def _initial_hom_basis(v, w):
@@ -242,17 +242,32 @@ def _initial_hom_basis(v, w):
 
 
 def rational_eigensplit(a: Matrix):
-    """Eigenspace decomposition when `a` is diagonalizable over Q, else None."""
+    """Eigenspace decomposition when `a` is diagonalizable over Q, else None.
+
+    A matrix diagonalizable over Q has real eigenvalues, so tr(a^2) is their
+    sum of squares: negative rules it out, and so does zero unless a = 0.
+    That O(n^2) test runs before the minimal polynomial.
+    """
+    n = a.rows
+    e = a.entries
+    tr2 = ZERO
+    for idx, x in enumerate(e):
+        if x:
+            i, j = divmod(idx, n)
+            y = e[j * n + i]
+            if y:
+                tr2 += x * y
+    if tr2 < 0 or (tr2 == 0 and any(e)):
+        return None
     mp = min_poly(a)
     roots = rational_roots(mp)
     if len(roots) != len(mp) - 1:
         return None
     spaces = []
     total = 0
-    n = a.rows
     for r in sorted(roots):
         shifted = Matrix(
-            n, n, [x - (r if i % (n + 1) == 0 else 0) for i, x in enumerate(a.entries)]
+            n, n, [x - (r if i % (n + 1) == 0 else 0) for i, x in enumerate(e)]
         )
         ker = kernel(shifted)
         spaces.append((r, ker))
@@ -263,56 +278,71 @@ def rational_eigensplit(a: Matrix):
 
 
 def _find_splitting_element(v, w):
-    """Initial Hom basis from the eigensplit of a well-chosen element."""
-    d = v.algebra.dim
+    """Initial Hom basis from the joint eigenspaces of commuting elements.
+
+    Every basis element that splits rationally on both modules is scored by
+    the size of the Hom basis its split gives.  The best one starts the
+    split; each further element of a greedy commuting pool (at most 8)
+    refines it block by block, and a block's key is the tuple of its
+    eigenvalues.  An intertwiner maps each joint eigenspace of V into the
+    one of W with the same key, so the initial basis spans Hom_g(V, W).
+    """
     singles = []
-    for a in range(d):
+    for a in range(v.algebra.dim):
         ev = rational_eigensplit(v.actions[a])
         if ev is None:
             continue
         ew = ev if w is v or w.actions[a] is v.actions[a] else rational_eigensplit(w.actions[a])
         if ew is None:
             continue
-        singles.append((a, _split_score(ev, ew)))
+        singles.append((a, _split_score(ev, ew), ev, ew))
     if not singles:
         return None
     singles.sort(key=lambda t: t[1])
-    best_idx, best_score = singles[0]
-    best = _coeff_vector(d, {best_idx: ONE})
-    # try a dyadically weighted combination of pairwise-commuting candidates
     pool = []
-    for a, _ in singles:
-        if all(not v.algebra.structure_entry(a, b) for b in pool):
-            pool.append(a)
+    for cand in singles:
+        if all(not v.algebra.structure_entry(cand[0], b[0]) for b in pool):
+            pool.append(cand)
         if len(pool) >= 8:
             break
-    if len(pool) > 1:
-        combo = {a: rat(2 ** k) for k, a in enumerate(pool)}
-        z = _coeff_vector(d, combo)
-        ev = rational_eigensplit(_combine_actions(v, z))
-        if ev is not None:
-            ew = ev if w is v else rational_eigensplit(_combine_actions(w, z))
-            if ew is not None and _split_score(ev, ew) < best_score:
-                return _hom_basis_from_split(v, w, ev, ew)
-    zv = rational_eigensplit(_combine_actions(v, best))
-    zw = zv if w is v else rational_eigensplit(_combine_actions(w, best))
-    if zv is None or zw is None:
-        return None
-    return _hom_basis_from_split(v, w, zv, zw)
+    _, _, ev, ew = pool[0]
+    blocks_v = [((lam,), sp.basis_rows()) for lam, sp in ev]
+    blocks_w = blocks_v if ew is ev else [((lam,), sp.basis_rows()) for lam, sp in ew]
+    for a, _, xv, xw in pool[1:]:
+        refined_v = _refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in xv])
+        if blocks_w is blocks_v and xw is xv:
+            refined_w = refined_v
+        else:
+            refined_w = _refine_blocks(blocks_w, w.actions[a], [lam for lam, _ in xw])
+        if refined_v is None or refined_w is None:
+            break
+        blocks_v, blocks_w = refined_v, refined_w
+    return _hom_basis_from_split(v, w, blocks_v, blocks_w)
 
 
-def _coeff_vector(d, sparse):
-    out = [ZERO] * d
-    for k, c in sparse.items():
-        out[k] = c
-    return out
+def _refine_blocks(blocks, x, eigenvalues):
+    """Split each block (key, basis rows) into its intersections with the
+    eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).
 
-
-def _combine_actions(rep, coeffs):
-    out = Matrix.zeros(rep.module_dim, rep.module_dim)
-    for c, a in zip(coeffs, rep.actions):
-        if c:
-            out = out + a.scale(c)
+    None when some block is not the sum of its intersections, that is when
+    x does not act on the blocks as an operator commuting with their split.
+    """
+    n = x.rows
+    out = []
+    for key, rows in blocks:
+        k = len(rows)
+        bt = Matrix(n, k, [rows[j][i] for i in range(n) for j in range(k)])
+        xb = mat_mul(x, bt)
+        found = 0
+        for lam in eigenvalues:
+            ker = kernel(xb - bt.scale(lam))
+            if ker.dim:
+                out.append((key + (lam,), [_combine_rows(c, rows) for c in ker.basis_rows()]))
+                found += ker.dim
+                if found == k:
+                    break
+        if found != k:
+            return None
     return out
 
 
@@ -321,21 +351,21 @@ def _split_score(ev, ew):
     return sum(sp.dim * mw.get(lam, 0) for lam, sp in ev)
 
 
-def _hom_basis_from_split(v, w, ev, ew):
+def _hom_basis_from_split(v, w, blocks_v, blocks_w):
     n, m = v.module_dim, w.module_dim
     v_cols = []
     v_blocks = {}
-    for lam, sp in ev:
+    for key, rows in blocks_v:
         start = len(v_cols)
-        v_cols.extend(sp.basis_rows())
-        v_blocks[lam] = range(start, len(v_cols))
+        v_cols.extend(rows)
+        v_blocks[key] = range(start, len(v_cols))
     pv = Matrix.from_rows([[v_cols[j][i] for j in range(n)] for i in range(n)])
     dual = invert(pv)  # row a of dual is the functional picking coordinate a
-    w_blocks = {lam: sp.basis_rows() for lam, sp in ew}
+    w_blocks = dict(blocks_w)
     maps = []
-    for lam, rows in v_blocks.items():
-        for wvec in w_blocks.get(lam, []):
-            for a in rows:
+    for key, cols in v_blocks.items():
+        for wvec in w_blocks.get(key, []):
+            for a in cols:
                 drow = dual.row_list(a)
                 entries = [wi * dj for wi in wvec for dj in drow]
                 maps.append(Matrix(m, n, entries))
@@ -500,7 +530,6 @@ def _endo_candidates(endos, identity):
 
 
 def _is_scalar_multiple(m, identity):
-    n = m.rows
     lead = m.entries[0]
     return m == identity.scale(lead)
 

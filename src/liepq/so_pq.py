@@ -34,7 +34,6 @@ from .exact_linalg import (
 from .lie_core import LieAlgebra, canonical_json
 from .rep_theory import (
     Representation,
-    adjoint_rep,
     dual_rep,
     invariant_symmetric_forms,
     restrict,
@@ -223,14 +222,6 @@ class EmbeddingIso:
     target_form: Matrix
     images: list  # one (n+1) x (n+1) matrix per deformed-algebra basis index
 
-    def apply(self, coeffs) -> Matrix:
-        n1 = self.images[0].rows
-        out = Matrix.zeros(n1, n1)
-        for x, img in zip(coeffs, self.images):
-            if x:
-                out = out + img.scale(x)
-        return out
-
 
 def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     c = rat(c)
@@ -330,22 +321,10 @@ class ExceptionalIso:
     target: LieAlgebra  # so(p,q) in the frozen basis
     iso_coeffs: Matrix  # columns: image of small-algebra basis in target basis
 
-    def apply(self, coeffs) -> Matrix:
-        """Image of a small-algebra element inside the target matrix algebra."""
-        out = [ZERO] * self.target.dim
-        d = self.target.dim
-        for j, x in enumerate(coeffs):
-            if x:
-                for i in range(d):
-                    out[i] += x * self.iso_coeffs[i, j]
-        result = Matrix.zeros(self.target.basis[0].rows, self.target.basis[0].cols)
-        for coeff, b in zip(out, self.target.basis):
-            if coeff:
-                result = result + b.scale(coeff)
-        return result
 
-
+@functools.lru_cache(maxsize=8)
 def exceptional_iso(name: str) -> ExceptionalIso:
+    """The named isomorphism, solved and certified once per process."""
     if name == SO31_SL2C:
         return _iso_sl2c()
     if name == SO32_SP4R:
@@ -751,11 +730,3 @@ def dimension_bound(p: int, q: int) -> DimensionBound:
     m = smallest_module_dim(p, q)
     n = p + q
     return DimensionBound(n * (n - 1) // 2, m, n * (n - 1) // 2 + m)
-
-
-def adjoint_of(p: int, q: int) -> Representation:
-    return adjoint_rep(so_pq_algebra(p, q))
-
-
-def wedge_of_standard(p: int, q: int) -> Representation:
-    return wedge_square_rep(standard_rep(p, q))

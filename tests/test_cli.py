@@ -194,3 +194,23 @@ def test_run_suite_schema_fields():
         assert {"name", "params", "status", "elapsed_ms"} <= set(check)
         if check["status"] == "skipped":
             assert check["reason"]
+
+
+def test_verify_appendix_builds_each_deformed_algebra_twice(monkeypatch):
+    """One build inside check_deformed_jacobi, one shared by the other
+    appendix checks, per c."""
+    import liepq.cli as cli
+
+    monkeypatch.setenv("LIEPQ_THREADS", "1")
+    cli._shared_deformed_algebra.cache_clear()
+    calls = []
+    real = cli.deformed_algebra
+    monkeypatch.setattr(
+        cli, "deformed_algebra", lambda p, q, c: calls.append(c) or real(p, q, c)
+    )
+    try:
+        report = run_suite("appendix", 3, 1, ["2", "0", "-1/2"], [])
+    finally:
+        cli._shared_deformed_algebra.cache_clear()
+    assert report["overall"] == "pass"
+    assert sorted(str(c) for c in calls) == ["-1/2", "-1/2", "0", "0", "2", "2"]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, NotStableError
@@ -318,3 +318,183 @@ def test_direct_sum_dims_add():
     adj = adjoint_rep(algebra)
     total = direct_sum(std, adj)
     assert total.module_dim == std.module_dim + adj.module_dim
+
+
+# -- the eigensplit filter and the joint-eigenspace Hom split -------------
+
+
+def _no_min_poly(a):
+    raise AssertionError("min_poly reached; the tr(a^2) filter should decide")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, -1], [1, 0]],  # compact rotation generator: tr(a^2) = -2
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],  # rotation inside a 3x3 block
+        [[0, 1], [0, 0]],  # nonzero nilpotent: tr(a^2) = 0
+        [[0, 1, 2], [0, 0, 3], [0, 0, 0]],
+    ],
+)
+def test_eigensplit_filter_rejects_before_min_poly(rows, monkeypatch):
+    import liepq.rep_theory as rt
+
+    monkeypatch.setattr(rt, "min_poly", _no_min_poly)
+    assert rt.rational_eigensplit(Matrix.from_rows(rows)) is None
+
+
+def test_eigensplit_zero_matrix_is_one_block():
+    from liepq.rep_theory import rational_eigensplit
+
+    split = rational_eigensplit(Matrix.zeros(3, 3))
+    assert split == [(rat(0), Subspace.full(3))]
+
+
+def test_eigensplit_jordan_block_rejected_by_min_poly(monkeypatch):
+    import liepq.rep_theory as rt
+
+    calls = []
+    real = rt.min_poly
+    monkeypatch.setattr(rt, "min_poly", lambda a: calls.append(a) or real(a))
+    jordan = Matrix.from_rows([[1, 1], [0, 1]])  # tr(a^2) = 2 > 0
+    assert rt.rational_eigensplit(jordan) is None
+    assert len(calls) == 1
+
+
+_SMALL_RATIONALS = st.builds(
+    lambda num, den: rat(num) / den,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@given(
+    st.lists(_SMALL_RATIONALS, min_size=1, max_size=4),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_eigensplit_of_conjugated_diagonal(diag, data):
+    """P.D.P^-1 splits into the eigenspaces of D moved by P."""
+    from liepq.rep_theory import rational_eigensplit
+
+    n = len(diag)
+    ints = st.integers(min_value=-2, max_value=2)
+    # P = L.U with unit triangular factors is invertible
+    lower = Matrix.identity(n)
+    upper = Matrix.identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower.entries[i * n + j] = rat(data.draw(ints))
+            upper.entries[j * n + i] = rat(data.draw(ints))
+    p = lower @ upper
+    from liepq.exact_linalg import invert
+
+    a = p @ Matrix.diagonal(diag) @ invert(p)
+    expected = [
+        (lam, Subspace.from_vectors(n, [p.column_list(i) for i in range(n) if diag[i] == lam]))
+        for lam in sorted(set(diag))
+    ]
+    assert rational_eigensplit(a) == expected
+
+
+def _module_dim(expr, n):
+    """Dimension of the module, or 0 when a wedge^2 would take a module of
+    dimension below 2."""
+    kind = expr[0]
+    if kind == "std":
+        return n
+    if kind == "ad":
+        return n * (n - 1) // 2
+    if kind == "dual":
+        return _module_dim(expr[1], n)
+    if kind == "wedge":
+        d = _module_dim(expr[1], n)
+        return d * (d - 1) // 2 if d >= 2 else 0
+    d1, d2 = _module_dim(expr[1], n), _module_dim(expr[2], n)
+    return d1 + d2 if d1 and d2 else 0
+
+
+def _build_module(expr, p, q):
+    kind = expr[0]
+    if kind == "std":
+        return standard_rep(p, q)
+    if kind == "ad":
+        return adjoint_rep(so_pq_algebra(p, q))
+    if kind == "dual":
+        return dual_rep(_build_module(expr[1], p, q))
+    if kind == "wedge":
+        return wedge_square_rep(_build_module(expr[1], p, q))
+    return direct_sum(_build_module(expr[1], p, q), _build_module(expr[2], p, q))
+
+
+_MODULE_EXPRS = st.recursive(
+    st.sampled_from([("std",), ("ad",)]),
+    lambda inner: st.one_of(
+        st.tuples(st.just("dual"), inner),
+        st.tuples(st.just("wedge"), inner),
+        st.tuples(st.just("sum"), inner, inner),
+    ),
+    max_leaves=3,
+)
+# every (p, q) with p + q <= 4; q = 0 gives compact forms, where no element
+# splits and hom_space starts from all of Hom(V, W)
+_HOM_SIGNATURES = [(p, n - p) for n in (2, 3, 4) for p in range(1, n + 1)]
+# well under the dense solver's 4096-unknown cap, to keep the test quick
+_HOM_PRODUCT_CAP = 256
+
+
+def _assert_hom_matches_dense(v, w):
+    fast = hom_space(v, w)
+    dense = hom_space_dense(v, w)
+    assert [h.entries for h in fast] == [h.entries for h in dense]
+
+
+@given(st.sampled_from(_HOM_SIGNATURES), _MODULE_EXPRS, _MODULE_EXPRS)
+@settings(max_examples=30, deadline=None)
+def test_hom_space_matches_dense_on_random_modules(pq, expr_v, expr_w):
+    p, q = pq
+    n = p + q
+    dims = _module_dim(expr_v, n) * _module_dim(expr_w, n)
+    assume(0 < dims <= _HOM_PRODUCT_CAP)
+    _assert_hom_matches_dense(_build_module(expr_v, p, q), _build_module(expr_w, p, q))
+
+
+@pytest.mark.parametrize(
+    "pq,expr_v,expr_w",
+    [
+        # so(2,2): the boosts (0,2) and (1,3) commute, so the pool has two elements
+        ((2, 2), ("sum", ("std",), ("ad",)), ("sum", ("ad",), ("wedge", ("std",)))),
+        # the boost has eigenvalue 0 twice on R^{2,2} and +-1 twice on the
+        # adjoint, and +-2 occurs only on wedge^2 of the adjoint
+        ((2, 2), ("sum", ("std",), ("wedge", ("ad",))), ("sum", ("dual", ("std",)), ("ad",))),
+        ((3, 1), ("sum", ("std",), ("ad",)), ("sum", ("std",), ("ad",))),
+        ((2, 1), ("sum", ("std",), ("wedge", ("sum", ("std",), ("std",)))), ("ad",)),
+    ],
+)
+def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypatch):
+    import liepq.rep_theory as rt
+
+    p, q = pq
+    v, w = _build_module(expr_v, p, q), _build_module(expr_w, p, q)
+    refinements = []
+    real = rt._refine_blocks
+    monkeypatch.setattr(
+        rt, "_refine_blocks", lambda *args: refinements.append(args) or real(*args)
+    )
+    _assert_hom_matches_dense(v, w)
+    if pq == (2, 2):
+        assert refinements  # a pool of two or more elements refined the split
+    if expr_v[0] == "sum":
+        # the summands of V split differently under some pool element
+        first = _build_module(expr_v[1], p, q)
+        second = _build_module(expr_v[2], p, q)
+        algebra = v.algebra
+        differ = False
+        for a in range(algebra.dim):
+            s1 = rt.rational_eigensplit(first.actions[a])
+            s2 = rt.rational_eigensplit(second.actions[a])
+            if s1 is not None and s2 is not None:
+                dims1 = [(lam, sp.dim) for lam, sp in s1]
+                dims2 = [(lam, sp.dim) for lam, sp in s2]
+                differ = differ or dims1 != dims2
+        assert differ

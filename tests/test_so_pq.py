@@ -273,6 +273,18 @@ def test_exceptional_iso_certificates(name, small_dim, carrier_dim, inertia):
             assert lhs == iso.target.bracket_coeffs(xi, xj)
 
 
+@pytest.mark.parametrize("name", [SO31_SL2C, SO32_SP4R, SO33_SL4R])
+def test_memoized_exceptional_iso_matches_fresh_solve(name):
+    iso = exceptional_iso(name)
+    assert exceptional_iso(name) is iso
+    fresh = exceptional_iso.__wrapped__(name)
+    assert fresh is not iso
+    assert fresh.iso_coeffs == iso.iso_coeffs
+    assert fresh.carrier_form == iso.carrier_form
+    assert fresh.normalizer == iso.normalizer
+    assert fresh.scale == iso.scale
+
+
 def test_exceptional_iso_unknown_name():
     with pytest.raises(ContractError):
         exceptional_iso("SO99")
