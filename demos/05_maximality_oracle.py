@@ -1,8 +1,8 @@
-"""Maximality certificates by brute-force bracket closure.
+"""Maximality certificates by bracket closure.
 
-The oracle adjoins one complement direction at a time to the embedded
-so(p,q) and closes under brackets; maximality means every direction
-regenerates everything.  The classical counterexample - so(2,1) sitting as
+The certificate adjoins one complement direction at a time to the embedded
+so(p,q) and closes under brackets, starting from the already-closed so(p,q)
+basis; maximality means every direction regenerates everything.  The classical counterexample - so(2,1) sitting as
 one ideal of so(2,2) - produces an explicit intermediate subalgebra witness.
 """
 

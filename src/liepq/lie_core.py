@@ -34,46 +34,71 @@ ABSTRACT = "abstract"
 
 
 class _Coordinatizer:
-    """Expresses matrices exactly in the span of a fixed matrix basis."""
+    """Expresses matrices exactly in the span of a fixed matrix basis.
+
+    The basis is kept fully reduced as sparse rows: pivot -> (row, combo),
+    where row is {entry index: value}, zero at every other pivot, and combo
+    is {basis index: value} with row = sum of combo[i] * basis[i].
+    """
 
     def __init__(self, basis):
+        self.reduced = {}
+        self.dim = len(basis)
         if not basis:
-            self.rows = []
-            self.combos = []
-            self.pivots = []
             self.shape = (0, 0)
             return
         self.shape = (basis[0].rows, basis[0].cols)
-        aug = []
-        d = len(basis)
         for i, b in enumerate(basis):
             if (b.rows, b.cols) != self.shape:
                 raise ShapeMismatchError("basis matrices of mixed shapes")
-            unit = [ZERO] * d
-            unit[i] = ONE
-            aug.append(list(b.entries) + unit)
-        reduced, pivots = rref(aug)
-        n = self.shape[0] * self.shape[1]
-        if len(reduced) < d or any(p >= n for p in pivots):
-            raise ContractError("basis matrices are linearly dependent")
-        self.rows = [r[:n] for r in reduced]
-        self.combos = [r[n:] for r in reduced]
-        self.pivots = pivots
+            vec, used = self._eliminate({k: x for k, x in enumerate(b.entries) if x})
+            if not vec:
+                raise ContractError("basis matrices are linearly dependent")
+            pivot = min(vec)
+            inv = ONE / vec[pivot]
+            vec = {k: v * inv for k, v in vec.items()}
+            combo = {k: -v * inv for k, v in used.items()}
+            combo[i] = inv
+            for row, row_combo in self.reduced.values():
+                f = row.get(pivot)
+                if f:
+                    _axpy(row, -f, vec)
+                    _axpy(row_combo, -f, combo)
+            self.reduced[pivot] = (vec, combo)
+
+    def _eliminate(self, vec):
+        """Subtract from vec (in place) the reduced rows at its pivots.
+
+        Returns (vec, used) with original vec = vec + sum of used[k] * b_k.
+        A reduced row is zero at every other pivot, so the factor of each
+        row is vec's original entry at that row's pivot.
+        """
+        used = {}
+        for pivot, f in [(k, v) for k, v in vec.items() if k in self.reduced]:
+            row, combo = self.reduced[pivot]
+            _axpy(vec, -f, row)
+            _axpy(used, f, combo)
+        return vec, used
 
     def express(self, m: Matrix):
         """Coefficients of m in the basis, or None if m is outside the span."""
-        vec = list(m.entries)
-        d = len(self.rows)
-        coeffs = [ZERO] * d
-        for k, (row, pivot) in enumerate(zip(self.rows, self.pivots)):
-            f = vec[pivot]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
-                combo = self.combos[k]
-                coeffs = [x + f * y for x, y in zip(coeffs, combo)]
-        if any(x != 0 for x in vec):
+        vec, used = self._eliminate({k: x for k, x in enumerate(m.entries) if x})
+        if vec:
             return None
-        return coeffs
+        out = [ZERO] * self.dim
+        for k, v in used.items():
+            out[k] = v
+        return out
+
+
+def _axpy(acc: dict, f, vec: dict):
+    """acc += f * vec on sparse {index: value} vectors, dropping zeros."""
+    for k, v in vec.items():
+        s = acc.get(k, ZERO) + f * v
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
 
 
 class LieAlgebra:
@@ -160,31 +185,28 @@ class LieAlgebra:
         """Coefficients of [x, y] for coefficient vectors x, y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatchError("coefficient vectors must have length dim")
-        acc = {}
-        for (i, j), entry in self.structure.items():
-            f = x[i] * y[j] - x[j] * y[i]
-            if f:
-                for k, v in entry.items():
-                    acc[k] = acc.get(k, ZERO) + f * v
+        z = self.bracket_sparse(
+            {i: v for i, v in enumerate(x) if v}, {j: v for j, v in enumerate(y) if v}
+        )
         out = [ZERO] * self.dim
-        for k, v in acc.items():
-            if v:
-                out[k] = v
+        for k, v in z.items():
+            out[k] = v
         return out
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
+        """[x, y] for sparse {index: coefficient} vectors, as a sparse vector."""
+        structure = self.structure
         acc = {}
         for i, xi in x.items():
             for j, yj in y.items():
-                if i == j:
-                    continue
-                f = xi * yj
-                for k, v in self.structure_entry(i, j).items():
-                    s = acc.get(k, ZERO) + f * v
-                    if s:
-                        acc[k] = s
-                    elif k in acc:
-                        del acc[k]
+                if i < j:
+                    entry = structure.get((i, j))
+                    if entry:
+                        _axpy(acc, xi * yj, entry)
+                elif i > j:
+                    entry = structure.get((j, i))
+                    if entry:
+                        _axpy(acc, -(xi * yj), entry)
         return acc
 
     def ad_matrix(self, x) -> Matrix:
@@ -401,23 +423,34 @@ class _SparseEchelon:
         self.ambient = ambient
         self.rows = {}  # pivot index -> normalized sparse row
 
-    def insert(self, vec: dict) -> bool:
+    def reduce(self, vec: dict) -> dict:
+        """A copy of vec minus stored rows; empty exactly when vec is in the
+        span.  Stops at the first leading index that has no stored row."""
         vec = dict(vec)
         while vec:
             pivot = min(vec)
             row = self.rows.get(pivot)
             if row is None:
-                inv = ONE / vec[pivot]
-                self.rows[pivot] = {k: v * inv for k, v in vec.items()}
-                return True
-            f = vec[pivot]
-            for k, v in row.items():
-                s = vec.get(k, ZERO) - f * v
-                if s:
-                    vec[k] = s
-                elif k in vec:
-                    del vec[k]
-        return False
+                break
+            _axpy(vec, -vec[pivot], row)
+        return vec
+
+    def insert(self, vec: dict) -> bool:
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = ONE / vec[pivot]
+        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def copy(self) -> "_SparseEchelon":
+        out = _SparseEchelon(self.ambient)
+        out.rows = dict(self.rows)  # stored rows are never mutated
+        return out
 
     @property
     def dim(self):
@@ -433,65 +466,72 @@ class _SparseEchelon:
         return Subspace.from_vectors(self.ambient, dense)
 
 
-def subalgebra_closure(algebra: LieAlgebra, generators: Subspace) -> Subspace:
-    """Smallest bracket-closed subspace containing the generators.
+def _sparse_rows(subspace: Subspace):
+    return [{k: v for k, v in enumerate(row) if v} for row in subspace.basis_rows()]
 
-    Worklist iteration: every new basis vector is bracketed against the
-    whole current basis; the span can grow at most dim(L) times.
+
+def _close(algebra: LieAlgebra, ech: _SparseEchelon, vectors: list, closed: int):
+    """Grow vectors, a basis of ech's span, to a bracket-closed set.
+
+    The first `closed` vectors span a subalgebra, so their pairs are never
+    bracketed; every other unordered pair is bracketed once, and the loop
+    stops as soon as the span is the whole algebra.
     """
+    i = closed
+    while i < len(vectors) and ech.dim < algebra.dim:
+        x = vectors[i]
+        for y in vectors[:i]:
+            z = algebra.bracket_sparse(x, y)
+            if z and ech.insert(z):
+                vectors.append(z)
+                if ech.dim == algebra.dim:
+                    return
+        i += 1
+
+
+def subalgebra_closure(algebra: LieAlgebra, generators: Subspace) -> Subspace:
+    """Smallest bracket-closed subspace containing the generators."""
     if generators.ambient_dim != algebra.dim:
         raise ShapeMismatchError("generators live in the wrong coefficient space")
     ech = _SparseEchelon(algebra.dim)
-    vectors = []
-    frontier = []
-    for row in generators.basis_rows():
-        sparse = {k: v for k, v in enumerate(row) if v}
-        if ech.insert(sparse):
-            vectors.append(sparse)
-            frontier.append(sparse)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > algebra.dim + 1:
-            raise AssertionError("closure failed to stabilize within dim rounds")
-        new = []
-        for x in frontier:
-            for y in list(vectors):
-                z = algebra.bracket_sparse(x, y)
-                if z and ech.insert(z):
-                    vectors.append(z)
-                    new.append(z)
-        frontier = new
+    vectors = [v for v in _sparse_rows(generators) if ech.insert(v)]
+    _close(algebra, ech, vectors, 0)
     return ech.to_subspace()
 
 
 def is_subalgebra(algebra: LieAlgebra, subspace: Subspace) -> bool:
-    rows = subspace.basis_rows()
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if not subspace.contains(algebra.bracket_coeffs(rows[i], rows[j])):
-                return False
-    return True
+    rows = _sparse_rows(subspace)
+    ech = _SparseEchelon(algebra.dim)
+    for row in rows:
+        ech.insert(row)
+    return all(
+        ech.contains(algebra.bracket_sparse(rows[i], rows[j]))
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+    )
 
 
 def is_maximal_subalgebra(algebra: LieAlgebra, subspace: Subspace):
-    """Brute-force maximality oracle.
+    """Maximality certificate for a proper subalgebra H.
 
-    Returns (True, None) when every complement basis vector regenerates the
-    whole algebra, else (False, witness) with a proper intermediate
-    subalgebra as witness.
+    Returns (True, None) when H + <e_idx> generates the whole algebra for
+    every complement coordinate index idx, else (False, witness) with the
+    first proper intermediate subalgebra found.  Each closure starts from
+    H's basis, already known to be closed, plus e_idx.
     """
     if not is_subalgebra(algebra, subspace):
         raise ContractError("H is not a subalgebra")
     if subspace.dim >= algebra.dim:
         raise ContractError("H must be a proper subalgebra")
+    h_rows = _sparse_rows(subspace)
+    h_ech = _SparseEchelon(algebra.dim)
+    for row in h_rows:
+        h_ech.insert(row)
     for idx in subspace.complement_coordinate_indices():
-        v = [ZERO] * algebra.dim
-        v[idx] = ONE
-        gens = Subspace.from_vectors(
-            algebra.dim, subspace.basis_rows() + [v]
-        )
-        closed = subalgebra_closure(algebra, gens)
-        if closed.dim < algebra.dim:
-            return False, closed
+        ech = h_ech.copy()
+        unit = {idx: ONE}
+        ech.insert(unit)
+        _close(algebra, ech, h_rows + [unit], len(h_rows))
+        if ech.dim < algebra.dim:
+            return False, ech.to_subspace()
     return True, None

@@ -27,6 +27,7 @@ from .exact_linalg import (
     invert,
     kernel,
     mat_mul,
+    mat_vec,
     rat,
     rational_sqrt,
     rref,
@@ -425,26 +426,12 @@ def cyclic_submodule(v: Representation, vector) -> Subspace:
         new = []
         for x in frontier:
             for a in v.actions:
-                y = _matvec_list(a, x)
+                y = mat_vec(a, x)
                 sparse = {i: val for i, val in enumerate(y) if val}
                 if sparse and ech.insert(sparse):
                     new.append(y)
         frontier = new
     return ech.to_subspace()
-
-
-def _matvec_list(a: Matrix, x):
-    n = a.cols
-    e = a.entries
-    out = []
-    for i in range(a.rows):
-        base = i * n
-        s = ZERO
-        for j, xj in enumerate(x):
-            if xj:
-                s += e[base + j] * xj
-        out.append(s)
-    return out
 
 
 @dataclass
@@ -715,7 +702,7 @@ def constrained_form_uniqueness(
     constraint_rows = []
     for x in rows:
         for y in rows:
-            jy = _matvec_list(j, y)
+            jy = mat_vec(j, y)
             constraint_rows.append(
                 [_bilinear(f, x, jy) for f in forms]
             )
@@ -729,7 +716,7 @@ def constrained_form_uniqueness(
 
 
 def _bilinear(gram: Matrix, x, y) -> Rational:
-    gx = _matvec_list(gram, y)
+    gx = mat_vec(gram, y)
     return sum((xi * gi for xi, gi in zip(x, gx) if xi), ZERO)
 
 

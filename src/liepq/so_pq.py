@@ -268,22 +268,7 @@ def so_of_form(form: Matrix) -> LieAlgebra:
     """so(R^d, form) = {A : A^t.form + form.A = 0} with a canonical basis."""
     if not form.is_symmetric():
         raise ContractError("so_of_form requires a symmetric form")
-    d = form.rows
-    rows = []
-    # unknowns A_{kl}; equations indexed by (i, j)
-    for i in range(d):
-        for j in range(d):
-            row = [ZERO] * (d * d)
-            for k in range(d):
-                v = form[k, j]
-                if v:
-                    row[k * d + i] += v
-                v = form[i, k]
-                if v:
-                    row[k * d + j] += v
-            rows.append(row)
-    basis = [Matrix(d, d, vec) for vec in kernel(Matrix.from_rows(rows)).basis_rows()]
-    return LieAlgebra.from_matrices(basis, validate=False)
+    return _form_preserving_algebra(form)
 
 
 def sqrt_conjugation(p: int, q: int, c) -> Matrix | None:
@@ -515,9 +500,11 @@ def _sl4_algebra() -> LieAlgebra:
 
 
 def _form_preserving_algebra(form: Matrix) -> LieAlgebra:
-    """{A : A^t.form + form.A = 0} for an arbitrary (possibly skew) form."""
+    """{A : A^t.form + form.A = 0} for an arbitrary (possibly skew) form,
+    with the canonical kernel basis."""
     d = form.rows
     rows = []
+    # unknowns A_{kl}; equations indexed by (i, j)
     for i in range(d):
         for j in range(d):
             row = [ZERO] * (d * d)

@@ -43,6 +43,26 @@ def test_construct_rejects_empty_signature():
     assert "error" in err
 
 
+def test_size_limit_exits_2_before_any_work(capsys, monkeypatch):
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started beyond the size limit")
+
+    for name in ("run_suite", "deformed_algebra", "so_pq_algebra"):
+        monkeypatch.setattr(cli, name, forbidden)
+    n = str(cli.MAX_N + 1)
+    for argv in (
+        ["verify", "--suite", "all", "--p", n, "--q", "0"],
+        ["verify", "--suite", "appendix", "--p", "50", "--q", "50"],
+        ["construct", "--p", "50", "--q", "50"],
+        ["construct", "--p", "1", "--q", n, "--c", "1"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"n <= {cli.MAX_N}" in err
+
+
 def test_construct_rejects_zero_c(capsys):
     code = main(["construct", "--p", "2", "--q", "1", "--c", "0"])
     assert code == 2

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, NotClosedError, NotStableError
+from liepq import lie_core
 from liepq.exact_linalg import (
     Matrix,
     Rational,
@@ -10,9 +11,11 @@ from liepq.exact_linalg import (
     inertia_of_diagonalizable_form,
     mat_mul,
     rat,
+    rref,
 )
 from liepq.lie_core import (
     LieAlgebra,
+    _Coordinatizer,
     bracket,
     centralizer,
     is_maximal_subalgebra,
@@ -324,3 +327,208 @@ def test_sparse_killing_matches_dense_trace(algebra):
     gram = algebra.killing_form().gram
     assert gram.entries == dense_killing_entries(algebra)
     assert all(type(x) is Rational for x in gram.entries)
+
+
+# -- differential tests: the sparse bracket path against slow oracles -------
+
+
+def all_keys_bracket(algebra, x, y):
+    """[x, y] by the obvious formula: every (i, j) key of the structure
+    tensor weighted by x_i y_j - x_j y_i."""
+    out = [rat(0)] * algebra.dim
+    for (i, j), entry in algebra.structure.items():
+        f = x[i] * y[j] - x[j] * y[i]
+        for k, v in entry.items():
+            out[k] += f * v
+    return out
+
+
+def worklist_closure(algebra, generators):
+    """Brute-force closure: bracket every new vector against the whole
+    current basis, with dense membership tests, until nothing new appears."""
+    span = generators
+    basis = list(generators.basis_rows())
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(basis):
+                z = all_keys_bracket(algebra, x, y)
+                if not span.contains(z):
+                    span = Subspace.from_vectors(algebra.dim, span.basis_rows() + [z])
+                    basis.append(z)
+                    new.append(z)
+        frontier = new
+    return span
+
+
+def brute_force_maximality(algebra, subspace):
+    """Close H + <e_idx> from scratch for every complement index."""
+    for idx in subspace.complement_coordinate_indices():
+        unit = [rat(0)] * algebra.dim
+        unit[idx] = rat(1)
+        gens = Subspace.from_vectors(algebra.dim, subspace.basis_rows() + [unit])
+        closed = worklist_closure(algebra, gens)
+        if closed.dim < algebra.dim:
+            return False, closed
+    return True, None
+
+
+def dense_express(basis, m):
+    """Coefficients of m in the basis by one dense rref of [b_0 ... b_k | m]
+    (columns), or None when m is outside the span."""
+    k = len(basis)
+    rows = [[b.entries[r] for b in basis] + [m.entries[r]] for r in range(m.rows * m.cols)]
+    reduced, pivots = rref(rows)
+    if k in pivots:
+        return None
+    assert pivots == list(range(k))
+    return [row[k] for row in reduced]
+
+
+sparse_coeff = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.sampled_from(["1/2", "-2/3"]))
+bracket_test_algebras = st.one_of(
+    st.builds(lambda pq, c: deformed_algebra(*pq, c).algebra, signatures_3_to_5, small_height_c),
+    st.builds(
+        lambda pq: so_pq_algebra(*pq),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda pq: 2 <= sum(pq) <= 5),
+    ),
+)
+
+
+@given(bracket_test_algebras, st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparse_bracket_matches_all_keys_formula(algebra, data):
+    vec = st.lists(sparse_coeff, min_size=algebra.dim, max_size=algebra.dim)
+    x = [rat(v) for v in data.draw(vec)]
+    y = [rat(v) for v in data.draw(vec)]
+    got = algebra.bracket_coeffs(x, y)
+    assert got == all_keys_bracket(algebra, x, y)
+    assert all(type(v) is Rational for v in got)
+
+
+closure_test_algebras = st.one_of(
+    st.sampled_from([(2, 2), (3, 1)]).map(lambda pq: so_pq_algebra(*pq)),
+    st.builds(
+        lambda pq, c: deformed_algebra(*pq, c).algebra,
+        st.sampled_from([(2, 1), (3, 1)]),
+        small_height_c,
+    ),
+)
+
+
+def draw_generators(data, algebra):
+    small = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2))
+    rows = data.draw(
+        st.lists(
+            st.lists(small, min_size=algebra.dim, max_size=algebra.dim), min_size=1, max_size=3
+        )
+    )
+    return Subspace.from_vectors(algebra.dim, [[rat(v) for v in row] for row in rows])
+
+
+@given(closure_test_algebras, st.data())
+@settings(max_examples=40, deadline=None)
+def test_closure_matches_worklist_oracle(algebra, data):
+    gens = draw_generators(data, algebra)
+    assert subalgebra_closure(algebra, gens) == worklist_closure(algebra, gens)
+
+
+@given(closure_test_algebras, st.data())
+@settings(max_examples=40, deadline=None)
+def test_maximality_matches_brute_force_oracle(algebra, data):
+    sub = worklist_closure(algebra, draw_generators(data, algebra))
+    if sub.dim == algebra.dim:
+        sub = worklist_closure(algebra, Subspace.zero(algebra.dim))
+    assert is_subalgebra(algebra, sub)
+    assert is_maximal_subalgebra(algebra, sub) == brute_force_maximality(algebra, sub)
+
+
+@pytest.mark.parametrize("p, q, c", [(2, 1, 1), (3, 1, 0), (3, 1, "-1/2"), (2, 2, 2)])
+def test_maximality_of_so_block_matches_brute_force(p, q, c):
+    dalg = deformed_algebra(p, q, rat(c))
+    sub = dalg.so_block_subspace()
+    assert is_maximal_subalgebra(dalg.algebra, sub) == (True, None)
+    assert brute_force_maximality(dalg.algebra, sub) == (True, None)
+
+
+def test_non_maximal_witness_matches_brute_force(so22):
+    # one so(2,1) factor of so(2,2) = so(2,1) x so(2,1): an ideal, not maximal
+    ideal = is_irreducible(adjoint_rep(so22)).witness
+    got = is_maximal_subalgebra(so22, ideal)
+    assert got[0] is False
+    assert got == brute_force_maximality(so22, ideal)
+
+
+small_matrix_entry = st.one_of(st.just(0), st.just(0), st.integers(-2, 2))
+
+
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_coordinatizer_matches_dense_solve(n, data):
+    entries = st.lists(small_matrix_entry, min_size=n * n, max_size=n * n)
+    basis = [Matrix(n, n, e) for e in data.draw(st.lists(entries, min_size=1, max_size=4))]
+    rank = len(rref([list(b.entries) for b in basis])[1])
+    if rank < len(basis):
+        with pytest.raises(ContractError):
+            _Coordinatizer(basis)
+        return
+    coord = _Coordinatizer(basis)
+    outside = Matrix(n, n, data.draw(entries))
+    weights = data.draw(st.lists(small_matrix_entry, min_size=len(basis), max_size=len(basis)))
+    inside = Matrix.zeros(n, n)
+    for w, b in zip(weights, basis):
+        inside = inside + b.scale(w)
+    for m in (outside, inside):
+        assert coord.express(m) == dense_express(basis, m)
+    assert coord.express(inside) == [rat(w) for w in weights]
+
+
+def test_coordinatizer_out_of_span_gl2_commutator():
+    # the pair of test_not_closed_pair_in_gl2: [E01, E10] = E00 - E11 is outside
+    basis = [unit_matrix(0, 1, 2), unit_matrix(1, 0, 2)]
+    comm = mat_mul(basis[0], basis[1]) - mat_mul(basis[1], basis[0])
+    assert dense_express(basis, comm) is None
+    assert _Coordinatizer(basis).express(comm) is None
+    assert _Coordinatizer(basis).express(basis[1].scale(3)) == [rat(0), rat(3)]
+
+
+def test_coordinatizer_reduces_earlier_rows_at_later_pivots():
+    # the second basis matrix's pivot is a nonzero entry of the first
+    basis = [Matrix(2, 2, [1, 1, 0, 0]), Matrix(2, 2, [0, 2, 1, 0])]
+    target = Matrix(2, 2, [1, -1, -1, 0])  # b0 - b1
+    assert _Coordinatizer(basis).express(target) == [rat(1), rat(-1)]
+    assert dense_express(basis, target) == [rat(1), rat(-1)]
+
+
+def test_maximality_closure_never_brackets_two_h_vectors(monkeypatch):
+    """Bracket-work guard on deformed (4,4), c = 2: the membership check of H
+    brackets each pair of H's 28 basis vectors once; the closures bracket no
+    such pair again and stop once the span is the whole 36-dim algebra."""
+    dalg = deformed_algebra(4, 4, rat(2))
+    sub = dalg.so_block_subspace()
+    h_rows = [{k: v for k, v in enumerate(row) if v} for row in sub.basis_rows()]
+    calls = []  # (inside is_subalgebra, both arguments are H basis vectors)
+    depth = []
+    real_bracket = LieAlgebra.bracket_sparse
+    real_is_subalgebra = lie_core.is_subalgebra
+
+    def counting_bracket(self, x, y):
+        calls.append((bool(depth), x in h_rows and y in h_rows))
+        return real_bracket(self, x, y)
+
+    def flagged_is_subalgebra(algebra, subspace):
+        depth.append(1)
+        try:
+            return real_is_subalgebra(algebra, subspace)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counting_bracket)
+    monkeypatch.setattr(lie_core, "is_subalgebra", flagged_is_subalgebra)
+    assert is_maximal_subalgebra(dalg.algebra, sub) == (True, None)
+    h, d = sub.dim, dalg.algebra.dim
+    assert (h, d) == (28, 36)
+    assert sum(1 for membership, _ in calls if membership) == h * (h - 1) // 2
+    assert not any(both_h for membership, both_h in calls if not membership)
+    assert len(calls) <= h * (h - 1) // 2 + (d - h) * d

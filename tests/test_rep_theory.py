@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, NotStableError
-from liepq.exact_linalg import Matrix, Subspace, mat_mul, rat, rref
+from liepq.exact_linalg import Matrix, Subspace, mat_mul, mat_vec, rat, rref
 from liepq.ratpoly import char_poly, rational_roots
 from liepq.rep_theory import (
     Representation,
@@ -297,10 +297,8 @@ def test_constrained_form_uniqueness():
     j = complex_structure_endomorphism(adjoint)
     kill = iso.small_algebra.killing_form()
     rows = compact.basis_rows()
-    from liepq.rep_theory import _matvec_list
-
     khat_on_mixed = [
-        kill.evaluate(x, _matvec_list(j, _matvec_list(j, y))) for x in rows for y in rows
+        kill.evaluate(x, mat_vec(j, mat_vec(j, y))) for x in rows for y in rows
     ]
     assert any(v != 0 for v in khat_on_mixed)  # K itself is nonzero on su(2)
 
