@@ -1,7 +1,8 @@
 """Command-line surface: constructions, verification suites, irrep tables.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/domain error.
-`verify` and `construct` refuse n = p + q above MAX_N with exit 2.
+`verify` and `construct` refuse n = p + q above MAX_N with exit 2, and
+`irreps` refuses a rank or a dimension bound above its limits.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
 """
@@ -75,6 +76,15 @@ from .weyl_enum import (
 # 6 s at n = 8, 43 s at n = 12 and 232 s at n = 16, about 1.5x more per
 # unit of n beyond that; `construct --c 1` takes 3.4 s at n = 16.
 MAX_N = 16
+
+# Limits of `irreps`, so that the enumeration ends in about a second.  Each
+# Weyl dimension costs O(rank^3) scalar operations, and the number of weights
+# grows fastest for D2 = A1 x A1, where dim = (a+1)(b+1).  Measured the same
+# way: D2 takes 1.4 s at --max-dim 1000 (7069 weights) and 19 s at 10000;
+# B8 and D8 take 0.5 s at 1000, B16 takes 6 s at 10000.  Rank 8 covers so(n)
+# for every n <= MAX_N + 1.
+MAX_IRREPS_RANK = 8
+MAX_IRREPS_DIM = 1000
 
 SMALL_EXCLUSION_REASON = (
     "so(2,1) x so(2,1) exclusion: the maximality and deformed-bracket "
@@ -187,7 +197,7 @@ def check_hom_wedge_adjoint(p, q):
         detail["dense_checked"] = True
     tc = t_c(p, q, 1)
     rows = [list(h.entries) for h in homs]
-    before = len(rref([r[:] for r in rows])[0])
+    before = len(rref(rows)[0])
     rows.append(list(tc.entries))
     after = len(rref(rows)[0])
     if after != before:
@@ -549,86 +559,55 @@ def check_simple_dim_scan(p, q):
     return _pass()
 
 
+# The check registry, in suite order: name -> (function, suite, extra
+# parameter).  Every check takes p and q; the extra parameter, when named,
+# runs once per value of its list ("c" from --c-list, "mu" from --mu-list).
 CHECKS = {
-    "defining_property": (check_defining_property, False),
-    "theta_automorphism": (check_theta_automorphism, False),
-    "killing_vs_trace": (check_killing_vs_trace, False),
-    "standard_form_unique": (check_standard_form_unique, False),
-    "hom_wedge_adjoint": (check_hom_wedge_adjoint, False),
-    "smallest_module_enum": (check_smallest_module_enum, False),
-    "deformed_jacobi": (check_deformed_jacobi, True),
-    "deformed_radical": (check_deformed_radical, True),
-    "tc_equivariance": (check_tc_equivariance, True),
-    "tc_iso_rank": (check_tc_iso_rank, True),
-    "embedding_iso": (check_embedding, True),
-    "target_inertia": (check_target_inertia, True),
-    "sqrt_conjugation": (check_sqrt_conjugation, True),
-    "maximality": (check_maximality, True),
-    "centralizer_trivial": (check_centralizer, True),
-    "killing_blocks": (check_killing_blocks, True),
-    "complement_irreducible": (check_complement_irreducible, True),
+    "defining_property": (check_defining_property, "appendix", None),
+    "theta_automorphism": (check_theta_automorphism, "appendix", None),
+    "killing_vs_trace": (check_killing_vs_trace, "appendix", None),
+    "standard_form_unique": (check_standard_form_unique, "appendix", None),
+    "hom_wedge_adjoint": (check_hom_wedge_adjoint, "appendix", None),
+    "smallest_module_enum": (check_smallest_module_enum, "appendix", None),
+    "deformed_jacobi": (check_deformed_jacobi, "appendix", "c"),
+    "deformed_radical": (check_deformed_radical, "appendix", "c"),
+    "tc_equivariance": (check_tc_equivariance, "appendix", "c"),
+    "tc_iso_rank": (check_tc_iso_rank, "appendix", "c"),
+    "embedding_iso": (check_embedding, "appendix", "c"),
+    "target_inertia": (check_target_inertia, "appendix", "c"),
+    "sqrt_conjugation": (check_sqrt_conjugation, "appendix", "c"),
+    "maximality": (check_maximality, "appendix", "c"),
+    "centralizer_trivial": (check_centralizer, "appendix", "c"),
+    "killing_blocks": (check_killing_blocks, "appendix", "c"),
+    "complement_irreducible": (check_complement_irreducible, "appendix", "c"),
+    "character_identity": (check_character_identity, "section2", "mu"),
+    "half_spin": (check_half_spin, "section2", None),
+    "exceptional_iso": (check_exceptional_iso, "section2", None),
+    "su2_perp_collapse": (check_su2_collapse, "section2", None),
+    "dimension_bound": (check_dimension_bound, "section2", None),
+    "simple_dim_scan": (check_simple_dim_scan, "section2", None),
 }
-
-SECTION2_CHECKS = {
-    "character_identity": (check_character_identity, "mu"),
-    "half_spin": (check_half_spin, None),
-    "exceptional_iso": (check_exceptional_iso, None),
-    "su2_perp_collapse": (check_su2_collapse, None),
-    "dimension_bound": (check_dimension_bound, None),
-    "simple_dim_scan": (check_simple_dim_scan, None),
-}
-
-APPENDIX_SIGNATURE_CHECKS = [
-    "defining_property",
-    "theta_automorphism",
-    "killing_vs_trace",
-    "standard_form_unique",
-    "hom_wedge_adjoint",
-    "smallest_module_enum",
-]
-
-APPENDIX_C_CHECKS = [
-    "deformed_jacobi",
-    "deformed_radical",
-    "tc_equivariance",
-    "tc_iso_rank",
-    "embedding_iso",
-    "target_inertia",
-    "sqrt_conjugation",
-    "maximality",
-    "centralizer_trivial",
-    "killing_blocks",
-    "complement_irreducible",
-]
 
 DEFAULT_C_LIST = ["-2", "-1", "-1/2", "0", "1/2", "1", "2"]
 DEFAULT_MU_LIST = ["3/2", "2", "3"]
 
 
 def build_suite(suite, p, q, c_list, mu_list):
+    values = {"c": c_list, "mu": mu_list}
     jobs = []
-    if suite in ("appendix", "all"):
-        for name in APPENDIX_SIGNATURE_CHECKS:
+    for name, (_, part, extra) in CHECKS.items():
+        if suite not in (part, "all"):
+            continue
+        if extra is None:
             jobs.append((name, {"p": p, "q": q}))
-        for c in c_list:
-            for name in APPENDIX_C_CHECKS:
-                jobs.append((name, {"p": p, "q": q, "c": c}))
-    if suite in ("section2", "all"):
-        for mu in mu_list:
-            jobs.append(("character_identity", {"p": p, "q": q, "mu": mu}))
-        for name in ("half_spin", "exceptional_iso", "su2_perp_collapse",
-                     "dimension_bound", "simple_dim_scan"):
-            jobs.append((name, {"p": p, "q": q}))
+        else:
+            jobs.extend((name, {"p": p, "q": q, extra: v}) for v in values[extra])
     return jobs
 
 
 def run_check(name, params):
-    if name in CHECKS:
-        fn, takes_c = CHECKS[name]
-        args = (params["p"], params["q"], params["c"]) if takes_c else (params["p"], params["q"])
-    else:
-        fn, extra = SECTION2_CHECKS[name]
-        args = (params["p"], params["q"], params["mu"]) if extra == "mu" else (params["p"], params["q"])
+    fn, _, extra = CHECKS[name]
+    args = (params["p"], params["q"]) if extra is None else (params["p"], params["q"], params[extra])
     start = time.perf_counter()
     try:
         result = fn(*args)
@@ -779,9 +758,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_irreps(args) -> int:
+    if args.rank > MAX_IRREPS_RANK:
+        raise ContractError(
+            f"--rank {args.rank} exceeds the size limit rank <= {MAX_IRREPS_RANK}"
+        )
+    if not 1 <= args.max_dim <= MAX_IRREPS_DIM:
+        raise ContractError(f"--max-dim must be between 1 and {MAX_IRREPS_DIM}")
     rs = root_system(args.type, args.rank)
-    if args.max_dim < 1:
-        raise ContractError("--max-dim must be at least 1")
     table = enumerate_up_to_dim(rs, args.max_dim)
     rows = [
         (args.type, args.rank, " ".join(str(c) for c in weight.coords), dim)

@@ -1,6 +1,8 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Every operation here is pure and exact: no floating point, no rounding.
+Dense matrices, and one sparse elimination engine, `Echelon`, behind
+`rref`, kernels, solves, inverses and subspaces.  Every operation here is
+pure and exact: no floating point, no rounding.
 Scalars are `gmpy2.mpq` when available (much faster), otherwise
 `fractions.Fraction`; both keep values in lowest terms with a positive
 denominator.
@@ -273,50 +275,116 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def _axpy(acc: dict, f, vec: dict):
+    """acc += f * vec on sparse {index: value} vectors, dropping zeros.
+
+    f must be nonzero and vec must hold no zeros, so a product landing on an
+    index missing from acc is nonzero.
+    """
+    for k, v in vec.items():
+        a = acc.get(k)
+        if a is None:
+            acc[k] = f * v
+        else:
+            s = a + f * v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+class Echelon:
+    """Incremental, fully reduced row echelon form over sparse rows.
+
+    `rows` maps pivot -> {column: value}.  Each row is 1 at its pivot, which
+    is its smallest column, and 0 at every other pivot, so at every moment
+    the rows are the canonical reduced echelon basis of their span, and
+    reducing a vector is one pass over its entries.
+    """
+
+    __slots__ = ("ambient", "rows")
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """A new sparse vector: vec minus the stored rows at its pivots.
+
+        The result is zero at every pivot, and empty exactly when vec lies in
+        the span.  A stored row is zero at every other pivot, so the factor
+        of each row is vec's own entry at that row's pivot.
+        """
+        out = dict(vec)
+        rows = self.rows
+        for k, f in vec.items():
+            row = rows.get(k)
+            if row is not None:
+                _axpy(out, -f, row)
+        return out
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; False, with nothing changed, when it is
+        already there.  Stored rows are reduced at the new pivot in place."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        pivot = min(vec)
+        lead = vec[pivot]
+        if lead != 1:
+            inv = ONE / lead
+            vec = {k: v * inv for k, v in vec.items()}
+        for row in self.rows.values():
+            f = row.get(pivot)
+            if f is not None:
+                _axpy(row, -f, vec)
+        self.rows[pivot] = vec
+        return True
+
+    def copy(self) -> "Echelon":
+        """An independent copy; each row is copied, since `insert` mutates
+        stored rows."""
+        out = Echelon(self.ambient)
+        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        return out
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def dense_rows(self):
+        """The canonical reduced rows as dense lists, in pivot order."""
+        out = []
+        for p in self.pivots():
+            v = [ZERO] * self.ambient
+            for k, x in self.rows[p].items():
+                v[k] = x
+            out.append(v)
+        return out
+
+
+def _echelon(ncols: int, rows) -> Echelon:
+    """The echelon of the span of dense rows of length ncols."""
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.insert({j: x for j, x in enumerate(row) if x})
+    return ech
+
+
 def rref(rows):
-    """In-place reduced row echelon form.
+    """Reduced row echelon form of a list of equal-length rows.
 
     Returns (nonzero reduced rows, pivot column indices).  Leading entries
     are 1 and pivot columns are cleared above and below, which makes the
-    result canonical for the row space.
+    result canonical for the row space.  The input is left unchanged.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return [], []
-    n = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            prow = rows[r] = [x / pv for x in prow]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [x - f * y for x, y in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for idx in range(len(pivots) - 1, 0, -1):
-        c = pivots[idx]
-        prow = rows[idx]
-        for i in range(idx):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [x - f * y for x, y in zip(ri, prow)]
-    return rows[: len(pivots)], pivots
+    ech = _echelon(len(rows[0]), rows)
+    return ech.dense_rows(), ech.pivots()
 
 
 class Subspace:
@@ -326,11 +394,13 @@ class Subspace:
     subspace, whatever generating vectors they were built from.
     """
 
-    __slots__ = ("ambient_dim", "_rows")
+    __slots__ = ("ambient_dim", "_echelon", "_rows")
 
-    def __init__(self, ambient_dim: int, reduced_rows):
-        self.ambient_dim = ambient_dim
-        self._rows = tuple(tuple(r) for r in reduced_rows)
+    def __init__(self, echelon: Echelon):
+        """The span of the echelon's rows; the subspace takes ownership of it."""
+        self.ambient_dim = echelon.ambient
+        self._echelon = echelon
+        self._rows = tuple(tuple(r) for r in echelon.dense_rows())
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -339,17 +409,16 @@ class Subspace:
             if isinstance(v, Matrix):
                 if v.cols != 1 or v.rows != ambient_dim:
                     raise ShapeMismatchError("basis vectors must be ambient_dim x 1")
-                rows.append(list(v.entries))
+                rows.append(v.entries)
             else:
                 if len(v) != ambient_dim:
                     raise ShapeMismatchError("vector length != ambient dimension")
                 rows.append([rat(x) for x in v])
-        reduced, _ = rref(rows)
-        return cls(ambient_dim, reduced)
+        return cls(_echelon(ambient_dim, rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
+        return cls(Echelon(ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -369,43 +438,38 @@ class Subspace:
     def basis_rows(self):
         return [list(r) for r in self._rows]
 
+    def echelon(self) -> Echelon:
+        """A fresh copy of the canonical echelon, free to grow."""
+        return self._echelon.copy()
+
     def pivot_columns(self):
-        pivots = []
-        for row in self._rows:
-            for j, x in enumerate(row):
-                if x:
-                    pivots.append(j)
-                    break
-        return pivots
+        return self._echelon.pivots()
 
     def contains(self, vector) -> bool:
         return self.reduce(vector) is not None
 
     def reduce(self, vector):
-        """Return coordinates of `vector` w.r.t. the canonical basis, or None."""
+        """Return coordinates of `vector` w.r.t. the canonical basis, or None.
+
+        The basis is the identity on the pivot columns, so the coordinates
+        are the vector's own entries there.
+        """
         if isinstance(vector, Matrix):
-            vector = list(vector.entries)
+            vector = vector.entries
         else:
             vector = [rat(x) for x in vector]
         if len(vector) != self.ambient_dim:
             raise ShapeMismatchError("vector length != ambient dimension")
-        coords = []
-        for row in self._rows:
-            pivot = next(j for j, x in enumerate(row) if x)
-            f = vector[pivot]
-            coords.append(f)
-            if f:
-                vector = [x - f * y for x, y in zip(vector, row)]
-        if any(x != 0 for x in vector):
+        if self._echelon.reduce({j: x for j, x in enumerate(vector) if x}):
             return None
-        return coords
+        return [vector[p] for p in self.pivot_columns()]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(list(r)) for r in other._rows)
 
     def complement_coordinate_indices(self):
         """Coordinate indices spanning a complement (the non-pivot columns)."""
-        pivots = set(self.pivot_columns())
+        pivots = self._echelon.rows
         return [j for j in range(self.ambient_dim) if j not in pivots]
 
     def __eq__(self, other) -> bool:
@@ -422,19 +486,27 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _null_space(ech: Echelon, n: int) -> Subspace:
+    """Kernel of the first n columns of a system whose reduced rows are ech.
+
+    Row p with p < n reads x_p = -sum of row[f] * x_f over the free columns
+    f < n; each free column gives one kernel vector.
+    """
+    free = {f: {f: ONE} for f in range(n) if f not in ech.rows}
+    for p, row in ech.rows.items():
+        if p < n:
+            for k, x in row.items():
+                if k < n and k != p:
+                    free[k][p] = -x
+    null = Echelon(n)
+    for v in free.values():
+        null.insert(v)
+    return Subspace(null)
+
+
 def kernel(a: Matrix) -> Subspace:
     """Canonical basis of the null space {x : a.x = 0}."""
-    reduced, pivots = rref(a.to_rows())
-    n = a.cols
-    free = [j for j in range(n) if j not in pivots]
-    vectors = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for k, c in enumerate(pivots):
-            v[c] = -reduced[k][f]
-        vectors.append(v)
-    return Subspace.from_vectors(n, vectors)
+    return _null_space(_echelon(a.cols, a.to_rows()), a.cols)
 
 
 class NoSolutionType:
@@ -462,21 +534,24 @@ def solve_linear(a: Matrix, b: Matrix):
 
     Returns (particular, kernel(a)) where particular is a Matrix with the
     same column count as b, or NO_SOLUTION when the system is inconsistent.
-    Inconsistency is a value, not an error.
+    Inconsistency is a value, not an error.  One echelon of [a | b] serves
+    both: its rows with pivots in a's columns, cut to those columns, are the
+    reduced echelon form of a.
     """
     if a.rows != b.rows:
         raise ShapeMismatchError("right-hand side row count mismatch")
     n = a.cols
     k = b.cols
-    rows = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
-    reduced, pivots = rref(rows)
-    for c in pivots:
-        if c >= n:
-            return NO_SOLUTION, kernel(a)
-    sol = [[ZERO] * k for _ in range(n)]
-    for r, c in enumerate(pivots):
-        sol[c] = reduced[r][n:]
-    return Matrix.from_rows(sol), kernel(a)
+    ech = _echelon(n + k, (a.row_list(i) + b.row_list(i) for i in range(a.rows)))
+    ker = _null_space(ech, n)
+    if any(p >= n for p in ech.rows):
+        return NO_SOLUTION, ker
+    sol = [ZERO] * (n * k)
+    for p, row in ech.rows.items():
+        for col, x in row.items():
+            if col >= n:
+                sol[p * k + col - n] = x
+    return Matrix._trusted(n, k, sol), ker
 
 
 def invert(a: Matrix) -> Matrix:
@@ -489,52 +564,18 @@ def invert(a: Matrix) -> Matrix:
 
 
 def inertia_of_diagonalizable_form(b: Matrix):
-    """Sylvester inertia (n+, n-, n0) of a symmetric form, by exact
-    symmetric Gaussian congruence."""
-    if not b.is_symmetric():
-        raise ContractError("inertia requires a symmetric matrix")
-    n = b.rows
-    m = [row[:] for row in b.to_rows()]
-    plus = minus = zero = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                # symmetric row+col shear makes the diagonal entry 2*m[k][off]
-                for j in range(n):
-                    m[k][j] = m[k][j] + m[off][j]
-                for row in m:
-                    row[k] = row[k] + row[off]
-        d = m[k][k]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            if f:
-                mk = m[k]
-                mi = m[i]
-                for j in range(k, n):
-                    mi[j] -= f * mk[j]
-                for row in m:
-                    row[i] -= f * row[k]
-    return plus, minus, zero
+    """Sylvester inertia (n+, n-, n0) of a symmetric form: the signs of the
+    diagonal that `congruence_diagonalize` reaches."""
+    _, diag = congruence_diagonalize(b)
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    return plus, minus, len(diag) - plus - minus
 
 
 def congruence_diagonalize(b: Matrix):
     """Invertible rational P with P^t.b.P diagonal; returns (P, diagonal entries).
 
-    Same symmetric Gaussian congruence as the inertia computation, with the
-    transform tracked.
+    Exact symmetric Gaussian congruence, with the transform tracked.
     """
     if not b.is_symmetric():
         raise ContractError("congruence diagonalization requires a symmetric matrix")

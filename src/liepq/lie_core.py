@@ -18,11 +18,13 @@ from .errors import (
     UnsupportedRealizationError,
 )
 from .exact_linalg import (
+    Echelon,
     Matrix,
     ONE,
     Rational,
     Subspace,
     ZERO,
+    _axpy,
     kernel,
     mat_mul,
     rat,
@@ -36,69 +38,37 @@ ABSTRACT = "abstract"
 class _Coordinatizer:
     """Expresses matrices exactly in the span of a fixed matrix basis.
 
-    The basis is kept fully reduced as sparse rows: pivot -> (row, combo),
-    where row is {entry index: value}, zero at every other pivot, and combo
-    is {basis index: value} with row = sum of combo[i] * basis[i].
+    Basis matrix i enters one Echelon as its entries followed by a tag 1 in
+    column size + i.  A matrix in the span then reduces to zero on its
+    entries and to minus its coefficients on the tags; a basis is dependent
+    exactly when some pivot lands on a tag.
     """
 
     def __init__(self, basis):
-        self.reduced = {}
         self.dim = len(basis)
-        if not basis:
-            self.shape = (0, 0)
-            return
-        self.shape = (basis[0].rows, basis[0].cols)
+        self.shape = (basis[0].rows, basis[0].cols) if basis else (0, 0)
+        self.size = size = self.shape[0] * self.shape[1]
+        self.echelon = Echelon(size + self.dim)
         for i, b in enumerate(basis):
             if (b.rows, b.cols) != self.shape:
                 raise ShapeMismatchError("basis matrices of mixed shapes")
-            vec, used = self._eliminate({k: x for k, x in enumerate(b.entries) if x})
-            if not vec:
-                raise ContractError("basis matrices are linearly dependent")
-            pivot = min(vec)
-            inv = ONE / vec[pivot]
-            vec = {k: v * inv for k, v in vec.items()}
-            combo = {k: -v * inv for k, v in used.items()}
-            combo[i] = inv
-            for row, row_combo in self.reduced.values():
-                f = row.get(pivot)
-                if f:
-                    _axpy(row, -f, vec)
-                    _axpy(row_combo, -f, combo)
-            self.reduced[pivot] = (vec, combo)
-
-    def _eliminate(self, vec):
-        """Subtract from vec (in place) the reduced rows at its pivots.
-
-        Returns (vec, used) with original vec = vec + sum of used[k] * b_k.
-        A reduced row is zero at every other pivot, so the factor of each
-        row is vec's original entry at that row's pivot.
-        """
-        used = {}
-        for pivot, f in [(k, v) for k, v in vec.items() if k in self.reduced]:
-            row, combo = self.reduced[pivot]
-            _axpy(vec, -f, row)
-            _axpy(used, f, combo)
-        return vec, used
+            vec = {k: x for k, x in enumerate(b.entries) if x}
+            vec[size + i] = ONE
+            self.echelon.insert(vec)
+        if any(p >= size for p in self.echelon.rows):
+            raise ContractError("basis matrices are linearly dependent")
 
     def express(self, m: Matrix):
         """Coefficients of m in the basis, or None if m is outside the span."""
-        vec, used = self._eliminate({k: x for k, x in enumerate(m.entries) if x})
-        if vec:
-            return None
+        if (m.rows, m.cols) != self.shape:
+            raise ShapeMismatchError("matrix shape differs from the basis")
+        size = self.size
         out = [ZERO] * self.dim
-        for k, v in used.items():
-            out[k] = v
+        for k, v in self.echelon.reduce({k: x for k, x in enumerate(m.entries) if x}).items():
+            if k < size:
+                return None
+            out[k - size] = -v
         return out
-
-
-def _axpy(acc: dict, f, vec: dict):
-    """acc += f * vec on sparse {index: value} vectors, dropping zeros."""
-    for k, v in vec.items():
-        s = acc.get(k, ZERO) + f * v
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
 
 
 class LieAlgebra:
@@ -416,61 +386,11 @@ def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
     return kernel(Matrix.from_rows(rows))
 
 
-class _SparseEchelon:
-    """Forward echelon accumulator over sparse {index: value} rows."""
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.rows = {}  # pivot index -> normalized sparse row
-
-    def reduce(self, vec: dict) -> dict:
-        """A copy of vec minus stored rows; empty exactly when vec is in the
-        span.  Stops at the first leading index that has no stored row."""
-        vec = dict(vec)
-        while vec:
-            pivot = min(vec)
-            row = self.rows.get(pivot)
-            if row is None:
-                break
-            _axpy(vec, -vec[pivot], row)
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = ONE / vec[pivot]
-        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    def copy(self) -> "_SparseEchelon":
-        out = _SparseEchelon(self.ambient)
-        out.rows = dict(self.rows)  # stored rows are never mutated
-        return out
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def to_subspace(self) -> Subspace:
-        dense = []
-        for pivot, row in sorted(self.rows.items()):
-            v = [ZERO] * self.ambient
-            for k, val in row.items():
-                v[k] = val
-            dense.append(v)
-        return Subspace.from_vectors(self.ambient, dense)
-
-
 def _sparse_rows(subspace: Subspace):
     return [{k: v for k, v in enumerate(row) if v} for row in subspace.basis_rows()]
 
 
-def _close(algebra: LieAlgebra, ech: _SparseEchelon, vectors: list, closed: int):
+def _close(algebra: LieAlgebra, ech: Echelon, vectors: list, closed: int):
     """Grow vectors, a basis of ech's span, to a bracket-closed set.
 
     The first `closed` vectors span a subalgebra, so their pairs are never
@@ -493,19 +413,16 @@ def subalgebra_closure(algebra: LieAlgebra, generators: Subspace) -> Subspace:
     """Smallest bracket-closed subspace containing the generators."""
     if generators.ambient_dim != algebra.dim:
         raise ShapeMismatchError("generators live in the wrong coefficient space")
-    ech = _SparseEchelon(algebra.dim)
-    vectors = [v for v in _sparse_rows(generators) if ech.insert(v)]
-    _close(algebra, ech, vectors, 0)
-    return ech.to_subspace()
+    ech = generators.echelon()
+    _close(algebra, ech, _sparse_rows(generators), 0)
+    return Subspace(ech)
 
 
 def is_subalgebra(algebra: LieAlgebra, subspace: Subspace) -> bool:
     rows = _sparse_rows(subspace)
-    ech = _SparseEchelon(algebra.dim)
-    for row in rows:
-        ech.insert(row)
+    ech = subspace.echelon()
     return all(
-        ech.contains(algebra.bracket_sparse(rows[i], rows[j]))
+        not ech.reduce(algebra.bracket_sparse(rows[i], rows[j]))
         for i in range(len(rows))
         for j in range(i + 1, len(rows))
     )
@@ -524,14 +441,11 @@ def is_maximal_subalgebra(algebra: LieAlgebra, subspace: Subspace):
     if subspace.dim >= algebra.dim:
         raise ContractError("H must be a proper subalgebra")
     h_rows = _sparse_rows(subspace)
-    h_ech = _SparseEchelon(algebra.dim)
-    for row in h_rows:
-        h_ech.insert(row)
     for idx in subspace.complement_coordinate_indices():
-        ech = h_ech.copy()
+        ech = subspace.echelon()
         unit = {idx: ONE}
         ech.insert(unit)
         _close(algebra, ech, h_rows + [unit], len(h_rows))
         if ech.dim < algebra.dim:
-            return False, ech.to_subspace()
+            return False, Subspace(ech)
     return True, None

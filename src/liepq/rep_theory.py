@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ContractError, FactorizationCapExceeded, NotStableError, ShapeMismatchError
 from .exact_linalg import (
+    Echelon,
     Matrix,
     NO_SOLUTION,
     ONE,
@@ -34,7 +35,7 @@ from .exact_linalg import (
     solve_linear,
     wedge_square_index,
 )
-from .lie_core import LieAlgebra, _SparseEchelon
+from .lie_core import LieAlgebra
 from .ratpoly import char_poly, factor_poly, min_poly, poly_eval_matrix, rational_roots
 
 _DENSE_HOM_CAP = 4096  # unknown-count bound for the stacked fallback solver
@@ -416,12 +417,8 @@ def cyclic_submodule(v: Representation, vector) -> Subspace:
     vector = [rat(x) for x in vector]
     if len(vector) != v.module_dim:
         raise ShapeMismatchError("vector length != module dimension")
-    ech = _SparseEchelon(v.module_dim)
-    seed = {i: x for i, x in enumerate(vector) if x}
-    if not seed:
-        return Subspace.zero(v.module_dim)
-    ech.insert(seed)
-    frontier = [vector]
+    ech = Echelon(v.module_dim)
+    frontier = [vector] if ech.insert({i: x for i, x in enumerate(vector) if x}) else []
     while frontier:
         new = []
         for x in frontier:
@@ -431,7 +428,7 @@ def cyclic_submodule(v: Representation, vector) -> Subspace:
                 if sparse and ech.insert(sparse):
                     new.append(y)
         frontier = new
-    return ech.to_subspace()
+    return Subspace(ech)
 
 
 @dataclass

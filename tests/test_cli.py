@@ -124,7 +124,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     import liepq.cli as cli
 
     monkeypatch.setitem(
-        cli.SECTION2_CHECKS, "dimension_bound", (lambda p, q: {"status": "fail"}, None)
+        cli.CHECKS, "dimension_bound", (lambda p, q: {"status": "fail"}, "section2", None)
     )
     code = main(["verify", "--suite", "section2", "--p", "2", "--q", "1"])
     capsys.readouterr()
@@ -166,6 +166,33 @@ def test_irreps_d3_notes_coincidence(capsys):
     code, out = invoke(capsys, "irreps", "--type", "D", "--rank", "3", "--max-dim", "6")
     assert code == 0
     assert out.startswith("# NOTE:")
+
+
+def test_irreps_limits_exit_2_before_any_work(capsys, monkeypatch):
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started beyond the irreps limits")
+
+    for name in ("root_system", "enumerate_up_to_dim"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for argv in (
+        ["irreps", "--type", "D", "--rank", "40", "--max-dim", "1000000000"],
+        ["irreps", "--type", "B", "--rank", str(cli.MAX_IRREPS_RANK + 1), "--max-dim", "8"],
+        ["irreps", "--type", "B", "--rank", "2", "--max-dim", str(cli.MAX_IRREPS_DIM + 1)],
+        ["irreps", "--type", "B", "--rank", "2", "--max-dim", "0"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    # the limits themselves are accepted
+    from liepq.weyl_enum import root_system
+
+    monkeypatch.setattr(cli, "root_system", root_system)
+    monkeypatch.setattr(cli, "enumerate_up_to_dim", lambda rs, bound: [])
+    argv = ["irreps", "--type", "B", "--rank", str(cli.MAX_IRREPS_RANK),
+            "--max-dim", str(cli.MAX_IRREPS_DIM)]
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_bound_41(capsys):

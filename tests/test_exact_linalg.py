@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from liepq.errors import ContractError, ShapeMismatchError
 from liepq.exact_linalg import (
+    Echelon,
     Matrix,
     NO_SOLUTION,
     Rational,
@@ -21,6 +22,8 @@ from liepq.exact_linalg import (
     solve_linear,
     wedge_square_index,
 )
+
+from conftest import dense_kernel, dense_rref, dense_solve, gaussian_inertia
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -297,3 +300,108 @@ def test_public_constructors_still_validate_entries():
             load_matrix_text(f"1 1\n{body}\n")
     with pytest.raises(ShapeMismatchError):
         Matrix(2, 2, [1, 2, 3])
+
+
+# -- the sparse echelon against the dense Fraction oracle -------------------
+
+integer_entries = st.one_of(st.just(0), st.integers(-4, 4))
+rational_entries = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(lambda n, d: rat(f"{n}/{d}"), st.integers(-5, 5), st.integers(1, 4)),
+)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Integer or rational matrices of 0 to 5 rows and columns, some rows and
+    columns forced to zero."""
+    n = draw(st.integers(0, 5)) if rows is None else rows
+    m = draw(st.integers(0, 5)) if cols is None else cols
+    entry = draw(st.sampled_from([integer_entries, rational_entries]))
+    entries = draw(st.lists(entry, min_size=n * m, max_size=n * m))
+    zero_rows = draw(st.sets(st.integers(0, 4), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 4), max_size=2))
+    return Matrix(n, m, [
+        0 if i in zero_rows or j in zero_cols else entries[i * m + j]
+        for i in range(n)
+        for j in range(m)
+    ])
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_kernel_match_dense_oracle(a):
+    rows = a.to_rows()
+    before = [list(r) for r in rows]
+    assert rref(rows) == dense_rref(rows)
+    assert rows == before
+    assert kernel(a).basis_rows() == dense_kernel(rows, a.cols)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_linear_matches_dense_oracle(a, data):
+    k = data.draw(st.integers(0, 3))
+    consistent = mat_mul(a, data.draw(matrices(rows=a.cols, cols=k)))
+    other = data.draw(matrices(rows=a.rows, cols=k))
+    for b in (consistent, other):
+        sol, ker = solve_linear(a, b)
+        expected = dense_solve(a.to_rows(), b.to_rows(), a.cols, k)
+        if expected is None:
+            assert sol is NO_SOLUTION
+        else:
+            assert sol.to_rows() == expected
+            assert mat_mul(a, sol) == b
+        assert ker.basis_rows() == dense_kernel(a.to_rows(), a.cols)
+    assert solve_linear(a, consistent)[0] is not NO_SOLUTION
+
+
+@given(matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_reduce_matches_dense_oracle(a, data):
+    n = a.cols
+    sub = Subspace.from_vectors(n, a.to_rows())
+    basis, pivots = dense_rref(a.to_rows())
+    assert sub.basis_rows() == basis
+    assert sub.pivot_columns() == pivots
+    columns = [[row[i] for row in basis] for i in range(n)]  # basis as columns
+    weights = data.draw(st.lists(rational_entries, min_size=len(basis), max_size=len(basis)))
+    inside = [sum((rat(w) * row[i] for w, row in zip(weights, basis)), ZERO) for i in range(n)]
+    outside = data.draw(st.lists(rational_entries, min_size=n, max_size=n))
+    for v in (inside, outside):
+        expected = dense_solve(columns, [[x] for x in v], len(basis), 1)
+        got = sub.reduce(v)
+        assert got == (None if expected is None else [c[0] for c in expected])
+        assert sub.contains(v) == (expected is not None)
+    assert sub.reduce(inside) == [rat(w) for w in weights]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([integer_entries, rational_entries]))
+    upper = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    zero = draw(st.sets(st.integers(0, 4), max_size=2))
+    return Matrix(n, n, [
+        0 if i in zero or j in zero else upper[min(i, j) * n + max(i, j)]
+        for i in range(n)
+        for j in range(n)
+    ])
+
+
+@given(symmetric_matrices())
+@settings(max_examples=150, deadline=None)
+def test_inertia_matches_gaussian_oracle(b):
+    assert inertia_of_diagonalizable_form(b) == gaussian_inertia(b.to_rows())
+
+
+def test_echelon_copy_leaves_the_original_unchanged():
+    ech = Echelon(3)
+    ech.insert({0: rat(1), 1: rat(2)})
+    snapshot = ech.dense_rows()
+    grown = ech.copy()
+    # the new pivot 1 back-reduces the stored row {0: 1, 1: 2} of the copy
+    assert grown.insert({1: rat(1), 2: rat(1)})
+    assert grown.dense_rows() == [[1, 0, -2], [0, 1, 1]]
+    assert ech.dense_rows() == snapshot and ech.dim == 1

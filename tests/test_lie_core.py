@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepq.errors import ContractError, NotClosedError, NotStableError
+from liepq.errors import ContractError, NotClosedError, NotStableError, ShapeMismatchError
 from liepq import lie_core
 from liepq.exact_linalg import (
     Matrix,
@@ -11,7 +11,6 @@ from liepq.exact_linalg import (
     inertia_of_diagonalizable_form,
     mat_mul,
     rat,
-    rref,
 )
 from liepq.lie_core import (
     LieAlgebra,
@@ -31,7 +30,7 @@ from liepq.lie_core import (
 from liepq.rep_theory import adjoint_rep, is_irreducible
 from liepq.so_pq import deformed_algebra, so_pq_algebra
 
-from conftest import unit_matrix
+from conftest import dense_express, dense_rref, unit_matrix
 
 coeff3 = st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6)
 
@@ -374,18 +373,6 @@ def brute_force_maximality(algebra, subspace):
     return True, None
 
 
-def dense_express(basis, m):
-    """Coefficients of m in the basis by one dense rref of [b_0 ... b_k | m]
-    (columns), or None when m is outside the span."""
-    k = len(basis)
-    rows = [[b.entries[r] for b in basis] + [m.entries[r]] for r in range(m.rows * m.cols)]
-    reduced, pivots = rref(rows)
-    if k in pivots:
-        return None
-    assert pivots == list(range(k))
-    return [row[k] for row in reduced]
-
-
 sparse_coeff = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.sampled_from(["1/2", "-2/3"]))
 bracket_test_algebras = st.one_of(
     st.builds(lambda pq, c: deformed_algebra(*pq, c).algebra, signatures_3_to_5, small_height_c),
@@ -460,7 +447,9 @@ def test_non_maximal_witness_matches_brute_force(so22):
     assert got == brute_force_maximality(so22, ideal)
 
 
-small_matrix_entry = st.one_of(st.just(0), st.just(0), st.integers(-2, 2))
+small_matrix_entry = st.one_of(
+    st.just(0), st.just(0), st.integers(-2, 2), st.sampled_from(["1/2", "-3/2"])
+)
 
 
 @given(st.integers(2, 3), st.data())
@@ -468,7 +457,7 @@ small_matrix_entry = st.one_of(st.just(0), st.just(0), st.integers(-2, 2))
 def test_coordinatizer_matches_dense_solve(n, data):
     entries = st.lists(small_matrix_entry, min_size=n * n, max_size=n * n)
     basis = [Matrix(n, n, e) for e in data.draw(st.lists(entries, min_size=1, max_size=4))]
-    rank = len(rref([list(b.entries) for b in basis])[1])
+    rank = len(dense_rref([list(b.entries) for b in basis])[1])
     if rank < len(basis):
         with pytest.raises(ContractError):
             _Coordinatizer(basis)
@@ -491,6 +480,8 @@ def test_coordinatizer_out_of_span_gl2_commutator():
     assert dense_express(basis, comm) is None
     assert _Coordinatizer(basis).express(comm) is None
     assert _Coordinatizer(basis).express(basis[1].scale(3)) == [rat(0), rat(3)]
+    with pytest.raises(ShapeMismatchError):
+        _Coordinatizer(basis).express(unit_matrix(0, 1, 3))
 
 
 def test_coordinatizer_reduces_earlier_rows_at_later_pivots():
