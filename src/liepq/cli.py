@@ -1,8 +1,8 @@
 """Command-line surface: constructions, verification suites, irrep tables.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/domain error.
-`verify` and `construct` refuse n = p + q above MAX_N with exit 2, and
-`irreps` refuses a rank or a dimension bound above its limits.
+`verify` and `construct` refuse n = p + q below 2 or above MAX_N with
+exit 2, and `irreps` refuses a rank or a dimension bound above its limits.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
 """
@@ -18,6 +18,7 @@ import time
 from . import __version__
 from .errors import ContractError, LiepqError, UnknownSmallestModuleError
 from .exact_linalg import (
+    Echelon,
     Matrix,
     Subspace,
     inertia_of_diagonalizable_form,
@@ -26,7 +27,6 @@ from .exact_linalg import (
     rref,
 )
 from .lie_core import (
-    LieAlgebra,
     canonical_json,
     centralizer,
     is_maximal_subalgebra,
@@ -174,7 +174,8 @@ def check_standard_form_unique(p, q):
     forms = invariant_symmetric_forms(rep)
     if len(forms) != 1:
         return _fail(reason=f"expected dim 1, got {len(forms)}")
-    lead = next(x for x in forms[0].entries if x)
+    vec = forms[0].sparse_vector()
+    lead = vec[min(vec)]
     if forms[0] != ipq(p, q).scale(lead):
         return _fail(reason="form is not a multiple of I_{p,q}")
     return _pass()
@@ -192,15 +193,13 @@ def check_hom_wedge_adjoint(p, q):
     m = algebra.dim
     if m * m <= 256:
         dense = hom_space_dense(wedge, adjoint)
-        if [h.entries for h in dense] != [h.entries for h in homs]:
+        if dense != homs:
             return _fail(reason="dense cross-check disagrees", **detail)
         detail["dense_checked"] = True
-    tc = t_c(p, q, 1)
-    rows = [list(h.entries) for h in homs]
-    before = len(rref(rows)[0])
-    rows.append(list(tc.entries))
-    after = len(rref(rows)[0])
-    if after != before:
+    span = Echelon(m * m)
+    for h in homs:
+        span.insert(h.sparse_vector())
+    if span.reduce(t_c(p, q, 1).sparse_vector()):
         return _fail(reason="t_c(1) is not in the Hom span", **detail)
     if len(homs) != expected:
         return _fail(**detail)
@@ -299,8 +298,8 @@ def check_embedding(p, q, c):
                 rhs = rhs + emb.images[k].scale(v)
             if lhs != rhs:
                 return _fail(reason=f"bracket not intertwined on pair ({i},{j})")
-    rows = [list(im.entries) for im in emb.images]
-    if len(rref(rows)[1]) != d:
+    span = Echelon((n + 1) * (n + 1))
+    if not all(span.insert(im.sparse_vector()) for im in emb.images):
         return _fail(reason="embedding is not injective")
     return _pass(dim=d)
 
@@ -433,10 +432,11 @@ def check_complement_irreducible(p, q, c):
     complement = orthogonal_complement(beta, subalg)
     if complement.dim != n:
         return _fail(reason=f"complement has dim {complement.dim}, expected {n}")
-    h_alg = LieAlgebra.from_matrices(emb.images[:m], validate=False)
+    # the first m images are so(p,q)'s frozen basis, block-embedded, so they
+    # have its structure constants
     actions = [target.ad_matrix(v) for v in embedded]
     try:
-        module = restrict(Representation(h_alg, target.dim, actions), complement)
+        module = restrict(Representation(so_pq_algebra(p, q), target.dim, actions), complement)
     except ContractError:
         return _fail(reason="complement is not invariant")
     verdict = is_irreducible(module)
@@ -700,24 +700,25 @@ def build_parser():
 
 
 def _signature_within_limit(p, q) -> Signature:
+    """The signature of so(p,q), refused below n = 2 and above MAX_N."""
     signature = Signature(p, q)
     if signature.n > MAX_N:
         raise ContractError(
             f"p + q = {signature.n} exceeds the size limit n <= {MAX_N}"
         )
+    if signature.n < 2:
+        raise ContractError("so(p,q) needs p + q >= 2")
     return signature
 
 
 def cmd_construct(args) -> int:
-    signature = _signature_within_limit(args.p, args.q)
+    _signature_within_limit(args.p, args.q)
     if args.c is not None:
         c = rat(args.c)
         if c == 0:
             raise ContractError("--c must be nonzero; omit it for plain so(p,q)")
         payload = deformed_algebra(args.p, args.q, c).to_json_dict()
     else:
-        if signature.n < 2:
-            raise ContractError("so(p,q) needs p + q >= 2")
         payload = so_pq_algebra(args.p, args.q).to_json_dict()
     if args.format == "human":
         kind = "deformed so(p,q) (+) R^{p,q}" if args.c is not None else "so(p,q)"

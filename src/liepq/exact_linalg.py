@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices, and one sparse elimination engine, `Echelon`, behind
-`rref`, kernels, solves, inverses and subspaces.  Every operation here is
-pure and exact: no floating point, no rounding.
+Sparse matrices, stored as rows of nonzeros, and one sparse elimination
+engine, `Echelon`, behind `rref`, kernels, solves, inverses and subspaces;
+a matrix's stored rows go into the engine as they are.  Every operation
+here is pure and exact: no floating point, no rounding.
 Scalars are `gmpy2.mpq` when available (much faster), otherwise
 `fractions.Fraction`; both keep values in lowest terms with a positive
 denominator.
@@ -62,36 +63,71 @@ def _isqrt_exact(n):
 
 
 class Matrix:
-    """Dense rational matrix with shape; entries stored row-major.
+    """Sparse rational matrix with shape, stored as rows of nonzeros.
 
-    `Matrix(...)` and the public constructors validate every entry through
-    `rat()`.  Results of matrix operations come from `_trusted`, which skips
-    that: their entries are already scalars of the type in use.
+    `_data` maps a row index to {column: value}; a zero is never stored and
+    neither is an empty row, so two matrices are equal exactly when their
+    shapes and stored rows are.  Products, sums, scaling, negation,
+    transposition and the zero and symmetry tests visit only nonzeros.  A
+    matrix is never changed after construction: `entries` is a fresh dense
+    row-major list on each access, and new matrices come from `Matrix(...)`,
+    the named constructors or the `from_sparse` builder, which validate
+    every entry through `rat()`.  Results of matrix operations come from
+    `_trusted`, which skips that: their entries are already nonzero scalars
+    of the type in use.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [rat(x) for x in entries]
+        _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ShapeMismatchError(
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
+        data = {}
+        for i in range(rows):
+            row = {j: x for j, x in enumerate(entries[i * cols : (i + 1) * cols]) if x}
+            if row:
+                data[i] = row
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._data = data
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: list) -> "Matrix":
-        """Wrap a fresh list of rows * cols scalars without re-coercion.
+    def _trusted(cls, rows: int, cols: int, data: dict) -> "Matrix":
+        """Wrap fresh sparse rows {i: {j: value}} without re-coercion.
 
-        The new matrix owns `entries`; callers must not keep or share it.
+        Every value must be a nonzero scalar of the type in use and every
+        row nonempty.  The new matrix owns `data`; callers must not keep or
+        share it, nor any of its rows.
         """
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m._data = data
         return m
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, entries) -> "Matrix":
+        """The rows x cols matrix with the given {(i, j): value} entries and
+        zeros elsewhere; values go through `rat()` and zeros are dropped."""
+        _check_shape(rows, cols)
+        data = {}
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeMismatchError(
+                    f"entry ({i}, {j}) outside a {rows}x{cols} matrix"
+                )
+            x = rat(x)
+            if x:
+                row = data.get(i)
+                if row is None:
+                    data[i] = {j: x}
+                else:
+                    row[j] = x
+        return cls._trusted(rows, cols, data)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -106,61 +142,99 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted(rows, cols, [ZERO] * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._trusted(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = ONE
-        return m
+        _check_shape(n, n)
+        return cls._trusted(n, n, {i: {i: ONE} for i in range(n)})
 
     @classmethod
     def diagonal(cls, diag) -> "Matrix":
         n = len(diag)
-        m = cls.zeros(n, n)
-        for i, d in enumerate(diag):
-            m.entries[i * n + i] = rat(d)
-        return m
+        return cls.from_sparse(n, n, {(i, i): d for i, d in enumerate(diag)})
 
     @classmethod
     def column(cls, values) -> "Matrix":
         return cls(len(values), 1, list(values))
 
+    @property
+    def entries(self):
+        """A fresh dense row-major list of all rows * cols entries."""
+        out = [ZERO] * (self.rows * self.cols)
+        c = self.cols
+        for i, row in self._data.items():
+            base = i * c
+            for j, x in row.items():
+                out[base + j] = x
+        return out
+
+    def sparse_vector(self) -> dict:
+        """The nonzeros as a fresh {i * cols + j: value} vector over the
+        row-major flattening."""
+        c = self.cols
+        return {i * c + j: x for i, row in self._data.items() for j, x in row.items()}
+
     def __getitem__(self, ij) -> Rational:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        row = self._data.get(i)
+        return row.get(j, ZERO) if row else ZERO
 
     def row_list(self, i: int):
-        c = self.cols
-        return self.entries[i * c : (i + 1) * c]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a {self.rows}-row matrix")
+        out = [ZERO] * self.cols
+        for j, x in self._data.get(i, {}).items():
+            out[j] = x
+        return out
+
+    def sparse_row(self, i: int) -> dict:
+        """Row i's nonzeros as a fresh {column: value} dict."""
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a {self.rows}-row matrix")
+        return dict(self._data.get(i, {}))
 
     def to_rows(self):
         return [self.row_list(i) for i in range(self.rows)]
 
     def column_list(self, j: int):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a {self.cols}-column matrix")
+        out = [ZERO] * self.rows
+        for i, row in self._data.items():
+            x = row.get(j)
+            if x is not None:
+                out[i] = x
+        return out
 
     def transpose(self) -> "Matrix":
-        r, c, e = self.rows, self.cols, self.entries
-        return Matrix._trusted(c, r, [e[i * c + j] for j in range(c) for i in range(r)])
+        out = {}
+        for i, row in self._data.items():
+            for j, x in row.items():
+                orow = out.get(j)
+                if orow is None:
+                    out[j] = {i: x}
+                else:
+                    orow[i] = x
+        return Matrix._trusted(self.cols, self.rows, out)
 
     def trace(self) -> Rational:
         if self.rows != self.cols:
             raise ShapeMismatchError("trace of a non-square matrix")
-        n = self.rows
-        return sum((self.entries[i * n + i] for i in range(n)), ZERO)
+        return sum((row[i] for i, row in self._data.items() if i in row), ZERO)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not self._data
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        n = self.rows
-        e = self.entries
+        data = self._data
         return all(
-            e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n)
+            data.get(j, {}).get(i) == x for i, row in data.items() for j, x in row.items()
         )
 
     def __eq__(self, other) -> bool:
@@ -168,43 +242,61 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash((
+            self.rows,
+            self.cols,
+            frozenset((i, j, x) for i, row in self._data.items() for j, x in row.items()),
+        ))
+
+    def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        """self + other (sign 1) or self - other (sign -1), on nonzeros."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeMismatchError(f"matrix {what} shape mismatch")
+        out = {i: dict(row) for i, row in self._data.items()}
+        for i, orow in other._data.items():
+            row = out.get(i)
+            if row is None:
+                out[i] = dict(orow) if sign > 0 else {j: -y for j, y in orow.items()}
+                continue
+            for j, y in orow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = y if sign > 0 else -y
+                else:
+                    s = x + y if sign > 0 else x - y
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+            if not row:
+                del out[i]
+        return Matrix._trusted(self.rows, self.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatchError("matrix addition shape mismatch")
-        return Matrix._trusted(
-            self.rows,
-            self.cols,
-            [
-                a + b if a and b else (b if b else a)
-                for a, b in zip(self.entries, other.entries)
-            ],
-        )
+        return self._combine(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatchError("matrix subtraction shape mismatch")
+        return self._combine(other, -1, "subtraction")
+
+    def __neg__(self) -> "Matrix":
         return Matrix._trusted(
             self.rows,
             self.cols,
-            [
-                a - b if a and b else (-b if b else a)
-                for a, b in zip(self.entries, other.entries)
-            ],
+            {i: {j: -x for j, x in row.items()} for i, row in self._data.items()},
         )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, k) -> "Matrix":
         k = rat(k)
+        if not k:
+            return Matrix._trusted(self.rows, self.cols, {})
         return Matrix._trusted(
-            self.rows, self.cols, [k * a if a else ZERO for a in self.entries]
+            self.rows,
+            self.cols,
+            {i: {j: k * x for j, x in row.items()} for i, row in self._data.items()},
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -217,62 +309,68 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _check_shape(rows: int, cols: int):
+    if rows < 0 or cols < 0:
+        raise ShapeMismatchError(f"negative matrix shape {rows}x{cols}")
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product; raises ShapeMismatchError on bad shapes."""
+    """Exact matrix product; raises ShapeMismatchError on bad shapes.
+
+    Row by row over nonzeros only (Gustavson, ACM TOMS 4, 1978): row i of
+    the product accumulates a_ij times row j of b for each nonzero a_ij,
+    and a sum that cancels to zero is dropped at once.
+    """
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n, m, k = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    out = []
-    # nonzero (column, value) pairs of each row of b; zeros contribute nothing
-    brows = [
-        [(l, y) for l, y in enumerate(be[j * k : (j + 1) * k]) if y] for j in range(m)
-    ]
-    for i in range(n):
-        acc = [ZERO] * k
-        base = i * m
-        for j in range(m):
-            aij = ae[base + j]
-            if aij:
-                for l, y in brows[j]:
-                    acc[l] += aij * y
-        out.extend(acc)
-    return Matrix._trusted(n, k, out)
+    bdata = b._data
+    out = {}
+    for i, arow in a._data.items():
+        acc = {}
+        for j, x in arow.items():
+            brow = bdata.get(j)
+            if brow is None:
+                continue
+            for l, y in brow.items():
+                s = acc.get(l)
+                if s is None:
+                    acc[l] = x * y
+                else:
+                    s += x * y
+                    if s:
+                        acc[l] = s
+                    else:
+                        del acc[l]
+        if acc:
+            out[i] = acc
+    return Matrix._trusted(a.rows, b.cols, out)
 
 
 def mat_vec(a: Matrix, v):
     """Product of a matrix with a coefficient list."""
     if a.cols != len(v):
         raise ShapeMismatchError("matrix-vector shape mismatch")
-    e = a.entries
-    c = a.cols
-    out = []
-    for i in range(a.rows):
-        base = i * c
+    out = [ZERO] * a.rows
+    for i, row in a._data.items():
         s = ZERO
-        for j, vj in enumerate(v):
+        for j, x in row.items():
+            vj = v[j]
             if vj:
-                s += e[base + j] * vj
-        out.append(s)
+                s += x * vj
+        out[i] = s
     return out
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product (used for the Clifford gamma construction)."""
-    out = Matrix.zeros(a.rows * b.rows, a.cols * b.cols)
-    oc = out.cols
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a[i, j]
-            if not aij:
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * oc + j * b.cols
-                brow = b.row_list(k)
-                for l, x in enumerate(brow):
-                    if x:
-                        out.entries[base + l] = aij * x
-    return out
+    br, bc = b.rows, b.cols
+    out = {}
+    for i, arow in a._data.items():
+        for k, brow in b._data.items():
+            out[i * br + k] = {
+                j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()
+            }
+    return Matrix._trusted(a.rows * br, a.cols * bc, out)
 
 
 def _axpy(acc: dict, f, vec: dict):
@@ -366,12 +464,26 @@ class Echelon:
         return out
 
 
-def _echelon(ncols: int, rows) -> Echelon:
-    """The echelon of the span of dense rows of length ncols."""
+def _echelon(ncols: int, vectors) -> Echelon:
+    """The echelon of the span of sparse {index: value} vectors in Q^ncols.
+
+    `Echelon.insert` never changes its argument, so a matrix's stored rows
+    can go in as they are.
+    """
     ech = Echelon(ncols)
-    for row in rows:
-        ech.insert({j: x for j, x in enumerate(row) if x})
+    for vec in vectors:
+        ech.insert(vec)
     return ech
+
+
+def _sparse_list(values) -> dict:
+    """A list of values as a sparse {index: value} vector, through `rat()`."""
+    out = {}
+    for j, x in enumerate(values):
+        x = rat(x)
+        if x:
+            out[j] = x
+    return out
 
 
 def rref(rows):
@@ -383,7 +495,7 @@ def rref(rows):
     """
     if not rows:
         return [], []
-    ech = _echelon(len(rows[0]), rows)
+    ech = _echelon(len(rows[0]), ({j: x for j, x in enumerate(r) if x} for r in rows))
     return ech.dense_rows(), ech.pivots()
 
 
@@ -404,17 +516,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        rows = []
+        sparse = []
         for v in vectors:
             if isinstance(v, Matrix):
                 if v.cols != 1 or v.rows != ambient_dim:
                     raise ShapeMismatchError("basis vectors must be ambient_dim x 1")
-                rows.append(v.entries)
+                sparse.append(v.sparse_vector())
             else:
                 if len(v) != ambient_dim:
                     raise ShapeMismatchError("vector length != ambient dimension")
-                rows.append([rat(x) for x in v])
-        return cls(_echelon(ambient_dim, rows))
+                sparse.append(_sparse_list(v))
+        return cls(_echelon(ambient_dim, sparse))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -422,9 +534,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            ambient_dim, Matrix.identity(ambient_dim).to_rows()
-        )
+        return cls(_echelon(ambient_dim, ({j: ONE} for j in range(ambient_dim))))
 
     @property
     def dim(self) -> int:
@@ -455,14 +565,16 @@ class Subspace:
         are the vector's own entries there.
         """
         if isinstance(vector, Matrix):
-            vector = vector.entries
+            size = vector.rows * vector.cols
+            vector = vector.sparse_vector()
         else:
-            vector = [rat(x) for x in vector]
-        if len(vector) != self.ambient_dim:
+            size = len(vector)
+            vector = _sparse_list(vector)
+        if size != self.ambient_dim:
             raise ShapeMismatchError("vector length != ambient dimension")
-        if self._echelon.reduce({j: x for j, x in enumerate(vector) if x}):
+        if self._echelon.reduce(vector):
             return None
-        return [vector[p] for p in self.pivot_columns()]
+        return [vector.get(p, ZERO) for p in self.pivot_columns()]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(list(r)) for r in other._rows)
@@ -506,7 +618,7 @@ def _null_space(ech: Echelon, n: int) -> Subspace:
 
 def kernel(a: Matrix) -> Subspace:
     """Canonical basis of the null space {x : a.x = 0}."""
-    return _null_space(_echelon(a.cols, a.to_rows()), a.cols)
+    return _null_space(_echelon(a.cols, a._data.values()), a.cols)
 
 
 class NoSolutionType:
@@ -542,15 +654,22 @@ def solve_linear(a: Matrix, b: Matrix):
         raise ShapeMismatchError("right-hand side row count mismatch")
     n = a.cols
     k = b.cols
-    ech = _echelon(n + k, (a.row_list(i) + b.row_list(i) for i in range(a.rows)))
+    adata, bdata = a._data, b._data
+    rows = []
+    for i in adata.keys() | bdata.keys():
+        row = dict(adata.get(i, {}))
+        for j, x in bdata.get(i, {}).items():
+            row[n + j] = x
+        rows.append(row)
+    ech = _echelon(n + k, rows)
     ker = _null_space(ech, n)
     if any(p >= n for p in ech.rows):
         return NO_SOLUTION, ker
-    sol = [ZERO] * (n * k)
+    sol = {}
     for p, row in ech.rows.items():
-        for col, x in row.items():
-            if col >= n:
-                sol[p * k + col - n] = x
+        srow = {col - n: x for col, x in row.items() if col >= n}
+        if srow:
+            sol[p] = srow
     return Matrix._trusted(n, k, sol), ker
 
 

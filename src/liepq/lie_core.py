@@ -9,6 +9,7 @@ structure-tensor code path; operations that need actual matrices say so.
 from __future__ import annotations
 
 import json
+import math as _math
 
 from .errors import (
     ContractError,
@@ -27,6 +28,7 @@ from .exact_linalg import (
     _axpy,
     kernel,
     mat_mul,
+    mat_vec,
     rat,
     rref,
 )
@@ -52,7 +54,7 @@ class _Coordinatizer:
         for i, b in enumerate(basis):
             if (b.rows, b.cols) != self.shape:
                 raise ShapeMismatchError("basis matrices of mixed shapes")
-            vec = {k: x for k, x in enumerate(b.entries) if x}
+            vec = b.sparse_vector()
             vec[size + i] = ONE
             self.echelon.insert(vec)
         if any(p >= size for p in self.echelon.rows):
@@ -60,11 +62,22 @@ class _Coordinatizer:
 
     def express(self, m: Matrix):
         """Coefficients of m in the basis, or None if m is outside the span."""
+        coeffs = self.express_sparse(m)
+        if coeffs is None:
+            return None
+        out = [ZERO] * self.dim
+        for k, v in coeffs.items():
+            out[k] = v
+        return out
+
+    def express_sparse(self, m: Matrix):
+        """The nonzero coefficients {i: c} of m in the basis, or None if m
+        is outside the span."""
         if (m.rows, m.cols) != self.shape:
             raise ShapeMismatchError("matrix shape differs from the basis")
         size = self.size
-        out = [ZERO] * self.dim
-        for k, v in self.echelon.reduce({k: x for k, x in enumerate(m.entries) if x}).items():
+        out = {}
+        for k, v in self.echelon.reduce(m.sparse_vector()).items():
             if k < size:
                 return None
             out[k - size] = -v
@@ -101,12 +114,11 @@ class LieAlgebra:
         for i in range(d):
             for j in range(i + 1, d):
                 comm = mat_mul(basis[i], basis[j]) - mat_mul(basis[j], basis[i])
-                coeffs = coord.express(comm)
-                if coeffs is None:
+                entry = coord.express_sparse(comm)
+                if entry is None:
                     raise NotClosedError(
                         f"[b_{i}, b_{j}] is outside the span of the basis"
                     )
-                entry = {k: c for k, c in enumerate(coeffs) if c}
                 if entry:
                     structure[(i, j)] = entry
         alg = cls(MATRIX, d, basis=basis, structure=structure, validate=validate)
@@ -182,15 +194,15 @@ class LieAlgebra:
     def ad_matrix(self, x) -> Matrix:
         """Matrix of ad(x) = [x, .] on the coefficient space."""
         d = self.dim
-        out = Matrix.zeros(d, d)
+        out = {}
         for (i, j), entry in self.structure.items():
             if x[i]:
                 for k, v in entry.items():
-                    out.entries[k * d + j] += x[i] * v
+                    out[(k, j)] = out.get((k, j), ZERO) + x[i] * v
             if x[j]:
                 for k, v in entry.items():
-                    out.entries[k * d + i] -= x[j] * v
-        return out
+                    out[(k, i)] = out.get((k, i), ZERO) - x[j] * v
+        return Matrix.from_sparse(d, d, out)
 
     def ad_basis_matrix(self, i) -> Matrix:
         x = [ZERO] * self.dim
@@ -198,24 +210,51 @@ class LieAlgebra:
         return self.ad_matrix(x)
 
     def _check_jacobi(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    acc = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.structure_entry(a, b)
-                        for l, v in inner.items():
-                            for m, w in self.structure_entry(l, c).items():
-                                s = acc.get(m, ZERO) + v * w
-                                if s:
-                                    acc[m] = s
-                                elif m in acc:
-                                    del acc[m]
-                    if acc:
-                        raise ContractError(
-                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
-                        )
+        """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for
+        every basis triple i < j < k, over the nonzero brackets only.
+
+        Each nonzero bracket [b_a, b_b] = sum of v b_l (a < b) meets each
+        nonzero [b_l, b_c] with c outside {a, b}; the term v [b_l, b_c]
+        belongs to the sorted triple of a, b, c, with sign -1 when c lies
+        between a and b (the term is then -[[b_k, b_i], b_j]).  A triple
+        with a repeated index satisfies the identity by antisymmetry, and one
+        that no term reaches sums to zero.  The sums run on integers: every
+        constant times the common denominator of all of them.
+        """
+        den = 1
+        for entry in self.structure.values():
+            for v in entry.values():
+                den = _math.lcm(den, int(v.denominator))
+        scaled = {
+            key: {m: int(v.numerator) * (den // int(v.denominator)) for m, v in entry.items()}
+            for key, entry in self.structure.items()
+        }
+        # brackets[l]: (c, [b_l, b_c]) for every c with a nonzero bracket
+        brackets = {}
+        for (l, c), entry in scaled.items():
+            brackets.setdefault(l, []).append((c, entry))
+            brackets.setdefault(c, []).append((l, {m: -w for m, w in entry.items()}))
+        sums = {}
+        for (a, b), entry in scaled.items():
+            for l, v in entry.items():
+                for c, inner in brackets.get(l, ()):
+                    if c > b:
+                        key, f = (a, b, c), v
+                    elif c < a:
+                        key, f = (c, a, b), v
+                    elif a < c < b:
+                        key, f = (a, c, b), -v
+                    else:
+                        continue
+                    acc = sums.get(key)
+                    if acc is None:
+                        sums[key] = acc = {}
+                    for m, w in inner.items():
+                        acc[m] = acc.get(m, 0) + f * w
+        failing = [key for key, acc in sums.items() if any(acc.values())]
+        if failing:
+            i, j, k = min(failing)
+            raise ContractError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     # -- spec operations ----------------------------------------------
 
@@ -231,7 +270,7 @@ class LieAlgebra:
                 for k, v in entry.items():
                     ad_i[(k, j)] = v
                     ad_j[(k, i)] = -v
-            gram = [ZERO] * (d * d)
+            gram = {}
             for a in range(d):
                 ad_a = ads[a]
                 for b in range(a, d):
@@ -241,21 +280,19 @@ class LieAlgebra:
                         w = ad_b.get((j, k))
                         if w is not None:
                             s += v * w
-                    gram[a * d + b] = gram[b * d + a] = s
-            self._killing = BilinearForm(d, Matrix._trusted(d, d, gram))
+                    gram[(a, b)] = gram[(b, a)] = s
+            self._killing = BilinearForm(d, Matrix.from_sparse(d, d, gram))
         return self._killing
 
     def trace_form(self) -> "BilinearForm":
         if self.realization != MATRIX:
             raise UnsupportedRealizationError("trace form needs a MATRIX realization")
         d = self.dim
-        gram = Matrix.zeros(d, d)
+        gram = {}
         for a in range(d):
             for b in range(a, d):
-                s = mat_mul(self.basis[a], self.basis[b]).trace()
-                gram.entries[a * d + b] = s
-                gram.entries[b * d + a] = s
-        return BilinearForm(d, gram)
+                gram[(a, b)] = gram[(b, a)] = mat_mul(self.basis[a], self.basis[b]).trace()
+        return BilinearForm(d, Matrix.from_sparse(d, d, gram))
 
     def theta_involution(self) -> Matrix:
         """Matrix of X -> -X^t in the basis; NotStableError if the basis is
@@ -264,14 +301,14 @@ class LieAlgebra:
             raise UnsupportedRealizationError("theta needs a MATRIX realization")
         coord = self.coordinatizer()
         d = self.dim
-        out = Matrix.zeros(d, d)
+        out = {}
         for j, b in enumerate(self.basis):
             coeffs = coord.express(-b.transpose())
             if coeffs is None:
                 raise NotStableError("basis is not stable under X -> -X^t")
             for i, c in enumerate(coeffs):
-                out.entries[i * d + j] = c
-        return out
+                out[(i, j)] = c
+        return Matrix.from_sparse(d, d, out)
 
     def is_semisimple(self) -> bool:
         gram = self.killing_form().gram
@@ -327,7 +364,7 @@ class BilinearForm:
         self.gram = gram
 
     def evaluate(self, x, y) -> Rational:
-        gx = [sum((self.gram[i, j] * y[j] for j in range(self.on) if y[j]), ZERO) for i in range(self.on)]
+        gx = mat_vec(self.gram, y)
         return sum((x[i] * gx[i] for i in range(self.on) if x[i]), ZERO)
 
     def __eq__(self, other):
@@ -367,20 +404,22 @@ def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     """{x : [x, h] = 0 for every h in the subspace}, via one exact solve."""
     if subspace.ambient_dim != algebra.dim:
         raise ShapeMismatchError("subspace lives in the wrong coefficient space")
-    rows = []
-    for h in subspace.basis_rows():
-        rows.extend(algebra.ad_matrix(h).to_rows())
-    if not rows:
-        return Subspace.full(algebra.dim)
-    return kernel(Matrix.from_rows(rows))
+    d = algebra.dim
+    hs = subspace.basis_rows()
+    if not hs:
+        return Subspace.full(d)
+    # the ad(h) stacked one under another
+    equations = {}
+    for r, h in enumerate(hs):
+        for k, x in algebra.ad_matrix(h).sparse_vector().items():
+            i, j = divmod(k, d)
+            equations[(r * d + i, j)] = x
+    return kernel(Matrix.from_sparse(len(hs) * d, d, equations))
 
 
 def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
     """{x : form(x, h) = 0 for every h in the subspace}."""
-    rows = []
-    g = form.gram
-    for h in subspace.basis_rows():
-        rows.append([sum((g[i, j] * h[j] for j in range(form.on) if h[j]), ZERO) for i in range(form.on)])
+    rows = [mat_vec(form.gram, h) for h in subspace.basis_rows()]
     if not rows:
         return Subspace.full(form.on)
     return kernel(Matrix.from_rows(rows))

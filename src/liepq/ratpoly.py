@@ -102,12 +102,12 @@ def poly_eval(p, x):
 def poly_eval_matrix(p, a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ShapeMismatchError("polynomial evaluation needs a square matrix")
+    identity = Matrix.identity(a.rows)
     acc = Matrix.zeros(a.rows, a.rows)
     for c in reversed(p):
         acc = mat_mul(acc, a)
         if c:
-            for i in range(a.rows):
-                acc.entries[i * a.rows + i] += c
+            acc = acc + identity.scale(c)
     return acc
 
 
@@ -118,12 +118,11 @@ def char_poly(a: Matrix):
     n = a.rows
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
+    identity = Matrix.identity(n)
     m = Matrix.zeros(n, n)
     c = ONE
     for k in range(1, n + 1):
-        for i in range(n):
-            m.entries[i * n + i] += c
-        m = mat_mul(a, m)
+        m = mat_mul(a, m + identity.scale(c))
         c = -m.trace() / rat(k)
         coeffs[n - k] = c
     return coeffs

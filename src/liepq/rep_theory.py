@@ -25,13 +25,13 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _axpy,
     invert,
     kernel,
     mat_mul,
     mat_vec,
     rat,
     rational_sqrt,
-    rref,
     solve_linear,
     wedge_square_index,
 )
@@ -98,19 +98,19 @@ def wedge_square_rep(v: Representation) -> Representation:
     m = len(pairs)
     actions = []
     for a in v.actions:
-        out = Matrix.zeros(m, m)
+        at = a.transpose()
+        out = {}
         for col, (i, j) in enumerate(pairs):
             # x.(e_i ^ e_j) = (x e_i) ^ e_j + e_i ^ (x e_j)
-            for k in range(n):
-                c = a[k, i]
-                if c and k != j:
-                    row, sign = (index[(k, j)], ONE) if k < j else (index[(j, k)], -ONE)
-                    out.entries[row * m + col] += sign * c
-                c = a[k, j]
-                if c and k != i:
-                    row, sign = (index[(i, k)], ONE) if i < k else (index[(k, i)], -ONE)
-                    out.entries[row * m + col] += sign * c
-        actions.append(out)
+            for k, c in at.sparse_row(i).items():
+                if k != j:
+                    row, c = (index[(k, j)], c) if k < j else (index[(j, k)], -c)
+                    out[(row, col)] = out.get((row, col), ZERO) + c
+            for k, c in at.sparse_row(j).items():
+                if k != i:
+                    row, c = (index[(i, k)], c) if i < k else (index[(k, i)], -c)
+                    out[(row, col)] = out.get((row, col), ZERO) + c
+        actions.append(Matrix.from_sparse(m, m, out))
     return Representation(v.algebra, m, actions)
 
 
@@ -119,14 +119,11 @@ def direct_sum(v: Representation, w: Representation) -> Representation:
     n, m = v.module_dim, w.module_dim
     actions = []
     for a, b in zip(v.actions, w.actions):
-        out = Matrix.zeros(n + m, n + m)
-        for i in range(n):
-            for j in range(n):
-                out.entries[i * (n + m) + j] = a[i, j]
+        out = {(i, j): x for i in range(n) for j, x in a.sparse_row(i).items()}
         for i in range(m):
-            for j in range(m):
-                out.entries[(n + i) * (n + m) + (n + j)] = b[i, j]
-        actions.append(out)
+            for j, x in b.sparse_row(i).items():
+                out[(n + i, n + j)] = x
+        actions.append(Matrix.from_sparse(n + m, n + m, out))
     return Representation(v.algebra, n + m, actions)
 
 
@@ -171,16 +168,9 @@ def hom_space(v: Representation, w: Representation):
         images = [mat_mul(aw, phi) - mat_mul(phi, av) for phi in maps]
         if all(img.is_zero() for img in images):
             continue
-        coeff_cols = [img.entries for img in images]
-        system = Matrix(
-            m * n,
-            len(maps),
-            [coeff_cols[c][r] for r in range(m * n) for c in range(len(maps))],
-        )
-        ker = kernel(system)
+        ker = kernel(_column_system(images, m * n))
         maps = [_combine_maps(maps, coeffs, m, n) for coeffs in ker.basis_rows()]
-    rows, _ = rref([list(phi.entries) for phi in maps])
-    return [Matrix(m, n, r) for r in rows]
+    return _canonical_maps(maps, m, n)
 
 
 def hom_space_dense(v: Representation, w: Representation):
@@ -221,7 +211,34 @@ def _combine_rows(coeffs, rows):
 
 
 def _combine_maps(maps, coeffs, m, n):
-    return Matrix(m, n, _combine_rows(coeffs, [phi.entries for phi in maps]))
+    """The m x n matrix sum of coeffs[i] * maps[i]."""
+    acc = {}
+    for c, phi in zip(coeffs, maps):
+        if c:
+            _axpy(acc, c, phi.sparse_vector())
+    return _map_from_vector(acc, m, n)
+
+
+def _map_from_vector(vec, m, n):
+    """The m x n matrix whose row-major flattening is the sparse vector."""
+    return Matrix.from_sparse(m, n, {divmod(k, n): x for k, x in vec.items()})
+
+
+def _column_system(images, size):
+    """The size x len(images) matrix whose column c is images[c] flattened."""
+    return Matrix.from_sparse(
+        size,
+        len(images),
+        {(r, c): x for c, img in enumerate(images) for r, x in img.sparse_vector().items()},
+    )
+
+
+def _canonical_maps(maps, m, n):
+    """The canonical reduced echelon basis of the span of m x n maps."""
+    ech = Echelon(m * n)
+    for phi in maps:
+        ech.insert(phi.sparse_vector())
+    return [_map_from_vector(ech.rows[p], m, n) for p in ech.pivots()]
 
 
 def _initial_hom_basis(v, w):
@@ -234,13 +251,7 @@ def _initial_hom_basis(v, w):
             "no rational-split element found and module pair is too large "
             "for the dense fallback"
         )
-    maps = []
-    for i in range(m):
-        for j in range(n):
-            phi = Matrix.zeros(m, n)
-            phi.entries[i * n + j] = ONE
-            maps.append(phi)
-    return maps
+    return [Matrix.from_sparse(m, n, {(i, j): ONE}) for i in range(m) for j in range(n)]
 
 
 def rational_eigensplit(a: Matrix):
@@ -248,18 +259,17 @@ def rational_eigensplit(a: Matrix):
 
     A matrix diagonalizable over Q has real eigenvalues, so tr(a^2) is their
     sum of squares: negative rules it out, and so does zero unless a = 0.
-    That O(n^2) test runs before the minimal polynomial.
+    That test, over the nonzeros of a, runs before the minimal polynomial.
     """
     n = a.rows
-    e = a.entries
+    e = a.sparse_vector()
     tr2 = ZERO
-    for idx, x in enumerate(e):
-        if x:
-            i, j = divmod(idx, n)
-            y = e[j * n + i]
-            if y:
-                tr2 += x * y
-    if tr2 < 0 or (tr2 == 0 and any(e)):
+    for idx, x in e.items():
+        i, j = divmod(idx, n)
+        y = e.get(j * n + i)
+        if y is not None:
+            tr2 += x * y
+    if tr2 < 0 or (tr2 == 0 and e):
         return None
     mp = min_poly(a)
     roots = rational_roots(mp)
@@ -267,11 +277,9 @@ def rational_eigensplit(a: Matrix):
         return None
     spaces = []
     total = 0
+    identity = Matrix.identity(n)
     for r in sorted(roots):
-        shifted = Matrix(
-            n, n, [x - (r if i % (n + 1) == 0 else 0) for i, x in enumerate(e)]
-        )
-        ker = kernel(shifted)
+        ker = kernel(a - identity.scale(r))
         spaces.append((r, ker))
         total += ker.dim
     if total != n:
@@ -368,9 +376,11 @@ def _hom_basis_from_split(v, w, blocks_v, blocks_w):
     for key, cols in v_blocks.items():
         for wvec in w_blocks.get(key, []):
             for a in cols:
-                drow = dual.row_list(a)
-                entries = [wi * dj for wi in wvec for dj in drow]
-                maps.append(Matrix(m, n, entries))
+                drow = dual.sparse_row(a)
+                maps.append(Matrix.from_sparse(
+                    m, n,
+                    {(i, j): wi * dj for i, wi in enumerate(wvec) if wi for j, dj in drow.items()},
+                ))
     return maps
 
 
@@ -392,19 +402,10 @@ def _invariant_forms(v, symmetric):
         return []
     n = v.module_dim
     sign = ONE if symmetric else -ONE
-    cols = []
-    for h in homs:
-        diff = h - h.transpose().scale(sign)
-        cols.append(diff.entries)
-    system = Matrix(
-        n * n, len(homs), [cols[c][r] for r in range(n * n) for c in range(len(homs))]
-    )
-    ker = kernel(system)
-    out = []
-    for coeffs in ker.basis_rows():
-        out.append(_combine_maps(homs, coeffs, n, n))
-    rows, _ = rref([list(b.entries) for b in out])
-    return [Matrix(n, n, r) for r in rows]
+    diffs = [h - h.transpose().scale(sign) for h in homs]
+    ker = kernel(_column_system(diffs, n * n))
+    out = [_combine_maps(homs, coeffs, n, n) for coeffs in ker.basis_rows()]
+    return _canonical_maps(out, n, n)
 
 
 # -- submodules and irreducibility ------------------------------------
@@ -413,7 +414,7 @@ def _invariant_forms(v, symmetric):
 def cyclic_submodule(v: Representation, vector) -> Subspace:
     """Smallest action-invariant subspace containing the vector (spinning)."""
     if isinstance(vector, Matrix):
-        vector = list(vector.entries)
+        vector = vector.entries
     vector = [rat(x) for x in vector]
     if len(vector) != v.module_dim:
         raise ShapeMismatchError("vector length != module dimension")
@@ -498,9 +499,8 @@ def _endo_candidates(endos, identity):
     def push(m):
         if _is_scalar_multiple(m, identity):
             return
-        key = tuple(m.entries)
-        if key not in seen:
-            seen.add(key)
+        if m not in seen:
+            seen.add(m)
             cands.append(m)
 
     for e in endos:
@@ -514,7 +514,7 @@ def _endo_candidates(endos, identity):
 
 
 def _is_scalar_multiple(m, identity):
-    lead = m.entries[0]
+    lead = m[0, 0]
     return m == identity.scale(lead)
 
 
@@ -526,11 +526,11 @@ def wedge_action(g: Matrix) -> Matrix:
     n = g.rows
     pairs = wedge_square_index(n)
     m = len(pairs)
-    out = Matrix.zeros(m, m)
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            out.entries[r * m + c] = g[i, k] * g[j, l] - g[i, l] * g[j, k]
-    return out
+    return Matrix.from_sparse(m, m, {
+        (r, c): g[i, k] * g[j, l] - g[i, l] * g[j, k]
+        for r, (i, j) in enumerate(pairs)
+        for c, (k, l) in enumerate(pairs)
+    })
 
 
 def adjoint_action(g: Matrix, algebra: LieAlgebra) -> Matrix:
@@ -538,14 +538,14 @@ def adjoint_action(g: Matrix, algebra: LieAlgebra) -> Matrix:
     coord = algebra.coordinatizer()
     ginv = invert(g)
     d = algebra.dim
-    out = Matrix.zeros(d, d)
+    out = {}
     for j, b in enumerate(algebra.basis):
         coeffs = coord.express(mat_mul(mat_mul(g, b), ginv))
         if coeffs is None:
             raise NotStableError("conjugation leaves the span of the basis")
         for i, c in enumerate(coeffs):
-            out.entries[i * d + j] = c
-    return out
+            out[(i, j)] = c
+    return Matrix.from_sparse(d, d, out)
 
 
 @dataclass
@@ -666,7 +666,7 @@ def complex_structure_endomorphism(v: Representation) -> Matrix:
     a = cand.trace() / rat(n)
     g = cand - identity.scale(a)
     g2 = mat_mul(g, g)
-    sigma = g2.entries[0]
+    sigma = g2[0, 0]
     if g2 != identity.scale(sigma) or sigma >= 0:
         raise ContractError("endomorphism space is not of complex type")
     b = rational_sqrt(-sigma)
@@ -721,17 +721,10 @@ def _proportionality(a: Matrix, b: Matrix):
     """Exact ratio r with a = r.b, or None."""
     if a.rows != b.rows or a.cols != b.cols:
         return None
-    r = None
-    for x, y in zip(a.entries, b.entries):
-        if y == 0:
-            if x != 0:
-                return None
-            continue
-        q = x / y
-        if r is None:
-            r = q
-        elif r != q:
-            return None
-    if r is None:
-        r = ZERO
-    return r
+    va, vb = a.sparse_vector(), b.sparse_vector()
+    if not va.keys() <= vb.keys():
+        return None
+    ratios = {va.get(k, ZERO) / y for k, y in vb.items()}
+    if len(ratios) > 1:
+        return None
+    return ratios.pop() if ratios else ZERO

@@ -77,13 +77,8 @@ def generator_pairs(n: int):
 
 
 def _generator(p: int, n: int, i: int, j: int) -> Matrix:
-    m = Matrix.zeros(n, n)
-    m.entries[i * n + j] = ONE
-    if (i < p) == (j < p):
-        m.entries[j * n + i] = -ONE
-    else:
-        m.entries[j * n + i] = ONE
-    return m
+    sign = -ONE if (i < p) == (j < p) else ONE
+    return Matrix.from_sparse(n, n, {(i, j): ONE, (j, i): sign})
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -116,15 +111,8 @@ def t_c(p: int, q: int, c) -> Matrix:
     c = rat(c)
     n = p + q
     Signature(p, q)
-    pairs = generator_pairs(n)
-    m = len(pairs)
-    out = Matrix.zeros(m, m)
-    for col, (i, j) in enumerate(pairs):
-        if not c:
-            continue
-        coeff = -c if (i < p and j < p) else c
-        out.entries[col * m + col] = coeff  # row index equals generator index
-    return out
+    # row index equals generator index; a zero c gives the zero matrix
+    return Matrix.diagonal([-c if (i < p and j < p) else c for i, j in generator_pairs(n)])
 
 
 @dataclass
@@ -192,11 +180,10 @@ def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
         for k, v in entry.items():
             entries.append((i, j, k, v))
     for a, gen in enumerate(so.basis):
+        columns = gen.transpose()
         for i in range(n):
-            for k in range(n):
-                v = gen[k, i]
-                if v:
-                    entries.append((a, m + i, m + k, v))
+            for k, v in columns.sparse_row(i).items():
+                entries.append((a, m + i, m + k, v))
     if c:
         for (i, j), idx in pair_index.items():
             coeff = -c if (i < p and j < p) else c
@@ -245,22 +232,16 @@ def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
 
         extra = n
     for gen in so.basis:
-        out = Matrix.zeros(n + 1, n + 1)
+        out = {}
         for i in range(n):
-            for j in range(n):
-                v = gen[i, j]
-                if v:
-                    r, s = place(i, j)
-                    out.entries[r * (n + 1) + s] = v
-        images.append(out)
+            for j, v in gen.sparse_row(i).items():
+                out[place(i, j)] = v
+        images.append(Matrix.from_sparse(n + 1, n + 1, out))
     eta = [ONE] * p + [-ONE] * q
     for i in range(n):
-        out = Matrix.zeros(n + 1, n + 1)
         r, _ = place(i, i)
         # column c.u and row u* = -u^t I_{p,q}
-        out.entries[r * (n + 1) + extra] = c
-        out.entries[extra * (n + 1) + r] = -eta[i]
-        images.append(out)
+        images.append(Matrix.from_sparse(n + 1, n + 1, {(r, extra): c, (extra, r): -eta[i]}))
     return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
 
 
@@ -366,14 +347,14 @@ def _finish_iso(name, algebra, small_modules, carrier, target_p, target_q):
     coord = target.coordinatizer()
     sinv = invert(s)
     d = algebra.dim
-    iso = Matrix.zeros(target.dim, d)
+    iso = {}
     for j in range(d):
         image = mat_mul(mat_mul(sinv, carrier.actions[j]), s)
-        coeffs = coord.express(image)
+        coeffs = coord.express_sparse(image)
         if coeffs is None:
             raise ContractError(f"{name}: conjugated action left so({target_p},{target_q})")
-        for i, cf in enumerate(coeffs):
-            iso.entries[i * d + j] = cf
+        for i, cf in coeffs.items():
+            iso[(i, j)] = cf
     return ExceptionalIso(
         name=name,
         small_algebra=algebra,
@@ -383,7 +364,7 @@ def _finish_iso(name, algebra, small_modules, carrier, target_p, target_q):
         normalizer=s,
         scale=scale,
         target=target,
-        iso_coeffs=iso,
+        iso_coeffs=Matrix.from_sparse(target.dim, d, iso),
     )
 
 
@@ -418,11 +399,8 @@ def _normalize_form_to_scaled_ipq(gram: Matrix, p: int, q: int):
     for lam in candidates:
         cols = _match_columns(diag, want_pos, want_neg, sign * lam)
         if cols is not None:
-            order = cols[0] + cols[1]
-            s = Matrix.zeros(n, n)
-            for new_col, vec in enumerate(order):
-                for i in range(n):
-                    s.entries[i * n + new_col] = vec[i]
+            # the columns of s are the matched vectors, in order
+            s = Matrix.from_rows(cols[0] + cols[1]).transpose()
             full = mat_mul(pmat, s)
             return full, sign * lam
     raise ContractError("could not rationally normalize the carrier form")
@@ -483,19 +461,11 @@ def _match_columns(diag, pos, neg, lam):
 
 
 def _sl4_algebra() -> LieAlgebra:
-    basis = []
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            m = Matrix.zeros(4, 4)
-            m.entries[i * 4 + j] = ONE
-            basis.append(m)
+    basis = [
+        Matrix.from_sparse(4, 4, {(i, j): ONE}) for i in range(4) for j in range(4) if i != j
+    ]
     for i in range(3):
-        m = Matrix.zeros(4, 4)
-        m.entries[i * 4 + i] = ONE
-        m.entries[(i + 1) * 4 + (i + 1)] = -ONE
-        basis.append(m)
+        basis.append(Matrix.from_sparse(4, 4, {(i, i): ONE, (i + 1, i + 1): -ONE}))
     return LieAlgebra.from_matrices(basis, validate=False)
 
 
@@ -503,20 +473,19 @@ def _form_preserving_algebra(form: Matrix) -> LieAlgebra:
     """{A : A^t.form + form.A = 0} for an arbitrary (possibly skew) form,
     with the canonical kernel basis."""
     d = form.rows
-    rows = []
-    # unknowns A_{kl}; equations indexed by (i, j)
+    # unknowns A_{kl} in column k * d + l; equation (i, j) in row i * d + j:
+    # sum over k of form[k, j] A_{ki} + form[i, k] A_{kj} = 0
+    equations = {}
+    columns = form.transpose()
     for i in range(d):
         for j in range(d):
-            row = [ZERO] * (d * d)
-            for k in range(d):
-                v = form[k, j]
-                if v:
-                    row[k * d + i] += v
-                v = form[i, k]
-                if v:
-                    row[k * d + j] += v
-            rows.append(row)
-    basis = [Matrix(d, d, vec) for vec in kernel(Matrix.from_rows(rows)).basis_rows()]
+            eq = i * d + j
+            for k, v in columns.sparse_row(j).items():
+                equations[(eq, k * d + i)] = equations.get((eq, k * d + i), ZERO) + v
+            for k, v in form.sparse_row(i).items():
+                equations[(eq, k * d + j)] = equations.get((eq, k * d + j), ZERO) + v
+    system = Matrix.from_sparse(d * d, d * d, equations)
+    basis = [Matrix(d, d, vec) for vec in kernel(system).basis_rows()]
     return LieAlgebra.from_matrices(basis, validate=False)
 
 
@@ -551,15 +520,15 @@ def _sl2c_complex_basis():
 def _realify(cm) -> Matrix:
     re, im = cm
     n = re.rows
-    out = Matrix.zeros(2 * n, 2 * n)
+    out = {}
     for i in range(n):
         for j in range(n):
             a, b = re[i, j], im[i, j]
-            out.entries[(2 * i) * 2 * n + 2 * j] = a
-            out.entries[(2 * i) * 2 * n + 2 * j + 1] = -b
-            out.entries[(2 * i + 1) * 2 * n + 2 * j] = b
-            out.entries[(2 * i + 1) * 2 * n + 2 * j + 1] = a
-    return out
+            out[(2 * i, 2 * j)] = a
+            out[(2 * i, 2 * j + 1)] = -b
+            out[(2 * i + 1, 2 * j)] = b
+            out[(2 * i + 1, 2 * j + 1)] = a
+    return Matrix.from_sparse(2 * n, 2 * n, out)
 
 
 def _sl2c_standard_actions():
@@ -600,11 +569,7 @@ def _sl2c_realified():
         for b in herm:
             image = _cadd(_cmul(x, b), _cmul(b, _conj_t(x)))
             cols.append(_herm_coords(image))
-        m = Matrix.zeros(4, 4)
-        for j, col in enumerate(cols):
-            for i in range(4):
-                m.entries[i * 4 + j] = col[i]
-        actions.append(m)
+        actions.append(Matrix.from_rows(cols).transpose())
     herm_rep = Representation(algebra, 4, actions)
     return algebra, herm_rep
 

@@ -8,9 +8,7 @@ from liepq.so_pq import so_pq_algebra
 
 
 def unit_matrix(i, j, n):
-    m = Matrix.zeros(n, n)
-    m.entries[i * n + j] = rat(1)
-    return m
+    return Matrix.from_sparse(n, n, {(i, j): rat(1)})
 
 
 @pytest.fixture(scope="session")

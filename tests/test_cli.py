@@ -63,6 +63,23 @@ def test_size_limit_exits_2_before_any_work(capsys, monkeypatch):
         assert err.startswith("error:") and f"n <= {cli.MAX_N}" in err
 
 
+def test_verify_below_two_exits_2_before_any_work(capsys, monkeypatch):
+    """so(p,q) needs p + q >= 2: a domain error, refused like `construct`
+    refuses it, not five failed checks."""
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started below p + q = 2")
+
+    for name in ("run_suite", "run_check", "deformed_algebra", "so_pq_algebra"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for p, q in (("1", "0"), ("0", "1")):
+        for command in (["verify", "--suite", "all"], ["construct"]):
+            assert main(command + ["--p", p, "--q", q]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "p + q >= 2" in err
+
+
 def test_construct_rejects_zero_c(capsys):
     code = main(["construct", "--p", "2", "--q", "1", "--c", "0"])
     assert code == 2

@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +10,8 @@ from liepq.errors import ContractError, ShapeMismatchError
 from liepq.exact_linalg import (
     Echelon,
     Matrix,
+    kron,
+    mat_vec,
     NO_SOLUTION,
     Rational,
     Subspace,
@@ -146,13 +152,13 @@ def test_solve_returns_exact_solution(entries, xs):
 @settings(max_examples=60)
 def test_inertia_congruence_invariant(upper, p_entries):
     # symmetric B from its upper triangle
-    b = Matrix.zeros(3, 3)
+    entries = {}
     idx = 0
     for i in range(3):
         for j in range(i, 3):
-            b.entries[i * 3 + j] = rat(upper[idx])
-            b.entries[j * 3 + i] = rat(upper[idx])
+            entries[(i, j)] = entries[(j, i)] = rat(upper[idx])
             idx += 1
+    b = Matrix.from_sparse(3, 3, entries)
     p = Matrix(3, 3, [rat(x) for x in p_entries])
     reduced, pivots = rref(p.to_rows())
     if len(pivots) < 3:
@@ -272,7 +278,8 @@ def test_op_results_own_their_entries(operands):
     assert_exact_entries(results[4], [a[i, j] for j in range(a.cols) for i in range(a.rows)])
     for result in results:
         assert all(result.entries is not m.entries for m in (a, a2, b))
-        result.entries[:] = [rat(7)] * len(result.entries)
+        for row in result._data.values():  # overwrite the result's stored rows
+            row.update(dict.fromkeys(row, rat(7)))
     assert [m.entries for m in (a, a2, b)] == operands_before
     assert Matrix.zeros(a.rows, a.cols).is_zero()
 
@@ -405,3 +412,177 @@ def test_echelon_copy_leaves_the_original_unchanged():
     assert grown.insert({1: rat(1), 2: rat(1)})
     assert grown.dense_rows() == [[1, 0, -2], [0, 1, 1]]
     assert ech.dense_rows() == snapshot and ech.dim == 1
+
+
+# -- sparse-row Matrix storage against a dense list-of-lists oracle ---------
+
+
+def dense(m):
+    """A Matrix as a list of Fraction rows, read entry by entry."""
+    return [[Fraction(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def dense_product(a, b, inner, cols):
+    return [[sum((ra[j] * b[j][l] for j in range(inner)), Fraction(0)) for l in range(cols)]
+            for ra in a]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def flat(rows):
+    return [x for r in rows for x in r]
+
+
+shape = st.integers(0, 4)
+with_denominators = st.builds(
+    lambda n, d: rat(f"{n}/{d}"), st.integers(-5, 5), st.integers(1, 6)
+)
+mostly_zero = st.one_of(st.just(0), st.just(0), st.just(0), with_denominators)
+
+
+@st.composite
+def sized_matrix(draw, rows, cols):
+    entries = draw(st.lists(mostly_zero, min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, entries)
+
+
+@st.composite
+def matrix_operands(draw):
+    """a and a2 of one shape, b with as many rows as a has columns, a
+    scalar that is zero a quarter of the time; some dimension may be 0."""
+    n, m, k = draw(shape), draw(shape), draw(shape)
+    a = draw(sized_matrix(n, m))
+    # a2 is unrelated, -a (so a + a2 cancels) or a with one entry changed
+    kind = draw(st.sampled_from(["free", "negated", "near"]))
+    if kind == "free":
+        a2 = draw(sized_matrix(n, m))
+    elif kind == "negated":
+        a2 = Matrix(n, m, [-x for x in a.entries])
+    else:
+        entries = a.entries
+        if entries:
+            entries[draw(st.integers(0, len(entries) - 1))] += 1
+        a2 = Matrix(n, m, entries)
+    b = draw(sized_matrix(m, k))
+    scalar = draw(st.one_of(st.just(0), with_denominators))
+    return a, a2, b, scalar
+
+
+def assert_matches(result, rows, cols, expected):
+    assert (result.rows, result.cols) == (rows, cols)
+    assert dense(result) == expected
+    assert result.entries == flat(expected)
+    assert all(type(x) is Rational for x in result.entries)
+    assert result.is_zero() == (not any(flat(expected)))
+    # a stored zero would break == against the same matrix built densely
+    assert result == Matrix(rows, cols, flat(expected))
+    assert hash(result) == hash(Matrix(rows, cols, flat(expected)))
+
+
+@given(matrix_operands())
+@settings(max_examples=200, deadline=None)
+def test_matrix_ops_match_dense_oracle(operands):
+    a, a2, b, k = operands
+    n, m = a.rows, a.cols
+    da, da2, db = dense(a), dense(a2), dense(b)
+    assert_matches(mat_mul(a, b), n, b.cols, dense_product(da, db, m, b.cols))
+    assert_matches(a @ b, n, b.cols, dense_product(da, db, m, b.cols))
+    assert_matches(a + a2, n, m, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(da, da2)])
+    assert_matches(a - a2, n, m, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(da, da2)])
+    assert_matches(a - a, n, m, [[Fraction(0)] * m for _ in range(n)])
+    assert_matches(a.scale(k), n, m, [[Fraction(k) * x for x in r] for r in da])
+    assert_matches(a.scale(0), n, m, [[Fraction(0)] * m for _ in range(n)])
+    assert_matches(-a, n, m, [[-x for x in r] for r in da])
+    assert_matches(a.transpose(), m, n, [[da[i][j] for i in range(n)] for j in range(m)])
+    assert_matches(kron(a, b), n * b.rows, m * b.cols, dense_kron(da, db))
+    if n:  # from_rows reads the width off the first row
+        assert_matches(Matrix.from_rows(a.to_rows()), n, m, da)
+    assert_matches(Matrix.from_sparse(n, m, {(i, j): x for i, r in enumerate(da)
+                                             for j, x in enumerate(r)}), n, m, da)
+    # reads
+    assert a.to_rows() == da
+    assert [a.row_list(i) for i in range(n)] == da
+    assert [a.sparse_row(i) for i in range(n)] == [{j: x for j, x in enumerate(r) if x} for r in da]
+    assert [a.column_list(j) for j in range(m)] == [[r[j] for r in da] for j in range(m)]
+    assert a.sparse_vector() == {i * m + j: x for i, r in enumerate(da) for j, x in enumerate(r) if x}
+    v = [Fraction(j + 1, 2) if j % 2 else Fraction(0) for j in range(m)]
+    assert mat_vec(a, v) == [sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in da]
+    # equality and hashing follow the entries, whatever built the matrix
+    assert (a == a2) == (da == da2)
+    if a == a2:
+        assert hash(a) == hash(a2)
+    assert (a + a2 == a2 + a) and hash(a + a2) == hash(a2 + a)
+    if n == m:
+        assert a.trace() == sum((da[i][i] for i in range(n)), Fraction(0))
+        assert a.is_symmetric() == all(da[i][j] == da[j][i] for i in range(n) for j in range(n))
+        assert (a + a.transpose()).is_symmetric()
+    else:
+        assert not a.is_symmetric()
+        with pytest.raises(ShapeMismatchError):
+            a.trace()
+
+
+def test_matrix_named_constructors_match_dense_oracle():
+    half = rat("1/2")
+    assert dense(Matrix.zeros(2, 3)) == [[0, 0, 0], [0, 0, 0]]
+    assert dense(Matrix.identity(3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert dense(Matrix.diagonal([half, 0, -3])) == [[half, 0, 0], [0, 0, 0], [0, 0, -3]]
+    assert dense(Matrix.column([0, half])) == [[0], [half]]
+    assert Matrix.identity(0) == Matrix.zeros(0, 0) == Matrix.from_rows([])
+    assert Matrix.zeros(0, 3) != Matrix.zeros(3, 0)
+    assert Matrix.zeros(0, 3).entries == [] and Matrix.zeros(2, 0).to_rows() == [[], []]
+    # a product whose every term cancels stores nothing
+    prod = Matrix.from_rows([[1, 1], [half, half]]) @ Matrix.from_rows([[1], [-1]])
+    assert prod.is_zero() and prod == Matrix.zeros(2, 1)
+    assert hash(prod) == hash(Matrix.zeros(2, 1))
+    assert Matrix.from_sparse(2, 2, {(0, 1): 0, (1, 0): "3/4"}) == Matrix.from_rows([[0, 0], ["3/4", 0]])
+
+
+def test_matrix_rejects_negative_shapes_and_bad_indices():
+    for rows, cols in ((-1, 3), (3, -1), (-1, -1)):
+        with pytest.raises(ShapeMismatchError):
+            Matrix.zeros(rows, cols)
+        with pytest.raises(ShapeMismatchError):
+            Matrix.from_sparse(rows, cols, {})
+    with pytest.raises(ShapeMismatchError):
+        Matrix(-1, -3, [0, 0, 0])
+    with pytest.raises(ShapeMismatchError):
+        Matrix(-2, 0, [])
+    with pytest.raises(ShapeMismatchError):
+        Matrix.identity(-1)
+    with pytest.raises(ShapeMismatchError):
+        Matrix.from_sparse(2, 2, {(2, 0): 1})
+    m = Matrix.identity(2)
+    for ij in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(IndexError):
+            m[ij]
+
+
+def test_entries_is_a_fresh_read_only_copy():
+    m = Matrix.from_rows([[1, 0], [0, 2]])
+    m.entries[0] = rat(5)
+    assert m == Matrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(AttributeError):
+        m.entries = [0, 0, 0, 0]
+
+
+# `.entries` is a fresh list on every access, so an in-place write to it is
+# silently lost: none may appear in the library
+ENTRIES_WRITE = re.compile(r"\.entries\s*\[[^\]]*\]\s*[-+]?=(?!=)")
+
+
+def test_no_in_place_entries_writes_in_the_library():
+    src = Path(__file__).resolve().parent.parent / "src" / "liepq"
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if ENTRIES_WRITE.search(line)
+    ]
+    assert hits == []
+    for line in ("m.entries[i * n + j] = ONE", "acc.entries[k] += c", "x.entries[0]  -= y",
+                 "m.entries[:] = []"):
+        assert ENTRIES_WRITE.search(line)
+    assert not ENTRIES_WRITE.search("if m.entries[0] == x:")

@@ -224,10 +224,9 @@ def test_beta_complement_of_so21_in_so31(so31):
     place = {0: 0, 1: 1, 2: 3}
     embedded = []
     for b in so_pq_algebra(2, 1).basis:
-        big = Matrix.zeros(4, 4)
-        for i in range(3):
-            for j in range(3):
-                big.entries[place[i] * 4 + place[j]] = b[i, j]
+        big = Matrix.from_sparse(
+            4, 4, {(place[i], place[j]): b[i, j] for i in range(3) for j in range(3)}
+        )
         embedded.append(coord.express(big))
     assert all(v is not None for v in embedded)
     sub = Subspace.from_vectors(6, embedded)
@@ -523,3 +522,77 @@ def test_maximality_closure_never_brackets_two_h_vectors(monkeypatch):
     assert sum(1 for membership, _ in calls if membership) == h * (h - 1) // 2
     assert not any(both_h for membership, both_h in calls if not membership)
     assert len(calls) <= h * (h - 1) // 2 + (d - h) * d
+
+
+# -- the sparse Jacobi check against the all-triples oracle -----------------
+
+
+def all_triples_jacobi_failure(algebra):
+    """The first basis triple i < j < k, in lexicographic order, on which
+    the Jacobi sum of the three cyclic double brackets is nonzero, found by
+    visiting every triple; None when there is none."""
+    d = algebra.dim
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, v in algebra.structure_entry(a, b).items():
+                        for m, w in algebra.structure_entry(l, c).items():
+                            acc[m] = acc.get(m, 0) + v * w
+                if any(acc.values()):
+                    return (i, j, k)
+    return None
+
+
+def sparse_jacobi_failure(algebra):
+    try:
+        algebra._check_jacobi()
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+def jacobi_message(triple):
+    return None if triple is None else "Jacobi identity fails on basis triple ({},{},{})".format(*triple)
+
+
+def perturbed(algebra, i, j, k, delta):
+    """The abstract algebra with delta added to the coefficient of b_k in
+    [b_i, b_j], i < j, unchecked."""
+    entries = [(a, b, m, v) for (a, b), entry in algebra.structure.items() for m, v in entry.items()]
+    entries.append((i, j, k, delta))
+    return LieAlgebra.from_structure(algebra.dim, entries, validate=False)
+
+
+jacobi_test_algebras = st.one_of(
+    st.builds(lambda pq, c: deformed_algebra(*pq, c).algebra, signatures_3_to_5, small_height_c),
+    st.builds(lambda pq: so_pq_algebra(*pq), signatures_3_to_5),
+)
+
+
+@given(jacobi_test_algebras, st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparse_jacobi_matches_all_triples_oracle(algebra, data):
+    assert sparse_jacobi_failure(algebra) is None
+    assert all_triples_jacobi_failure(algebra) is None
+    d = algebra.dim
+    i = data.draw(st.integers(0, d - 2))
+    j = data.draw(st.integers(i + 1, d - 1))
+    k = data.draw(st.integers(0, d - 1))
+    delta = rat(data.draw(st.sampled_from(["1", "-1", "2", "1/2", "-2/3"])))
+    bad = perturbed(algebra, i, j, k, delta)
+    assert sparse_jacobi_failure(bad) == jacobi_message(all_triples_jacobi_failure(bad))
+
+
+@pytest.mark.parametrize("c", [rat(2), rat("2/3")])
+def test_sparse_jacobi_catches_a_perturbed_constant(c):
+    algebra = deformed_algebra(4, 4, c).algebra
+    keys = sorted(algebra.structure)
+    for i, j in (keys[0], keys[len(keys) // 2], keys[-1]):
+        k, v = min(algebra.structure[(i, j)].items())
+        for delta in (v, -v / 2, rat(1)):
+            bad = perturbed(algebra, i, j, k, delta)
+            with pytest.raises(ContractError, match="Jacobi identity fails"):
+                bad._check_jacobi()
+            assert all_triples_jacobi_failure(bad) is not None

@@ -276,10 +276,11 @@ def test_complex_structure_on_sl2c_adjoint():
     j = complex_structure_endomorphism(adjoint)
     assert mat_mul(j, j) == Matrix.identity(6).scale(-1)
     # multiplication by i in the frozen basis (H,E,F,iH,iE,iF) swaps halves
-    expected = Matrix.zeros(6, 6)
+    entries = {}
     for k in range(3):
-        expected.entries[(k + 3) * 6 + k] = rat(1)
-        expected.entries[k * 6 + (k + 3)] = rat(-1)
+        entries[(k + 3, k)] = rat(1)
+        entries[(k, k + 3)] = rat(-1)
+    expected = Matrix.from_sparse(6, 6, entries)
     assert j == expected or j == expected.scale(-1)
 
 
@@ -378,12 +379,14 @@ def test_eigensplit_of_conjugated_diagonal(diag, data):
     n = len(diag)
     ints = st.integers(min_value=-2, max_value=2)
     # P = L.U with unit triangular factors is invertible
-    lower = Matrix.identity(n)
-    upper = Matrix.identity(n)
+    lower = {(i, i): rat(1) for i in range(n)}
+    upper = dict(lower)
     for i in range(n):
         for j in range(i):
-            lower.entries[i * n + j] = rat(data.draw(ints))
-            upper.entries[j * n + i] = rat(data.draw(ints))
+            lower[(i, j)] = rat(data.draw(ints))
+            upper[(j, i)] = rat(data.draw(ints))
+    lower = Matrix.from_sparse(n, n, lower)
+    upper = Matrix.from_sparse(n, n, upper)
     p = lower @ upper
     from liepq.exact_linalg import invert
 

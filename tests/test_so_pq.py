@@ -387,3 +387,14 @@ def test_deformed_c0_killing_complement_is_vector_block():
         dalg.dim, [[rat(1) if r == i else rat(0) for r in range(dalg.dim)] for i in dalg.vec_indices]
     )
     assert complement == expected
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("c", ["1", "-2", "2/3", "-2/3"])
+def test_embedded_so_block_has_the_so_pq_structure(pq, c):
+    """The first m embedding images re-derive so(p,q)'s own structure
+    constants, so the complement check may act with so_pq_algebra as H."""
+    p, q = pq
+    m = (p + q) * (p + q - 1) // 2
+    images = embedding_iso(p, q, rat(c)).images[:m]
+    assert LieAlgebra.from_matrices(images, validate=False).structure == so_pq_algebra(p, q).structure
