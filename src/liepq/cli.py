@@ -72,9 +72,10 @@ from .weyl_enum import (
 
 # Size limit of `verify` and `construct`, so that a large signature fails
 # fast instead of running for hours.  Measured with the pure-Python Fraction
-# backend (Python 3.11, one Intel Xeon core): `verify --suite all` takes
-# 6 s at n = 8, 43 s at n = 12 and 232 s at n = 16, about 1.5x more per
-# unit of n beyond that; `construct --c 1` takes 3.4 s at n = 16.
+# backend (Python 3.11, one Intel Xeon core, whole process): `verify --suite
+# all` takes 0.7 s at n = 8, 2.2 s at n = 12 and 6.5 s at n = 16 (p = q),
+# about 1.3x more per unit of n beyond that; `construct --c 1` takes 0.3 s
+# at n = 16.
 MAX_N = 16
 
 # Limits of `irreps`, so that the enumeration ends in about a second.  Each
@@ -732,6 +733,10 @@ def cmd_verify(args) -> int:
     _signature_within_limit(args.p, args.q)
     c_list = _rat_list(getattr(args, "c_list"))
     mu_list = _rat_list(getattr(args, "mu_list"))
+    for mu in mu_list:
+        value = rat(mu)
+        if value <= 0 or value == 1:
+            raise ContractError(f"--mu-list: mu must be positive and different from 1, got {mu}")
     report = run_suite(args.suite, args.p, args.q, c_list, mu_list)
     if args.format == "human":
         for check in report["checks"]:

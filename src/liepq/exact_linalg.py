@@ -1,12 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed on Python integers.
 
-Sparse matrices, stored as rows of nonzeros, and one sparse elimination
-engine, `Echelon`, behind `rref`, kernels, solves, inverses and subspaces;
-a matrix's stored rows go into the engine as they are.  Every operation
-here is pure and exact: no floating point, no rounding.
-Scalars are `gmpy2.mpq` when available (much faster), otherwise
-`fractions.Fraction`; both keep values in lowest terms with a positive
-denominator.
+Sparse matrices, stored as integer rows over one common denominator, and one
+sparse fraction-free elimination engine, `Echelon`, behind `rref`, kernels,
+solves, inverses and subspaces.  Every operation here is pure and exact: no
+floating point, no rounding.  The inner loops see only Python ints; a
+rational scalar is built at the boundary only, when a value is read out
+(`m[i, j]`, `row_list`, `entries`, `Echelon.rows`, `basis_rows`, ...), and
+read in, through `rat()`.  Scalars are `gmpy2.mpq` when gmpy2 is installed,
+otherwise `fractions.Fraction`; both keep values in lowest terms with a
+positive denominator, and numerators and denominators enter the integer
+core through `int()` either way.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ except ImportError:  # pure-Python fallback; the acceptance budgets hold on it t
 
 ZERO = Rational(0)
 ONE = Rational(1)
+
+_gcd = _math.gcd
+_lcm = _math.lcm
 
 
 # optional sign, digits, then optionally '/' and an unsigned nonzero denominator
@@ -62,22 +68,38 @@ def _isqrt_exact(n):
     return r if r * r == n else None
 
 
-class Matrix:
-    """Sparse rational matrix with shape, stored as rows of nonzeros.
+def _over_common_den(vec: dict):
+    """(ints, den): the nonzeros of a sparse vector of rationals (or ints) as
+    integers over their least common denominator, vec = ints / den."""
+    den = _lcm(1, *{int(x.denominator) for x in vec.values()})
+    return {k: int(x.numerator) * (den // int(x.denominator)) for k, x in vec.items() if x}, den
 
-    `_data` maps a row index to {column: value}; a zero is never stored and
-    neither is an empty row, so two matrices are equal exactly when their
-    shapes and stored rows are.  Products, sums, scaling, negation,
-    transposition and the zero and symmetry tests visit only nonzeros.  A
-    matrix is never changed after construction: `entries` is a fresh dense
-    row-major list on each access, and new matrices come from `Matrix(...)`,
-    the named constructors or the `from_sparse` builder, which validate
-    every entry through `rat()`.  Results of matrix operations come from
-    `_trusted`, which skips that: their entries are already nonzero scalars
-    of the type in use.
+
+def _quotient(x: int, den: int) -> Rational:
+    """The rational x / den, for ints x and den > 0."""
+    return Rational(x) if den == 1 else Rational(x, den)
+
+
+class Matrix:
+    """Sparse rational matrix with shape: integer rows over one denominator.
+
+    `_data` maps a row index to {column: int} and `den` is a positive int;
+    entry (i, j) is _data[i][j] / den.  A zero is never stored, neither is
+    an empty row, and the form is canonical: the gcd of `den` and all stored
+    entries is 1 (so the zero matrix has den 1).  Two matrices are therefore
+    equal exactly when their shapes, denominators and stored rows are.
+    Products, sums, scaling, negation, transposition and the zero and
+    symmetry tests visit only nonzeros and run on ints; the result's
+    denominator is the product or lcm of the operands' ones, reduced by one
+    gcd pass.  A matrix is never changed after construction, and no
+    operation returns an operand or shares rows with one.  Every read
+    (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `sparse_vector`,
+    `trace`, ...) returns fresh rational scalars.  New matrices come from
+    `Matrix(...)`, the named constructors or the `from_sparse` builder,
+    which validate every entry through `rat()`.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "den")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = [rat(x) for x in entries]
@@ -93,21 +115,7 @@ class Matrix:
                 data[i] = row
         self.rows = rows
         self.cols = cols
-        self._data = data
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, data: dict) -> "Matrix":
-        """Wrap fresh sparse rows {i: {j: value}} without re-coercion.
-
-        Every value must be a nonzero scalar of the type in use and every
-        row nonempty.  The new matrix owns `data`; callers must not keep or
-        share it, nor any of its rows.
-        """
-        m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._data = data
-        return m
+        self._data, self.den = _integer_rows(data)
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int, entries) -> "Matrix":
@@ -127,7 +135,7 @@ class Matrix:
                     data[i] = {j: x}
                 else:
                     row[j] = x
-        return cls._trusted(rows, cols, data)
+        return _trusted(rows, cols, *_integer_rows(data))
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -143,12 +151,12 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         _check_shape(rows, cols)
-        return cls._trusted(rows, cols, {})
+        return _trusted(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         _check_shape(n, n)
-        return cls._trusted(n, n, {i: {i: ONE} for i in range(n)})
+        return _trusted(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def diagonal(cls, diag) -> "Matrix":
@@ -163,39 +171,47 @@ class Matrix:
     def entries(self):
         """A fresh dense row-major list of all rows * cols entries."""
         out = [ZERO] * (self.rows * self.cols)
-        c = self.cols
+        c, den = self.cols, self.den
         for i, row in self._data.items():
             base = i * c
             for j, x in row.items():
-                out[base + j] = x
+                out[base + j] = _quotient(x, den)
         return out
+
+    def _flat(self) -> dict:
+        """The stored integers as a fresh {i * cols + j: int} vector over the
+        row-major flattening (the matrix is that vector over `den`)."""
+        c = self.cols
+        return {i * c + j: x for i, row in self._data.items() for j, x in row.items()}
 
     def sparse_vector(self) -> dict:
         """The nonzeros as a fresh {i * cols + j: value} vector over the
         row-major flattening."""
-        c = self.cols
-        return {i * c + j: x for i, row in self._data.items() for j, x in row.items()}
+        den = self.den
+        return {k: _quotient(x, den) for k, x in self._flat().items()}
 
     def __getitem__(self, ij) -> Rational:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
         row = self._data.get(i)
-        return row.get(j, ZERO) if row else ZERO
+        return _quotient(row.get(j, 0), self.den) if row else ZERO
 
     def row_list(self, i: int):
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside a {self.rows}-row matrix")
         out = [ZERO] * self.cols
+        den = self.den
         for j, x in self._data.get(i, {}).items():
-            out[j] = x
+            out[j] = _quotient(x, den)
         return out
 
     def sparse_row(self, i: int) -> dict:
         """Row i's nonzeros as a fresh {column: value} dict."""
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside a {self.rows}-row matrix")
-        return dict(self._data.get(i, {}))
+        den = self.den
+        return {j: _quotient(x, den) for j, x in self._data.get(i, {}).items()}
 
     def to_rows(self):
         return [self.row_list(i) for i in range(self.rows)]
@@ -204,10 +220,11 @@ class Matrix:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside a {self.cols}-column matrix")
         out = [ZERO] * self.rows
+        den = self.den
         for i, row in self._data.items():
             x = row.get(j)
             if x is not None:
-                out[i] = x
+                out[i] = _quotient(x, den)
         return out
 
     def transpose(self) -> "Matrix":
@@ -219,12 +236,12 @@ class Matrix:
                     out[j] = {i: x}
                 else:
                     orow[i] = x
-        return Matrix._trusted(self.cols, self.rows, out)
+        return _trusted(self.cols, self.rows, out, self.den)
 
     def trace(self) -> Rational:
         if self.rows != self.cols:
             raise ShapeMismatchError("trace of a non-square matrix")
-        return sum((row[i] for i, row in self._data.items() if i in row), ZERO)
+        return Rational(sum(row.get(i, 0) for i, row in self._data.items()), self.den)
 
     def is_zero(self) -> bool:
         return not self._data
@@ -242,6 +259,7 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
+            and self.den == other.den
             and self._data == other._data
         )
 
@@ -249,6 +267,7 @@ class Matrix:
         return hash((
             self.rows,
             self.cols,
+            self.den,
             frozenset((i, j, x) for i, row in self._data.items() for j, x in row.items()),
         ))
 
@@ -256,25 +275,27 @@ class Matrix:
         """self + other (sign 1) or self - other (sign -1), on nonzeros."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatchError(f"matrix {what} shape mismatch")
-        out = {i: dict(row) for i, row in self._data.items()}
+        da, db = self.den, other.den
+        den = da if da == db else _lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        if fa == 1:
+            out = {i: dict(row) for i, row in self._data.items()}
+        else:
+            out = {i: {j: x * fa for j, x in row.items()} for i, row in self._data.items()}
         for i, orow in other._data.items():
             row = out.get(i)
             if row is None:
-                out[i] = dict(orow) if sign > 0 else {j: -y for j, y in orow.items()}
+                out[i] = {j: y * fb for j, y in orow.items()}
                 continue
             for j, y in orow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = y if sign > 0 else -y
+                s = row.get(j, 0) + y * fb
+                if s:
+                    row[j] = s
                 else:
-                    s = x + y if sign > 0 else x - y
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
+                    del row[j]
             if not row:
                 del out[i]
-        return Matrix._trusted(self.rows, self.cols, out)
+        return _reduced(self.rows, self.cols, out, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, 1, "addition")
@@ -283,20 +304,23 @@ class Matrix:
         return self._combine(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(
+        return _trusted(
             self.rows,
             self.cols,
             {i: {j: -x for j, x in row.items()} for i, row in self._data.items()},
+            self.den,
         )
 
     def scale(self, k) -> "Matrix":
         k = rat(k)
         if not k:
-            return Matrix._trusted(self.rows, self.cols, {})
-        return Matrix._trusted(
+            return _trusted(self.rows, self.cols, {})
+        kn, kd = int(k.numerator), int(k.denominator)
+        return _reduced(
             self.rows,
             self.cols,
-            {i: {j: k * x for j, x in row.items()} for i, row in self._data.items()},
+            {i: {j: kn * x for j, x in row.items()} for i, row in self._data.items()},
+            self.den * kd,
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -309,17 +333,57 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _trusted(rows: int, cols: int, data: dict, den: int = 1) -> Matrix:
+    """Wrap fresh integer rows {i: {j: int}} over den as a Matrix as they are.
+
+    Every value must be a nonzero int, every row nonempty and the form
+    canonical (gcd of den and the entries 1).  The new matrix owns `data`;
+    callers must not keep or share it, nor any of its rows.
+    """
+    m = object.__new__(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m._data = data
+    m.den = den
+    return m
+
+
+def _reduced(rows: int, cols: int, data: dict, den: int) -> Matrix:
+    """`_trusted` after one gcd pass that brings den and the entries to
+    lowest terms; skipped when den is 1."""
+    if den != 1:
+        g = den
+        for row in data.values():
+            g = _gcd(g, *row.values())
+            if g == 1:
+                break
+        if g != 1:
+            data = {i: {j: x // g for j, x in row.items()} for i, row in data.items()}
+            den //= g
+    return _trusted(rows, cols, data, den)
+
+
 def _check_shape(rows: int, cols: int):
     if rows < 0 or cols < 0:
         raise ShapeMismatchError(f"negative matrix shape {rows}x{cols}")
+
+
+def _integer_rows(data: dict):
+    """(integer rows, den) for rows {i: {j: nonzero rational}}, over the
+    least common denominator of all entries, which is already canonical."""
+    den = _lcm(1, *{int(x.denominator) for row in data.values() for x in row.values()})
+    return {
+        i: {j: int(x.numerator) * (den // int(x.denominator)) for j, x in row.items()}
+        for i, row in data.items()
+    }, den
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product; raises ShapeMismatchError on bad shapes.
 
     Row by row over nonzeros only (Gustavson, ACM TOMS 4, 1978): row i of
-    the product accumulates a_ij times row j of b for each nonzero a_ij,
-    and a sum that cancels to zero is dropped at once.
+    the product accumulates a_ij times row j of b for each nonzero a_ij, on
+    the integer rows, over the product of the two denominators.
     """
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -327,37 +391,43 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     out = {}
     for i, arow in a._data.items():
         acc = {}
+        get = acc.get
         for j, x in arow.items():
             brow = bdata.get(j)
-            if brow is None:
-                continue
-            for l, y in brow.items():
-                s = acc.get(l)
-                if s is None:
-                    acc[l] = x * y
-                else:
-                    s += x * y
-                    if s:
-                        acc[l] = s
-                    else:
-                        del acc[l]
+            if brow is not None:
+                for l, y in brow.items():
+                    acc[l] = get(l, 0) + x * y
+        if 0 in acc.values():  # a sum cancelled
+            acc = {l: s for l, s in acc.items() if s}
         if acc:
             out[i] = acc
-    return Matrix._trusted(a.rows, b.cols, out)
+    return _reduced(a.rows, b.cols, out, a.den * b.den)
 
 
 def mat_vec(a: Matrix, v):
     """Product of a matrix with a coefficient list."""
     if a.cols != len(v):
         raise ShapeMismatchError("matrix-vector shape mismatch")
+    vec, vden = _over_common_den(dict(enumerate(v)))
+    den = a.den * vden
     out = [ZERO] * a.rows
-    for i, row in a._data.items():
-        s = ZERO
+    for i, s in _mat_vec_int(a._data, vec).items():
+        out[i] = Rational(s, den)
+    return out
+
+
+def _mat_vec_int(data: dict, vec: dict) -> dict:
+    """Integer rows {i: {j: int}} times a sparse integer vector, as a
+    sparse integer vector."""
+    out = {}
+    for i, row in data.items():
+        s = 0
         for j, x in row.items():
-            vj = v[j]
-            if vj:
-                s += x * vj
-        out[i] = s
+            y = vec.get(j)
+            if y is not None:
+                s += x * y
+        if s:
+            out[i] = s
     return out
 
 
@@ -370,109 +440,146 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             out[i * br + k] = {
                 j * bc + l: x * y for j, x in arow.items() for l, y in brow.items()
             }
-    return Matrix._trusted(a.rows * br, a.cols * bc, out)
-
-
-def _axpy(acc: dict, f, vec: dict):
-    """acc += f * vec on sparse {index: value} vectors, dropping zeros.
-
-    f must be nonzero and vec must hold no zeros, so a product landing on an
-    index missing from acc is nonzero.
-    """
-    for k, v in vec.items():
-        a = acc.get(k)
-        if a is None:
-            acc[k] = f * v
-        else:
-            s = a + f * v
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
+    return _reduced(a.rows * br, a.cols * bc, out, a.den * b.den)
 
 
 class Echelon:
-    """Incremental, fully reduced row echelon form over sparse rows.
+    """Incremental, fully reduced row echelon form over sparse integer rows.
 
-    `rows` maps pivot -> {column: value}.  Each row is 1 at its pivot, which
-    is its smallest column, and 0 at every other pivot, so at every moment
-    the rows are the canonical reduced echelon basis of their span, and
-    reducing a vector is one pass over its entries.
+    `_rows` maps pivot -> {column: int}.  Each row is primitive (its entries
+    have gcd 1), positive at its pivot, which is its smallest column, and 0
+    at every other pivot.  Divided by its pivot entry it is the canonical
+    reduced echelon row, so the integer rows are canonical for their span
+    too, and reducing a vector is one pass over its entries.  Elimination
+    is fraction-free (Bareiss, Math. Comp. 22, 1968): a row update is
+    lead * row - f * new, then division by the content.  `rows`,
+    `reduce` and `dense_rows` read out rationals; `_reduce_int` and
+    `_insert_int` are the integer paths the library uses.
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "_rows")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.rows = {}
+        self._rows = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> dict:
+        """The canonical reduced rows, pivot -> {column: value}, 1 at the
+        pivot; a fresh rational copy."""
+        return {
+            p: {k: _quotient(x, row[p]) for k, x in row.items()}
+            for p, row in self._rows.items()
+        }
+
+    def _reduce_int(self, vec: dict):
+        """(out, scale): out = scale * vec minus integer multiples of the
+        stored rows at vec's pivots, a new integer vector with no zeros.
+
+        out / scale is vec reduced: zero at every pivot, and empty exactly
+        when vec lies in the span.  A stored row is zero at every other
+        pivot, so the factor of each row is vec's own entry at its pivot;
+        scale is the lcm of the leads of the rows used.
+        """
+        rows = self._rows
+        hits = [(rows[p], p, f) for p, f in vec.items() if p in rows]
+        if not hits:
+            return dict(vec), 1
+        scale = 1
+        for row, p, _ in hits:
+            lead = row[p]
+            if lead != 1:
+                scale = _lcm(scale, lead)
+        out = dict(vec) if scale == 1 else {k: x * scale for k, x in vec.items()}
+        get = out.get
+        for row, p, f in hits:
+            f = -f * (scale // row[p])
+            for k, y in row.items():
+                out[k] = get(k, 0) + f * y
+        return {k: x for k, x in out.items() if x}, scale
 
     def reduce(self, vec: dict) -> dict:
         """A new sparse vector: vec minus the stored rows at its pivots.
 
         The result is zero at every pivot, and empty exactly when vec lies in
-        the span.  A stored row is zero at every other pivot, so the factor
-        of each row is vec's own entry at that row's pivot.
+        the span.
         """
-        out = dict(vec)
-        rows = self.rows
-        for k, f in vec.items():
-            row = rows.get(k)
-            if row is not None:
-                _axpy(out, -f, row)
-        return out
+        ints, den = _over_common_den(vec)
+        out, scale = self._reduce_int(ints)
+        den *= scale
+        return {k: Rational(x, den) for k, x in out.items()}
 
     def insert(self, vec: dict) -> bool:
-        """Add vec to the span; False, with nothing changed, when it is
-        already there.  Stored rows are reduced at the new pivot in place."""
-        vec = self.reduce(vec)
+        """Add vec (rational entries) to the span; False, with nothing
+        changed, when it is already there."""
+        return self._insert_int(_over_common_den(vec)[0])
+
+    def _insert_int(self, vec: dict) -> bool:
+        """`insert` for an integer vector with no zeros, left unchanged.
+        Stored rows are reduced at the new pivot in place."""
+        vec, _ = self._reduce_int(vec)
         if not vec:
             return False
         pivot = min(vec)
+        g = _gcd(*vec.values())
+        if vec[pivot] < 0:
+            g = -g
+        if g != 1:
+            vec = {k: x // g for k, x in vec.items()}
         lead = vec[pivot]
-        if lead != 1:
-            inv = ONE / lead
-            vec = {k: v * inv for k, v in vec.items()}
-        for row in self.rows.values():
+        for row in self._rows.values():
             f = row.get(pivot)
             if f is not None:
-                _axpy(row, -f, vec)
-        self.rows[pivot] = vec
+                if lead != 1:
+                    for k in row:
+                        row[k] *= lead
+                for k, y in vec.items():
+                    s = row.get(k, 0) - f * y
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                g = _gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+        self._rows[pivot] = vec
         return True
 
     def copy(self) -> "Echelon":
         """An independent copy; each row is copied, since `insert` mutates
         stored rows."""
         out = Echelon(self.ambient)
-        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        out._rows = {p: dict(row) for p, row in self._rows.items()}
         return out
 
     def pivots(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     def dense_rows(self):
         """The canonical reduced rows as dense lists, in pivot order."""
         out = []
         for p in self.pivots():
+            row = self._rows[p]
+            lead = row[p]
             v = [ZERO] * self.ambient
-            for k, x in self.rows[p].items():
-                v[k] = x
+            for k, x in row.items():
+                v[k] = _quotient(x, lead)
             out.append(v)
         return out
 
 
 def _echelon(ncols: int, vectors) -> Echelon:
-    """The echelon of the span of sparse {index: value} vectors in Q^ncols.
-
-    `Echelon.insert` never changes its argument, so a matrix's stored rows
-    can go in as they are.
-    """
+    """The echelon of the span of sparse integer {index: int} vectors in
+    Q^ncols.  `Echelon._insert_int` never changes its argument, so a
+    matrix's stored rows can go in as they are."""
     ech = Echelon(ncols)
     for vec in vectors:
-        ech.insert(vec)
+        ech._insert_int(vec)
     return ech
 
 
@@ -480,6 +587,8 @@ def _sparse_list(values) -> dict:
     """A list of values as a sparse {index: value} vector, through `rat()`."""
     out = {}
     for j, x in enumerate(values):
+        if x is ZERO:  # the zero that dense reads fill in
+            continue
         x = rat(x)
         if x:
             out[j] = x
@@ -495,7 +604,7 @@ def rref(rows):
     """
     if not rows:
         return [], []
-    ech = _echelon(len(rows[0]), ({j: x for j, x in enumerate(r) if x} for r in rows))
+    ech = _echelon(len(rows[0]), (_over_common_den(_sparse_list(r))[0] for r in rows))
     return ech.dense_rows(), ech.pivots()
 
 
@@ -503,30 +612,30 @@ class Subspace:
     """Subspace of Q^n held in canonical reduced echelon form.
 
     Two Subspace objects are equal exactly when they describe the same
-    subspace, whatever generating vectors they were built from.
+    subspace, whatever generating vectors they were built from: the
+    primitive integer echelon rows are canonical for the span.
     """
 
-    __slots__ = ("ambient_dim", "_echelon", "_rows")
+    __slots__ = ("ambient_dim", "_echelon")
 
     def __init__(self, echelon: Echelon):
         """The span of the echelon's rows; the subspace takes ownership of it."""
         self.ambient_dim = echelon.ambient
         self._echelon = echelon
-        self._rows = tuple(tuple(r) for r in echelon.dense_rows())
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        sparse = []
+        ints = []
         for v in vectors:
             if isinstance(v, Matrix):
                 if v.cols != 1 or v.rows != ambient_dim:
                     raise ShapeMismatchError("basis vectors must be ambient_dim x 1")
-                sparse.append(v.sparse_vector())
+                ints.append(v._flat())
             else:
                 if len(v) != ambient_dim:
                     raise ShapeMismatchError("vector length != ambient dimension")
-                sparse.append(_sparse_list(v))
-        return cls(_echelon(ambient_dim, sparse))
+                ints.append(_over_common_den(_sparse_list(v))[0])
+        return cls(_echelon(ambient_dim, ints))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -534,19 +643,39 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(_echelon(ambient_dim, ({j: ONE} for j in range(ambient_dim))))
+        return cls(_echelon(ambient_dim, ({j: 1} for j in range(ambient_dim))))
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._echelon._rows)
 
     @property
     def basis(self):
         """Canonical basis as a list of column vectors."""
-        return [Matrix.column(r) for r in self._rows]
+        return self.basis_matrices(self.ambient_dim, 1)
+
+    def basis_matrices(self, rows: int, cols: int):
+        """The canonical basis, each vector reshaped row-major into a
+        rows x cols matrix: its primitive integer row over its pivot entry."""
+        if rows * cols != self.ambient_dim:
+            raise ShapeMismatchError(f"a {rows}x{cols} matrix does not hold Q^{self.ambient_dim}")
+        out = []
+        for p, vec in zip(self.pivot_columns(), self._integer_rows()):
+            data = {}
+            for k, x in vec.items():
+                i, j = divmod(k, cols)
+                data.setdefault(i, {})[j] = x
+            out.append(_trusted(rows, cols, data, vec[p]))
+        return out
+
+    def _integer_rows(self):
+        """The primitive integer echelon rows {column: int}, in pivot order:
+        each is a positive multiple of the canonical basis row.  Read only."""
+        rows = self._echelon._rows
+        return [rows[p] for p in self.pivot_columns()]
 
     def basis_rows(self):
-        return [list(r) for r in self._rows]
+        return self._echelon.dense_rows()
 
     def echelon(self) -> Echelon:
         """A fresh copy of the canonical echelon, free to grow."""
@@ -566,58 +695,75 @@ class Subspace:
         """
         if isinstance(vector, Matrix):
             size = vector.rows * vector.cols
-            vector = vector.sparse_vector()
+            ints, den = vector._flat(), vector.den
         else:
             size = len(vector)
-            vector = _sparse_list(vector)
+            ints, den = _over_common_den(_sparse_list(vector))
         if size != self.ambient_dim:
             raise ShapeMismatchError("vector length != ambient dimension")
-        if self._echelon.reduce(vector):
+        if self._echelon._reduce_int(ints)[0]:
             return None
-        return [vector.get(p, ZERO) for p in self.pivot_columns()]
+        return [_quotient(ints.get(p, 0), den) for p in self.pivot_columns()]
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(list(r)) for r in other._rows)
+        if other.ambient_dim != self.ambient_dim:
+            raise ShapeMismatchError("vector length != ambient dimension")
+        reduce = self._echelon._reduce_int
+        return all(not reduce(row)[0] for row in other._echelon._rows.values())
 
     def complement_coordinate_indices(self):
         """Coordinate indices spanning a complement (the non-pivot columns)."""
-        pivots = self._echelon.rows
+        pivots = self._echelon._rows
         return [j for j in range(self.ambient_dim) if j not in pivots]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self._rows == other._rows
+            and self._echelon._rows == other._echelon._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._rows))
+        return hash((
+            self.ambient_dim,
+            frozenset((p, frozenset(row.items())) for p, row in self._echelon._rows.items()),
+        ))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
 def _null_space(ech: Echelon, n: int) -> Subspace:
-    """Kernel of the first n columns of a system whose reduced rows are ech.
+    """Kernel of the first n columns of a system whose integer rows are ech.
 
-    Row p with p < n reads x_p = -sum of row[f] * x_f over the free columns
-    f < n; each free column gives one kernel vector.
+    Row p with p < n and lead r_p reads r_p x_p = -sum of row[f] * x_f over
+    the free columns f < n.  Each free column f gives one integer kernel
+    vector: x_f = L, the lcm of the leads of the rows that reach f, and
+    x_p = -row[f] * L / r_p.
     """
-    free = {f: {f: ONE} for f in range(n) if f not in ech.rows}
-    for p, row in ech.rows.items():
+    rows = ech._rows
+    free = {f: [] for f in range(n) if f not in rows}
+    for p, row in rows.items():
         if p < n:
             for k, x in row.items():
                 if k < n and k != p:
-                    free[k][p] = -x
+                    free[k].append((p, x, row[p]))
     null = Echelon(n)
-    for v in free.values():
-        null.insert(v)
+    for f, terms in free.items():
+        big = 1
+        for _, _, lead in terms:
+            if lead != 1:
+                big = _lcm(big, lead)
+        vec = {f: big}
+        for p, x, lead in terms:
+            vec[p] = -x * (big // lead)
+        null._insert_int(vec)
     return Subspace(null)
 
 
 def kernel(a: Matrix) -> Subspace:
-    """Canonical basis of the null space {x : a.x = 0}."""
+    """Canonical basis of the null space {x : a.x = 0}: that of a's
+    integer rows, since a / den has the same kernel."""
     return _null_space(_echelon(a.cols, a._data.values()), a.cols)
 
 
@@ -646,31 +792,43 @@ def solve_linear(a: Matrix, b: Matrix):
 
     Returns (particular, kernel(a)) where particular is a Matrix with the
     same column count as b, or NO_SOLUTION when the system is inconsistent.
-    Inconsistency is a value, not an error.  One echelon of [a | b] serves
-    both: its rows with pivots in a's columns, cut to those columns, are the
-    reduced echelon form of a.
+    Inconsistency is a value, not an error.  With a = A / da and b = B / db
+    the system is the integer one db.A.X = da.B (both sides over their gcd),
+    and one echelon of [db.A | da.B] serves both answers: its rows with
+    pivots in a's columns, cut to those columns, are the echelon of a, and
+    the particular solution is read over the lcm of their leads.
     """
     if a.rows != b.rows:
         raise ShapeMismatchError("right-hand side row count mismatch")
     n = a.cols
     k = b.cols
+    g = _gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
     adata, bdata = a._data, b._data
     rows = []
     for i in adata.keys() | bdata.keys():
-        row = dict(adata.get(i, {}))
+        row = {j: x * fa for j, x in adata.get(i, {}).items()}
         for j, x in bdata.get(i, {}).items():
-            row[n + j] = x
+            row[n + j] = x * fb
         rows.append(row)
     ech = _echelon(n + k, rows)
     ker = _null_space(ech, n)
-    if any(p >= n for p in ech.rows):
+    if any(p >= n for p in ech._rows):
         return NO_SOLUTION, ker
-    sol = {}
-    for p, row in ech.rows.items():
+    parts = []
+    den = 1
+    for p, row in ech._rows.items():
         srow = {col - n: x for col, x in row.items() if col >= n}
         if srow:
-            sol[p] = srow
-    return Matrix._trusted(n, k, sol), ker
+            lead = row[p]
+            parts.append((p, srow, lead))
+            if lead != 1:
+                den = _lcm(den, lead)
+    sol = {}
+    for p, srow, lead in parts:
+        f = den // lead
+        sol[p] = srow if f == 1 else {j: x * f for j, x in srow.items()}
+    return _reduced(n, k, sol, den), ker
 
 
 def invert(a: Matrix) -> Matrix:

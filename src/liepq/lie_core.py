@@ -21,16 +21,18 @@ from .errors import (
 from .exact_linalg import (
     Echelon,
     Matrix,
-    ONE,
     Rational,
     Subspace,
     ZERO,
-    _axpy,
+    _integer_rows,
+    _mat_vec_int,
+    _over_common_den,
+    _reduced,
+    _trusted,
     kernel,
     mat_mul,
     mat_vec,
     rat,
-    rref,
 )
 
 MATRIX = "matrix"
@@ -40,10 +42,11 @@ ABSTRACT = "abstract"
 class _Coordinatizer:
     """Expresses matrices exactly in the span of a fixed matrix basis.
 
-    Basis matrix i enters one Echelon as its entries followed by a tag 1 in
-    column size + i.  A matrix in the span then reduces to zero on its
-    entries and to minus its coefficients on the tags; a basis is dependent
-    exactly when some pivot lands on a tag.
+    Basis matrix i = B_i / d_i enters one integer Echelon as its integers
+    B_i followed by the tag d_i in column size + i, a multiple of its
+    entries followed by a tag 1.  A matrix in the span then reduces to zero
+    on its entries and to minus its coefficients on the tags; a basis is
+    dependent exactly when some pivot lands on a tag.
     """
 
     def __init__(self, basis):
@@ -54,10 +57,10 @@ class _Coordinatizer:
         for i, b in enumerate(basis):
             if (b.rows, b.cols) != self.shape:
                 raise ShapeMismatchError("basis matrices of mixed shapes")
-            vec = b.sparse_vector()
-            vec[size + i] = ONE
-            self.echelon.insert(vec)
-        if any(p >= size for p in self.echelon.rows):
+            vec = b._flat()
+            vec[size + i] = b.den
+            self.echelon._insert_int(vec)
+        if any(p >= size for p in self.echelon._rows):
             raise ContractError("basis matrices are linearly dependent")
 
     def express(self, m: Matrix):
@@ -76,11 +79,13 @@ class _Coordinatizer:
         if (m.rows, m.cols) != self.shape:
             raise ShapeMismatchError("matrix shape differs from the basis")
         size = self.size
+        reduced, scale = self.echelon._reduce_int(m._flat())
+        den = scale * m.den
         out = {}
-        for k, v in self.echelon.reduce(m.sparse_vector()).items():
+        for k, v in reduced.items():
             if k < size:
                 return None
-            out[k - size] = -v
+            out[k - size] = Rational(-v, den)
         return out
 
 
@@ -88,7 +93,9 @@ class LieAlgebra:
     """Immutable Lie algebra with a cached sparse structure tensor.
 
     structure maps (i, j) with i < j to {k: coefficient of b_k in [b_i, b_j]};
-    antisymmetry fills in the rest and diagonal brackets vanish.
+    antisymmetry fills in the rest and diagonal brackets vanish.  The
+    Jacobi check, the Killing form and ad matrices run on one cached integer
+    copy of it: every constant times the lcm of all their denominators.
     """
 
     def __init__(self, realization, dim, basis=None, structure=None, validate=True):
@@ -98,6 +105,7 @@ class LieAlgebra:
         self.structure = structure if structure is not None else {}
         self._killing = None
         self._coordinatizer = None
+        self._int_tensor = None
         if validate:
             self._check_jacobi()
 
@@ -138,7 +146,8 @@ class LieAlgebra:
             if i > j:
                 i, j, value = j, i, -value
             entry = structure.setdefault((i, j), {})
-            entry[k] = entry.get(k, ZERO) + value
+            old = entry.get(k)
+            entry[k] = value if old is None else old + value
         for key in list(structure):
             structure[key] = {k: v for k, v in structure[key].items() if v}
             if not structure[key]:
@@ -153,6 +162,21 @@ class LieAlgebra:
         if self._coordinatizer is None:
             self._coordinatizer = _Coordinatizer(self.basis)
         return self._coordinatizer
+
+    def _integer_tensor(self):
+        """(den, scaled, brackets), cached: den is the lcm of the structure
+        constants' denominators, scaled[(i, j)] = {k: den * c_ij^k} for
+        i < j, and brackets[i] lists (j, entry, sign) with
+        den * [b_i, b_j] = sign * entry for every j with a nonzero bracket
+        (entry is shared with scaled, not copied)."""
+        if self._int_tensor is None:
+            scaled, den = _integer_rows(self.structure)
+            brackets = {}
+            for (i, j), entry in scaled.items():
+                brackets.setdefault(i, []).append((j, entry, 1))
+                brackets.setdefault(j, []).append((i, entry, -1))
+            self._int_tensor = (den, scaled, brackets)
+        return self._int_tensor
 
     def structure_entry(self, i, j):
         """Sparse bracket [b_i, b_j] as {k: coefficient}."""
@@ -177,37 +201,46 @@ class LieAlgebra:
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
         """[x, y] for sparse {index: coefficient} vectors, as a sparse vector."""
-        structure = self.structure
-        acc = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i < j:
-                    entry = structure.get((i, j))
-                    if entry:
-                        _axpy(acc, xi * yj, entry)
-                elif i > j:
-                    entry = structure.get((j, i))
-                    if entry:
-                        _axpy(acc, -(xi * yj), entry)
-        return acc
+        return _bracket(self.structure, x, y)
+
+    def _bracket_int(self, x: dict, y: dict) -> dict:
+        """den * [x, y] for sparse integer vectors, on the integer tensor: a
+        positive multiple of the bracket, all that spans and membership read."""
+        return _bracket(self._integer_tensor()[1], x, y)
 
     def ad_matrix(self, x) -> Matrix:
         """Matrix of ad(x) = [x, .] on the coefficient space."""
-        d = self.dim
-        out = {}
-        for (i, j), entry in self.structure.items():
-            if x[i]:
-                for k, v in entry.items():
-                    out[(k, j)] = out.get((k, j), ZERO) + x[i] * v
-            if x[j]:
-                for k, v in entry.items():
-                    out[(k, i)] = out.get((k, i), ZERO) - x[j] * v
-        return Matrix.from_sparse(d, d, out)
+        if len(x) != self.dim:
+            raise ShapeMismatchError("coefficient vector must have length dim")
+        return self._ad(*_over_common_den(dict(enumerate(x))))
 
     def ad_basis_matrix(self, i) -> Matrix:
-        x = [ZERO] * self.dim
-        x[i] = ONE
-        return self.ad_matrix(x)
+        if not 0 <= i < self.dim:
+            raise IndexError(f"basis index {i} outside an algebra of dim {self.dim}")
+        return self._ad({i: 1}, 1)
+
+    def _ad(self, x: dict, xden: int) -> Matrix:
+        """ad(x) for x = (sparse integer vector) / xden: column j of ad(b_i)
+        is [b_i, b_j], read off the integer brackets of each i in x."""
+        d = self.dim
+        den, _, brackets = self._integer_tensor()
+        out = {}
+        for i, xi in x.items():
+            for j, entry, sign in brackets.get(i, ()):
+                f = xi * sign
+                for k, v in entry.items():
+                    row = out.get(k)
+                    if row is None:
+                        out[k] = {j: f * v}
+                    else:
+                        row[j] = row.get(j, 0) + f * v
+        data = {}
+        for k, row in out.items():
+            if 0 in row.values():
+                row = {j: v for j, v in row.items() if v}
+            if row:
+                data[k] = row
+        return _reduced(d, d, data, den * xden)
 
     def _check_jacobi(self):
         """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for
@@ -221,29 +254,19 @@ class LieAlgebra:
         that no term reaches sums to zero.  The sums run on integers: every
         constant times the common denominator of all of them.
         """
-        den = 1
-        for entry in self.structure.values():
-            for v in entry.values():
-                den = _math.lcm(den, int(v.denominator))
-        scaled = {
-            key: {m: int(v.numerator) * (den // int(v.denominator)) for m, v in entry.items()}
-            for key, entry in self.structure.items()
-        }
-        # brackets[l]: (c, [b_l, b_c]) for every c with a nonzero bracket
-        brackets = {}
-        for (l, c), entry in scaled.items():
-            brackets.setdefault(l, []).append((c, entry))
-            brackets.setdefault(c, []).append((l, {m: -w for m, w in entry.items()}))
+        # brackets[l]: (c, inner, sign) with [b_l, b_c] = sign * inner for
+        # every c with a nonzero bracket
+        _, scaled, brackets = self._integer_tensor()
         sums = {}
         for (a, b), entry in scaled.items():
             for l, v in entry.items():
-                for c, inner in brackets.get(l, ()):
+                for c, inner, sign in brackets.get(l, ()):
                     if c > b:
-                        key, f = (a, b, c), v
+                        key, f = (a, b, c), v * sign
                     elif c < a:
-                        key, f = (c, a, b), v
+                        key, f = (c, a, b), v * sign
                     elif a < c < b:
-                        key, f = (a, c, b), -v
+                        key, f = (a, c, b), -v * sign
                     else:
                         continue
                     acc = sums.get(key)
@@ -259,40 +282,61 @@ class LieAlgebra:
     # -- spec operations ----------------------------------------------
 
     def killing_form(self) -> "BilinearForm":
-        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j,
-        contracted over the nonzero structure constants only."""
+        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j.
+
+        Contracted over the nonzero integer structure constants only, so the
+        sums come over the square of their denominator: with by_slot[(k, j)]
+        the list of (a, den * c_{aj}^k), each product pairs slot (k, j) of
+        ad(b_a) with slot (j, k) of ad(b_b).
+        """
         if self._killing is None:
             d = self.dim
-            # ads[a] holds the nonzeros of ad(b_a): {(k, j): c_{aj}^k}
-            ads = [{} for _ in range(d)]
-            for (i, j), entry in self.structure.items():
-                ad_i, ad_j = ads[i], ads[j]
+            den, scaled, _ = self._integer_tensor()
+            by_slot = {}
+            for (i, j), entry in scaled.items():
                 for k, v in entry.items():
-                    ad_i[(k, j)] = v
-                    ad_j[(k, i)] = -v
+                    by_slot.setdefault((k, j), []).append((i, v))
+                    by_slot.setdefault((k, i), []).append((j, -v))
             gram = {}
-            for a in range(d):
-                ad_a = ads[a]
-                for b in range(a, d):
-                    ad_b = ads[b]
-                    s = ZERO
-                    for (k, j), v in ad_a.items():
-                        w = ad_b.get((j, k))
-                        if w is not None:
-                            s += v * w
-                    gram[(a, b)] = gram[(b, a)] = s
-            self._killing = BilinearForm(d, Matrix.from_sparse(d, d, gram))
+            for (k, j), terms in by_slot.items():
+                partners = by_slot.get((j, k))
+                if partners is None:
+                    continue
+                for a, v in terms:
+                    row = gram.setdefault(a, {})
+                    for b, w in partners:
+                        row[b] = row.get(b, 0) + v * w
+            data = {}
+            for a, row in gram.items():
+                row = {b: s for b, s in row.items() if s}
+                if row:
+                    data[a] = row
+            self._killing = BilinearForm(d, _reduced(d, d, data, den * den))
         return self._killing
 
     def trace_form(self) -> "BilinearForm":
         if self.realization != MATRIX:
             raise UnsupportedRealizationError("trace form needs a MATRIX realization")
+        # tr(b_a b_b) = sum of (b_a)_ij (b_b)_ji, on the integer rows over
+        # the lcm of the basis denominators
         d = self.dim
+        den = _math.lcm(1, *(b.den for b in self.basis))
+        rows = [b._data for b in self.basis]
+        cols = [b.transpose()._data for b in self.basis]
+        scale = [den // b.den for b in self.basis]
         gram = {}
         for a in range(d):
             for b in range(a, d):
-                gram[(a, b)] = gram[(b, a)] = mat_mul(self.basis[a], self.basis[b]).trace()
-        return BilinearForm(d, Matrix.from_sparse(d, d, gram))
+                s = sum(
+                    x * y
+                    for i, row in rows[a].items()
+                    if i in cols[b]
+                    for j, x in row.items()
+                    if (y := cols[b][i].get(j))
+                )
+                if s:
+                    gram.setdefault(a, {})[b] = gram.setdefault(b, {})[a] = s * scale[a] * scale[b]
+        return BilinearForm(d, _reduced(d, d, gram, den * den))
 
     def theta_involution(self) -> Matrix:
         """Matrix of X -> -X^t in the basis; NotStableError if the basis is
@@ -311,9 +355,8 @@ class LieAlgebra:
         return Matrix.from_sparse(d, d, out)
 
     def is_semisimple(self) -> bool:
-        gram = self.killing_form().gram
-        reduced, pivots = rref(gram.to_rows())
-        return len(pivots) == self.dim
+        """Cartan's criterion: the Killing form is nondegenerate."""
+        return kernel(self.killing_form().gram).dim == 0
 
     def is_abelian(self) -> bool:
         return not self.structure
@@ -344,6 +387,24 @@ class LieAlgebra:
             return cls.from_matrices(basis)
         entries = [(i, j, k, rat(v)) for i, j, k, v in data["structure"]]
         return cls.from_structure(data["dim"], entries)
+
+
+def _bracket(structure, x: dict, y: dict) -> dict:
+    """[x, y] for sparse vectors over a sparse structure tensor, rational or
+    integer, as a sparse vector."""
+    acc = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i < j:
+                entry, f = structure.get((i, j)), xi * yj
+            elif i > j:
+                entry, f = structure.get((j, i)), -(xi * yj)
+            else:
+                continue
+            if entry:
+                for k, v in entry.items():
+                    acc[k] = acc.get(k, 0) + f * v
+    return {k: v for k, v in acc.items() if v}
 
 
 def canonical_json(data) -> str:
@@ -405,28 +466,31 @@ def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     if subspace.ambient_dim != algebra.dim:
         raise ShapeMismatchError("subspace lives in the wrong coefficient space")
     d = algebra.dim
-    hs = subspace.basis_rows()
+    hs = subspace._integer_rows()
     if not hs:
         return Subspace.full(d)
-    # the ad(h) stacked one under another
+    # the integer rows of the ad(h) stacked one under another: a row scaled
+    # by a nonzero factor leaves the kernel as it is
     equations = {}
     for r, h in enumerate(hs):
-        for k, x in algebra.ad_matrix(h).sparse_vector().items():
-            i, j = divmod(k, d)
-            equations[(r * d + i, j)] = x
-    return kernel(Matrix.from_sparse(len(hs) * d, d, equations))
+        for i, row in algebra._ad(h, 1)._data.items():
+            equations[r * d + i] = dict(row)
+    return kernel(_trusted(len(hs) * d, d, equations))
 
 
 def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
-    """{x : form(x, h) = 0 for every h in the subspace}."""
-    rows = [mat_vec(form.gram, h) for h in subspace.basis_rows()]
-    if not rows:
+    """{x : form(x, h) = 0 for every h in the subspace}: the kernel of the
+    integer rows G h, for G the gram's integer rows and h the subspace's."""
+    hs = subspace._integer_rows()
+    if not hs:
         return Subspace.full(form.on)
-    return kernel(Matrix.from_rows(rows))
-
-
-def _sparse_rows(subspace: Subspace):
-    return [{k: v for k, v in enumerate(row) if v} for row in subspace.basis_rows()]
+    gram = form.gram._data
+    equations = {}
+    for r, h in enumerate(hs):
+        row = _mat_vec_int(gram, h)
+        if row:
+            equations[r] = row
+    return kernel(_trusted(len(hs), form.on, equations))
 
 
 def _close(algebra: LieAlgebra, ech: Echelon, vectors: list, closed: int):
@@ -434,14 +498,15 @@ def _close(algebra: LieAlgebra, ech: Echelon, vectors: list, closed: int):
 
     The first `closed` vectors span a subalgebra, so their pairs are never
     bracketed; every other unordered pair is bracketed once, and the loop
-    stops as soon as the span is the whole algebra.
+    stops as soon as the span is the whole algebra.  Vectors are integer
+    and brackets come from the integer tensor: only spans are read.
     """
     i = closed
     while i < len(vectors) and ech.dim < algebra.dim:
         x = vectors[i]
         for y in vectors[:i]:
-            z = algebra.bracket_sparse(x, y)
-            if z and ech.insert(z):
+            z = algebra._bracket_int(x, y)
+            if z and ech._insert_int(z):
                 vectors.append(z)
                 if ech.dim == algebra.dim:
                     return
@@ -453,15 +518,15 @@ def subalgebra_closure(algebra: LieAlgebra, generators: Subspace) -> Subspace:
     if generators.ambient_dim != algebra.dim:
         raise ShapeMismatchError("generators live in the wrong coefficient space")
     ech = generators.echelon()
-    _close(algebra, ech, _sparse_rows(generators), 0)
+    _close(algebra, ech, list(generators._integer_rows()), 0)
     return Subspace(ech)
 
 
 def is_subalgebra(algebra: LieAlgebra, subspace: Subspace) -> bool:
-    rows = _sparse_rows(subspace)
-    ech = subspace.echelon()
+    rows = subspace._integer_rows()
+    reduce = subspace._echelon._reduce_int
     return all(
-        not ech.reduce(algebra.bracket_sparse(rows[i], rows[j]))
+        not reduce(algebra._bracket_int(rows[i], rows[j]))[0]
         for i in range(len(rows))
         for j in range(i + 1, len(rows))
     )
@@ -479,11 +544,11 @@ def is_maximal_subalgebra(algebra: LieAlgebra, subspace: Subspace):
         raise ContractError("H is not a subalgebra")
     if subspace.dim >= algebra.dim:
         raise ContractError("H must be a proper subalgebra")
-    h_rows = _sparse_rows(subspace)
+    h_rows = subspace._integer_rows()
     for idx in subspace.complement_coordinate_indices():
         ech = subspace.echelon()
-        unit = {idx: ONE}
-        ech.insert(unit)
+        unit = {idx: 1}
+        ech._insert_int(unit)
         _close(algebra, ech, h_rows + [unit], len(h_rows))
         if ech.dim < algebra.dim:
             return False, Subspace(ech)

@@ -9,8 +9,10 @@ to half of a degree-8 input.
 
 from __future__ import annotations
 
+from math import gcd as _gcd, lcm as _lcm
+
 from .errors import FactorizationCapExceeded, ShapeMismatchError
-from .exact_linalg import Matrix, ONE, Rational, ZERO, mat_mul, mat_vec, rat
+from .exact_linalg import Echelon, Matrix, ONE, Rational, ZERO, _mat_vec_int, mat_mul, rat
 
 FACTOR_DEGREE_CAP = 8
 _DIVISOR_TUPLE_CAP = 200_000
@@ -80,13 +82,6 @@ def poly_gcd(p, q):
     return poly_monic(p)
 
 
-def poly_lcm(p, q):
-    if not p or not q:
-        return []
-    g = poly_gcd(p, q)
-    return poly_monic(poly_divmod(poly_mul(p, q), g)[0])
-
-
 def poly_derivative(p):
     return poly_trim([rat(i) * c for i, c in enumerate(p)][1:])
 
@@ -129,61 +124,81 @@ def char_poly(a: Matrix):
 
 
 def min_poly(a: Matrix):
-    """Minimal polynomial, as the lcm of annihilators of basis vectors."""
+    """Minimal polynomial, grown over the basis vectors: when the current m
+    does not annihilate e_j, m becomes m times the annihilator of m(a) e_j,
+    which is lcm(m, annihilator of e_j).
+
+    Runs on the integer rows A of a = A / d: p(a) v = 0 exactly when
+    q(A) v = 0 for the integer polynomial q of `_integer_poly`, and q(A) v
+    is a multiple of p(a) v, with the same annihilator.
+    """
     if a.rows != a.cols:
         raise ShapeMismatchError("minimal polynomial needs a square matrix")
     n = a.rows
+    big, d = a._data, a.den
     m = [ONE]
     for j in range(n):
-        v = [ZERO] * n
-        v[j] = ONE
-        if all(x == 0 for x in _apply_poly_vec(m, a, v)):
+        u = _apply_int_poly(_integer_poly(m, d), big, {j: 1})
+        if not u:
             continue
-        m = poly_lcm(m, _vector_annihilator(a, v))
-        if poly_eval_matrix(m, a).is_zero():
+        m = poly_mul(m, _vector_annihilator(big, d, n, u))
+        if poly_eval_matrix(_integer_poly(m, d), a.scale(d)).is_zero():
             break
     return m
 
 
-def _apply_poly_vec(p, a: Matrix, v):
-    acc = [ZERO] * len(v)
-    w = list(v)
-    for c in p:
+def _integer_poly(p, d):
+    """The integers q_i = D p_i d^(deg - i), D the lcm of p's denominators,
+    so that q(A) = D d^deg p(A / d)."""
+    den = _lcm(1, *(int(c.denominator) for c in p))
+    deg = len(p) - 1
+    return [
+        int(c.numerator) * (den // int(c.denominator)) * d ** (deg - i) for i, c in enumerate(p)
+    ]
+
+
+def _apply_int_poly(q, big, v: dict) -> dict:
+    """q(A) v for an integer polynomial q, by Horner, as a sparse vector."""
+    acc = {}
+    for c in reversed(q):
+        acc = _mat_vec_int(big, acc)
         if c:
-            acc = [x + c * y for x, y in zip(acc, w)]
-        w = mat_vec(a, w)
+            for j, x in v.items():
+                s = acc.get(j, 0) + c * x
+                if s:
+                    acc[j] = s
+                else:
+                    del acc[j]
     return acc
 
 
-def _vector_annihilator(a: Matrix, v):
-    """Smallest monic p with p(a).v = 0, via the first Krylov dependency."""
-    from .exact_linalg import NO_SOLUTION, solve_linear
+def _vector_annihilator(big, d, n, v: dict):
+    """Smallest monic p with p(a) v = 0 for a = A / d and a nonzero integer
+    vector v, via the first Krylov dependency.
 
-    if all(x == 0 for x in v):
-        return [ONE]
-    krylov = [list(v)]
-    w = mat_vec(a, v)
+    A^k v enters one integer Echelon with the tag column n + k, so that
+    the first power in the span of the earlier ones reduces to
+    (0, -scale * c) with A^k v = sum of c_i A^i v; then
+    a^k v = sum of c_i d^(i - k) a^i v.
+    """
+    ech = Echelon(2 * n)
+    w = v
+    k = 0
     while True:
-        cols = Matrix.from_rows(krylov).transpose()
-        sol, _ = solve_linear(cols, Matrix.column(w))
-        if sol is not NO_SOLUTION:
-            coeffs = [sol[i, 0] for i in range(sol.rows)]
-            return poly_trim([-c for c in coeffs] + [ONE])
-        krylov.append(list(w))
-        w = mat_vec(a, w)
+        out, scale = ech._reduce_int(w)
+        if all(col >= n for col in out):
+            coeffs = [Rational(out.get(n + i, 0), scale * d ** (k - i)) for i in range(k)]
+            return coeffs + [ONE]
+        out[n + k] = scale
+        ech._insert_int(out)
+        w = _mat_vec_int(big, w)
+        k += 1
 
 
 def _to_integer_primitive(p):
     """Scale a rational polynomial to a primitive integer polynomial."""
-    from math import gcd
-
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    ints = _integer_poly(p, 1)
+    g = _gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     if ints and ints[-1] < 0:
@@ -215,15 +230,20 @@ def rational_roots(p):
     roots = [] if k == 0 else [ZERO]
     ints = ints[k:]
     a0, ad = ints[0], ints[-1]
-    seen = set()
+    deg = len(ints) - 1
+    # candidate num / den is a root exactly when sum of ints[i] num^i
+    # den^(deg - i) vanishes; weights[den] holds ints[i] den^(deg - i)
+    weights = {den: [c * den ** (deg - i) for i, c in enumerate(ints)] for den in _divisors(ad)}
     for num in _divisors(a0):
-        for den in _divisors(ad):
-            for cand in (Rational(num, den), Rational(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if poly_eval(p, cand) == 0:
-                    roots.append(cand)
+        for den, weighted in weights.items():
+            if _gcd(num, den) != 1:
+                continue  # the same value as num / g over den / g, met before
+            for s in (num, -num):
+                acc = 0
+                for c in reversed(weighted):
+                    acc = acc * s + c
+                if not acc:
+                    roots.append(Rational(s, den))
     return roots
 
 

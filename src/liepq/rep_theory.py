@@ -15,6 +15,7 @@ non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd as _gcd, lcm as _lcm
 
 from .errors import ContractError, FactorizationCapExceeded, NotStableError, ShapeMismatchError
 from .exact_linalg import (
@@ -25,7 +26,9 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
-    _axpy,
+    _over_common_den,
+    _reduced,
+    _trusted,
     invert,
     kernel,
     mat_mul,
@@ -98,19 +101,26 @@ def wedge_square_rep(v: Representation) -> Representation:
     m = len(pairs)
     actions = []
     for a in v.actions:
-        at = a.transpose()
+        at = a.transpose()._data  # integer rows over a.den
         out = {}
         for col, (i, j) in enumerate(pairs):
             # x.(e_i ^ e_j) = (x e_i) ^ e_j + e_i ^ (x e_j)
-            for k, c in at.sparse_row(i).items():
+            for k, c in at.get(i, {}).items():
                 if k != j:
                     row, c = (index[(k, j)], c) if k < j else (index[(j, k)], -c)
-                    out[(row, col)] = out.get((row, col), ZERO) + c
-            for k, c in at.sparse_row(j).items():
+                    r = out.setdefault(row, {})
+                    r[col] = r.get(col, 0) + c
+            for k, c in at.get(j, {}).items():
                 if k != i:
                     row, c = (index[(i, k)], c) if i < k else (index[(k, i)], -c)
-                    out[(row, col)] = out.get((row, col), ZERO) + c
-        actions.append(Matrix.from_sparse(m, m, out))
+                    r = out.setdefault(row, {})
+                    r[col] = r.get(col, 0) + c
+        data = {}
+        for row, r in out.items():
+            r = {col: c for col, c in r.items() if c}
+            if r:
+                data[row] = r
+        actions.append(_reduced(m, m, data, a.den))
     return Representation(v.algebra, m, actions)
 
 
@@ -131,16 +141,21 @@ def restrict(v: Representation, subspace: Subspace) -> Representation:
     """Restriction to an invariant subspace, in the subspace's canonical basis."""
     if subspace.ambient_dim != v.module_dim:
         raise ShapeMismatchError("subspace lives in the wrong module")
-    cols = subspace.basis_rows()
-    k = len(cols)
-    b = Matrix.from_rows([[cols[j][i] for j in range(k)] for i in range(v.module_dim)])
+    # the basis as columns: b^t's rows are the canonical basis rows, the
+    # primitive integer rows each over its pivot entry, all over their lcm
+    rows = subspace._integer_rows()
+    leads = [row[p] for p, row in zip(subspace.pivot_columns(), rows)]
+    den = _lcm(1, *leads)
+    scaled = {j: {i: x * (den // lead) for i, x in row.items()}
+              for j, (row, lead) in enumerate(zip(rows, leads))}
+    b = _reduced(len(rows), v.module_dim, scaled, den).transpose()
     actions = []
     for a in v.actions:
         sol, ker = solve_linear(b, mat_mul(a, b))
         if sol is NO_SOLUTION:
             raise ContractError("subspace is not invariant under the action")
         actions.append(sol)
-    return Representation(v.algebra, k, actions)
+    return Representation(v.algebra, len(rows), actions)
 
 
 def _require_same_algebra(v: Representation, w: Representation):
@@ -168,8 +183,9 @@ def hom_space(v: Representation, w: Representation):
         images = [mat_mul(aw, phi) - mat_mul(phi, av) for phi in maps]
         if all(img.is_zero() for img in images):
             continue
+        # integer kernel rows are multiples of the canonical ones: the same span
         ker = kernel(_column_system(images, m * n))
-        maps = [_combine_maps(maps, coeffs, m, n) for coeffs in ker.basis_rows()]
+        maps = [_combine_maps(maps, coeffs, m, n) for coeffs in ker._integer_rows()]
     return _canonical_maps(maps, m, n)
 
 
@@ -199,46 +215,66 @@ def hom_space_dense(v: Representation, w: Representation):
                         row[i * n + l] -= c
                 rows.append(row)
     ker = kernel(Matrix.from_rows(rows)) if rows else Subspace.full(m * n)
-    return [Matrix(m, n, r) for r in ker.basis_rows()]
+    return ker.basis_matrices(m, n)
 
 
-def _combine_rows(coeffs, rows):
-    out = [ZERO] * len(rows[0])
-    for c, r in zip(coeffs, rows):
-        if c:
-            out = [x + c * y for x, y in zip(out, r)]
-    return out
-
-
-def _combine_maps(maps, coeffs, m, n):
-    """The m x n matrix sum of coeffs[i] * maps[i]."""
+def _combine_int_rows(coeffs: dict, rows):
+    """The primitive integer vector proportional to sum of coeffs[i] * rows[i],
+    for sparse integer coefficients and rows."""
     acc = {}
-    for c, phi in zip(coeffs, maps):
-        if c:
-            _axpy(acc, c, phi.sparse_vector())
-    return _map_from_vector(acc, m, n)
+    for i, c in coeffs.items():
+        for k, x in rows[i].items():
+            acc[k] = acc.get(k, 0) + c * x
+    acc = {k: x for k, x in acc.items() if x}
+    g = _gcd(*acc.values())
+    return acc if g == 1 else {k: x // g for k, x in acc.items()}
 
 
-def _map_from_vector(vec, m, n):
-    """The m x n matrix whose row-major flattening is the sparse vector."""
-    return Matrix.from_sparse(m, n, {divmod(k, n): x for k, x in vec.items()})
+def _combine_maps(maps, coeffs: dict, m, n):
+    """The m x n matrix sum of coeffs[i] * maps[i], exactly, for sparse
+    coefficients {i: rational or int}; computed on the integer rows over
+    the lcm of the maps' denominators."""
+    cs, cden = _over_common_den(coeffs)
+    den = 1
+    for i in cs:
+        den = _lcm(den, maps[i].den)
+    acc = {}
+    for i, c in cs.items():
+        phi = maps[i]
+        f = c * (den // phi.den)
+        for r, row in phi._data.items():
+            arow = acc.setdefault(r, {})
+            for j, x in row.items():
+                arow[j] = arow.get(j, 0) + f * x
+    data = {}
+    for r, row in acc.items():
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            data[r] = row
+    return _reduced(m, n, data, den * cden)
 
 
 def _column_system(images, size):
-    """The size x len(images) matrix whose column c is images[c] flattened."""
-    return Matrix.from_sparse(
-        size,
-        len(images),
-        {(r, c): x for c, img in enumerate(images) for r, x in img.sparse_vector().items()},
-    )
+    """A positive multiple of the size x len(images) matrix whose column c is
+    images[c] flattened (the same kernel), as integers over the lcm of the
+    images' denominators."""
+    den = 1
+    for img in images:
+        den = _lcm(den, img.den)
+    data = {}
+    for c, img in enumerate(images):
+        f = den // img.den
+        for r, x in img._flat().items():
+            data.setdefault(r, {})[c] = x * f
+    return _trusted(size, len(images), data)
 
 
 def _canonical_maps(maps, m, n):
     """The canonical reduced echelon basis of the span of m x n maps."""
     ech = Echelon(m * n)
     for phi in maps:
-        ech.insert(phi.sparse_vector())
-    return [_map_from_vector(ech.rows[p], m, n) for p in ech.pivots()]
+        ech._insert_int(phi._flat())
+    return Subspace(ech).basis_matrices(m, n)
 
 
 def _initial_hom_basis(v, w):
@@ -251,7 +287,7 @@ def _initial_hom_basis(v, w):
             "no rational-split element found and module pair is too large "
             "for the dense fallback"
         )
-    return [Matrix.from_sparse(m, n, {(i, j): ONE}) for i in range(m) for j in range(n)]
+    return [_trusted(m, n, {i: {j: 1}}) for i in range(m) for j in range(n)]
 
 
 def rational_eigensplit(a: Matrix):
@@ -262,14 +298,10 @@ def rational_eigensplit(a: Matrix):
     That test, over the nonzeros of a, runs before the minimal polynomial.
     """
     n = a.rows
-    e = a.sparse_vector()
-    tr2 = ZERO
-    for idx, x in e.items():
-        i, j = divmod(idx, n)
-        y = e.get(j * n + i)
-        if y is not None:
-            tr2 += x * y
-    if tr2 < 0 or (tr2 == 0 and e):
+    data = a._data
+    # den^2 tr(a^2), the same sign
+    tr2 = sum(x * data[j].get(i, 0) for i, row in data.items() for j, x in row.items() if j in data)
+    if tr2 < 0 or (tr2 == 0 and data):
         return None
     mp = min_poly(a)
     roots = rational_roots(mp)
@@ -316,8 +348,8 @@ def _find_splitting_element(v, w):
         if len(pool) >= 8:
             break
     _, _, ev, ew = pool[0]
-    blocks_v = [((lam,), sp.basis_rows()) for lam, sp in ev]
-    blocks_w = blocks_v if ew is ev else [((lam,), sp.basis_rows()) for lam, sp in ew]
+    blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
+    blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
     for a, _, xv, xw in pool[1:]:
         refined_v = _refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in xv])
         if blocks_w is blocks_v and xw is xv:
@@ -331,8 +363,8 @@ def _find_splitting_element(v, w):
 
 
 def _refine_blocks(blocks, x, eigenvalues):
-    """Split each block (key, basis rows) into its intersections with the
-    eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).
+    """Split each block (key, integer basis rows) into its intersections with
+    the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).
 
     None when some block is not the sum of its intersections, that is when
     x does not act on the blocks as an operator commuting with their split.
@@ -341,13 +373,14 @@ def _refine_blocks(blocks, x, eigenvalues):
     out = []
     for key, rows in blocks:
         k = len(rows)
-        bt = Matrix(n, k, [rows[j][i] for i in range(n) for j in range(k)])
+        bt = _trusted(k, n, {j: dict(row) for j, row in enumerate(rows)}).transpose()
         xb = mat_mul(x, bt)
         found = 0
         for lam in eigenvalues:
             ker = kernel(xb - bt.scale(lam))
             if ker.dim:
-                out.append((key + (lam,), [_combine_rows(c, rows) for c in ker.basis_rows()]))
+                split = [_combine_int_rows(c, rows) for c in ker._integer_rows()]
+                out.append((key + (lam,), split))
                 found += ker.dim
                 if found == k:
                     break
@@ -369,17 +402,17 @@ def _hom_basis_from_split(v, w, blocks_v, blocks_w):
         start = len(v_cols)
         v_cols.extend(rows)
         v_blocks[key] = range(start, len(v_cols))
-    pv = Matrix.from_rows([[v_cols[j][i] for j in range(n)] for i in range(n)])
+    pv = _trusted(n, n, {j: dict(col) for j, col in enumerate(v_cols)}).transpose()
     dual = invert(pv)  # row a of dual is the functional picking coordinate a
     w_blocks = dict(blocks_w)
     maps = []
     for key, cols in v_blocks.items():
         for wvec in w_blocks.get(key, []):
             for a in cols:
-                drow = dual.sparse_row(a)
-                maps.append(Matrix.from_sparse(
-                    m, n,
-                    {(i, j): wi * dj for i, wi in enumerate(wvec) if wi for j, dj in drow.items()},
+                drow = dual._data[a]
+                maps.append(_reduced(
+                    m, n, {i: {j: wi * dj for j, dj in drow.items()} for i, wi in wvec.items()},
+                    dual.den,
                 ))
     return maps
 
@@ -404,7 +437,7 @@ def _invariant_forms(v, symmetric):
     sign = ONE if symmetric else -ONE
     diffs = [h - h.transpose().scale(sign) for h in homs]
     ker = kernel(_column_system(diffs, n * n))
-    out = [_combine_maps(homs, coeffs, n, n) for coeffs in ker.basis_rows()]
+    out = [_combine_maps(homs, coeffs, n, n) for coeffs in ker._integer_rows()]
     return _canonical_maps(out, n, n)
 
 
@@ -707,7 +740,7 @@ def constrained_form_uniqueness(
     if ker.dim == 0:
         return ConstrainedFormVerdict(0, None, None)
     coeffs = ker.basis_rows()[0]
-    surviving = _combine_maps(forms, coeffs, v.module_dim, v.module_dim)
+    surviving = _combine_maps(forms, dict(enumerate(coeffs)), v.module_dim, v.module_dim)
     ratio = _proportionality(surviving, kill.gram)
     return ConstrainedFormVerdict(ker.dim, surviving, ratio)
 

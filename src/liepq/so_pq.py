@@ -22,6 +22,8 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _quotient,
+    _trusted,
     congruence_diagonalize,
     invert,
     kernel,
@@ -180,10 +182,10 @@ def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
         for k, v in entry.items():
             entries.append((i, j, k, v))
     for a, gen in enumerate(so.basis):
-        columns = gen.transpose()
-        for i in range(n):
-            for k, v in columns.sparse_row(i).items():
-                entries.append((a, m + i, m + k, v))
+        # [X, e_i] = X e_i = sum over k of X_ki e_k
+        for i, column in gen.transpose()._data.items():
+            for k, x in column.items():
+                entries.append((a, m + i, m + k, _quotient(x, gen.den)))
     if c:
         for (i, j), idx in pair_index.items():
             coeff = -c if (i < p and j < p) else c
@@ -219,27 +221,19 @@ def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
         raise ContractError("embedding_iso needs p + q >= 3")
     so = so_pq_algebra(p, q)
     m = so.dim
-    images = []
     # extra coordinate sits first for c > 0 and last for c < 0
-    if c > 0:
-        def place(i, j):
-            return i + 1, j + 1
-
-        extra = 0
-    else:
-        def place(i, j):
-            return i, j
-
-        extra = n
-    for gen in so.basis:
-        out = {}
-        for i in range(n):
-            for j, v in gen.sparse_row(i).items():
-                out[place(i, j)] = v
-        images.append(Matrix.from_sparse(n + 1, n + 1, out))
+    shift, extra = (1, 0) if c > 0 else (0, n)
+    images = [
+        _trusted(
+            n + 1, n + 1,
+            {i + shift: {j + shift: x for j, x in row.items()} for i, row in gen._data.items()},
+            gen.den,
+        )
+        for gen in so.basis
+    ]
     eta = [ONE] * p + [-ONE] * q
     for i in range(n):
-        r, _ = place(i, i)
+        r = i + shift
         # column c.u and row u* = -u^t I_{p,q}
         images.append(Matrix.from_sparse(n + 1, n + 1, {(r, extra): c, (extra, r): -eta[i]}))
     return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
@@ -475,18 +469,21 @@ def _form_preserving_algebra(form: Matrix) -> LieAlgebra:
     d = form.rows
     # unknowns A_{kl} in column k * d + l; equation (i, j) in row i * d + j:
     # sum over k of form[k, j] A_{ki} + form[i, k] A_{kj} = 0
+    # on the form's integer rows: den * (the system), the same kernel
+    rows, columns = form._data, form.transpose()._data
     equations = {}
-    columns = form.transpose()
     for i in range(d):
         for j in range(d):
-            eq = i * d + j
-            for k, v in columns.sparse_row(j).items():
-                equations[(eq, k * d + i)] = equations.get((eq, k * d + i), ZERO) + v
-            for k, v in form.sparse_row(i).items():
-                equations[(eq, k * d + j)] = equations.get((eq, k * d + j), ZERO) + v
-    system = Matrix.from_sparse(d * d, d * d, equations)
-    basis = [Matrix(d, d, vec) for vec in kernel(system).basis_rows()]
-    return LieAlgebra.from_matrices(basis, validate=False)
+            eq = {}
+            for k, v in columns.get(j, {}).items():
+                eq[k * d + i] = eq.get(k * d + i, 0) + v
+            for k, v in rows.get(i, {}).items():
+                eq[k * d + j] = eq.get(k * d + j, 0) + v
+            eq = {col: v for col, v in eq.items() if v}
+            if eq:
+                equations[i * d + j] = eq
+    system = _trusted(d * d, d * d, equations)
+    return LieAlgebra.from_matrices(kernel(system).basis_matrices(d, d), validate=False)
 
 
 # complex 2x2 helpers for the sl(2,C) case: a matrix is a (re, im) pair

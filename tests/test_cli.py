@@ -278,3 +278,21 @@ def test_verify_appendix_builds_each_deformed_algebra_twice(monkeypatch):
         cli._shared_deformed_algebra.cache_clear()
     assert report["overall"] == "pass"
     assert sorted(str(c) for c in calls) == ["-1/2", "-1/2", "0", "0", "2", "2"]
+
+
+def test_verify_refuses_bad_mu_before_any_work(capsys, monkeypatch):
+    """A boost parameter mu <= 0 or mu = 1 is a domain error, refused whatever
+    the suite (the report echoes mu_list), not a failed character check."""
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started with a bad mu")
+
+    for name in ("run_suite", "run_check"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for suite in ("section2", "appendix", "all"):
+        for mu_list in ("1", "0", "-1", "3/2,1", "2,-1/2"):
+            argv = ["verify", "--suite", suite, "--p", "3", "--q", "1", "--mu-list", mu_list]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "mu must be positive" in err

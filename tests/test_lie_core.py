@@ -497,10 +497,10 @@ def test_maximality_closure_never_brackets_two_h_vectors(monkeypatch):
     such pair again and stop once the span is the whole 36-dim algebra."""
     dalg = deformed_algebra(4, 4, rat(2))
     sub = dalg.so_block_subspace()
-    h_rows = [{k: v for k, v in enumerate(row) if v} for row in sub.basis_rows()]
+    h_rows = sub._integer_rows()  # closure and membership bracket integer rows
     calls = []  # (inside is_subalgebra, both arguments are H basis vectors)
     depth = []
-    real_bracket = LieAlgebra.bracket_sparse
+    real_bracket = LieAlgebra._bracket_int
     real_is_subalgebra = lie_core.is_subalgebra
 
     def counting_bracket(self, x, y):
@@ -514,7 +514,7 @@ def test_maximality_closure_never_brackets_two_h_vectors(monkeypatch):
         finally:
             depth.pop()
 
-    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counting_bracket)
+    monkeypatch.setattr(LieAlgebra, "_bracket_int", counting_bracket)
     monkeypatch.setattr(lie_core, "is_subalgebra", flagged_is_subalgebra)
     assert is_maximal_subalgebra(dalg.algebra, sub) == (True, None)
     h, d = sub.dim, dalg.algebra.dim
