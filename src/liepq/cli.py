@@ -2,7 +2,11 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/domain error.
 `verify` and `construct` refuse n = p + q below 2 or above MAX_N with
-exit 2, and `irreps` refuses a rank or a dimension bound above its limits.
+exit 2, and so does `verify` when `--c-list` or `--mu-list` is empty;
+`irreps` refuses a rank or a dimension bound above its limits.
+The checks certify each fact through one library routine: bracket
+compatibility through `homomorphism_defect` or `Representation.validate`,
+"A = r.B" through `proportionality`, ranks through `kernel`.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
 """
@@ -22,13 +26,15 @@ from .exact_linalg import (
     Matrix,
     Subspace,
     inertia_of_diagonalizable_form,
+    kernel,
+    proportionality,
     rat,
     rational_sqrt,
-    rref,
 )
 from .lie_core import (
     canonical_json,
     centralizer,
+    homomorphism_defect,
     is_maximal_subalgebra,
     orthogonal_complement,
 )
@@ -142,21 +148,11 @@ def check_defining_property(p, q):
 def check_theta_automorphism(p, q):
     algebra = so_pq_algebra(p, q)
     theta = algebra.theta_involution()
-    d = algebra.dim
-    if theta @ theta != Matrix.identity(d):
+    if theta @ theta != Matrix.identity(algebra.dim):
         return _fail(reason="theta^2 != id")
-    for i in range(d):
-        ti = theta.column_list(i)
-        for j in range(i + 1, d):
-            tj = theta.column_list(j)
-            lhs = algebra.bracket_coeffs(ti, tj)
-            rhs_entry = algebra.structure_entry(i, j)
-            rhs = [rat(0)] * d
-            for k, v in rhs_entry.items():
-                for r in range(d):
-                    rhs[r] += v * theta[r, k]
-            if lhs != rhs:
-                return _fail(reason=f"theta not an automorphism on pair ({i},{j})")
+    pair = homomorphism_defect(algebra, algebra, theta)
+    if pair is not None:
+        return _fail(reason="theta not an automorphism on pair ({},{})".format(*pair))
     return _pass()
 
 
@@ -175,9 +171,7 @@ def check_standard_form_unique(p, q):
     forms = invariant_symmetric_forms(rep)
     if len(forms) != 1:
         return _fail(reason=f"expected dim 1, got {len(forms)}")
-    vec = forms[0].sparse_vector()
-    lead = vec[min(vec)]
-    if forms[0] != ipq(p, q).scale(lead):
+    if not proportionality(forms[0], ipq(p, q)):
         return _fail(reason="form is not a multiple of I_{p,q}")
     return _pass()
 
@@ -270,11 +264,11 @@ def check_tc_iso_rank(p, q, c):
     if n < 3:
         return _skip(SMALL_EXCLUSION_REASON)
     tc = t_c(p, q, rat(c))
-    reduced, pivots = rref(tc.to_rows())
+    rank = tc.cols - kernel(tc).dim
     expected = n * (n - 1) // 2 if rat(c) != 0 else 0
-    if len(pivots) != expected:
-        return _fail(found=len(pivots), expected=expected)
-    return _pass(rank=len(pivots))
+    if rank != expected:
+        return _fail(found=rank, expected=expected)
+    return _pass(rank=rank)
 
 
 def check_embedding(p, q, c):
@@ -290,19 +284,14 @@ def check_embedding(p, q, c):
     for im in emb.images:
         if not (im.transpose() @ form + form @ im).is_zero():
             return _fail(reason="image leaves so(R^{n+1}, I_{p,q}(c))")
-    d = dalg.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = emb.images[i] @ emb.images[j] - emb.images[j] @ emb.images[i]
-            rhs = Matrix.zeros(n + 1, n + 1)
-            for k, v in dalg.algebra.structure_entry(i, j).items():
-                rhs = rhs + emb.images[k].scale(v)
-            if lhs != rhs:
-                return _fail(reason=f"bracket not intertwined on pair ({i},{j})")
+    try:
+        Representation(dalg.algebra, n + 1, emb.images).validate()
+    except ContractError as exc:
+        return _fail(reason=f"bracket not intertwined: {exc}")
     span = Echelon((n + 1) * (n + 1))
     if not all(span.insert(im.sparse_vector()) for im in emb.images):
         return _fail(reason="embedding is not injective")
-    return _pass(dim=d)
+    return _pass(dim=dalg.dim)
 
 
 def check_target_inertia(p, q, c):
@@ -371,42 +360,22 @@ def check_killing_blocks(p, q, c):
         return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("block proportionality with nonzero constants needs c != 0")
-    dalg = _shared_deformed_algebra(p, q, c)
-    gram = dalg.algebra.killing_form().gram
+    gram = _shared_deformed_algebra(p, q, c).algebra.killing_form().gram
     so = so_pq_algebra(p, q)
     m = so.dim
-    k_so = so.killing_form().gram
-    for i in range(m):
-        for j in range(m, m + n):
-            if gram[i, j] != 0:
-                return _fail(reason="mixed block is not zero")
-    a1 = None
-    for i in range(m):
-        for j in range(m):
-            lhs, rhs = gram[i, j], k_so[i, j]
-            if rhs == 0:
-                if lhs != 0:
-                    return _fail(reason="so block not proportional to Killing(so(p,q))")
-                continue
-            ratio = lhs / rhs
-            if a1 is None:
-                a1 = ratio
-            elif a1 != ratio:
-                return _fail(reason="so block proportionality constant not unique")
-    eta = ipq(p, q)
-    a2 = None
-    for i in range(n):
-        for j in range(n):
-            lhs, rhs = gram[m + i, m + j], eta[i, j]
-            if rhs == 0:
-                if lhs != 0:
-                    return _fail(reason="vector block not proportional to <.,.>_{p,q}")
-                continue
-            ratio = lhs / rhs
-            if a2 is None:
-                a2 = ratio
-            elif a2 != ratio:
-                return _fail(reason="vector block proportionality constant not unique")
+    # 0/1 inclusions of the so block (the first m basis vectors) and of the
+    # vector block (the last n)
+    s = Matrix.from_sparse(m + n, m, {(i, i): 1 for i in range(m)})
+    v = Matrix.from_sparse(m + n, n, {(m + i, i): 1 for i in range(n)})
+    st = s.transpose()
+    if not (st @ gram @ v).is_zero():
+        return _fail(reason="mixed block is not zero")
+    a1 = proportionality(st @ gram @ s, so.killing_form().gram)
+    if a1 is None:
+        return _fail(reason="so block not proportional to Killing(so(p,q))")
+    a2 = proportionality(v.transpose() @ gram @ v, ipq(p, q))
+    if a2 is None:
+        return _fail(reason="vector block not proportional to <.,.>_{p,q}")
     if not a1 or not a2:
         return _fail(reason="a proportionality constant vanished")
     return _pass(a1=str(a1), a2=str(a2))
@@ -495,21 +464,11 @@ def check_exceptional_iso(p, q):
     if name is None:
         return _skip("no exceptional small-module isomorphism at this signature")
     iso = exceptional_iso(name)
-    d = iso.small_algebra.dim
-    if len(rref(iso.iso_coeffs.to_rows())[1]) != d or d != iso.target.dim:
+    if iso.small_algebra.dim != iso.target.dim or kernel(iso.iso_coeffs).dim:
         return _fail(reason="intertwiner is not bijective")
-    m = iso.iso_coeffs
-    for i in range(d):
-        xi = m.column_list(i)
-        for j in range(i + 1, d):
-            xj = m.column_list(j)
-            rhs = iso.target.bracket_coeffs(xi, xj)
-            lhs = [rat(0)] * d
-            for k, v in iso.small_algebra.structure_entry(i, j).items():
-                for r in range(d):
-                    lhs[r] += v * m[r, k]
-            if lhs != rhs:
-                return _fail(reason=f"brackets disagree on pair ({i},{j})")
+    pair = homomorphism_defect(iso.small_algebra, iso.target, iso.iso_coeffs)
+    if pair is not None:
+        return _fail(reason="brackets disagree on pair ({},{})".format(*pair))
     return _pass(iso=name, scale=str(iso.scale))
 
 
@@ -733,6 +692,9 @@ def cmd_verify(args) -> int:
     _signature_within_limit(args.p, args.q)
     c_list = _rat_list(getattr(args, "c_list"))
     mu_list = _rat_list(getattr(args, "mu_list"))
+    for flag, items in (("--c-list", c_list), ("--mu-list", mu_list)):
+        if not items:
+            raise ContractError(f"{flag} needs at least one rational value")
     for mu in mu_list:
         value = rat(mu)
         if value <= 0 or value == 1:

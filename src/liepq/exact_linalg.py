@@ -443,6 +443,27 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return _reduced(a.rows * br, a.cols * bc, out, a.den * b.den)
 
 
+def proportionality(a: Matrix, b: Matrix):
+    """The exact ratio r with a = r.b, or None when there is none.
+
+    Zero when a is zero, and None when the shapes differ or b is zero and
+    a is not.  On the integer rows: a's nonzeros lie inside b's, and every
+    entry pair has the cross product of the first, a_k b_0 = a_0 b_k.
+    """
+    if a.rows != b.rows or a.cols != b.cols:
+        return None
+    va, vb = a._flat(), b._flat()
+    if not va.keys() <= vb.keys():
+        return None
+    if not vb:
+        return ZERO
+    k0 = next(iter(vb))
+    a0, b0 = va.get(k0, 0), vb[k0]
+    if any(va.get(k, 0) * b0 != a0 * y for k, y in vb.items()):
+        return None
+    return Rational(a0 * b.den, b0 * a.den)
+
+
 class Echelon:
     """Incremental, fully reduced row echelon form over sparse integer rows.
 

@@ -191,17 +191,15 @@ class LieAlgebra:
         """Coefficients of [x, y] for coefficient vectors x, y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatchError("coefficient vectors must have length dim")
-        z = self.bracket_sparse(
-            {i: v for i, v in enumerate(x) if v}, {j: v for j, v in enumerate(y) if v}
+        z = _bracket(
+            self.structure,
+            {i: v for i, v in enumerate(x) if v},
+            {j: v for j, v in enumerate(y) if v},
         )
         out = [ZERO] * self.dim
         for k, v in z.items():
             out[k] = v
         return out
-
-    def bracket_sparse(self, x: dict, y: dict) -> dict:
-        """[x, y] for sparse {index: coefficient} vectors, as a sparse vector."""
-        return _bracket(self.structure, x, y)
 
     def _bracket_int(self, x: dict, y: dict) -> dict:
         """den * [x, y] for sparse integer vectors, on the integer tensor: a
@@ -459,6 +457,27 @@ def theta_involution(algebra: LieAlgebra) -> Matrix:
 
 def is_semisimple(algebra: LieAlgebra) -> bool:
     return algebra.is_semisimple()
+
+
+def homomorphism_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
+    """The first basis pair (i, j), i < j, with phi[b_i, b_j] != [phi b_i, phi b_j],
+    or None when the linear map phi (column j: the image of b_j in dst's
+    basis) is a Lie algebra homomorphism.
+
+    Column j of phi.ad(b_i) - ad(phi b_i).phi is the difference on (i, j),
+    built from the integer ad rows; the first i with a nonzero column j > i
+    gives the lexicographically first failing pair.
+    """
+    if phi.rows != dst.dim or phi.cols != src.dim:
+        raise ShapeMismatchError("phi must be a dim(dst) x dim(src) matrix")
+    columns = phi.transpose()._data
+    for i in range(src.dim - 1):
+        image = dst._ad(columns.get(i, {}), phi.den)  # ad(phi b_i)
+        diff = mat_mul(phi, src._ad({i: 1}, 1)) - mat_mul(image, phi)
+        failing = [j for row in diff._data.values() for j in row if j > i]
+        if failing:
+            return i, min(failing)
+    return None
 
 
 def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:

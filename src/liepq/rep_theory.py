@@ -33,12 +33,13 @@ from .exact_linalg import (
     kernel,
     mat_mul,
     mat_vec,
+    proportionality,
     rat,
     rational_sqrt,
     solve_linear,
     wedge_square_index,
 )
-from .lie_core import LieAlgebra
+from .lie_core import BilinearForm, LieAlgebra
 from .ratpoly import char_poly, factor_poly, min_poly, poly_eval_matrix, rational_roots
 
 _DENSE_HOM_CAP = 4096  # unknown-count bound for the stacked fallback solver
@@ -624,14 +625,6 @@ class CharacterReport:
     residual_standard: Rational
     residual_complex: Rational
 
-    @property
-    def standard_matches(self) -> bool:
-        return self.residual_standard == 0
-
-    @property
-    def complex_matches(self) -> bool:
-        return self.residual_complex == 0
-
 
 def character_discrimination_test(mu) -> CharacterReport:
     """Evaluate chi_{wedge^2 V}(g) against chi_adjoint(Ad g) at the boost.
@@ -729,35 +722,16 @@ def constrained_form_uniqueness(
     if len(forms) != 2:
         raise ContractError("expected a 2-dimensional invariant symmetric form space")
     j = complex_structure_endomorphism(v)
+    n = v.module_dim
+    bilinear = [BilinearForm(n, f) for f in forms]
     constraint_rows = []
     for x in rows:
         for y in rows:
             jy = mat_vec(j, y)
-            constraint_rows.append(
-                [_bilinear(f, x, jy) for f in forms]
-            )
+            constraint_rows.append([f.evaluate(x, jy) for f in bilinear])
     ker = kernel(Matrix.from_rows(constraint_rows))
     if ker.dim == 0:
         return ConstrainedFormVerdict(0, None, None)
     coeffs = ker.basis_rows()[0]
-    surviving = _combine_maps(forms, dict(enumerate(coeffs)), v.module_dim, v.module_dim)
-    ratio = _proportionality(surviving, kill.gram)
-    return ConstrainedFormVerdict(ker.dim, surviving, ratio)
-
-
-def _bilinear(gram: Matrix, x, y) -> Rational:
-    gx = mat_vec(gram, y)
-    return sum((xi * gi for xi, gi in zip(x, gx) if xi), ZERO)
-
-
-def _proportionality(a: Matrix, b: Matrix):
-    """Exact ratio r with a = r.b, or None."""
-    if a.rows != b.rows or a.cols != b.cols:
-        return None
-    va, vb = a.sparse_vector(), b.sparse_vector()
-    if not va.keys() <= vb.keys():
-        return None
-    ratios = {va.get(k, ZERO) / y for k, y in vb.items()}
-    if len(ratios) > 1:
-        return None
-    return ratios.pop() if ratios else ZERO
+    surviving = _combine_maps(forms, dict(enumerate(coeffs)), n, n)
+    return ConstrainedFormVerdict(ker.dim, surviving, proportionality(surviving, kill.gram))

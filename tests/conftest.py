@@ -149,3 +149,35 @@ def gaussian_inertia(rows):
                 for row in m:
                     row[i] -= f * row[k]
     return plus, minus, zero
+
+
+def pairwise_defect(src, dst, phi):
+    """The first basis pair (i, j), i < j, with phi[b_i, b_j] != [phi b_i, phi b_j],
+    or None: every pair compared as dense rational coefficient lists, through
+    `structure_entry`, `column_list` and `bracket_coeffs`."""
+    d = src.dim
+    for i in range(d):
+        xi = phi.column_list(i)
+        for j in range(i + 1, d):
+            lhs = [rat(0)] * dst.dim
+            for k, v in src.structure_entry(i, j).items():
+                for r in range(dst.dim):
+                    lhs[r] += v * phi[r, k]
+            if lhs != dst.bracket_coeffs(xi, phi.column_list(j)):
+                return i, j
+    return None
+
+
+def dense_ratio(a, b):
+    """The ratio r with a = r.b over the dense entries, or None."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        return None
+    ratios = set()
+    for x, y in zip(a.entries, b.entries):
+        if y:
+            ratios.add(x / y)
+        elif x:
+            return None
+    if len(ratios) > 1:
+        return None
+    return ratios.pop() if ratios else Fraction(0)

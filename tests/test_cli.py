@@ -1,9 +1,28 @@
+import copy
+import dataclasses
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from liepq.cli import main, run_suite
+from liepq.exact_linalg import Matrix
+from liepq.lie_core import BilinearForm
+from liepq.so_pq import (
+    SO31_SL2C,
+    deformed_algebra,
+    embedding_iso,
+    exceptional_iso,
+    ipq,
+    so_pq_algebra,
+    t_c,
+)
+
+from conftest import pairwise_defect
 
 
 def run_cli(*argv):
@@ -296,3 +315,138 @@ def test_verify_refuses_bad_mu_before_any_work(capsys, monkeypatch):
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and "mu must be positive" in err
+
+
+def test_verify_refuses_empty_lists_before_any_work(capsys, monkeypatch):
+    """An empty --c-list would drop every c-dependent check, and an empty
+    --mu-list the character check, from a report that still passes."""
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started with an empty list")
+
+    for name in ("run_suite", "run_check"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for flag, value in (("--c-list", ""), ("--c-list", ","), ("--mu-list", ","),
+                        ("--mu-list", " , ")):
+        argv = ["verify", "--suite", "all", "--p", "3", "--q", "1", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} needs at least one" in err
+
+
+def test_verify_at_p_zero_passes(capsys, monkeypatch):
+    """so(0,q) has I_{0,q} = -1: its invariant form is a negative multiple."""
+    monkeypatch.setenv("LIEPQ_THREADS", "1")
+    for q in ("2", "3", "4"):
+        code = main(["verify", "--suite", "all", "--p", "0", "--q", q, "--format", "tsv"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.endswith("# overall\tpass\n")
+
+
+def test_cli_checks_use_the_library_certificates():
+    """Bracket compatibility, ratios and ranks come from lie_core,
+    exact_linalg and rep_theory; the checks hand-roll none of them."""
+    src = Path(__file__).resolve().parent.parent / "src" / "liepq" / "cli.py"
+    pattern = re.compile(r"\b(structure_entry|bracket_coeffs|column_list)\b|\brref\(")
+    hits = [
+        f"cli.py:{number}: {line.strip()}"
+        for number, line in enumerate(src.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+    for line in ("algebra.structure_entry(i, j)", "x = rref(rows)", "m.column_list(0)"):
+        assert pattern.search(line)
+
+
+# -- fail paths of the certificate checks: each check is fed a perturbed
+# object through the cli name it reads, and must name what fails
+
+
+def test_theta_check_names_the_first_failing_pair(monkeypatch):
+    import liepq.cli as cli
+
+    algebra = so_pq_algebra(2, 1)
+    # -1 squares to the identity but flips the sign of every bracket
+    minus = Matrix.identity(algebra.dim).scale(-1)
+    fake = copy.copy(algebra)
+    fake.theta_involution = lambda: minus
+    monkeypatch.setattr(cli, "so_pq_algebra", lambda p, q: fake)
+    result = cli.check_theta_automorphism(2, 1)
+    assert result["status"] == "fail"
+    i, j = pairwise_defect(algebra, algebra, minus)
+    assert result["reason"] == f"theta not an automorphism on pair ({i},{j})"
+
+
+def test_standard_form_check_fails_on_a_non_multiple(monkeypatch):
+    import liepq.cli as cli
+
+    bent = ipq(2, 1) + _unit(3, 0, 1) + _unit(3, 1, 0)
+    monkeypatch.setattr(cli, "invariant_symmetric_forms", lambda rep: [bent])
+    result = cli.check_standard_form_unique(2, 1)
+    assert result == {"status": "fail", "reason": "form is not a multiple of I_{p,q}"}
+    monkeypatch.setattr(cli, "invariant_symmetric_forms", lambda rep: [ipq(2, 1).scale(-3)])
+    assert cli.check_standard_form_unique(2, 1) == {"status": "pass"}
+
+
+def _unit(n, i, j):
+    return Matrix.from_sparse(n, n, {(i, j): 1})
+
+
+def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch):
+    import liepq.cli as cli
+
+    # T_c followed by the projection that kills the first coordinate
+    monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
+    result = cli.check_tc_iso_rank(2, 1, "1")
+    assert result == {"status": "fail", "found": 2, "expected": 3}
+
+
+def test_embedding_check_names_the_first_failing_pair(monkeypatch):
+    """Doubled images stay in so(R^{n+1}, I_{p,q}(c)), but their brackets
+    are four times, not twice, the images of the brackets: the first pair
+    with a nonzero bracket fails."""
+    import liepq.cli as cli
+
+    def doubled(p, q, c):
+        emb = embedding_iso(p, q, c)
+        return dataclasses.replace(emb, images=[im.scale(2) for im in emb.images])
+
+    monkeypatch.setattr(cli, "embedding_iso", doubled)
+    result = cli.check_embedding(2, 1, "1")
+    assert result["status"] == "fail"
+    i, j = min(deformed_algebra(2, 1, 1).algebra.structure)
+    assert result["reason"].endswith(f"basis pair ({i},{j})")
+
+
+@pytest.mark.parametrize("block", ["mixed", "so", "vector"])
+def test_killing_blocks_check_names_the_failing_block(monkeypatch, block):
+    import liepq.cli as cli
+
+    gram = deformed_algebra(2, 1, 1).algebra.killing_form().gram
+    # so block: indices 0..2, vector block: 3..5
+    i, j = {"mixed": (0, 4), "so": (0, 1), "vector": (3, 4)}[block]
+    bent = gram + _unit(6, i, j) + _unit(6, j, i)
+    fake = SimpleNamespace(algebra=SimpleNamespace(killing_form=lambda: BilinearForm(6, bent)))
+    monkeypatch.setattr(cli, "_shared_deformed_algebra", lambda p, q, c: fake)
+    result = cli.check_killing_blocks(2, 1, "1")
+    assert result["status"] == "fail"
+    assert result["reason"].startswith(f"{block} block")
+
+
+def test_exceptional_iso_check_names_the_first_failing_pair(monkeypatch):
+    import liepq.cli as cli
+
+    iso = exceptional_iso(SO31_SL2C)
+    doubled = dataclasses.replace(iso, iso_coeffs=iso.iso_coeffs.scale(2))
+    monkeypatch.setattr(cli, "exceptional_iso", lambda name: doubled)
+    result = cli.check_exceptional_iso(3, 1)
+    assert result["status"] == "fail"
+    i, j = pairwise_defect(iso.small_algebra, iso.target, doubled.iso_coeffs)
+    assert result["reason"] == f"brackets disagree on pair ({i},{j})"
+    singular = dataclasses.replace(iso, iso_coeffs=iso.iso_coeffs - iso.iso_coeffs @ _unit(6, 0, 0))
+    monkeypatch.setattr(cli, "exceptional_iso", lambda name: singular)
+    assert cli.check_exceptional_iso(3, 1) == {
+        "status": "fail", "reason": "intertwiner is not bijective"
+    }

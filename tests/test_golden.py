@@ -18,6 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ELAPSED = re.compile(r'"elapsed_ms":[-+0-9.eE]+,')
 
 CASES = [
+    ("verify_all_p2_q0", ["verify", "--suite", "all", "--p", "2", "--q", "0", "--format", "json"]),
     ("verify_all_p2_q1", ["verify", "--suite", "all", "--p", "2", "--q", "1", "--format", "json"]),
     ("verify_all_p3_q1", ["verify", "--suite", "all", "--p", "3", "--q", "1", "--format", "json"]),
     ("verify_all_p3_q3", ["verify", "--suite", "all", "--p", "3", "--q", "3", "--format", "json"]),

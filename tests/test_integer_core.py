@@ -26,6 +26,7 @@ from liepq.exact_linalg import (
     kron,
     mat_mul,
     mat_vec,
+    proportionality,
     rat,
     rref,
     solve_linear,
@@ -45,7 +46,7 @@ from liepq.ratpoly import (
 )
 from liepq.so_pq import deformed_algebra, so_pq_algebra
 
-from conftest import dense_express, dense_kernel, dense_rref, dense_solve
+from conftest import dense_express, dense_kernel, dense_ratio, dense_rref, dense_solve
 
 # -- strategies ---------------------------------------------------------------
 
@@ -155,6 +156,20 @@ def test_cancellation_to_zero_resets_the_denominator():
     total = Matrix.from_rows([[Fraction(1, 6)]]) + Matrix.from_rows([[Fraction(5, 6)]])
     assert total.den == 1 and total._data == {0: {0: 1}}
     assert Matrix.from_rows([[2]]).scale(Fraction(1, 2)).den == 1
+
+
+@given(over_den(2, 3, zero_weight=1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_proportionality_matches_dense_ratios(b, data):
+    """a = r.b, sometimes with one entry shifted, against the set of entry
+    ratios: the exact r when there is one, None otherwise."""
+    r = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 4)]))
+    a = b.scale(r)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+        a = a + Matrix.from_sparse(2, 3, {(i, j): data.draw(st.integers(-2, 2))})
+    assert proportionality(a, b) == dense_ratio(a, b)
+    assert proportionality(a, Matrix.zeros(2, 4)) is None
 
 
 # -- Echelon, kernels, solves, inverses --------------------------------------

@@ -17,6 +17,7 @@ from liepq.lie_core import (
     _Coordinatizer,
     bracket,
     centralizer,
+    homomorphism_defect,
     is_maximal_subalgebra,
     is_semisimple,
     is_subalgebra,
@@ -28,9 +29,16 @@ from liepq.lie_core import (
     trace_form,
 )
 from liepq.rep_theory import adjoint_rep, is_irreducible
-from liepq.so_pq import deformed_algebra, so_pq_algebra
+from liepq.so_pq import (
+    SO31_SL2C,
+    SO32_SP4R,
+    SO33_SL4R,
+    deformed_algebra,
+    exceptional_iso,
+    so_pq_algebra,
+)
 
-from conftest import dense_express, dense_rref, unit_matrix
+from conftest import dense_express, dense_rref, pairwise_defect, unit_matrix
 
 coeff3 = st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6)
 
@@ -105,15 +113,8 @@ def test_theta_squares_to_identity(so31):
 
 def test_theta_is_automorphism(so31):
     theta = theta_involution(so31)
-    d = so31.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = so31.bracket_coeffs(theta.column_list(i), theta.column_list(j))
-            rhs = [rat(0)] * d
-            for k, v in so31.structure_entry(i, j).items():
-                for r in range(d):
-                    rhs[r] += v * theta[r, k]
-            assert lhs == rhs
+    assert homomorphism_defect(so31, so31, theta) is None
+    assert pairwise_defect(so31, so31, theta) is None
 
 
 def test_theta_not_stable():
@@ -596,3 +597,57 @@ def test_sparse_jacobi_catches_a_perturbed_constant(c):
             with pytest.raises(ContractError, match="Jacobi identity fails"):
                 bad._check_jacobi()
             assert all_triples_jacobi_failure(bad) is not None
+
+
+def _theta_case(p, q):
+    algebra = so_pq_algebra(p, q)
+    return algebra, algebra, algebra.theta_involution()
+
+
+def _iso_case(name):
+    iso = exceptional_iso(name)
+    return iso.small_algebra, iso.target, iso.iso_coeffs
+
+
+HOMOMORPHISM_CASES = [
+    ("theta", 2, 1), ("theta", 3, 1), ("theta", 2, 2), ("theta", 3, 2), ("theta", 0, 4),
+    ("iso", SO31_SL2C), ("iso", SO32_SP4R), ("iso", SO33_SL4R),
+]
+
+
+@given(st.sampled_from(HOMOMORPHISM_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_homomorphism_defect_matches_pairwise_oracle(case, data):
+    """theta on so(p,q) and the exceptional isomorphisms are homomorphisms;
+    after a few entries of phi are shifted, or one column is scaled (which
+    moves the first failing pair past i = 0 when b_0 commutes with that
+    basis vector), both routines name the same first failing pair (or both
+    None, when the change happens to keep the brackets)."""
+    src, dst, phi = _theta_case(*case[1:]) if case[0] == "theta" else _iso_case(case[1])
+    assert homomorphism_defect(src, dst, phi) is None
+    values = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    if data.draw(st.booleans()):
+        shifts = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, phi.rows - 1), st.integers(0, phi.cols - 1)),
+            values, min_size=1, max_size=3,
+        ))
+        perturbed = phi + Matrix.from_sparse(phi.rows, phi.cols, shifts)
+    else:
+        scale = [rat(1)] * phi.cols
+        scale[data.draw(st.integers(0, phi.cols - 1))] = data.draw(values)
+        perturbed = phi @ Matrix.diagonal(scale)
+    assert homomorphism_defect(src, dst, perturbed) == pairwise_defect(src, dst, perturbed)
+
+
+@pytest.mark.parametrize("factor", [2, -1, rat("1/3")])
+def test_scaled_theta_fails_on_the_first_nonzero_bracket(so31, factor):
+    """[f x, f y] = f^2 [x, y] differs from f [x, y] exactly where the
+    bracket is nonzero, so the first failing pair is the first such pair."""
+    first = min(so31.structure)
+    theta = so31.theta_involution().scale(factor)
+    assert homomorphism_defect(so31, so31, theta) == first == pairwise_defect(so31, so31, theta)
+
+
+def test_homomorphism_defect_rejects_a_misshapen_map(so21, so31):
+    with pytest.raises(ShapeMismatchError):
+        homomorphism_defect(so21, so31, Matrix.identity(3))
