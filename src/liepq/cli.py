@@ -581,10 +581,23 @@ def _run_job(job):
     return run_check(*job)
 
 
+def _worker_count(n_jobs):
+    """The suite runner's process count: LIEPQ_THREADS (default 1), refused
+    unless it is an integer >= 1, and at most the job count and the CPU count."""
+    text = os.environ.get("LIEPQ_THREADS", "1") or "1"
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ContractError(f"LIEPQ_THREADS must be an integer >= 1, got {text!r}")
+    return min(value, n_jobs, os.cpu_count() or 1)
+
+
 def run_suite(suite, p, q, c_list, mu_list):
     jobs = build_suite(suite, p, q, c_list, mu_list)
-    workers = int(os.environ.get("LIEPQ_THREADS", "1") or "1")
-    if workers > 1 and len(jobs) > 1:
+    workers = _worker_count(len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -126,7 +126,8 @@ def char_poly(a: Matrix):
 def min_poly(a: Matrix):
     """Minimal polynomial, grown over the basis vectors: when the current m
     does not annihilate e_j, m becomes m times the annihilator of m(a) e_j,
-    which is lcm(m, annihilator of e_j).
+    which is lcm(m, annihilator of e_j).  After the last e_j, m(a) = 0; m
+    divides the minimal polynomial throughout, so deg m = n stops early.
 
     Runs on the integer rows A of a = A / d: p(a) v = 0 exactly when
     q(A) v = 0 for the integer polynomial q of `_integer_poly`, and q(A) v
@@ -137,13 +138,15 @@ def min_poly(a: Matrix):
     n = a.rows
     big, d = a._data, a.den
     m = [ONE]
+    q = _integer_poly(m, d)
     for j in range(n):
-        u = _apply_int_poly(_integer_poly(m, d), big, {j: 1})
+        u = _apply_int_poly(q, big, {j: 1})
         if not u:
             continue
         m = poly_mul(m, _vector_annihilator(big, d, n, u))
-        if poly_eval_matrix(_integer_poly(m, d), a.scale(d)).is_zero():
+        if len(m) > n:
             break
+        q = _integer_poly(m, d)
     return m
 
 

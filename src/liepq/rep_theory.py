@@ -4,10 +4,11 @@ induced actions, and the boost-family character test.
 Hom spaces are cut out by the exact linear system
 phi . rho_V(x) = rho_W(x) . phi for every basis element x.  When some basis
 elements act diagonalizably with rational eigenvalues on both modules, the
-solver starts from the joint eigenspaces of a pool of pairwise-commuting such
-elements (an intertwiner maps each joint eigenspace of V into the one of W
-with the same eigenvalues) and then intersects with the constraint kernels;
-otherwise it starts from all of Hom(V, W).  Both paths return the same
+solver starts from the joint eigenspaces of a first-fit commuting pool of
+such elements (the basis walked in order; an intertwiner maps each joint
+eigenspace of V into the one of W with the same eigenvalues) and then
+intersects with the constraint kernels; otherwise it starts from all of
+Hom(V, W).  Both paths return the same
 canonical (reduced-echelon) basis.  `rational_eigensplit` rejects most
 non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
 """
@@ -62,20 +63,62 @@ class Representation:
         self.actions = actions
 
     def validate(self):
-        """Check the homomorphism property on every basis pair exactly."""
-        d = self.algebra.dim
-        for i in range(d):
-            ai = self.actions[i]
-            for j in range(i + 1, d):
-                aj = self.actions[j]
-                comm = mat_mul(ai, aj) - mat_mul(aj, ai)
-                expected = Matrix.zeros(self.module_dim, self.module_dim)
-                for k, c in self.algebra.structure_entry(i, j).items():
-                    expected = expected + self.actions[k].scale(c)
-                if comm != expected:
-                    raise ContractError(
-                        f"homomorphism property fails on basis pair ({i},{j})"
-                    )
+        """Check the homomorphism property on every basis pair exactly.
+
+        On integer rows R_k = D rho_k over the actions' common denominator D
+        and the integer structure tensor (den * c_ij^k), the property reads
+        den (R_i R_j - R_j R_i) = D sum_k (den c_ij^k) R_k.  One pass per i
+        puts every pair (i, j > i) into one accumulator keyed by
+        j * n + column: R_i times the R_j side by side, minus the R_j stacked
+        on top of each other times R_i, minus the brackets of i.  The error
+        names the lexicographically first failing pair.
+        """
+        n = self.module_dim
+        den, _, brackets = self.algebra._integer_tensor()
+        big = _lcm(1, *(a.den for a in self.actions))
+        ints = [
+            {r: {c: x * (big // a.den) for c, x in row.items()} for r, row in a._data.items()}
+            for a in self.actions
+        ]
+        side = {}  # row t of the R_j, j > i, side by side
+        for j, rows in enumerate(ints):
+            for t, row in rows.items():
+                block = side.setdefault(t, {})
+                for c, x in row.items():
+                    block[j * n + c] = x
+        for i, rows in enumerate(ints):
+            for t, row in rows.items():
+                block = side[t]
+                for c in row:
+                    del block[i * n + c]
+            ri = {t: {c: den * x for c, x in row.items()} for t, row in rows.items()}
+            acc = {}
+            for r, row in ri.items():
+                out = acc.setdefault(r, {})
+                for t, x in row.items():
+                    for key, y in side.get(t, {}).items():
+                        out[key] = out.get(key, 0) + x * y
+            for j in range(i + 1, len(ints)):
+                base = j * n
+                for r, row in ints[j].items():
+                    out = acc.setdefault(r, {})
+                    for t, x in row.items():
+                        for c, y in ri.get(t, {}).items():
+                            out[base + c] = out.get(base + c, 0) - x * y
+            for j, entry, sign in brackets.get(i, ()):
+                if j > i:
+                    base = j * n
+                    for k, e in entry.items():
+                        f = sign * e * big
+                        for r, row in ints[k].items():
+                            out = acc.setdefault(r, {})
+                            for c, y in row.items():
+                                out[base + c] = out.get(base + c, 0) - f * y
+            bad = [key // n for out in acc.values() for key, x in out.items() if x]
+            if bad:
+                raise ContractError(
+                    f"homomorphism property fails on basis pair ({i},{min(bad)})"
+                )
 
     def __repr__(self):
         return f"Representation(dim {self.module_dim} of algebra dim {self.algebra.dim})"
@@ -321,37 +364,37 @@ def rational_eigensplit(a: Matrix):
 
 
 def _find_splitting_element(v, w):
-    """Initial Hom basis from the joint eigenspaces of commuting elements.
+    """Initial Hom basis from the joint eigenspaces of a first-fit commuting
+    pool of basis elements.
 
-    Every basis element that splits rationally on both modules is scored by
-    the size of the Hom basis its split gives.  The best one starts the
-    split; each further element of a greedy commuting pool (at most 8)
-    refines it block by block, and a block's key is the tuple of its
+    The basis is walked in order.  An element whose bracket with a pool
+    member is nonzero is skipped before any eigensplit; one that splits
+    rationally on both modules joins the pool, which stops at 8 members.
+    The first member's eigenspaces start the blocks and each further member
+    refines them block by block, a block's key being the tuple of its
     eigenvalues.  An intertwiner maps each joint eigenspace of V into the
     one of W with the same key, so the initial basis spans Hom_g(V, W).
     """
-    singles = []
-    for a in range(v.algebra.dim):
+    algebra = v.algebra
+    pool = []
+    for a in range(algebra.dim):
+        if any(algebra.structure_entry(b, a) for b, _, _ in pool):
+            continue
         ev = rational_eigensplit(v.actions[a])
         if ev is None:
             continue
         ew = ev if w is v or w.actions[a] is v.actions[a] else rational_eigensplit(w.actions[a])
         if ew is None:
             continue
-        singles.append((a, _split_score(ev, ew), ev, ew))
-    if not singles:
-        return None
-    singles.sort(key=lambda t: t[1])
-    pool = []
-    for cand in singles:
-        if all(not v.algebra.structure_entry(cand[0], b[0]) for b in pool):
-            pool.append(cand)
-        if len(pool) >= 8:
+        pool.append((a, ev, ew))
+        if len(pool) == 8:
             break
-    _, _, ev, ew = pool[0]
+    if not pool:
+        return None
+    _, ev, ew = pool[0]
     blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
     blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
-    for a, _, xv, xw in pool[1:]:
+    for a, xv, xw in pool[1:]:
         refined_v = _refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in xv])
         if blocks_w is blocks_v and xw is xv:
             refined_w = refined_v
@@ -388,11 +431,6 @@ def _refine_blocks(blocks, x, eigenvalues):
         if found != k:
             return None
     return out
-
-
-def _split_score(ev, ew):
-    mw = {lam: sp.dim for lam, sp in ew}
-    return sum(sp.dim * mw.get(lam, 0) for lam, sp in ev)
 
 
 def _hom_basis_from_split(v, w, blocks_v, blocks_w):

@@ -181,3 +181,20 @@ def dense_ratio(a, b):
     if len(ratios) > 1:
         return None
     return ratios.pop() if ratios else Fraction(0)
+
+
+def pairwise_validate(rep):
+    """The first basis pair (i, j), i < j, with [rho_i, rho_j] != sum_k c_ij^k rho_k,
+    or None: every pair compared as `Matrix` values, two products and one
+    scaled sum per pair."""
+    d, n = rep.algebra.dim, rep.module_dim
+    for i in range(d):
+        ai = rep.actions[i]
+        for j in range(i + 1, d):
+            aj = rep.actions[j]
+            expected = Matrix.zeros(n, n)
+            for k, c in rep.algebra.structure_entry(i, j).items():
+                expected = expected + rep.actions[k].scale(c)
+            if ai @ aj - aj @ ai != expected:
+                return i, j
+    return None

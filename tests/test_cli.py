@@ -176,6 +176,82 @@ def test_verify_parallel_runner_matches_serial(capsys, monkeypatch):
     assert scrub(serial) == scrub(parallel)
 
 
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps serially."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def _stub_pool(monkeypatch, cpus):
+    import concurrent.futures
+
+    import liepq.cli as cli
+
+    _RecordingExecutor.workers = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    return _RecordingExecutor.workers
+
+
+_SECTION2_31 = ("section2", 3, 1, ["2"], ["2"])
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,expected",
+    [
+        (str(10**9), 4, [4]),
+        (str(10**9), 10**6, "jobs"),
+        ("3", 4, [3]),
+        # one thread or one CPU: serial, no executor at all
+        ("1", 4, []),
+        ("8", 1, []),
+        ("8", None, []),
+    ],
+)
+def test_liepq_threads_is_capped_by_cpus_and_jobs(threads, cpus, expected, monkeypatch):
+    """A huge LIEPQ_THREADS asks for no more processes than there are CPUs
+    or checks; only the stub executor ever sees the count."""
+    import liepq.cli as cli
+
+    if expected == "jobs":
+        expected = [len(cli.build_suite(*_SECTION2_31))]
+    workers = _stub_pool(monkeypatch, cpus)
+    monkeypatch.setenv("LIEPQ_THREADS", threads)
+    assert run_suite(*_SECTION2_31)["overall"] == "pass"
+    assert workers == expected
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "2.5", "1e3"])
+def test_bad_liepq_threads_exits_2_before_any_work(value, capsys, monkeypatch):
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran with a bad LIEPQ_THREADS")
+
+    monkeypatch.setattr(cli, "run_check", forbidden)
+    workers = _stub_pool(monkeypatch, 4)
+    monkeypatch.setenv("LIEPQ_THREADS", value)
+    assert main(["verify", "--suite", "section2", "--p", "3", "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: LIEPQ_THREADS") and repr(value) in captured.err
+    assert workers == []
+
+
 def test_irreps_d4(capsys):
     code, out = invoke(capsys, "irreps", "--type", "D", "--rank", "4", "--max-dim", "8")
     assert code == 0

@@ -27,6 +27,7 @@ from liepq.rep_theory import (
 )
 from liepq.so_pq import (
     SO31_SL2C,
+    deformed_algebra,
     embedding_iso,
     exceptional_iso,
     sl2c_compact_form_vectors,
@@ -499,3 +500,197 @@ def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypat
                 dims2 = [(lam, sp.dim) for lam, sp in s2]
                 differ = differ or dims1 != dims2
         assert differ
+
+
+# -- the first-fit commuting pool ------------------------------------------
+
+
+def _diagonal_abelian_module(n):
+    """The abelian algebra of n x n diagonal matrices on R^n: every basis
+    element splits and all of them commute, so only the cap stops the pool."""
+    mats = [Matrix.from_sparse(n, n, {(k, k): rat(1)}) for k in range(n)]
+    return Representation(LieAlgebra.from_matrices(mats), n, mats)
+
+
+def _wedge_ad(p, q):
+    return wedge_square_rep(standard_rep(p, q)), adjoint_rep(so_pq_algebra(p, q))
+
+
+def _replay_pool(v, w, monkeypatch):
+    """Run the pool search with rational_eigensplit spied on, and replay its
+    calls: every element it eigensplits commutes with the pool collected so
+    far, the basis is walked in order, and the pool never passes 8."""
+    import liepq.rep_theory as rt
+
+    calls = []
+    real = rt.rational_eigensplit
+
+    def spy(a):
+        calls.append((a, real(a)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rt, "rational_eigensplit", spy)
+    rt._find_splitting_element(v, w)
+    algebra = v.algebra
+    pool, walked = [], []
+    pending = iter(calls)
+    for a, ev in pending:
+        idx = next(k for k, x in enumerate(v.actions) if x is a)
+        assert not walked or idx > walked[-1]
+        walked.append(idx)
+        assert all(not algebra.structure_entry(b, idx) for b in pool)
+        if ev is None:
+            continue
+        ew = ev
+        if w is not v and w.actions[idx] is not v.actions[idx]:
+            aw, ew = next(pending)
+            assert aw is w.actions[idx]
+        if ew is not None:
+            pool.append(idx)
+    assert len(pool) <= 8
+    return pool, walked
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (3, 3), (4, 4)])
+def test_pool_never_eigensplits_a_non_commuting_element(pq, monkeypatch):
+    v, w = _wedge_ad(*pq)
+    pool, walked = _replay_pool(v, w, monkeypatch)
+    # so(p,q) has min(p, q) pairwise-commuting boosts; the bracket test
+    # skipped some basis elements without an eigensplit
+    assert len(pool) == min(pq)
+    assert len(walked) < v.algebra.dim
+
+
+def test_pool_stops_at_eight_members(monkeypatch):
+    v = _diagonal_abelian_module(10)
+    pool, walked = _replay_pool(v, v, monkeypatch)
+    assert pool == walked == list(range(8))
+    assert [h.entries for h in hom_space(v, v)] == [h.entries for h in hom_space_dense(v, v)]
+
+
+def _scored_initial_basis(v, w):
+    """The selection the Hom solver made before the first-fit pool: every
+    basis element that splits on both modules, sorted by the size of the
+    Hom basis its own split gives, then a greedy commuting pool of at most 8
+    in that order."""
+    import liepq.rep_theory as rt
+
+    singles = []
+    for a in range(v.algebra.dim):
+        ev = rt.rational_eigensplit(v.actions[a])
+        if ev is None:
+            continue
+        ew = ev if w is v or w.actions[a] is v.actions[a] else rt.rational_eigensplit(w.actions[a])
+        if ew is None:
+            continue
+        dims_w = {lam: sp.dim for lam, sp in ew}
+        score = sum(sp.dim * dims_w.get(lam, 0) for lam, sp in ev)
+        singles.append((a, score, ev, ew))
+    if not singles:
+        return None
+    singles.sort(key=lambda t: t[1])
+    pool = []
+    for cand in singles:
+        if all(not v.algebra.structure_entry(cand[0], b[0]) for b in pool):
+            pool.append(cand)
+        if len(pool) >= 8:
+            break
+    _, _, ev, ew = pool[0]
+    blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
+    blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
+    for a, _, xv, xw in pool[1:]:
+        refined_v = rt._refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in xv])
+        if blocks_w is blocks_v and xw is xv:
+            refined_w = refined_v
+        else:
+            refined_w = rt._refine_blocks(blocks_w, w.actions[a], [lam for lam, _ in xw])
+        if refined_v is None or refined_w is None:
+            break
+        blocks_v, blocks_w = refined_v, refined_w
+    return rt._hom_basis_from_split(v, w, blocks_v, blocks_w)
+
+
+def _complement_module(p, q, c):
+    """The complement of the embedded so(p,q) in so(R^{n+1}, I_{p,q}(c)) as
+    an so(p,q)-module, as in acceptance criterion 8."""
+    emb = embedding_iso(p, q, c)
+    target = so_of_form(emb.target_form)
+    coord = target.coordinatizer()
+    m = (p + q) * (p + q - 1) // 2
+    vectors = [coord.express(im) for im in emb.images[:m]]
+    complement = orthogonal_complement(target.trace_form(), Subspace.from_vectors(target.dim, vectors))
+    actions = [target.ad_matrix(x) for x in vectors]
+    return restrict(Representation(so_pq_algebra(p, q), target.dim, actions), complement)
+
+
+def _oracle_module_pairs():
+    from liepq.so_pq import half_spin_reps
+
+    # the Hom(wedge^2 V, ad) signatures of the module-certs benchmark
+    for pq in [(2, 1), (4, 1), (3, 2), (5, 1), (4, 2), (3, 3), (4, 4), (3, 1), (2, 2)]:
+        yield f"wedge-ad {pq}", _wedge_ad(*pq)
+    spins = half_spin_reps(4, 4)
+    for name, half in (("plus", spins.c_plus), ("minus", spins.c_minus)):
+        yield f"half-spin forms {name}", (half, dual_rep(half))
+    module = _complement_module(3, 1, rat(2))
+    yield "complement (3,1) c=2", (module, module)
+
+
+def test_first_fit_basis_is_never_larger_than_the_scored_one():
+    import liepq.rep_theory as rt
+
+    for label, (v, w) in _oracle_module_pairs():
+        first_fit = rt._find_splitting_element(v, w)
+        scored = _scored_initial_basis(v, w)
+        assert (first_fit is None) == (scored is None), label
+        if scored is not None:
+            assert len(first_fit) <= len(scored), label
+
+
+# -- validate against the pairwise oracle ----------------------------------
+
+
+def _validation_modules():
+    for p, q in [(2, 1), (3, 1), (2, 2)]:
+        std = standard_rep(p, q)
+        yield std
+        yield adjoint_rep(so_pq_algebra(p, q))
+        yield dual_rep(wedge_square_rep(std))
+    for p, q, c in [(2, 1, "2"), (3, 1, "1/2"), (2, 2, "-2/3")]:
+        # structure constants over a denominator, action matrices over others
+        yield Representation(deformed_algebra(p, q, rat(c)).algebra, p + q + 1, embedding_iso(p, q, rat(c)).images)
+
+
+_VALIDATION_MODULES = list(_validation_modules())
+
+
+def test_validate_passes_on_the_unperturbed_modules():
+    for rep in _VALIDATION_MODULES:
+        rep.validate()
+
+
+@given(st.sampled_from(range(len(_VALIDATION_MODULES))), st.data())
+@settings(max_examples=60, deadline=None)
+def test_validate_matches_the_pairwise_oracle(which, data):
+    """validate on perturbed representations names the same first failing
+    pair as the old pair-by-pair loop."""
+    import re
+
+    from conftest import pairwise_validate
+
+    rep = _VALIDATION_MODULES[which]
+    n, d = rep.module_dim, rep.algebra.dim
+    actions = list(rep.actions)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        k = data.draw(st.integers(min_value=0, max_value=d - 1))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        delta = data.draw(_SMALL_RATIONALS)
+        actions[k] = actions[k] + Matrix.from_sparse(n, n, {(i, j): delta})
+    broken = Representation(rep.algebra, n, actions)
+    first = pairwise_validate(broken)
+    if first is None:
+        broken.validate()
+    else:
+        message = "homomorphism property fails on basis pair (%d,%d)" % first
+        with pytest.raises(ContractError, match="^" + re.escape(message) + "$"):
+            broken.validate()
