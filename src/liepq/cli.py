@@ -56,6 +56,7 @@ from .so_pq import (
     SO32_SP4R,
     SO33_SL4R,
     Signature,
+    _deformation_family,
     deformed_algebra,
     dimension_bound,
     embedding_iso,
@@ -106,10 +107,25 @@ SMALL_EXCLUSION_REASON = (
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _shared_deformed_algebra(p, q, c):
-    """One Jacobi-validated deformed algebra per (p, q, c), shared by the
-    appendix checks; check_deformed_jacobi builds its own, so that the
-    Jacobi certificate is computed inside that check."""
+    """One deformed algebra per (p, q, c), shared by the appendix checks.
+    It is read off the family `_deformation_family` certifies once per
+    (p, q) for every c; check_deformed_jacobi reports that certificate."""
     return deformed_algebra(p, q, c)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _t1_equivariance_defect(p, q):
+    """The first basis index x with T_1.wedge(x) != ad(x).T_1, or None, once
+    per (p, q): equivariance is linear in T, and T_c = c.T_1."""
+    algebra = so_pq_algebra(p, q)
+    std = Representation(algebra, p + q, list(algebra.basis))
+    wedge = wedge_square_rep(std)
+    adjoint = adjoint_rep(algebra)
+    t1 = t_c(p, q, 1)
+    return next(
+        (x for x in range(algebra.dim) if t1 @ wedge.actions[x] != adjoint.actions[x] @ t1),
+        None,
+    )
 
 
 def _pass(**extra):
@@ -228,7 +244,7 @@ def check_deformed_jacobi(p, q, c):
     n = p + q
     if n < 3:
         return _skip(SMALL_EXCLUSION_REASON)
-    deformed_algebra(p, q, rat(c))  # constructor validates Jacobi exactly
+    _deformation_family(p, q)  # certifies Jacobi exactly, for every rational c
     return _pass(dim=n * (n + 1) // 2)
 
 
@@ -248,14 +264,12 @@ def check_tc_equivariance(p, q, c):
     n = p + q
     if n < 3:
         return _skip(SMALL_EXCLUSION_REASON)
-    algebra = so_pq_algebra(p, q)
-    std = Representation(algebra, n, list(algebra.basis))
-    wedge = wedge_square_rep(std)
-    adjoint = adjoint_rep(algebra)
-    tc = t_c(p, q, rat(c))
-    for x in range(algebra.dim):
-        if tc @ wedge.actions[x] != adjoint.actions[x] @ tc:
-            return _fail(reason=f"T_c not equivariant at basis index {x}")
+    c = rat(c)
+    if t_c(p, q, c) != t_c(p, q, 1).scale(c):
+        return _fail(reason="T_c is not c.T_1")
+    x = _t1_equivariance_defect(p, q) if c else None
+    if x is not None:
+        return _fail(reason=f"T_c not equivariant at basis index {x}")
     return _pass()
 
 

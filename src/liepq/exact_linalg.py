@@ -91,7 +91,8 @@ class Matrix:
     Products, sums, scaling, negation, transposition and the zero and
     symmetry tests visit only nonzeros and run on ints; the result's
     denominator is the product or lcm of the operands' ones, reduced by one
-    gcd pass.  A matrix is never changed after construction, and no
+    gcd pass (a sum with a zero operand is a copy, and scaling by an integer
+    k cancels only gcd(den, k)).  A matrix is never changed after construction, and no
     operation returns an operand or shares rows with one.  Every read
     (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `sparse_vector`,
     `trace`, ...) returns fresh rational scalars.  New matrices come from
@@ -275,6 +276,12 @@ class Matrix:
         """self + other (sign 1) or self - other (sign -1), on nonzeros."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatchError(f"matrix {what} shape mismatch")
+        if not other._data:  # x +- 0: a copy of x, already canonical
+            data = {i: dict(row) for i, row in self._data.items()}
+            return _trusted(self.rows, self.cols, data, self.den)
+        if not self._data:  # 0 +- x: a copy of x or of -x
+            data = {i: {j: sign * y for j, y in row.items()} for i, row in other._data.items()}
+            return _trusted(self.rows, self.cols, data, other.den)
         da, db = self.den, other.den
         den = da if da == db else _lcm(da, db)
         fa, fb = den // da, sign * (den // db)
@@ -316,6 +323,12 @@ class Matrix:
         if not k:
             return _trusted(self.rows, self.cols, {})
         kn, kd = int(k.numerator), int(k.denominator)
+        if kd == 1:
+            # the entries are coprime to den, so only gcd(den, k) cancels
+            g = _gcd(self.den, kn)
+            kn //= g
+            data = {i: {j: kn * x for j, x in row.items()} for i, row in self._data.items()}
+            return _trusted(self.rows, self.cols, data, self.den // g)
         return _reduced(
             self.rows,
             self.cols,

@@ -119,8 +119,13 @@ class LieAlgebra:
         coord = _Coordinatizer(basis)
         structure = {}
         d = len(basis)
+        # b_i b_j vanishes by support when no column of b_i is a row of b_j
+        rows = [b._data.keys() for b in basis]
+        cols = [set().union(*b._data.values()) for b in basis]
         for i in range(d):
             for j in range(i + 1, d):
+                if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+                    continue
                 comm = mat_mul(basis[i], basis[j]) - mat_mul(basis[j], basis[i])
                 entry = coord.express_sparse(comm)
                 if entry is None:
@@ -153,6 +158,16 @@ class LieAlgebra:
             if not structure[key]:
                 del structure[key]
         return cls(ABSTRACT, dim, structure=structure, validate=validate)
+
+    @classmethod
+    def _certified(cls, dim, structure, killing: Matrix) -> "LieAlgebra":
+        """ABSTRACT realization of a structure tensor whose Jacobi identity
+        and Killing gram the caller has already certified: nothing is
+        checked again.  The brackets of structure may be shared with other
+        algebras, as no algebra changes its structure."""
+        alg = cls(ABSTRACT, dim, structure=structure, validate=False)
+        alg._killing = BilinearForm(dim, killing)
+        return alg
 
     # -- internals ----------------------------------------------------
 

@@ -167,37 +167,78 @@ class DeformedAlgebra:
         return canonical_json(self.to_json_dict())
 
 
-def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
-    """The bracket [.,.]_c on so(p,q) (+) R^{p,q}; Jacobi-validated."""
-    c = rat(c)
-    n = p + q
-    if n < 3:
-        raise ContractError("the deformed bracket needs p + q >= 3")
+class _DeformationFamily(NamedTuple):
+    """The brackets [.,.]_c = base + c.vec on so(p,q) (+) R^{p,q}, certified
+    for every rational c, with the Killing gram K(c) = k0 + c.k1 + c^2.k2."""
+
+    dim: int
+    base: dict  # structure tensor {(i, j): {k: constant}} free of c
+    vec: dict  # the coefficients of c: brackets of two vectors, all zero in base
+    k0: Matrix
+    k1: Matrix
+    k2: Matrix
+
+
+def _deformation_constants(p: int, q: int):
+    """(dim, base, vec): the structure entries (i, j, k, value) of the
+    c-free brackets, [so, so] and the action [X, e_i] = X e_i, and of the
+    coefficients of c, [e_i, e_j] = -X_ij for i < j < p and X_ij otherwise."""
     so = so_pq_algebra(p, q)
-    m = so.dim
-    pairs = generator_pairs(n)
-    pair_index = {pr: k for k, pr in enumerate(pairs)}
-    entries = []
-    for (i, j), entry in so.structure.items():
-        for k, v in entry.items():
-            entries.append((i, j, k, v))
+    m, n = so.dim, p + q
+    base = [(i, j, k, v) for (i, j), entry in so.structure.items() for k, v in entry.items()]
     for a, gen in enumerate(so.basis):
         # [X, e_i] = X e_i = sum over k of X_ki e_k
         for i, column in gen.transpose()._data.items():
             for k, x in column.items():
-                entries.append((a, m + i, m + k, _quotient(x, gen.den)))
+                base.append((a, m + i, m + k, _quotient(x, gen.den)))
+    vec = [
+        (m + i, m + j, idx, -ONE if (i < p and j < p) else ONE)
+        for idx, (i, j) in enumerate(generator_pairs(n))
+    ]
+    return m + n, base, vec
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _deformation_family(p: int, q: int) -> _DeformationFamily:
+    """The family base + c.vec of so(p,q), its Jacobi identity certified
+    for every rational c by three Jacobi runs, once per (p, q).
+
+    The Jacobiator is quadratic in the constants: J(c) = J(base) + c.M +
+    c^2.J(vec), with M the cross terms.  J(base) = 0, J(vec) = 0 and
+    J(base + vec) = J(base) + M + J(vec) = 0 force M = 0, hence J(c) = 0.
+    The Killing gram is quadratic the same way, with K1 = K(base + vec) -
+    K0 - K2.  Raises ContractError when a run fails.
+    """
+    if p + q < 3:
+        raise ContractError("the deformed bracket needs p + q >= 3")
+    dim, base, vec = _deformation_constants(p, q)
+    b = LieAlgebra.from_structure(dim, base)
+    v = LieAlgebra.from_structure(dim, vec)
+    joint = LieAlgebra.from_structure(dim, base + vec)
+    k0, k2 = b.killing_form().gram, v.killing_form().gram
+    k1 = joint.killing_form().gram - k0 - k2
+    return _DeformationFamily(dim, b.structure, v.structure, k0, k1, k2)
+
+
+def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
+    """The bracket [.,.]_c on so(p,q) (+) R^{p,q}, read off the family that
+    `_deformation_family` certifies for every c: no per-c Jacobi run, and
+    the Killing gram comes from the family's expansion in c."""
+    c = rat(c)
+    family = _deformation_family(p, q)
+    structure = dict(family.base)
     if c:
-        for (i, j), idx in pair_index.items():
-            coeff = -c if (i < p and j < p) else c
-            entries.append((m + i, m + j, idx, coeff))
-    algebra = LieAlgebra.from_structure(m + n, entries, validate=True)
+        for key, entry in family.vec.items():
+            structure[key] = {k: c * v for k, v in entry.items()}
+    killing = family.k0 + family.k1.scale(c) + family.k2.scale(c * c)
+    m = family.dim - (p + q)
     return DeformedAlgebra(
         p=p,
         q=q,
         c=c,
-        algebra=algebra,
+        algebra=LieAlgebra._certified(family.dim, structure, killing),
         so_indices=tuple(range(m)),
-        vec_indices=tuple(range(m, m + n)),
+        vec_indices=tuple(range(m, family.dim)),
     )
 
 

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from liepq.exact_linalg import Matrix, rat
+from liepq.exact_linalg import Matrix, _quotient, rat
 from liepq.lie_core import LieAlgebra
-from liepq.so_pq import so_pq_algebra
+from liepq.so_pq import generator_pairs, so_pq_algebra
 
 
 def unit_matrix(i, j, n):
@@ -198,3 +198,22 @@ def pairwise_validate(rep):
             if ai @ aj - aj @ ai != expected:
                 return i, j
     return None
+
+
+def per_c_deformed_algebra(p, q, c):
+    """The bracket [.,.]_c built and Jacobi-validated for this one c: every
+    constant of so(p,q) (+) R^{p,q} through `from_structure`, with the
+    action [X, e_i] = X e_i and [e_i, e_j] = -c X_ij for i < j < p, c X_ij
+    otherwise."""
+    c = rat(c)
+    n = p + q
+    so = so_pq_algebra(p, q)
+    m = so.dim
+    entries = [(i, j, k, v) for (i, j), entry in so.structure.items() for k, v in entry.items()]
+    for a, gen in enumerate(so.basis):
+        for i, column in gen.transpose()._data.items():
+            for k, x in column.items():
+                entries.append((a, m + i, m + k, _quotient(x, gen.den)))
+    for idx, (i, j) in enumerate(generator_pairs(n)):
+        entries.append((m + i, m + j, idx, -c if (i < p and j < p) else c))
+    return LieAlgebra.from_structure(m + n, entries, validate=True)

@@ -29,3 +29,21 @@ def test_every_traced_binding_resolves():
             if not found:
                 missing.append((layer, modname, qualname))
     assert not missing
+
+
+def test_matmul_operator_calls_the_module_level_mat_mul(monkeypatch):
+    """The traced run counts products by wrapping `exact_linalg.mat_mul` by
+    name; `a @ b` must look that name up at call time, or every `@` product
+    escapes the count (as it would if `Matrix.__matmul__` were bound to the
+    function itself)."""
+    import liepq.exact_linalg as exact_linalg
+
+    calls = []
+    real = exact_linalg.mat_mul
+    monkeypatch.setattr(
+        exact_linalg, "mat_mul", lambda a, b: calls.append((a, b)) or real(a, b)
+    )
+    a = exact_linalg.Matrix.from_rows([[1, 2], [0, 1]])
+    b = exact_linalg.Matrix.from_rows([[0, 1], [1, 0]])
+    assert a @ b == real(a, b)
+    assert calls == [(a, b)]

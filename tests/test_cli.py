@@ -12,6 +12,7 @@ import pytest
 from liepq.cli import main, run_suite
 from liepq.exact_linalg import Matrix
 from liepq.lie_core import BilinearForm
+from liepq.rep_theory import adjoint_rep, wedge_square_rep
 from liepq.so_pq import (
     SO31_SL2C,
     deformed_algebra,
@@ -19,6 +20,7 @@ from liepq.so_pq import (
     exceptional_iso,
     ipq,
     so_pq_algebra,
+    standard_rep,
     t_c,
 )
 
@@ -355,13 +357,15 @@ def test_run_suite_schema_fields():
             assert check["reason"]
 
 
-def test_verify_appendix_builds_each_deformed_algebra_twice(monkeypatch):
-    """One build inside check_deformed_jacobi, one shared by the other
-    appendix checks, per c."""
+def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch):
+    """One build per c, shared by the appendix checks, all read off one
+    family certificate per (p, q), which check_deformed_jacobi reports."""
     import liepq.cli as cli
+    from liepq.so_pq import _deformation_family
 
     monkeypatch.setenv("LIEPQ_THREADS", "1")
     cli._shared_deformed_algebra.cache_clear()
+    _deformation_family.cache_clear()
     calls = []
     real = cli.deformed_algebra
     monkeypatch.setattr(
@@ -369,10 +373,12 @@ def test_verify_appendix_builds_each_deformed_algebra_twice(monkeypatch):
     )
     try:
         report = run_suite("appendix", 3, 1, ["2", "0", "-1/2"], [])
+        certified = _deformation_family.cache_info().misses
     finally:
         cli._shared_deformed_algebra.cache_clear()
     assert report["overall"] == "pass"
-    assert sorted(str(c) for c in calls) == ["-1/2", "-1/2", "0", "0", "2", "2"]
+    assert sorted(str(c) for c in calls) == ["-1/2", "0", "2"]
+    assert certified == 1
 
 
 def test_verify_refuses_bad_mu_before_any_work(capsys, monkeypatch):
@@ -477,6 +483,32 @@ def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch):
     monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
     result = cli.check_tc_iso_rank(2, 1, "1")
     assert result == {"status": "fail", "found": 2, "expected": 3}
+
+
+def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch):
+    """T_1 is certified once per signature and each c through T_c = c.T_1:
+    a bent T_1 fails at its first non-equivariant index for every nonzero c,
+    and a T_c off the line c.T_1 fails at that c."""
+    import liepq.cli as cli
+
+    bent = t_c(2, 1, 1) + _unit(3, 0, 1)
+    wedge = wedge_square_rep(standard_rep(2, 1))
+    adjoint = adjoint_rep(so_pq_algebra(2, 1))
+    x = next(x for x in range(3) if bent @ wedge.actions[x] != adjoint.actions[x] @ bent)
+    monkeypatch.setattr(cli, "t_c", lambda p, q, c: bent.scale(c))
+    cli._t1_equivariance_defect.cache_clear()
+    try:
+        for c in ("2", "-1/2"):
+            assert cli.check_tc_equivariance(2, 1, c) == {
+                "status": "fail", "reason": f"T_c not equivariant at basis index {x}"
+            }
+        assert cli.check_tc_equivariance(2, 1, "0") == {"status": "pass"}
+        monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) + _unit(3, 0, 0))
+        assert cli.check_tc_equivariance(2, 1, "2") == {
+            "status": "fail", "reason": "T_c is not c.T_1"
+        }
+    finally:
+        cli._t1_equivariance_defect.cache_clear()
 
 
 def test_embedding_check_names_the_first_failing_pair(monkeypatch):

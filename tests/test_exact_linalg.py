@@ -251,9 +251,9 @@ def assert_exact_entries(result, expected):
     assert all(type(x) is Rational for x in result.entries)
 
 
-@given(sparse_operands())
+@given(sparse_operands(), st.integers(-12, 12))
 @settings(max_examples=80)
-def test_zero_skipping_ops_match_dense_formulas(operands):
+def test_zero_skipping_ops_match_dense_formulas(operands, k_int):
     a, a2, b, k = operands
     n, m, cols = a.rows, a.cols, b.cols
     dense_product = [
@@ -262,9 +262,18 @@ def test_zero_skipping_ops_match_dense_formulas(operands):
         for l in range(cols)
     ]
     assert_exact_entries(mat_mul(a, b), dense_product)
-    assert_exact_entries(a + a2, [x + y for x, y in zip(a.entries, a2.entries)])
-    assert_exact_entries(a - a2, [x - y for x, y in zip(a.entries, a2.entries)])
-    assert_exact_entries(a.scale(k), [k * x for x in a.entries])
+    zero = Matrix.zeros(n, m)
+    for x, y in ((a, a2), (a, zero), (zero, a), (zero, zero)):
+        for result, expected in (
+            (x + y, [s + t for s, t in zip(x.entries, y.entries)]),
+            (x - y, [s - t for s, t in zip(x.entries, y.entries)]),
+        ):
+            assert_exact_entries(result, expected)
+            assert result == Matrix(n, m, expected)  # canonical: same den and rows
+    for scalar in (k, k_int):
+        expected = [scalar * x for x in a.entries]
+        assert_exact_entries(a.scale(scalar), expected)
+        assert a.scale(scalar) == Matrix(n, m, expected)
 
 
 @given(sparse_operands())
@@ -272,8 +281,9 @@ def test_zero_skipping_ops_match_dense_formulas(operands):
 def test_op_results_own_their_entries(operands):
     a, a2, b, k = operands
     operands_before = [list(m.entries) for m in (a, a2, b)]
+    zero = Matrix.zeros(a.rows, a.cols)
     results = [a + a2, a - a2, -a, a.scale(k), a.transpose(), mat_mul(a, b),
-               Matrix.zeros(a.rows, a.cols)]
+               Matrix.zeros(a.rows, a.cols), a + zero, zero - a, a.scale(3)]
     assert_exact_entries(results[2], [-x for x in a.entries])
     assert_exact_entries(results[4], [a[i, j] for j in range(a.cols) for i in range(a.rows)])
     for result in results:

@@ -3,7 +3,9 @@ byte for byte with the fixtures under tests/golden/, with the only
 run-dependent field, elapsed_ms, stripped from both sides.
 
 The fixtures were generated before the integer core replaced `Fraction`
-rows.  To regenerate one after a deliberate report change, run its CASES
+rows; construct_p2_q2_cm3_4, at a negative fractional c, before the
+deformed bracket was read off one certified family per signature.  To
+regenerate one after a deliberate report change, run its CASES
 command with `liepq` and strip elapsed_ms with ELAPSED.
 """
 
@@ -24,6 +26,7 @@ CASES = [
     ("verify_all_p3_q3", ["verify", "--suite", "all", "--p", "3", "--q", "3", "--format", "json"]),
     ("verify_all_p4_q4", ["verify", "--suite", "all", "--p", "4", "--q", "4", "--format", "json"]),
     ("construct_p3_q1_c1", ["construct", "--p", "3", "--q", "1", "--c", "1"]),
+    ("construct_p2_q2_cm3_4", ["construct", "--p", "2", "--q", "2", "--c=-3/4"]),
     ("construct_p4_q4", ["construct", "--p", "4", "--q", "4"]),
 ]
 

@@ -77,6 +77,80 @@ def test_not_closed_pair_in_gl2():
         LieAlgebra.from_matrices([unit_matrix(0, 1, 2), unit_matrix(1, 0, 2)])
 
 
+nonzero_scalars = st.builds(
+    lambda n, d: rat(f"{n}/{d}"), st.integers(-5, 5).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def sparse_bases(draw):
+    """A sparse basis of n x n matrices, closed under commutators or not:
+    gl(n), the upper or strictly upper triangular, the diagonal or so(p,q)
+    matrices, or random elements on disjoint random supports, each element
+    scaled by a nonzero rational, the coordinates permuted and the basis
+    shuffled."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["gl", "upper", "strict", "diagonal", "so", "random"]))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if kind == "so":
+        p = draw(st.integers(0, n))
+        supports = [b.sparse_vector() for b in so_pq_algebra(p, n - p).basis]
+        supports = [{divmod(k, n): v for k, v in vec.items()} for vec in supports]
+    elif kind == "random":
+        chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=n * n, unique=True))
+        sizes = draw(st.lists(st.integers(1, 2), min_size=len(chosen), max_size=len(chosen)))
+        supports, t = [], 0
+        for size in sizes:
+            if t < len(chosen):
+                supports.append({cell: draw(nonzero_scalars) for cell in chosen[t:t + size]})
+                t += size
+    else:
+        keep = {
+            "gl": lambda i, j: True,
+            "upper": lambda i, j: i <= j,
+            "strict": lambda i, j: i < j,
+            "diagonal": lambda i, j: i == j,
+        }[kind]
+        supports = [{(i, j): rat(1)} for i, j in cells if keep(i, j)]
+    perm = draw(st.permutations(range(n)))
+    basis = [
+        Matrix.from_sparse(n, n, {(perm[i], perm[j]): v * f for (i, j), v in support.items()})
+        for support, f in zip(supports, draw(
+            st.lists(nonzero_scalars, min_size=len(supports), max_size=len(supports))
+        ))
+    ]
+    return draw(st.permutations(basis))
+
+
+def all_pairs_structure(basis):
+    """The structure tensor by the obvious loop: every pair's commutator
+    expressed by dense elimination, or the NotClosedError message of the
+    first pair outside the span."""
+    structure = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+            coeffs = dense_express(basis, comm)
+            if coeffs is None:
+                return f"[b_{i}, b_{j}] is outside the span of the basis"
+            entry = {k: v for k, v in enumerate(coeffs) if v}
+            if entry:
+                structure[(i, j)] = entry
+    return structure
+
+
+@given(sparse_bases())
+@settings(max_examples=60, deadline=None)
+def test_from_matrices_matches_the_all_pairs_loop(basis):
+    """Skipping the pairs whose products vanish by support changes neither
+    the structure constants nor the first pair found outside the span."""
+    try:
+        found = LieAlgebra.from_matrices(basis, validate=False).structure
+    except NotClosedError as exc:
+        found = str(exc)
+    assert found == all_pairs_structure(basis)
+
+
 def test_killing_abelian_is_zero():
     algebra = LieAlgebra.from_matrices([Matrix.diagonal([1, 0]), Matrix.diagonal([0, 1])])
     assert killing_form(algebra).gram.is_zero()

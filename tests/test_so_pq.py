@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liepq import so_pq
 from liepq.errors import ContractError, UnknownSmallestModuleError, UnsupportedRealizationError
 from liepq.exact_linalg import (
     Matrix,
@@ -42,7 +45,7 @@ from liepq.so_pq import (
     t_c,
 )
 
-from conftest import pairwise_defect
+from conftest import pairwise_defect, per_c_deformed_algebra
 
 C_GRID = [rat(x) for x in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
 
@@ -178,6 +181,54 @@ def test_deformed_killing_matches_classical():
     assert inertia_of_diagonalizable_form(minus) == inertia_of_diagonalizable_form(
         so_pq_algebra(2, 2).killing_form().gram
     )
+
+
+rational_c = st.builds(
+    lambda n, d: rat(f"{n}/{d}"), st.integers(-40, 40), st.integers(1, 30)
+)
+signatures_3_to_6 = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+    lambda pq: 3 <= sum(pq) <= 6
+)
+
+
+@given(signatures_3_to_6, rational_c)
+@settings(max_examples=40, deadline=None)
+def test_deformed_algebra_matches_the_per_c_builder(pq, c):
+    """The family read at c gives the per-c builder's constants, a Jacobi
+    identity that holds when checked at c, and the Killing gram of a fresh
+    contraction of those constants."""
+    p, q = pq
+    alg = deformed_algebra(p, q, c).algebra
+    assert alg.structure == per_c_deformed_algebra(p, q, c).structure
+    alg._check_jacobi()
+    entries = [(i, j, k, v) for (i, j), entry in alg.structure.items() for k, v in entry.items()]
+    fresh = LieAlgebra.from_structure(alg.dim, entries)
+    assert alg.killing_form().gram == fresh.killing_form().gram
+
+
+def _doubled(entries, index):
+    i, j, k, v = entries[index]
+    return entries[:index] + [(i, j, k, 2 * v)] + entries[index + 1:]
+
+
+@pytest.mark.parametrize("part", ["vec", "action"])
+def test_family_certification_catches_one_wrong_constant(monkeypatch, part):
+    """Doubling the coefficient of one [e_i, e_j] (c -> 2c) or one action
+    constant [X, e_i] breaks the family's certificate for every c."""
+    p, q = 3, 1
+    dim, base, vec = so_pq._deformation_constants(p, q)
+    so_dim = dim - (p + q)
+    if part == "vec":
+        vec = _doubled(vec, 0)
+    else:
+        base = _doubled(base, next(t for t, e in enumerate(base) if e[1] >= so_dim))
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
+    so_pq._deformation_family.cache_clear()
+    try:
+        with pytest.raises(ContractError, match="Jacobi"):
+            deformed_algebra(p, q, rat("1/2"))
+    finally:
+        so_pq._deformation_family.cache_clear()
 
 
 def test_deformed_json_blocks():
