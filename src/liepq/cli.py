@@ -22,7 +22,6 @@ import time
 from . import __version__
 from .errors import ContractError, LiepqError, UnknownSmallestModuleError
 from .exact_linalg import (
-    Echelon,
     Matrix,
     Subspace,
     inertia_of_diagonalizable_form,
@@ -79,10 +78,10 @@ from .weyl_enum import (
 
 # Size limit of `verify` and `construct`, so that a large signature fails
 # fast instead of running for hours.  Measured with the pure-Python Fraction
-# backend (Python 3.11, one Intel Xeon core, whole process): `verify --suite
-# all` takes 0.7 s at n = 8, 2.2 s at n = 12 and 6.5 s at n = 16 (p = q),
-# about 1.3x more per unit of n beyond that; `construct --c 1` takes 0.3 s
-# at n = 16.
+# backend (Python 3.11, one Intel Xeon core, whole process, LIEPQ_THREADS=1):
+# `verify --suite all` takes 0.17 s at n = 8, 0.35 s at n = 12 and 0.8 s at
+# n = 16 (p = q), about 1.2x more per unit of n; `construct --c 1` takes
+# 0.15 s at n = 16.
 MAX_N = 16
 
 # Limits of `irreps`, so that the enumeration ends in about a second.  Each
@@ -207,10 +206,7 @@ def check_hom_wedge_adjoint(p, q):
         if dense != homs:
             return _fail(reason="dense cross-check disagrees", **detail)
         detail["dense_checked"] = True
-    span = Echelon(m * m)
-    for h in homs:
-        span.insert(h.sparse_vector())
-    if span.reduce(t_c(p, q, 1).sparse_vector()):
+    if Subspace.from_vectors(m * m, homs).reduce(t_c(p, q, 1)) is None:
         return _fail(reason="t_c(1) is not in the Hom span", **detail)
     if len(homs) != expected:
         return _fail(**detail)
@@ -242,29 +238,20 @@ def check_smallest_module_enum(p, q):
 
 def check_deformed_jacobi(p, q, c):
     n = p + q
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
     _deformation_family(p, q)  # certifies Jacobi exactly, for every rational c
     return _pass(dim=n * (n + 1) // 2)
 
 
 def check_deformed_radical(p, q, c):
-    n = p + q
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
-    dalg = _shared_deformed_algebra(p, q, rat(c))
+    dalg = _shared_deformed_algebra(p, q, c)
     semisimple = dalg.algebra.is_semisimple()
-    expected = rat(c) != 0
+    expected = c != 0
     if semisimple != expected:
         return _fail(found=semisimple, expected=expected)
     return _pass(semisimple=semisimple)
 
 
 def check_tc_equivariance(p, q, c):
-    n = p + q
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
-    c = rat(c)
     if t_c(p, q, c) != t_c(p, q, 1).scale(c):
         return _fail(reason="T_c is not c.T_1")
     x = _t1_equivariance_defect(p, q) if c else None
@@ -275,11 +262,9 @@ def check_tc_equivariance(p, q, c):
 
 def check_tc_iso_rank(p, q, c):
     n = p + q
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
-    tc = t_c(p, q, rat(c))
+    tc = t_c(p, q, c)
     rank = tc.cols - kernel(tc).dim
-    expected = n * (n - 1) // 2 if rat(c) != 0 else 0
+    expected = n * (n - 1) // 2 if c != 0 else 0
     if rank != expected:
         return _fail(found=rank, expected=expected)
     return _pass(rank=rank)
@@ -287,9 +272,6 @@ def check_tc_iso_rank(p, q, c):
 
 def check_embedding(p, q, c):
     n = p + q
-    c = rat(c)
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("embedding_iso requires c != 0 (c = 0 is the semidirect product)")
     dalg = _shared_deformed_algebra(p, q, c)
@@ -302,17 +284,12 @@ def check_embedding(p, q, c):
         Representation(dalg.algebra, n + 1, emb.images).validate()
     except ContractError as exc:
         return _fail(reason=f"bracket not intertwined: {exc}")
-    span = Echelon((n + 1) * (n + 1))
-    if not all(span.insert(im.sparse_vector()) for im in emb.images):
+    if Subspace.from_vectors((n + 1) * (n + 1), emb.images).dim != len(emb.images):
         return _fail(reason="embedding is not injective")
     return _pass(dim=dalg.dim)
 
 
 def check_target_inertia(p, q, c):
-    n = p + q
-    c = rat(c)
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("I_{p,q}(c) needs c != 0")
     found = inertia_of_diagonalizable_form(ipq_c(p, q, c))
@@ -324,9 +301,6 @@ def check_target_inertia(p, q, c):
 
 def check_sqrt_conjugation(p, q, c):
     n = p + q
-    c = rat(c)
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("needs c != 0")
     if rational_sqrt(abs(c)) is None:
@@ -343,10 +317,7 @@ def check_sqrt_conjugation(p, q, c):
 
 
 def check_maximality(p, q, c):
-    n = p + q
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
-    dalg = _shared_deformed_algebra(p, q, rat(c))
+    dalg = _shared_deformed_algebra(p, q, c)
     maximal, witness = is_maximal_subalgebra(dalg.algebra, dalg.so_block_subspace())
     if not maximal:
         return _fail(witness=_subspace_payload(witness))
@@ -354,10 +325,7 @@ def check_maximality(p, q, c):
 
 
 def check_centralizer(p, q, c):
-    n = p + q
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
-    dalg = _shared_deformed_algebra(p, q, rat(c))
+    dalg = _shared_deformed_algebra(p, q, c)
     cent = centralizer(dalg.algebra, dalg.so_block_subspace())
     if cent.dim != 0:
         return _fail(witness=_subspace_payload(cent))
@@ -369,9 +337,6 @@ def check_killing_blocks(p, q, c):
     the mixed block, a1 x Killing(so(p,q)) on the so block, a2 x <.,.>_{p,q}
     on the vector block, with a1, a2 nonzero."""
     n = p + q
-    c = rat(c)
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("block proportionality with nonzero constants needs c != 0")
     gram = _shared_deformed_algebra(p, q, c).algebra.killing_form().gram
@@ -399,9 +364,6 @@ def check_complement_irreducible(p, q, c):
     """The trace-form orthogonal complement of the embedded so(p,q) inside
     so(R^{n+1}, I_{p,q}(c)) is n-dimensional, invariant and irreducible."""
     n = p + q
-    c = rat(c)
-    if n < 3:
-        return _skip(SMALL_EXCLUSION_REASON)
     if c == 0:
         return _skip("the matrix-side pipeline needs c != 0")
     emb = embedding_iso(p, q, c)
@@ -432,7 +394,7 @@ def check_complement_irreducible(p, q, c):
 def check_character_identity(p, q, mu):
     if (p, q) != (3, 1):
         return _skip("the boost character test is specific to so(3,1)")
-    report = character_discrimination_test(rat(mu))
+    report = character_discrimination_test(mu)
     if report.residual_standard != 0:
         return _fail(reason="identity fails for V = R^{3,1}")
     if report.residual_complex == 0:
@@ -535,7 +497,8 @@ def check_simple_dim_scan(p, q):
 
 # The check registry, in suite order: name -> (function, suite, extra
 # parameter).  Every check takes p and q; the extra parameter, when named,
-# runs once per value of its list ("c" from --c-list, "mu" from --mu-list).
+# runs once per value of its list ("c" from --c-list, "mu" from --mu-list)
+# and reaches the check as a rational.
 CHECKS = {
     "defining_property": (check_defining_property, "appendix", None),
     "theta_automorphism": (check_theta_automorphism, "appendix", None),
@@ -580,11 +543,18 @@ def build_suite(suite, p, q, c_list, mu_list):
 
 
 def run_check(name, params):
+    """Run one check on its parameters, with the extra value as a rational.
+    Every check in c is skipped below n = 3 (SMALL_EXCLUSION_REASON)."""
     fn, _, extra = CHECKS[name]
-    args = (params["p"], params["q"]) if extra is None else (params["p"], params["q"], params[extra])
+    p, q = params["p"], params["q"]
     start = time.perf_counter()
     try:
-        result = fn(*args)
+        if extra is None:
+            result = fn(p, q)
+        elif extra == "c" and p + q < 3:
+            result = _skip(SMALL_EXCLUSION_REASON)
+        else:
+            result = fn(p, q, rat(params[extra]))
     except LiepqError as exc:
         result = _fail(reason=f"{type(exc).__name__}: {exc}")
     result["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
@@ -821,13 +791,14 @@ def cmd_bound(args) -> int:
 
 
 def _merge_list_flags(argv):
-    """Join '--c-list -2,-1' into '--c-list=-2,-1' so leading minus signs in
-    rational lists are not mistaken for option strings."""
+    """Join '--c-list -2,-1' into '--c-list=-2,-1', and '--c -3/4' into
+    '--c=-3/4', so leading minus signs in rationals are not mistaken for
+    option strings."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--c-list", "--mu-list") and i + 1 < len(argv):
+        if tok in ("--c", "--c-list", "--mu-list") and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

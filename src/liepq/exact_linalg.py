@@ -5,8 +5,9 @@ sparse fraction-free elimination engine, `Echelon`, behind `rref`, kernels,
 solves, inverses and subspaces.  Every operation here is pure and exact: no
 floating point, no rounding.  The inner loops see only Python ints; a
 rational scalar is built at the boundary only, when a value is read out
-(`m[i, j]`, `row_list`, `entries`, `Echelon.rows`, `basis_rows`, ...), and
-read in, through `rat()`.  Scalars are `gmpy2.mpq` when gmpy2 is installed,
+(`m[i, j]`, `row_list`, `entries`, `basis_rows`, `Subspace.reduce`, ...),
+and read in, through `rat()`; `Echelon` itself takes and keeps integer
+vectors only.  Scalars are `gmpy2.mpq` when gmpy2 is installed,
 otherwise `fractions.Fraction`; both keep values in lowest terms with a
 positive denominator, and numerators and denominators enter the integer
 core through `int()` either way.
@@ -94,8 +95,8 @@ class Matrix:
     gcd pass (a sum with a zero operand is a copy, and scaling by an integer
     k cancels only gcd(den, k)).  A matrix is never changed after construction, and no
     operation returns an operand or shares rows with one.  Every read
-    (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `sparse_vector`,
-    `trace`, ...) returns fresh rational scalars.  New matrices come from
+    (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `trace`, ...) returns
+    fresh rational scalars.  New matrices come from
     `Matrix(...)`, the named constructors or the `from_sparse` builder,
     which validate every entry through `rat()`.
     """
@@ -185,12 +186,6 @@ class Matrix:
         c = self.cols
         return {i * c + j: x for i, row in self._data.items() for j, x in row.items()}
 
-    def sparse_vector(self) -> dict:
-        """The nonzeros as a fresh {i * cols + j: value} vector over the
-        row-major flattening."""
-        den = self.den
-        return {k: _quotient(x, den) for k, x in self._flat().items()}
-
     def __getitem__(self, ij) -> Rational:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -216,17 +211,6 @@ class Matrix:
 
     def to_rows(self):
         return [self.row_list(i) for i in range(self.rows)]
-
-    def column_list(self, j: int):
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside a {self.cols}-column matrix")
-        out = [ZERO] * self.rows
-        den = self.den
-        for i, row in self._data.items():
-            x = row.get(j)
-            if x is not None:
-                out[i] = _quotient(x, den)
-        return out
 
     def transpose(self) -> "Matrix":
         out = {}
@@ -486,9 +470,9 @@ class Echelon:
     reduced echelon row, so the integer rows are canonical for their span
     too, and reducing a vector is one pass over its entries.  Elimination
     is fraction-free (Bareiss, Math. Comp. 22, 1968): a row update is
-    lead * row - f * new, then division by the content.  `rows`,
-    `reduce` and `dense_rows` read out rationals; `_reduce_int` and
-    `_insert_int` are the integer paths the library uses.
+    lead * row - f * new, then division by the content.  `insert` and
+    `reduce` take sparse integer vectors {column: int} with no zeros;
+    `dense_rows` reads the rows out as rationals.
     """
 
     __slots__ = ("ambient", "_rows")
@@ -501,16 +485,7 @@ class Echelon:
     def dim(self) -> int:
         return len(self._rows)
 
-    @property
-    def rows(self) -> dict:
-        """The canonical reduced rows, pivot -> {column: value}, 1 at the
-        pivot; a fresh rational copy."""
-        return {
-            p: {k: _quotient(x, row[p]) for k, x in row.items()}
-            for p, row in self._rows.items()
-        }
-
-    def _reduce_int(self, vec: dict):
+    def reduce(self, vec: dict):
         """(out, scale): out = scale * vec minus integer multiples of the
         stored rows at vec's pivots, a new integer vector with no zeros.
 
@@ -536,26 +511,11 @@ class Echelon:
                 out[k] = get(k, 0) + f * y
         return {k: x for k, x in out.items() if x}, scale
 
-    def reduce(self, vec: dict) -> dict:
-        """A new sparse vector: vec minus the stored rows at its pivots.
-
-        The result is zero at every pivot, and empty exactly when vec lies in
-        the span.
-        """
-        ints, den = _over_common_den(vec)
-        out, scale = self._reduce_int(ints)
-        den *= scale
-        return {k: Rational(x, den) for k, x in out.items()}
-
     def insert(self, vec: dict) -> bool:
-        """Add vec (rational entries) to the span; False, with nothing
-        changed, when it is already there."""
-        return self._insert_int(_over_common_den(vec)[0])
-
-    def _insert_int(self, vec: dict) -> bool:
-        """`insert` for an integer vector with no zeros, left unchanged.
-        Stored rows are reduced at the new pivot in place."""
-        vec, _ = self._reduce_int(vec)
+        """Add the integer vector vec, left unchanged, to the span; False,
+        with nothing changed, when it is already there.  Stored rows are
+        reduced at the new pivot in place."""
+        vec, _ = self.reduce(vec)
         if not vec:
             return False
         pivot = min(vec)
@@ -609,11 +569,11 @@ class Echelon:
 
 def _echelon(ncols: int, vectors) -> Echelon:
     """The echelon of the span of sparse integer {index: int} vectors in
-    Q^ncols.  `Echelon._insert_int` never changes its argument, so a
+    Q^ncols.  `Echelon.insert` never changes its argument, so a
     matrix's stored rows can go in as they are."""
     ech = Echelon(ncols)
     for vec in vectors:
-        ech._insert_int(vec)
+        ech.insert(vec)
     return ech
 
 
@@ -659,11 +619,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
+        """The span of coefficient lists, or of matrices flattened row-major
+        (the inverse of `basis_matrices`), each of ambient_dim entries."""
         ints = []
         for v in vectors:
             if isinstance(v, Matrix):
-                if v.cols != 1 or v.rows != ambient_dim:
-                    raise ShapeMismatchError("basis vectors must be ambient_dim x 1")
+                if v.rows * v.cols != ambient_dim:
+                    raise ShapeMismatchError("matrix size != ambient dimension")
                 ints.append(v._flat())
             else:
                 if len(v) != ambient_dim:
@@ -718,9 +680,6 @@ class Subspace:
     def pivot_columns(self):
         return self._echelon.pivots()
 
-    def contains(self, vector) -> bool:
-        return self.reduce(vector) is not None
-
     def reduce(self, vector):
         """Return coordinates of `vector` w.r.t. the canonical basis, or None.
 
@@ -735,15 +694,9 @@ class Subspace:
             ints, den = _over_common_den(_sparse_list(vector))
         if size != self.ambient_dim:
             raise ShapeMismatchError("vector length != ambient dimension")
-        if self._echelon._reduce_int(ints)[0]:
+        if self._echelon.reduce(ints)[0]:
             return None
         return [_quotient(ints.get(p, 0), den) for p in self.pivot_columns()]
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ShapeMismatchError("vector length != ambient dimension")
-        reduce = self._echelon._reduce_int
-        return all(not reduce(row)[0] for row in other._echelon._rows.values())
 
     def complement_coordinate_indices(self):
         """Coordinate indices spanning a complement (the non-pivot columns)."""
@@ -791,7 +744,7 @@ def _null_space(ech: Echelon, n: int) -> Subspace:
         vec = {f: big}
         for p, x, lead in terms:
             vec[p] = -x * (big // lead)
-        null._insert_int(vec)
+        null.insert(vec)
     return Subspace(null)
 
 

@@ -59,7 +59,7 @@ class _Coordinatizer:
                 raise ShapeMismatchError("basis matrices of mixed shapes")
             vec = b._flat()
             vec[size + i] = b.den
-            self.echelon._insert_int(vec)
+            self.echelon.insert(vec)
         if any(p >= size for p in self.echelon._rows):
             raise ContractError("basis matrices are linearly dependent")
 
@@ -79,7 +79,7 @@ class _Coordinatizer:
         if (m.rows, m.cols) != self.shape:
             raise ShapeMismatchError("matrix shape differs from the basis")
         size = self.size
-        reduced, scale = self.echelon._reduce_int(m._flat())
+        reduced, scale = self.echelon.reduce(m._flat())
         den = scale * m.den
         out = {}
         for k, v in reduced.items():
@@ -390,17 +390,6 @@ class LieAlgebra:
                 entries.append([i, j, k, str(v)])
         return {"realization": "abstract", "dim": self.dim, "structure": entries}
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data) -> "LieAlgebra":
-        if data["realization"] == "matrix":
-            basis = [Matrix.from_rows([[rat(x) for x in row] for row in b]) for b in data["basis"]]
-            return cls.from_matrices(basis)
-        entries = [(i, j, k, rat(v)) for i, j, k, v in data["structure"]]
-        return cls.from_structure(data["dim"], entries)
-
 
 def _bracket(structure, x: dict, y: dict) -> dict:
     """[x, y] for sparse vectors over a sparse structure tensor, rational or
@@ -540,7 +529,7 @@ def _close(algebra: LieAlgebra, ech: Echelon, vectors: list, closed: int):
         x = vectors[i]
         for y in vectors[:i]:
             z = algebra._bracket_int(x, y)
-            if z and ech._insert_int(z):
+            if z and ech.insert(z):
                 vectors.append(z)
                 if ech.dim == algebra.dim:
                     return
@@ -558,7 +547,7 @@ def subalgebra_closure(algebra: LieAlgebra, generators: Subspace) -> Subspace:
 
 def is_subalgebra(algebra: LieAlgebra, subspace: Subspace) -> bool:
     rows = subspace._integer_rows()
-    reduce = subspace._echelon._reduce_int
+    reduce = subspace._echelon.reduce
     return all(
         not reduce(algebra._bracket_int(rows[i], rows[j]))[0]
         for i in range(len(rows))
@@ -582,7 +571,7 @@ def is_maximal_subalgebra(algebra: LieAlgebra, subspace: Subspace):
     for idx in subspace.complement_coordinate_indices():
         ech = subspace.echelon()
         unit = {idx: 1}
-        ech._insert_int(unit)
+        ech.insert(unit)
         _close(algebra, ech, h_rows + [unit], len(h_rows))
         if ech.dim < algebra.dim:
             return False, Subspace(ech)

@@ -9,6 +9,7 @@ to half of a degree-8 input.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd as _gcd, lcm as _lcm
 
 from .errors import FactorizationCapExceeded, ShapeMismatchError
@@ -129,35 +130,35 @@ def min_poly(a: Matrix):
     which is lcm(m, annihilator of e_j).  After the last e_j, m(a) = 0; m
     divides the minimal polynomial throughout, so deg m = n stops early.
 
-    Runs on the integer rows A of a = A / d: p(a) v = 0 exactly when
-    q(A) v = 0 for the integer polynomial q of `_integer_poly`, and q(A) v
-    is a multiple of p(a) v, with the same annihilator.
+    Runs on the integer rows A of a = A / d, with m an integer polynomial
+    in A: sum of m_i A^i is sum of m_i d^i a^i, so the monic rational
+    polynomial in a has the coefficients m_i d^i / (m_deg d^deg), read out
+    once at the end.
     """
     if a.rows != a.cols:
         raise ShapeMismatchError("minimal polynomial needs a square matrix")
     n = a.rows
     big, d = a._data, a.den
-    m = [ONE]
-    q = _integer_poly(m, d)
+    m = [1]
     for j in range(n):
-        u = _apply_int_poly(q, big, {j: 1})
+        u = _apply_int_poly(m, big, {j: 1})
         if not u:
             continue
-        m = poly_mul(m, _vector_annihilator(big, d, n, u))
+        m = _int_poly_mul(m, _vector_annihilator(big, n, u))
         if len(m) > n:
             break
-        q = _integer_poly(m, d)
-    return m
+    deg = len(m) - 1
+    return [Rational(c, m[-1] * d ** (deg - i)) for i, c in enumerate(m)]
 
 
-def _integer_poly(p, d):
-    """The integers q_i = D p_i d^(deg - i), D the lcm of p's denominators,
-    so that q(A) = D d^deg p(A / d)."""
-    den = _lcm(1, *(int(c.denominator) for c in p))
-    deg = len(p) - 1
-    return [
-        int(c.numerator) * (den // int(c.denominator)) * d ** (deg - i) for i, c in enumerate(p)
-    ]
+def _int_poly_mul(p, q):
+    """The product of two integer polynomials with nonzero leading terms."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return out
 
 
 def _apply_int_poly(q, big, v: dict) -> dict:
@@ -175,32 +176,34 @@ def _apply_int_poly(q, big, v: dict) -> dict:
     return acc
 
 
-def _vector_annihilator(big, d, n, v: dict):
-    """Smallest monic p with p(a) v = 0 for a = A / d and a nonzero integer
-    vector v, via the first Krylov dependency.
+def _vector_annihilator(big, n, v: dict):
+    """The primitive integer polynomial q of least degree, with a positive
+    leading coefficient, such that q(A) v = 0 for a nonzero integer vector
+    v, via the first Krylov dependency.
 
     A^k v enters one integer Echelon with the tag column n + k, so that
-    the first power in the span of the earlier ones reduces to
-    (0, -scale * c) with A^k v = sum of c_i A^i v; then
-    a^k v = sum of c_i d^(i - k) a^i v.
+    the first power in the span of the earlier ones reduces to (0, t) with
+    scale * A^k v + sum of t_i A^i v = 0.
     """
     ech = Echelon(2 * n)
     w = v
     k = 0
     while True:
-        out, scale = ech._reduce_int(w)
+        out, scale = ech.reduce(w)
         if all(col >= n for col in out):
-            coeffs = [Rational(out.get(n + i, 0), scale * d ** (k - i)) for i in range(k)]
-            return coeffs + [ONE]
+            q = [out.get(n + i, 0) for i in range(k)] + [scale]
+            g = _gcd(*q)
+            return [c // g for c in q]
         out[n + k] = scale
-        ech._insert_int(out)
+        ech.insert(out)
         w = _mat_vec_int(big, w)
         k += 1
 
 
 def _to_integer_primitive(p):
     """Scale a rational polynomial to a primitive integer polynomial."""
-    ints = _integer_poly(p, 1)
+    den = _lcm(1, *(int(c.denominator) for c in p))
+    ints = [int(c.numerator) * (den // int(c.denominator)) for c in p]
     g = _gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
@@ -318,7 +321,7 @@ def _kronecker_factor(p):
             total *= len(signed)
             if total > _DIVISOR_TUPLE_CAP:
                 raise FactorizationCapExceeded("Kronecker divisor cap exceeded")
-        for combo in _product(divisor_lists):
+        for combo in product(*divisor_lists):
             cand = _interpolate(xs, combo)
             if cand is None or len(cand) - 1 != t:
                 continue
@@ -328,12 +331,6 @@ def _kronecker_factor(p):
             if not r:
                 return cand
     return None
-
-
-def _product(lists):
-    from itertools import product
-
-    return product(*lists)
 
 
 def _interpolate(xs, ys):

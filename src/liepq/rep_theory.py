@@ -27,8 +27,10 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _mat_vec_int,
     _over_common_den,
     _reduced,
+    _sparse_list,
     _trusted,
     invert,
     kernel,
@@ -317,7 +319,7 @@ def _canonical_maps(maps, m, n):
     """The canonical reduced echelon basis of the span of m x n maps."""
     ech = Echelon(m * n)
     for phi in maps:
-        ech._insert_int(phi._flat())
+        ech.insert(phi._flat())
     return Subspace(ech).basis_matrices(m, n)
 
 
@@ -484,21 +486,21 @@ def _invariant_forms(v, symmetric):
 
 
 def cyclic_submodule(v: Representation, vector) -> Subspace:
-    """Smallest action-invariant subspace containing the vector (spinning)."""
+    """Smallest action-invariant subspace containing the vector (spinning),
+    on integer vectors: an action a = A / d sends x into the span of A x."""
     if isinstance(vector, Matrix):
         vector = vector.entries
-    vector = [rat(x) for x in vector]
     if len(vector) != v.module_dim:
         raise ShapeMismatchError("vector length != module dimension")
+    start = _over_common_den(_sparse_list(vector))[0]
     ech = Echelon(v.module_dim)
-    frontier = [vector] if ech.insert({i: x for i, x in enumerate(vector) if x}) else []
+    frontier = [start] if ech.insert(start) else []
     while frontier:
         new = []
         for x in frontier:
             for a in v.actions:
-                y = mat_vec(a, x)
-                sparse = {i: val for i, val in enumerate(y) if val}
-                if sparse and ech.insert(sparse):
+                y = _mat_vec_int(a._data, x)
+                if ech.insert(y):
                     new.append(y)
         frontier = new
     return Subspace(ech)

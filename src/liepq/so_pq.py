@@ -33,7 +33,7 @@ from .exact_linalg import (
     rational_sqrt,
     wedge_square_index,
 )
-from .lie_core import LieAlgebra, canonical_json
+from .lie_core import LieAlgebra, _Coordinatizer
 from .rep_theory import (
     Representation,
     dual_rep,
@@ -162,9 +162,6 @@ class DeformedAlgebra:
             }
         )
         return data
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 class _DeformationFamily(NamedTuple):
@@ -366,7 +363,7 @@ def _iso_sp4():
 
 def _iso_sl2c():
     algebra, herm = _sl2c_realified()
-    cvec = Representation(algebra, 4, _sl2c_standard_actions())
+    cvec = Representation(algebra, 4, list(algebra.basis))
     return _finish_iso(SO31_SL2C, algebra, [cvec], herm, target_p=3, target_q=1)
 
 
@@ -527,22 +524,8 @@ def _form_preserving_algebra(form: Matrix) -> LieAlgebra:
     return LieAlgebra.from_matrices(kernel(system).basis_matrices(d, d), validate=False)
 
 
-# complex 2x2 helpers for the sl(2,C) case: a matrix is a (re, im) pair
-
-
-def _cmul(a, b):
-    return (
-        mat_mul(a[0], b[0]) - mat_mul(a[1], b[1]),
-        mat_mul(a[0], b[1]) + mat_mul(a[1], b[0]),
-    )
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _conj_t(a):
-    return (a[0].transpose(), (-a[1]).transpose())
+# the sl(2,C) case: a complex 2x2 matrix is a (re, im) pair, realified to a
+# real 4x4 matrix
 
 
 def _sl2c_complex_basis():
@@ -569,10 +552,6 @@ def _realify(cm) -> Matrix:
     return Matrix.from_sparse(2 * n, 2 * n, out)
 
 
-def _sl2c_standard_actions():
-    return [_realify(x) for x in _sl2c_complex_basis()]
-
-
 def _herm_basis():
     z = Matrix.zeros(2, 2)
     ident = Matrix.identity(2)
@@ -582,31 +561,20 @@ def _herm_basis():
     return [(ident, z), (s1, z), (z, s2_im), (s3, z)]
 
 
-def _herm_coords(cm):
-    re, im = cm
-    # t.I + x.sigma_1 + y.sigma_2 + z.sigma_3 = [[t+z, x-iy], [x+iy, t-z]]
-    t = (re[0, 0] + re[1, 1]) / 2
-    zc = (re[0, 0] - re[1, 1]) / 2
-    x = re[0, 1]
-    y = -im[0, 1]
-    return [t, x, y, zc]
-
-
 def _sl2c_realified():
     """The realified sl(2,C) with its action on 2x2 Hermitian matrices.
 
     The Hermitian action X.A = X A + A conj(X)^t carries the four-dimensional
-    module whose invariant form has inertia (3,1).
+    module whose invariant form has inertia (3,1).  Realification R sends
+    conj(X)^t to R(X)^t, so the action is R(X) R(A) + R(A) R(X)^t, read off
+    in the realified Hermitian basis.
     """
-    basis_c = _sl2c_complex_basis()
-    algebra = LieAlgebra.from_matrices([_realify(x) for x in basis_c], validate=False)
-    herm = _herm_basis()
+    algebra = LieAlgebra.from_matrices([_realify(x) for x in _sl2c_complex_basis()], validate=False)
+    herm = [_realify(b) for b in _herm_basis()]
+    coord = _Coordinatizer(herm)
     actions = []
-    for x in basis_c:
-        cols = []
-        for b in herm:
-            image = _cadd(_cmul(x, b), _cmul(b, _conj_t(x)))
-            cols.append(_herm_coords(image))
+    for x in algebra.basis:
+        cols = [coord.express(x @ b + b @ x.transpose()) for b in herm]
         actions.append(Matrix.from_rows(cols).transpose())
     herm_rep = Representation(algebra, 4, actions)
     return algebra, herm_rep

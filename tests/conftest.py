@@ -3,12 +3,39 @@ from fractions import Fraction
 import pytest
 
 from liepq.exact_linalg import Matrix, _quotient, rat
-from liepq.lie_core import LieAlgebra
+from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
 
 
 def unit_matrix(i, j, n):
     return Matrix.from_sparse(n, n, {(i, j): rat(1)})
+
+
+def column_list(m, j):
+    """Column j of a matrix as a dense list of rationals."""
+    return [m[i, j] for i in range(m.rows)]
+
+
+def contains(space, vector) -> bool:
+    return space.reduce(vector) is not None
+
+
+def contains_subspace(space, other) -> bool:
+    return all(contains(space, row) for row in other.basis_rows())
+
+
+def to_json(obj) -> str:
+    """The canonical JSON text of an algebra's (or deformed algebra's)
+    `to_json_dict`."""
+    return canonical_json(obj.to_json_dict())
+
+
+def algebra_from_json_dict(data) -> LieAlgebra:
+    """The algebra a `LieAlgebra.to_json_dict` payload describes, validated."""
+    if data["realization"] == "matrix":
+        return LieAlgebra.from_matrices([Matrix.from_rows(b) for b in data["basis"]])
+    entries = [(i, j, k, rat(v)) for i, j, k, v in data["structure"]]
+    return LieAlgebra.from_structure(data["dim"], entries)
 
 
 @pytest.fixture(scope="session")
@@ -157,13 +184,13 @@ def pairwise_defect(src, dst, phi):
     `structure_entry`, `column_list` and `bracket_coeffs`."""
     d = src.dim
     for i in range(d):
-        xi = phi.column_list(i)
+        xi = column_list(phi, i)
         for j in range(i + 1, d):
             lhs = [rat(0)] * dst.dim
             for k, v in src.structure_entry(i, j).items():
                 for r in range(dst.dim):
                     lhs[r] += v * phi[r, k]
-            if lhs != dst.bracket_coeffs(xi, phi.column_list(j)):
+            if lhs != dst.bracket_coeffs(xi, column_list(phi, j)):
                 return i, j
     return None
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from liepq.cli import main, run_suite
-from liepq.exact_linalg import Matrix
+from liepq.exact_linalg import Matrix, rat
 from liepq.lie_core import BilinearForm
 from liepq.rep_theory import adjoint_rep, wedge_square_rep
 from liepq.so_pq import (
@@ -481,7 +481,7 @@ def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch):
 
     # T_c followed by the projection that kills the first coordinate
     monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
-    result = cli.check_tc_iso_rank(2, 1, "1")
+    result = cli.check_tc_iso_rank(2, 1, rat(1))
     assert result == {"status": "fail", "found": 2, "expected": 3}
 
 
@@ -498,13 +498,13 @@ def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch):
     monkeypatch.setattr(cli, "t_c", lambda p, q, c: bent.scale(c))
     cli._t1_equivariance_defect.cache_clear()
     try:
-        for c in ("2", "-1/2"):
+        for c in (rat(2), rat("-1/2")):
             assert cli.check_tc_equivariance(2, 1, c) == {
                 "status": "fail", "reason": f"T_c not equivariant at basis index {x}"
             }
-        assert cli.check_tc_equivariance(2, 1, "0") == {"status": "pass"}
+        assert cli.check_tc_equivariance(2, 1, rat(0)) == {"status": "pass"}
         monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) + _unit(3, 0, 0))
-        assert cli.check_tc_equivariance(2, 1, "2") == {
+        assert cli.check_tc_equivariance(2, 1, rat(2)) == {
             "status": "fail", "reason": "T_c is not c.T_1"
         }
     finally:
@@ -522,10 +522,33 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch):
         return dataclasses.replace(emb, images=[im.scale(2) for im in emb.images])
 
     monkeypatch.setattr(cli, "embedding_iso", doubled)
-    result = cli.check_embedding(2, 1, "1")
+    result = cli.check_embedding(2, 1, rat(1))
     assert result["status"] == "fail"
     i, j = min(deformed_algebra(2, 1, 1).algebra.structure)
     assert result["reason"].endswith(f"basis pair ({i},{j})")
+
+
+def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch):
+    """The zero map stays in every so(form) and intertwines every bracket,
+    so only the injectivity test can refuse it."""
+    import liepq.cli as cli
+
+    def zero(p, q, c):
+        emb = embedding_iso(p, q, c)
+        return dataclasses.replace(emb, images=[im.scale(0) for im in emb.images])
+
+    monkeypatch.setattr(cli, "embedding_iso", zero)
+    assert cli.check_embedding(2, 1, rat(1)) == {
+        "status": "fail", "reason": "embedding is not injective"
+    }
+
+
+def test_hom_check_refuses_a_t1_outside_the_hom_span(monkeypatch):
+    import liepq.cli as cli
+
+    monkeypatch.setattr(cli, "t_c", lambda p, q, c: _unit(3, 0, 0))
+    result = cli.check_hom_wedge_adjoint(2, 1)
+    assert (result["status"], result["reason"]) == ("fail", "t_c(1) is not in the Hom span")
 
 
 @pytest.mark.parametrize("block", ["mixed", "so", "vector"])
@@ -538,7 +561,7 @@ def test_killing_blocks_check_names_the_failing_block(monkeypatch, block):
     bent = gram + _unit(6, i, j) + _unit(6, j, i)
     fake = SimpleNamespace(algebra=SimpleNamespace(killing_form=lambda: BilinearForm(6, bent)))
     monkeypatch.setattr(cli, "_shared_deformed_algebra", lambda p, q, c: fake)
-    result = cli.check_killing_blocks(2, 1, "1")
+    result = cli.check_killing_blocks(2, 1, rat(1))
     assert result["status"] == "fail"
     assert result["reason"].startswith(f"{block} block")
 

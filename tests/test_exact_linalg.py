@@ -29,7 +29,7 @@ from liepq.exact_linalg import (
     wedge_square_index,
 )
 
-from conftest import dense_kernel, dense_rref, dense_solve, gaussian_inertia
+from conftest import column_list, contains, dense_kernel, dense_rref, dense_solve, gaussian_inertia
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -69,12 +69,12 @@ def test_kernel_zero_matrix_is_full():
 def test_kernel_rank_one():
     ker = kernel(Matrix.from_rows([[1, 1]]))
     assert ker.dim == 1
-    assert ker.contains([1, -1])
+    assert contains(ker, [1, -1])
 
 
 def test_solve_identity():
     sol, ker = solve_linear(Matrix.identity(2), Matrix.column([1, 0]))
-    assert sol.column_list(0) == [rat(1), rat(0)]
+    assert column_list(sol, 0) == [rat(1), rat(0)]
     assert ker.dim == 0
 
 
@@ -82,7 +82,7 @@ def test_solve_underdetermined():
     sol, ker = solve_linear(Matrix.from_rows([[1, 1]]), Matrix.column([1]))
     assert sol is not NO_SOLUTION
     assert sol[0, 0] + sol[1, 0] == 1
-    assert ker.dim == 1 and ker.contains([1, -1])
+    assert ker.dim == 1 and contains(ker, [1, -1])
 
 
 def test_solve_inconsistent_is_a_value():
@@ -183,9 +183,24 @@ def test_subspace_canonical_form():
 
 def test_subspace_membership_and_complement():
     s = Subspace.from_vectors(3, [[1, 0, 1]])
-    assert s.contains([2, 0, 2])
-    assert not s.contains([1, 0, 0])
+    assert contains(s, [2, 0, 2])
+    assert not contains(s, [1, 0, 0])
     assert s.complement_coordinate_indices() == [1, 2]
+
+
+def test_subspace_from_matrices_flattens_row_major():
+    m = Matrix.from_rows([[1, "1/2"], [0, -3]])
+    square = Subspace.from_vectors(4, [m, Matrix.identity(2)])
+    assert square == Subspace.from_vectors(4, [[1, rat("1/2"), 0, -3], [1, 0, 0, 1]])
+    assert square.reduce(m) is not None
+    assert Subspace.from_vectors(4, square.basis_matrices(2, 2)) == square
+
+
+def test_subspace_from_a_matrix_of_the_wrong_size_is_refused():
+    with pytest.raises(ShapeMismatchError):
+        Subspace.from_vectors(4, [Matrix.identity(3)])
+    with pytest.raises(ShapeMismatchError):
+        Subspace.from_vectors(4, [Matrix.column([1, 2, 3])])
 
 
 def test_matrix_text_round_trip():
@@ -390,7 +405,7 @@ def test_subspace_reduce_matches_dense_oracle(a, data):
         expected = dense_solve(columns, [[x] for x in v], len(basis), 1)
         got = sub.reduce(v)
         assert got == (None if expected is None else [c[0] for c in expected])
-        assert sub.contains(v) == (expected is not None)
+        assert contains(sub, v) == (expected is not None)
     assert sub.reduce(inside) == [rat(w) for w in weights]
 
 
@@ -415,11 +430,11 @@ def test_inertia_matches_gaussian_oracle(b):
 
 def test_echelon_copy_leaves_the_original_unchanged():
     ech = Echelon(3)
-    ech.insert({0: rat(1), 1: rat(2)})
+    ech.insert({0: 1, 1: 2})
     snapshot = ech.dense_rows()
     grown = ech.copy()
     # the new pivot 1 back-reduces the stored row {0: 1, 1: 2} of the copy
-    assert grown.insert({1: rat(1), 2: rat(1)})
+    assert grown.insert({1: 1, 2: 1})
     assert grown.dense_rows() == [[1, 0, -2], [0, 1, 1]]
     assert ech.dense_rows() == snapshot and ech.dim == 1
 
@@ -515,8 +530,9 @@ def test_matrix_ops_match_dense_oracle(operands):
     assert a.to_rows() == da
     assert [a.row_list(i) for i in range(n)] == da
     assert [a.sparse_row(i) for i in range(n)] == [{j: x for j, x in enumerate(r) if x} for r in da]
-    assert [a.column_list(j) for j in range(m)] == [[r[j] for r in da] for j in range(m)]
-    assert a.sparse_vector() == {i * m + j: x for i, r in enumerate(da) for j, x in enumerate(r) if x}
+    assert {k: Fraction(x, a.den) for k, x in a._flat().items()} == {
+        i * m + j: x for i, r in enumerate(da) for j, x in enumerate(r) if x
+    }
     v = [Fraction(j + 1, 2) if j % 2 else Fraction(0) for j in range(m)]
     assert mat_vec(a, v) == [sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in da]
     # equality and hashing follow the entries, whatever built the matrix

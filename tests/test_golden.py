@@ -37,3 +37,9 @@ def test_report_matches_golden_fixture(capsys, monkeypatch, name, argv):
     assert main(argv) == 0
     out = ELAPSED.sub("", capsys.readouterr().out)
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_negative_c_as_a_separate_argument_matches_the_equals_form(capsys):
+    """'--c -3/4' is joined to '--c=-3/4' before argparse reads it."""
+    assert main(["construct", "--p", "2", "--q", "2", "--c", "-3/4"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "construct_p2_q2_cm3_4.json").read_text()

@@ -191,6 +191,13 @@ def dense_inverse(rows):
     return [r[n:] for r in reduced]
 
 
+def scaled_to_ints(values):
+    """(ints, den): the nonzeros of a rational list as an integer vector
+    {index: int} over the lcm den of their denominators."""
+    den = lcm(1, *(Fraction(x).denominator for x in values))
+    return {j: int(x * den) for j, x in enumerate(values) if x}, den
+
+
 @given(rational_rows())
 @settings(max_examples=150, deadline=None)
 def test_echelon_rows_are_primitive_and_match_the_oracle(a):
@@ -200,9 +207,11 @@ def test_echelon_rows_are_primitive_and_match_the_oracle(a):
     assert kernel(a).basis_rows() == dense_kernel(rows, a.cols)
     ech = Echelon(a.cols)
     for r in rows:
-        ech.insert({j: x for j, x in enumerate(r) if x})
+        ech.insert(scaled_to_ints(r)[0])
     assert ech.pivots() == pivots
-    assert ech.rows == {p: {j: x for j, x in enumerate(r) if x} for p, r in zip(pivots, reduced)}
+    assert {p: {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in ech._rows.items()} == {
+        p: {j: x for j, x in enumerate(r) if x} for p, r in zip(pivots, reduced)
+    }
     for p, row in ech._rows.items():
         assert all(type(x) is int and x for x in row.values())
         assert row[p] > 0 and min(row) == p and gcd(*row.values()) == 1
@@ -216,16 +225,21 @@ def test_echelon_reduce_is_exact(a, data):
     reduced, pivots = dense_rref(rows)
     ech = Echelon(a.cols)
     for r in rows:
-        ech.insert({j: x for j, x in enumerate(r) if x})
+        ech.insert(scaled_to_ints(r)[0])
     vec = data.draw(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
                              min_size=a.cols, max_size=a.cols))
     expected = list(vec)
     for p, r in zip(pivots, reduced):
         f = vec[p]
         expected = [x - f * y for x, y in zip(expected, r)]
-    got = ech.reduce({j: x for j, x in enumerate(vec) if x})
-    assert got == {j: x for j, x in enumerate(expected) if x}
-    assert all(type(x) is Rational for x in got.values())
+    ints, den = scaled_to_ints(vec)
+    out, scale = ech.reduce(ints)
+    assert type(scale) is int and scale > 0
+    assert all(type(x) is int and x for x in out.values())
+    assert {j: Fraction(x, scale * den) for j, x in out.items()} == {
+        j: x for j, x in enumerate(expected) if x
+    }
+    assert ints == scaled_to_ints(vec)[0]  # the argument is left unchanged
 
 
 @given(rational_rows(), st.data())

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from liepq.errors import ContractError, UnknownSmallestModuleError, UnsupportedR
 from liepq.exact_linalg import (
     Matrix,
     Subspace,
+    dump_matrix_text,
     inertia_of_diagonalizable_form,
     rat,
     rref,
@@ -344,6 +347,16 @@ def test_sl2c_modules():
     # the realified adjoint carries a 2-dimensional symmetric form space
     adjoint = adjoint_rep(iso.small_algebra)
     assert len(invariant_symmetric_forms(adjoint)) == 2
+
+
+def test_sl2c_carrier_actions_are_pinned():
+    """The six 4x4 actions of sl(2,C) on 2x2 Hermitian matrices, X.A =
+    X A + A conj(X)^t in the basis (I, sigma_1, sigma_2, sigma_3), equal the
+    fixture dumped from the complex (re, im) arithmetic they replaced."""
+    carrier = exceptional_iso(SO31_SL2C).carrier
+    fixture = Path(__file__).resolve().parent / "golden" / "sl2c_carrier_actions.txt"
+    assert "".join(dump_matrix_text(a) for a in carrier.actions) == fixture.read_text()
+    carrier.validate()
 
 
 def test_sl4_wedge_form_signature():
