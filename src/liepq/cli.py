@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/domain error.
 `verify` and `construct` refuse n = p + q below 2 or above MAX_N with
-exit 2, and so does `verify` when `--c-list` or `--mu-list` is empty;
+exit 2, and so does `verify` when `--c-list` or `--mu-list` is empty,
+has an empty item or repeats a value (equal as rationals);
 `irreps` refuses a rank or a dimension bound above its limits.
 The checks certify each fact through one library routine: bracket
 compatibility through `homomorphism_defect` or `Representation.validate`,
@@ -24,6 +25,7 @@ from .errors import ContractError, LiepqError, UnknownSmallestModuleError
 from .exact_linalg import (
     Matrix,
     Subspace,
+    _intertwining_defect,
     inertia_of_diagonalizable_form,
     kernel,
     proportionality,
@@ -419,7 +421,7 @@ def check_half_spin(p, q):
     if hs.chirality @ hs.chirality != ident:
         return _fail(reason="chirality does not square to the identity")
     for a in hs.spinor_rep.actions:
-        if not (hs.chirality @ a - a @ hs.chirality).is_zero():
+        if _intertwining_defect(hs.chirality, a, hs.chirality)[0]:
             return _fail(reason="chirality does not commute with the embedded algebra")
     if hs.plus_space.dim != 8 or hs.minus_space.dim != 8:
         return _fail(reason="chiral split is not 8 + 8")
@@ -613,10 +615,24 @@ def run_suite(suite, p, q, c_list, mu_list):
 # -- argument handling --------------------------------------------------
 
 
-def _rat_list(text):
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    for t in items:
-        rat(t)  # validates syntax; floats are rejected
+def _rat_list(flag, text):
+    """The comma-separated rational tokens of a list flag, as given.
+
+    An empty list is refused, and so are an empty item and a value equal
+    as a rational to an earlier one: either would silently drop a check or
+    run one twice.
+    """
+    items = [t.strip() for t in text.split(",")]
+    if not any(items):
+        raise ContractError(f"{flag} needs at least one rational value")
+    seen = {}
+    for pos, t in enumerate(items, 1):
+        if not t:
+            raise ContractError(f"{flag}: item {pos} of {text!r} is empty")
+        value = rat(t)  # validates syntax; floats are rejected
+        if value in seen:
+            raise ContractError(f"{flag}: {t!r} repeats the value of {seen[value]!r}")
+        seen[value] = t
     return items
 
 
@@ -687,11 +703,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     _signature_within_limit(args.p, args.q)
-    c_list = _rat_list(getattr(args, "c_list"))
-    mu_list = _rat_list(getattr(args, "mu_list"))
-    for flag, items in (("--c-list", c_list), ("--mu-list", mu_list)):
-        if not items:
-            raise ContractError(f"{flag} needs at least one rational value")
+    c_list = _rat_list("--c-list", args.c_list)
+    mu_list = _rat_list("--mu-list", args.mu_list)
     for mu in mu_list:
         value = rat(mu)
         if value <= 0 or value == 1:

@@ -401,6 +401,38 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _reduced(a.rows, b.cols, out, a.den * b.den)
 
 
+def _intertwining_defect(a: Matrix, p: Matrix, b: Matrix):
+    """(vec, den) with a.p - p.b = vec / den, for r x r a, r x s p, s x s b.
+
+    vec holds the nonzero ints at the row-major keys i * s + j and den is
+    a.den * p.den * b.den, not reduced: every caller feeds an echelon, which
+    makes rows primitive.  One Gustavson pass over the integer rows, a.p
+    times b.den and then p.b times -a.den into one accumulator (both are
+    r x s); no product matrix is built.  Raises ShapeMismatchError on bad
+    shapes.
+    """
+    r, s = p.rows, p.cols
+    if (a.rows, a.cols, b.rows, b.cols) != (r, r, s, s):
+        raise ShapeMismatchError(
+            f"defect of a {a.rows}x{a.cols}, a {r}x{s} and a {b.rows}x{b.cols} matrix"
+        )
+    acc = {}
+    get = acc.get
+    for left, right, f in ((a._data, p._data, b.den), (p._data, b._data, -a.den)):
+        for i, lrow in left.items():
+            base = i * s
+            for j, x in lrow.items():
+                rrow = right.get(j)
+                if rrow is not None:
+                    x *= f
+                    for l, y in rrow.items():
+                        k = base + l
+                        acc[k] = get(k, 0) + x * y
+    if 0 in acc.values():  # a sum cancelled
+        acc = {k: v for k, v in acc.items() if v}
+    return acc, a.den * p.den * b.den
+
+
 def mat_vec(a: Matrix, v):
     """Product of a matrix with a coefficient list."""
     if a.cols != len(v):

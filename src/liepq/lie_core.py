@@ -25,12 +25,12 @@ from .exact_linalg import (
     Subspace,
     ZERO,
     _integer_rows,
+    _intertwining_defect,
     _mat_vec_int,
     _over_common_den,
     _reduced,
     _trusted,
     kernel,
-    mat_mul,
     mat_vec,
     rat,
 )
@@ -46,7 +46,10 @@ class _Coordinatizer:
     B_i followed by the tag d_i in column size + i, a multiple of its
     entries followed by a tag 1.  A matrix in the span then reduces to zero
     on its entries and to minus its coefficients on the tags; a basis is
-    dependent exactly when some pivot lands on a tag.
+    dependent exactly when some pivot lands on a tag.  Every read goes
+    through one flat path, `_express_flat`, on a row-major integer vector
+    over a denominator: a matrix's stored rows (`express_sparse`) or a
+    commutator straight from `_intertwining_defect` (`from_matrices`).
     """
 
     def __init__(self, basis):
@@ -78,9 +81,15 @@ class _Coordinatizer:
         is outside the span."""
         if (m.rows, m.cols) != self.shape:
             raise ShapeMismatchError("matrix shape differs from the basis")
+        return self._express_flat(m._flat(), m.den)
+
+    def _express_flat(self, vec: dict, den: int):
+        """The nonzero coefficients {i: c} of the matrix whose row-major
+        flattening is the integer vector vec over den (any positive den,
+        reduced or not), or None if it is outside the span."""
         size = self.size
-        reduced, scale = self.echelon.reduce(m._flat())
-        den = scale * m.den
+        reduced, scale = self.echelon.reduce(vec)
+        den *= scale
         out = {}
         for k, v in reduced.items():
             if k < size:
@@ -114,7 +123,12 @@ class LieAlgebra:
     @classmethod
     def from_matrices(cls, basis, validate=True) -> "LieAlgebra":
         """MATRIX realization; raises NotClosedError when some commutator
-        falls outside the exact span of the basis."""
+        falls outside the exact span of the basis.
+
+        Each commutator [b_i, b_j] comes from `_intertwining_defect` as one
+        integer vector over a denominator and is reduced in the
+        coordinatizer's echelon as it is; no product matrix is built.
+        """
         basis = list(basis)
         coord = _Coordinatizer(basis)
         structure = {}
@@ -123,11 +137,11 @@ class LieAlgebra:
         rows = [b._data.keys() for b in basis]
         cols = [set().union(*b._data.values()) for b in basis]
         for i in range(d):
+            bi = basis[i]
             for j in range(i + 1, d):
                 if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
                     continue
-                comm = mat_mul(basis[i], basis[j]) - mat_mul(basis[j], basis[i])
-                entry = coord.express_sparse(comm)
+                entry = coord._express_flat(*_intertwining_defect(bi, basis[j], bi))
                 if entry is None:
                     raise NotClosedError(
                         f"[b_{i}, b_{j}] is outside the span of the basis"
@@ -469,16 +483,19 @@ def homomorphism_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
     basis) is a Lie algebra homomorphism.
 
     Column j of phi.ad(b_i) - ad(phi b_i).phi is the difference on (i, j),
-    built from the integer ad rows; the first i with a nonzero column j > i
+    built from the integer ad rows in one `_intertwining_defect` pass
+    (which returns its negative, the same support): key k of that vector
+    lies in column k % dim(src).  The first i with a nonzero column j > i
     gives the lexicographically first failing pair.
     """
     if phi.rows != dst.dim or phi.cols != src.dim:
         raise ShapeMismatchError("phi must be a dim(dst) x dim(src) matrix")
+    s = src.dim
     columns = phi.transpose()._data
-    for i in range(src.dim - 1):
+    for i in range(s - 1):
         image = dst._ad(columns.get(i, {}), phi.den)  # ad(phi b_i)
-        diff = mat_mul(phi, src._ad({i: 1}, 1)) - mat_mul(image, phi)
-        failing = [j for row in diff._data.values() for j in row if j > i]
+        diff, _ = _intertwining_defect(image, phi, src._ad({i: 1}, 1))
+        failing = [k % s for k in diff if k % s > i]
         if failing:
             return i, min(failing)
     return None

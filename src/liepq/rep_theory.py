@@ -8,7 +8,10 @@ solver starts from the joint eigenspaces of a first-fit commuting pool of
 such elements (the basis walked in order; an intertwiner maps each joint
 eigenspace of V into the one of W with the same eigenvalues) and then
 intersects with the constraint kernels; otherwise it starts from all of
-Hom(V, W).  Both paths return the same
+Hom(V, W).  Each constraint image rho_W(x) . phi - phi . rho_V(x) is one
+integer vector over a denominator from `_intertwining_defect`, one pass
+with no product matrix, and the kernel of the images is taken on those
+vectors over the lcm of their denominators.  Both paths return the same
 canonical (reduced-echelon) basis.  `rational_eigensplit` rejects most
 non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
 """
@@ -27,6 +30,7 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _intertwining_defect,
     _mat_vec_int,
     _over_common_den,
     _reduced,
@@ -216,7 +220,12 @@ def _require_same_algebra(v: Representation, w: Representation):
 
 
 def hom_space(v: Representation, w: Representation):
-    """Canonical basis of Hom_g(V, W) = {phi : phi rho_V(x) = rho_W(x) phi}."""
+    """Canonical basis of Hom_g(V, W) = {phi : phi rho_V(x) = rho_W(x) phi}.
+
+    Per basis element x, the images aw.phi - phi.av of the current maps come
+    from `_intertwining_defect` as integer vectors over their denominators,
+    and the maps are cut down to the combinations whose image vanishes.
+    """
     _require_same_algebra(v, w)
     n, m = v.module_dim, w.module_dim
     if n == 0 or m == 0:
@@ -226,8 +235,8 @@ def hom_space(v: Representation, w: Representation):
         if not maps:
             return []
         av, aw = v.actions[a], w.actions[a]
-        images = [mat_mul(aw, phi) - mat_mul(phi, av) for phi in maps]
-        if all(img.is_zero() for img in images):
+        images = [_intertwining_defect(aw, phi, av) for phi in maps]
+        if not any(vec for vec, _ in images):
             continue
         # integer kernel rows are multiples of the canonical ones: the same span
         ker = kernel(_column_system(images, m * n))
@@ -302,15 +311,14 @@ def _combine_maps(maps, coeffs: dict, m, n):
 
 def _column_system(images, size):
     """A positive multiple of the size x len(images) matrix whose column c is
-    images[c] flattened (the same kernel), as integers over the lcm of the
-    images' denominators."""
-    den = 1
-    for img in images:
-        den = _lcm(den, img.den)
+    vec / den for images[c] = (vec, den), a flattened integer vector over a
+    positive denominator (the same kernel), as integers over the lcm of the
+    denominators."""
+    big = _lcm(1, *(den for _, den in images))
     data = {}
-    for c, img in enumerate(images):
-        f = den // img.den
-        for r, x in img._flat().items():
+    for c, (vec, den) in enumerate(images):
+        f = big // den
+        for r, x in vec.items():
             data.setdefault(r, {})[c] = x * f
     return _trusted(size, len(images), data)
 
@@ -475,8 +483,15 @@ def _invariant_forms(v, symmetric):
     if not homs:
         return []
     n = v.module_dim
-    sign = ONE if symmetric else -ONE
-    diffs = [h - h.transpose().scale(sign) for h in homs]
+    sign = 1 if symmetric else -1
+    diffs = []  # h - sign * h^t, flattened over h.den
+    for h in homs:
+        vec = h._flat()
+        for i, row in h._data.items():
+            for j, x in row.items():
+                k = j * n + i
+                vec[k] = vec.get(k, 0) - sign * x
+        diffs.append(({k: x for k, x in vec.items() if x}, h.den))
     ker = kernel(_column_system(diffs, n * n))
     out = [_combine_maps(homs, coeffs, n, n) for coeffs in ker._integer_rows()]
     return _canonical_maps(out, n, n)

@@ -417,6 +417,33 @@ def test_verify_refuses_empty_lists_before_any_work(capsys, monkeypatch):
         assert err.startswith("error:") and f"{flag} needs at least one" in err
 
 
+def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
+    """An empty item used to be dropped and a repeated value (equal as a
+    rational) to run every c-dependent check twice; both are usage errors
+    naming the flag and the offending item."""
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started with a malformed list")
+
+    for name in ("run_suite", "run_check"):
+        monkeypatch.setattr(cli, name, forbidden)
+    cases = [
+        ("--c-list", "1,,2", "item 2 of '1,,2' is empty"),
+        ("--c-list", ",1", "item 1 of ',1' is empty"),
+        ("--mu-list", "2,", "item 2 of '2,' is empty"),
+        ("--c-list", "1,1/1", "'1/1' repeats the value of '1'"),
+        ("--c-list", "0,00/1", "'00/1' repeats the value of '0'"),
+        ("--c-list", "-1/2, 2,-2/4", "'-2/4' repeats the value of '-1/2'"),
+        ("--mu-list", "3/2,6/4", "'6/4' repeats the value of '3/2'"),
+    ]
+    for flag, value, message in cases:
+        argv = ["verify", "--suite", "all", "--p", "3", "--q", "1", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag}: {message}" in err
+
+
 def test_verify_at_p_zero_passes(capsys, monkeypatch):
     """so(0,q) has I_{0,q} = -1: its invariant form is a negative multiple."""
     monkeypatch.setenv("LIEPQ_THREADS", "1")

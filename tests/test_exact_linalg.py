@@ -16,6 +16,7 @@ from liepq.exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _intertwining_defect,
     congruence_diagonalize,
     dump_matrix_text,
     inertia_of_diagonalizable_form,
@@ -548,6 +549,43 @@ def test_matrix_ops_match_dense_oracle(operands):
         assert not a.is_symmetric()
         with pytest.raises(ShapeMismatchError):
             a.trace()
+
+
+@st.composite
+def defect_operands(draw):
+    """a (r x r), p (r x s) and b (s x s) with mixed denominators; p is
+    non-square whenever r != s, any operand may be zero, and b may be a
+    itself (the commutator [a, p])."""
+    r, s = draw(shape), draw(shape)
+    a = draw(st.one_of(st.just(Matrix.zeros(r, r)), sized_matrix(r, r)))
+    p = draw(st.one_of(st.just(Matrix.zeros(r, s)), sized_matrix(r, s)))
+    if r == s and draw(st.booleans()):
+        b = a
+    else:
+        b = draw(st.one_of(st.just(Matrix.zeros(s, s)), sized_matrix(s, s)))
+    return a, p, b
+
+
+@given(defect_operands())
+@settings(max_examples=200, deadline=None)
+def test_intertwining_defect_matches_the_product_difference(operands):
+    a, p, b = operands
+    vec, den = _intertwining_defect(a, p, b)
+    expected = mat_mul(a, p) - mat_mul(p, b)
+    assert den == a.den * p.den * b.den
+    assert all(type(x) is int and x for x in vec.values())
+    assert {k: Fraction(x, den) for k, x in vec.items()} == {
+        k: Fraction(x, expected.den) for k, x in expected._flat().items()
+    }
+
+
+def test_intertwining_defect_rejects_bad_shapes():
+    sq2, sq3, p23 = Matrix.identity(2), Matrix.identity(3), Matrix.zeros(2, 3)
+    assert _intertwining_defect(sq2, p23, sq3) == ({}, 1)
+    for a, p, b in ((sq3, p23, sq3), (sq2, p23, sq2), (p23, p23, sq3),
+                    (sq2, p23, Matrix.zeros(3, 2)), (sq2, p23.transpose(), sq3)):
+        with pytest.raises(ShapeMismatchError):
+            _intertwining_defect(a, p, b)
 
 
 def test_matrix_named_constructors_match_dense_oracle():

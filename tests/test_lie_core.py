@@ -160,6 +160,33 @@ def test_from_matrices_matches_the_all_pairs_loop(basis):
     assert found == all_pairs_structure(basis)
 
 
+def test_from_matrices_builds_no_product_matrix(monkeypatch):
+    """Each commutator is one integer pass of `_intertwining_defect`: no
+    liepq binding of mat_mul is called, closed basis or not."""
+    import sys
+
+    import liepq.exact_linalg as exact_linalg
+
+    basis = so_pq_algebra(3, 2).basis
+    expected = so_pq_algebra(3, 2).structure
+    calls = []
+    real = exact_linalg.mat_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "liepq" and getattr(module, "mat_mul", None) is real:
+            monkeypatch.setattr(module, "mat_mul", counting)
+    assert LieAlgebra.from_matrices(basis).structure == expected
+    with pytest.raises(NotClosedError):
+        LieAlgebra.from_matrices(basis[:2])
+    assert calls == []
+    basis[0] @ basis[1]  # the counter is live
+    assert len(calls) == 1
+
+
 def test_killing_abelian_is_zero():
     algebra = LieAlgebra.from_matrices([Matrix.diagonal([1, 0]), Matrix.diagonal([0, 1])])
     assert killing_form(algebra).gram.is_zero()

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, NotStableError
-from liepq.exact_linalg import Matrix, Subspace, mat_mul, mat_vec, rat, rref
+from liepq.exact_linalg import Matrix, Subspace, invert, mat_mul, mat_vec, rat, rref
 from liepq.ratpoly import char_poly, rational_roots
 from liepq.rep_theory import (
     Representation,
@@ -453,14 +455,57 @@ def _assert_hom_matches_dense(v, w):
     assert [h.entries for h in fast] == [h.entries for h in dense]
 
 
-@given(st.sampled_from(_HOM_SIGNATURES), _MODULE_EXPRS, _MODULE_EXPRS)
+def _conjugated(v, seed):
+    """P^-1 rho P for the rational P = L D U with random unit triangular L
+    and U (entries in {-1, 0, 1}) and a diagonal D whose last entry is 2,
+    -1/3 or 3/2: the actions then carry denominators other than 1."""
+    rng = random.Random(seed)
+    n = v.module_dim
+    lower = {(i, j): rng.choice((-1, 0, 1)) for i in range(n) for j in range(i)}
+    upper = {(j, i): rng.choice((-1, 0, 1)) for i in range(n) for j in range(i)}
+    for i in range(n):
+        lower[(i, i)] = upper[(i, i)] = 1
+    diag = [rng.choice((1, 1, -1, 2)) for _ in range(n - 1)] + [rng.choice((2, "-1/3", "3/2"))]
+    cob = Matrix.from_sparse(n, n, lower) @ Matrix.diagonal(diag) @ Matrix.from_sparse(n, n, upper)
+    inverse = invert(cob)
+    return Representation(v.algebra, n, [inverse @ a @ cob for a in v.actions])
+
+
+@given(
+    st.sampled_from(_HOM_SIGNATURES), _MODULE_EXPRS, _MODULE_EXPRS,
+    st.sampled_from(["neither", "v", "w", "both"]), st.integers(0, 2**16),
+)
 @settings(max_examples=30, deadline=None)
-def test_hom_space_matches_dense_on_random_modules(pq, expr_v, expr_w):
+def test_hom_space_matches_dense_on_random_modules(pq, expr_v, expr_w, conjugate, seed):
+    """Also on modules conjugated by a rational P (ROADMAP item 1), whose
+    actions, unlike those of the modules built from std and ad, have
+    denominators other than 1."""
     p, q = pq
     n = p + q
     dims = _module_dim(expr_v, n) * _module_dim(expr_w, n)
     assume(0 < dims <= _HOM_PRODUCT_CAP)
-    _assert_hom_matches_dense(_build_module(expr_v, p, q), _build_module(expr_w, p, q))
+    v, w = _build_module(expr_v, p, q), _build_module(expr_w, p, q)
+    if conjugate in ("v", "both"):
+        v = _conjugated(v, seed)
+    if conjugate in ("w", "both"):
+        w = _conjugated(w, seed + 1)
+    _assert_hom_matches_dense(v, w)
+
+
+def test_conjugated_modules_feed_the_column_system_real_denominators(monkeypatch):
+    import liepq.rep_theory as rt
+
+    dens = []
+    real = rt._column_system
+    monkeypatch.setattr(
+        rt, "_column_system",
+        lambda images, size: dens.extend(den for _, den in images) or real(images, size),
+    )
+    v = _conjugated(standard_rep(2, 1), 0)
+    assert max(a.den for a in v.actions) > 1
+    _assert_hom_matches_dense(v, adjoint_rep(so_pq_algebra(2, 1)))
+    _assert_hom_matches_dense(v, v)
+    assert max(dens) > 1
 
 
 @pytest.mark.parametrize(
