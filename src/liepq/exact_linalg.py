@@ -92,13 +92,16 @@ class Matrix:
     Products, sums, scaling, negation, transposition and the zero and
     symmetry tests visit only nonzeros and run on ints; the result's
     denominator is the product or lcm of the operands' ones, reduced by one
-    gcd pass (a sum with a zero operand is a copy, and scaling by an integer
-    k cancels only gcd(den, k)).  A matrix is never changed after construction, and no
-    operation returns an operand or shares rows with one.  Every read
+    gcd pass when it is not 1 (scaling by an integer k cancels only
+    gcd(den, k)).  No stored row, nor the row map, is ever written after
+    construction, so a result may be an operand (x + 0, 0 + x and
+    x.scale(1) are x) and may share rows with one (a sum copies only the
+    rows the other operand touches, and a product shares row j of its
+    right factor wherever a row of the left one is e_j).  Every read
     (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `trace`, ...) returns
-    fresh rational scalars.  New matrices come from
-    `Matrix(...)`, the named constructors or the `from_sparse` builder,
-    which validate every entry through `rat()`.
+    fresh rational scalars.  New matrices come from `Matrix(...)`, the
+    named constructors or the `from_sparse` builder, which validate every
+    entry through `rat()`.
     """
 
     __slots__ = ("rows", "cols", "_data", "den")
@@ -240,7 +243,7 @@ class Matrix:
         )
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
@@ -257,35 +260,46 @@ class Matrix:
         ))
 
     def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
-        """self + other (sign 1) or self - other (sign -1), on nonzeros."""
+        """self + other (sign 1) or self - other (sign -1), on nonzeros.
+
+        x +- 0 is x, 0 + x is x and 0 - x is -x.  Otherwise the result
+        starts from a shallow copy of self's row map (or scaled copies of
+        its rows, when the denominators differ) and copies only the rows of
+        self that other touches; a row only other has is other's row when
+        it needs no scaling.
+        """
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatchError(f"matrix {what} shape mismatch")
-        if not other._data:  # x +- 0: a copy of x, already canonical
-            data = {i: dict(row) for i, row in self._data.items()}
-            return _trusted(self.rows, self.cols, data, self.den)
-        if not self._data:  # 0 +- x: a copy of x or of -x
-            data = {i: {j: sign * y for j, y in row.items()} for i, row in other._data.items()}
-            return _trusted(self.rows, self.cols, data, other.den)
+        if not other._data:
+            return self
+        if not self._data:
+            return other if sign == 1 else -other
         da, db = self.den, other.den
         den = da if da == db else _lcm(da, db)
         fa, fb = den // da, sign * (den // db)
         if fa == 1:
-            out = {i: dict(row) for i, row in self._data.items()}
+            out = dict(self._data)
         else:
             out = {i: {j: x * fa for j, x in row.items()} for i, row in self._data.items()}
         for i, orow in other._data.items():
             row = out.get(i)
             if row is None:
-                out[i] = {j: y * fb for j, y in orow.items()}
+                out[i] = orow if fb == 1 else {j: y * fb for j, y in orow.items()}
                 continue
+            if fa == 1:  # self's own row: stored rows are never written
+                row = dict(row)
             for j, y in orow.items():
                 s = row.get(j, 0) + y * fb
                 if s:
                     row[j] = s
                 else:
                     del row[j]
-            if not row:
+            if row:
+                out[i] = row
+            else:
                 del out[i]
+        if den == 1:
+            return _trusted(self.rows, self.cols, out)
         return _reduced(self.rows, self.cols, out, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -308,6 +322,10 @@ class Matrix:
             return _trusted(self.rows, self.cols, {})
         kn, kd = int(k.numerator), int(k.denominator)
         if kd == 1:
+            if kn == 1:
+                return self
+            if kn == -1:
+                return -self
             # the entries are coprime to den, so only gcd(den, k) cancels
             g = _gcd(self.den, kn)
             kn //= g
@@ -331,11 +349,12 @@ class Matrix:
 
 
 def _trusted(rows: int, cols: int, data: dict, den: int = 1) -> Matrix:
-    """Wrap fresh integer rows {i: {j: int}} over den as a Matrix as they are.
+    """Wrap integer rows {i: {j: int}} over den as a Matrix as they are.
 
     Every value must be a nonzero int, every row nonempty and the form
-    canonical (gcd of den and the entries 1).  The new matrix owns `data`;
-    callers must not keep or share it, nor any of its rows.
+    canonical (gcd of den and the entries 1).  Rows may be shared with
+    other matrices; no one writes a stored row, nor `data` itself, after
+    this call, so callers hand over `data` and write no row of it again.
     """
     m = object.__new__(Matrix)
     m.rows = rows
@@ -380,13 +399,20 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
     Row by row over nonzeros only (Gustavson, ACM TOMS 4, 1978): row i of
     the product accumulates a_ij times row j of b for each nonzero a_ij, on
-    the integer rows, over the product of the two denominators.
+    the integer rows, over the product of the two denominators.  Where
+    row i of a is e_j, row i of the product is row j of b itself, shared.
     """
     if a.cols != b.rows:
         raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     bdata = b._data
     out = {}
     for i, arow in a._data.items():
+        if len(arow) == 1:  # row i is x times row j of b
+            [(j, x)] = arow.items()
+            brow = bdata.get(j)
+            if brow is not None:
+                out[i] = brow if x == 1 else {l: x * y for l, y in brow.items()}
+            continue
         acc = {}
         get = acc.get
         for j, x in arow.items():
@@ -398,7 +424,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             acc = {l: s for l, s in acc.items() if s}
         if acc:
             out[i] = acc
-    return _reduced(a.rows, b.cols, out, a.den * b.den)
+    den = a.den * b.den
+    if den == 1:
+        return _trusted(a.rows, b.cols, out)
+    return _reduced(a.rows, b.cols, out, den)
 
 
 def _intertwining_defect(a: Matrix, p: Matrix, b: Matrix):

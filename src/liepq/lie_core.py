@@ -514,7 +514,7 @@ def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     equations = {}
     for r, h in enumerate(hs):
         for i, row in algebra._ad(h, 1)._data.items():
-            equations[r * d + i] = dict(row)
+            equations[r * d + i] = row
     return kernel(_trusted(len(hs) * d, d, equations))
 
 

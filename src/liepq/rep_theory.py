@@ -427,7 +427,7 @@ def _refine_blocks(blocks, x, eigenvalues):
     out = []
     for key, rows in blocks:
         k = len(rows)
-        bt = _trusted(k, n, {j: dict(row) for j, row in enumerate(rows)}).transpose()
+        bt = _trusted(k, n, dict(enumerate(rows))).transpose()
         xb = mat_mul(x, bt)
         found = 0
         for lam in eigenvalues:
@@ -451,7 +451,7 @@ def _hom_basis_from_split(v, w, blocks_v, blocks_w):
         start = len(v_cols)
         v_cols.extend(rows)
         v_blocks[key] = range(start, len(v_cols))
-    pv = _trusted(n, n, {j: dict(col) for j, col in enumerate(v_cols)}).transpose()
+    pv = _trusted(n, n, dict(enumerate(v_cols))).transpose()
     dual = invert(pv)  # row a of dual is the functional picking coordinate a
     w_blocks = dict(blocks_w)
     maps = []

@@ -250,6 +250,25 @@ class EmbeddingIso:
     images: list  # one (n+1) x (n+1) matrix per deformed-algebra basis index
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _shifted_so_block(p: int, q: int, shift: int) -> tuple:
+    """The so(p,q) basis moved into (n+1) x (n+1) matrices, each index
+    raised by shift (1 when the extra coordinate sits first, 0 when it sits
+    last, where the generators' own rows serve).  Memoized per (p, q,
+    shift): the matrices are immutable, so every embedding with that sign
+    of c shares them."""
+    n = p + q
+    return tuple(
+        _trusted(
+            n + 1, n + 1,
+            {i + shift: {j + shift: x for j, x in row.items()} for i, row in gen._data.items()}
+            if shift else gen._data,
+            gen.den,
+        )
+        for gen in so_pq_algebra(p, q).basis
+    )
+
+
 def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     c = rat(c)
     if c == 0:
@@ -257,18 +276,9 @@ def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     n = p + q
     if n < 3:
         raise ContractError("embedding_iso needs p + q >= 3")
-    so = so_pq_algebra(p, q)
-    m = so.dim
     # extra coordinate sits first for c > 0 and last for c < 0
     shift, extra = (1, 0) if c > 0 else (0, n)
-    images = [
-        _trusted(
-            n + 1, n + 1,
-            {i + shift: {j + shift: x for j, x in row.items()} for i, row in gen._data.items()},
-            gen.den,
-        )
-        for gen in so.basis
-    ]
+    images = list(_shifted_so_block(p, q, shift))
     eta = [ONE] * p + [-ONE] * q
     for i in range(n):
         r = i + shift

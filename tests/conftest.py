@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepq.exact_linalg import Matrix, _quotient, rat
+from liepq.exact_linalg import Matrix, _quotient, _trusted, rat
 from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
 
@@ -36,6 +36,30 @@ def algebra_from_json_dict(data) -> LieAlgebra:
         return LieAlgebra.from_matrices([Matrix.from_rows(b) for b in data["basis"]])
     entries = [(i, j, k, rat(v)) for i, j, k, v in data["structure"]]
     return LieAlgebra.from_structure(data["dim"], entries)
+
+
+class FrozenRow(dict):
+    """A dict that refuses every write.  `Matrix` rows may be shared between
+    matrices because no one writes a stored row after construction; a
+    matrix whose row map and rows are FrozenRow turns a write into a
+    TypeError."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("write into a stored matrix row")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = pop = popitem = clear = setdefault = _refuse
+
+
+def freeze_rows(data):
+    """data {i: {j: int}} as a FrozenRow of FrozenRow rows; a row that is
+    already frozen stays the same object, so shared rows stay shared."""
+    return FrozenRow({i: row if type(row) is FrozenRow else FrozenRow(row) for i, row in data.items()})
+
+
+def frozen(m):
+    """m with a frozen row map and frozen rows, the same matrix."""
+    return _trusted(m.rows, m.cols, freeze_rows(m._data), m.den)
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,15 @@ from liepq.exact_linalg import (
     wedge_square_index,
 )
 
-from conftest import column_list, contains, dense_kernel, dense_rref, dense_solve, gaussian_inertia
+from conftest import (
+    column_list,
+    contains,
+    dense_kernel,
+    dense_rref,
+    dense_solve,
+    frozen,
+    gaussian_inertia,
+)
 
 small_ints = st.integers(min_value=-6, max_value=6)
 
@@ -294,20 +302,41 @@ def test_zero_skipping_ops_match_dense_formulas(operands, k_int):
 
 @given(sparse_operands())
 @settings(max_examples=60)
-def test_op_results_own_their_entries(operands):
-    a, a2, b, k = operands
-    operands_before = [list(m.entries) for m in (a, a2, b)]
-    zero = Matrix.zeros(a.rows, a.cols)
-    results = [a + a2, a - a2, -a, a.scale(k), a.transpose(), mat_mul(a, b),
-               Matrix.zeros(a.rows, a.cols), a + zero, zero - a, a.scale(3)]
-    assert_exact_entries(results[2], [-x for x in a.entries])
-    assert_exact_entries(results[4], [a[i, j] for j in range(a.cols) for i in range(a.rows)])
-    for result in results:
-        assert all(result.entries is not m.entries for m in (a, a2, b))
-        for row in result._data.values():  # overwrite the result's stored rows
-            row.update(dict.fromkeys(row, rat(7)))
-    assert [m.entries for m in (a, a2, b)] == operands_before
-    assert Matrix.zeros(a.rows, a.cols).is_zero()
+def test_ops_on_frozen_operands_match_dense_formulas(operands):
+    """Results may be operands and share rows with them, which is safe
+    because no operation writes a stored row: every operation runs on
+    operands whose row maps and rows refuse writes."""
+    a, a2, b = (frozen(m) for m in operands[:3])
+    k = operands[3]
+    n, m = a.rows, a.cols
+    operands_before = [x.entries for x in (a, a2, b)]
+    zero = frozen(Matrix.zeros(n, m))
+    ea, ea2 = a.entries, a2.entries
+    for result, expected in (
+        (a + a2, [s + t for s, t in zip(ea, ea2)]),
+        (a - a2, [s - t for s, t in zip(ea, ea2)]),
+        (a + a, [s + s for s in ea]),
+        (a - a, [ZERO] * (n * m)),
+        (a + zero, ea),
+        (zero + a, ea),
+        (a - zero, ea),
+        (zero - a, [-s for s in ea]),
+        (-a, [-s for s in ea]),
+        (a.scale(k), [k * s for s in ea]),
+        (a.scale(1), ea),
+        (a.scale(-1), [-s for s in ea]),
+        (a.scale(3), [3 * s for s in ea]),
+        (a.transpose(), [a[i, j] for j in range(m) for i in range(n)]),
+        (mat_mul(a, b), [sum((a[i, j] * b[j, l] for j in range(m)), ZERO)
+                         for i in range(n) for l in range(b.cols)]),
+        (kron(a, b), [a[i, j] * b[r, l] for i in range(n) for r in range(b.rows)
+                      for j in range(m) for l in range(b.cols)]),
+    ):
+        assert_exact_entries(result, expected)
+        assert result == Matrix(result.rows, result.cols, expected)
+    assert a + zero is a and a - zero is a and a.scale(1) is a
+    assert zero + a is (a if a._data else zero)  # 0 + 0 is its left operand
+    assert [x.entries for x in (a, a2, b)] == operands_before
 
 
 def test_rat_token_grammar():
@@ -476,23 +505,36 @@ def sized_matrix(draw, rows, cols):
 
 @st.composite
 def matrix_operands(draw):
-    """a and a2 of one shape, b with as many rows as a has columns, a
-    scalar that is zero a quarter of the time; some dimension may be 0."""
+    """a and a2 of one shape, b with as many rows as a has columns (or a
+    itself, when square), a scalar that is zero or +-1 a quarter of the time
+    each; some dimension may be 0."""
     n, m, k = draw(shape), draw(shape), draw(shape)
     a = draw(sized_matrix(n, m))
-    # a2 is unrelated, -a (so a + a2 cancels) or a with one entry changed
-    kind = draw(st.sampled_from(["free", "negated", "near"]))
+    # a2 is unrelated, -a (so a + a2 cancels), a with one entry changed, a
+    # itself, zero, or free rows that meet a's nonzero rows in none or one
+    kind = draw(st.sampled_from(["free", "negated", "near", "alias", "zero", "disjoint", "overlap"]))
     if kind == "free":
         a2 = draw(sized_matrix(n, m))
     elif kind == "negated":
         a2 = Matrix(n, m, [-x for x in a.entries])
-    else:
+    elif kind == "near":
         entries = a.entries
         if entries:
             entries[draw(st.integers(0, len(entries) - 1))] += 1
         a2 = Matrix(n, m, entries)
-    b = draw(sized_matrix(m, k))
-    scalar = draw(st.one_of(st.just(0), with_denominators))
+    elif kind == "alias":
+        a2 = a
+    elif kind == "zero":
+        a2 = Matrix.zeros(n, m)
+    else:
+        free = draw(sized_matrix(n, m))
+        support = [i for i in range(n) if any(a.row_list(i))]
+        keep = set(range(n)) - set(support)
+        if kind == "overlap" and support:
+            keep.add(draw(st.sampled_from(support)))
+        a2 = Matrix.from_sparse(n, m, {(i, j): x for i in keep for j, x in free.sparse_row(i).items()})
+    b = a if n == m and draw(st.booleans()) else draw(sized_matrix(m, k))
+    scalar = draw(st.one_of(st.just(0), st.sampled_from([1, -1]), with_denominators))
     return a, a2, b, scalar
 
 
@@ -518,7 +560,15 @@ def test_matrix_ops_match_dense_oracle(operands):
     assert_matches(a + a2, n, m, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(da, da2)])
     assert_matches(a - a2, n, m, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(da, da2)])
     assert_matches(a - a, n, m, [[Fraction(0)] * m for _ in range(n)])
+    assert_matches(a + a, n, m, [[2 * x for x in r] for r in da])
+    zero = Matrix.zeros(n, m)
+    assert_matches(a + zero, n, m, da)
+    assert_matches(a - zero, n, m, da)
+    assert_matches(zero + a, n, m, da)
+    assert_matches(zero - a, n, m, [[-x for x in r] for r in da])
     assert_matches(a.scale(k), n, m, [[Fraction(k) * x for x in r] for r in da])
+    assert_matches(a.scale(1), n, m, da)
+    assert_matches(a.scale(-1), n, m, [[-x for x in r] for r in da])
     assert_matches(a.scale(0), n, m, [[Fraction(0)] * m for _ in range(n)])
     assert_matches(-a, n, m, [[-x for x in r] for r in da])
     assert_matches(a.transpose(), m, n, [[da[i][j] for i in range(n)] for j in range(m)])

@@ -1,0 +1,121 @@
+"""No code in liepq writes a stored matrix row.
+
+`Matrix` results may be operands and may share rows with them, which is
+safe only while no stored row is written after construction.  The fixture
+here makes every matrix the library builds store FrozenRow rows in a
+FrozenRow row map: it patches each module's binding of `_trusted` and the
+`Matrix(...)` constructor, and empties the memo caches so that no matrix
+built before the patch is reused.  An in-place write into a row anywhere in
+src/liepq then raises TypeError in the runs below.
+"""
+
+import re
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from liepq import exact_linalg
+from liepq.cli import main
+from liepq.exact_linalg import Matrix
+from liepq.so_pq import deformed_algebra, embedding_iso
+
+from conftest import FrozenRow, freeze_rows
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ELAPSED = re.compile(r'"elapsed_ms":[-+0-9.eE]+,')
+
+
+def _liepq_modules():
+    return [m for name, m in list(sys.modules.items()) if name == "liepq" or name.startswith("liepq.")]
+
+
+def _clear_memo_caches():
+    for module in _liepq_modules():
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@pytest.fixture
+def frozen_rows(monkeypatch):
+    original = exact_linalg._trusted
+
+    def trusted(rows, cols, data, den=1):
+        return original(rows, cols, freeze_rows(data), den)
+
+    for module in _liepq_modules():
+        if getattr(module, "_trusted", None) is original:
+            monkeypatch.setattr(module, "_trusted", trusted)
+    init = Matrix.__init__
+
+    def frozen_init(self, rows, cols, entries):
+        init(self, rows, cols, entries)
+        self._data = freeze_rows(self._data)
+
+    monkeypatch.setattr(Matrix, "__init__", frozen_init)
+    _clear_memo_caches()
+    yield
+    _clear_memo_caches()
+
+
+def _assert_frozen(m):
+    assert type(m._data) is FrozenRow
+    assert all(type(row) is FrozenRow for row in m._data.values())
+
+
+def test_the_patch_freezes_every_construction_path(frozen_rows):
+    a = Matrix.from_rows([[1, 2], [0, Fraction(1, 3)]])
+    b = Matrix.from_sparse(2, 2, {(1, 0): 5})
+    for m in (a, b, Matrix.identity(2), a @ b, a + b, a - b, -a, a.scale(3), a.transpose()):
+        _assert_frozen(m)
+    with pytest.raises(TypeError):
+        a._data[0][1] = 7
+    with pytest.raises(TypeError):
+        (a + b)._data[1].pop(0)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 1)])
+def test_verify_all_writes_no_stored_row(frozen_rows, capsys, monkeypatch, p, q):
+    monkeypatch.setenv("LIEPQ_THREADS", "1")
+    argv = ["verify", "--suite", "all", "--p", str(p), "--q", str(q), "--format", "json"]
+    assert main(argv) == 0
+    out = ELAPSED.sub("", capsys.readouterr().out)
+    assert out == (GOLDEN / f"verify_all_p{p}_q{q}.json").read_text()
+
+
+def _dense(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _dense_commutator(x, y):
+    n = len(x)
+    prod = [[sum((x[i][t] * y[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    back = [[sum((y[i][t] * x[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    return [[s - t for s, t in zip(r, r2)] for r, r2 in zip(prod, back)]
+
+
+def test_pairwise_embedding_check_writes_no_stored_row(frozen_rows):
+    """The deform-grid check at (3,2), c = -3/4: every bracket pair through
+    products, differences, scaled sums and equality, against a dense
+    commutator of the images."""
+    p, q, c = 3, 2, Fraction(-3, 4)
+    alg = deformed_algebra(p, q, c).algebra
+    images = embedding_iso(p, q, c).images
+    n = p + q
+    dense = [_dense(im) for im in images]
+    for im in images:
+        _assert_frozen(im)
+    zero = Matrix.zeros(n + 1, n + 1)
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            lhs = images[i] @ images[j] - images[j] @ images[i]
+            rhs = zero
+            for k, v in alg.structure_entry(i, j).items():
+                rhs = rhs + images[k].scale(v)
+            assert lhs == rhs
+            assert _dense(lhs) == _dense_commutator(dense[i], dense[j])
+    assert [_dense(im) for im in images] == dense
