@@ -900,51 +900,80 @@ def inertia_of_diagonalizable_form(b: Matrix):
 def congruence_diagonalize(b: Matrix):
     """Invertible rational P with P^t.b.P diagonal; returns (P, diagonal entries).
 
-    Exact symmetric Gaussian congruence, with the transform tracked.
+    Exact symmetric Gaussian congruence, with the transform tracked, on
+    sparse rational rows: the form is held as symmetric rows (only the
+    nonzeros), P as the rows of its transpose, and each step is one
+    congruence, column dst of P += f times column src.  Step k brings
+    index k to a nonzero diagonal entry, by a swap with the first later
+    index that has one or else by adding the first later index it pairs
+    with (the shear, which makes the entry twice that pairing), and then
+    clears the rest of row k.  The steps are those of the dense elimination
+    in this order, so P and the diagonal come out entry for entry the same;
+    a diagonal form takes no step at all.
     """
     if not b.is_symmetric():
         raise ContractError("congruence diagonalization requires a symmetric matrix")
-    n = b.rows
-    m = [row[:] for row in b.to_rows()]
-    p = [row[:] for row in Matrix.identity(n).to_rows()]
+    n, den = b.rows, b.den
+    m = {i: {j: _quotient(x, den) for j, x in row.items()} for i, row in b._data.items()}
+    pt = {i: {i: ONE} for i in range(n)}  # row i of pt is column i of P
 
-    def col_op(dst, src, f):
-        # column_dst += f * column_src, on both m and the transform p
-        for row in m:
-            row[dst] += f * row[src]
-        for row in p:
-            row[dst] += f * row[src]
-
-    def row_op(dst, src, f):
-        mrow_src = m[src]
-        m[dst] = [x + f * y for x, y in zip(m[dst], mrow_src)]
+    def add(dst, src, f):
+        # e_dst += f e_src: b(dst, j) += f b(src, j) for j != dst, and
+        # b(dst, dst) += 2 f b(dst, src) + f^2 b(src, src)
+        old, rsrc = m.get(dst, {}), m.get(src, {})
+        new = dict(old)
+        for j, x in rsrc.items():
+            if j != dst:
+                new[j] = new.get(j, ZERO) + f * x
+        new[dst] = old.get(dst, ZERO) + f * (2 * old.get(src, ZERO) + f * rsrc.get(src, ZERO))
+        new = {j: x for j, x in new.items() if x}
+        for j in old.keys() | new.keys():
+            if j == dst:
+                continue
+            x = new.get(j)
+            if x is None:
+                del m[j][dst]
+            else:
+                m.setdefault(j, {})[dst] = x
+        m[dst] = new
+        prow = pt[dst]
+        for j, x in pt[src].items():
+            y = prow.get(j, ZERO) + f * x
+            if y:
+                prow[j] = y
+            else:
+                del prow[j]
 
     def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
+        ri, rj = m.pop(i, {}), m.pop(j, {})
+        for k in (ri.keys() | rj.keys()) - {i, j}:
+            row = m[k]
+            x, y = row.pop(i, None), row.pop(j, None)
+            if y is not None:
+                row[i] = y
+            if x is not None:
+                row[j] = x
+        swapped = {i: j, j: i}
+        m[i] = {swapped.get(k, k): x for k, x in rj.items()}
+        m[j] = {swapped.get(k, k): x for k, x in ri.items()}
+        pt[i], pt[j] = pt[j], pt[i]
 
     for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+        row = m.get(k, {})
+        if not row.get(k):
+            pivot = next((j for j in range(k + 1, n) if m.get(j, {}).get(j)), None)
             if pivot is not None:
                 swap(k, pivot)
             else:
-                off = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                off = min((j for j in row if j > k), default=None)
                 if off is None:
                     continue
-                row_op(k, off, ONE)
-                col_op(k, off, ONE)
+                add(k, off, ONE)
         d = m[k][k]
-        for i in range(k + 1, n):
-            f = -m[i][k] / d
-            if f:
-                row_op(i, k, f)
-                col_op(i, k, f)
-    diag = [m[i][i] for i in range(n)]
-    return Matrix.from_rows(p), diag
+        for i in sorted(j for j in m[k] if j > k):
+            add(i, k, -m[k][i] / d)
+    diag = [m.get(i, {}).get(i, ZERO) for i in range(n)]
+    return _trusted(n, n, *_integer_rows(pt)).transpose(), diag
 
 
 def wedge_square_index(n: int):

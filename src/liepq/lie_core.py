@@ -155,23 +155,7 @@ class LieAlgebra:
     @classmethod
     def from_structure(cls, dim, entries, validate=True) -> "LieAlgebra":
         """ABSTRACT realization from sparse entries (i, j, k, value)."""
-        structure = {}
-        for i, j, k, value in entries:
-            value = rat(value)
-            if not value:
-                continue
-            if i == j:
-                raise ContractError("[x, x] must vanish: bad structure entry")
-            if i > j:
-                i, j, value = j, i, -value
-            entry = structure.setdefault((i, j), {})
-            old = entry.get(k)
-            entry[k] = value if old is None else old + value
-        for key in list(structure):
-            structure[key] = {k: v for k, v in structure[key].items() if v}
-            if not structure[key]:
-                del structure[key]
-        return cls(ABSTRACT, dim, structure=structure, validate=validate)
+        return cls(ABSTRACT, dim, structure=_tensor_from_entries(dim, entries), validate=validate)
 
     @classmethod
     def _certified(cls, dim, structure, killing: Matrix) -> "LieAlgebra":
@@ -269,7 +253,7 @@ class LieAlgebra:
                 data[k] = row
         return _reduced(d, d, data, den * xden)
 
-    def _check_jacobi(self):
+    def _check_jacobi(self, degree=None):
         """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for
         every basis triple i < j < k, over the nonzero brackets only.
 
@@ -280,12 +264,18 @@ class LieAlgebra:
         with a repeated index satisfies the identity by antisymmetry, and one
         that no term reaches sums to zero.  The sums run on integers: every
         constant times the common denominator of all of them.
+
+        A graded family passes degree, {(i, j): d} for the brackets of
+        nonzero degree d: each term is then filed under the sum of the
+        degrees of its two brackets, and the identity must hold in every
+        degree on its own.
         """
         # brackets[l]: (c, inner, sign) with [b_l, b_c] = sign * inner for
         # every c with a nonzero bracket
         _, scaled, brackets = self._integer_tensor()
         sums = {}
         for (a, b), entry in scaled.items():
+            g = degree.get((a, b), 0) if degree else 0
             for l, v in entry.items():
                 for c, inner, sign in brackets.get(l, ()):
                     if c > b:
@@ -296,6 +286,8 @@ class LieAlgebra:
                         key, f = (a, c, b), -v * sign
                     else:
                         continue
+                    if degree:
+                        key += (g + degree.get((l, c) if l < c else (c, l), 0),)
                     acc = sums.get(key)
                     if acc is None:
                         sums[key] = acc = {}
@@ -303,43 +295,65 @@ class LieAlgebra:
                         acc[m] = acc.get(m, 0) + f * w
         failing = [key for key, acc in sums.items() if any(acc.values())]
         if failing:
-            i, j, k = min(failing)
-            raise ContractError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+            i, j, k, *d = min(failing)
+            at = f" in degree {d[0]}" if d else ""
+            raise ContractError(f"Jacobi identity fails on basis triple ({i},{j},{k}){at}")
 
     # -- spec operations ----------------------------------------------
 
     def killing_form(self) -> "BilinearForm":
-        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j.
-
-        Contracted over the nonzero integer structure constants only, so the
-        sums come over the square of their denominator: with by_slot[(k, j)]
-        the list of (a, den * c_{aj}^k), each product pairs slot (k, j) of
-        ad(b_a) with slot (j, k) of ad(b_b).
-        """
+        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j."""
         if self._killing is None:
-            d = self.dim
-            den, scaled, _ = self._integer_tensor()
-            by_slot = {}
-            for (i, j), entry in scaled.items():
-                for k, v in entry.items():
-                    by_slot.setdefault((k, j), []).append((i, v))
-                    by_slot.setdefault((k, i), []).append((j, -v))
-            gram = {}
-            for (k, j), terms in by_slot.items():
-                partners = by_slot.get((j, k))
-                if partners is None:
-                    continue
-                for a, v in terms:
-                    row = gram.setdefault(a, {})
-                    for b, w in partners:
-                        row[b] = row.get(b, 0) + v * w
-            data = {}
+            self._killing = BilinearForm(self.dim, self._killing_grams()[0])
+        return self._killing
+
+    def _killing_grams(self, degree=None) -> list:
+        """The Killing gram, contracted over the nonzero integer structure
+        constants only, so the sums come over the square of their
+        denominator: with by_slot[(k, j)] the list of (a, den * c_{aj}^k),
+        each product pairs slot (k, j) of ad(b_a) with slot (j, k) of
+        ad(b_b).
+
+        Ungraded, the list holds the one gram.  A graded family passes
+        degree as `_check_jacobi` takes it, and gets the grams of degree 0
+        up to twice the top degree: a constant of degree e enters by_slot
+        under a + e.dim, and the product of two constants lands in the gram
+        of the sum of their degrees.
+        """
+        d = self.dim
+        top = max(degree.values(), default=0) if degree else 0
+        den, scaled, _ = self._integer_tensor()
+        by_slot = {}
+        for (i, j), entry in scaled.items():
+            lift = d * degree.get((i, j), 0) if degree else 0
+            for k, v in entry.items():
+                by_slot.setdefault((k, j), []).append((i + lift, v))
+                by_slot.setdefault((k, i), []).append((j + lift, -v))
+        gram = {}
+        for (k, j), terms in by_slot.items():
+            partners = by_slot.get((j, k))
+            if partners is None:
+                continue
+            for a, v in terms:
+                row = gram.setdefault(a, {})
+                for b, w in partners:
+                    row[b] = row.get(b, 0) + v * w
+        graded = [gram]
+        if top:  # split the lifted indices into the gram of each degree
+            graded = [{} for _ in range(2 * top + 1)]
             for a, row in gram.items():
+                for b, s in row.items():
+                    out = graded[a // d + b // d].setdefault(a % d, {})
+                    out[b % d] = out.get(b % d, 0) + s
+        grams = []
+        for rows in graded:
+            data = {}
+            for a, row in rows.items():
                 row = {b: s for b, s in row.items() if s}
                 if row:
                     data[a] = row
-            self._killing = BilinearForm(d, _reduced(d, d, data, den * den))
-        return self._killing
+            grams.append(_reduced(d, d, data, den * den))
+        return grams
 
     def trace_form(self) -> "BilinearForm":
         if self.realization != MATRIX:
@@ -403,6 +417,35 @@ class LieAlgebra:
             for k, v in sorted(entry.items()):
                 entries.append([i, j, k, str(v)])
         return {"realization": "abstract", "dim": self.dim, "structure": entries}
+
+
+def _tensor_from_entries(dim, entries) -> dict:
+    """The sparse structure tensor {(i, j): {k: c}}, i < j, of entries
+    (i, j, k, value): values go through `rat()`, repeated entries add up,
+    (j, i) enters (i, j) negated and zeros are dropped.  Raises
+    ContractError on an index that is not an int in [0, dim) (a bool or a
+    float included) or a bracket [b_i, b_i]."""
+    structure = {}
+    for entry in entries:
+        i, j, k, value = entry
+        if not (type(i) is type(j) is type(k) is int
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ContractError(f"structure entry {entry!r} needs int indices in [0, {dim})")
+        value = rat(value)
+        if not value:
+            continue
+        if i == j:
+            raise ContractError("[x, x] must vanish: bad structure entry")
+        if i > j:
+            i, j, value = j, i, -value
+        row = structure.setdefault((i, j), {})
+        old = row.get(k)
+        row[k] = value if old is None else old + value
+    for key in list(structure):
+        structure[key] = {k: v for k, v in structure[key].items() if v}
+        if not structure[key]:
+            del structure[key]
+    return structure
 
 
 def _bracket(structure, x: dict, y: dict) -> dict:

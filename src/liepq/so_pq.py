@@ -33,7 +33,7 @@ from .exact_linalg import (
     rational_sqrt,
     wedge_square_index,
 )
-from .lie_core import LieAlgebra, _Coordinatizer
+from .lie_core import ABSTRACT, LieAlgebra, _Coordinatizer, _tensor_from_entries
 from .rep_theory import (
     Representation,
     dual_rep,
@@ -49,6 +49,9 @@ class Signature:
     q: int
 
     def __post_init__(self):
+        for v in (self.p, self.q):
+            if type(v) is bool or not isinstance(v, int):
+                raise ContractError(f"signature entries must be ints, got {v!r}")
         if self.p < 0 or self.q < 0 or self.p + self.q < 1:
             raise ContractError("signature needs p, q >= 0 and p + q >= 1")
 
@@ -64,14 +67,19 @@ def ipq(p: int, q: int) -> Matrix:
 
 
 def ipq_c(p: int, q: int, c) -> Matrix:
-    """diag(c, I_{p,q}) for c > 0 and diag(I_{p,q}, c) for c < 0."""
+    """diag(c, I_{p,q}) for c > 0 and diag(I_{p,q}, c) for c < 0.
+
+    Built as canonical integer rows: with c = cn/cd in lowest terms, the
+    form is diag(cn, cd, ..., -cd) (or diag(cd, ..., -cd, cn)) over cd."""
     c = rat(c)
     if c == 0:
         raise ContractError("ipq_c requires c != 0")
-    Signature(p, q)
-    if c > 0:
-        return Matrix.diagonal([c] + [ONE] * p + [-ONE] * q)
-    return Matrix.diagonal([ONE] * p + [-ONE] * q + [c])
+    n = Signature(p, q).n
+    cn, cd = int(c.numerator), int(c.denominator)
+    shift, extra = (1, 0) if c > 0 else (0, n)
+    rows = {i + shift: {i + shift: cd if i < p else -cd} for i in range(n)}
+    rows[extra] = {extra: cn}
+    return _trusted(n + 1, n + 1, rows, cd)
 
 
 def generator_pairs(n: int):
@@ -90,10 +98,9 @@ def so_pq_algebra(p: int, q: int) -> LieAlgebra:
     Memoized per (p, q): the algebra and its basis matrices are immutable,
     so every caller can share one instance.
     """
-    n = p + q
+    n = Signature(p, q).n
     if n < 2:
         raise ContractError("so(p,q) needs p + q >= 2")
-    Signature(p, q)
     basis = [_generator(p, n, i, j) for i, j in generator_pairs(n)]
     return LieAlgebra.from_matrices(basis, validate=False)
 
@@ -111,8 +118,7 @@ def t_c(p: int, q: int, c) -> Matrix:
     generator, so the matrix has one entry per column.
     """
     c = rat(c)
-    n = p + q
-    Signature(p, q)
+    n = Signature(p, q).n
     # row index equals generator index; a zero c gives the zero matrix
     return Matrix.diagonal([-c if (i < p and j < p) else c for i, j in generator_pairs(n)])
 
@@ -198,23 +204,31 @@ def _deformation_constants(p: int, q: int):
 @functools.lru_cache(maxsize=64, typed=True)
 def _deformation_family(p: int, q: int) -> _DeformationFamily:
     """The family base + c.vec of so(p,q), its Jacobi identity certified
-    for every rational c by three Jacobi runs, once per (p, q).
+    for every rational c by one graded pass, once per (p, q).
 
-    The Jacobiator is quadratic in the constants: J(c) = J(base) + c.M +
-    c^2.J(vec), with M the cross terms.  J(base) = 0, J(vec) = 0 and
-    J(base + vec) = J(base) + M + J(vec) = 0 force M = 0, hence J(c) = 0.
-    The Killing gram is quadratic the same way, with K1 = K(base + vec) -
-    K0 - K2.  Raises ContractError when a run fails.
+    base and vec bracket disjoint pairs of basis indices, so one integer
+    tensor holds them both: the joint algebra, c = 1.  A constant of vec
+    has degree 1 in c and one of base degree 0, and a term of the
+    Jacobiator or of the Killing contraction has the sum of the degrees of
+    its two constants, the number of vector-vector brackets in it.  So one
+    Jacobi pass over the joint tensor, filed by degree, gives J(c) = J(base)
+    + c.M + c^2.J(vec), and all three vanish exactly when J(c) = 0 for
+    every c; one Killing contraction filed the same way gives K(c) = K0 +
+    c.K1 + c^2.K2.  Raises ContractError when a degree fails.
     """
+    Signature(p, q)
     if p + q < 3:
         raise ContractError("the deformed bracket needs p + q >= 3")
     dim, base, vec = _deformation_constants(p, q)
-    b = LieAlgebra.from_structure(dim, base)
-    v = LieAlgebra.from_structure(dim, vec)
-    joint = LieAlgebra.from_structure(dim, base + vec)
-    k0, k2 = b.killing_form().gram, v.killing_form().gram
-    k1 = joint.killing_form().gram - k0 - k2
-    return _DeformationFamily(dim, b.structure, v.structure, k0, k1, k2)
+    base = _tensor_from_entries(dim, base)
+    vec = _tensor_from_entries(dim, vec)
+    if not base.keys().isdisjoint(vec):
+        raise ContractError("base and vec of the family bracket a common pair")
+    joint = LieAlgebra(ABSTRACT, dim, structure={**base, **vec}, validate=False)
+    degree = dict.fromkeys(vec, 1)
+    joint._check_jacobi(degree)
+    k0, k1, k2 = joint._killing_grams(degree)
+    return _DeformationFamily(dim, base, vec, k0, k1, k2)
 
 
 def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
@@ -270,20 +284,24 @@ def _shifted_so_block(p: int, q: int, shift: int) -> tuple:
 
 
 def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
+    """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)).  The image of
+    e_i has column c.e_i and row -e_i^t I_{p,q}: with c = cn/cd in lowest
+    terms, the canonical integer rows {r: {extra: cn}, extra: {r: -eta_i.cd}}
+    over cd, for r the place of coordinate i."""
     c = rat(c)
     if c == 0:
         raise ContractError("embedding_iso requires c != 0")
-    n = p + q
+    n = Signature(p, q).n
     if n < 3:
         raise ContractError("embedding_iso needs p + q >= 3")
     # extra coordinate sits first for c > 0 and last for c < 0
     shift, extra = (1, 0) if c > 0 else (0, n)
     images = list(_shifted_so_block(p, q, shift))
-    eta = [ONE] * p + [-ONE] * q
+    cn, cd = int(c.numerator), int(c.denominator)
     for i in range(n):
         r = i + shift
-        # column c.u and row u* = -u^t I_{p,q}
-        images.append(Matrix.from_sparse(n + 1, n + 1, {(r, extra): c, (extra, r): -eta[i]}))
+        eta_cd = cd if i < p else -cd
+        images.append(_trusted(n + 1, n + 1, {r: {extra: cn}, extra: {r: -eta_cd}}, cd))
     return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
 
 
@@ -300,10 +318,10 @@ def sqrt_conjugation(p: int, q: int, c) -> Matrix | None:
     c = rat(c)
     if c == 0:
         raise ContractError("c must be nonzero")
+    n = Signature(p, q).n
     s = rational_sqrt(abs(c))
     if s is None:
         return None
-    n = p + q
     if c > 0:
         return Matrix.diagonal([s] + [ONE] * n)
     return Matrix.diagonal([ONE] * n + [s])

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from liepq.exact_linalg import Matrix, _quotient, _trusted, rat
+from liepq import so_pq
+from liepq.exact_linalg import ONE, Matrix, _quotient, _trusted, rat
 from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
 
@@ -268,3 +269,64 @@ def per_c_deformed_algebra(p, q, c):
     for idx, (i, j) in enumerate(generator_pairs(n)):
         entries.append((m + i, m + j, idx, -c if (i < p and j < p) else c))
     return LieAlgebra.from_structure(m + n, entries, validate=True)
+
+
+def three_run_family(p, q):
+    """(dim, base, vec, k0, k1, k2) of the family base + c.vec by three
+    validated algebras: base, vec and base + vec, each built through
+    `from_structure` with its own Jacobi run, and K1 = K(base + vec) - K0 -
+    K2.  J(base) = 0, J(vec) = 0 and J(base + vec) = 0 force the cross term
+    to vanish, so the three runs certify the family for every c."""
+    dim, base, vec = so_pq._deformation_constants(p, q)
+    b = LieAlgebra.from_structure(dim, base)
+    v = LieAlgebra.from_structure(dim, vec)
+    joint = LieAlgebra.from_structure(dim, base + vec)
+    k0, k2 = b.killing_form().gram, v.killing_form().gram
+    k1 = joint.killing_form().gram - k0 - k2
+    return dim, b.structure, v.structure, k0, k1, k2
+
+
+def dense_congruence_diagonalize(b):
+    """(P, diagonal) with P^t.b.P diagonal by symmetric Gaussian congruence
+    on dense lists of rationals: at step k a zero diagonal entry is swapped
+    with the first later nonzero one, or else sheared with the first later
+    index it pairs with, and then row and column k are cleared below and
+    right of the diagonal, the transform P tracked column by column."""
+    n = b.rows
+    m = [row[:] for row in b.to_rows()]
+    p = [row[:] for row in Matrix.identity(n).to_rows()]
+
+    def col_op(dst, src, f):
+        for row in m:
+            row[dst] += f * row[src]
+        for row in p:
+            row[dst] += f * row[src]
+
+    def row_op(dst, src, f):
+        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
+
+    def swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in p:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                off = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if off is None:
+                    continue
+                row_op(k, off, ONE)
+                col_op(k, off, ONE)
+        d = m[k][k]
+        for i in range(k + 1, n):
+            f = -m[i][k] / d
+            if f:
+                row_op(i, k, f)
+                col_op(i, k, f)
+    return Matrix.from_rows(p), [m[i][i] for i in range(n)]

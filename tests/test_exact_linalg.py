@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, ShapeMismatchError
@@ -33,6 +33,7 @@ from liepq.exact_linalg import (
 from conftest import (
     column_list,
     contains,
+    dense_congruence_diagonalize,
     dense_kernel,
     dense_rref,
     dense_solve,
@@ -456,6 +457,40 @@ def symmetric_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_inertia_matches_gaussian_oracle(b):
     assert inertia_of_diagonalizable_form(b) == gaussian_inertia(b.to_rows())
+
+
+@st.composite
+def congruence_inputs(draw):
+    """Symmetric rational matrices up to 7 x 7; some with a zero diagonal,
+    which takes the shear branch, and some singular, index n - 1 a copy of
+    index 0."""
+    n = draw(st.integers(0, 7))
+    upper = draw(st.lists(rational_entries, min_size=n * n, max_size=n * n))
+    rows = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        rows[n - 1] = list(rows[0])
+        for row in rows:
+            row[n - 1] = row[0]
+    return Matrix.from_rows(rows)
+
+
+@given(congruence_inputs())
+@example(Matrix.zeros(0, 0))
+@example(Matrix.from_rows([[0, 1, 0], [1, 0, 2], [0, 2, 0]]))
+@example(Matrix.from_rows([[0, 0, 3], [0, 0, 0], [3, 0, 0]]))
+@example(Matrix.from_rows([[1, 2, 1], [2, 4, 2], [1, 2, 1]]))
+@settings(max_examples=200, deadline=None)
+def test_congruence_diagonalize_matches_dense_oracle(b):
+    """The sparse congruence returns the dense routine's P and diagonal,
+    entry for entry, and P^t.b.P is that diagonal."""
+    p, diag = congruence_diagonalize(b)
+    expected_p, expected_diag = dense_congruence_diagonalize(b)
+    assert p == expected_p
+    assert diag == expected_diag and all(type(d) is Rational for d in diag)
+    assert mat_mul(mat_mul(p.transpose(), b), p) == Matrix.diagonal(diag)
 
 
 def test_echelon_copy_leaves_the_original_unchanged():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,6 +406,18 @@ def test_dim_zero_algebra():
     assert killing_form(empty).gram.rows == 0
     matrix_empty = LieAlgebra.from_matrices([])
     assert trace_form(matrix_empty).gram.rows == 0
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(0, 1, 7, 1), (2, 1, 0, 1), (0, 2, 1, 1), (-1, 1, 0, 1), (0, -1, 1, 1), (0, 1, -2, 0),
+     (0, 1.5, 1, 1), (True, 1, 0, 1)],
+    ids=["k", "i", "j", "negative i", "negative j", "negative k with zero value", "float j",
+         "bool i"],
+)
+def test_from_structure_refuses_an_index_outside_the_algebra(entry):
+    with pytest.raises(ContractError, match=re.escape(f"structure entry {entry!r}")):
+        LieAlgebra.from_structure(2, [(0, 1, 0, 1), entry])
 
 
 def dense_killing_entries(algebra):

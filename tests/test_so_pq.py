@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,7 @@ from liepq.so_pq import (
     t_c,
 )
 
-from conftest import pairwise_defect, per_c_deformed_algebra
+from conftest import pairwise_defect, per_c_deformed_algebra, three_run_family
 
 C_GRID = [rat(x) for x in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
 
@@ -59,6 +60,64 @@ def test_ipq_values():
     assert ipq_c(2, 1, -3) == Matrix.diagonal([1, 1, -1, -3])
     with pytest.raises(ContractError):
         ipq_c(2, 1, 0)
+
+
+NON_INT_SIGNATURES = {
+    "ipq": lambda: ipq(2.5, 1),
+    "ipq_c": lambda: ipq_c(2, 1.0, 1),
+    "t_c": lambda: t_c(2, "1", 1),
+    "deformed_algebra": lambda: deformed_algebra(2.0, 1, 1),
+    "embedding_iso": lambda: embedding_iso(2.0, 1, 1),
+    "standard_rep": lambda: standard_rep(2.0, 1),
+    "so_pq_algebra": lambda: so_pq_algebra("2", 1),
+    "so_pq_algebra_bool": lambda: so_pq_algebra(True, 2),
+    "sqrt_conjugation": lambda: sqrt_conjugation(2, 1.0, 4),
+    "signature_bool": lambda: so_pq.Signature(3, False),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_SIGNATURES.values(), ids=NON_INT_SIGNATURES.keys())
+def test_non_integer_signature_is_a_contract_error(call):
+    with pytest.raises(ContractError, match="signature entries must be ints"):
+        call()
+
+
+C_WIDE = [rat(x) for x in ("1", "-1", "4", "-4", "2/3", "-2/3", "3/4", "-3/4", "7/5", "-7/5")]
+
+
+def _canonical(m):
+    """No stored zero or empty row, and den coprime to the entries."""
+    values = [x for row in m._data.values() for x in row.values()]
+    return all(m._data.values()) and all(values) and math.gcd(m.den, *values) == 1
+
+
+def _from_sparse_target(p, q, c):
+    """The target form and the images of e_0 ... e_{n-1}, each entry
+    through `Matrix.from_sparse`."""
+    n = p + q
+    shift, extra = (1, 0) if c > 0 else (0, n)
+    eta = [1] * p + [-1] * q
+    diagonal = {(i + shift, i + shift): eta[i] for i in range(n)}
+    diagonal[(extra, extra)] = c
+    images = [
+        Matrix.from_sparse(n + 1, n + 1, {(i + shift, extra): c, (extra, i + shift): -eta[i]})
+        for i in range(n)
+    ]
+    return Matrix.from_sparse(n + 1, n + 1, diagonal), images
+
+
+@pytest.mark.parametrize("c", C_WIDE, ids=str)
+def test_integer_built_form_and_images_match_from_sparse(c):
+    for n in range(1, 9):
+        for p in range(n + 1):
+            form, images = _from_sparse_target(p, n - p, c)
+            built = ipq_c(p, n - p, c)
+            assert built == form and _canonical(built)
+            if n >= 3:
+                emb = embedding_iso(p, n - p, c)
+                assert emb.target_form == form
+                assert emb.images[-n:] == images
+                assert all(_canonical(m) for m in emb.images[-n:])
 
 
 def test_so_pq_dimensions():
@@ -214,24 +273,41 @@ def _doubled(entries, index):
     return entries[:index] + [(i, j, k, 2 * v)] + entries[index + 1:]
 
 
-@pytest.mark.parametrize("part", ["vec", "action"])
+@pytest.mark.parametrize("part", ["so", "vec", "action"])
 def test_family_certification_catches_one_wrong_constant(monkeypatch, part):
-    """Doubling the coefficient of one [e_i, e_j] (c -> 2c) or one action
-    constant [X, e_i] breaks the family's certificate for every c."""
+    """Doubling one so(p,q) constant [X, Y], one action constant [X, e_i]
+    or the coefficient of one [e_i, e_j] (c -> 2c) breaks the family's
+    certificate for every c, in the degree of c where the broken terms
+    sit: J(base) for the first two, the cross term for the last."""
     p, q = 3, 1
     dim, base, vec = so_pq._deformation_constants(p, q)
     so_dim = dim - (p + q)
+    degree = 1 if part == "vec" else 0
     if part == "vec":
         vec = _doubled(vec, 0)
     else:
-        base = _doubled(base, next(t for t, e in enumerate(base) if e[1] >= so_dim))
+        acts = part == "action"
+        base = _doubled(base, next(t for t, e in enumerate(base) if (e[1] >= so_dim) == acts))
     monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
     so_pq._deformation_family.cache_clear()
     try:
-        with pytest.raises(ContractError, match="Jacobi"):
+        with pytest.raises(ContractError, match=f"Jacobi identity fails .* in degree {degree}"):
             deformed_algebra(p, q, rat("1/2"))
     finally:
         so_pq._deformation_family.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "p, q", [(p, n - p) for n in range(3, 9) for p in range(n + 1)]
+)
+def test_graded_family_matches_three_run_oracle(p, q):
+    """The one graded pass gives the three validated algebras' base and vec
+    tensors and their Killing grams K0, K1 and K2, entry for entry."""
+    family = so_pq._deformation_family(p, q)
+    dim, base, vec, k0, k1, k2 = three_run_family(p, q)
+    assert family.dim == dim
+    assert family.base == base and family.vec == vec
+    assert (family.k0, family.k1, family.k2) == (k0, k1, k2)
 
 
 def test_deformed_json_blocks():
