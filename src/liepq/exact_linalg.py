@@ -33,7 +33,7 @@ _lcm = _math.lcm
 
 
 # optional sign, digits, then optionally '/' and an unsigned nonzero denominator
-_RAT_TOKEN = _re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_RAT_TOKEN = _re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", _re.ASCII)
 
 
 def rat(value) -> Rational:

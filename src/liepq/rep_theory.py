@@ -18,14 +18,13 @@ non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as _gcd, lcm as _lcm
+from typing import NamedTuple
 
 from .errors import ContractError, FactorizationCapExceeded, NotStableError, ShapeMismatchError
 from .exact_linalg import (
     Echelon,
     Matrix,
-    NO_SOLUTION,
     ONE,
     Rational,
     Subspace,
@@ -43,7 +42,6 @@ from .exact_linalg import (
     proportionality,
     rat,
     rational_sqrt,
-    solve_linear,
     wedge_square_index,
 )
 from .lie_core import BilinearForm, LieAlgebra
@@ -188,24 +186,36 @@ def direct_sum(v: Representation, w: Representation) -> Representation:
 
 
 def restrict(v: Representation, subspace: Subspace) -> Representation:
-    """Restriction to an invariant subspace, in the subspace's canonical basis."""
+    """Restriction to an invariant subspace, in the subspace's canonical basis.
+
+    Basis vector j is the primitive integer echelon row_j over its pivot
+    entry lead_j, and the basis is the identity on the pivot columns, so the
+    coordinates of a.b_j are its own entries there: column j of the
+    restricted action is the integer vector a.row_j read at the pivots, over
+    a.den * lead_j.  a.row_j must reduce to zero against the echelon.
+    """
     if subspace.ambient_dim != v.module_dim:
         raise ShapeMismatchError("subspace lives in the wrong module")
-    # the basis as columns: b^t's rows are the canonical basis rows, the
-    # primitive integer rows each over its pivot entry, all over their lcm
+    ech = subspace._echelon
+    pivots = subspace.pivot_columns()
     rows = subspace._integer_rows()
-    leads = [row[p] for p, row in zip(subspace.pivot_columns(), rows)]
+    leads = [row[p] for p, row in zip(pivots, rows)]
     den = _lcm(1, *leads)
-    scaled = {j: {i: x * (den // lead) for i, x in row.items()}
-              for j, (row, lead) in enumerate(zip(rows, leads))}
-    b = _reduced(len(rows), v.module_dim, scaled, den).transpose()
+    k = len(rows)
     actions = []
     for a in v.actions:
-        sol, ker = solve_linear(b, mat_mul(a, b))
-        if sol is NO_SOLUTION:
-            raise ContractError("subspace is not invariant under the action")
-        actions.append(sol)
-    return Representation(v.algebra, len(rows), actions)
+        data = {}
+        for j, (row, lead) in enumerate(zip(rows, leads)):
+            image = _mat_vec_int(a._data, row)
+            if ech.reduce(image)[0]:
+                raise ContractError("subspace is not invariant under the action")
+            f = den // lead
+            for r, p in enumerate(pivots):
+                x = image.get(p)
+                if x is not None:
+                    data.setdefault(r, {})[j] = x * f
+        actions.append(_reduced(k, k, data, a.den * den))
+    return Representation(v.algebra, k, actions)
 
 
 def _require_same_algebra(v: Representation, w: Representation):
@@ -521,8 +531,7 @@ def cyclic_submodule(v: Representation, vector) -> Subspace:
     return Subspace(ech)
 
 
-@dataclass
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     status: str  # "IRREDUCIBLE" | "REDUCIBLE" | "INCONCLUSIVE"
     witness: Subspace | None = None
     endo_dim: int = 0
@@ -637,8 +646,7 @@ def adjoint_action(g: Matrix, algebra: LieAlgebra) -> Matrix:
     return Matrix.from_sparse(d, d, out)
 
 
-@dataclass
-class BoostElement:
+class BoostElement(NamedTuple):
     """The rational boost g(t) with lambda = e^t, acting on R^{3,1}."""
 
     lam: Rational
@@ -670,8 +678,7 @@ def realified_complex_boost(mu) -> Matrix:
     return Matrix.diagonal([mu, mu, 1 / mu, 1 / mu])
 
 
-@dataclass
-class CharacterReport:
+class CharacterReport(NamedTuple):
     mu: Rational
     lam: Rational
     chi_adjoint: Rational
@@ -723,8 +730,7 @@ def character_discrimination_test(mu) -> CharacterReport:
 # -- the constrained-form collapse on sl(2,C) realified ----------------
 
 
-@dataclass
-class ConstrainedFormVerdict:
+class ConstrainedFormVerdict(NamedTuple):
     solution_dim: int
     form: Matrix | None
     killing_ratio: Rational | None

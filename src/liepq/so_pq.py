@@ -12,7 +12,6 @@ form, and E_ij + E_ji when i < p <= j.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContractError, ShapeMismatchError, UnknownSmallestModuleError, UnsupportedRealizationError
@@ -43,17 +42,25 @@ from .rep_theory import (
 )
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        for v in (self.p, self.q):
+
+class Signature(_SignatureFields):
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
+        for v in (p, q):
             if type(v) is bool or not isinstance(v, int):
                 raise ContractError(f"signature entries must be ints, got {v!r}")
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
+        if p < 0 or q < 0 or p + q < 1:
             raise ContractError("signature needs p, q >= 0 and p + q >= 1")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -123,8 +130,7 @@ def t_c(p: int, q: int, c) -> Matrix:
     return Matrix.diagonal([-c if (i < p and j < p) else c for i, j in generator_pairs(n)])
 
 
-@dataclass
-class DeformedAlgebra:
+class DeformedAlgebra(NamedTuple):
     """so(p,q) (+) R^{p,q} with the bracket [.,.]_c, as an abstract algebra.
 
     Coordinates 0..m-1 are the so(p,q) block in the frozen basis order;
@@ -253,8 +259,7 @@ def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
     )
 
 
-@dataclass
-class EmbeddingIso:
+class EmbeddingIso(NamedTuple):
     """The explicit map (X, u) -> block matrix into so(R^{n+1}, I_{p,q}(c))."""
 
     p: int
@@ -335,8 +340,7 @@ SO32_SP4R = "SO32_SP4R"
 SO33_SL4R = "SO33_SL4R"
 
 
-@dataclass
-class ExceptionalIso:
+class ExceptionalIso(NamedTuple):
     name: str
     small_algebra: LieAlgebra
     small_modules: list  # Representation objects realizing the small modules
@@ -620,8 +624,7 @@ def sl2c_compact_form_vectors():
 # -- half-spin modules of so(4,4) --------------------------------------
 
 
-@dataclass
-class HalfSpinData:
+class HalfSpinData(NamedTuple):
     gammas: list
     spinor_rep: Representation
     chirality: Matrix

@@ -8,20 +8,27 @@ constructed modules elsewhere, never inferred from weight data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError
 from .exact_linalg import ONE, Rational, ZERO, rat
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Rational coordinates of a weight in the epsilon-basis."""
-
+class _WeightFields(NamedTuple):
     coords: tuple
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(rat(c) for c in coords))
+
+class WeightVector(_WeightFields):
+    """Rational coordinates of a weight in the epsilon-basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords):
+        return super().__new__(cls, tuple(rat(c) for c in coords))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace coerces too
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -41,8 +48,7 @@ class WeightVector:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     kind: str  # "B" or "D"
     rank: int
     positive_roots: tuple

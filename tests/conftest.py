@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liepq import so_pq
-from liepq.exact_linalg import ONE, Matrix, _quotient, _trusted, rat
+from liepq.exact_linalg import NO_SOLUTION, ONE, Matrix, _quotient, _trusted, rat, solve_linear
 from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
 
@@ -23,6 +23,19 @@ def contains(space, vector) -> bool:
 
 def contains_subspace(space, other) -> bool:
     return all(contains(space, row) for row in other.basis_rows())
+
+
+def restrict_by_solve(v, subspace):
+    """The actions of v restricted to an invariant subspace, by one
+    solve_linear(b, a.b) per action with b the canonical basis as columns:
+    the oracle for `rep_theory.restrict`."""
+    b = Matrix.from_rows(subspace.basis_rows()).transpose()
+    actions = []
+    for a in v.actions:
+        sol, _ = solve_linear(b, a @ b)
+        assert sol is not NO_SOLUTION
+        actions.append(sol)
+    return actions
 
 
 def to_json(obj) -> str:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import re
 import subprocess
@@ -340,7 +339,8 @@ def test_usage_error_exit_2():
 
 
 def test_bad_c_list_token_exits_2_with_error_line():
-    for token in ("1/0", "1/-2"):
+    # the last two: a fullwidth one, and an Arabic-Indic two as denominator
+    for token in ("1/0", "1/-2", "\uff11", "1/\u0662"):
         code, out, err = run_cli("verify", "--suite", "appendix", "--p", "2", "--q", "1",
                                  "--c-list", token)
         assert code == 2
@@ -546,7 +546,7 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch):
 
     def doubled(p, q, c):
         emb = embedding_iso(p, q, c)
-        return dataclasses.replace(emb, images=[im.scale(2) for im in emb.images])
+        return emb._replace(images=[im.scale(2) for im in emb.images])
 
     monkeypatch.setattr(cli, "embedding_iso", doubled)
     result = cli.check_embedding(2, 1, rat(1))
@@ -562,7 +562,7 @@ def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch):
 
     def zero(p, q, c):
         emb = embedding_iso(p, q, c)
-        return dataclasses.replace(emb, images=[im.scale(0) for im in emb.images])
+        return emb._replace(images=[im.scale(0) for im in emb.images])
 
     monkeypatch.setattr(cli, "embedding_iso", zero)
     assert cli.check_embedding(2, 1, rat(1)) == {
@@ -597,13 +597,13 @@ def test_exceptional_iso_check_names_the_first_failing_pair(monkeypatch):
     import liepq.cli as cli
 
     iso = exceptional_iso(SO31_SL2C)
-    doubled = dataclasses.replace(iso, iso_coeffs=iso.iso_coeffs.scale(2))
+    doubled = iso._replace(iso_coeffs=iso.iso_coeffs.scale(2))
     monkeypatch.setattr(cli, "exceptional_iso", lambda name: doubled)
     result = cli.check_exceptional_iso(3, 1)
     assert result["status"] == "fail"
     i, j = pairwise_defect(iso.small_algebra, iso.target, doubled.iso_coeffs)
     assert result["reason"] == f"brackets disagree on pair ({i},{j})"
-    singular = dataclasses.replace(iso, iso_coeffs=iso.iso_coeffs - iso.iso_coeffs @ _unit(6, 0, 0))
+    singular = iso._replace(iso_coeffs=iso.iso_coeffs - iso.iso_coeffs @ _unit(6, 0, 0))
     monkeypatch.setattr(cli, "exceptional_iso", lambda name: singular)
     assert cli.check_exceptional_iso(3, 1) == {
         "status": "fail", "reason": "intertwiner is not bijective"

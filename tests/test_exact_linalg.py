@@ -343,7 +343,9 @@ def test_ops_on_frozen_operands_match_dense_formulas(operands):
 def test_rat_token_grammar():
     assert rat("-3/4") == Rational(-3, 4)
     assert rat(" +6/04 ") == Rational(3, 2)
-    for token in ("1/-2", "1/+2", "1/0", "-5/00", "1/", "/2", "1.5", "1e3", "1_000"):
+    # the last four carry Arabic-Indic, fullwidth or Devanagari digits
+    for token in ("1/-2", "1/+2", "1/0", "-5/00", "1/", "/2", "1.5", "1e3", "1_000",
+                  "\u0661\u0662", "\uff11", "1/\u0662", "-\u0967"):
         with pytest.raises(ContractError):
             rat(token)
 

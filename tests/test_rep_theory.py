@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, NotStableError
-from liepq.exact_linalg import Matrix, Subspace, invert, mat_mul, mat_vec, rat, rref
+from liepq.exact_linalg import Matrix, Subspace, invert, kron, mat_mul, mat_vec, rat, rref
 from liepq.ratpoly import char_poly, rational_roots
 from liepq.rep_theory import (
     Representation,
@@ -32,6 +32,7 @@ from liepq.so_pq import (
     deformed_algebra,
     embedding_iso,
     exceptional_iso,
+    half_spin_reps,
     sl2c_compact_form_vectors,
     so_of_form,
     so_pq_algebra,
@@ -39,7 +40,7 @@ from liepq.so_pq import (
 )
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
-from conftest import column_list, contains
+from conftest import column_list, contains, restrict_by_solve
 
 
 def std_and_friends(p, q):
@@ -196,6 +197,32 @@ def test_restrict_requires_invariance():
     algebra, std = std_and_friends(2, 1)
     with pytest.raises(ContractError):
         restrict(std, Subspace.from_vectors(3, [[1, 0, 0]]))
+
+
+def test_restrict_matches_the_solve_linear_oracle():
+    """Reading coordinates at the pivots gives the same canonical matrices
+    as solving b.x = a.b: on the complement modules of criterion 8, the
+    (4,4) half-spin modules, and a submodule of a conjugated W + W whose
+    basis has pivot entries 3 and actions a denominator 3."""
+    cases = [
+        _complement_setting(p, n - p, rat(c))
+        for n in range(3, 7)
+        for p in range(1, n)
+        for c in ("-2", "-1", "-1/2", "1/2", "1", "2")
+    ]
+    hs = half_spin_reps(4, 4)
+    cases += [(hs.spinor_rep, hs.plus_space), (hs.spinor_rep, hs.minus_space)]
+    algebra = so_pq_algebra(2, 1)
+    g = Matrix(6, 6, [2, 0, -1, 0, 0, 0, 1, -1, 1, 0, 1, 0, -1, 0, -1, 1, 0, -1,
+                      1, 1, 0, 1, -1, 1, 1, 0, -1, -1, 0, 0, -1, 0, 1, 0, 3, 0])
+    ginv = invert(g)
+    twice = Representation(algebra, 6, [ginv @ kron(Matrix.identity(2), b) @ g for b in algebra.basis])
+    summand = cyclic_submodule(twice, column_list(ginv, 0))
+    assert {row[p] for p, row in zip(summand.pivot_columns(), summand._integer_rows())} == {1, 3}
+    cases.append((twice, summand))
+    assert len(cases) == 87
+    for v, subspace in cases:
+        assert restrict(v, subspace).actions == restrict_by_solve(v, subspace)
 
 
 def test_beta_complement_restricts_to_standard_module():
@@ -657,9 +684,9 @@ def _scored_initial_basis(v, w):
     return rt._hom_basis_from_split(v, w, blocks_v, blocks_w)
 
 
-def _complement_module(p, q, c):
-    """The complement of the embedded so(p,q) in so(R^{n+1}, I_{p,q}(c)) as
-    an so(p,q)-module, as in acceptance criterion 8."""
+def _complement_setting(p, q, c):
+    """so(p,q) acting on so(R^{n+1}, I_{p,q}(c)) through the embedding, and
+    the complement of its image, as in acceptance criterion 8."""
     emb = embedding_iso(p, q, c)
     target = so_of_form(emb.target_form)
     coord = target.coordinatizer()
@@ -667,7 +694,7 @@ def _complement_module(p, q, c):
     vectors = [coord.express(im) for im in emb.images[:m]]
     complement = orthogonal_complement(target.trace_form(), Subspace.from_vectors(target.dim, vectors))
     actions = [target.ad_matrix(x) for x in vectors]
-    return restrict(Representation(so_pq_algebra(p, q), target.dim, actions), complement)
+    return Representation(so_pq_algebra(p, q), target.dim, actions), complement
 
 
 def _oracle_module_pairs():
@@ -679,7 +706,7 @@ def _oracle_module_pairs():
     spins = half_spin_reps(4, 4)
     for name, half in (("plus", spins.c_plus), ("minus", spins.c_minus)):
         yield f"half-spin forms {name}", (half, dual_rep(half))
-    module = _complement_module(3, 1, rat(2))
+    module = restrict(*_complement_setting(3, 1, rat(2)))
     yield "complement (3,1) c=2", (module, module)
 
 
