@@ -153,9 +153,22 @@ class LieAlgebra:
         return alg
 
     @classmethod
-    def from_structure(cls, dim, entries, validate=True) -> "LieAlgebra":
-        """ABSTRACT realization from sparse entries (i, j, k, value)."""
-        return cls(ABSTRACT, dim, structure=_tensor_from_entries(dim, entries), validate=validate)
+    def from_structure(cls, dim, entries, validate=True, basis=None) -> "LieAlgebra":
+        """ABSTRACT realization from sparse entries (i, j, k, value), or
+        MATRIX when basis gives the dim matrices, all of one shape, whose
+        commutators the entries are.  Nothing checks the entries against
+        the basis: a caller passes a basis only with a structure it has
+        derived in closed form.  Raises ContractError when basis does not
+        hold exactly dim matrices, or holds matrices of mixed shapes."""
+        structure = _tensor_from_entries(dim, entries)
+        if basis is None:
+            return cls(ABSTRACT, dim, structure=structure, validate=validate)
+        basis = list(basis)
+        if len(basis) != dim:
+            raise ContractError(f"basis holds {len(basis)} matrices for an algebra of dim {dim}")
+        if len({(b.rows, b.cols) for b in basis}) > 1:
+            raise ContractError("basis matrices of mixed shapes")
+        return cls(MATRIX, dim, basis=basis, structure=structure, validate=validate)
 
     @classmethod
     def _certified(cls, dim, structure, killing: Matrix) -> "LieAlgebra":
@@ -426,6 +439,7 @@ def _tensor_from_entries(dim, entries) -> dict:
     ContractError on an index that is not an int in [0, dim) (a bool or a
     float included) or a bracket [b_i, b_i]."""
     structure = {}
+    summed = False  # only a sum can leave a zero to drop
     for entry in entries:
         i, j, k, value = entry
         if not (type(i) is type(j) is type(k) is int
@@ -438,13 +452,19 @@ def _tensor_from_entries(dim, entries) -> dict:
             raise ContractError("[x, x] must vanish: bad structure entry")
         if i > j:
             i, j, value = j, i, -value
-        row = structure.setdefault((i, j), {})
-        old = row.get(k)
-        row[k] = value if old is None else old + value
-    for key in list(structure):
-        structure[key] = {k: v for k, v in structure[key].items() if v}
-        if not structure[key]:
-            del structure[key]
+        row = structure.get((i, j))
+        if row is None:
+            structure[(i, j)] = {k: value}
+        elif k in row:
+            row[k] += value
+            summed = True
+        else:
+            row[k] = value
+    if summed:
+        for key in list(structure):
+            structure[key] = {k: v for k, v in structure[key].items() if v}
+            if not structure[key]:
+                del structure[key]
     return structure
 
 

@@ -93,14 +93,10 @@ def generator_pairs(n: int):
     return wedge_square_index(n)
 
 
-def _generator(p: int, n: int, i: int, j: int) -> Matrix:
-    sign = -ONE if (i < p) == (j < p) else ONE
-    return Matrix.from_sparse(n, n, {(i, j): ONE, (j, i): sign})
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def so_pq_algebra(p: int, q: int) -> LieAlgebra:
-    """MATRIX realization of so(p,q) in the frozen generator basis.
+    """MATRIX realization of so(p,q) in the frozen generator basis: the
+    closed form of `_diagonal_so` for I_{p,q}.
 
     Memoized per (p, q): the algebra and its basis matrices are immutable,
     so every caller can share one instance.
@@ -108,8 +104,40 @@ def so_pq_algebra(p: int, q: int) -> LieAlgebra:
     n = Signature(p, q).n
     if n < 2:
         raise ContractError("so(p,q) needs p + q >= 2")
-    basis = [_generator(p, n, i, j) for i, j in generator_pairs(n)]
-    return LieAlgebra.from_matrices(basis, validate=False)
+    return _diagonal_so([1] * p + [-1] * q)
+
+
+def _diagonal_so(diag) -> LieAlgebra:
+    """so(R^N, D) for D = diag(d_0, ..., d_{N-1}), nonzero ints (or any
+    common nonzero multiple of the form's diagonal: only the ratios enter),
+    in closed form, with no kernel and no commutator solve.
+
+    The basis is the canonical kernel basis of `_form_preserving_algebra`:
+    X_ij = E_ij - (d_i/d_j).E_ji for i < j, in lexicographic order, each as
+    canonical integer rows (with d_i/d_j = a/b in lowest terms, b > 0,
+    {i: {j: b}, j: {i: -a}} over b).  Two of them bracket to a nonzero only
+    when they share exactly one index, and for x < y < z
+    [X_xy, X_yz] = X_xz, [X_xy, X_xz] = -(d_x/d_y).X_yz and
+    [X_xz, X_yz] = -(d_y/d_z).X_xy.
+    """
+    n = len(diag)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # as generator_pairs(n)
+    # pair (i, j) has index start[i] + j
+    start = [i * n - i * (i + 3) // 2 - 1 for i in range(n)]
+    basis, minus_ratio = [], []
+    for i, j in pairs:
+        r = Rational(diag[i], diag[j])
+        a, b = int(r.numerator), int(r.denominator)
+        basis.append(_trusted(n, n, {i: {j: b}, j: {i: -a}}, b))
+        minus_ratio.append(-r)
+    entries = []
+    for xy, (x, y) in enumerate(pairs):
+        for z in range(y + 1, n):
+            xz, yz = start[x] + z, start[y] + z
+            entries.append((xy, yz, xz, ONE))
+            entries.append((xy, xz, yz, minus_ratio[xy]))
+            entries.append((xz, yz, xy, minus_ratio[yz]))
+    return LieAlgebra.from_structure(len(pairs), entries, validate=False, basis=basis)
 
 
 def standard_rep(p: int, q: int) -> Representation:
@@ -311,9 +339,20 @@ def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
 
 
 def so_of_form(form: Matrix) -> LieAlgebra:
-    """so(R^d, form) = {A : A^t.form + form.A = 0} with a canonical basis."""
+    """so(R^N, form) = {A : A^t.form + form.A = 0} with the canonical
+    kernel basis.
+
+    A diagonal nondegenerate form, one whose every row holds exactly its
+    nonzero diagonal entry (I_{p,q}(c) is one), gets that basis and its
+    structure in closed form from `_diagonal_so`.  A degenerate or
+    non-diagonal symmetric form goes through the N^2 x N^2 kernel of
+    `_form_preserving_algebra`.
+    """
     if not form.is_symmetric():
         raise ContractError("so_of_form requires a symmetric form")
+    rows = form._data
+    if len(rows) == form.rows and all(len(row) == 1 and i in row for i, row in rows.items()):
+        return _diagonal_so([rows[i][i] for i in range(form.rows)])
     return _form_preserving_algebra(form)
 
 

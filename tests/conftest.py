@@ -8,6 +8,22 @@ from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
 
 
+def generator(p, n, i, j):
+    """The frozen so(p,q) generator for the pair (i, j), i < j, entry by
+    entry: E_ij - E_ji when coordinates i and j carry the same sign of
+    I_{p,q}, and E_ij + E_ji otherwise."""
+    sign = -ONE if (i < p) == (j < p) else ONE
+    return Matrix.from_sparse(n, n, {(i, j): ONE, (j, i): sign})
+
+
+def fresh_so_pq(p, q):
+    """so(p,q) from its frozen generators by `from_matrices`, which solves
+    every commutator: the reference for the closed form of `so_pq_algebra`."""
+    n = p + q
+    basis = [generator(p, n, i, j) for i, j in generator_pairs(n)]
+    return LieAlgebra.from_matrices(basis, validate=False)
+
+
 def unit_matrix(i, j, n):
     return Matrix.from_sparse(n, n, {(i, j): rat(1)})
 

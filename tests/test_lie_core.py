@@ -420,6 +420,30 @@ def test_from_structure_refuses_an_index_outside_the_algebra(entry):
         LieAlgebra.from_structure(2, [(0, 1, 0, 1), entry])
 
 
+def test_from_structure_with_a_basis_is_the_matrix_realization(so3_rotations):
+    entries = [(i, j, k, v) for (i, j), e in so3_rotations.structure.items() for k, v in e.items()]
+    alg = LieAlgebra.from_structure(3, entries, basis=so3_rotations.basis)
+    assert alg.realization == so3_rotations.realization == lie_core.MATRIX
+    assert alg.basis == so3_rotations.basis and alg.structure == so3_rotations.structure
+    assert alg.coordinatizer().express(so3_rotations.basis[2]) == [0, 0, 1]
+    assert alg.trace_form() == so3_rotations.trace_form()
+
+
+@pytest.mark.parametrize(
+    "basis,match",
+    [
+        (lambda b: b[:2], "basis holds 2 matrices for an algebra of dim 3"),
+        (lambda b: b + b[:1], "basis holds 4 matrices for an algebra of dim 3"),
+        (lambda b: b[:2] + [unit_matrix(0, 1, 2)], "mixed shapes"),
+        (lambda b: b[:2] + [Matrix.zeros(3, 2)], "mixed shapes"),
+    ],
+    ids=["too few", "too many", "smaller square", "not square"],
+)
+def test_from_structure_refuses_a_basis_that_does_not_fit(so3_rotations, basis, match):
+    with pytest.raises(ContractError, match=match):
+        LieAlgebra.from_structure(3, [(0, 1, 2, 1)], basis=basis(list(so3_rotations.basis)))
+
+
 def dense_killing_entries(algebra):
     """The obvious formula K_ab = tr(ad b_a . ad b_b) on dense ad matrices."""
     d = algebra.dim

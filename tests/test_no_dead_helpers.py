@@ -1,5 +1,6 @@
-"""No dead public helpers: every public function, method or class that
-src/liepq defines is named somewhere in src/liepq, bench/*.py or demos/*.py.
+"""No dead helpers: every top-level function or class that src/liepq
+defines, public or private, and every public method of a top-level class is
+named somewhere in src/liepq, bench/*.py or demos/*.py.
 
 A name counts as used where it is read as a variable, an attribute or an
 imported name, or inside a dotted-name string constant such as
@@ -19,12 +20,12 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def public_definitions(tree):
-    """(name, line) of every public top-level function and class, and of
-    every public method of a top-level class."""
+def checked_definitions(tree):
+    """(name, line) of every top-level function and class, and of every
+    public method of a top-level class."""
     out = []
     for node in tree.body:
-        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+        if isinstance(node, DEFINITIONS):
             out.append((node.name, node.lineno))
         if isinstance(node, ast.ClassDef):
             out.extend(
@@ -62,7 +63,7 @@ def used_names(tree):
 
 
 def dead_helpers(root: Path):
-    """'file:line name' for each public definition under root/src/liepq
+    """'file:line name' for each checked definition under root/src/liepq
     whose name no scanned module uses."""
     library = sorted((root / "src" / "liepq").glob("*.py"))
     scanned = library + sorted((root / "bench").glob("*.py")) + sorted((root / "demos").glob("*.py"))
@@ -71,12 +72,12 @@ def dead_helpers(root: Path):
     return [
         f"{path.name}:{line} {name}"
         for path in library
-        for name, line in public_definitions(trees[path])
+        for name, line in checked_definitions(trees[path])
         if name not in used
     ]
 
 
-def test_every_public_definition_in_the_library_is_used():
+def test_every_checked_definition_in_the_library_is_used():
     assert (ROOT / "src" / "liepq" / "__init__.py").is_file()
     assert dead_helpers(ROOT) == []
 
@@ -93,8 +94,14 @@ def test_the_scan_reports_a_helper_only_its_definition_names(tmp_path):
         "def validate():\n    pass\n\n"
         "class Box:\n    def wrapped(self):\n        pass\n\n"
         "    def unused(self):\n        pass\n\n"
-        "    def _private(self):\n        pass\n"
+        "    def _private(self):\n        pass\n\n"
+        "def _used():\n    pass\n\n"
+        "def _dead():\n    return _used()\n\n"
+        "class _Base:\n    pass\n\n"
+        "class _Unused(_Base):\n    pass\n"
     )
     (tmp_path / "bench/layers.py").write_text('LAYERS = [("core", "Box.wrapped")]\n')
-    (tmp_path / "demos/demo.py").write_text("# unused()\n")
-    assert dead_helpers(tmp_path) == ["core.py:12 validate", "core.py:19 unused"]
+    (tmp_path / "demos/demo.py").write_text("# unused(), _dead()\n")
+    assert dead_helpers(tmp_path) == [
+        "core.py:12 validate", "core.py:19 unused", "core.py:28 _dead", "core.py:34 _Unused",
+    ]

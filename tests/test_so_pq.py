@@ -32,13 +32,11 @@ from liepq.so_pq import (
     SO31_SL2C,
     SO32_SP4R,
     SO33_SL4R,
-    _generator,
     clifford_gammas_44,
     deformed_algebra,
     dimension_bound,
     embedding_iso,
     exceptional_iso,
-    generator_pairs,
     half_spin_reps,
     ipq,
     ipq_c,
@@ -49,7 +47,7 @@ from liepq.so_pq import (
     t_c,
 )
 
-from conftest import pairwise_defect, per_c_deformed_algebra, three_run_family
+from conftest import fresh_so_pq, pairwise_defect, per_c_deformed_algebra, three_run_family
 
 C_GRID = [rat(x) for x in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
 
@@ -127,25 +125,25 @@ def test_so_pq_dimensions():
         so_pq_algebra(1, 0)
 
 
-def fresh_so_pq(p, q):
-    n = p + q
-    basis = [_generator(p, n, i, j) for i, j in generator_pairs(n)]
-    return LieAlgebra.from_matrices(basis, validate=False)
+SO_PQ_SIGNATURES = [(p, n - p) for n in range(2, 9) for p in range(1, n)] + [(3, 0), (0, 3)]
 
 
-@pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,q", SO_PQ_SIGNATURES)
 def test_memoized_so_pq_algebra_matches_fresh_build(p, q):
     fresh = fresh_so_pq(p, q)
     algebra = so_pq_algebra(p, q)
     assert so_pq_algebra(p, q) is algebra
+    assert algebra.realization == fresh.realization
     assert algebra.structure == fresh.structure
+    assert algebra.basis == fresh.basis
     # consumers built on the shared instance must leave it untouched
     std = standard_rep(p, q)
     hom_space(std, std)
     min_poly(algebra.basis[0])
-    embedding_iso(p, q, 1)
-    embedding_iso(p, q, rat("-1/2"))
-    deformed_algebra(p, q, 2)
+    if p + q >= 3:
+        embedding_iso(p, q, 1)
+        embedding_iso(p, q, rat("-1/2"))
+        deformed_algebra(p, q, 2)
     if (p, q) == (3, 1):
         exceptional_iso(SO31_SL2C)
     assert so_pq_algebra(p, q) is algebra
@@ -370,6 +368,52 @@ def test_sqrt_conjugation_perfect_squares():
 def test_so_of_form_dimension():
     target = so_of_form(ipq_c(2, 1, rat(1)))
     assert target.dim == 6
+
+
+def assert_same_algebra(alg, ref):
+    assert (alg.realization, alg.dim) == (ref.realization, ref.dim)
+    assert alg.basis == ref.basis
+    assert alg.structure == ref.structure
+
+
+@pytest.mark.parametrize("c", C_WIDE, ids=str)
+def test_closed_form_so_of_form_matches_the_kernel_path(c):
+    for n in range(3, 9):
+        for p in range(1, n):
+            form = ipq_c(p, n - p, c)
+            assert_same_algebra(so_of_form(form), so_pq._form_preserving_algebra(form))
+
+
+nonzero_rationals = st.builds(
+    lambda num, den: rat(num) / den,
+    st.integers(-9, 9).filter(bool),
+    st.integers(1, 6),
+)
+
+
+@given(st.lists(nonzero_rationals, max_size=7))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_so_of_a_rational_diagonal_matches_the_kernel_path(diag):
+    form = Matrix.diagonal(diag)
+    alg = so_of_form(form)
+    assert_same_algebra(alg, so_pq._form_preserving_algebra(form))
+    alg._check_jacobi()
+
+
+@pytest.mark.parametrize(
+    "form,dim",
+    [
+        (Matrix.zeros(0, 0), 0),
+        (Matrix.diagonal([rat("-5/3")]), 0),
+        (Matrix.diagonal([1, 0, -1]), 4),
+        (Matrix.from_rows([[0, 1], [1, 0]]), 1),
+    ],
+    ids=["0x0", "1x1", "degenerate", "off-diagonal"],
+)
+def test_so_of_small_degenerate_and_non_diagonal_forms_is_the_kernel_result(form, dim):
+    alg = so_of_form(form)
+    assert alg.dim == dim
+    assert_same_algebra(alg, so_pq._form_preserving_algebra(form))
 
 
 @pytest.mark.parametrize("name,small_dim,carrier_dim,inertia", [
