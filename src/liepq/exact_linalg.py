@@ -168,10 +168,6 @@ class Matrix:
         n = len(diag)
         return cls.from_sparse(n, n, {(i, i): d for i, d in enumerate(diag)})
 
-    @classmethod
-    def column(cls, values) -> "Matrix":
-        return cls(len(values), 1, list(values))
-
     @property
     def entries(self):
         """A fresh dense row-major list of all rows * cols entries."""
@@ -695,10 +691,6 @@ class Subspace:
         return cls(_echelon(ambient_dim, ints))
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(Echelon(ambient_dim))
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(_echelon(ambient_dim, ({j: 1} for j in range(ambient_dim))))
 
@@ -900,80 +892,47 @@ def inertia_of_diagonalizable_form(b: Matrix):
 def congruence_diagonalize(b: Matrix):
     """Invertible rational P with P^t.b.P diagonal; returns (P, diagonal entries).
 
-    Exact symmetric Gaussian congruence, with the transform tracked, on
-    sparse rational rows: the form is held as symmetric rows (only the
-    nonzeros), P as the rows of its transpose, and each step is one
-    congruence, column dst of P += f times column src.  Step k brings
-    index k to a nonzero diagonal entry, by a swap with the first later
-    index that has one or else by adding the first later index it pairs
-    with (the shear, which makes the entry twice that pairing), and then
-    clears the rest of row k.  The steps are those of the dense elimination
-    in this order, so P and the diagonal come out entry for entry the same;
-    a diagonal form takes no step at all.
+    A nondegenerate diagonal form, each row holding exactly its own nonzero
+    diagonal entry, comes back at once with P = I.  Any other form takes
+    exact symmetric Gaussian congruence on dense rows, with P tracked
+    column by column: step k brings index k to a nonzero diagonal entry, by
+    a swap with the first later index that has one or else by adding the
+    first later index it pairs with (the shear, which makes the entry twice
+    that pairing), and then clears row and column k past the diagonal.
     """
     if not b.is_symmetric():
         raise ContractError("congruence diagonalization requires a symmetric matrix")
-    n, den = b.rows, b.den
-    m = {i: {j: _quotient(x, den) for j, x in row.items()} for i, row in b._data.items()}
-    pt = {i: {i: ONE} for i in range(n)}  # row i of pt is column i of P
+    n, den, data = b.rows, b.den, b._data
+    if len(data) == n and all(row.keys() == {i} for i, row in data.items()):
+        return Matrix.identity(n), [_quotient(data[i][i], den) for i in range(n)]
+    m = b.to_rows()
+    pt = Matrix.identity(n).to_rows()  # row i of pt is column i of P
 
     def add(dst, src, f):
-        # e_dst += f e_src: b(dst, j) += f b(src, j) for j != dst, and
-        # b(dst, dst) += 2 f b(dst, src) + f^2 b(src, src)
-        old, rsrc = m.get(dst, {}), m.get(src, {})
-        new = dict(old)
-        for j, x in rsrc.items():
-            if j != dst:
-                new[j] = new.get(j, ZERO) + f * x
-        new[dst] = old.get(dst, ZERO) + f * (2 * old.get(src, ZERO) + f * rsrc.get(src, ZERO))
-        new = {j: x for j, x in new.items() if x}
-        for j in old.keys() | new.keys():
-            if j == dst:
-                continue
-            x = new.get(j)
-            if x is None:
-                del m[j][dst]
-            else:
-                m.setdefault(j, {})[dst] = x
-        m[dst] = new
-        prow = pt[dst]
-        for j, x in pt[src].items():
-            y = prow.get(j, ZERO) + f * x
-            if y:
-                prow[j] = y
-            else:
-                del prow[j]
-
-    def swap(i, j):
-        ri, rj = m.pop(i, {}), m.pop(j, {})
-        for k in (ri.keys() | rj.keys()) - {i, j}:
-            row = m[k]
-            x, y = row.pop(i, None), row.pop(j, None)
-            if y is not None:
-                row[i] = y
-            if x is not None:
-                row[j] = x
-        swapped = {i: j, j: i}
-        m[i] = {swapped.get(k, k): x for k, x in rj.items()}
-        m[j] = {swapped.get(k, k): x for k, x in ri.items()}
-        pt[i], pt[j] = pt[j], pt[i]
+        # e_dst += f e_src: row and column dst of the form, column dst of P
+        m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
+        for row in m:
+            row[dst] += f * row[src]
+        pt[dst] = [x + f * y for x, y in zip(pt[dst], pt[src])]
 
     for k in range(n):
-        row = m.get(k, {})
-        if not row.get(k):
-            pivot = next((j for j in range(k + 1, n) if m.get(j, {}).get(j)), None)
+        if not m[k][k]:
+            pivot = next((j for j in range(k + 1, n) if m[j][j]), None)
             if pivot is not None:
-                swap(k, pivot)
+                m[k], m[pivot] = m[pivot], m[k]
+                for row in m:
+                    row[k], row[pivot] = row[pivot], row[k]
+                pt[k], pt[pivot] = pt[pivot], pt[k]
             else:
-                off = min((j for j in row if j > k), default=None)
+                off = next((j for j in range(k + 1, n) if m[k][j]), None)
                 if off is None:
                     continue
                 add(k, off, ONE)
         d = m[k][k]
-        for i in sorted(j for j in m[k] if j > k):
-            add(i, k, -m[k][i] / d)
-    diag = [m.get(i, {}).get(i, ZERO) for i in range(n)]
-    return _trusted(n, n, *_integer_rows(pt)).transpose(), diag
+        for i in range(k + 1, n):
+            if m[i][k]:
+                add(i, k, -m[i][k] / d)
+    return Matrix.from_rows(pt).transpose(), [m[i][i] for i in range(n)]
 
 
 def wedge_square_index(n: int):

@@ -5,14 +5,17 @@ Hom spaces are cut out by the exact linear system
 phi . rho_V(x) = rho_W(x) . phi for every basis element x.  When some basis
 elements act diagonalizably with rational eigenvalues on both modules, the
 solver starts from the joint eigenspaces of a first-fit commuting pool of
-such elements (the basis walked in order; an intertwiner maps each joint
-eigenspace of V into the one of W with the same eigenvalues) and then
-intersects with the constraint kernels; otherwise it starts from all of
-Hom(V, W).  Each constraint image rho_W(x) . phi - phi . rho_V(x) is one
+such elements and then intersects with the constraint kernels.  The pool
+is sized by the data: the basis is walked in order from the whole of V and
+W, and the walk stops once every joint eigenspace on both sides is a line
+or the basis runs out (an intertwiner maps each joint eigenspace of V into
+the one of W with the same eigenvalues; an empty pool leaves all of
+Hom(V, W)).  Each constraint image rho_W(x) . phi - phi . rho_V(x) is one
 integer vector over a denominator from `_intertwining_defect`, one pass
 with no product matrix, and the kernel of the images is taken on those
-vectors over the lcm of their denominators.  Both paths return the same
-canonical (reduced-echelon) basis.  `rational_eigensplit` rejects most
+vectors over the lcm of their denominators.  `hom_space` and the
+brute-force `hom_space_dense` return the same canonical (reduced-echelon)
+basis.  `rational_eigensplit` rejects most
 non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
 """
 
@@ -47,7 +50,7 @@ from .exact_linalg import (
 from .lie_core import BilinearForm, LieAlgebra
 from .ratpoly import char_poly, factor_poly, min_poly, poly_eval_matrix, rational_roots
 
-_DENSE_HOM_CAP = 4096  # unknown-count bound for the stacked fallback solver
+_DENSE_HOM_CAP = 4096  # unknown-count bound for the dense solver and an unsplit Hom system
 
 
 class Representation:
@@ -341,19 +344,6 @@ def _canonical_maps(maps, m, n):
     return Subspace(ech).basis_matrices(m, n)
 
 
-def _initial_hom_basis(v, w):
-    split = _find_splitting_element(v, w)
-    if split is not None:
-        return split
-    n, m = v.module_dim, w.module_dim
-    if m * n > _DENSE_HOM_CAP:
-        raise ContractError(
-            "no rational-split element found and module pair is too large "
-            "for the dense fallback"
-        )
-    return [_trusted(m, n, {i: {j: 1}}) for i in range(m) for j in range(n)]
-
-
 def rational_eigensplit(a: Matrix):
     """Eigenspace decomposition when `a` is diagonalizable over Q, else None.
 
@@ -383,22 +373,32 @@ def rational_eigensplit(a: Matrix):
     return spaces
 
 
-def _find_splitting_element(v, w):
+def _initial_hom_basis(v, w):
     """Initial Hom basis from the joint eigenspaces of a first-fit commuting
     pool of basis elements.
 
-    The basis is walked in order.  An element whose bracket with a pool
-    member is nonzero is skipped before any eigensplit; one that splits
-    rationally on both modules joins the pool, which stops at 8 members.
-    The first member's eigenspaces start the blocks and each further member
-    refines them block by block, a block's key being the tuple of its
-    eigenvalues.  An intertwiner maps each joint eigenspace of V into the
-    one of W with the same key, so the initial basis spans Hom_g(V, W).
+    The blocks start as the whole of V and the whole of W, and the basis is
+    walked in order.  An element whose bracket with a pool member is
+    nonzero is skipped before any eigensplit; one that splits rationally on
+    both modules joins the pool.  The first member's eigenspaces become the
+    blocks and each further member refines them block by block, a block's
+    key being the tuple of its eigenvalues.  The walk stops when every
+    block on both sides is a single vector, or when the basis runs out.  An
+    intertwiner maps each joint eigenspace of V into the one of W with the
+    same key, so the initial basis spans Hom_g(V, W); with an empty pool it
+    is the m * n matrix units, refused above `_DENSE_HOM_CAP` unknowns.
     """
     algebra = v.algebra
+    n, m = v.module_dim, w.module_dim
+    blocks_v = [((), [{j: 1} for j in range(n)])]
+    blocks_w = blocks_v if w is v else [((), [{i: 1} for i in range(m)])]
     pool = []
     for a in range(algebra.dim):
-        if any(algebra.structure_entry(b, a) for b, _, _ in pool):
+        if all(len(rows) == 1 for _, rows in blocks_v) and all(
+            len(rows) == 1 for _, rows in blocks_w
+        ):
+            break
+        if any(algebra.structure_entry(b, a) for b in pool):
             continue
         ev = rational_eigensplit(v.actions[a])
         if ev is None:
@@ -406,23 +406,24 @@ def _find_splitting_element(v, w):
         ew = ev if w is v or w.actions[a] is v.actions[a] else rational_eigensplit(w.actions[a])
         if ew is None:
             continue
-        pool.append((a, ev, ew))
-        if len(pool) == 8:
-            break
-    if not pool:
-        return None
-    _, ev, ew = pool[0]
-    blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
-    blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
-    for a, xv, xw in pool[1:]:
-        refined_v = _refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in xv])
-        if blocks_w is blocks_v and xw is xv:
-            refined_w = refined_v
+        if not pool:
+            blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
+            blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
         else:
-            refined_w = _refine_blocks(blocks_w, w.actions[a], [lam for lam, _ in xw])
-        if refined_v is None or refined_w is None:
-            break
-        blocks_v, blocks_w = refined_v, refined_w
+            refined_v = _refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in ev])
+            if blocks_w is blocks_v and ew is ev:
+                refined_w = refined_v
+            else:
+                refined_w = _refine_blocks(blocks_w, w.actions[a], [lam for lam, _ in ew])
+            if refined_v is None or refined_w is None:
+                break
+            blocks_v, blocks_w = refined_v, refined_w
+        pool.append(a)
+    if not pool and m * n > _DENSE_HOM_CAP:
+        raise ContractError(
+            "no rational-split element found and module pair is too large "
+            "for the dense fallback"
+        )
     return _hom_basis_from_split(v, w, blocks_v, blocks_w)
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from liepq import so_pq
-from liepq.exact_linalg import NO_SOLUTION, ONE, Matrix, _quotient, _trusted, rat, solve_linear
+from liepq.exact_linalg import (
+    NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _trusted, rat, solve_linear,
+)
 from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
 
@@ -26,6 +28,15 @@ def fresh_so_pq(p, q):
 
 def unit_matrix(i, j, n):
     return Matrix.from_sparse(n, n, {(i, j): rat(1)})
+
+
+def column(values):
+    """The column vector of the values, a len(values) x 1 matrix."""
+    return Matrix(len(values), 1, list(values))
+
+
+def zero_subspace(ambient_dim):
+    return Subspace(Echelon(ambient_dim))
 
 
 def column_list(m, j):

@@ -31,6 +31,7 @@ from liepq.exact_linalg import (
 )
 
 from conftest import (
+    column,
     column_list,
     contains,
     dense_congruence_diagonalize,
@@ -83,20 +84,20 @@ def test_kernel_rank_one():
 
 
 def test_solve_identity():
-    sol, ker = solve_linear(Matrix.identity(2), Matrix.column([1, 0]))
+    sol, ker = solve_linear(Matrix.identity(2), column([1, 0]))
     assert column_list(sol, 0) == [rat(1), rat(0)]
     assert ker.dim == 0
 
 
 def test_solve_underdetermined():
-    sol, ker = solve_linear(Matrix.from_rows([[1, 1]]), Matrix.column([1]))
+    sol, ker = solve_linear(Matrix.from_rows([[1, 1]]), column([1]))
     assert sol is not NO_SOLUTION
     assert sol[0, 0] + sol[1, 0] == 1
     assert ker.dim == 1 and contains(ker, [1, -1])
 
 
 def test_solve_inconsistent_is_a_value():
-    sol, ker = solve_linear(Matrix.from_rows([[1], [1]]), Matrix.column([1, 2]))
+    sol, ker = solve_linear(Matrix.from_rows([[1], [1]]), column([1, 2]))
     assert sol is NO_SOLUTION
     assert ker.dim == 0
 
@@ -148,7 +149,7 @@ def test_rank_nullity(entries):
 @settings(max_examples=60)
 def test_solve_returns_exact_solution(entries, xs):
     a = Matrix(3, 3, [rat(x) for x in entries])
-    x = Matrix.column([rat(v) for v in xs])
+    x = column([rat(v) for v in xs])
     b = mat_mul(a, x)
     sol, _ = solve_linear(a, b)
     assert sol is not NO_SOLUTION
@@ -210,7 +211,7 @@ def test_subspace_from_a_matrix_of_the_wrong_size_is_refused():
     with pytest.raises(ShapeMismatchError):
         Subspace.from_vectors(4, [Matrix.identity(3)])
     with pytest.raises(ShapeMismatchError):
-        Subspace.from_vectors(4, [Matrix.column([1, 2, 3])])
+        Subspace.from_vectors(4, [column([1, 2, 3])])
 
 
 def test_matrix_text_round_trip():
@@ -357,7 +358,7 @@ def test_public_constructors_still_validate_entries():
         with pytest.raises(ContractError):
             Matrix.from_rows([[bad]])
         with pytest.raises(ContractError):
-            Matrix.column([bad])
+            column([bad])
         with pytest.raises(ContractError):
             Matrix.diagonal([bad])
     for body in ("0.5", "1/0", "2/-3", "x"):
@@ -484,10 +485,12 @@ def congruence_inputs(draw):
 @example(Matrix.from_rows([[0, 1, 0], [1, 0, 2], [0, 2, 0]]))
 @example(Matrix.from_rows([[0, 0, 3], [0, 0, 0], [3, 0, 0]]))
 @example(Matrix.from_rows([[1, 2, 1], [2, 4, 2], [1, 2, 1]]))
+@example(Matrix.diagonal([rat(2), rat(-1), rat("1/3")]))  # nondegenerate: P = I at once
+@example(Matrix.diagonal([rat(0), rat(1), rat(0), rat(-2)]))  # a zero entry: swaps
 @settings(max_examples=200, deadline=None)
 def test_congruence_diagonalize_matches_dense_oracle(b):
-    """The sparse congruence returns the dense routine's P and diagonal,
-    entry for entry, and P^t.b.P is that diagonal."""
+    """The congruence returns the dense routine's P and diagonal, entry for
+    entry, and P^t.b.P is that diagonal."""
     p, diag = congruence_diagonalize(b)
     expected_p, expected_diag = dense_congruence_diagonalize(b)
     assert p == expected_p
@@ -680,7 +683,7 @@ def test_matrix_named_constructors_match_dense_oracle():
     assert dense(Matrix.zeros(2, 3)) == [[0, 0, 0], [0, 0, 0]]
     assert dense(Matrix.identity(3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert dense(Matrix.diagonal([half, 0, -3])) == [[half, 0, 0], [0, 0, 0], [0, 0, -3]]
-    assert dense(Matrix.column([0, half])) == [[0], [half]]
+    assert dense(column([0, half])) == [[0], [half]]
     assert Matrix.identity(0) == Matrix.zeros(0, 0) == Matrix.from_rows([])
     assert Matrix.zeros(0, 3) != Matrix.zeros(3, 0)
     assert Matrix.zeros(0, 3).entries == [] and Matrix.zeros(2, 0).to_rows() == [[], []]

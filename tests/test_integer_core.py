@@ -46,7 +46,7 @@ from liepq.ratpoly import (
 )
 from liepq.so_pq import deformed_algebra, so_pq_algebra
 
-from conftest import dense_express, dense_kernel, dense_ratio, dense_rref, dense_solve, frozen
+from conftest import column, dense_express, dense_kernel, dense_ratio, dense_rref, dense_solve, frozen
 
 # -- strategies ---------------------------------------------------------------
 
@@ -289,7 +289,7 @@ def test_subspace_reduce_on_mixed_denominators(a, data):
                                  min_size=len(basis), max_size=len(basis)))
     inside = [sum((w * r[j] for w, r in zip(weights, basis)), Fraction(0)) for j in range(a.cols)]
     assert sub.reduce(inside) == weights
-    assert sub.reduce(Matrix.column(inside)) == weights
+    assert sub.reduce(column(inside)) == weights
     assert Subspace.from_vectors(a.cols, [[2 * x for x in r] for r in basis] + basis) == sub
     assert hash(Subspace.from_vectors(a.cols, list(reversed(basis)))) == hash(sub)
 

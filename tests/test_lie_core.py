@@ -49,6 +49,7 @@ from conftest import (
     pairwise_defect,
     to_json,
     unit_matrix,
+    zero_subspace,
 )
 
 coeff3 = st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6)
@@ -260,7 +261,7 @@ def test_centralizer_of_embedded_so_pq_is_trivial():
 def test_closure_trivial_cases(so3_rotations):
     full = Subspace.full(3)
     assert subalgebra_closure(so3_rotations, full) == full
-    assert subalgebra_closure(so3_rotations, Subspace.zero(3)).dim == 0
+    assert subalgebra_closure(so3_rotations, zero_subspace(3)).dim == 0
 
 
 def test_closure_two_rotations_generate(so3_rotations):
@@ -327,7 +328,7 @@ def test_maximal_implies_centralizer_inside(so21):
 def test_orthogonal_complement_trivial(so31):
     beta = trace_form(so31)
     assert orthogonal_complement(beta, Subspace.full(6)).dim == 0
-    assert orthogonal_complement(beta, Subspace.zero(6)) == Subspace.full(6)
+    assert orthogonal_complement(beta, zero_subspace(6)) == Subspace.full(6)
 
 
 def test_beta_complement_of_so21_in_so31(so31):
@@ -574,7 +575,7 @@ def test_closure_matches_worklist_oracle(algebra, data):
 def test_maximality_matches_brute_force_oracle(algebra, data):
     sub = worklist_closure(algebra, draw_generators(data, algebra))
     if sub.dim == algebra.dim:
-        sub = worklist_closure(algebra, Subspace.zero(algebra.dim))
+        sub = worklist_closure(algebra, zero_subspace(algebra.dim))
     assert is_subalgebra(algebra, sub)
     assert is_maximal_subalgebra(algebra, sub) == brute_force_maximality(algebra, sub)
 

@@ -37,6 +37,7 @@ from liepq.so_pq import (
     so_of_form,
     so_pq_algebra,
     standard_rep,
+    t_c,
 )
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
@@ -581,7 +582,8 @@ def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypat
 
 def _diagonal_abelian_module(n):
     """The abelian algebra of n x n diagonal matrices on R^n: every basis
-    element splits and all of them commute, so only the cap stops the pool."""
+    element splits and all of them commute, so only the blocks stop the
+    walk."""
     mats = [Matrix.from_sparse(n, n, {(k, k): rat(1)}) for k in range(n)]
     return Representation(LieAlgebra.from_matrices(mats), n, mats)
 
@@ -590,10 +592,22 @@ def _wedge_ad(p, q):
     return wedge_square_rep(standard_rep(p, q)), adjoint_rep(so_pq_algebra(p, q))
 
 
+def _joint_blocks(module, members):
+    """The joint eigenspaces of the members' actions on the module, refined
+    from the whole space one member at a time."""
+    import liepq.rep_theory as rt
+
+    blocks = [((), [{j: 1} for j in range(module.module_dim)])]
+    for idx, eigenvalues in members:
+        blocks = rt._refine_blocks(blocks, module.actions[idx], eigenvalues)
+    return blocks
+
+
 def _replay_pool(v, w, monkeypatch):
-    """Run the pool search with rational_eigensplit spied on, and replay its
-    calls: every element it eigensplits commutes with the pool collected so
-    far, the basis is walked in order, and the pool never passes 8."""
+    """Run the Hom solver's walk with rational_eigensplit spied on, and
+    replay its calls: every element it eigensplits commutes with the pool
+    collected so far, the basis is walked in order, and nothing is
+    eigensplit once every joint eigenspace on both sides is one vector."""
     import liepq.rep_theory as rt
 
     calls = []
@@ -604,9 +618,9 @@ def _replay_pool(v, w, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(rt, "rational_eigensplit", spy)
-    rt._find_splitting_element(v, w)
+    rt._initial_hom_basis(v, w)
     algebra = v.algebra
-    pool, walked = [], []
+    pool, walked, members_v, members_w = [], [], [], []
     pending = iter(calls)
     for a, ev in pending:
         idx = next(k for k, x in enumerate(v.actions) if x is a)
@@ -621,7 +635,14 @@ def _replay_pool(v, w, monkeypatch):
             assert aw is w.actions[idx]
         if ew is not None:
             pool.append(idx)
-    assert len(pool) <= 8
+            members_v.append((idx, [lam for lam, _ in ev]))
+            members_w.append((idx, [lam for lam, _ in ew]))
+    if walked:
+        # the pool collected before the last eigensplit left some block wide
+        last = walked[-1]
+        blocks = _joint_blocks(v, [m for m in members_v if m[0] < last])
+        blocks += _joint_blocks(w, [m for m in members_w if m[0] < last])
+        assert any(len(rows) > 1 for _, rows in blocks)
     return pool, walked
 
 
@@ -635,11 +656,43 @@ def test_pool_never_eigensplits_a_non_commuting_element(pq, monkeypatch):
     assert len(walked) < v.algebra.dim
 
 
-def test_pool_stops_at_eight_members(monkeypatch):
+def test_walk_stops_once_every_block_is_one_vector(monkeypatch):
+    """After elements 0..8 of the 10 diagonal units every joint eigenspace
+    of R^10 is a line, so element 9 is never eigensplit."""
     v = _diagonal_abelian_module(10)
     pool, walked = _replay_pool(v, v, monkeypatch)
-    assert pool == walked == list(range(8))
+    assert pool == walked == list(range(9))
     assert [h.entries for h in hom_space(v, v)] == [h.entries for h in hom_space_dense(v, v)]
+
+
+def test_hom_wedge_adjoint_at_so99_takes_a_pool_of_nine(monkeypatch):
+    """so(9,9) has rank 9, one more than so(8,8): the walk keeps all nine
+    commuting boosts, and Hom(wedge^2 V, ad) is the line of T_1."""
+    v, w = _wedge_ad(9, 9)
+    pool, _ = _replay_pool(v, w, monkeypatch)
+    assert len(pool) == 9
+    homs = hom_space(v, w)
+    assert len(homs) == 1
+    assert Subspace.from_vectors(153 * 153, homs).reduce(t_c(9, 9, 1)) is not None
+
+
+def test_unsplit_pair_is_refused_above_the_dense_cap(monkeypatch):
+    """Compact so(3,0) splits nothing over Q (tr(a^2) < 0 for every basis
+    element): on R^3 against itself the matrix units start the solver, and
+    on 22 copies of R^3 (66 * 66 = 4356 unknowns) the pair is refused
+    before any kernel."""
+    import liepq.rep_theory as rt
+
+    algebra = so_pq_algebra(3, 0)
+    std = Representation(algebra, 3, list(algebra.basis))
+    assert [h.entries for h in hom_space(std, std)] == [h.entries for h in hom_space_dense(std, std)]
+    copies = Representation(algebra, 66, [kron(Matrix.identity(22), b) for b in algebra.basis])
+    kernels = []
+    real = rt.kernel
+    monkeypatch.setattr(rt, "kernel", lambda m: kernels.append(m) or real(m))
+    with pytest.raises(ContractError, match="too large"):
+        hom_space(copies, copies)
+    assert kernels == []
 
 
 def _scored_initial_basis(v, w):
@@ -714,10 +767,11 @@ def test_first_fit_basis_is_never_larger_than_the_scored_one():
     import liepq.rep_theory as rt
 
     for label, (v, w) in _oracle_module_pairs():
-        first_fit = rt._find_splitting_element(v, w)
+        first_fit = rt._initial_hom_basis(v, w)
         scored = _scored_initial_basis(v, w)
-        assert (first_fit is None) == (scored is None), label
-        if scored is not None:
+        if scored is None:
+            assert len(first_fit) == v.module_dim * w.module_dim, label
+        else:
             assert len(first_fit) <= len(scored), label
 
 
