@@ -82,7 +82,7 @@ from .weyl_enum import (
 # fast instead of running for hours.  Measured with the pure-Python Fraction
 # backend (Python 3.11, shared 2-core Intel Xeon, whole process,
 # LIEPQ_THREADS=1, median of 7 runs): `verify --suite all` takes 0.27 s at
-# n = 8, 0.65 s at n = 12 and 1.4 s at n = 16 (p = q), about 1.2x more per
+# n = 8, 0.57 s at n = 12 and 1.4 s at n = 16 (p = q), about 1.2x more per
 # unit of n; `construct --c 1` takes about 0.22 s at n = 16, of which importing
 # the package is about 8 ms.
 MAX_N = 16

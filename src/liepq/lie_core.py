@@ -372,24 +372,32 @@ class LieAlgebra:
         if self.realization != MATRIX:
             raise UnsupportedRealizationError("trace form needs a MATRIX realization")
         # tr(b_a b_b) = sum of (b_a)_ij (b_b)_ji, on the integer rows over
-        # the lcm of the basis denominators
+        # the lcm of the basis denominators: every entry (i, j) is filed
+        # under its slot, and slot (i, j) meets only slot (j, i)
         d = self.dim
         den = _math.lcm(1, *(b.den for b in self.basis))
-        rows = [b._data for b in self.basis]
-        cols = [b.transpose()._data for b in self.basis]
-        scale = [den // b.den for b in self.basis]
+        slots = {}
+        for a, b in enumerate(self.basis):
+            f = den // b.den
+            for i, row in b._data.items():
+                for j, x in row.items():
+                    slots.setdefault((i, j), []).append((a, x * f))
+        acc = {}
+        for (i, j), entries in slots.items():
+            if i > j:
+                continue
+            partners = slots.get((j, i))
+            if partners is None:
+                continue
+            for a, x in entries:
+                for b, y in partners:
+                    acc[(a, b)] = acc.get((a, b), 0) + x * y
+                    if i != j:  # the same product is a term of tr(b_b b_a)
+                        acc[(b, a)] = acc.get((b, a), 0) + x * y
         gram = {}
-        for a in range(d):
-            for b in range(a, d):
-                s = sum(
-                    x * y
-                    for i, row in rows[a].items()
-                    if i in cols[b]
-                    for j, x in row.items()
-                    if (y := cols[b][i].get(j))
-                )
-                if s:
-                    gram.setdefault(a, {})[b] = gram.setdefault(b, {})[a] = s * scale[a] * scale[b]
+        for (a, b), s in acc.items():
+            if s:
+                gram.setdefault(a, {})[b] = s
         return BilinearForm(d, _reduced(d, d, gram, den * den))
 
     def theta_involution(self) -> Matrix:

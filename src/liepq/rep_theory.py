@@ -2,21 +2,26 @@
 induced actions, and the boost-family character test.
 
 Hom spaces are cut out by the exact linear system
-phi . rho_V(x) = rho_W(x) . phi for every basis element x.  When some basis
-elements act diagonalizably with rational eigenvalues on both modules, the
-solver starts from the joint eigenspaces of a first-fit commuting pool of
-such elements and then intersects with the constraint kernels.  The pool
-is sized by the data: the basis is walked in order from the whole of V and
-W, and the walk stops once every joint eigenspace on both sides is a line
-or the basis runs out (an intertwiner maps each joint eigenspace of V into
-the one of W with the same eigenvalues; an empty pool leaves all of
-Hom(V, W)).  Each constraint image rho_W(x) . phi - phi . rho_V(x) is one
-integer vector over a denominator from `_intertwining_defect`, one pass
-with no product matrix, and the kernel of the images is taken on those
-vectors over the lcm of their denominators.  `hom_space` and the
-brute-force `hom_space_dense` return the same canonical (reduced-echelon)
-basis.  `rational_eigensplit` rejects most
-non-splitting elements by the sign of tr(a^2) before any minimal polynomial.
+phi . rho_V(x) = rho_W(x) . phi for every basis element x.  The solver
+starts from maps fixed by their values on module generators of V
+(spinning, as in Parker's Meat-Axe and Holt and Rees, J. Austral. Math.
+Soc. A 57, 1994).  A first-fit commuting pool of basis elements that act
+diagonalizably with rational eigenvalues on both modules splits V and W
+into joint eigenspaces; the basis is walked in order from the whole of V
+and W, and the walk stops once the pool is non-empty and some joint
+eigenspace of V is one vector, or the basis runs out.  V is then spun
+breadth-first from its eigenspace vectors, those whose eigenspace in W is
+smallest first: an intertwiner maps a generator into the joint eigenspace
+of W with the same eigenvalues and commutes with every word of the spin,
+so one map per generator and vector of that eigenspace spans Hom_g(V, W)
+(with an empty pool the generators are unit vectors).  Each constraint
+image rho_W(x) . phi - phi . rho_V(x) is one integer vector over a
+denominator from `_intertwining_defect`, one pass with no product matrix,
+and the kernel of the images is taken on those vectors over the lcm of
+their denominators.  `hom_space` and the brute-force `hom_space_dense`
+return the same canonical (reduced-echelon) basis.  `rational_eigensplit`
+rejects most non-splitting elements by the sign of tr(a^2) before any
+minimal polynomial.
 """
 
 from __future__ import annotations
@@ -235,9 +240,12 @@ def _require_same_algebra(v: Representation, w: Representation):
 def hom_space(v: Representation, w: Representation):
     """Canonical basis of Hom_g(V, W) = {phi : phi rho_V(x) = rho_W(x) phi}.
 
-    Per basis element x, the images aw.phi - phi.av of the current maps come
-    from `_intertwining_defect` as integer vectors over their denominators,
-    and the maps are cut down to the combinations whose image vanishes.
+    The maps start as `_initial_hom_basis`: one per spun generator of V and
+    vector of W with the generator's eigenvalues under a commuting pool,
+    which span Hom_g(V, W).  Per basis element x, the images aw.phi - phi.av
+    of the current maps come from `_intertwining_defect` as integer vectors
+    over their denominators, and the maps are cut down to the combinations
+    whose image vanishes.
     """
     _require_same_algebra(v, w)
     n, m = v.module_dim, w.module_dim
@@ -374,19 +382,22 @@ def rational_eigensplit(a: Matrix):
 
 
 def _initial_hom_basis(v, w):
-    """Initial Hom basis from the joint eigenspaces of a first-fit commuting
-    pool of basis elements.
+    """Maps spanning Hom_g(V, W), fixed by their values on spun module
+    generators of V, which a first-fit commuting pool confines to blocks.
 
     The blocks start as the whole of V and the whole of W, and the basis is
     walked in order.  An element whose bracket with a pool member is
     nonzero is skipped before any eigensplit; one that splits rationally on
     both modules joins the pool.  The first member's eigenspaces become the
     blocks and each further member refines them block by block, a block's
-    key being the tuple of its eigenvalues.  The walk stops when every
-    block on both sides is a single vector, or when the basis runs out.  An
-    intertwiner maps each joint eigenspace of V into the one of W with the
-    same key, so the initial basis spans Hom_g(V, W); with an empty pool it
-    is the m * n matrix units, refused above `_DENSE_HOM_CAP` unknowns.
+    key being the tuple of its eigenvalues.  The walk stops once the pool is
+    non-empty and some block of V is a single vector, or when the basis runs
+    out.  An intertwiner maps each block of V into the block of W with the
+    same key.  `_spun_maps` then spins V from its block vectors and gives
+    one map per generator u_s and vector of W's block of u_s's key,
+    sum_s |W_key(u_s)| maps.  With an empty pool the key is () and the
+    generators are unit vectors; such a pair above `_DENSE_HOM_CAP`
+    unknowns is refused.
     """
     algebra = v.algebra
     n, m = v.module_dim, w.module_dim
@@ -394,9 +405,7 @@ def _initial_hom_basis(v, w):
     blocks_w = blocks_v if w is v else [((), [{i: 1} for i in range(m)])]
     pool = []
     for a in range(algebra.dim):
-        if all(len(rows) == 1 for _, rows in blocks_v) and all(
-            len(rows) == 1 for _, rows in blocks_w
-        ):
+        if pool and any(len(rows) == 1 for _, rows in blocks_v):
             break
         if any(algebra.structure_entry(b, a) for b in pool):
             continue
@@ -424,7 +433,66 @@ def _initial_hom_basis(v, w):
             "no rational-split element found and module pair is too large "
             "for the dense fallback"
         )
-    return _hom_basis_from_split(v, w, blocks_v, blocks_w)
+    return _spun_maps(v, w, blocks_v, dict(blocks_w))
+
+
+def _spun_maps(v, w, blocks_v, blocks_w):
+    """Maps Psi_{s,i} = Z_{s,i} . P^-1 spanning every intertwiner that sends
+    each vector of a block of V into the block of W with the same key.
+
+    The generators u_s are the block vectors of V, those whose key has the
+    smallest block in W first, each skipped when it already lies in the
+    span.  V is spun breadth-first from them (Parker's Meat-Axe, Holt and
+    Rees 1994) until the span is all of V, and each step's word is carried
+    to every vector z_{s,i} of u_s's W block, the V vector and its images
+    kept over one common factor.  P holds the spun vectors as columns;
+    column k of Z_{s,i} is word_k . z_{s,i} when vector k = word_k . u_s and
+    0 otherwise.  An intertwiner phi has phi(word . u_s) = word . phi(u_s)
+    with phi(u_s) in the span of the z_{s,i}, so phi lies in the span of
+    the Psi_{s,i}; a key that W lacks contributes no map.
+    """
+    n, m = v.module_dim, w.module_dim
+    order = sorted(
+        ((len(blocks_w.get(key, ())), key, u) for key, rows in blocks_v for u in rows),
+        key=lambda t: t[0],
+    )
+    pairs = []  # integer rows of each action on V and W, and their factors
+    for av, aw in zip(v.actions, w.actions):
+        big = _lcm(av.den, aw.den)
+        pairs.append((av._data, aw._data, big // av.den, big // aw.den))
+    ech = Echelon(n)
+    spun = []  # (generator s, V vector, its W images), over one factor each
+    gens = []  # the W block of each generator
+    for _, key, u in order:
+        if ech.dim == n:
+            break
+        if not ech.insert(u):
+            continue
+        head = len(spun)  # spun from here on is the breadth-first queue
+        gens.append(blocks_w.get(key, []))
+        spun.append((len(gens) - 1, u, gens[-1]))
+        while head < len(spun) and ech.dim < n:
+            s, x, images = spun[head]
+            head += 1
+            for av, aw, fv, fw in pairs:
+                y = _mat_vec_int(av, x)
+                if not ech.insert(y):
+                    continue
+                zy = [_mat_vec_int(aw, z) for z in images]
+                g = _gcd(*(c * fv for c in y.values()), *(c * fw for z in zy for c in z.values()))
+                y = {k: c * fv // g for k, c in y.items()}
+                spun.append((s, y, [{r: c * fw // g for r, c in z.items()} for z in zy]))
+                if ech.dim == n:
+                    break
+    if not any(gens):
+        return []
+    zs = [[{} for _ in block] for block in gens]  # the rows of each Z_{s,i}
+    for k, (s, _, images) in enumerate(spun):
+        for z, image in zip(zs[s], images):
+            for r, c in image.items():
+                z.setdefault(r, {})[k] = c
+    dual = invert(_trusted(n, n, {k: x for k, (_, x, _) in enumerate(spun)}).transpose())
+    return [mat_mul(_trusted(m, n, z), dual) for block in zs for z in block]
 
 
 def _refine_blocks(blocks, x, eigenvalues):
@@ -452,29 +520,6 @@ def _refine_blocks(blocks, x, eigenvalues):
         if found != k:
             return None
     return out
-
-
-def _hom_basis_from_split(v, w, blocks_v, blocks_w):
-    n, m = v.module_dim, w.module_dim
-    v_cols = []
-    v_blocks = {}
-    for key, rows in blocks_v:
-        start = len(v_cols)
-        v_cols.extend(rows)
-        v_blocks[key] = range(start, len(v_cols))
-    pv = _trusted(n, n, dict(enumerate(v_cols))).transpose()
-    dual = invert(pv)  # row a of dual is the functional picking coordinate a
-    w_blocks = dict(blocks_w)
-    maps = []
-    for key, cols in v_blocks.items():
-        for wvec in w_blocks.get(key, []):
-            for a in cols:
-                drow = dual._data[a]
-                maps.append(_reduced(
-                    m, n, {i: {j: wi * dj for j, dj in drow.items()} for i, wi in wvec.items()},
-                    dual.den,
-                ))
-    return maps
 
 
 # -- invariant bilinear forms ----------------------------------------

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from liepq import so_pq
 from liepq.exact_linalg import (
-    NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _trusted, rat, solve_linear,
+    NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert, rat,
+    solve_linear,
 )
 from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import generator_pairs, so_pq_algebra
@@ -290,6 +292,57 @@ def pairwise_validate(rep):
             if ai @ aj - aj @ ai != expected:
                 return i, j
     return None
+
+
+def pairwise_trace_gram(algebra):
+    """The trace form's gram, tr(b_a b_b) for each pair a <= b of basis
+    matrices entry by entry on their integer rows over the lcm of the basis
+    denominators, mirrored: the oracle for `LieAlgebra.trace_form`."""
+    d = algebra.dim
+    den = lcm(1, *(b.den for b in algebra.basis))
+    rows = [b._data for b in algebra.basis]
+    cols = [b.transpose()._data for b in algebra.basis]
+    scale = [den // b.den for b in algebra.basis]
+    gram = {}
+    for a in range(d):
+        for b in range(a, d):
+            s = sum(
+                x * y
+                for i, row in rows[a].items()
+                if i in cols[b]
+                for j, x in row.items()
+                if (y := cols[b][i].get(j))
+            )
+            if s:
+                gram.setdefault(a, {})[b] = gram.setdefault(b, {})[a] = s * scale[a] * scale[b]
+    return _reduced(d, d, gram, den * den)
+
+
+def block_pairing_basis(v, w, blocks_v, blocks_w):
+    """The Hom basis that pairs every vector of a block of V with every
+    vector of the block of W with the same key, sum_b |V_b| |W_b| rank-one
+    maps w_vec . (dual functional of the V vector), for blocks
+    [(key, integer rows)] that together form bases of V and W: the Hom
+    solver's start before it spun module generators."""
+    n, m = v.module_dim, w.module_dim
+    v_cols = []
+    v_blocks = {}
+    for key, rows in blocks_v:
+        start = len(v_cols)
+        v_cols.extend(rows)
+        v_blocks[key] = range(start, len(v_cols))
+    dual = invert(_trusted(n, n, dict(enumerate(v_cols))).transpose())
+    w_blocks = dict(blocks_w)
+    maps = []
+    for key, cols in v_blocks.items():
+        for wvec in w_blocks.get(key, []):
+            for a in cols:
+                drow = dual._data[a]
+                maps.append(_reduced(
+                    m, n, {i: {j: wi * dj for j, dj in drow.items()} for i, wi in wvec.items()},
+                    dual.den,
+                ))
+    return maps
 
 
 def per_c_deformed_algebra(p, q, c):

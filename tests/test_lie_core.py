@@ -47,6 +47,7 @@ from conftest import (
     dense_express,
     dense_rref,
     pairwise_defect,
+    pairwise_trace_gram,
     to_json,
     unit_matrix,
     zero_subspace,
@@ -209,6 +210,36 @@ def test_killing_is_n_minus_2_times_trace_form():
 
 def test_trace_form_so3(so3_rotations):
     assert trace_form(so3_rotations).gram == Matrix.identity(3).scale(-2)
+
+
+def _trace_form_algebras():
+    from liepq.so_pq import ipq_c, so_of_form
+
+    for p, q in [(2, 1), (3, 1), (2, 2), (4, 0), (3, 3)]:
+        yield so_pq_algebra(p, q)
+    for p, q, c in [(2, 1, "2"), (3, 1, "-1/3"), (2, 2, "3/2")]:
+        # closed-form bases with entries d_i/d_j over denominators
+        yield so_of_form(ipq_c(p, q, rat(c)))
+    yield exceptional_iso(SO31_SL2C).target
+
+
+def test_trace_form_matches_the_pairwise_oracle():
+    for algebra in _trace_form_algebras():
+        assert trace_form(algebra).gram == pairwise_trace_gram(algebra)
+
+
+@given(
+    st.integers(1, 4),
+    st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, "1/2", "-2/3"]), min_size=16, max_size=16),
+             min_size=1, max_size=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_trace_form_matches_the_pairwise_oracle_on_any_basis(n, entries):
+    """tr(b_a b_b) is bilinear in the basis alone: any n x n matrices with
+    denominators, wrapped with no bracket check, against the oracle."""
+    basis = [Matrix(n, n, [rat(x) for x in e[: n * n]]) for e in entries]
+    algebra = LieAlgebra.from_structure(len(basis), [], validate=False, basis=basis)
+    assert trace_form(algebra).gram == pairwise_trace_gram(algebra)
 
 
 def test_theta_identity_on_compact(so3_rotations):

@@ -41,7 +41,7 @@ from liepq.so_pq import (
 )
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
-from conftest import column_list, contains, restrict_by_solve
+from conftest import block_pairing_basis, column_list, contains, restrict_by_solve
 
 
 def std_and_friends(p, q):
@@ -521,6 +521,10 @@ def test_hom_space_matches_dense_on_random_modules(pq, expr_v, expr_w, conjugate
 
 
 def test_conjugated_modules_feed_the_column_system_real_denominators(monkeypatch):
+    """Conjugated R^{2,1} spins into exactly its Hom bases, so no kernel
+    runs there; conjugated R^{2,2} is spun from one generator whose key has
+    two vectors in the adjoint, two maps for a zero Hom space, so the
+    constraint kernels run on images over real denominators."""
     import liepq.rep_theory as rt
 
     dens = []
@@ -533,21 +537,29 @@ def test_conjugated_modules_feed_the_column_system_real_denominators(monkeypatch
     assert max(a.den for a in v.actions) > 1
     _assert_hom_matches_dense(v, adjoint_rep(so_pq_algebra(2, 1)))
     _assert_hom_matches_dense(v, v)
+    v = _conjugated(standard_rep(2, 2), 0)
+    ad = adjoint_rep(so_pq_algebra(2, 2))
+    assert len(rt._initial_hom_basis(v, ad)) == 2
+    _assert_hom_matches_dense(v, ad)
     assert max(dens) > 1
 
 
-@pytest.mark.parametrize(
-    "pq,expr_v,expr_w",
-    [
-        # so(2,2): the boosts (0,2) and (1,3) commute, so the pool has two elements
-        ((2, 2), ("sum", ("std",), ("ad",)), ("sum", ("ad",), ("wedge", ("std",)))),
-        # the boost has eigenvalue 0 twice on R^{2,2} and +-1 twice on the
-        # adjoint, and +-2 occurs only on wedge^2 of the adjoint
-        ((2, 2), ("sum", ("std",), ("wedge", ("ad",))), ("sum", ("dual", ("std",)), ("ad",))),
-        ((3, 1), ("sum", ("std",), ("ad",)), ("sum", ("std",), ("ad",))),
-        ((2, 1), ("sum", ("std",), ("wedge", ("sum", ("std",), ("std",)))), ("ad",)),
-    ],
-)
+# (signature, V, W) and whether a second pool member refines the blocks
+_REFINED_SPLITS = [
+    # so(2,2): the boosts (0,2) and (1,3) commute; after the first every
+    # block of V has two vectors or more, so the second refines them
+    (((2, 2), ("sum", ("std",), ("ad",)), ("sum", ("ad",), ("wedge", ("std",)))), True),
+    # the boost has eigenvalue 0 twice on R^{2,2} and +-1 twice on the
+    # adjoint, and +-2 occurs only on wedge^2 of the adjoint, once each:
+    # a one-vector block, so the walk stops at the first boost
+    (((2, 2), ("sum", ("std",), ("wedge", ("ad",))), ("sum", ("dual", ("std",)), ("ad",))), False),
+    (((3, 1), ("sum", ("std",), ("ad",)), ("sum", ("std",), ("ad",))), False),
+    (((2, 1), ("sum", ("std",), ("wedge", ("sum", ("std",), ("std",)))), ("ad",)), False),
+    (((2, 2), ("sum", ("std",), ("std",)), ("sum", ("std",), ("std",))), True),
+]
+
+
+@pytest.mark.parametrize("pq,expr_v,expr_w", [case for case, _ in _REFINED_SPLITS])
 def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypatch):
     import liepq.rep_theory as rt
 
@@ -559,9 +571,9 @@ def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypat
         rt, "_refine_blocks", lambda *args: refinements.append(args) or real(*args)
     )
     _assert_hom_matches_dense(v, w)
-    if pq == (2, 2):
-        assert refinements  # a pool of two or more elements refined the split
-    if expr_v[0] == "sum":
+    # a pool of two or more elements refined the split
+    assert bool(refinements) == dict(_REFINED_SPLITS)[(pq, expr_v, expr_w)]
+    if expr_v[0] == "sum" and expr_v[1] != expr_v[2]:
         # the summands of V split differently under some pool element
         first = _build_module(expr_v[1], p, q)
         second = _build_module(expr_v[2], p, q)
@@ -607,7 +619,9 @@ def _replay_pool(v, w, monkeypatch):
     """Run the Hom solver's walk with rational_eigensplit spied on, and
     replay its calls: every element it eigensplits commutes with the pool
     collected so far, the basis is walked in order, and nothing is
-    eigensplit once every joint eigenspace on both sides is one vector."""
+    eigensplit once the pool is non-empty and some joint eigenspace of V is
+    one vector.  Returns the pool, the walked elements and the initial
+    basis."""
     import liepq.rep_theory as rt
 
     calls = []
@@ -618,9 +632,9 @@ def _replay_pool(v, w, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(rt, "rational_eigensplit", spy)
-    rt._initial_hom_basis(v, w)
+    initial = rt._initial_hom_basis(v, w)
     algebra = v.algebra
-    pool, walked, members_v, members_w = [], [], [], []
+    pool, walked, members_v = [], [], []
     pending = iter(calls)
     for a, ev in pending:
         idx = next(k for k, x in enumerate(v.actions) if x is a)
@@ -636,44 +650,131 @@ def _replay_pool(v, w, monkeypatch):
         if ew is not None:
             pool.append(idx)
             members_v.append((idx, [lam for lam, _ in ev]))
-            members_w.append((idx, [lam for lam, _ in ew]))
     if walked:
-        # the pool collected before the last eigensplit left some block wide
-        last = walked[-1]
-        blocks = _joint_blocks(v, [m for m in members_v if m[0] < last])
-        blocks += _joint_blocks(w, [m for m in members_w if m[0] < last])
-        assert any(len(rows) > 1 for _, rows in blocks)
-    return pool, walked
+        # the pool collected before the last eigensplit left every block of V wide
+        before = [m for m in members_v if m[0] < walked[-1]]
+        if before:
+            assert all(len(rows) > 1 for _, rows in _joint_blocks(v, before))
+    return pool, walked, initial
 
 
 @pytest.mark.parametrize("pq", [(2, 2), (3, 3), (4, 4)])
 def test_pool_never_eigensplits_a_non_commuting_element(pq, monkeypatch):
     v, w = _wedge_ad(*pq)
-    pool, walked = _replay_pool(v, w, monkeypatch)
-    # so(p,q) has min(p, q) pairwise-commuting boosts; the bracket test
-    # skipped some basis elements without an eigensplit
-    assert len(pool) == min(pq)
+    pool, walked, initial = _replay_pool(v, w, monkeypatch)
+    # the bracket test skipped some basis elements without an eigensplit, and
+    # two commuting boosts leave a one-vector block, so the walk stops there
+    assert len(pool) == 2
     assert len(walked) < v.algebra.dim
+    assert len(initial) == len(hom_space(v, w))
 
 
-def test_walk_stops_once_every_block_is_one_vector(monkeypatch):
-    """After elements 0..8 of the 10 diagonal units every joint eigenspace
-    of R^10 is a line, so element 9 is never eigensplit."""
+def test_walk_stops_at_the_first_one_vector_block(monkeypatch):
+    """Element 0 of the 10 diagonal units splits R^10 into the line of e_0
+    and the span of the others, so nothing else is eigensplit.  Each e_j
+    spans a submodule, so all ten are generators: e_0 meets one vector of
+    W and each other e_j nine, 1 + 9 * 9 maps for the 10-dimensional
+    End."""
     v = _diagonal_abelian_module(10)
-    pool, walked = _replay_pool(v, v, monkeypatch)
-    assert pool == walked == list(range(9))
+    pool, walked, initial = _replay_pool(v, v, monkeypatch)
+    assert pool == walked == [0]
+    assert len(initial) == 82
     assert [h.entries for h in hom_space(v, v)] == [h.entries for h in hom_space_dense(v, v)]
 
 
-def test_hom_wedge_adjoint_at_so99_takes_a_pool_of_nine(monkeypatch):
-    """so(9,9) has rank 9, one more than so(8,8): the walk keeps all nine
-    commuting boosts, and Hom(wedge^2 V, ad) is the line of T_1."""
+def test_hom_wedge_adjoint_at_so99_starts_from_one_map(monkeypatch):
+    """so(9,9) has rank 9, one more than so(8,8): two commuting boosts leave
+    a one-vector block of wedge^2 V, whose vector spins all of wedge^2 V and
+    meets one vector of the adjoint, so the solver starts from one map, and
+    Hom(wedge^2 V, ad) is the line of T_1."""
     v, w = _wedge_ad(9, 9)
-    pool, _ = _replay_pool(v, w, monkeypatch)
-    assert len(pool) == 9
+    pool, _, initial = _replay_pool(v, w, monkeypatch)
+    assert len(pool) == 2
+    assert len(initial) == 1
     homs = hom_space(v, w)
     assert len(homs) == 1
     assert Subspace.from_vectors(153 * 153, homs).reduce(t_c(9, 9, 1)) is not None
+
+
+# -- the spun start ---------------------------------------------------------
+
+
+def test_spinning_takes_one_generator_per_summand():
+    """so(2,1) on R^3 (+) R^3: the boost's eigenvalues -1, 0, 1 each have a
+    two-vector block, one vector in each summand, and a vector spins only
+    its own summand.  So V needs two generators, each meeting a one-vector
+    block of R^3: Hom(R^3 (+) R^3, R^3) starts from 2 maps, its dimension,
+    and End(R^3 (+) R^3) from 4."""
+    import liepq.rep_theory as rt
+
+    std = standard_rep(2, 1)
+    v = direct_sum(std, std)
+    assert len(rt._initial_hom_basis(v, std)) == len(hom_space(v, std)) == 2
+    assert len(rt._initial_hom_basis(v, v)) == len(hom_space(v, v)) == 4
+    _assert_hom_matches_dense(v, std)
+    _assert_hom_matches_dense(v, v)
+
+
+def test_a_generator_whose_key_w_lacks_contributes_no_map():
+    """The 2 x 2 diagonal units acting on R^2, and on a line through the
+    first unit alone, by 1 or by 2.  Element 0 splits R^2 into e_0, key (1,),
+    and e_1, key (0,), and each spans a submodule, so both are generators.
+    The line has no vector of key (0,): e_1 contributes no map and the
+    solver starts from the one map of e_0; on the line where the unit acts
+    by 2 neither key occurs and the solver starts from none."""
+    import liepq.rep_theory as rt
+
+    v = _diagonal_abelian_module(2)
+    for scalar, expected in ((1, 1), (2, 0)):
+        w = Representation(v.algebra, 1, [Matrix.from_rows([[scalar]]), Matrix.zeros(1, 1)])
+        assert len(rt._initial_hom_basis(v, w)) == expected
+        _assert_hom_matches_dense(v, w)
+        assert len(hom_space(v, w)) == expected
+
+
+def test_complement_and_invariant_forms_start_from_one_map():
+    """End of the complement of so(3,1) in so(R^5, I_{3,1}(2)), which stage
+    (i) of the irreducibility test reads, and the invariant forms of R^{4,4}:
+    each module is spun from one generator whose key meets one vector, so
+    the one map is the whole of the Hom space."""
+    import liepq.rep_theory as rt
+
+    module = restrict(*_complement_setting(3, 1, rat(2)))
+    assert len(rt._initial_hom_basis(module, module)) == 1
+    assert is_irreducible(module).status == "IRREDUCIBLE"
+    std = standard_rep(4, 4)
+    assert len(rt._initial_hom_basis(std, dual_rep(std))) == 1
+    assert len(invariant_symmetric_forms(std)) == 1
+
+
+_SUMMANDS = st.sampled_from([("std",), ("ad",), ("dual", ("std",)), ("wedge", ("std",))])
+
+
+@given(
+    st.sampled_from(_HOM_SIGNATURES), st.lists(_SUMMANDS, min_size=1, max_size=3),
+    st.lists(_SUMMANDS, min_size=1, max_size=3), st.booleans(), st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_spun_hom_space_matches_dense_on_conjugated_sums(pq, summands_v, summands_w, endo, seed):
+    """Direct sums of up to three summands in conjugated bases, whose
+    actions carry denominators: repeated or isomorphic summands need several
+    generators, and the spun start must still span the Hom space."""
+    p, q = pq
+    n = p + q
+    dim_v = sum(_module_dim(e, n) for e in summands_v)
+    dim_w = dim_v if endo else sum(_module_dim(e, n) for e in summands_w)
+    # the dense oracle takes seconds on conjugated pairs near 256 unknowns
+    assume(dim_v * dim_w <= 144)
+
+    def build(summands):
+        out = _build_module(summands[0], p, q)
+        for expr in summands[1:]:
+            out = direct_sum(out, _build_module(expr, p, q))
+        return out
+
+    v = _conjugated(build(summands_v), seed)
+    w = v if endo else _conjugated(build(summands_w), seed + 1)
+    _assert_hom_matches_dense(v, w)
 
 
 def test_unsplit_pair_is_refused_above_the_dense_cap(monkeypatch):
@@ -734,7 +835,7 @@ def _scored_initial_basis(v, w):
         if refined_v is None or refined_w is None:
             break
         blocks_v, blocks_w = refined_v, refined_w
-    return rt._hom_basis_from_split(v, w, blocks_v, blocks_w)
+    return block_pairing_basis(v, w, blocks_v, blocks_w)
 
 
 def _complement_setting(p, q, c):
