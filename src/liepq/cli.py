@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -23,8 +24,10 @@ import time
 from . import __version__
 from .errors import ContractError, LiepqError, UnknownSmallestModuleError
 from .exact_linalg import (
+    Echelon,
     Matrix,
     Subspace,
+    _echelon,
     _intertwining_defect,
     inertia_of_diagonalizable_form,
     kernel,
@@ -33,6 +36,7 @@ from .exact_linalg import (
     rational_sqrt,
 )
 from .lie_core import (
+    LieAlgebra,
     canonical_json,
     centralizer,
     homomorphism_defect,
@@ -58,6 +62,7 @@ from .so_pq import (
     SO33_SL4R,
     Signature,
     _deformation_family,
+    _embedding_branch,
     deformed_algebra,
     dimension_bound,
     embedding_iso,
@@ -81,10 +86,10 @@ from .weyl_enum import (
 # Size limit of `verify` and `construct`, so that a large signature fails
 # fast instead of running for hours.  Measured with the pure-Python Fraction
 # backend (Python 3.11, shared 2-core Intel Xeon, whole process,
-# LIEPQ_THREADS=1, median of 7 runs): `verify --suite all` takes 0.27 s at
-# n = 8, 0.57 s at n = 12 and 1.4 s at n = 16 (p = q), about 1.2x more per
-# unit of n; `construct --c 1` takes about 0.22 s at n = 16, of which importing
-# the package is about 8 ms.
+# LIEPQ_THREADS=1, median of 7 runs): `verify --suite all` takes 0.16 s at
+# n = 8, 0.42 s at n = 12 and 1.0 s at n = 16 (p = q), about 1.25x more per
+# unit of n, and 1.0 s at (16,0) and 0.8 s at (0,16); `construct --c 1` takes
+# about 0.22 s at n = 16, of which importing the package is about 8 ms.
 MAX_N = 16
 
 # Limits of `irreps`, so that the enumeration ends in about a second.  Each
@@ -109,10 +114,210 @@ SMALL_EXCLUSION_REASON = (
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _shared_deformed_algebra(p, q, c):
-    """One deformed algebra per (p, q, c), shared by the appendix checks.
-    It is read off the family `_deformation_family` certifies once per
-    (p, q) for every c; check_deformed_jacobi reports that certificate."""
+    """The deformed algebra of one c, read off the family
+    `_deformation_family` certifies once per (p, q) for every c;
+    check_deformed_jacobi reports that certificate.  deformed_radical is
+    the one check that reads a single c: the others certify their fact once
+    per signature, or once per sign of c, on the family itself."""
     return deformed_algebra(p, q, c)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _graded_family(p, q):
+    """The family of [.,.]_c = base + c.vec, once its grading is confirmed:
+    every key of vec brackets two vectors and no key of base does.  The
+    per-signature certificates below rest on exactly this: a bracket with
+    an so index is c-free, and a bracket of two vectors is c times its
+    value at c = 1.  Raises ContractError otherwise."""
+    family = _deformation_family(p, q)
+    m = family.dim - (p + q)
+    if any(i < m for i, _ in family.vec):
+        raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
+    if any(i >= m for i, _ in family.base):
+        raise ContractError("a c-free bracket of the family brackets two vectors")
+    return family
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _family_algebras(p, q):
+    """(base, joint, so block): the family's brackets at c = 0 and at c = 1
+    as algebras, certified by the family (Jacobi for every c, and Killing
+    grams K0 and K0 + K1 + K2), and the span of the so(p,q) coordinates."""
+    family = _graded_family(p, q)
+    dim = family.dim
+    base = LieAlgebra._certified(dim, family.base, family.k0)
+    joint = LieAlgebra._certified(
+        dim, {**family.base, **family.vec}, family.k0 + family.k1 + family.k2
+    )
+    so_block = Subspace(_echelon(dim, ({i: 1} for i in range(dim - (p + q)))))
+    return base, joint, so_block
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _so_centralizer(p, q):
+    """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
+    every c, 0 included: a bracket with an so index is a key of base, so
+    [x, h]_c = [x, h]_0 for every h in the block."""
+    base, _, so_block = _family_algebras(p, q)
+    return centralizer(base, so_block)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _so_maximality(p, q, deformed):
+    """is_maximal_subalgebra of the so(p,q) block: at c = 0 on base, and
+    for every c != 0 (deformed) on the joint tensor, c = 1.  The so block
+    has degree 0 and each e_idx degree 1, and [x, y]_c = c^(deg x . deg y)
+    [x, y]_1 for such homogeneous x and y, so every iterated bracket of
+    the closure of H + e_idx at c is a nonzero multiple of the same
+    bracket at c = 1: the closures, the verdict and the witness are the
+    same for every c != 0."""
+    base, joint, so_block = _family_algebras(p, q)
+    return is_maximal_subalgebra(joint if deformed else base, so_block)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _embedding_defect(p, q, positive):
+    """Why the embedding fails on one sign branch of c, or None, for every c
+    of the branch at once: `_graded_embedding_defect` on the family's joint
+    tensor, its vec constants of degree 1, and `_embedding_branch`."""
+    family = _graded_family(p, q)
+    _, joint, _ = _family_algebras(p, q)
+    form, images = _embedding_branch(p, q, positive)
+    return _graded_embedding_defect(joint, dict.fromkeys(family.vec, 1), form, images)
+
+
+def _graded_embedding_defect(algebra, degree, form, images):
+    """Why the images fail to embed the graded algebra into so(form), or
+    None; every certificate holds as an identity of polynomials in c.
+
+    The structure constants of key (i, j) have degree degree.get((i, j), 0)
+    in c, and form and each image are tuples of matrix parts, part d the
+    coefficient of c^d.  Three certificates, in order:
+    - the form: A^t.F + F.A = 0 in every degree, for every image A;
+    - the brackets: [rho_a, rho_b] - rho [b_a, b_b] = 0 in every degree.
+      On integer rows R = D.rho over the parts' common denominator D and
+      the integer tensor (den * constant), the property reads den [R_a, R_b]
+      = D sum_k (den c_ab^k) R_k.  One pass per a files each product of a
+      part of R_a with a part of R_b (b > a), and each term of the
+      bracket, under b and the sum of their degrees, as `_check_jacobi`
+      files Jacobi terms; the reason names the first failing pair and its
+      lowest failing degree;
+    - injectivity: on the matrix entries where every part of degree >= 1
+      of every image vanishes, an image equals its part of degree 0 for
+      every c, so those restricted parts being independent proves the
+      images independent for every c.
+    """
+    for parts in images:
+        sums = {}
+        for d, x in enumerate(parts):
+            if x.is_zero():
+                continue
+            for e, f in enumerate(form):
+                term = x.transpose() @ f + f @ x
+                sums[d + e] = sums[d + e] + term if d + e in sums else term
+        bad = [g for g, s in sums.items() if not s.is_zero()]
+        if bad:
+            return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
+    den, _, brackets = algebra._integer_tensor()
+    big = math.lcm(1, *(x.den for parts in images for x in parts))
+    ints = [
+        [
+            (d, {r: {c: v * (big // x.den) for c, v in row.items()} for r, row in x._data.items()})
+            for d, x in enumerate(parts)
+            if x._data
+        ]
+        for parts in images
+    ]
+    by_row, by_col = {}, {}  # row t of part e of R_b; entries (r, t) of it
+    for b, parts in enumerate(ints):
+        for e, rows in parts:
+            for t, row in rows.items():
+                by_row.setdefault(t, []).append((b, e, row))
+                for c, y in row.items():
+                    by_col.setdefault(c, []).append((b, e, t, y))
+    for a, parts in enumerate(ints):
+        acc = {}  # (b, degree) -> {(row, column): integer}
+        for d, rows in parts:
+            for r, row in rows.items():
+                for t, x in row.items():
+                    x *= den
+                    for b, e, yrow in by_row.get(t, ()):  # R_a R_b
+                        if b > a:
+                            out = acc.setdefault((b, d + e), {})
+                            for c, y in yrow.items():
+                                out[r, c] = out.get((r, c), 0) + x * y
+                    for b, e, s, y in by_col.get(r, ()):  # - R_b R_a
+                        if b > a:
+                            out = acc.setdefault((b, d + e), {})
+                            out[s, t] = out.get((s, t), 0) - y * x
+        for b, entry, sign in brackets.get(a, ()):
+            if b > a:
+                g = degree.get((a, b), 0)
+                for k, s in entry.items():
+                    f = sign * s * big
+                    for e, rows in ints[k]:
+                        out = acc.setdefault((b, g + e), {})
+                        for r, row in rows.items():
+                            for c, y in row.items():
+                                out[r, c] = out.get((r, c), 0) - f * y
+        bad = [key for key, out in acc.items() if any(out.values())]
+        if bad:
+            b, g = min(bad)
+            return (
+                f"bracket not intertwined in degree {g}: "
+                f"homomorphism property fails on basis pair ({a},{b})"
+            )
+    lifted = set()  # the entries where some part of degree >= 1 is nonzero
+    for parts in images:
+        for x in parts[1:]:
+            lifted.update(x._flat())
+    n = form[0].rows
+    ech = Echelon(n * n)
+    for parts in images:
+        vec = {k: v for k, v in parts[0]._flat().items() if k not in lifted}
+        if not ech.insert(vec):
+            return "embedding is not injective"
+    return None
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _killing_block_constants(p, q):
+    """(reason, a1, r1) for the Killing gram K(c) = K0 + c.K1 + c^2.K2 of
+    the family, block by block, once per (p, q): the mixed block vanishes
+    in every degree, the so block is a1 x Killing(so(p,q)) in degree 0 and
+    zero in degrees 1 and 2, and the vector block is r1 x <.,.>_{p,q} in
+    degree 1 and zero in degrees 0 and 2, so a2 = c.r1.  reason is None when
+    all of this holds with a1 and r1 nonzero, and then K(c) has the block
+    form with nonzero constants for every c != 0."""
+    family = _graded_family(p, q)
+    grams = (family.k0, family.k1, family.k2)
+    so = so_pq_algebra(p, q)
+    m, n = so.dim, p + q
+    # 0/1 inclusions of the so block (the first m basis vectors) and of the
+    # vector block (the last n)
+    s = Matrix.from_sparse(m + n, m, {(i, i): 1 for i in range(m)})
+    v = Matrix.from_sparse(m + n, n, {(m + i, i): 1 for i in range(n)})
+    st, vt = s.transpose(), v.transpose()
+    for d, k in enumerate(grams):
+        if not (st @ k @ v).is_zero():
+            return f"mixed block is not zero in degree {d}", None, None
+    so_blocks = [st @ k @ s for k in grams]
+    a1 = proportionality(so_blocks[0], so.killing_form().gram)
+    if a1 is None:
+        return "so block not proportional to Killing(so(p,q))", None, None
+    for d in (1, 2):
+        if not so_blocks[d].is_zero():
+            return f"so block is not zero in degree {d}", None, None
+    vec_blocks = [vt @ k @ v for k in grams]
+    for d in (0, 2):
+        if not vec_blocks[d].is_zero():
+            return f"vector block is not zero in degree {d}", None, None
+    r1 = proportionality(vec_blocks[1], ipq(p, q))
+    if r1 is None:
+        return "vector block not proportional to <.,.>_{p,q}", None, None
+    if not a1 or not r1:
+        return "a proportionality constant vanished", None, None
+    return None, a1, r1
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -274,22 +479,18 @@ def check_tc_iso_rank(p, q, c):
 
 
 def check_embedding(p, q, c):
+    """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)): images in the
+    target, brackets intertwined, injective.  Within one sign branch of c
+    the images are P + c.Q and the form F0 + c.F1, so every defect is a
+    polynomial of degree <= 2 in c: `_embedding_defect` certifies it once
+    per (p, q, sign of c), every degree vanishing."""
     n = p + q
     if c == 0:
         return _skip("embedding_iso requires c != 0 (c = 0 is the semidirect product)")
-    dalg = _shared_deformed_algebra(p, q, c)
-    emb = embedding_iso(p, q, c)
-    form = emb.target_form
-    for im in emb.images:
-        if not (im.transpose() @ form + form @ im).is_zero():
-            return _fail(reason="image leaves so(R^{n+1}, I_{p,q}(c))")
-    try:
-        Representation(dalg.algebra, n + 1, emb.images).validate()
-    except ContractError as exc:
-        return _fail(reason=f"bracket not intertwined: {exc}")
-    if Subspace.from_vectors((n + 1) * (n + 1), emb.images).dim != len(emb.images):
-        return _fail(reason="embedding is not injective")
-    return _pass(dim=dalg.dim)
+    reason = _embedding_defect(p, q, c > 0)
+    if reason is not None:
+        return _fail(reason=reason)
+    return _pass(dim=n * (n + 1) // 2)
 
 
 def check_target_inertia(p, q, c):
@@ -320,16 +521,19 @@ def check_sqrt_conjugation(p, q, c):
 
 
 def check_maximality(p, q, c):
-    dalg = _shared_deformed_algebra(p, q, c)
-    maximal, witness = is_maximal_subalgebra(dalg.algebra, dalg.so_block_subspace())
+    """so(p,q) is a maximal subalgebra of [.,.]_c: H + e_idx generates the
+    whole algebra for every vector index.  Certified twice per (p, q), at
+    c = 0 and once for every c != 0 (`_so_maximality`)."""
+    maximal, witness = _so_maximality(p, q, c != 0)
     if not maximal:
         return _fail(witness=_subspace_payload(witness))
     return _pass()
 
 
 def check_centralizer(p, q, c):
-    dalg = _shared_deformed_algebra(p, q, c)
-    cent = centralizer(dalg.algebra, dalg.so_block_subspace())
+    """The centralizer of so(p,q) in [.,.]_c is zero, certified once per
+    (p, q) on the c-free brackets (`_so_centralizer`)."""
+    cent = _so_centralizer(p, q)
     if cent.dim != 0:
         return _fail(witness=_subspace_payload(cent))
     return _pass()
@@ -338,29 +542,15 @@ def check_centralizer(p, q, c):
 def check_killing_blocks(p, q, c):
     """Killing form of the deformed algebra restricted to blocks: zero on
     the mixed block, a1 x Killing(so(p,q)) on the so block, a2 x <.,.>_{p,q}
-    on the vector block, with a1, a2 nonzero."""
-    n = p + q
+    on the vector block, with a1, a2 nonzero.  Read once per (p, q) off the
+    family's K0, K1 and K2 (`_killing_block_constants`): a1 is c-free and
+    a2 = c.r1."""
     if c == 0:
         return _skip("block proportionality with nonzero constants needs c != 0")
-    gram = _shared_deformed_algebra(p, q, c).algebra.killing_form().gram
-    so = so_pq_algebra(p, q)
-    m = so.dim
-    # 0/1 inclusions of the so block (the first m basis vectors) and of the
-    # vector block (the last n)
-    s = Matrix.from_sparse(m + n, m, {(i, i): 1 for i in range(m)})
-    v = Matrix.from_sparse(m + n, n, {(m + i, i): 1 for i in range(n)})
-    st = s.transpose()
-    if not (st @ gram @ v).is_zero():
-        return _fail(reason="mixed block is not zero")
-    a1 = proportionality(st @ gram @ s, so.killing_form().gram)
-    if a1 is None:
-        return _fail(reason="so block not proportional to Killing(so(p,q))")
-    a2 = proportionality(v.transpose() @ gram @ v, ipq(p, q))
-    if a2 is None:
-        return _fail(reason="vector block not proportional to <.,.>_{p,q}")
-    if not a1 or not a2:
-        return _fail(reason="a proportionality constant vanished")
-    return _pass(a1=str(a1), a2=str(a2))
+    reason, a1, r1 = _killing_block_constants(p, q)
+    if reason is not None:
+        return _fail(reason=reason)
+    return _pass(a1=str(a1), a2=str(c * r1))
 
 
 def check_complement_irreducible(p, q, c):

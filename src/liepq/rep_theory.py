@@ -55,7 +55,9 @@ from .exact_linalg import (
 from .lie_core import BilinearForm, LieAlgebra
 from .ratpoly import char_poly, factor_poly, min_poly, poly_eval_matrix, rational_roots
 
-_DENSE_HOM_CAP = 4096  # unknown-count bound for the dense solver and an unsplit Hom system
+# unknown-count bound of the dense solver (m.n) and of the constraint
+# kernels (the spun start's map count)
+_DENSE_HOM_CAP = 4096
 
 
 class Representation:
@@ -395,9 +397,9 @@ def _initial_hom_basis(v, w):
     out.  An intertwiner maps each block of V into the block of W with the
     same key.  `_spun_maps` then spins V from its block vectors and gives
     one map per generator u_s and vector of W's block of u_s's key,
-    sum_s |W_key(u_s)| maps.  With an empty pool the key is () and the
-    generators are unit vectors; such a pair above `_DENSE_HOM_CAP`
-    unknowns is refused.
+    sum_s |W_key(u_s)| maps, the unknowns of the first constraint kernel
+    and a bound on those of the others.  With an empty pool the key is ()
+    and the generators are unit vectors.
     """
     algebra = v.algebra
     n, m = v.module_dim, w.module_dim
@@ -428,11 +430,6 @@ def _initial_hom_basis(v, w):
                 break
             blocks_v, blocks_w = refined_v, refined_w
         pool.append(a)
-    if not pool and m * n > _DENSE_HOM_CAP:
-        raise ContractError(
-            "no rational-split element found and module pair is too large "
-            "for the dense fallback"
-        )
     return _spun_maps(v, w, blocks_v, dict(blocks_w))
 
 
@@ -449,7 +446,9 @@ def _spun_maps(v, w, blocks_v, blocks_w):
     column k of Z_{s,i} is word_k . z_{s,i} when vector k = word_k . u_s and
     0 otherwise.  An intertwiner phi has phi(word . u_s) = word . phi(u_s)
     with phi(u_s) in the span of the z_{s,i}, so phi lies in the span of
-    the Psi_{s,i}; a key that W lacks contributes no map.
+    the Psi_{s,i}; a key that W lacks contributes no map.  A pair whose
+    generators reach more than `_DENSE_HOM_CAP` maps is refused as soon as
+    they do, before any map is built.
     """
     n, m = v.module_dim, w.module_dim
     order = sorted(
@@ -463,6 +462,7 @@ def _spun_maps(v, w, blocks_v, blocks_w):
     ech = Echelon(n)
     spun = []  # (generator s, V vector, its W images), over one factor each
     gens = []  # the W block of each generator
+    count = 0  # the maps the generators give, sum of their W blocks
     for _, key, u in order:
         if ech.dim == n:
             break
@@ -470,6 +470,12 @@ def _spun_maps(v, w, blocks_v, blocks_w):
             continue
         head = len(spun)  # spun from here on is the breadth-first queue
         gens.append(blocks_w.get(key, []))
+        count += len(gens[-1])
+        if count > _DENSE_HOM_CAP:
+            raise ContractError(
+                f"module pair is too large: the spun start needs more than "
+                f"{_DENSE_HOM_CAP} maps"
+            )
         spun.append((len(gens) - 1, u, gens[-1]))
         while head < len(spun) and ech.dim < n:
             s, x, images = spun[head]

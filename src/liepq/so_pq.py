@@ -338,6 +338,30 @@ def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
 
 
+def _embedding_branch(p: int, q: int, positive: bool):
+    """The embedding of one sign branch of c as polynomials in c: (form,
+    images), each a tuple of parts, part d the coefficient of c^d.  form is
+    (F0, F1) with I_{p,q}(c) = F0 + c.F1, and images holds one (P, Q) per
+    deformed-algebra basis index with image P + c.Q: the so block is
+    c-free (Q = 0), and e_i has P = -eta_i.E_{x,r} and Q = E_{r,x}, for x
+    the extra coordinate and r the place of coordinate i.  These are the
+    matrices `ipq_c` and `embedding_iso` build for every c of the branch
+    (c > 0 when positive, else c < 0)."""
+    n = Signature(p, q).n
+    if n < 3:
+        raise ContractError("embedding_iso needs p + q >= 3")
+    shift, extra = (1, 0) if positive else (0, n)
+    zero = Matrix.zeros(n + 1, n + 1)
+    images = [(gen, zero) for gen in _shifted_so_block(p, q, shift)]
+    for i in range(n):
+        r = i + shift
+        p_i = _trusted(n + 1, n + 1, {extra: {r: -1 if i < p else 1}})
+        images.append((p_i, _trusted(n + 1, n + 1, {r: {extra: 1}})))
+    f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
+    form = (_trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}}))
+    return form, images
+
+
 def so_of_form(form: Matrix) -> LieAlgebra:
     """so(R^N, form) = {A : A^t.form + form.A = 0} with the canonical
     kernel basis.

@@ -105,6 +105,23 @@ def frozen(m):
     return _trusted(m.rows, m.cols, freeze_rows(m._data), m.den)
 
 
+@pytest.fixture
+def fresh_cli_memos():
+    """liepq.cli with its own memo caches emptied before and after the test,
+    so that every per-signature certificate reads the sources a test
+    patches and none outlives it."""
+    import liepq.cli as cli
+
+    def clear():
+        for value in vars(cli).values():
+            if callable(getattr(value, "cache_clear", None)) and value.__module__ == cli.__name__:
+                value.cache_clear()
+
+    clear()
+    yield cli
+    clear()
+
+
 @pytest.fixture(scope="session")
 def so3_rotations():
     """so(3) in the classic rotation-generator basis with [L1, L2] = L3."""

@@ -4,18 +4,17 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from liepq.cli import main, run_suite
 from liepq.exact_linalg import Matrix, rat
-from liepq.lie_core import BilinearForm
 from liepq.rep_theory import adjoint_rep, wedge_square_rep
 from liepq.so_pq import (
     SO31_SL2C,
+    _deformation_family,
+    _embedding_branch,
     deformed_algebra,
-    embedding_iso,
     exceptional_iso,
     ipq,
     so_pq_algebra,
@@ -538,33 +537,36 @@ def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch):
         cli._t1_equivariance_defect.cache_clear()
 
 
-def test_embedding_check_names_the_first_failing_pair(monkeypatch):
+def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_cli_memos):
     """Doubled images stay in so(R^{n+1}, I_{p,q}(c)), but their brackets
     are four times, not twice, the images of the brackets: the first pair
-    with a nonzero bracket fails."""
-    import liepq.cli as cli
+    with a nonzero bracket fails, in degree 0, on either sign branch."""
+    cli = fresh_cli_memos
 
-    def doubled(p, q, c):
-        emb = embedding_iso(p, q, c)
-        return emb._replace(images=[im.scale(2) for im in emb.images])
+    def doubled(p, q, positive):
+        form, images = _embedding_branch(p, q, positive)
+        return form, [tuple(x.scale(2) for x in parts) for parts in images]
 
-    monkeypatch.setattr(cli, "embedding_iso", doubled)
-    result = cli.check_embedding(2, 1, rat(1))
-    assert result["status"] == "fail"
+    monkeypatch.setattr(cli, "_embedding_branch", doubled)
     i, j = min(deformed_algebra(2, 1, 1).algebra.structure)
-    assert result["reason"].endswith(f"basis pair ({i},{j})")
+    for c in (rat(1), rat("-1/2")):
+        assert cli.check_embedding(2, 1, c) == {
+            "status": "fail",
+            "reason": "bracket not intertwined in degree 0: "
+            f"homomorphism property fails on basis pair ({i},{j})",
+        }
 
 
-def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch):
+def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch, fresh_cli_memos):
     """The zero map stays in every so(form) and intertwines every bracket,
     so only the injectivity test can refuse it."""
-    import liepq.cli as cli
+    cli = fresh_cli_memos
 
-    def zero(p, q, c):
-        emb = embedding_iso(p, q, c)
-        return emb._replace(images=[im.scale(0) for im in emb.images])
+    def zero(p, q, positive):
+        form, images = _embedding_branch(p, q, positive)
+        return form, [tuple(x.scale(0) for x in parts) for parts in images]
 
-    monkeypatch.setattr(cli, "embedding_iso", zero)
+    monkeypatch.setattr(cli, "_embedding_branch", zero)
     assert cli.check_embedding(2, 1, rat(1)) == {
         "status": "fail", "reason": "embedding is not injective"
     }
@@ -579,18 +581,53 @@ def test_hom_check_refuses_a_t1_outside_the_hom_span(monkeypatch):
 
 
 @pytest.mark.parametrize("block", ["mixed", "so", "vector"])
-def test_killing_blocks_check_names_the_failing_block(monkeypatch, block):
-    import liepq.cli as cli
-
-    gram = deformed_algebra(2, 1, 1).algebra.killing_form().gram
+def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_cli_memos, block):
+    """A symmetric bend of one block of the family's K0 fails that block."""
+    cli = fresh_cli_memos
+    family = _deformation_family(2, 1)
     # so block: indices 0..2, vector block: 3..5
     i, j = {"mixed": (0, 4), "so": (0, 1), "vector": (3, 4)}[block]
-    bent = gram + _unit(6, i, j) + _unit(6, j, i)
-    fake = SimpleNamespace(algebra=SimpleNamespace(killing_form=lambda: BilinearForm(6, bent)))
-    monkeypatch.setattr(cli, "_shared_deformed_algebra", lambda p, q, c: fake)
+    bent = family._replace(k0=family.k0 + _unit(6, i, j) + _unit(6, j, i))
+    monkeypatch.setattr(cli, "_deformation_family", lambda p, q: bent)
     result = cli.check_killing_blocks(2, 1, rat(1))
     assert result["status"] == "fail"
     assert result["reason"].startswith(f"{block} block")
+
+
+@pytest.mark.parametrize(
+    "gram, i, j, reason",
+    [
+        ("k1", 0, 4, "mixed block is not zero in degree 1"),
+        ("k2", 0, 5, "mixed block is not zero in degree 2"),
+        ("k1", 0, 1, "so block is not zero in degree 1"),
+        ("k2", 1, 2, "so block is not zero in degree 2"),
+        ("k0", 3, 4, "vector block is not zero in degree 0"),
+        ("k2", 3, 4, "vector block is not zero in degree 2"),
+        ("k1", 3, 4, "vector block not proportional to <.,.>_{p,q}"),
+    ],
+)
+def test_killing_blocks_check_names_the_failing_degree(monkeypatch, fresh_cli_memos, gram, i, j, reason):
+    """a1 is read off the so block of K0 and a2 = c.r1 off the vector
+    block of K1: any other degree of a block must vanish."""
+    cli = fresh_cli_memos
+    family = _deformation_family(2, 1)
+    bend = getattr(family, gram) + _unit(6, i, j) + _unit(6, j, i)
+    monkeypatch.setattr(cli, "_deformation_family", lambda p, q: family._replace(**{gram: bend}))
+    assert cli.check_killing_blocks(2, 1, rat(3)) == {"status": "fail", "reason": reason}
+
+
+def test_killing_blocks_constants_are_a1_and_c_times_r1():
+    """a1 = (n-1)/(n-2) for every c, and a2 = -2(n-1).c."""
+    import liepq.cli as cli
+
+    for p, q in ((2, 1), (3, 1), (2, 2), (4, 3)):
+        n = p + q
+        for c in (rat(2), rat("-3/5")):
+            assert cli.check_killing_blocks(p, q, c) == {
+                "status": "pass",
+                "a1": str(rat(n - 1) / (n - 2)),
+                "a2": str(-2 * (n - 1) * c),
+            }
 
 
 def test_exceptional_iso_check_names_the_first_failing_pair(monkeypatch):

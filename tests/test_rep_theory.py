@@ -779,21 +779,41 @@ def test_spun_hom_space_matches_dense_on_conjugated_sums(pq, summands_v, summand
 
 def test_unsplit_pair_is_refused_above_the_dense_cap(monkeypatch):
     """Compact so(3,0) splits nothing over Q (tr(a^2) < 0 for every basis
-    element): on R^3 against itself the matrix units start the solver, and
-    on 22 copies of R^3 (66 * 66 = 4356 unknowns) the pair is refused
-    before any kernel."""
+    element), so the spun start pairs every generator of V with all of W.
+    On R^3 against itself one generator gives 3 maps.  37 copies of R^3
+    need 37 generators, and 37 * 111 = 4107 maps is above the cap of 4096
+    unknowns: the pair is refused before any kernel.  The cap bounds the
+    constraint kernels' unknowns, not m * n: 22 copies, 66 * 66 = 4356 dense
+    unknowns, spin to 22 * 66 = 1452 maps and pass it."""
     import liepq.rep_theory as rt
 
     algebra = so_pq_algebra(3, 0)
     std = Representation(algebra, 3, list(algebra.basis))
+    assert len(rt._initial_hom_basis(std, std)) == 3
     assert [h.entries for h in hom_space(std, std)] == [h.entries for h in hom_space_dense(std, std)]
-    copies = Representation(algebra, 66, [kron(Matrix.identity(22), b) for b in algebra.basis])
+    copies = Representation(algebra, 111, [kron(Matrix.identity(37), b) for b in algebra.basis])
     kernels = []
     real = rt.kernel
     monkeypatch.setattr(rt, "kernel", lambda m: kernels.append(m) or real(m))
     with pytest.raises(ContractError, match="too large"):
         hom_space(copies, copies)
     assert kernels == []
+    fewer = Representation(algebra, 66, [kron(Matrix.identity(22), b) for b in algebra.basis])
+    assert len(rt._initial_hom_basis(fewer, fewer)) == 1452
+
+
+def test_compact_wedge_adjoint_spins_from_one_generator():
+    """wedge^2 R^12 -> so(12, 0): no basis element splits over Q, so the
+    pool is empty and V is spun from unit vectors.  wedge^2 R^12 is
+    irreducible, so one generator spans it and the start has 66 maps, far
+    below the cap, although the pair has 66 * 66 = 4356 dense unknowns."""
+    import liepq.rep_theory as rt
+    from liepq.cli import check_hom_wedge_adjoint
+
+    algebra = so_pq_algebra(12, 0)
+    wedge = wedge_square_rep(Representation(algebra, 12, list(algebra.basis)))
+    assert len(rt._initial_hom_basis(wedge, adjoint_rep(algebra))) == 66
+    assert check_hom_wedge_adjoint(12, 0) == {"status": "pass", "dim": 1, "expected": 1}
 
 
 def _scored_initial_basis(v, w):
