@@ -7,7 +7,9 @@ has an empty item or repeats a value (equal as rationals);
 `irreps` refuses a rank or a dimension bound above its limits.
 The checks certify each fact through one library routine: bracket
 compatibility through `homomorphism_defect` or `Representation.validate`,
-"A = r.B" through `proportionality`, ranks through `kernel`.
+"A = r.B" through `proportionality`, ranks through `kernel`.  The facts
+that hold for every c, or every c of one sign, come from the deformation
+family's memoized certificates in `so_pq`; this module only reports them.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
 """
@@ -15,8 +17,6 @@ parameters) so two runs differ only in elapsed_ms.
 from __future__ import annotations
 
 import argparse
-import functools
-import math
 import os
 import sys
 import time
@@ -24,10 +24,8 @@ import time
 from . import __version__
 from .errors import ContractError, LiepqError, UnknownSmallestModuleError
 from .exact_linalg import (
-    Echelon,
     Matrix,
     Subspace,
-    _echelon,
     _intertwining_defect,
     inertia_of_diagonalizable_form,
     kernel,
@@ -35,14 +33,7 @@ from .exact_linalg import (
     rat,
     rational_sqrt,
 )
-from .lie_core import (
-    LieAlgebra,
-    canonical_json,
-    centralizer,
-    homomorphism_defect,
-    is_maximal_subalgebra,
-    orthogonal_complement,
-)
+from .lie_core import canonical_json, homomorphism_defect, orthogonal_complement
 from .rep_theory import (
     Representation,
     adjoint_rep,
@@ -62,7 +53,11 @@ from .so_pq import (
     SO33_SL4R,
     Signature,
     _deformation_family,
-    _embedding_branch,
+    _embedding_defect,
+    _killing_block_constants,
+    _so_centralizer,
+    _so_maximality,
+    _t1_equivariance_defect,
     deformed_algebra,
     dimension_bound,
     embedding_iso,
@@ -110,229 +105,6 @@ SMALL_EXCLUSION_REASON = (
 # -- individual checks --------------------------------------------------
 # Every check takes primitive parameters and returns a result dict with
 # at least {"status": "pass" | "fail" | "skipped"}.
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _shared_deformed_algebra(p, q, c):
-    """The deformed algebra of one c, read off the family
-    `_deformation_family` certifies once per (p, q) for every c;
-    check_deformed_jacobi reports that certificate.  deformed_radical is
-    the one check that reads a single c: the others certify their fact once
-    per signature, or once per sign of c, on the family itself."""
-    return deformed_algebra(p, q, c)
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _graded_family(p, q):
-    """The family of [.,.]_c = base + c.vec, once its grading is confirmed:
-    every key of vec brackets two vectors and no key of base does.  The
-    per-signature certificates below rest on exactly this: a bracket with
-    an so index is c-free, and a bracket of two vectors is c times its
-    value at c = 1.  Raises ContractError otherwise."""
-    family = _deformation_family(p, q)
-    m = family.dim - (p + q)
-    if any(i < m for i, _ in family.vec):
-        raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
-    if any(i >= m for i, _ in family.base):
-        raise ContractError("a c-free bracket of the family brackets two vectors")
-    return family
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _family_algebras(p, q):
-    """(base, joint, so block): the family's brackets at c = 0 and at c = 1
-    as algebras, certified by the family (Jacobi for every c, and Killing
-    grams K0 and K0 + K1 + K2), and the span of the so(p,q) coordinates."""
-    family = _graded_family(p, q)
-    dim = family.dim
-    base = LieAlgebra._certified(dim, family.base, family.k0)
-    joint = LieAlgebra._certified(
-        dim, {**family.base, **family.vec}, family.k0 + family.k1 + family.k2
-    )
-    so_block = Subspace(_echelon(dim, ({i: 1} for i in range(dim - (p + q)))))
-    return base, joint, so_block
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _so_centralizer(p, q):
-    """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
-    every c, 0 included: a bracket with an so index is a key of base, so
-    [x, h]_c = [x, h]_0 for every h in the block."""
-    base, _, so_block = _family_algebras(p, q)
-    return centralizer(base, so_block)
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _so_maximality(p, q, deformed):
-    """is_maximal_subalgebra of the so(p,q) block: at c = 0 on base, and
-    for every c != 0 (deformed) on the joint tensor, c = 1.  The so block
-    has degree 0 and each e_idx degree 1, and [x, y]_c = c^(deg x . deg y)
-    [x, y]_1 for such homogeneous x and y, so every iterated bracket of
-    the closure of H + e_idx at c is a nonzero multiple of the same
-    bracket at c = 1: the closures, the verdict and the witness are the
-    same for every c != 0."""
-    base, joint, so_block = _family_algebras(p, q)
-    return is_maximal_subalgebra(joint if deformed else base, so_block)
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _embedding_defect(p, q, positive):
-    """Why the embedding fails on one sign branch of c, or None, for every c
-    of the branch at once: `_graded_embedding_defect` on the family's joint
-    tensor, its vec constants of degree 1, and `_embedding_branch`."""
-    family = _graded_family(p, q)
-    _, joint, _ = _family_algebras(p, q)
-    form, images = _embedding_branch(p, q, positive)
-    return _graded_embedding_defect(joint, dict.fromkeys(family.vec, 1), form, images)
-
-
-def _graded_embedding_defect(algebra, degree, form, images):
-    """Why the images fail to embed the graded algebra into so(form), or
-    None; every certificate holds as an identity of polynomials in c.
-
-    The structure constants of key (i, j) have degree degree.get((i, j), 0)
-    in c, and form and each image are tuples of matrix parts, part d the
-    coefficient of c^d.  Three certificates, in order:
-    - the form: A^t.F + F.A = 0 in every degree, for every image A;
-    - the brackets: [rho_a, rho_b] - rho [b_a, b_b] = 0 in every degree.
-      On integer rows R = D.rho over the parts' common denominator D and
-      the integer tensor (den * constant), the property reads den [R_a, R_b]
-      = D sum_k (den c_ab^k) R_k.  One pass per a files each product of a
-      part of R_a with a part of R_b (b > a), and each term of the
-      bracket, under b and the sum of their degrees, as `_check_jacobi`
-      files Jacobi terms; the reason names the first failing pair and its
-      lowest failing degree;
-    - injectivity: on the matrix entries where every part of degree >= 1
-      of every image vanishes, an image equals its part of degree 0 for
-      every c, so those restricted parts being independent proves the
-      images independent for every c.
-    """
-    for parts in images:
-        sums = {}
-        for d, x in enumerate(parts):
-            if x.is_zero():
-                continue
-            for e, f in enumerate(form):
-                term = x.transpose() @ f + f @ x
-                sums[d + e] = sums[d + e] + term if d + e in sums else term
-        bad = [g for g, s in sums.items() if not s.is_zero()]
-        if bad:
-            return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
-    den, _, brackets = algebra._integer_tensor()
-    big = math.lcm(1, *(x.den for parts in images for x in parts))
-    ints = [
-        [
-            (d, {r: {c: v * (big // x.den) for c, v in row.items()} for r, row in x._data.items()})
-            for d, x in enumerate(parts)
-            if x._data
-        ]
-        for parts in images
-    ]
-    by_row, by_col = {}, {}  # row t of part e of R_b; entries (r, t) of it
-    for b, parts in enumerate(ints):
-        for e, rows in parts:
-            for t, row in rows.items():
-                by_row.setdefault(t, []).append((b, e, row))
-                for c, y in row.items():
-                    by_col.setdefault(c, []).append((b, e, t, y))
-    for a, parts in enumerate(ints):
-        acc = {}  # (b, degree) -> {(row, column): integer}
-        for d, rows in parts:
-            for r, row in rows.items():
-                for t, x in row.items():
-                    x *= den
-                    for b, e, yrow in by_row.get(t, ()):  # R_a R_b
-                        if b > a:
-                            out = acc.setdefault((b, d + e), {})
-                            for c, y in yrow.items():
-                                out[r, c] = out.get((r, c), 0) + x * y
-                    for b, e, s, y in by_col.get(r, ()):  # - R_b R_a
-                        if b > a:
-                            out = acc.setdefault((b, d + e), {})
-                            out[s, t] = out.get((s, t), 0) - y * x
-        for b, entry, sign in brackets.get(a, ()):
-            if b > a:
-                g = degree.get((a, b), 0)
-                for k, s in entry.items():
-                    f = sign * s * big
-                    for e, rows in ints[k]:
-                        out = acc.setdefault((b, g + e), {})
-                        for r, row in rows.items():
-                            for c, y in row.items():
-                                out[r, c] = out.get((r, c), 0) - f * y
-        bad = [key for key, out in acc.items() if any(out.values())]
-        if bad:
-            b, g = min(bad)
-            return (
-                f"bracket not intertwined in degree {g}: "
-                f"homomorphism property fails on basis pair ({a},{b})"
-            )
-    lifted = set()  # the entries where some part of degree >= 1 is nonzero
-    for parts in images:
-        for x in parts[1:]:
-            lifted.update(x._flat())
-    n = form[0].rows
-    ech = Echelon(n * n)
-    for parts in images:
-        vec = {k: v for k, v in parts[0]._flat().items() if k not in lifted}
-        if not ech.insert(vec):
-            return "embedding is not injective"
-    return None
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _killing_block_constants(p, q):
-    """(reason, a1, r1) for the Killing gram K(c) = K0 + c.K1 + c^2.K2 of
-    the family, block by block, once per (p, q): the mixed block vanishes
-    in every degree, the so block is a1 x Killing(so(p,q)) in degree 0 and
-    zero in degrees 1 and 2, and the vector block is r1 x <.,.>_{p,q} in
-    degree 1 and zero in degrees 0 and 2, so a2 = c.r1.  reason is None when
-    all of this holds with a1 and r1 nonzero, and then K(c) has the block
-    form with nonzero constants for every c != 0."""
-    family = _graded_family(p, q)
-    grams = (family.k0, family.k1, family.k2)
-    so = so_pq_algebra(p, q)
-    m, n = so.dim, p + q
-    # 0/1 inclusions of the so block (the first m basis vectors) and of the
-    # vector block (the last n)
-    s = Matrix.from_sparse(m + n, m, {(i, i): 1 for i in range(m)})
-    v = Matrix.from_sparse(m + n, n, {(m + i, i): 1 for i in range(n)})
-    st, vt = s.transpose(), v.transpose()
-    for d, k in enumerate(grams):
-        if not (st @ k @ v).is_zero():
-            return f"mixed block is not zero in degree {d}", None, None
-    so_blocks = [st @ k @ s for k in grams]
-    a1 = proportionality(so_blocks[0], so.killing_form().gram)
-    if a1 is None:
-        return "so block not proportional to Killing(so(p,q))", None, None
-    for d in (1, 2):
-        if not so_blocks[d].is_zero():
-            return f"so block is not zero in degree {d}", None, None
-    vec_blocks = [vt @ k @ v for k in grams]
-    for d in (0, 2):
-        if not vec_blocks[d].is_zero():
-            return f"vector block is not zero in degree {d}", None, None
-    r1 = proportionality(vec_blocks[1], ipq(p, q))
-    if r1 is None:
-        return "vector block not proportional to <.,.>_{p,q}", None, None
-    if not a1 or not r1:
-        return "a proportionality constant vanished", None, None
-    return None, a1, r1
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _t1_equivariance_defect(p, q):
-    """The first basis index x with T_1.wedge(x) != ad(x).T_1, or None, once
-    per (p, q): equivariance is linear in T, and T_c = c.T_1."""
-    algebra = so_pq_algebra(p, q)
-    std = Representation(algebra, p + q, list(algebra.basis))
-    wedge = wedge_square_rep(std)
-    adjoint = adjoint_rep(algebra)
-    t1 = t_c(p, q, 1)
-    return next(
-        (x for x in range(algebra.dim) if t1 @ wedge.actions[x] != adjoint.actions[x] @ t1),
-        None,
-    )
 
 
 def _pass(**extra):
@@ -451,7 +223,7 @@ def check_deformed_jacobi(p, q, c):
 
 
 def check_deformed_radical(p, q, c):
-    dalg = _shared_deformed_algebra(p, q, c)
+    dalg = deformed_algebra(p, q, c)
     semisimple = dalg.algebra.is_semisimple()
     expected = c != 0
     if semisimple != expected:

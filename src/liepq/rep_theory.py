@@ -77,65 +77,95 @@ class Representation:
         self.actions = actions
 
     def validate(self):
-        """Check the homomorphism property on every basis pair exactly.
-
-        On integer rows R_k = D rho_k over the actions' common denominator D
-        and the integer structure tensor (den * c_ij^k), the property reads
-        den (R_i R_j - R_j R_i) = D sum_k (den c_ij^k) R_k.  One pass per i
-        puts every pair (i, j > i) into one accumulator keyed by
-        j * n + column: R_i times the R_j side by side, minus the R_j stacked
-        on top of each other times R_i, minus the brackets of i.  The error
-        names the lexicographically first failing pair.
-        """
-        n = self.module_dim
-        den, _, brackets = self.algebra._integer_tensor()
-        big = _lcm(1, *(a.den for a in self.actions))
-        ints = [
-            {r: {c: x * (big // a.den) for c, x in row.items()} for r, row in a._data.items()}
-            for a in self.actions
-        ]
-        side = {}  # row t of the R_j, j > i, side by side
-        for j, rows in enumerate(ints):
-            for t, row in rows.items():
-                block = side.setdefault(t, {})
-                for c, x in row.items():
-                    block[j * n + c] = x
-        for i, rows in enumerate(ints):
-            for t, row in rows.items():
-                block = side[t]
-                for c in row:
-                    del block[i * n + c]
-            ri = {t: {c: den * x for c, x in row.items()} for t, row in rows.items()}
-            acc = {}
-            for r, row in ri.items():
-                out = acc.setdefault(r, {})
-                for t, x in row.items():
-                    for key, y in side.get(t, {}).items():
-                        out[key] = out.get(key, 0) + x * y
-            for j in range(i + 1, len(ints)):
-                base = j * n
-                for r, row in ints[j].items():
-                    out = acc.setdefault(r, {})
-                    for t, x in row.items():
-                        for c, y in ri.get(t, {}).items():
-                            out[base + c] = out.get(base + c, 0) - x * y
-            for j, entry, sign in brackets.get(i, ()):
-                if j > i:
-                    base = j * n
-                    for k, e in entry.items():
-                        f = sign * e * big
-                        for r, row in ints[k].items():
-                            out = acc.setdefault(r, {})
-                            for c, y in row.items():
-                                out[base + c] = out.get(base + c, 0) - f * y
-            bad = [key // n for out in acc.values() for key, x in out.items() if x]
-            if bad:
-                raise ContractError(
-                    f"homomorphism property fails on basis pair ({i},{min(bad)})"
-                )
+        """Check the homomorphism property on every basis pair exactly: the
+        degree-0 case of `_bracket_defect`, whose error names the
+        lexicographically first failing pair."""
+        defect = _bracket_defect(self.algebra, [(a,) for a in self.actions], {})
+        if defect is not None:
+            a, b, _ = defect
+            raise ContractError(f"homomorphism property fails on basis pair ({a},{b})")
 
     def __repr__(self):
         return f"Representation(dim {self.module_dim} of algebra dim {self.algebra.dim})"
+
+
+def _bracket_defect(algebra: LieAlgebra, images, degree):
+    """The first (a, b, g), a < b, with [rho_a, rho_b] - rho [b_a, b_b]
+    nonzero in degree g of c, or None.  images holds one tuple of matrix
+    parts per basis element, part d the coefficient of c^d, and the
+    constants of key (i, j) have degree degree.get((i, j), 0).
+
+    On integer rows R = D.rho over the parts' common denominator D and the
+    integer tensor (den * constant), the property reads den [R_a, R_b] =
+    D sum_k (den c_ab^k) R_k.  One pass per a files every term of every pair
+    (a, b > a), in the degree that adds up those of its factors, in one
+    accumulator per row keyed by (b.slots + degree).n + column: each entry
+    of R_a meets the row and the column of the R_b side by side that it
+    multiplies, then the brackets of a subtract their terms.
+    """
+    if not images:
+        return None
+    n = images[0][0].cols
+    den, _, brackets = algebra._integer_tensor()
+    big = _lcm(1, *(x.den for parts in images for x in parts))
+    ints = [
+        [
+            (d, {r: {c: v * (big // x.den) for c, v in row.items()} for r, row in x._data.items()})
+            for d, x in enumerate(parts)
+            if x._data
+        ]
+        for parts in images
+    ]
+    top = max((d for parts in ints for d, _ in parts), default=0)
+    slots = max(2 * top, top + max(degree.values(), default=0)) + 1
+    # row t and column t of each part e of each R_b, b > a, side by side
+    side, below = {}, {}
+    for b, parts in enumerate(ints):
+        for e, rows in parts:
+            base = (b * slots + e) * n
+            for r, row in rows.items():
+                block = side.setdefault(r, {})
+                for c, x in row.items():
+                    block[base + c] = x
+                    below.setdefault(c, {})[base + r] = x
+    for a, parts in enumerate(ints):
+        for e, rows in parts:
+            base = (a * slots + e) * n
+            for r, row in rows.items():
+                block = side[r]
+                for c in row:
+                    del block[base + c]
+                    del below[c][base + r]
+        acc = {}
+        for d, rows in parts:
+            shift = d * n
+            for r, row in rows.items():
+                out = acc.setdefault(r, {})
+                for t, x in row.items():
+                    x *= den
+                    for key, y in side.get(t, {}).items():  # R_a R_b
+                        key += shift
+                        out[key] = out.get(key, 0) + x * y
+                    for key, y in below.get(r, {}).items():  # - R_b R_a
+                        u = key % n  # entry (u, r) of R_b
+                        other = acc.setdefault(u, {})
+                        key += shift + t - u
+                        other[key] = other.get(key, 0) - y * x
+        for b, entry, sign in brackets.get(a, ()):
+            if b > a:
+                g = degree.get((a, b), 0)
+                for k, s in entry.items():
+                    f = sign * s * big
+                    for e, rows in ints[k]:
+                        base = (b * slots + g + e) * n
+                        for r, row in rows.items():
+                            out = acc.setdefault(r, {})
+                            for c, y in row.items():
+                                out[base + c] = out.get(base + c, 0) - f * y
+        bad = [key // n for out in acc.values() for key, x in out.items() if x]
+        if bad:
+            return (a, *divmod(min(bad), slots))
+    return None
 
 
 def adjoint_rep(algebra: LieAlgebra) -> Representation:

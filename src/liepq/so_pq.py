@@ -16,11 +16,14 @@ from typing import NamedTuple
 
 from .errors import ContractError, ShapeMismatchError, UnknownSmallestModuleError, UnsupportedRealizationError
 from .exact_linalg import (
+    Echelon,
     Matrix,
     ONE,
     Rational,
     Subspace,
     ZERO,
+    _echelon,
+    _intertwining_defect,
     _quotient,
     _trusted,
     congruence_diagonalize,
@@ -28,13 +31,22 @@ from .exact_linalg import (
     kernel,
     kron,
     mat_mul,
+    proportionality,
     rat,
     rational_sqrt,
     wedge_square_index,
 )
-from .lie_core import ABSTRACT, LieAlgebra, _Coordinatizer, _tensor_from_entries
+from .lie_core import (
+    ABSTRACT,
+    LieAlgebra,
+    _Coordinatizer,
+    _tensor_from_entries,
+    centralizer,
+    is_maximal_subalgebra,
+)
 from .rep_theory import (
     Representation,
+    _bracket_defect,
     dual_rep,
     invariant_symmetric_forms,
     restrict,
@@ -181,12 +193,7 @@ class DeformedAlgebra(NamedTuple):
         return self.algebra.dim
 
     def so_block_subspace(self) -> Subspace:
-        vectors = []
-        for idx in self.so_indices:
-            v = [ZERO] * self.dim
-            v[idx] = ONE
-            vectors.append(v)
-        return Subspace.from_vectors(self.dim, vectors)
+        return Subspace(_echelon(self.dim, ({i: 1} for i in self.so_indices)))
 
     def to_json_dict(self) -> dict:
         data = self.algebra.to_json_dict()
@@ -206,7 +213,8 @@ class DeformedAlgebra(NamedTuple):
 
 class _DeformationFamily(NamedTuple):
     """The brackets [.,.]_c = base + c.vec on so(p,q) (+) R^{p,q}, certified
-    for every rational c, with the Killing gram K(c) = k0 + c.k1 + c^2.k2."""
+    for every rational c, with the Killing gram K(c) = k0 + c.k1 + c^2.k2,
+    the algebras at c = 0 and c = 1 and the span of the so(p,q) block."""
 
     dim: int
     base: dict  # structure tensor {(i, j): {k: constant}} free of c
@@ -214,6 +222,9 @@ class _DeformationFamily(NamedTuple):
     k0: Matrix
     k1: Matrix
     k2: Matrix
+    base_algebra: LieAlgebra  # c = 0
+    joint: LieAlgebra  # c = 1
+    so_block: Subspace
 
 
 def _deformation_constants(p: int, q: int):
@@ -238,17 +249,18 @@ def _deformation_constants(p: int, q: int):
 @functools.lru_cache(maxsize=64, typed=True)
 def _deformation_family(p: int, q: int) -> _DeformationFamily:
     """The family base + c.vec of so(p,q), its Jacobi identity certified
-    for every rational c by one graded pass, once per (p, q).
+    for every rational c by one graded pass, once per (p, q), with the
+    algebras at c = 0 and c = 1 and the span of the so(p,q) block.
 
-    base and vec bracket disjoint pairs of basis indices, so one integer
-    tensor holds them both: the joint algebra, c = 1.  A constant of vec
-    has degree 1 in c and one of base degree 0, and a term of the
-    Jacobiator or of the Killing contraction has the sum of the degrees of
-    its two constants, the number of vector-vector brackets in it.  So one
-    Jacobi pass over the joint tensor, filed by degree, gives J(c) = J(base)
-    + c.M + c^2.J(vec), and all three vanish exactly when J(c) = 0 for
-    every c; one Killing contraction filed the same way gives K(c) = K0 +
-    c.K1 + c^2.K2.  Raises ContractError when a degree fails.
+    Every key of vec brackets two vectors and no key of base does (checked
+    here): a bracket with an so index is c-free, a bracket of two vectors
+    is c times its value at c = 1, and one integer tensor holds both, the
+    joint algebra.  A term of the Jacobiator or of the Killing contraction
+    has the sum of the degrees of its two constants, so one Jacobi pass
+    over the joint tensor, filed by degree, gives J(c) = J(base) + c.M +
+    c^2.J(vec), all three zero exactly when J(c) = 0 for every c; one
+    Killing contraction filed the same way gives K(c) = K0 + c.K1 + c^2.K2.
+    Raises ContractError when the grading or a degree fails.
     """
     Signature(p, q)
     if p + q < 3:
@@ -256,13 +268,24 @@ def _deformation_family(p: int, q: int) -> _DeformationFamily:
     dim, base, vec = _deformation_constants(p, q)
     base = _tensor_from_entries(dim, base)
     vec = _tensor_from_entries(dim, vec)
-    if not base.keys().isdisjoint(vec):
-        raise ContractError("base and vec of the family bracket a common pair")
-    joint = LieAlgebra(ABSTRACT, dim, structure={**base, **vec}, validate=False)
+    m = dim - (p + q)
+    if any(i < m for i, _ in vec):
+        raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
+    if any(i >= m for i, _ in base):
+        raise ContractError("a c-free bracket of the family brackets two vectors")
+    joint = {**base, **vec}
+    graded = LieAlgebra(ABSTRACT, dim, structure=joint, validate=False)
     degree = dict.fromkeys(vec, 1)
-    joint._check_jacobi(degree)
-    k0, k1, k2 = joint._killing_grams(degree)
-    return _DeformationFamily(dim, base, vec, k0, k1, k2)
+    graded._check_jacobi(degree)
+    k0, k1, k2 = graded._killing_grams(degree)
+    # fresh algebras on the same tensors, so the family keeps no integer
+    # copy of them until a certificate reads one: deformed_algebra never does
+    return _DeformationFamily(
+        dim, base, vec, k0, k1, k2,
+        LieAlgebra._certified(dim, base, k0),
+        LieAlgebra._certified(dim, joint, k0 + k1 + k2),
+        Subspace(_echelon(dim, ({i: 1} for i in range(m)))),
+    )
 
 
 def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
@@ -346,10 +369,8 @@ def _embedding_branch(p: int, q: int, positive: bool):
     c-free (Q = 0), and e_i has P = -eta_i.E_{x,r} and Q = E_{r,x}, for x
     the extra coordinate and r the place of coordinate i.  These are the
     matrices `ipq_c` and `embedding_iso` build for every c of the branch
-    (c > 0 when positive, else c < 0)."""
+    (c > 0 when positive, else c < 0); the family refuses n < 3 first."""
     n = Signature(p, q).n
-    if n < 3:
-        raise ContractError("embedding_iso needs p + q >= 3")
     shift, extra = (1, 0) if positive else (0, n)
     zero = Matrix.zeros(n + 1, n + 1)
     images = [(gen, zero) for gen in _shifted_so_block(p, q, shift)]
@@ -360,6 +381,142 @@ def _embedding_branch(p: int, q: int, positive: bool):
     f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
     form = (_trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}}))
     return form, images
+
+
+# -- the deformation family's certificates ------------------------------
+# Each holds for every c at once, or for every c of one sign, and is
+# certified once per (p, q) (and sign) on the family.
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _so_centralizer(p: int, q: int) -> Subspace:
+    """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
+    every c, 0 included: a bracket with an so index is a key of base, so
+    [x, h]_c = [x, h]_0 for every h in the block."""
+    family = _deformation_family(p, q)
+    return centralizer(family.base_algebra, family.so_block)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _so_maximality(p: int, q: int, deformed: bool):
+    """is_maximal_subalgebra of the so(p,q) block: at c = 0 on base, and
+    for every c != 0 (deformed) on the joint tensor, c = 1.  The so block
+    has degree 0 and each e_idx degree 1, and [x, y]_c = c^(deg x . deg y)
+    [x, y]_1 for such homogeneous x and y, so every iterated bracket of
+    the closure of H + e_idx at c is a nonzero multiple of the same
+    bracket at c = 1: the closures, the verdict and the witness are the
+    same for every c != 0."""
+    family = _deformation_family(p, q)
+    return is_maximal_subalgebra(family.joint if deformed else family.base_algebra, family.so_block)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _embedding_defect(p: int, q: int, positive: bool):
+    """Why the embedding of [.,.]_c fails for every c of one sign branch,
+    or None: `_graded_embedding_defect` on the family's joint tensor, its
+    vec constants of degree 1, and `_embedding_branch`."""
+    family = _deformation_family(p, q)
+    form, images = _embedding_branch(p, q, positive)
+    return _graded_embedding_defect(family.joint, dict.fromkeys(family.vec, 1), form, images)
+
+
+def _graded_embedding_defect(algebra, degree, form, images):
+    """Why the images fail to embed the graded algebra into so(form), or
+    None; every certificate holds as an identity of polynomials in c.
+
+    The structure constants of key (i, j) have degree degree.get((i, j), 0)
+    in c, and form and each image are tuples of matrix parts, part d the
+    coefficient of c^d.  Three certificates, in order:
+    - the form: A^t.F + F.A = 0 in every degree, for every image A;
+    - the brackets: `rep_theory._bracket_defect`, whose reason names the
+      first failing pair and its lowest failing degree;
+    - injectivity: on the matrix entries where every part of degree >= 1
+      of every image vanishes, an image equals its part of degree 0 for
+      every c, so those restricted parts being independent proves the
+      images independent for every c.
+    """
+    for parts in images:
+        sums = {}
+        for d, x in enumerate(parts):
+            if x.is_zero():
+                continue
+            for e, f in enumerate(form):
+                term = x.transpose() @ f + f @ x
+                sums[d + e] = sums[d + e] + term if d + e in sums else term
+        bad = [g for g, s in sums.items() if not s.is_zero()]
+        if bad:
+            return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
+    defect = _bracket_defect(algebra, images, degree)
+    if defect is not None:
+        a, b, g = defect
+        return (
+            f"bracket not intertwined in degree {g}: "
+            f"homomorphism property fails on basis pair ({a},{b})"
+        )
+    lifted = set()  # the entries where some part of degree >= 1 is nonzero
+    for parts in images:
+        for x in parts[1:]:
+            lifted.update(x._flat())
+    n = form[0].rows
+    ech = Echelon(n * n)
+    for parts in images:
+        vec = {k: v for k, v in parts[0]._flat().items() if k not in lifted}
+        if not ech.insert(vec):
+            return "embedding is not injective"
+    return None
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _killing_block_constants(p: int, q: int):
+    """(reason, a1, r1) for the Killing gram K(c) = K0 + c.K1 + c^2.K2 of
+    the family, block by block, once per (p, q): the mixed block vanishes
+    in every degree, the so block is a1 x Killing(so(p,q)) in degree 0 and
+    zero in degrees 1 and 2, and the vector block is r1 x <.,.>_{p,q} in
+    degree 1 and zero in degrees 0 and 2, so a2 = c.r1.  reason is None when
+    all of this holds with a1 and r1 nonzero, and then K(c) has the block
+    form with nonzero constants for every c != 0."""
+    family = _deformation_family(p, q)
+    grams = (family.k0, family.k1, family.k2)
+    so = so_pq_algebra(p, q)
+    m, n = so.dim, p + q
+    # 0/1 inclusions of the so block (the first m basis vectors) and of the
+    # vector block (the last n)
+    s = Matrix.from_sparse(m + n, m, {(i, i): 1 for i in range(m)})
+    v = Matrix.from_sparse(m + n, n, {(m + i, i): 1 for i in range(n)})
+    st, vt = s.transpose(), v.transpose()
+    for d, k in enumerate(grams):
+        if not (st @ k @ v).is_zero():
+            return f"mixed block is not zero in degree {d}", None, None
+    so_blocks = [st @ k @ s for k in grams]
+    a1 = proportionality(so_blocks[0], so.killing_form().gram)
+    if a1 is None:
+        return "so block not proportional to Killing(so(p,q))", None, None
+    for d in (1, 2):
+        if not so_blocks[d].is_zero():
+            return f"so block is not zero in degree {d}", None, None
+    vec_blocks = [vt @ k @ v for k in grams]
+    for d in (0, 2):
+        if not vec_blocks[d].is_zero():
+            return f"vector block is not zero in degree {d}", None, None
+    r1 = proportionality(vec_blocks[1], ipq(p, q))
+    if r1 is None:
+        return "vector block not proportional to <.,.>_{p,q}", None, None
+    if not a1 or not r1:
+        return "a proportionality constant vanished", None, None
+    return None, a1, r1
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _t1_equivariance_defect(p: int, q: int):
+    """The first basis index x with ad(x).T_1 != T_1.wedge(x), or None, once
+    per (p, q): equivariance is linear in T, and T_c = c.T_1."""
+    algebra = so_pq_algebra(p, q)
+    wedge = wedge_square_rep(standard_rep(p, q))
+    t1 = t_c(p, q, 1)
+    for x in range(algebra.dim):
+        if _intertwining_defect(algebra.ad_basis_matrix(x), t1, wedge.actions[x])[0]:
+            return x
+    return None
 
 
 def so_of_form(form: Matrix) -> LieAlgebra:

@@ -106,20 +106,20 @@ def frozen(m):
 
 
 @pytest.fixture
-def fresh_cli_memos():
-    """liepq.cli with its own memo caches emptied before and after the test,
-    so that every per-signature certificate reads the sources a test
-    patches and none outlives it."""
-    import liepq.cli as cli
-
-    def clear():
-        for value in vars(cli).values():
-            if callable(getattr(value, "cache_clear", None)) and value.__module__ == cli.__name__:
-                value.cache_clear()
-
-    clear()
-    yield cli
-    clear()
+def fresh_family_memos():
+    """liepq.so_pq with the memo caches of the deformation family and of its
+    certificates emptied before and after the test, so that every
+    per-signature certificate reads the sources a test patches and none
+    outlives it."""
+    memos = [
+        so_pq._deformation_family, so_pq._so_centralizer, so_pq._so_maximality,
+        so_pq._embedding_defect, so_pq._killing_block_constants, so_pq._t1_equivariance_defect,
+    ]
+    for memo in memos:
+        memo.cache_clear()
+    yield so_pq
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,23 +1,32 @@
 """The traced benchmark run (`bench/run.py --trace 1`) wraps the liepq
-bindings that `bench/layers.py` names; each of them must still exist."""
+bindings that `bench/layers.py` names; each of them must still exist, and a
+traced seed-1 round of every workload must call each layer it requires."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "bench" / "layers.py"
 
 
 def load_layers():
-    """LAYERS from bench/layers.py, executed from its source text so that
-    nothing is imported, cached or written under bench/."""
+    """The names bench/layers.py defines (LAYERS, REQUIRED), executed from
+    its source text so that nothing is imported, cached or written under
+    bench/."""
     namespace = {"__name__": "bench_layers"}
     exec(compile(LAYERS_PY.read_text(), str(LAYERS_PY), "exec"), namespace)
-    return namespace["LAYERS"]
+    return namespace
 
 
 def test_every_traced_binding_resolves():
     missing = []
-    for layer, targets in load_layers().items():
+    for layer, targets in load_layers()["LAYERS"].items():
         for modname, qualname in targets:
             module = importlib.import_module("liepq." + modname)
             if "." in qualname:
@@ -47,3 +56,23 @@ def test_matmul_operator_calls_the_module_level_mat_mul(monkeypatch):
     b = exact_linalg.Matrix.from_rows([[0, 1], [1, 0]])
     assert a @ b == real(a, b)
     assert calls == [(a, b)]
+
+
+@pytest.mark.parametrize("workload", sorted(load_layers()["REQUIRED"]))
+def test_traced_seed_1_round_calls_every_required_layer(workload):
+    """One traced seed-1 round in its own process, as `bench/run.py` starts
+    it (no bytecode written under bench/): it exits 0, records a call on
+    every layer REQUIRED names for the workload, and every verdict passes.
+    A library change that stops a workload calling a required layer fails
+    here, not only in the traced benchmark run."""
+    env = dict(os.environ, LIEPQ_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", workload,
+         "--seed", "1", "--mode", "run", "--trace"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["missing_layers"] == []
+    assert [(label, problems) for label, _, problems in out["verdicts"] if problems] == []

@@ -356,25 +356,20 @@ def test_run_suite_schema_fields():
             assert check["reason"]
 
 
-def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch):
-    """One build per c, shared by the appendix checks, all read off one
-    family certificate per (p, q), which check_deformed_jacobi reports."""
+def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch, fresh_family_memos):
+    """One build per c, for deformed_radical, and every appendix check read
+    off one family certificate per (p, q), which check_deformed_jacobi
+    reports."""
     import liepq.cli as cli
-    from liepq.so_pq import _deformation_family
 
     monkeypatch.setenv("LIEPQ_THREADS", "1")
-    cli._shared_deformed_algebra.cache_clear()
-    _deformation_family.cache_clear()
     calls = []
     real = cli.deformed_algebra
     monkeypatch.setattr(
         cli, "deformed_algebra", lambda p, q, c: calls.append(c) or real(p, q, c)
     )
-    try:
-        report = run_suite("appendix", 3, 1, ["2", "0", "-1/2"], [])
-        certified = _deformation_family.cache_info().misses
-    finally:
-        cli._shared_deformed_algebra.cache_clear()
+    report = run_suite("appendix", 3, 1, ["2", "0", "-1/2"], [])
+    certified = fresh_family_memos._deformation_family.cache_info().misses
     assert report["overall"] == "pass"
     assert sorted(str(c) for c in calls) == ["-1/2", "0", "2"]
     assert certified == 1
@@ -511,7 +506,7 @@ def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch):
     assert result == {"status": "fail", "found": 2, "expected": 3}
 
 
-def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch):
+def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch, fresh_family_memos):
     """T_1 is certified once per signature and each c through T_c = c.T_1:
     a bent T_1 fails at its first non-equivariant index for every nonzero c,
     and a T_c off the line c.T_1 fails at that c."""
@@ -521,33 +516,30 @@ def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch):
     wedge = wedge_square_rep(standard_rep(2, 1))
     adjoint = adjoint_rep(so_pq_algebra(2, 1))
     x = next(x for x in range(3) if bent @ wedge.actions[x] != adjoint.actions[x] @ bent)
-    monkeypatch.setattr(cli, "t_c", lambda p, q, c: bent.scale(c))
-    cli._t1_equivariance_defect.cache_clear()
-    try:
-        for c in (rat(2), rat("-1/2")):
-            assert cli.check_tc_equivariance(2, 1, c) == {
-                "status": "fail", "reason": f"T_c not equivariant at basis index {x}"
-            }
-        assert cli.check_tc_equivariance(2, 1, rat(0)) == {"status": "pass"}
-        monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) + _unit(3, 0, 0))
-        assert cli.check_tc_equivariance(2, 1, rat(2)) == {
-            "status": "fail", "reason": "T_c is not c.T_1"
+    for module in (cli, fresh_family_memos):
+        monkeypatch.setattr(module, "t_c", lambda p, q, c: bent.scale(c))
+    for c in (rat(2), rat("-1/2")):
+        assert cli.check_tc_equivariance(2, 1, c) == {
+            "status": "fail", "reason": f"T_c not equivariant at basis index {x}"
         }
-    finally:
-        cli._t1_equivariance_defect.cache_clear()
+    assert cli.check_tc_equivariance(2, 1, rat(0)) == {"status": "pass"}
+    monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) + _unit(3, 0, 0))
+    assert cli.check_tc_equivariance(2, 1, rat(2)) == {
+        "status": "fail", "reason": "T_c is not c.T_1"
+    }
 
 
-def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_cli_memos):
+def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_memos):
     """Doubled images stay in so(R^{n+1}, I_{p,q}(c)), but their brackets
     are four times, not twice, the images of the brackets: the first pair
     with a nonzero bracket fails, in degree 0, on either sign branch."""
-    cli = fresh_cli_memos
+    import liepq.cli as cli
 
     def doubled(p, q, positive):
         form, images = _embedding_branch(p, q, positive)
         return form, [tuple(x.scale(2) for x in parts) for parts in images]
 
-    monkeypatch.setattr(cli, "_embedding_branch", doubled)
+    monkeypatch.setattr(fresh_family_memos, "_embedding_branch", doubled)
     i, j = min(deformed_algebra(2, 1, 1).algebra.structure)
     for c in (rat(1), rat("-1/2")):
         assert cli.check_embedding(2, 1, c) == {
@@ -557,16 +549,16 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_cli_mem
         }
 
 
-def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch, fresh_cli_memos):
+def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch, fresh_family_memos):
     """The zero map stays in every so(form) and intertwines every bracket,
     so only the injectivity test can refuse it."""
-    cli = fresh_cli_memos
+    import liepq.cli as cli
 
     def zero(p, q, positive):
         form, images = _embedding_branch(p, q, positive)
         return form, [tuple(x.scale(0) for x in parts) for parts in images]
 
-    monkeypatch.setattr(cli, "_embedding_branch", zero)
+    monkeypatch.setattr(fresh_family_memos, "_embedding_branch", zero)
     assert cli.check_embedding(2, 1, rat(1)) == {
         "status": "fail", "reason": "embedding is not injective"
     }
@@ -581,14 +573,14 @@ def test_hom_check_refuses_a_t1_outside_the_hom_span(monkeypatch):
 
 
 @pytest.mark.parametrize("block", ["mixed", "so", "vector"])
-def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_cli_memos, block):
+def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_family_memos, block):
     """A symmetric bend of one block of the family's K0 fails that block."""
-    cli = fresh_cli_memos
+    import liepq.cli as cli
     family = _deformation_family(2, 1)
     # so block: indices 0..2, vector block: 3..5
     i, j = {"mixed": (0, 4), "so": (0, 1), "vector": (3, 4)}[block]
     bent = family._replace(k0=family.k0 + _unit(6, i, j) + _unit(6, j, i))
-    monkeypatch.setattr(cli, "_deformation_family", lambda p, q: bent)
+    monkeypatch.setattr(fresh_family_memos, "_deformation_family", lambda p, q: bent)
     result = cli.check_killing_blocks(2, 1, rat(1))
     assert result["status"] == "fail"
     assert result["reason"].startswith(f"{block} block")
@@ -606,13 +598,15 @@ def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_cli_mem
         ("k1", 3, 4, "vector block not proportional to <.,.>_{p,q}"),
     ],
 )
-def test_killing_blocks_check_names_the_failing_degree(monkeypatch, fresh_cli_memos, gram, i, j, reason):
+def test_killing_blocks_check_names_the_failing_degree(monkeypatch, fresh_family_memos, gram, i, j, reason):
     """a1 is read off the so block of K0 and a2 = c.r1 off the vector
     block of K1: any other degree of a block must vanish."""
-    cli = fresh_cli_memos
+    import liepq.cli as cli
     family = _deformation_family(2, 1)
     bend = getattr(family, gram) + _unit(6, i, j) + _unit(6, j, i)
-    monkeypatch.setattr(cli, "_deformation_family", lambda p, q: family._replace(**{gram: bend}))
+    monkeypatch.setattr(
+        fresh_family_memos, "_deformation_family", lambda p, q: family._replace(**{gram: bend})
+    )
     assert cli.check_killing_blocks(2, 1, rat(3)) == {"status": "fail", "reason": reason}
 
 
