@@ -6,10 +6,11 @@ exit 2, and so does `verify` when `--c-list` or `--mu-list` is empty,
 has an empty item or repeats a value (equal as rationals);
 `irreps` refuses a rank or a dimension bound above its limits.
 The checks certify each fact through one library routine: bracket
-compatibility through `homomorphism_defect` or `Representation.validate`,
-"A = r.B" through `proportionality`, ranks through `kernel`.  The facts
-that hold for every c, or every c of one sign, come from the deformation
-family's memoized certificates in `so_pq`; this module only reports them.
+compatibility through `rep_theory._bracket_defect` (`_map_defect`,
+`Representation.validate`), "A = r.B" through `proportionality`, ranks
+through `kernel`.  The facts that hold for every c, or every c of one
+sign, come from the deformation family's memoized certificates in
+`so_pq`; this module only reports them.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
 """
@@ -31,11 +32,11 @@ from .exact_linalg import (
     kernel,
     proportionality,
     rat,
-    rational_sqrt,
 )
-from .lie_core import canonical_json, homomorphism_defect, orthogonal_complement
+from .lie_core import canonical_json, orthogonal_complement
 from .rep_theory import (
     Representation,
+    _map_defect,
     adjoint_rep,
     character_discrimination_test,
     constrained_form_uniqueness,
@@ -145,7 +146,7 @@ def check_theta_automorphism(p, q):
     theta = algebra.theta_involution()
     if theta @ theta != Matrix.identity(algebra.dim):
         return _fail(reason="theta^2 != id")
-    pair = homomorphism_defect(algebra, algebra, theta)
+    pair = _map_defect(algebra, algebra, theta)
     if pair is not None:
         return _fail(reason="theta not an automorphism on pair ({},{})".format(*pair))
     return _pass()
@@ -174,8 +175,7 @@ def check_standard_form_unique(p, q):
 def check_hom_wedge_adjoint(p, q):
     n = p + q
     algebra = so_pq_algebra(p, q)
-    std = Representation(algebra, n, list(algebra.basis))
-    wedge = wedge_square_rep(std)
+    wedge = wedge_square_rep(standard_rep(p, q))
     adjoint = adjoint_rep(algebra)
     homs = hom_space(wedge, adjoint)
     expected = 2 if n == 4 else 1
@@ -276,13 +276,12 @@ def check_target_inertia(p, q, c):
 
 
 def check_sqrt_conjugation(p, q, c):
-    n = p + q
     if c == 0:
         return _skip("needs c != 0")
-    if rational_sqrt(abs(c)) is None:
-        return _skip("|c| is not a perfect rational square; certified via inertia instead")
     s = sqrt_conjugation(p, q, c)
-    sinv = Matrix.diagonal([1 / s[i, i] for i in range(n + 1)])
+    if s is None:
+        return _skip("|c| is not a perfect rational square; certified via inertia instead")
+    sinv = sqrt_conjugation(p, q, 1 / c)  # sqrt|1/c| = 1/sqrt|c|, at the same place
     target = ipq(p + 1, q) if c > 0 else ipq(p, q + 1)
     emb = embedding_iso(p, q, c)
     for im in emb.images:
@@ -407,7 +406,7 @@ def check_exceptional_iso(p, q):
     iso = exceptional_iso(name)
     if iso.small_algebra.dim != iso.target.dim or kernel(iso.iso_coeffs).dim:
         return _fail(reason="intertwiner is not bijective")
-    pair = homomorphism_defect(iso.small_algebra, iso.target, iso.iso_coeffs)
+    pair = _map_defect(iso.small_algebra, iso.target, iso.iso_coeffs)
     if pair is not None:
         return _fail(reason="brackets disagree on pair ({},{})".format(*pair))
     return _pass(iso=name, scale=str(iso.scale))

@@ -548,30 +548,6 @@ def is_semisimple(algebra: LieAlgebra) -> bool:
     return algebra.is_semisimple()
 
 
-def homomorphism_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
-    """The first basis pair (i, j), i < j, with phi[b_i, b_j] != [phi b_i, phi b_j],
-    or None when the linear map phi (column j: the image of b_j in dst's
-    basis) is a Lie algebra homomorphism.
-
-    Column j of phi.ad(b_i) - ad(phi b_i).phi is the difference on (i, j),
-    built from the integer ad rows in one `_intertwining_defect` pass
-    (which returns its negative, the same support): key k of that vector
-    lies in column k % dim(src).  The first i with a nonzero column j > i
-    gives the lexicographically first failing pair.
-    """
-    if phi.rows != dst.dim or phi.cols != src.dim:
-        raise ShapeMismatchError("phi must be a dim(dst) x dim(src) matrix")
-    s = src.dim
-    columns = phi.transpose()._data
-    for i in range(s - 1):
-        image = dst._ad(columns.get(i, {}), phi.den)  # ad(phi b_i)
-        diff, _ = _intertwining_defect(image, phi, src._ad({i: 1}, 1))
-        failing = [k % s for k in diff if k % s > i]
-        if failing:
-            return i, min(failing)
-    return None
-
-
 def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
     """{x : [x, h] = 0 for every h in the subspace}, via one exact solve."""
     if subspace.ambient_dim != algebra.dim:

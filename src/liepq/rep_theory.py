@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import gcd as _gcd, lcm as _lcm
 from typing import NamedTuple
 
-from .errors import ContractError, FactorizationCapExceeded, NotStableError, ShapeMismatchError
+from .errors import ContractError, FactorizationCapExceeded, NotStableError, ShapeMismatchError, UnsupportedRealizationError
 from .exact_linalg import (
     Echelon,
     Matrix,
@@ -40,6 +40,7 @@ from .exact_linalg import (
     _intertwining_defect,
     _mat_vec_int,
     _over_common_den,
+    _quotient,
     _reduced,
     _sparse_list,
     _trusted,
@@ -52,7 +53,7 @@ from .exact_linalg import (
     rational_sqrt,
     wedge_square_index,
 )
-from .lie_core import BilinearForm, LieAlgebra
+from .lie_core import MATRIX, BilinearForm, LieAlgebra
 from .ratpoly import char_poly, factor_poly, min_poly, poly_eval_matrix, rational_roots
 
 # unknown-count bound of the dense solver (m.n) and of the constraint
@@ -166,6 +167,28 @@ def _bracket_defect(algebra: LieAlgebra, images, degree):
         if bad:
             return (a, *divmod(min(bad), slots))
     return None
+
+
+def _map_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
+    """The first basis pair (i, j), i < j, with phi[b_i, b_j] != [phi b_i,
+    phi b_j], or None: phi (column j the image of b_j) is a homomorphism
+    exactly when the matrices sum_k phi[k, j].B_k of dst's MATRIX basis, an
+    independent basis closed under the commutator, represent src, which the
+    degree-0 `_bracket_defect` decides."""
+    if phi.rows != dst.dim or phi.cols != src.dim:
+        raise ShapeMismatchError("phi must be a dim(dst) x dim(src) matrix")
+    if dst.realization != MATRIX:
+        raise UnsupportedRealizationError("the target needs a MATRIX realization")
+    columns = phi.transpose()._data
+    n = dst.basis[0].rows
+    images = []
+    for j in range(src.dim):
+        image = Matrix.zeros(n, n)
+        for k, x in columns.get(j, {}).items():
+            image = image + dst.basis[k].scale(_quotient(x, phi.den))
+        images.append((image,))
+    defect = _bracket_defect(src, images, {})
+    return None if defect is None else defect[:2]
 
 
 def adjoint_rep(algebra: LieAlgebra) -> Representation:

@@ -86,23 +86,13 @@ def ipq(p: int, q: int) -> Matrix:
 
 
 def ipq_c(p: int, q: int, c) -> Matrix:
-    """diag(c, I_{p,q}) for c > 0 and diag(I_{p,q}, c) for c < 0.
-
-    Built as canonical integer rows: with c = cn/cd in lowest terms, the
-    form is diag(cn, cd, ..., -cd) (or diag(cd, ..., -cd, cn)) over cd."""
+    """diag(c, I_{p,q}) for c > 0 and diag(I_{p,q}, c) for c < 0: the
+    form F0 + c.F1 of `_branch_form` at c."""
     c = rat(c)
     if c == 0:
         raise ContractError("ipq_c requires c != 0")
-    n = Signature(p, q).n
-    cn, cd = int(c.numerator), int(c.denominator)
-    shift, extra = (1, 0) if c > 0 else (0, n)
-    rows = {i + shift: {i + shift: cd if i < p else -cd} for i in range(n)}
-    rows[extra] = {extra: cn}
-    return _trusted(n + 1, n + 1, rows, cd)
-
-
-def generator_pairs(n: int):
-    return wedge_square_index(n)
+    f0, f1 = _branch_form(p, q, c > 0)
+    return f0 + f1.scale(c)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -133,7 +123,7 @@ def _diagonal_so(diag) -> LieAlgebra:
     [X_xz, X_yz] = -(d_y/d_z).X_xy.
     """
     n = len(diag)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # as generator_pairs(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # as wedge_square_index(n)
     # pair (i, j) has index start[i] + j
     start = [i * n - i * (i + 3) // 2 - 1 for i in range(n)]
     basis, minus_ratio = [], []
@@ -167,7 +157,7 @@ def t_c(p: int, q: int, c) -> Matrix:
     c = rat(c)
     n = Signature(p, q).n
     # row index equals generator index; a zero c gives the zero matrix
-    return Matrix.diagonal([-c if (i < p and j < p) else c for i, j in generator_pairs(n)])
+    return Matrix.diagonal([-c if (i < p and j < p) else c for i, j in wedge_square_index(n)])
 
 
 class DeformedAlgebra(NamedTuple):
@@ -193,7 +183,7 @@ class DeformedAlgebra(NamedTuple):
         return self.algebra.dim
 
     def so_block_subspace(self) -> Subspace:
-        return Subspace(_echelon(self.dim, ({i: 1} for i in self.so_indices)))
+        return _so_block(self.p, self.q)
 
     def to_json_dict(self) -> dict:
         data = self.algebra.to_json_dict()
@@ -213,8 +203,8 @@ class DeformedAlgebra(NamedTuple):
 
 class _DeformationFamily(NamedTuple):
     """The brackets [.,.]_c = base + c.vec on so(p,q) (+) R^{p,q}, certified
-    for every rational c, with the Killing gram K(c) = k0 + c.k1 + c^2.k2,
-    the algebras at c = 0 and c = 1 and the span of the so(p,q) block."""
+    for every rational c, with the Killing gram K(c) = k0 + c.k1 + c^2.k2
+    and the algebras at c = 0 and c = 1."""
 
     dim: int
     base: dict  # structure tensor {(i, j): {k: constant}} free of c
@@ -224,13 +214,19 @@ class _DeformationFamily(NamedTuple):
     k2: Matrix
     base_algebra: LieAlgebra  # c = 0
     joint: LieAlgebra  # c = 1
-    so_block: Subspace
+
+
+def _so_block(p: int, q: int) -> Subspace:
+    """The so(p,q) block of so(p,q) (+) R^{p,q}: its first m coordinates."""
+    m = (p + q) * (p + q - 1) // 2
+    return Subspace(_echelon(m + p + q, ({i: 1} for i in range(m))))
 
 
 def _deformation_constants(p: int, q: int):
     """(dim, base, vec): the structure entries (i, j, k, value) of the
     c-free brackets, [so, so] and the action [X, e_i] = X e_i, and of the
-    coefficients of c, [e_i, e_j] = -X_ij for i < j < p and X_ij otherwise."""
+    coefficients of c, [e_i, e_j] = T_1(e_i ^ e_j) for i < j, read off
+    column idx of `t_c(p, q, 1)`, idx the place of (i, j)."""
     so = so_pq_algebra(p, q)
     m, n = so.dim, p + q
     base = [(i, j, k, v) for (i, j), entry in so.structure.items() for k, v in entry.items()]
@@ -239,9 +235,12 @@ def _deformation_constants(p: int, q: int):
         for i, column in gen.transpose()._data.items():
             for k, x in column.items():
                 base.append((a, m + i, m + k, _quotient(x, gen.den)))
+    t1 = t_c(p, q, 1)
+    columns = t1.transpose()._data
     vec = [
-        (m + i, m + j, idx, -ONE if (i < p and j < p) else ONE)
-        for idx, (i, j) in enumerate(generator_pairs(n))
+        (m + i, m + j, k, _quotient(x, t1.den))
+        for idx, (i, j) in enumerate(wedge_square_index(n))
+        for k, x in columns.get(idx, {}).items()
     ]
     return m + n, base, vec
 
@@ -250,7 +249,7 @@ def _deformation_constants(p: int, q: int):
 def _deformation_family(p: int, q: int) -> _DeformationFamily:
     """The family base + c.vec of so(p,q), its Jacobi identity certified
     for every rational c by one graded pass, once per (p, q), with the
-    algebras at c = 0 and c = 1 and the span of the so(p,q) block.
+    algebras at c = 0 and c = 1.
 
     Every key of vec brackets two vectors and no key of base does (checked
     here): a bracket with an so index is c-free, a bracket of two vectors
@@ -284,7 +283,6 @@ def _deformation_family(p: int, q: int) -> _DeformationFamily:
         dim, base, vec, k0, k1, k2,
         LieAlgebra._certified(dim, base, k0),
         LieAlgebra._certified(dim, joint, k0 + k1 + k2),
-        Subspace(_echelon(dim, ({i: 1} for i in range(m)))),
     )
 
 
@@ -340,37 +338,36 @@ def _shifted_so_block(p: int, q: int, shift: int) -> tuple:
 
 
 def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
-    """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)).  The image of
-    e_i has column c.e_i and row -e_i^t I_{p,q}: with c = cn/cd in lowest
-    terms, the canonical integer rows {r: {extra: cn}, extra: {r: -eta_i.cd}}
-    over cd, for r the place of coordinate i."""
+    """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)): the branch of
+    the sign of c (`_embedding_branch`) at c, images P + c.Q and target form
+    F0 + c.F1, the very polynomials `_embedding_defect` certifies."""
     c = rat(c)
     if c == 0:
         raise ContractError("embedding_iso requires c != 0")
     n = Signature(p, q).n
     if n < 3:
         raise ContractError("embedding_iso needs p + q >= 3")
-    # extra coordinate sits first for c > 0 and last for c < 0
-    shift, extra = (1, 0) if c > 0 else (0, n)
-    images = list(_shifted_so_block(p, q, shift))
-    cn, cd = int(c.numerator), int(c.denominator)
-    for i in range(n):
-        r = i + shift
-        eta_cd = cd if i < p else -cd
-        images.append(_trusted(n + 1, n + 1, {r: {extra: cn}, extra: {r: -eta_cd}}, cd))
-    return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
+    (f0, f1), images = _embedding_branch(p, q, c > 0)
+    images = [x if y.is_zero() else y.scale(c) + x for x, y in images]
+    return EmbeddingIso(p=p, q=q, c=c, target_form=f0 + f1.scale(c), images=images)
+
+
+def _branch_form(p: int, q: int, positive: bool):
+    """(F0, F1) with I_{p,q}(c) = F0 + c.F1 for every c > 0 (positive) or
+    every c < 0: F1 = E_{x,x}, x the extra coordinate, first for c > 0."""
+    n = Signature(p, q).n
+    shift, extra = (1, 0) if positive else (0, n)
+    f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
+    return _trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}})
 
 
 def _embedding_branch(p: int, q: int, positive: bool):
     """The embedding of one sign branch of c as polynomials in c: (form,
     images), each a tuple of parts, part d the coefficient of c^d.  form is
-    (F0, F1) with I_{p,q}(c) = F0 + c.F1, and images holds one (P, Q) per
-    deformed-algebra basis index with image P + c.Q: the so block is
-    c-free (Q = 0), and e_i has P = -eta_i.E_{x,r} and Q = E_{r,x}, for x
-    the extra coordinate and r the place of coordinate i.  These are the
-    matrices `ipq_c` and `embedding_iso` build for every c of the branch
-    (c > 0 when positive, else c < 0); the family refuses n < 3 first."""
-    n = Signature(p, q).n
+    `_branch_form`, and images holds one (P, Q) per deformed-algebra basis
+    index with image P + c.Q: the so block is c-free (Q = 0), and e_i has
+    P = -eta_i.E_{x,r} and Q = E_{r,x}, for r the place of coordinate i."""
+    n = p + q
     shift, extra = (1, 0) if positive else (0, n)
     zero = Matrix.zeros(n + 1, n + 1)
     images = [(gen, zero) for gen in _shifted_so_block(p, q, shift)]
@@ -378,9 +375,7 @@ def _embedding_branch(p: int, q: int, positive: bool):
         r = i + shift
         p_i = _trusted(n + 1, n + 1, {extra: {r: -1 if i < p else 1}})
         images.append((p_i, _trusted(n + 1, n + 1, {r: {extra: 1}})))
-    f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
-    form = (_trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}}))
-    return form, images
+    return _branch_form(p, q, positive), images
 
 
 # -- the deformation family's certificates ------------------------------
@@ -393,8 +388,7 @@ def _so_centralizer(p: int, q: int) -> Subspace:
     """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
     every c, 0 included: a bracket with an so index is a key of base, so
     [x, h]_c = [x, h]_0 for every h in the block."""
-    family = _deformation_family(p, q)
-    return centralizer(family.base_algebra, family.so_block)
+    return centralizer(_deformation_family(p, q).base_algebra, _so_block(p, q))
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -407,7 +401,7 @@ def _so_maximality(p: int, q: int, deformed: bool):
     bracket at c = 1: the closures, the verdict and the witness are the
     same for every c != 0."""
     family = _deformation_family(p, q)
-    return is_maximal_subalgebra(family.joint if deformed else family.base_algebra, family.so_block)
+    return is_maximal_subalgebra(family.joint if deformed else family.base_algebra, _so_block(p, q))
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -539,17 +533,16 @@ def so_of_form(form: Matrix) -> LieAlgebra:
 
 def sqrt_conjugation(p: int, q: int, c) -> Matrix | None:
     """For perfect-square |c|: the diagonal S with S.so(I_{p,q}(c)).S^{-1}
-    landing in so(p+1,q) (c > 0) or so(p,q+1) (c < 0); None otherwise."""
+    landing in so(p+1,q) (c > 0) or so(p,q+1) (c < 0), sqrt|c| at the extra
+    coordinate of `_branch_form`; None otherwise."""
     c = rat(c)
     if c == 0:
         raise ContractError("c must be nonzero")
-    n = Signature(p, q).n
+    _, f1 = _branch_form(p, q, c > 0)
     s = rational_sqrt(abs(c))
     if s is None:
         return None
-    if c > 0:
-        return Matrix.diagonal([s] + [ONE] * n)
-    return Matrix.diagonal([ONE] * n + [s])
+    return Matrix.identity(f1.rows) + f1.scale(s - 1)
 
 
 # -- exceptional isomorphisms -----------------------------------------

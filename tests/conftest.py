@@ -6,10 +6,10 @@ import pytest
 from liepq import so_pq
 from liepq.exact_linalg import (
     NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert, rat,
-    solve_linear,
+    solve_linear, wedge_square_index,
 )
 from liepq.lie_core import LieAlgebra, canonical_json
-from liepq.so_pq import generator_pairs, so_pq_algebra
+from liepq.so_pq import so_pq_algebra
 
 
 def generator(p, n, i, j):
@@ -24,8 +24,33 @@ def fresh_so_pq(p, q):
     """so(p,q) from its frozen generators by `from_matrices`, which solves
     every commutator: the reference for the closed form of `so_pq_algebra`."""
     n = p + q
-    basis = [generator(p, n, i, j) for i, j in generator_pairs(n)]
+    basis = [generator(p, n, i, j) for i, j in wedge_square_index(n)]
     return LieAlgebra.from_matrices(basis, validate=False)
+
+
+def closed_form_embedding(p, q, c):
+    """(I_{p,q}(c), images) of the embedding of [.,.]_c, c != 0, entry by
+    entry through `Matrix.from_sparse` from the formulas, for any n >= 1
+    (the images embed an algebra for n >= 3): the extra coordinate x is 0
+    for c > 0 (every other index shifted by one) and n for c < 0; the
+    so(p,q) generator X_ij moves to the shifted places, the image of e_i
+    has c at (r, x) and -eta_i at (x, r) for r the place of coordinate i,
+    and the form is diag(c, I_{p,q}) or diag(I_{p,q}, c)."""
+    c = rat(c)
+    n = p + q
+    shift, x = (1, 0) if c > 0 else (0, n)
+    eta = [ONE] * p + [-ONE] * q
+    images = []
+    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+        same = (i < p) == (j < p)
+        images.append(Matrix.from_sparse(
+            n + 1, n + 1, {(i + shift, j + shift): ONE, (j + shift, i + shift): -ONE if same else ONE}
+        ))
+    for i in range(n):
+        images.append(Matrix.from_sparse(n + 1, n + 1, {(i + shift, x): c, (x, i + shift): -eta[i]}))
+    diagonal = {(i + shift, i + shift): eta[i] for i in range(n)}
+    diagonal[(x, x)] = c
+    return Matrix.from_sparse(n + 1, n + 1, diagonal), images
 
 
 def unit_matrix(i, j, n):
@@ -376,7 +401,7 @@ def per_c_deformed_algebra(p, q, c):
         for i, column in gen.transpose()._data.items():
             for k, x in column.items():
                 entries.append((a, m + i, m + k, _quotient(x, gen.den)))
-    for idx, (i, j) in enumerate(generator_pairs(n)):
+    for idx, (i, j) in enumerate(wedge_square_index(n)):
         entries.append((m + i, m + j, idx, -c if (i < p and j < p) else c))
     return LieAlgebra.from_structure(m + n, entries, validate=True)
 

@@ -4,7 +4,10 @@ run-dependent field, elapsed_ms, stripped from both sides.
 
 The fixtures were generated before the integer core replaced `Fraction`
 rows; construct_p2_q2_cm3_4, at a negative fractional c, before the
-deformed bracket was read off one certified family per signature.  To
+deformed bracket was read off one certified family per signature;
+verify_all_p3_q2 (the sp(4,R) isomorphism) and verify_all_p0_q5 (theta on
+a compact form) before theta and the isomorphisms were checked by the
+bracket pass of `Representation.validate`.  To
 regenerate one after a deliberate report change, run its CASES
 command with `liepq` and strip elapsed_ms with ELAPSED.
 """
@@ -23,8 +26,10 @@ CASES = [
     ("verify_all_p2_q0", ["verify", "--suite", "all", "--p", "2", "--q", "0", "--format", "json"]),
     ("verify_all_p2_q1", ["verify", "--suite", "all", "--p", "2", "--q", "1", "--format", "json"]),
     ("verify_all_p3_q1", ["verify", "--suite", "all", "--p", "3", "--q", "1", "--format", "json"]),
+    ("verify_all_p3_q2", ["verify", "--suite", "all", "--p", "3", "--q", "2", "--format", "json"]),
     ("verify_all_p3_q3", ["verify", "--suite", "all", "--p", "3", "--q", "3", "--format", "json"]),
     ("verify_all_p4_q4", ["verify", "--suite", "all", "--p", "4", "--q", "4", "--format", "json"]),
+    ("verify_all_p0_q5", ["verify", "--suite", "all", "--p", "0", "--q", "5", "--format", "json"]),
     ("construct_p3_q1_c1", ["construct", "--p", "3", "--q", "1", "--c", "1"]),
     ("construct_p2_q2_cm3_4", ["construct", "--p", "2", "--q", "2", "--c=-3/4"]),
     ("construct_p4_q4", ["construct", "--p", "4", "--q", "4"]),

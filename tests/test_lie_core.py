@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepq.errors import ContractError, NotClosedError, NotStableError, ShapeMismatchError
+from liepq.errors import (
+    ContractError,
+    NotClosedError,
+    NotStableError,
+    ShapeMismatchError,
+    UnsupportedRealizationError,
+)
 from liepq import lie_core
 from liepq.exact_linalg import (
     Matrix,
@@ -19,7 +25,6 @@ from liepq.lie_core import (
     _Coordinatizer,
     bracket,
     centralizer,
-    homomorphism_defect,
     is_maximal_subalgebra,
     is_semisimple,
     is_subalgebra,
@@ -30,7 +35,7 @@ from liepq.lie_core import (
     theta_involution,
     trace_form,
 )
-from liepq.rep_theory import adjoint_rep, is_irreducible
+from liepq.rep_theory import _map_defect, adjoint_rep, is_irreducible
 from liepq.so_pq import (
     SO31_SL2C,
     SO32_SP4R,
@@ -257,7 +262,7 @@ def test_theta_squares_to_identity(so31):
 
 def test_theta_is_automorphism(so31):
     theta = theta_involution(so31)
-    assert homomorphism_defect(so31, so31, theta) is None
+    assert _map_defect(so31, so31, theta) is None
     assert pairwise_defect(so31, so31, theta) is None
 
 
@@ -804,7 +809,7 @@ def test_homomorphism_defect_matches_pairwise_oracle(case, data):
     basis vector), both routines name the same first failing pair (or both
     None, when the change happens to keep the brackets)."""
     src, dst, phi = _theta_case(*case[1:]) if case[0] == "theta" else _iso_case(case[1])
-    assert homomorphism_defect(src, dst, phi) is None
+    assert _map_defect(src, dst, phi) is None
     values = st.fractions(-3, 3, max_denominator=4).filter(bool)
     if data.draw(st.booleans()):
         shifts = data.draw(st.dictionaries(
@@ -816,7 +821,7 @@ def test_homomorphism_defect_matches_pairwise_oracle(case, data):
         scale = [rat(1)] * phi.cols
         scale[data.draw(st.integers(0, phi.cols - 1))] = data.draw(values)
         perturbed = phi @ Matrix.diagonal(scale)
-    assert homomorphism_defect(src, dst, perturbed) == pairwise_defect(src, dst, perturbed)
+    assert _map_defect(src, dst, perturbed) == pairwise_defect(src, dst, perturbed)
 
 
 @pytest.mark.parametrize("factor", [2, -1, rat("1/3")])
@@ -825,9 +830,19 @@ def test_scaled_theta_fails_on_the_first_nonzero_bracket(so31, factor):
     bracket is nonzero, so the first failing pair is the first such pair."""
     first = min(so31.structure)
     theta = so31.theta_involution().scale(factor)
-    assert homomorphism_defect(so31, so31, theta) == first == pairwise_defect(so31, so31, theta)
+    assert _map_defect(so31, so31, theta) == first == pairwise_defect(so31, so31, theta)
 
 
 def test_homomorphism_defect_rejects_a_misshapen_map(so21, so31):
     with pytest.raises(ShapeMismatchError):
-        homomorphism_defect(so21, so31, Matrix.identity(3))
+        _map_defect(so21, so31, Matrix.identity(3))
+
+
+def test_map_defect_refuses_an_abstract_target(so31):
+    """An ABSTRACT target has no basis matrices to represent the source on,
+    even when the map is the identity."""
+    abstract = LieAlgebra.from_structure(so31.dim, [
+        (i, j, k, v) for (i, j), entry in so31.structure.items() for k, v in entry.items()
+    ])
+    with pytest.raises(UnsupportedRealizationError):
+        _map_defect(so31, abstract, Matrix.identity(so31.dim))

@@ -26,7 +26,7 @@ from liepq.so_pq import (
     so_pq_algebra,
 )
 
-from conftest import pairwise_validate, per_c_deformed_algebra
+from conftest import closed_form_embedding, pairwise_validate, per_c_deformed_algebra
 
 SIGNATURES = [(p, n - p) for n in range(3, 7) for p in range(n + 1)]
 
@@ -82,16 +82,17 @@ def test_signature_certificates_equal_the_per_c_oracles(signature, c):
     Jacobi-validated for that c alone: the centralizer, the maximality
     verdict and witness, the embedding verdict and the Killing constants
     equal the certificates of the signature (or of the sign of c), and
-    `embedding_iso` and `ipq_c` are the branch polynomials at c."""
+    `embedding_iso` and `ipq_c`, the branch polynomials at c, are the
+    closed-form matrices of the formulas."""
     p, q = signature
     alg = per_c_deformed_algebra(p, q, c)
     block = _so_block(p, q)
     assert so_pq._so_centralizer(p, q) == centralizer(alg, block)
     assert so_pq._so_maximality(p, q, True) == is_maximal_subalgebra(alg, block)
     emb = embedding_iso(p, q, c)
-    (f0, f1), images = _embedding_branch(p, q, c > 0)
-    assert emb.target_form == ipq_c(p, q, c) == f0 + f1.scale(c)
-    assert emb.images == [pc + qc.scale(c) for pc, qc in images]
+    form, images = closed_form_embedding(p, q, c)
+    assert emb.target_form == ipq_c(p, q, c) == form
+    assert emb.images == images
     assert so_pq._embedding_defect(p, q, c > 0) == _per_c_embedding_reason(alg, emb)
     reason, a1, r1 = so_pq._killing_block_constants(p, q)
     assert reason is None
@@ -110,8 +111,9 @@ def test_c_zero_certificates_equal_the_per_c_oracles(p, q):
 
 def test_suite_certifies_once_per_signature_and_sign(monkeypatch, fresh_family_memos):
     """Five values of c: one centralizer, two maximality closure sets (c = 0
-    and c != 0), one embedding certificate per sign of c and one reading of
-    the Killing blocks."""
+    and c != 0), one embedding certificate per sign of c (its form's extra
+    coordinate first for c > 0 and last for c < 0) and one reading of the
+    Killing blocks."""
     from liepq.cli import run_suite
 
     monkeypatch.setenv("LIEPQ_THREADS", "1")
@@ -126,14 +128,15 @@ def test_suite_certifies_once_per_signature_and_sign(monkeypatch, fresh_family_m
         counted("maximality", is_maximal_subalgebra, lambda alg, sub: len(alg.structure)),
     )
     monkeypatch.setattr(
-        so_pq, "_embedding_branch", counted("embedding", _embedding_branch)
+        so_pq, "_graded_embedding_defect",
+        counted("embedding", _graded_embedding_defect, lambda alg, deg, form, images: min(form[1]._data)),
     )
     report = run_suite("appendix", 3, 1, ["2", "-1", "0", "1/3", "-5/2"], [])
     assert report["overall"] == "pass"
     assert len(calls["centralizer"]) == 1
     family = _deformation_family(3, 1)
     assert sorted(calls["maximality"]) == [len(family.base), len(family.base) + len(family.vec)]
-    assert sorted(calls["embedding"]) == [(3, 1, False), (3, 1, True)]
+    assert sorted(calls["embedding"]) == [0, 4]
     assert so_pq._killing_block_constants.cache_info().misses == 1
     assert [c["status"] for c in report["checks"] if c["name"] == "embedding_iso"] == [
         "pass", "pass", "skipped", "pass", "pass"

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,9 @@ from liepq.so_pq import (
     t_c,
 )
 
-from conftest import fresh_so_pq, pairwise_defect, per_c_deformed_algebra, three_run_family
+from conftest import (
+    closed_form_embedding, fresh_so_pq, pairwise_defect, per_c_deformed_algebra, three_run_family,
+)
 
 C_GRID = [rat(x) for x in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
 
@@ -58,6 +61,43 @@ def test_ipq_values():
     assert ipq_c(2, 1, -3) == Matrix.diagonal([1, 1, -1, -3])
     with pytest.raises(ContractError):
         ipq_c(2, 1, 0)
+
+
+def test_ipq_c_below_n_3_is_the_form_alone():
+    """The form half of the embedding builds no so(p,q), so n = 1 and 2
+    still get their I_{p,q}(c)."""
+    assert ipq_c(1, 0, 2) == Matrix.diagonal([2, 1])
+    assert ipq_c(0, 2, rat("-1/3")) == Matrix.diagonal([-1, -1, rat("-1/3")])
+
+
+FLOATS = "floats are not accepted; use 'p/q' strings or ints"
+
+# (arguments, message of the ContractError of ipq_c, of embedding_iso): c is
+# read first, then c = 0 refused, then the signature, then n < 3
+ORDERED_ERRORS = [
+    ((2, 1, 0), "ipq_c requires c != 0", "embedding_iso requires c != 0"),
+    ((2.0, 1, 0), "ipq_c requires c != 0", "embedding_iso requires c != 0"),
+    ((0, 0, 0), "ipq_c requires c != 0", "embedding_iso requires c != 0"),
+    ((2, 1, 0.5), FLOATS, FLOATS),
+    ((True, 1, 0.5), FLOATS, FLOATS),
+    ((True, 2, 1), "signature entries must be ints, got True", None),
+    ((2.0, 1, 1), "signature entries must be ints, got 2.0", None),
+    ((0, 0, 1), "signature needs p, q >= 0 and p + q >= 1", None),
+    ((1, 1, 1), None, "embedding_iso needs p + q >= 3"),
+    ((0, 2, rat("-1/3")), None, "embedding_iso needs p + q >= 3"),
+]
+
+
+@pytest.mark.parametrize("args, ipq_message, embedding_message", ORDERED_ERRORS, ids=str)
+def test_ipq_c_and_embedding_iso_refuse_in_the_same_order(args, ipq_message, embedding_message):
+    """A None message: ipq_c returns a form, or embedding_iso refuses as ipq_c does."""
+    if ipq_message is None:
+        ipq_c(*args)
+    else:
+        with pytest.raises(ContractError, match=re.escape(ipq_message)):
+            ipq_c(*args)
+    with pytest.raises(ContractError, match=re.escape(embedding_message or ipq_message)):
+        embedding_iso(*args)
 
 
 NON_INT_SIGNATURES = {
@@ -89,33 +129,18 @@ def _canonical(m):
     return all(m._data.values()) and all(values) and math.gcd(m.den, *values) == 1
 
 
-def _from_sparse_target(p, q, c):
-    """The target form and the images of e_0 ... e_{n-1}, each entry
-    through `Matrix.from_sparse`."""
-    n = p + q
-    shift, extra = (1, 0) if c > 0 else (0, n)
-    eta = [1] * p + [-1] * q
-    diagonal = {(i + shift, i + shift): eta[i] for i in range(n)}
-    diagonal[(extra, extra)] = c
-    images = [
-        Matrix.from_sparse(n + 1, n + 1, {(i + shift, extra): c, (extra, i + shift): -eta[i]})
-        for i in range(n)
-    ]
-    return Matrix.from_sparse(n + 1, n + 1, diagonal), images
-
-
 @pytest.mark.parametrize("c", C_WIDE, ids=str)
 def test_integer_built_form_and_images_match_from_sparse(c):
     for n in range(1, 9):
         for p in range(n + 1):
-            form, images = _from_sparse_target(p, n - p, c)
+            form, images = closed_form_embedding(p, n - p, c)
             built = ipq_c(p, n - p, c)
             assert built == form and _canonical(built)
             if n >= 3:
                 emb = embedding_iso(p, n - p, c)
                 assert emb.target_form == form
-                assert emb.images[-n:] == images
-                assert all(_canonical(m) for m in emb.images[-n:])
+                assert emb.images == images
+                assert all(_canonical(m) for m in emb.images)
 
 
 def test_so_pq_dimensions():
@@ -293,6 +318,32 @@ def test_family_certification_catches_one_wrong_constant(monkeypatch, part):
             deformed_algebra(p, q, rat("1/2"))
     finally:
         so_pq._deformation_family.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "p, q, bend",
+    [(2, 1, "flip 0"), (2, 1, "flip 2"), (3, 1, "flip 5"), (2, 2, "flip 1"), (4, 4, "flip 13"),
+     (2, 1, "entry (0,1)")],
+)
+def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_memos, p, q, bend):
+    """The vector brackets are read off T_1, so a T_1 with one sign flipped,
+    or with an entry added off its diagonal (read by column: [e_0, e_2]
+    gains an X_01 part), fails `tc_equivariance` and makes the family
+    refuse Jacobi in degree 1, the cross term of so and the vectors."""
+    import liepq.cli as cli
+
+    t1 = t_c(p, q, 1)
+    kind, at = bend.split(" ")
+    if kind == "flip":
+        idx = int(at)
+        bent = t1 - Matrix.from_sparse(t1.rows, t1.cols, {(idx, idx): 2 * t1[idx, idx]})
+    else:
+        bent = t1 + Matrix.from_sparse(t1.rows, t1.cols, {(0, 1): 1})
+    for module in (cli, fresh_family_memos):
+        monkeypatch.setattr(module, "t_c", lambda p, q, c: bent.scale(c))
+    assert cli.check_tc_equivariance(p, q, rat(2))["status"] == "fail"
+    with pytest.raises(ContractError, match="Jacobi identity fails .* in degree 1"):
+        so_pq._deformation_family(p, q)
 
 
 @pytest.mark.parametrize(
