@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import re
@@ -167,91 +168,6 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
 
 
-def test_verify_parallel_runner_matches_serial(capsys, monkeypatch):
-    args = ["verify", "--suite", "section2", "--p", "3", "--q", "2", "--mu-list", "2"]
-    _, serial = invoke(capsys, *args)
-    monkeypatch.setenv("LIEPQ_THREADS", "2")
-    _, parallel = invoke(capsys, *args)
-    scrub = lambda text: re.sub(r'"elapsed_ms":[0-9.]+', '"elapsed_ms":0', text)
-    assert scrub(serial) == scrub(parallel)
-
-
-
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps serially."""
-
-    workers = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-def _stub_pool(monkeypatch, cpus):
-    import concurrent.futures
-
-    import liepq.cli as cli
-
-    _RecordingExecutor.workers = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    return _RecordingExecutor.workers
-
-
-_SECTION2_31 = ("section2", 3, 1, ["2"], ["2"])
-
-
-@pytest.mark.parametrize(
-    "threads,cpus,expected",
-    [
-        (str(10**9), 4, [4]),
-        (str(10**9), 10**6, "jobs"),
-        ("3", 4, [3]),
-        # one thread or one CPU: serial, no executor at all
-        ("1", 4, []),
-        ("8", 1, []),
-        ("8", None, []),
-    ],
-)
-def test_liepq_threads_is_capped_by_cpus_and_jobs(threads, cpus, expected, monkeypatch):
-    """A huge LIEPQ_THREADS asks for no more processes than there are CPUs
-    or checks; only the stub executor ever sees the count."""
-    import liepq.cli as cli
-
-    if expected == "jobs":
-        expected = [len(cli.build_suite(*_SECTION2_31))]
-    workers = _stub_pool(monkeypatch, cpus)
-    monkeypatch.setenv("LIEPQ_THREADS", threads)
-    assert run_suite(*_SECTION2_31)["overall"] == "pass"
-    assert workers == expected
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "two", "2.5", "1e3"])
-def test_bad_liepq_threads_exits_2_before_any_work(value, capsys, monkeypatch):
-    import liepq.cli as cli
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a check ran with a bad LIEPQ_THREADS")
-
-    monkeypatch.setattr(cli, "run_check", forbidden)
-    workers = _stub_pool(monkeypatch, 4)
-    monkeypatch.setenv("LIEPQ_THREADS", value)
-    assert main(["verify", "--suite", "section2", "--p", "3", "--q", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: LIEPQ_THREADS") and repr(value) in captured.err
-    assert workers == []
-
-
 def test_irreps_d4(capsys):
     code, out = invoke(capsys, "irreps", "--type", "D", "--rank", "4", "--max-dim", "8")
     assert code == 0
@@ -337,6 +253,41 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--p", "\uff13", "--q", "\uff11"],
+        ["bound", "--p", "1_0", "--q", "2"],
+        ["verify", "--suite", "section2", "--p", "\uff13", "--q", "\uff11"],
+        ["irreps", "--type", "B", "--rank", "\uff12", "--max-dim", "1_0"],
+        ["construct", "--p", "\u0662", "--q", "1"],
+    ],
+    ids=["fullwidth", "underscore", "verify", "irreps", "arabic-indic"],
+)
+def test_integer_flags_take_only_ascii_digits(argv, capsys, monkeypatch):
+    """int() also reads fullwidth and Arabic-Indic digits and underscores;
+    the integer flags, like the rational tokens, refuse them as usage errors
+    before any work."""
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started on a non-ASCII integer")
+
+    for name in ("run_suite", "dimension_bound", "root_system", "so_pq_algebra"):
+        monkeypatch.setattr(cli, name, forbidden)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+def test_signed_integer_flags_parse_as_before(capsys):
+    plain = invoke(capsys, "bound", "--p", "2", "--q", "2")
+    assert invoke(capsys, "bound", "--p", "+2", "--q", "2") == plain
+    assert main(["bound", "--p", "-1", "--q", "3"]) == 2
+    assert "p, q >= 1 only" in capsys.readouterr().err
+
+
 def test_bad_c_list_token_exits_2_with_error_line():
     # the last two: a fullwidth one, and an Arabic-Indic two as denominator
     for token in ("1/0", "1/-2", "\uff11", "1/\u0662"):
@@ -360,13 +311,12 @@ def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch, fresh_fa
     """One build per c, for deformed_radical, and every appendix check read
     off one family certificate per (p, q), which check_deformed_jacobi
     reports."""
-    import liepq.cli as cli
+    import liepq.checks as checks
 
-    monkeypatch.setenv("LIEPQ_THREADS", "1")
     calls = []
-    real = cli.deformed_algebra
+    real = checks.deformed_algebra
     monkeypatch.setattr(
-        cli, "deformed_algebra", lambda p, q, c: calls.append(c) or real(p, q, c)
+        checks, "deformed_algebra", lambda p, q, c: calls.append(c) or real(p, q, c)
     )
     report = run_suite("appendix", 3, 1, ["2", "0", "-1/2"], [])
     certified = fresh_family_memos._deformation_family.cache_info().misses
@@ -438,9 +388,8 @@ def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
         assert err.startswith("error:") and f"{flag}: {message}" in err
 
 
-def test_verify_at_p_zero_passes(capsys, monkeypatch):
+def test_verify_at_p_zero_passes(capsys):
     """so(0,q) has I_{0,q} = -1: its invariant form is a negative multiple."""
-    monkeypatch.setenv("LIEPQ_THREADS", "1")
     for q in ("2", "3", "4"):
         code = main(["verify", "--suite", "all", "--p", "0", "--q", q, "--format", "tsv"])
         out = capsys.readouterr().out
@@ -448,14 +397,17 @@ def test_verify_at_p_zero_passes(capsys, monkeypatch):
         assert out.endswith("# overall\tpass\n")
 
 
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "liepq"
+
+
 def test_cli_checks_use_the_library_certificates():
     """Bracket compatibility, ratios and ranks come from lie_core,
     exact_linalg and rep_theory; the checks hand-roll none of them."""
-    src = Path(__file__).resolve().parent.parent / "src" / "liepq" / "cli.py"
     pattern = re.compile(r"\b(structure_entry|bracket_coeffs|column_list)\b|\brref\(")
     hits = [
-        f"cli.py:{number}: {line.strip()}"
-        for number, line in enumerate(src.read_text().splitlines(), 1)
+        f"{name}:{number}: {line.strip()}"
+        for name in ("cli.py", "checks.py")
+        for number, line in enumerate((LIBRARY / name).read_text().splitlines(), 1)
         if pattern.search(line)
     ]
     assert hits == []
@@ -463,34 +415,77 @@ def test_cli_checks_use_the_library_certificates():
         assert pattern.search(line)
 
 
+def _imported_modules(tree):
+    """The modules a module imports, relative ones by their bare name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in out}
+
+
+def test_cli_is_the_command_line_only():
+    """The checks live in liepq.checks, which the command line imports and
+    which imports no command line back; cli.py defines no check and reads
+    nothing of rep_theory."""
+    cli_tree = ast.parse((LIBRARY / "cli.py").read_text())
+    checks_tree = ast.parse((LIBRARY / "checks.py").read_text())
+    defined = [node.name for node in cli_tree.body if isinstance(node, ast.FunctionDef)]
+    assert [name for name in defined if name.startswith("check_")] == []
+    assert {"run_check", "run_suite", "build_suite"} <= set(defined)
+    assert "rep_theory" not in _imported_modules(cli_tree)
+    assert "checks" in _imported_modules(cli_tree)
+    assert "cli" not in _imported_modules(checks_tree)
+    import liepq.checks as checks
+    import liepq.cli as cli
+
+    assert cli.CHECKS is checks.CHECKS
+
+
+def test_run_suite_runs_each_check_through_the_cli_global(monkeypatch):
+    """A wrapper put on cli.run_check, as a profiler or timer puts it, sees
+    every check of the suite, in this process and in suite order."""
+    import liepq.cli as cli
+
+    seen = []
+    real = cli.run_check
+    monkeypatch.setattr(cli, "run_check", lambda name, params: seen.append(name) or real(name, params))
+    jobs = cli.build_suite("all", 3, 1, ["1", "0"], ["2"])
+    report = run_suite("all", 3, 1, ["1", "0"], ["2"])
+    assert seen == [name for name, _ in jobs]
+    assert len(report["checks"]) == len(jobs) and report["overall"] == "pass"
+
+
 # -- fail paths of the certificate checks: each check is fed a perturbed
-# object through the cli name it reads, and must name what fails
+# object through the liepq.checks name it reads, and must name what fails
 
 
 def test_theta_check_names_the_first_failing_pair(monkeypatch):
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     algebra = so_pq_algebra(2, 1)
     # -1 squares to the identity but flips the sign of every bracket
     minus = Matrix.identity(algebra.dim).scale(-1)
     fake = copy.copy(algebra)
     fake.theta_involution = lambda: minus
-    monkeypatch.setattr(cli, "so_pq_algebra", lambda p, q: fake)
-    result = cli.check_theta_automorphism(2, 1)
+    monkeypatch.setattr(checks, "so_pq_algebra", lambda p, q: fake)
+    result = checks.check_theta_automorphism(2, 1)
     assert result["status"] == "fail"
     i, j = pairwise_defect(algebra, algebra, minus)
     assert result["reason"] == f"theta not an automorphism on pair ({i},{j})"
 
 
 def test_standard_form_check_fails_on_a_non_multiple(monkeypatch):
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     bent = ipq(2, 1) + _unit(3, 0, 1) + _unit(3, 1, 0)
-    monkeypatch.setattr(cli, "invariant_symmetric_forms", lambda rep: [bent])
-    result = cli.check_standard_form_unique(2, 1)
+    monkeypatch.setattr(checks, "invariant_symmetric_forms", lambda rep: [bent])
+    result = checks.check_standard_form_unique(2, 1)
     assert result == {"status": "fail", "reason": "form is not a multiple of I_{p,q}"}
-    monkeypatch.setattr(cli, "invariant_symmetric_forms", lambda rep: [ipq(2, 1).scale(-3)])
-    assert cli.check_standard_form_unique(2, 1) == {"status": "pass"}
+    monkeypatch.setattr(checks, "invariant_symmetric_forms", lambda rep: [ipq(2, 1).scale(-3)])
+    assert checks.check_standard_form_unique(2, 1) == {"status": "pass"}
 
 
 def _unit(n, i, j):
@@ -498,11 +493,11 @@ def _unit(n, i, j):
 
 
 def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch):
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     # T_c followed by the projection that kills the first coordinate
-    monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
-    result = cli.check_tc_iso_rank(2, 1, rat(1))
+    monkeypatch.setattr(checks, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
+    result = checks.check_tc_iso_rank(2, 1, rat(1))
     assert result == {"status": "fail", "found": 2, "expected": 3}
 
 
@@ -510,21 +505,21 @@ def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch, fresh_
     """T_1 is certified once per signature and each c through T_c = c.T_1:
     a bent T_1 fails at its first non-equivariant index for every nonzero c,
     and a T_c off the line c.T_1 fails at that c."""
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     bent = t_c(2, 1, 1) + _unit(3, 0, 1)
     wedge = wedge_square_rep(standard_rep(2, 1))
     adjoint = adjoint_rep(so_pq_algebra(2, 1))
     x = next(x for x in range(3) if bent @ wedge.actions[x] != adjoint.actions[x] @ bent)
-    for module in (cli, fresh_family_memos):
+    for module in (checks, fresh_family_memos):
         monkeypatch.setattr(module, "t_c", lambda p, q, c: bent.scale(c))
     for c in (rat(2), rat("-1/2")):
-        assert cli.check_tc_equivariance(2, 1, c) == {
+        assert checks.check_tc_equivariance(2, 1, c) == {
             "status": "fail", "reason": f"T_c not equivariant at basis index {x}"
         }
-    assert cli.check_tc_equivariance(2, 1, rat(0)) == {"status": "pass"}
-    monkeypatch.setattr(cli, "t_c", lambda p, q, c: t_c(p, q, c) + _unit(3, 0, 0))
-    assert cli.check_tc_equivariance(2, 1, rat(2)) == {
+    assert checks.check_tc_equivariance(2, 1, rat(0)) == {"status": "pass"}
+    monkeypatch.setattr(checks, "t_c", lambda p, q, c: t_c(p, q, c) + _unit(3, 0, 0))
+    assert checks.check_tc_equivariance(2, 1, rat(2)) == {
         "status": "fail", "reason": "T_c is not c.T_1"
     }
 
@@ -533,7 +528,7 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_
     """Doubled images stay in so(R^{n+1}, I_{p,q}(c)), but their brackets
     are four times, not twice, the images of the brackets: the first pair
     with a nonzero bracket fails, in degree 0, on either sign branch."""
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     def doubled(p, q, positive):
         form, images = _embedding_branch(p, q, positive)
@@ -542,7 +537,7 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_
     monkeypatch.setattr(fresh_family_memos, "_embedding_branch", doubled)
     i, j = min(deformed_algebra(2, 1, 1).algebra.structure)
     for c in (rat(1), rat("-1/2")):
-        assert cli.check_embedding(2, 1, c) == {
+        assert checks.check_embedding(2, 1, c) == {
             "status": "fail",
             "reason": "bracket not intertwined in degree 0: "
             f"homomorphism property fails on basis pair ({i},{j})",
@@ -552,36 +547,36 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_
 def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch, fresh_family_memos):
     """The zero map stays in every so(form) and intertwines every bracket,
     so only the injectivity test can refuse it."""
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     def zero(p, q, positive):
         form, images = _embedding_branch(p, q, positive)
         return form, [tuple(x.scale(0) for x in parts) for parts in images]
 
     monkeypatch.setattr(fresh_family_memos, "_embedding_branch", zero)
-    assert cli.check_embedding(2, 1, rat(1)) == {
+    assert checks.check_embedding(2, 1, rat(1)) == {
         "status": "fail", "reason": "embedding is not injective"
     }
 
 
 def test_hom_check_refuses_a_t1_outside_the_hom_span(monkeypatch):
-    import liepq.cli as cli
+    import liepq.checks as checks
 
-    monkeypatch.setattr(cli, "t_c", lambda p, q, c: _unit(3, 0, 0))
-    result = cli.check_hom_wedge_adjoint(2, 1)
+    monkeypatch.setattr(checks, "t_c", lambda p, q, c: _unit(3, 0, 0))
+    result = checks.check_hom_wedge_adjoint(2, 1)
     assert (result["status"], result["reason"]) == ("fail", "t_c(1) is not in the Hom span")
 
 
 @pytest.mark.parametrize("block", ["mixed", "so", "vector"])
 def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_family_memos, block):
     """A symmetric bend of one block of the family's K0 fails that block."""
-    import liepq.cli as cli
+    import liepq.checks as checks
     family = _deformation_family(2, 1)
     # so block: indices 0..2, vector block: 3..5
     i, j = {"mixed": (0, 4), "so": (0, 1), "vector": (3, 4)}[block]
     bent = family._replace(k0=family.k0 + _unit(6, i, j) + _unit(6, j, i))
     monkeypatch.setattr(fresh_family_memos, "_deformation_family", lambda p, q: bent)
-    result = cli.check_killing_blocks(2, 1, rat(1))
+    result = checks.check_killing_blocks(2, 1, rat(1))
     assert result["status"] == "fail"
     assert result["reason"].startswith(f"{block} block")
 
@@ -601,23 +596,23 @@ def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_family_
 def test_killing_blocks_check_names_the_failing_degree(monkeypatch, fresh_family_memos, gram, i, j, reason):
     """a1 is read off the so block of K0 and a2 = c.r1 off the vector
     block of K1: any other degree of a block must vanish."""
-    import liepq.cli as cli
+    import liepq.checks as checks
     family = _deformation_family(2, 1)
     bend = getattr(family, gram) + _unit(6, i, j) + _unit(6, j, i)
     monkeypatch.setattr(
         fresh_family_memos, "_deformation_family", lambda p, q: family._replace(**{gram: bend})
     )
-    assert cli.check_killing_blocks(2, 1, rat(3)) == {"status": "fail", "reason": reason}
+    assert checks.check_killing_blocks(2, 1, rat(3)) == {"status": "fail", "reason": reason}
 
 
 def test_killing_blocks_constants_are_a1_and_c_times_r1():
     """a1 = (n-1)/(n-2) for every c, and a2 = -2(n-1).c."""
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     for p, q in ((2, 1), (3, 1), (2, 2), (4, 3)):
         n = p + q
         for c in (rat(2), rat("-3/5")):
-            assert cli.check_killing_blocks(p, q, c) == {
+            assert checks.check_killing_blocks(p, q, c) == {
                 "status": "pass",
                 "a1": str(rat(n - 1) / (n - 2)),
                 "a2": str(-2 * (n - 1) * c),
@@ -625,17 +620,17 @@ def test_killing_blocks_constants_are_a1_and_c_times_r1():
 
 
 def test_exceptional_iso_check_names_the_first_failing_pair(monkeypatch):
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     iso = exceptional_iso(SO31_SL2C)
     doubled = iso._replace(iso_coeffs=iso.iso_coeffs.scale(2))
-    monkeypatch.setattr(cli, "exceptional_iso", lambda name: doubled)
-    result = cli.check_exceptional_iso(3, 1)
+    monkeypatch.setattr(checks, "exceptional_iso", lambda name: doubled)
+    result = checks.check_exceptional_iso(3, 1)
     assert result["status"] == "fail"
     i, j = pairwise_defect(iso.small_algebra, iso.target, doubled.iso_coeffs)
     assert result["reason"] == f"brackets disagree on pair ({i},{j})"
     singular = iso._replace(iso_coeffs=iso.iso_coeffs - iso.iso_coeffs @ _unit(6, 0, 0))
-    monkeypatch.setattr(cli, "exceptional_iso", lambda name: singular)
-    assert cli.check_exceptional_iso(3, 1) == {
+    monkeypatch.setattr(checks, "exceptional_iso", lambda name: singular)
+    assert checks.check_exceptional_iso(3, 1) == {
         "status": "fail", "reason": "intertwiner is not bijective"
     }

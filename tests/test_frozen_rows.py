@@ -77,8 +77,7 @@ def test_the_patch_freezes_every_construction_path(frozen_rows):
 
 
 @pytest.mark.parametrize("p, q", [(2, 1), (3, 1)])
-def test_verify_all_writes_no_stored_row(frozen_rows, capsys, monkeypatch, p, q):
-    monkeypatch.setenv("LIEPQ_THREADS", "1")
+def test_verify_all_writes_no_stored_row(frozen_rows, capsys, p, q):
     argv = ["verify", "--suite", "all", "--p", str(p), "--q", str(q), "--format", "json"]
     assert main(argv) == 0
     out = ELAPSED.sub("", capsys.readouterr().out)

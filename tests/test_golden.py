@@ -1,15 +1,17 @@
-"""Byte-stable reports: `verify --suite all` and `construct` output compared
-byte for byte with the fixtures under tests/golden/, with the only
-run-dependent field, elapsed_ms, stripped from both sides.
+"""Byte-stable reports: `verify`, `construct`, `irreps` and `bound` output
+compared byte for byte with the fixtures under tests/golden/ (`.json` for
+JSON output, `.txt` for tsv and human), with the only run-dependent field,
+elapsed_ms, stripped from both sides.
 
 The fixtures were generated before the integer core replaced `Fraction`
 rows; construct_p2_q2_cm3_4, at a negative fractional c, before the
 deformed bracket was read off one certified family per signature;
 verify_all_p3_q2 (the sp(4,R) isomorphism) and verify_all_p0_q5 (theta on
 a compact form) before theta and the isomorphisms were checked by the
-bracket pass of `Representation.validate`.  To
-regenerate one after a deliberate report change, run its CASES
-command with `liepq` and strip elapsed_ms with ELAPSED.
+bracket pass of `Representation.validate`; the tsv and human reports of
+`verify`, and the `irreps` and `bound` fixtures, before the checks moved out
+of `liepq.cli`.  To regenerate one after a deliberate report change, run
+its CASES command with `liepq` and strip elapsed_ms with ELAPSED.
 """
 
 import re
@@ -33,15 +35,24 @@ CASES = [
     ("construct_p3_q1_c1", ["construct", "--p", "3", "--q", "1", "--c", "1"]),
     ("construct_p2_q2_cm3_4", ["construct", "--p", "2", "--q", "2", "--c=-3/4"]),
     ("construct_p4_q4", ["construct", "--p", "4", "--q", "4"]),
+    ("verify_all_p3_q1_tsv", ["verify", "--suite", "all", "--p", "3", "--q", "1", "--format", "tsv"]),
+    ("verify_all_p3_q1_human", ["verify", "--suite", "all", "--p", "3", "--q", "1", "--format", "human"]),
+    ("irreps_d4_max8", ["irreps", "--type", "D", "--rank", "4", "--max-dim", "8", "--format", "json"]),
+    ("bound_p2_q2_human", ["bound", "--p", "2", "--q", "2", "--format", "human"]),
 ]
 
 
+def fixture(name, argv):
+    """The fixture of a case: `.json` unless the case asks for another format."""
+    text = "--format" in argv and argv[argv.index("--format") + 1] != "json"
+    return GOLDEN / f"{name}.{'txt' if text else 'json'}"
+
+
 @pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])
-def test_report_matches_golden_fixture(capsys, monkeypatch, name, argv):
-    monkeypatch.setenv("LIEPQ_THREADS", "1")
+def test_report_matches_golden_fixture(capsys, name, argv):
     assert main(argv) == 0
     out = ELAPSED.sub("", capsys.readouterr().out)
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert out == fixture(name, argv).read_text()
 
 
 def test_negative_c_as_a_separate_argument_matches_the_equals_form(capsys):

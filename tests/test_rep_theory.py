@@ -808,7 +808,7 @@ def test_compact_wedge_adjoint_spins_from_one_generator():
     irreducible, so one generator spans it and the start has 66 maps, far
     below the cap, although the pair has 66 * 66 = 4356 dense unknowns."""
     import liepq.rep_theory as rt
-    from liepq.cli import check_hom_wedge_adjoint
+    from liepq.checks import check_hom_wedge_adjoint
 
     algebra = so_pq_algebra(12, 0)
     wedge = wedge_square_rep(Representation(algebra, 12, list(algebra.basis)))

@@ -116,7 +116,6 @@ def test_suite_certifies_once_per_signature_and_sign(monkeypatch, fresh_family_m
     Killing blocks."""
     from liepq.cli import run_suite
 
-    monkeypatch.setenv("LIEPQ_THREADS", "1")
     calls = {"centralizer": [], "maximality": [], "embedding": []}
 
     def counted(key, real, record=lambda *args: args):

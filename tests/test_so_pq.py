@@ -330,7 +330,7 @@ def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_m
     or with an entry added off its diagonal (read by column: [e_0, e_2]
     gains an X_01 part), fails `tc_equivariance` and makes the family
     refuse Jacobi in degree 1, the cross term of so and the vectors."""
-    import liepq.cli as cli
+    import liepq.checks as checks
 
     t1 = t_c(p, q, 1)
     kind, at = bend.split(" ")
@@ -339,9 +339,9 @@ def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_m
         bent = t1 - Matrix.from_sparse(t1.rows, t1.cols, {(idx, idx): 2 * t1[idx, idx]})
     else:
         bent = t1 + Matrix.from_sparse(t1.rows, t1.cols, {(0, 1): 1})
-    for module in (cli, fresh_family_memos):
+    for module in (checks, fresh_family_memos):
         monkeypatch.setattr(module, "t_c", lambda p, q, c: bent.scale(c))
-    assert cli.check_tc_equivariance(p, q, rat(2))["status"] == "fail"
+    assert checks.check_tc_equivariance(p, q, rat(2))["status"] == "fail"
     with pytest.raises(ContractError, match="Jacobi identity fails .* in degree 1"):
         so_pq._deformation_family(p, q)
 
