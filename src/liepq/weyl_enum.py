@@ -8,6 +8,7 @@ constructed modules elsewhere, never inferred from weight data.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import ContractError
@@ -33,16 +34,6 @@ class WeightVector(_WeightFields):
     @property
     def rank(self) -> int:
         return len(self.coords)
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector([a + b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, k) -> "WeightVector":
-        k = rat(k)
-        return WeightVector([k * c for c in self.coords])
-
-    def dot(self, other: "WeightVector") -> Rational:
-        return sum((a * b for a, b in zip(self.coords, other.coords)), ZERO)
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -74,12 +65,8 @@ class RootSystem(NamedTuple):
                 coords = [ZERO] * rank
                 coords[i] = ONE
                 roots.append(WeightVector(coords))
-        expected = rank * rank if kind == "B" else rank * (rank - 1)
-        assert len(roots) == expected
-        rho = WeightVector([ZERO] * rank)
-        for r in roots:
-            rho = rho + r
-        rho = rho.scale(Rational(1, 2))
+        # half the sum of the positive roots: rank - i - 1, plus 1/2 for B
+        rho = WeightVector([Rational(2 * (rank - i - 1) + (kind == "B"), 2) for i in range(rank)])
         flag = None
         if kind == "D" and rank == 2:
             flag = "D2 is not simple: so(4,C) = sl(2,C) x sl(2,C)"
@@ -111,7 +98,7 @@ class RootSystem(NamedTuple):
                 return False
         if self.kind == "B":
             return c[-1] >= 0
-        return c[-2] >= abs(c[-1]) if self.rank >= 2 else True
+        return c[-2] >= abs(c[-1])
 
     def is_weight_integral(self, lam: WeightVector) -> bool:
         kinds = set()
@@ -127,61 +114,78 @@ def root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem.create(kind, rank)
 
 
+def _doubled(coords) -> list:
+    """Twice the (half-)integral coordinates, as ints."""
+    return [int(2 * c) for c in coords]
+
+
+def _weyl_product(kind: str, l) -> int:
+    """prod_{i<j} (l_i^2 - l_j^2), times prod_i l_i for type B: at l = 2(lambda+rho)
+    the Weyl product over the positive roots e_i -+ e_j (and e_i) in closed form
+    (Humphreys, Introduction to Lie Algebras and Representation Theory, 24.3),
+    times a power of 2 that only the rank fixes and so cancels against 2.rho's."""
+    squares = [x * x for x in l]
+    out = math.prod(l) if kind == "B" else 1
+    for i, a in enumerate(squares):
+        for b in squares[i + 1:]:
+            out *= a - b
+    return out
+
+
+def _doubled_dim(kind: str, l, den: int) -> int:
+    """dim V_lambda from l = 2(lambda+rho) and den = _weyl_product at 2.rho."""
+    dim, rem = divmod(_weyl_product(kind, l), den)
+    if rem:
+        raise AssertionError("Weyl dimension did not come out integral")
+    return dim
+
+
 def weyl_dim(rs: RootSystem, lam: WeightVector) -> int:
     """dim V_lambda = prod <lambda+rho, alpha> / <rho, alpha> over positive roots."""
     if not rs.is_dominant(lam):
         raise ContractError("weight is not dominant")
     if not rs.is_weight_integral(lam):
         raise ContractError("weight coordinates must be uniformly (half-)integral")
-    shifted = lam + rs.rho
-    num = ONE
-    den = ONE
-    for alpha in rs.positive_roots:
-        num *= shifted.dot(alpha)
-        den *= rs.rho.dot(alpha)
-    value = num / den
-    if value.denominator != 1:
-        raise AssertionError("Weyl dimension did not come out integral")
-    return int(value)
+    rho = _doubled(rs.rho.coords)
+    shifted = [a + b for a, b in zip(_doubled(lam.coords), rho)]
+    return _doubled_dim(rs.kind, shifted, _weyl_product(rs.kind, rho))
 
 
 def enumerate_up_to_dim(rs: RootSystem, bound: int):
     """All dominant nonzero (half-)integral weights with dimension <= bound.
 
-    Search over fundamental-weight coefficients, pruned by the strict
-    monotonicity of the dimension in every coefficient; output sorted by
-    (dimension, coordinates).
+    Search over fundamental-weight coefficients on doubled coordinates,
+    pruned by the strict monotonicity of the dimension in every
+    coefficient; output sorted by (dimension, coordinates).
     """
     if bound < 1:
         raise ContractError("bound must be at least 1")
-    fundamentals = rs.fundamental_weights()
-    r = rs.rank
+    rho = _doubled(rs.rho.coords)
+    den = _weyl_product(rs.kind, rho)
+    steps = [_doubled(w.coords) for w in rs.fundamental_weights()]
     found = []
 
-    def descend(idx, lam, any_nonzero):
-        if idx == r:
-            if any_nonzero:
-                found.append((lam, weyl_dim(rs, lam)))
+    def descend(idx, l, dim):
+        if idx == len(steps):
+            lam = tuple(a - b for a, b in zip(l, rho))
+            if any(lam):
+                found.append((dim, lam))
             return
-        m = 0
-        current = lam
-        # dimension is strictly increasing in every fundamental coefficient,
-        # so the first coefficient that overshoots ends the scan
-        while weyl_dim(rs, current) <= bound:
-            descend(idx + 1, current, any_nonzero or m > 0)
-            m += 1
-            current = lam + fundamentals[idx].scale(m)
+        # dimension is strictly increasing in every fundamental coefficient, so the
+        # first coefficient that overshoots ends the scan; each leaf records this dim
+        while dim <= bound:
+            descend(idx + 1, l, dim)
+            l = [a + b for a, b in zip(l, steps[idx])]
+            dim = _doubled_dim(rs.kind, l, den)
 
-    zero = WeightVector([ZERO] * r)
-    descend(0, zero, False)
-    found.sort(key=lambda t: (t[1], t[0].coords))
-    return found
+    descend(0, rho, 1)
+    return [(WeightVector([Rational(x, 2) for x in lam]), dim) for dim, lam in sorted(found)]
 
 
 _EXCEPTIONAL_DIMS = {14: "G2", 52: "F4", 78: "E6", 133: "E7", 248: "E8"}
 
 
-def no_simple_complex_algebra_of_dim(d: int, max_rank: int = 16):
+def no_simple_complex_algebra_of_dim(d: int):
     """Scan the classical and exceptional tables for simple complex Lie
     algebras of a given dimension.
 
@@ -191,12 +195,12 @@ def no_simple_complex_algebra_of_dim(d: int, max_rank: int = 16):
     if d < 1:
         raise ContractError("dimension must be positive")
     candidates = []
-    for r in range(1, max_rank + 1):
+    # every simple algebra of rank r has dimension >= r(r+2) > r^2
+    for r in range(1, math.isqrt(d) + 1):
         if r * (r + 2) == d:
             candidates.append(("A", r, None))
         if r >= 2 and r * (2 * r + 1) == d:
             candidates.append(("B", r, None))
-        if r >= 2 and r * (2 * r + 1) == d:
             note = "C2 = B2 (so(5,C) = sp(4,C))" if r == 2 else None
             candidates.append(("C", r, note))
         if r >= 3 and r * (2 * r - 1) == d:

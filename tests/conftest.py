@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +11,7 @@ from liepq.exact_linalg import (
 )
 from liepq.lie_core import LieAlgebra, canonical_json
 from liepq.so_pq import so_pq_algebra
+from liepq.weyl_enum import WeightVector
 
 
 def generator(p, n, i, j):
@@ -169,6 +171,64 @@ def so31():
 @pytest.fixture(scope="session")
 def so22():
     return so_pq_algebra(2, 2)
+
+
+# -- Weyl oracle: the root-by-root product on Fraction coordinates ----------
+
+
+def root_sum_rho(rs):
+    """Half the sum of rs.positive_roots, as Fraction coordinates."""
+    return [sum(c, Fraction(0)) / 2 for c in zip(*(alpha.coords for alpha in rs.positive_roots))]
+
+
+def root_product_weyl_dim(rs, lam):
+    """dim V_lambda = prod <lambda+rho, alpha> / <rho, alpha> over
+    rs.positive_roots, one Fraction dot product per root and rho summed from
+    the roots: the oracle for the closed form of `weyl_enum.weyl_dim`."""
+
+    def dot(x, y):
+        return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+    rho = root_sum_rho(rs)
+    shifted = [a + b for a, b in zip(lam.coords, rho)]
+    num = den = Fraction(1)
+    for alpha in rs.positive_roots:
+        num *= dot(shifted, alpha.coords)
+        den *= dot(rho, alpha.coords)
+    value = num / den
+    assert value.denominator == 1
+    return int(value)
+
+
+def fundamental_combination(rs, coefficients):
+    """sum_k m_k w_k over rs.fundamental_weights(), as a WeightVector; m_k
+    is 0 past the end of the coefficients."""
+    coords = [Fraction(0)] * rs.rank
+    for m, w in zip(coefficients, rs.fundamental_weights()):
+        coords = [a + m * b for a, b in zip(coords, w.coords)]
+    return WeightVector(coords)
+
+
+def brute_force_weights(rs, bound):
+    """[(weight, dim)] of every dominant nonzero weight with
+    `root_product_weyl_dim` <= bound, sorted by (dim, coords): every
+    coefficient vector in the box m_k <= M_k, for M_k the largest m with
+    dim(m.w_k) <= bound (a weight with a larger m_k has a larger dimension,
+    as it adds fundamental weights to m_k.w_k)."""
+    caps = []
+    for k in range(rs.rank):
+        m = 0
+        while root_product_weyl_dim(rs, fundamental_combination(rs, [0] * k + [m + 1])) <= bound:
+            m += 1
+        caps.append(m)
+    rows = []
+    for coefficients in itertools.product(*(range(m + 1) for m in caps)):
+        if any(coefficients):
+            lam = fundamental_combination(rs, coefficients)
+            dim = root_product_weyl_dim(rs, lam)
+            if dim <= bound:
+                rows.append((lam, dim))
+    return sorted(rows, key=lambda row: (row[1], row[0].coords))
 
 
 # -- dense oracle: Gauss-Jordan elimination on lists of Fractions -----------

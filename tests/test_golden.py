@@ -10,7 +10,9 @@ verify_all_p3_q2 (the sp(4,R) isomorphism) and verify_all_p0_q5 (theta on
 a compact form) before theta and the isomorphisms were checked by the
 bracket pass of `Representation.validate`; the tsv and human reports of
 `verify`, and the `irreps` and `bound` fixtures, before the checks moved out
-of `liepq.cli`.  To regenerate one after a deliberate report change, run
+of `liepq.cli`; irreps_b8_max1000, irreps_d3_max300 and irreps_d2_max60
+before the Weyl dimension became the closed-form product on doubled integer
+coordinates.  To regenerate one after a deliberate report change, run
 its CASES command with `liepq` and strip elapsed_ms with ELAPSED.
 """
 
@@ -39,6 +41,9 @@ CASES = [
     ("verify_all_p3_q1_human", ["verify", "--suite", "all", "--p", "3", "--q", "1", "--format", "human"]),
     ("irreps_d4_max8", ["irreps", "--type", "D", "--rank", "4", "--max-dim", "8", "--format", "json"]),
     ("bound_p2_q2_human", ["bound", "--p", "2", "--q", "2", "--format", "human"]),
+    ("irreps_b8_max1000", ["irreps", "--type", "B", "--rank", "8", "--max-dim", "1000", "--format", "tsv"]),
+    ("irreps_d3_max300", ["irreps", "--type", "D", "--rank", "3", "--max-dim", "300", "--format", "json"]),
+    ("irreps_d2_max60", ["irreps", "--type", "D", "--rank", "2", "--max-dim", "60", "--format", "human"]),
 ]
 
 

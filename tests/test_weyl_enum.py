@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepq.errors import ContractError
 from liepq.exact_linalg import rat
@@ -10,6 +12,8 @@ from liepq.weyl_enum import (
     weyl_dim,
 )
 
+from conftest import brute_force_weights, fundamental_combination, root_product_weyl_dim, root_sum_rho
+
 
 def test_positive_root_counts_and_rho():
     b3 = root_system("B", 3)
@@ -18,6 +22,39 @@ def test_positive_root_counts_and_rho():
     d4 = root_system("D", 4)
     assert len(d4.positive_roots) == 12
     assert d4.rho.coords == (rat(3), rat(2), rat(1), rat(0))
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_closed_form_rho_is_half_the_sum_of_the_positive_roots(kind):
+    for rank in range(2, 21):
+        rs = root_system(kind, rank)
+        assert list(rs.rho.coords) == root_sum_rho(rs)
+
+
+@st.composite
+def dominant_weights(draw):
+    """(root system, weight) for B or D of rank 2 to 8, the weight a sum of
+    fundamental weights with coefficients 0 to 4."""
+    rs = root_system(draw(st.sampled_from("BD")), draw(st.integers(2, 8)))
+    coefficients = draw(st.lists(st.integers(0, 4), min_size=rs.rank, max_size=rs.rank))
+    return rs, fundamental_combination(rs, coefficients)
+
+
+@given(dominant_weights())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_weyl_dim_equals_the_root_by_root_product(case):
+    rs, lam = case
+    assert weyl_dim(rs, lam) == root_product_weyl_dim(rs, lam)
+
+
+@pytest.mark.parametrize(
+    "kind, rank, bound",
+    [("B", 2, 200), ("D", 2, 60), ("B", 3, 37), ("D", 3, 200), ("B", 3, 200), ("D", 4, 200),
+     ("B", 4, 200), ("D", 5, 16), ("D", 5, 200), ("B", 5, 200)],
+)
+def test_enumeration_equals_the_brute_force_oracle(kind, rank, bound):
+    rs = root_system(kind, rank)
+    assert enumerate_up_to_dim(rs, bound) == brute_force_weights(rs, bound)
 
 
 def test_weyl_dim_trivial_weight():
@@ -113,3 +150,13 @@ def test_simple_dimension_scan():
     assert not absent
     assert ("G2", None) in {(t, r) for t, r, _ in cands}
     assert no_simple_complex_algebra_of_dim(3)[1][0][:2] == ("A", 1)
+
+
+@pytest.mark.parametrize(
+    "d, expected",
+    [(323, {("A", 17)}), (595, {("B", 17), ("C", 17)}), (120, {("A", 10), ("D", 8)})],
+)
+def test_simple_dimension_scan_reaches_every_rank(d, expected):
+    absent, cands = no_simple_complex_algebra_of_dim(d)
+    assert not absent
+    assert {(t, r) for t, r, _ in cands} == expected
