@@ -3,8 +3,11 @@
 Exit codes: 0 pass, 1 verification failure, 2 usage/domain error.
 `verify` and `construct` refuse n = p + q below 2 or above MAX_N with
 exit 2, and so does `verify` when `--c-list` or `--mu-list` is empty,
-has an empty item or repeats a value (equal as rationals);
-`irreps` refuses a rank or a dimension bound above its limits.
+has an empty item or repeats a value (equal as rationals); a rational
+token (`--c`, or an item of `--c-list` or `--mu-list`) whose numerator or
+denominator has more than MAX_RAT_DIGITS digits is refused with exit 2
+before any check runs; `irreps` refuses a rank or a dimension bound above
+its limits.
 `verify` runs the checks of `liepq.checks`, one after another.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
@@ -32,6 +35,13 @@ from .weyl_enum import enumerate_up_to_dim, root_system
 # (16,0) and 0.8 s at (0,16); `construct --c 1` takes about 0.22 s at
 # n = 16, of which importing the package is about 8 ms.
 MAX_N = 16
+
+# Size limit of a rational token, on its numerator and its denominator each.
+# Reports print values such as a2 = c.r1 and the character residuals, which
+# grow to four times mu's digits; at 1000 digits every one stays below
+# Python's 4300-digit limit on int-to-str conversion, so every accepted
+# token gives a printable report.
+MAX_RAT_DIGITS = 1000
 
 # Limits of `irreps`.  Each Weyl dimension is one closed-form product of
 # O(rank^2) integer operations; the number of weights grows fastest for
@@ -107,12 +117,24 @@ def run_suite(suite, p, q, c_list, mu_list):
 # -- argument handling --------------------------------------------------
 
 
+def _rat_token(flag, token):
+    """The value of a rational token, refused when its numerator or its
+    denominator has more than MAX_RAT_DIGITS digits."""
+    for part in token.strip().lstrip("+-").split("/"):
+        if len(part) > MAX_RAT_DIGITS:
+            raise ContractError(
+                f"{flag}: a numerator or denominator of {len(part)} characters exceeds "
+                f"the size limit of {MAX_RAT_DIGITS} digits"
+            )
+    return rat(token)  # validates syntax; floats are rejected
+
+
 def _rat_list(flag, text):
     """The comma-separated rational tokens of a list flag, as given.
 
     An empty list is refused, and so are an empty item and a value equal
     as a rational to an earlier one: either would silently drop a check or
-    run one twice.
+    run one twice.  So is an oversize token (`_rat_token`).
     """
     items = [t.strip() for t in text.split(",")]
     if not any(items):
@@ -121,7 +143,7 @@ def _rat_list(flag, text):
     for pos, t in enumerate(items, 1):
         if not t:
             raise ContractError(f"{flag}: item {pos} of {text!r} is empty")
-        value = rat(t)  # validates syntax; floats are rejected
+        value = _rat_token(flag, t)
         if value in seen:
             raise ContractError(f"{flag}: {t!r} repeats the value of {seen[value]!r}")
         seen[value] = t
@@ -187,7 +209,7 @@ def _signature_within_limit(p, q) -> Signature:
 def cmd_construct(args) -> int:
     _signature_within_limit(args.p, args.q)
     if args.c is not None:
-        c = rat(args.c)
+        c = _rat_token("--c", args.c)
         if c == 0:
             raise ContractError("--c must be nonzero; omit it for plain so(p,q)")
         payload = deformed_algebra(args.p, args.q, c).to_json_dict()

@@ -11,6 +11,16 @@ vectors only.  Scalars are `gmpy2.mpq` when gmpy2 is installed,
 otherwise `fractions.Fraction`; both keep values in lowest terms with a
 positive denominator, and numerators and denominators enter the integer
 core through `int()` either way.
+
+The matrix kernels keep three rules.  Every result is built by `_trusted`
+(or `_reduced`, which ends in it), the one place a `Matrix` is made from
+integer rows.  An empty result is the zero matrix with den 1, whatever
+the operands' denominators are, and takes no gcd pass.  The per-row loops
+of the hot kernels (products, sums, scaling, negation, the division pass)
+are plain `for` loops, not comprehensions: on Python 3.11 every
+comprehension runs in a function frame of its own (PEP 709 inlines them
+only from 3.12), and that fixed cost outweighs the work on rows of one or
+two nonzeros, the common case of the deformation family's images.
 """
 
 from __future__ import annotations
@@ -72,7 +82,11 @@ def _isqrt_exact(n):
 def _over_common_den(vec: dict):
     """(ints, den): the nonzeros of a sparse vector of rationals (or ints) as
     integers over their least common denominator, vec = ints / den."""
-    den = _lcm(1, *{int(x.denominator) for x in vec.values()})
+    den = 1
+    for x in vec.values():
+        d = x.denominator
+        if den % d:
+            den = _lcm(den, int(d))
     return {k: int(x.numerator) * (den // int(x.denominator)) for k, x in vec.items() if x}, den
 
 
@@ -101,7 +115,9 @@ class Matrix:
     (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `trace`, ...) returns
     fresh rational scalars.  New matrices come from `Matrix(...)`, the
     named constructors or the `from_sparse` builder, which validate every
-    entry through `rat()`.
+    entry through `rat()`; every operation's result is built by
+    `_trusted`, an empty one with den 1, in per-row plain loops (see the
+    module docstring).
     """
 
     __slots__ = ("rows", "cols", "_data", "den")
@@ -273,14 +289,17 @@ class Matrix:
         da, db = self.den, other.den
         den = da if da == db else _lcm(da, db)
         fa, fb = den // da, sign * (den // db)
-        if fa == 1:
-            out = dict(self._data)
-        else:
-            out = {i: {j: x * fa for j, x in row.items()} for i, row in self._data.items()}
+        out = dict(self._data) if fa == 1 else _scaled_rows(self._data, fa)
         for i, orow in other._data.items():
             row = out.get(i)
             if row is None:
-                out[i] = orow if fb == 1 else {j: y * fb for j, y in orow.items()}
+                if fb == 1:
+                    out[i] = orow
+                else:
+                    row = {}
+                    for j, y in orow.items():
+                        row[j] = y * fb
+                    out[i] = row
                 continue
             if fa == 1:  # self's own row: stored rows are never written
                 row = dict(row)
@@ -305,34 +324,24 @@ class Matrix:
         return self._combine(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return _trusted(
-            self.rows,
-            self.cols,
-            {i: {j: -x for j, x in row.items()} for i, row in self._data.items()},
-            self.den,
-        )
+        return _trusted(self.rows, self.cols, _scaled_rows(self._data, -1), self.den)
 
     def scale(self, k) -> "Matrix":
-        k = rat(k)
-        if not k:
+        if type(k) is int:
+            kn, kd = k, 1
+        else:
+            k = rat(k)
+            kn, kd = int(k.numerator), int(k.denominator)
+        if not kn:
             return _trusted(self.rows, self.cols, {})
-        kn, kd = int(k.numerator), int(k.denominator)
         if kd == 1:
             if kn == 1:
                 return self
-            if kn == -1:
-                return -self
             # the entries are coprime to den, so only gcd(den, k) cancels
             g = _gcd(self.den, kn)
             kn //= g
-            data = {i: {j: kn * x for j, x in row.items()} for i, row in self._data.items()}
-            return _trusted(self.rows, self.cols, data, self.den // g)
-        return _reduced(
-            self.rows,
-            self.cols,
-            {i: {j: kn * x for j, x in row.items()} for i, row in self._data.items()},
-            self.den * kd,
-        )
+            return _trusted(self.rows, self.cols, _scaled_rows(self._data, kn), self.den // g)
+        return _reduced(self.rows, self.cols, _scaled_rows(self._data, kn), self.den * kd)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -370,9 +379,26 @@ def _reduced(rows: int, cols: int, data: dict, den: int) -> Matrix:
             if g == 1:
                 break
         if g != 1:
-            data = {i: {j: x // g for j, x in row.items()} for i, row in data.items()}
+            out = {}
+            for i, row in data.items():
+                orow = {}
+                for j, x in row.items():
+                    orow[j] = x // g
+                out[i] = orow
+            data = out
             den //= g
     return _trusted(rows, cols, data, den)
+
+
+def _scaled_rows(data: dict, k: int) -> dict:
+    """Fresh integer rows k * data, for an int k != 0."""
+    out = {}
+    for i, row in data.items():
+        orow = {}
+        for j, x in row.items():
+            orow[j] = k * x
+        out[i] = orow
+    return out
 
 
 def _check_shape(rows: int, cols: int):
@@ -404,10 +430,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     out = {}
     for i, arow in a._data.items():
         if len(arow) == 1:  # row i is x times row j of b
-            [(j, x)] = arow.items()
-            brow = bdata.get(j)
-            if brow is not None:
-                out[i] = brow if x == 1 else {l: x * y for l, y in brow.items()}
+            for j in arow:
+                brow = bdata.get(j)
+                if brow is not None:
+                    x = arow[j]
+                    if x == 1:
+                        out[i] = brow
+                    else:
+                        orow = {}
+                        for l, y in brow.items():
+                            orow[l] = x * y
+                        out[i] = orow
             continue
         acc = {}
         get = acc.get
@@ -421,7 +454,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         if acc:
             out[i] = acc
     den = a.den * b.den
-    if den == 1:
+    if den == 1 or not out:  # an empty product is the zero matrix, den 1
         return _trusted(a.rows, b.cols, out)
     return _reduced(a.rows, b.cols, out, den)
 

@@ -42,7 +42,6 @@ class WeightVector(_WeightFields):
 class RootSystem(NamedTuple):
     kind: str  # "B" or "D"
     rank: int
-    positive_roots: tuple
     rho: WeightVector
     flag: str | None  # set on the degenerate/coincident small-rank cases
 
@@ -52,27 +51,15 @@ class RootSystem(NamedTuple):
             raise ContractError("only types B and D are supported")
         if rank < 2:
             raise ContractError("rank must be at least 2")
-        roots = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                for sign in (ONE, -ONE):
-                    coords = [ZERO] * rank
-                    coords[i] = ONE
-                    coords[j] = sign
-                    roots.append(WeightVector(coords))
-        if kind == "B":
-            for i in range(rank):
-                coords = [ZERO] * rank
-                coords[i] = ONE
-                roots.append(WeightVector(coords))
-        # half the sum of the positive roots: rank - i - 1, plus 1/2 for B
+        # half the sum of the positive roots e_i -+ e_j (i < j), and e_i for
+        # B: rank - i - 1, plus 1/2 for B
         rho = WeightVector([Rational(2 * (rank - i - 1) + (kind == "B"), 2) for i in range(rank)])
         flag = None
         if kind == "D" and rank == 2:
             flag = "D2 is not simple: so(4,C) = sl(2,C) x sl(2,C)"
         elif kind == "D" and rank == 3:
             flag = "D3 coincides with A3: so(6,C) = sl(4,C)"
-        return cls(kind, rank, tuple(roots), rho, flag)
+        return cls(kind, rank, rho, flag)
 
     def fundamental_weights(self):
         r = self.rank

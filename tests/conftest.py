@@ -176,14 +176,31 @@ def so22():
 # -- Weyl oracle: the root-by-root product on Fraction coordinates ----------
 
 
+def positive_roots(rs):
+    """The positive roots of B_r or D_r as Fraction coordinate lists:
+    e_i - e_j and e_i + e_j for i < j, and e_i for B (Humphreys, 12.1)."""
+    r = rs.rank
+
+    def unit(*signed):
+        coords = [Fraction(0)] * r
+        for i, x in signed:
+            coords[i] = Fraction(x)
+        return coords
+
+    roots = [unit((i, 1), (j, sign)) for i in range(r) for j in range(i + 1, r) for sign in (1, -1)]
+    if rs.kind == "B":
+        roots += [unit((i, 1)) for i in range(r)]
+    return roots
+
+
 def root_sum_rho(rs):
-    """Half the sum of rs.positive_roots, as Fraction coordinates."""
-    return [sum(c, Fraction(0)) / 2 for c in zip(*(alpha.coords for alpha in rs.positive_roots))]
+    """Half the sum of the positive roots, as Fraction coordinates."""
+    return [sum(c, Fraction(0)) / 2 for c in zip(*positive_roots(rs))]
 
 
 def root_product_weyl_dim(rs, lam):
-    """dim V_lambda = prod <lambda+rho, alpha> / <rho, alpha> over
-    rs.positive_roots, one Fraction dot product per root and rho summed from
+    """dim V_lambda = prod <lambda+rho, alpha> / <rho, alpha> over the
+    positive roots, one Fraction dot product per root and rho summed from
     the roots: the oracle for the closed form of `weyl_enum.weyl_dim`."""
 
     def dot(x, y):
@@ -192,9 +209,9 @@ def root_product_weyl_dim(rs, lam):
     rho = root_sum_rho(rs)
     shifted = [a + b for a, b in zip(lam.coords, rho)]
     num = den = Fraction(1)
-    for alpha in rs.positive_roots:
-        num *= dot(shifted, alpha.coords)
-        den *= dot(rho, alpha.coords)
+    for alpha in positive_roots(rs):
+        num *= dot(shifted, alpha)
+        den *= dot(rho, alpha)
     value = num / den
     assert value.denominator == 1
     return int(value)

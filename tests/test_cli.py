@@ -388,6 +388,53 @@ def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
         assert err.startswith("error:") and f"{flag}: {message}" in err
 
 
+def test_oversize_rational_tokens_exit_2_before_any_work(capsys, monkeypatch):
+    """A numerator or denominator past MAX_RAT_DIGITS used to run the checks
+    and then fail printing a report value (or, at 5001 digits, fail in
+    Python's own int parser); it is a usage error naming the limit now."""
+    import liepq.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started on an oversize rational token")
+
+    for name in ("run_suite", "run_check", "deformed_algebra", "so_pq_algebra"):
+        monkeypatch.setattr(cli, name, forbidden)
+    over = "7" * (cli.MAX_RAT_DIGITS + 1)
+    for token in (over, "-" + over, "1/" + over, over + "/3", "7" * 4300, "7" * 5001):
+        for argv in (
+            ["verify", "--suite", "appendix", "--p", "3", "--q", "1", "--c-list", "1," + token],
+            ["verify", "--suite", "section2", "--p", "3", "--q", "1", "--mu-list", token],
+            ["construct", "--p", "3", "--q", "1", "--c", token],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"size limit of {cli.MAX_RAT_DIGITS} digits" in err and len(err) < 200
+
+
+def test_largest_rational_tokens_give_printable_reports(capsys):
+    """Tokens at MAX_RAT_DIGITS in the numerator and the denominator run
+    end to end: a2 = c.r1 and the character residuals, which grow to four
+    times mu's digits, stay printable."""
+    import liepq.cli as cli
+
+    big = "9" * cli.MAX_RAT_DIGITS
+    odd = "7" * (cli.MAX_RAT_DIGITS - 1) + "1"
+    c_list = ",".join(["-" + big, big + "/" + odd, "-1/" + big])
+    mu_list = ",".join([big, "1/" + big, odd + "/" + big])
+    for suite, flag, value in (("appendix", "--c-list", c_list),
+                               ("section2", "--mu-list", mu_list)):
+        code, out = invoke(capsys, "verify", "--suite", suite, "--p", "3", "--q", "1",
+                           flag, value)
+        report = json.loads(out)
+        assert code == 0 and report["overall"] == "pass"
+        assert report["parameters"][flag[2:].replace("-", "_")] == value.split(",")
+    residuals = [c["residual_complex"] for c in report["checks"] if c["name"] == "character_identity"]
+    assert len(residuals) == 3 and max(len(r) for r in residuals) > 3 * cli.MAX_RAT_DIGITS
+    code, out = invoke(capsys, "construct", "--p", "3", "--q", "1", "--c", "-" + odd + "/" + big)
+    assert code == 0 and json.loads(out)["dim"] == 10
+
+
 def test_verify_at_p_zero_passes(capsys):
     """so(0,q) has I_{0,q} = -1: its invariant form is a negative multiple."""
     for q in ("2", "3", "4"):

@@ -68,7 +68,9 @@ def _assert_frozen(m):
 def test_the_patch_freezes_every_construction_path(frozen_rows):
     a = Matrix.from_rows([[1, 2], [0, Fraction(1, 3)]])
     b = Matrix.from_sparse(2, 2, {(1, 0): 5})
-    for m in (a, b, Matrix.identity(2), a @ b, a + b, a - b, -a, a.scale(3), a.transpose()):
+    c = Matrix.from_sparse(2, 2, {(0, 1): Fraction(1, 2)})  # c @ c is empty, over den 4
+    for m in (a, b, Matrix.identity(2), a @ b, c @ c, a + b, a - b, -a, a.scale(3),
+              a.scale(-1), a.transpose()):
         _assert_frozen(m)
     with pytest.raises(TypeError):
         a._data[0][1] = 7

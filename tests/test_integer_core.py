@@ -63,6 +63,29 @@ def over_den(draw, rows, cols, zero_weight=2):
     return Matrix(rows, cols, [Fraction(x, den) for x in nums])
 
 
+@st.composite
+def one_entry_rows(draw, rows, cols):
+    """A rows x cols matrix whose every row holds one nonzero, drawn over a
+    denominator other than 1 (an empty matrix when cols is 0)."""
+    if not cols:
+        return Matrix.zeros(rows, cols)
+    den = draw(st.sampled_from([2, 3, 4, 6, 9, 10]))
+    entries = {}
+    for i in range(rows):
+        j = draw(st.integers(0, cols - 1))
+        entries[(i, j)] = Fraction(draw(st.integers(-9, 9).filter(bool)), den)
+    return Matrix.from_sparse(rows, cols, entries)
+
+
+def vanishing_right_factor(a, b):
+    """b with every row that a's columns reach set to zero, so that the
+    product a.b has no nonzero to accumulate."""
+    reached = {j for i in range(a.rows) for j in a.sparse_row(i)}
+    return Matrix.from_sparse(b.rows, b.cols, {
+        (i, j): x for i in range(b.rows) if i not in reached for j, x in b.sparse_row(i).items()
+    })
+
+
 def dense(m):
     return [[Fraction(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
@@ -95,34 +118,52 @@ def test_matrix_ops_on_mixed_denominators_match_fraction_oracle(data):
     a = data.draw(over_den(n, m))
     a2 = data.draw(st.one_of(over_den(n, m), st.just(-a), st.just(a.scale(Fraction(1, 2)))))
     b = data.draw(over_den(m, k))
+    e = data.draw(one_entry_rows(n, m))
+    f = data.draw(one_entry_rows(m, k))
     scalar = data.draw(st.one_of(
         st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
         st.builds(Fraction, st.integers(-7, 7), st.integers(1, 8)),
     ))
+    int_scalar = data.draw(st.integers(-7, 7))
+    vanishing = vanishing_right_factor(e, b)
     # results may be operands and share rows with them: that is safe
     # because no operation writes a stored row, so the operands' rows and
     # row maps refuse writes here
-    a, a2, b = frozen(a), frozen(a2), frozen(b)
-    da, da2, db = dense(a), dense(a2), dense(b)
+    a, a2, b, e, f = frozen(a), frozen(a2), frozen(b), frozen(e), frozen(f)
+    da, da2, db, de, df = dense(a), dense(a2), dense(b), dense(e), dense(f)
     zero = frozen(Matrix.zeros(n, m))
+
+    def product(x, y):
+        return [[sum((rx[j] * y[j][l] for j in range(m)), Fraction(0)) for l in range(k)]
+                for rx in x]
+
     ops = [
-        (mat_mul(a, b), [[sum((ra[j] * db[j][l] for j in range(m)), Fraction(0))
-                           for l in range(k)] for ra in da]),
+        (mat_mul(a, b), product(da, db)),
+        (mat_mul(e, b), product(de, db)),
+        (mat_mul(e, f), product(de, df)),
+        (mat_mul(a, f), product(da, df)),
+        (mat_mul(e, vanishing), [[Fraction(0)] * k for _ in range(n)]),
         (a + a2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(da, da2)]),
         (a - a2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(da, da2)]),
         (a - a, [[Fraction(0)] * m for _ in range(n)]),
         (a + zero, da),
         (zero - a, [[-x for x in r] for r in da]),
         (a.scale(scalar), [[scalar * x for x in r] for r in da]),
+        (a.scale(int_scalar), [[int_scalar * x for x in r] for r in da]),
+        (e.scale(int_scalar), [[int_scalar * x for x in r] for r in de]),
+        (a.scale(True), da),
+        (a.scale(Fraction(3)), [[3 * x for x in r] for r in da]),
+        (a.scale(-1), [[-x for x in r] for r in da]),
         (a.scale(1), da),
         (a.scale(0), [[Fraction(0)] * m for _ in range(n)]),
         (-a, [[-x for x in r] for r in da]),
+        (-e, [[-x for x in r] for r in de]),
         (a.transpose(), [[da[i][j] for i in range(n)] for j in range(m)]),
         (kron(a, b), [[x * y for x in ra for y in rb] for ra in da for rb in db]),
     ]
     for result, expected in ops:
         assert_canonical(result, expected)
-    assert [dense(a), dense(a2), dense(b)] == [da, da2, db]
+    assert [dense(a), dense(a2), dense(b), dense(e), dense(f)] == [da, da2, db, de, df]
     assert a + zero is a and a - zero is a and a.scale(1) is a
     assert zero + a is (a if a._data else zero)  # 0 + 0 is its left operand
     v = [Fraction(j - 1, j + 2) for j in range(m)]
@@ -157,6 +198,11 @@ def test_cancellation_to_zero_resets_the_denominator():
     total = Matrix.from_rows([[Fraction(1, 6)]]) + Matrix.from_rows([[Fraction(5, 6)]])
     assert total.den == 1 and total._data == {0: {0: 1}}
     assert Matrix.from_rows([[2]]).scale(Fraction(1, 2)).den == 1
+    # products over den 6 with nothing to accumulate, and with a sum that cancels
+    left = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 2)], [0, 0]])
+    for right in ([[0], [0]], [[Fraction(1, 3)], [Fraction(-1, 3)]]):
+        product = mat_mul(left, Matrix.from_rows(right))
+        assert product == Matrix.zeros(2, 1) and product.den == 1
 
 
 @given(over_den(2, 3, zero_weight=1), st.data())

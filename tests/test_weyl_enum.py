@@ -12,15 +12,17 @@ from liepq.weyl_enum import (
     weyl_dim,
 )
 
-from conftest import brute_force_weights, fundamental_combination, root_product_weyl_dim, root_sum_rho
+from conftest import (
+    brute_force_weights, fundamental_combination, positive_roots, root_product_weyl_dim, root_sum_rho,
+)
 
 
 def test_positive_root_counts_and_rho():
     b3 = root_system("B", 3)
-    assert len(b3.positive_roots) == 9
+    assert len(positive_roots(b3)) == 9
     assert b3.rho.coords == (rat("5/2"), rat("3/2"), rat("1/2"))
     d4 = root_system("D", 4)
-    assert len(d4.positive_roots) == 12
+    assert len(positive_roots(d4)) == 12
     assert d4.rho.coords == (rat(3), rat(2), rat(1), rat(0))
 
 
