@@ -327,11 +327,8 @@ class Matrix:
         return _trusted(self.rows, self.cols, _scaled_rows(self._data, -1), self.den)
 
     def scale(self, k) -> "Matrix":
-        if type(k) is int:
-            kn, kd = k, 1
-        else:
-            k = rat(k)
-            kn, kd = int(k.numerator), int(k.denominator)
+        k = rat(k)
+        kn, kd = int(k.numerator), int(k.denominator)
         if not kn:
             return _trusted(self.rows, self.cols, {})
         if kd == 1:
