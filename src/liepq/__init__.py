@@ -32,13 +32,8 @@ from .lie_core import (
     bracket,
     centralizer,
     is_maximal_subalgebra,
-    is_semisimple,
-    killing_form,
     orthogonal_complement,
-    structure_tensor,
     subalgebra_closure,
-    theta_involution,
-    trace_form,
 )
 from .rep_theory import (
     BoostElement,

@@ -7,7 +7,9 @@ has an empty item or repeats a value (equal as rationals); a rational
 token (`--c`, or an item of `--c-list` or `--mu-list`) whose numerator or
 denominator has more than MAX_RAT_DIGITS digits is refused with exit 2
 before any check runs; `irreps` refuses a rank or a dimension bound above
-its limits.
+its limits.  Only a `LiepqError` from the arguments exits 2: any exception
+inside a check fails that check, its reason led by the exception's type
+name, and the report still prints (exit 1).
 `verify` runs the checks of `liepq.checks`, one after another.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
@@ -75,7 +77,8 @@ def build_suite(suite, p, q, c_list, mu_list):
 
 def run_check(name, params):
     """Run one check on its parameters, with the extra value as a rational.
-    Every check in c is skipped below n = 3 (SMALL_EXCLUSION_REASON)."""
+    Every check in c is skipped below n = 3 (SMALL_EXCLUSION_REASON).  Any
+    exception a check raises fails it, its reason led by the type name."""
     fn, _, extra = CHECKS[name]
     p, q = params["p"], params["q"]
     start = time.perf_counter()
@@ -86,7 +89,7 @@ def run_check(name, params):
             result = _skip(SMALL_EXCLUSION_REASON)
         else:
             result = fn(p, q, rat(params[extra]))
-    except LiepqError as exc:
+    except Exception as exc:
         result = _fail(reason=f"{type(exc).__name__}: {exc}")
     result["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
     return name, params, result
@@ -142,7 +145,7 @@ def _rat_list(flag, text):
     seen = {}
     for pos, t in enumerate(items, 1):
         if not t:
-            raise ContractError(f"{flag}: item {pos} of {text!r} is empty")
+            raise ContractError(f"{flag}: item {pos} is empty")
         value = _rat_token(flag, t)
         if value in seen:
             raise ContractError(f"{flag}: {t!r} repeats the value of {seen[value]!r}")
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (LiepqError, ValueError) as exc:
+    except LiepqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

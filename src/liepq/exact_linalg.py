@@ -488,6 +488,30 @@ def _intertwining_defect(a: Matrix, p: Matrix, b: Matrix):
     return acc, a.den * p.den * b.den
 
 
+def _combine_maps(maps, coeffs: dict, m, n):
+    """The m x n matrix sum of coeffs[i] * maps[i], exactly, for sparse
+    coefficients {i: rational or int}; computed on the integer rows over
+    the lcm of the maps' denominators."""
+    cs, cden = _over_common_den(coeffs)
+    den = 1
+    for i in cs:
+        den = _lcm(den, maps[i].den)
+    acc = {}
+    for i, c in cs.items():
+        phi = maps[i]
+        f = c * (den // phi.den)
+        for r, row in phi._data.items():
+            arow = acc.setdefault(r, {})
+            for j, x in row.items():
+                arow[j] = arow.get(j, 0) + f * x
+    data = {}
+    for r, row in acc.items():
+        row = {j: x for j, x in row.items() if x}
+        if row:
+            data[r] = row
+    return _reduced(m, n, data, den * cden)
+
+
 def mat_vec(a: Matrix, v):
     """Product of a matrix with a coefficient list."""
     if a.cols != len(v):

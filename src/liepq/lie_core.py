@@ -213,20 +213,6 @@ class LieAlgebra:
         entry = self.structure.get((j, i), {})
         return {k: -v for k, v in entry.items()}
 
-    def bracket_coeffs(self, x, y):
-        """Coefficients of [x, y] for coefficient vectors x, y."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ShapeMismatchError("coefficient vectors must have length dim")
-        z = _bracket(
-            self.structure,
-            {i: v for i, v in enumerate(x) if v},
-            {j: v for j, v in enumerate(y) if v},
-        )
-        out = [ZERO] * self.dim
-        for k, v in z.items():
-            out[k] = v
-        return out
-
     def _bracket_int(self, x: dict, y: dict) -> dict:
         """den * [x, y] for sparse integer vectors, on the integer tensor: a
         positive multiple of the bracket, all that spans and membership read."""
@@ -323,34 +309,25 @@ class LieAlgebra:
     def _killing_grams(self, degree=None) -> list:
         """The Killing gram, contracted over the nonzero integer structure
         constants only, so the sums come over the square of their
-        denominator: with by_slot[(k, j)] the list of (a, den * c_{aj}^k),
-        each product pairs slot (k, j) of ad(b_a) with slot (j, k) of
-        ad(b_b).
+        denominator: entry (k, j) of ad(b_a) is den * c_{aj}^k, filed under
+        slot (k, j) for `_trace_contraction`.
 
         Ungraded, the list holds the one gram.  A graded family passes
         degree as `_check_jacobi` takes it, and gets the grams of degree 0
-        up to twice the top degree: a constant of degree e enters by_slot
-        under a + e.dim, and the product of two constants lands in the gram
-        of the sum of their degrees.
+        up to twice the top degree: a constant of degree e is filed under
+        a + e.dim, and the product of two constants lands in the gram of
+        the sum of their degrees.
         """
         d = self.dim
         top = max(degree.values(), default=0) if degree else 0
         den, scaled, _ = self._integer_tensor()
-        by_slot = {}
+        slots = {}
         for (i, j), entry in scaled.items():
             lift = d * degree.get((i, j), 0) if degree else 0
             for k, v in entry.items():
-                by_slot.setdefault((k, j), []).append((i + lift, v))
-                by_slot.setdefault((k, i), []).append((j + lift, -v))
-        gram = {}
-        for (k, j), terms in by_slot.items():
-            partners = by_slot.get((j, k))
-            if partners is None:
-                continue
-            for a, v in terms:
-                row = gram.setdefault(a, {})
-                for b, w in partners:
-                    row[b] = row.get(b, 0) + v * w
+                slots.setdefault((k, j), []).append((i + lift, v))
+                slots.setdefault((k, i), []).append((j + lift, -v))
+        gram = _trace_contraction(slots)
         graded = [gram]
         if top:  # split the lifted indices into the gram of each degree
             graded = [{} for _ in range(2 * top + 1)]
@@ -358,22 +335,14 @@ class LieAlgebra:
                 for b, s in row.items():
                     out = graded[a // d + b // d].setdefault(a % d, {})
                     out[b % d] = out.get(b % d, 0) + s
-        grams = []
-        for rows in graded:
-            data = {}
-            for a, row in rows.items():
-                row = {b: s for b, s in row.items() if s}
-                if row:
-                    data[a] = row
-            grams.append(_reduced(d, d, data, den * den))
-        return grams
+        return [_gram_matrix(rows, d, den * den) for rows in graded]
 
     def trace_form(self) -> "BilinearForm":
+        """tr(b_a b_b), on the integer rows over the lcm of the basis
+        denominators: entry (i, j) of b_a is filed under slot (i, j) for
+        `_trace_contraction`."""
         if self.realization != MATRIX:
             raise UnsupportedRealizationError("trace form needs a MATRIX realization")
-        # tr(b_a b_b) = sum of (b_a)_ij (b_b)_ji, on the integer rows over
-        # the lcm of the basis denominators: every entry (i, j) is filed
-        # under its slot, and slot (i, j) meets only slot (j, i)
         d = self.dim
         den = _math.lcm(1, *(b.den for b in self.basis))
         slots = {}
@@ -382,23 +351,7 @@ class LieAlgebra:
             for i, row in b._data.items():
                 for j, x in row.items():
                     slots.setdefault((i, j), []).append((a, x * f))
-        acc = {}
-        for (i, j), entries in slots.items():
-            if i > j:
-                continue
-            partners = slots.get((j, i))
-            if partners is None:
-                continue
-            for a, x in entries:
-                for b, y in partners:
-                    acc[(a, b)] = acc.get((a, b), 0) + x * y
-                    if i != j:  # the same product is a term of tr(b_b b_a)
-                        acc[(b, a)] = acc.get((b, a), 0) + x * y
-        gram = {}
-        for (a, b), s in acc.items():
-            if s:
-                gram.setdefault(a, {})[b] = s
-        return BilinearForm(d, _reduced(d, d, gram, den * den))
+        return BilinearForm(d, _gram_matrix(_trace_contraction(slots), d, den * den))
 
     def theta_involution(self) -> Matrix:
         """Matrix of X -> -X^t in the basis; NotStableError if the basis is
@@ -476,6 +429,42 @@ def _tensor_from_entries(dim, entries) -> dict:
     return structure
 
 
+def _trace_contraction(slots) -> dict:
+    """The integer gram rows {a: {b: tr(M_a M_b)}} of matrices M_a whose
+    entries are filed as slots[(i, j)] = [(a, (M_a)_ij), ...]: tr(M_a M_b)
+    is the sum of (M_a)_ij (M_b)_ji, so slot (i, j) meets only slot (j, i).
+    Each unordered pair of slots is visited once, and for i != j each
+    product is a term of both tr(M_a M_b) and tr(M_b M_a).  Indices a may
+    be any ints; the rows may hold zeros."""
+    gram = {}
+    for (i, j), entries in slots.items():
+        if i > j:
+            continue
+        partners = slots.get((j, i))
+        if partners is None:
+            continue
+        for a, x in entries:
+            row = gram.setdefault(a, {})
+            for b, y in partners:
+                s = x * y
+                row[b] = row.get(b, 0) + s
+                if i != j:
+                    other = gram.setdefault(b, {})
+                    other[a] = other.get(a, 0) + s
+    return gram
+
+
+def _gram_matrix(rows: dict, d: int, den: int) -> Matrix:
+    """The d x d matrix of integer gram rows {a: {b: s}} over den, its
+    zeros dropped."""
+    data = {}
+    for a, row in rows.items():
+        row = {b: s for b, s in row.items() if s}
+        if row:
+            data[a] = row
+    return _reduced(d, d, data, den)
+
+
 def _bracket(structure, x: dict, y: dict) -> dict:
     """[x, y] for sparse vectors over a sparse structure tensor, rational or
     integer, as a sparse vector."""
@@ -523,29 +512,20 @@ class BilinearForm:
 
 
 def bracket(algebra: LieAlgebra, x, y):
-    """Coefficients of [x, y] via the structure tensor."""
-    return algebra.bracket_coeffs(list(map(rat, x)), list(map(rat, y)))
-
-
-def structure_tensor(algebra: LieAlgebra):
-    """The sparse structure tensor {(i, j): {k: c}} for i < j."""
-    return {key: dict(val) for key, val in algebra.structure.items()}
-
-
-def killing_form(algebra: LieAlgebra) -> BilinearForm:
-    return algebra.killing_form()
-
-
-def trace_form(algebra: LieAlgebra) -> BilinearForm:
-    return algebra.trace_form()
-
-
-def theta_involution(algebra: LieAlgebra) -> Matrix:
-    return algebra.theta_involution()
-
-
-def is_semisimple(algebra: LieAlgebra) -> bool:
-    return algebra.is_semisimple()
+    """Coefficients of [x, y] for coefficient vectors x, y of length dim,
+    via the structure tensor; every coefficient goes through `rat()`."""
+    x, y = [rat(v) for v in x], [rat(v) for v in y]
+    if len(x) != algebra.dim or len(y) != algebra.dim:
+        raise ShapeMismatchError("coefficient vectors must have length dim")
+    z = _bracket(
+        algebra.structure,
+        {i: v for i, v in enumerate(x) if v},
+        {j: v for j, v in enumerate(y) if v},
+    )
+    out = [ZERO] * algebra.dim
+    for k, v in z.items():
+        out[k] = v
+    return out
 
 
 def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:

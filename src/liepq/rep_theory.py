@@ -20,8 +20,9 @@ denominator from `_intertwining_defect`, one pass with no product matrix,
 and the kernel of the images is taken on those vectors over the lcm of
 their denominators.  `hom_space` and the brute-force `hom_space_dense`
 return the same canonical (reduced-echelon) basis.  `rational_eigensplit`
-rejects most non-splitting elements by the sign of tr(a^2) before any
-minimal polynomial.
+only decides diagonalizability over Q, rejecting most non-splitting elements
+by the sign of tr(a^2) before any minimal polynomial; eigenspaces are cut
+out by `_refine_blocks` alone, for every pool member, the first included.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _combine_maps,
     _intertwining_defect,
     _mat_vec_int,
     _over_common_den,
@@ -183,10 +185,8 @@ def _map_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
     n = dst.basis[0].rows
     images = []
     for j in range(src.dim):
-        image = Matrix.zeros(n, n)
-        for k, x in columns.get(j, {}).items():
-            image = image + dst.basis[k].scale(_quotient(x, phi.den))
-        images.append((image,))
+        coeffs = {k: _quotient(x, phi.den) for k, x in columns.get(j, {}).items()}
+        images.append((_combine_maps(dst.basis, coeffs, n, n),))
     defect = _bracket_defect(src, images, {})
     return None if defect is None else defect[:2]
 
@@ -361,30 +361,6 @@ def _combine_int_rows(coeffs: dict, rows):
     return acc if g == 1 else {k: x // g for k, x in acc.items()}
 
 
-def _combine_maps(maps, coeffs: dict, m, n):
-    """The m x n matrix sum of coeffs[i] * maps[i], exactly, for sparse
-    coefficients {i: rational or int}; computed on the integer rows over
-    the lcm of the maps' denominators."""
-    cs, cden = _over_common_den(coeffs)
-    den = 1
-    for i in cs:
-        den = _lcm(den, maps[i].den)
-    acc = {}
-    for i, c in cs.items():
-        phi = maps[i]
-        f = c * (den // phi.den)
-        for r, row in phi._data.items():
-            arow = acc.setdefault(r, {})
-            for j, x in row.items():
-                arow[j] = arow.get(j, 0) + f * x
-    data = {}
-    for r, row in acc.items():
-        row = {j: x for j, x in row.items() if x}
-        if row:
-            data[r] = row
-    return _reduced(m, n, data, den * cden)
-
-
 def _column_system(images, size):
     """A positive multiple of the size x len(images) matrix whose column c is
     vec / den for images[c] = (vec, den), a flattened integer vector over a
@@ -408,13 +384,14 @@ def _canonical_maps(maps, m, n):
 
 
 def rational_eigensplit(a: Matrix):
-    """Eigenspace decomposition when `a` is diagonalizable over Q, else None.
+    """Sorted eigenvalues of `a` if it is diagonalizable over Q, else None.
 
     A matrix diagonalizable over Q has real eigenvalues, so tr(a^2) is their
     sum of squares: negative rules it out, and so does zero unless a = 0.
-    That test, over the nonzeros of a, runs before the minimal polynomial.
+    That test, over the nonzeros of a, runs before the minimal polynomial m;
+    then a is diagonalizable over Q exactly when m has deg m distinct
+    rational roots.  The eigenspaces are left to `_refine_blocks`.
     """
-    n = a.rows
     data = a._data
     # den^2 tr(a^2), the same sign
     tr2 = sum(x * data[j].get(i, 0) for i, row in data.items() for j, x in row.items() if j in data)
@@ -424,30 +401,20 @@ def rational_eigensplit(a: Matrix):
     roots = rational_roots(mp)
     if len(roots) != len(mp) - 1:
         return None
-    spaces = []
-    total = 0
-    identity = Matrix.identity(n)
-    for r in sorted(roots):
-        ker = kernel(a - identity.scale(r))
-        spaces.append((r, ker))
-        total += ker.dim
-    if total != n:
-        return None
-    return spaces
+    return sorted(roots)
 
 
 def _initial_hom_basis(v, w):
     """Maps spanning Hom_g(V, W), fixed by their values on spun module
     generators of V, which a first-fit commuting pool confines to blocks.
 
-    The blocks start as the whole of V and the whole of W, and the basis is
-    walked in order.  An element whose bracket with a pool member is
-    nonzero is skipped before any eigensplit; one that splits rationally on
-    both modules joins the pool.  The first member's eigenspaces become the
-    blocks and each further member refines them block by block, a block's
-    key being the tuple of its eigenvalues.  The walk stops once the pool is
-    non-empty and some block of V is a single vector, or when the basis runs
-    out.  An intertwiner maps each block of V into the block of W with the
+    The blocks start as the whole of V and the whole of W, of key (), and
+    the basis is walked in order.  An element whose bracket with a pool
+    member is nonzero is skipped before any eigensplit; one that splits
+    rationally on both modules joins the pool, and `_refine_blocks` splits
+    the blocks by its eigenspaces, a block's key being the tuple of its
+    eigenvalues.  The walk stops once the pool is non-empty and some block
+    of V is a single vector, or when the basis runs out.  An intertwiner maps each block of V into the block of W with the
     same key.  `_spun_maps` then spins V from its block vectors and gives
     one map per generator u_s and vector of W's block of u_s's key,
     sum_s |W_key(u_s)| maps, the unknowns of the first constraint kernel
@@ -457,7 +424,7 @@ def _initial_hom_basis(v, w):
     algebra = v.algebra
     n, m = v.module_dim, w.module_dim
     blocks_v = [((), [{j: 1} for j in range(n)])]
-    blocks_w = blocks_v if w is v else [((), [{i: 1} for i in range(m)])]
+    blocks_w = blocks_v if m == n else [((), [{i: 1} for i in range(m)])]
     pool = []
     for a in range(algebra.dim):
         if pool and any(len(rows) == 1 for _, rows in blocks_v):
@@ -470,18 +437,14 @@ def _initial_hom_basis(v, w):
         ew = ev if w is v or w.actions[a] is v.actions[a] else rational_eigensplit(w.actions[a])
         if ew is None:
             continue
-        if not pool:
-            blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
-            blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
+        refined_v = _refine_blocks(blocks_v, v.actions[a], ev)
+        if blocks_w is blocks_v and ew is ev:
+            refined_w = refined_v
         else:
-            refined_v = _refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in ev])
-            if blocks_w is blocks_v and ew is ev:
-                refined_w = refined_v
-            else:
-                refined_w = _refine_blocks(blocks_w, w.actions[a], [lam for lam, _ in ew])
-            if refined_v is None or refined_w is None:
-                break
-            blocks_v, blocks_w = refined_v, refined_w
+            refined_w = _refine_blocks(blocks_w, w.actions[a], ew)
+        if refined_v is None or refined_w is None:
+            break
+        blocks_v, blocks_w = refined_v, refined_w
         pool.append(a)
     return _spun_maps(v, w, blocks_v, dict(blocks_w))
 
@@ -556,7 +519,8 @@ def _spun_maps(v, w, blocks_v, blocks_w):
 
 def _refine_blocks(blocks, x, eigenvalues):
     """Split each block (key, integer basis rows) into its intersections with
-    the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).
+    the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,); from
+    the whole-space block of unit rows, the eigenspaces of x themselves.
 
     None when some block is not the sum of its intersections, that is when
     x does not act on the blocks as an operator commuting with their split.

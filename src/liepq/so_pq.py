@@ -22,6 +22,7 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _combine_maps,
     _echelon,
     _intertwining_defect,
     _quotient,
@@ -873,20 +874,13 @@ def half_spin_reps(p: int, q: int) -> HalfSpinData:
     gammas = clifford_gammas_44()
     algebra = so_pq_algebra(4, 4)
     eta = ipq(4, 4)
-    products = {}
-    for a in range(8):
-        for b in range(a + 1, 8):
-            products[(a, b)] = mat_mul(gammas[a], gammas[b])
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    products = [mat_mul(gammas[a], gammas[b]) for a, b in pairs]
     actions = []
     for gen in algebra.basis:
         ai = mat_mul(gen, eta)
-        out = Matrix.zeros(16, 16)
-        for a in range(8):
-            for b in range(a + 1, 8):
-                v = ai[a, b]
-                if v:
-                    out = out + products[(a, b)].scale(v / 2)
-        actions.append(out)
+        coeffs = {k: v / 2 for k, v in enumerate(ai[a, b] for a, b in pairs) if v}
+        actions.append(_combine_maps(products, coeffs, 16, 16))
     spinor = Representation(algebra, 16, actions)
     chi = gammas[0]
     for g in gammas[1:]:

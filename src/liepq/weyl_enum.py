@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ContractError
-from .exact_linalg import ONE, Rational, ZERO, rat
+from .exact_linalg import Rational, rat
 
 
 class _WeightFields(NamedTuple):
@@ -60,21 +60,6 @@ class RootSystem(NamedTuple):
         elif kind == "D" and rank == 3:
             flag = "D3 coincides with A3: so(6,C) = sl(4,C)"
         return cls(kind, rank, rho, flag)
-
-    def fundamental_weights(self):
-        r = self.rank
-        half = Rational(1, 2)
-        weights = []
-        if self.kind == "B":
-            for k in range(1, r):
-                weights.append(WeightVector([ONE] * k + [ZERO] * (r - k)))
-            weights.append(WeightVector([half] * r))
-        else:
-            for k in range(1, r - 1):
-                weights.append(WeightVector([ONE] * k + [ZERO] * (r - k)))
-            weights.append(WeightVector([half] * (r - 1) + [-half]))
-            weights.append(WeightVector([half] * r))
-        return weights
 
     def is_dominant(self, lam: WeightVector) -> bool:
         c = lam.coords
@@ -149,7 +134,11 @@ def enumerate_up_to_dim(rs: RootSystem, bound: int):
         raise ContractError("bound must be at least 1")
     rho = _doubled(rs.rho.coords)
     den = _weyl_product(rs.kind, rho)
-    steps = [_doubled(w.coords) for w in rs.fundamental_weights()]
+    r = rs.rank
+    # twice the fundamental weights: 2(e_1 + ... + e_k), then the spin
+    # weights, (1, ..., 1) for B and (1, ..., 1, -1), (1, ..., 1) for D
+    spins = [[1] * r] if rs.kind == "B" else [[1] * (r - 1) + [-1], [1] * r]
+    steps = [[2] * k + [0] * (r - k) for k in range(1, r + 1 - len(spins))] + spins
     found = []
 
     def descend(idx, l, dim):

@@ -9,7 +9,7 @@ from liepq.exact_linalg import (
     NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert, rat,
     solve_linear, wedge_square_index,
 )
-from liepq.lie_core import LieAlgebra, canonical_json
+from liepq.lie_core import LieAlgebra, bracket, canonical_json
 from liepq.so_pq import so_pq_algebra
 from liepq.weyl_enum import WeightVector
 
@@ -134,14 +134,11 @@ def frozen(m):
 
 @pytest.fixture
 def fresh_family_memos():
-    """liepq.so_pq with the memo caches of the deformation family and of its
-    certificates emptied before and after the test, so that every
-    per-signature certificate reads the sources a test patches and none
-    outlives it."""
-    memos = [
-        so_pq._deformation_family, so_pq._so_centralizer, so_pq._so_maximality,
-        so_pq._embedding_defect, so_pq._killing_block_constants, so_pq._t1_equivariance_defect,
-    ]
+    """liepq.so_pq with every memo cache of its namespace (each module-level
+    function with `cache_clear`, as `tests/test_frozen_rows.py` scans them)
+    emptied before and after the test, so that every per-signature
+    certificate reads the sources a test patches and none outlives it."""
+    memos = [value for value in vars(so_pq).values() if callable(getattr(value, "cache_clear", None))]
     for memo in memos:
         memo.cache_clear()
     yield so_pq
@@ -217,12 +214,24 @@ def root_product_weyl_dim(rs, lam):
     return int(value)
 
 
+def fundamental_weights(rs):
+    """The fundamental weights of B_r or D_r as Fraction coordinate lists
+    (Bourbaki, Lie VI, Planches II and IV): e_1 + ... + e_k for k < r
+    (k < r - 1 for D), then (1/2)(e_1 + ... + e_r) for B, and
+    (1/2)(e_1 + ... + e_{r-1} - e_r) and (1/2)(e_1 + ... + e_r) for D."""
+    r = rs.rank
+    half = Fraction(1, 2)
+    spins = [[half] * r] if rs.kind == "B" else [[half] * (r - 1) + [-half], [half] * r]
+    ones = [[Fraction(1)] * k + [Fraction(0)] * (r - k) for k in range(1, r + 1 - len(spins))]
+    return ones + spins
+
+
 def fundamental_combination(rs, coefficients):
-    """sum_k m_k w_k over rs.fundamental_weights(), as a WeightVector; m_k
+    """sum_k m_k w_k over `fundamental_weights(rs)`, as a WeightVector; m_k
     is 0 past the end of the coefficients."""
     coords = [Fraction(0)] * rs.rank
-    for m, w in zip(coefficients, rs.fundamental_weights()):
-        coords = [a + m * b for a, b in zip(coords, w.coords)]
+    for m, w in zip(coefficients, fundamental_weights(rs)):
+        coords = [a + m * b for a, b in zip(coords, w)]
     return WeightVector(coords)
 
 
@@ -367,7 +376,7 @@ def gaussian_inertia(rows):
 def pairwise_defect(src, dst, phi):
     """The first basis pair (i, j), i < j, with phi[b_i, b_j] != [phi b_i, phi b_j],
     or None: every pair compared as dense rational coefficient lists, through
-    `structure_entry`, `column_list` and `bracket_coeffs`."""
+    `structure_entry`, `column_list` and `bracket`."""
     d = src.dim
     for i in range(d):
         xi = column_list(phi, i)
@@ -376,7 +385,7 @@ def pairwise_defect(src, dst, phi):
             for k, v in src.structure_entry(i, j).items():
                 for r in range(dst.dim):
                     lhs[r] += v * phi[r, k]
-            if lhs != dst.bracket_coeffs(xi, column_list(phi, j)):
+            if lhs != bracket(dst, xi, column_list(phi, j)):
                 return i, j
     return None
 

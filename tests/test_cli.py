@@ -373,9 +373,9 @@ def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
     for name in ("run_suite", "run_check"):
         monkeypatch.setattr(cli, name, forbidden)
     cases = [
-        ("--c-list", "1,,2", "item 2 of '1,,2' is empty"),
-        ("--c-list", ",1", "item 1 of ',1' is empty"),
-        ("--mu-list", "2,", "item 2 of '2,' is empty"),
+        ("--c-list", "1,,2", "item 2 is empty"),
+        ("--c-list", ",1", "item 1 is empty"),
+        ("--mu-list", "2,", "item 2 is empty"),
         ("--c-list", "1,1/1", "'1/1' repeats the value of '1'"),
         ("--c-list", "0,00/1", "'00/1' repeats the value of '0'"),
         ("--c-list", "-1/2, 2,-2/4", "'-2/4' repeats the value of '-1/2'"),
@@ -386,6 +386,30 @@ def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{flag}: {message}" in err
+    # the message names the flag and the position only, not the whole list
+    items = ",".join(d * cli.MAX_RAT_DIGITS for d in "987")
+    argv = ["verify", "--suite", "all", "--p", "3", "--q", "1", "--c-list", items + ","]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--c-list: item 4 is empty" in err and len(err) < 100
+
+
+def test_an_exception_inside_a_check_fails_it_and_the_report_prints(capsys, monkeypatch):
+    """A fault inside a check that is not a LiepqError used to end the run
+    as a usage error (exit 2, no report); it fails that check now, with the
+    exception's type name leading the reason, and the run exits 1."""
+    import liepq.cli as cli
+
+    def broken(p, q):
+        raise ValueError("a bug inside the check")
+
+    monkeypatch.setitem(cli.CHECKS, "killing_vs_trace", (broken, "appendix", None))
+    code, out = invoke(capsys, "verify", "--suite", "appendix", "--p", "3", "--q", "1")
+    report = json.loads(out)
+    assert code == 1 and report["overall"] == "fail"
+    [entry] = [c for c in report["checks"] if c["name"] == "killing_vs_trace"]
+    assert entry["status"] == "fail" and entry["reason"].startswith("ValueError")
+    assert all(c["status"] != "fail" for c in report["checks"] if c["name"] != "killing_vs_trace")
 
 
 def test_oversize_rational_tokens_exit_2_before_any_work(capsys, monkeypatch):

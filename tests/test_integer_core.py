@@ -21,6 +21,7 @@ from liepq.exact_linalg import (
     NO_SOLUTION,
     Rational,
     Subspace,
+    _combine_maps,
     invert,
     kernel,
     kron,
@@ -32,7 +33,6 @@ from liepq.exact_linalg import (
     solve_linear,
 )
 from liepq.lie_core import LieAlgebra, _Coordinatizer
-from liepq.rep_theory import _combine_maps
 from liepq.ratpoly import (
     min_poly,
     poly_eval,

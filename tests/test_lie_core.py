@@ -26,14 +26,9 @@ from liepq.lie_core import (
     bracket,
     centralizer,
     is_maximal_subalgebra,
-    is_semisimple,
     is_subalgebra,
-    killing_form,
     orthogonal_complement,
-    structure_tensor,
     subalgebra_closure,
-    theta_involution,
-    trace_form,
 )
 from liepq.rep_theory import _map_defect, adjoint_rep, is_irreducible
 from liepq.so_pq import (
@@ -75,14 +70,14 @@ def test_bracket_antisymmetry_and_zero(so3_rotations):
 def test_structure_tensor_abelian_diagonal():
     basis = [Matrix.diagonal([1, 0]), Matrix.diagonal([0, 1])]
     algebra = LieAlgebra.from_matrices(basis)
-    assert structure_tensor(algebra) == {}
+    assert algebra.structure == {}
     assert algebra.is_abelian()
 
 
 def test_structure_tensor_so21_frozen_values(so21):
     # hand-computed commutators of the frozen basis (rotation b0, boosts b1, b2):
     # [b0,b1] = -b2, [b0,b2] = b1, [b1,b2] = b0
-    tensor = structure_tensor(so21)
+    tensor = so21.structure
     assert tensor == {
         (0, 1): {2: rat(-1)},
         (0, 2): {1: rat(1)},
@@ -198,11 +193,11 @@ def test_from_matrices_builds_no_product_matrix(monkeypatch):
 
 def test_killing_abelian_is_zero():
     algebra = LieAlgebra.from_matrices([Matrix.diagonal([1, 0]), Matrix.diagonal([0, 1])])
-    assert killing_form(algebra).gram.is_zero()
+    assert algebra.killing_form().gram.is_zero()
 
 
 def test_killing_so3_negative_definite(so3_rotations):
-    gram = killing_form(so3_rotations).gram
+    gram = so3_rotations.killing_form().gram
     assert inertia_of_diagonalizable_form(gram) == (0, 3, 0)
 
 
@@ -210,11 +205,11 @@ def test_killing_is_n_minus_2_times_trace_form():
     for (p, q) in [(2, 1), (3, 1), (2, 2), (5, 0)]:
         algebra = so_pq_algebra(p, q)
         n = p + q
-        assert killing_form(algebra).gram == trace_form(algebra).gram.scale(n - 2)
+        assert algebra.killing_form().gram == algebra.trace_form().gram.scale(n - 2)
 
 
 def test_trace_form_so3(so3_rotations):
-    assert trace_form(so3_rotations).gram == Matrix.identity(3).scale(-2)
+    assert so3_rotations.trace_form().gram == Matrix.identity(3).scale(-2)
 
 
 def _trace_form_algebras():
@@ -230,7 +225,7 @@ def _trace_form_algebras():
 
 def test_trace_form_matches_the_pairwise_oracle():
     for algebra in _trace_form_algebras():
-        assert trace_form(algebra).gram == pairwise_trace_gram(algebra)
+        assert algebra.trace_form().gram == pairwise_trace_gram(algebra)
 
 
 @given(
@@ -244,24 +239,24 @@ def test_trace_form_matches_the_pairwise_oracle_on_any_basis(n, entries):
     denominators, wrapped with no bracket check, against the oracle."""
     basis = [Matrix(n, n, [rat(x) for x in e[: n * n]]) for e in entries]
     algebra = LieAlgebra.from_structure(len(basis), [], validate=False, basis=basis)
-    assert trace_form(algebra).gram == pairwise_trace_gram(algebra)
+    assert algebra.trace_form().gram == pairwise_trace_gram(algebra)
 
 
 def test_theta_identity_on_compact(so3_rotations):
-    assert theta_involution(so3_rotations) == Matrix.identity(3)
+    assert so3_rotations.theta_involution() == Matrix.identity(3)
 
 
 def test_theta_so21_fixes_rotation_negates_boosts(so21):
-    assert theta_involution(so21) == Matrix.diagonal([1, -1, -1])
+    assert so21.theta_involution() == Matrix.diagonal([1, -1, -1])
 
 
 def test_theta_squares_to_identity(so31):
-    theta = theta_involution(so31)
+    theta = so31.theta_involution()
     assert mat_mul(theta, theta) == Matrix.identity(so31.dim)
 
 
 def test_theta_is_automorphism(so31):
-    theta = theta_involution(so31)
+    theta = so31.theta_involution()
     assert _map_defect(so31, so31, theta) is None
     assert pairwise_defect(so31, so31, theta) is None
 
@@ -269,13 +264,13 @@ def test_theta_is_automorphism(so31):
 def test_theta_not_stable():
     nil = LieAlgebra.from_matrices([unit_matrix(0, 1, 2)])
     with pytest.raises(NotStableError):
-        theta_involution(nil)
+        nil.theta_involution()
 
 
 def test_is_semisimple(so31):
-    assert is_semisimple(so31)
-    assert not is_semisimple(so_pq_algebra(1, 1))
-    assert not is_semisimple(deformed_algebra(2, 1, 0).algebra)
+    assert so31.is_semisimple()
+    assert not so_pq_algebra(1, 1).is_semisimple()
+    assert not deformed_algebra(2, 1, 0).algebra.is_semisimple()
 
 
 def test_centralizer_of_whole_simple_algebra(so3_rotations):
@@ -362,7 +357,7 @@ def test_maximal_implies_centralizer_inside(so21):
 
 
 def test_orthogonal_complement_trivial(so31):
-    beta = trace_form(so31)
+    beta = so31.trace_form()
     assert orthogonal_complement(beta, Subspace.full(6)).dim == 0
     assert orthogonal_complement(beta, zero_subspace(6)) == Subspace.full(6)
 
@@ -380,7 +375,7 @@ def test_beta_complement_of_so21_in_so31(so31):
         embedded.append(coord.express(big))
     assert all(v is not None for v in embedded)
     sub = Subspace.from_vectors(6, embedded)
-    complement = orthogonal_complement(trace_form(so31), sub)
+    complement = orthogonal_complement(so31.trace_form(), sub)
     assert complement.dim == 3
 
 
@@ -395,7 +390,7 @@ def test_jacobi_on_random_vectors(x, y, z):
 
 
 def test_killing_ad_invariance(so31):
-    gram = killing_form(so31)
+    gram = so31.killing_form()
     d = so31.dim
     for i in range(d):
         ei = [rat(0)] * d
@@ -406,20 +401,20 @@ def test_killing_ad_invariance(so31):
             for k in range(d):
                 ek = [rat(0)] * d
                 ek[k] = rat(1)
-                lhs = gram.evaluate(so31.bracket_coeffs(ei, ej), ek)
-                rhs = -gram.evaluate(ej, so31.bracket_coeffs(ei, ek))
+                lhs = gram.evaluate(bracket(so31, ei, ej), ek)
+                rhs = -gram.evaluate(ej, bracket(so31, ei, ek))
                 assert lhs == rhs
 
 
 def test_trace_form_associative(so21):
-    beta = trace_form(so21)
+    beta = so21.trace_form()
     d = so21.dim
     units = [[rat(1) if r == i else rat(0) for r in range(d)] for i in range(d)]
     for x in units:
         for y in units:
             for z in units:
-                assert beta.evaluate(so21.bracket_coeffs(x, y), z) == beta.evaluate(
-                    x, so21.bracket_coeffs(y, z)
+                assert beta.evaluate(bracket(so21, x, y), z) == beta.evaluate(
+                    x, bracket(so21, y, z)
                 )
 
 
@@ -440,9 +435,9 @@ def test_json_abstract_round_trip():
 def test_dim_zero_algebra():
     empty = LieAlgebra.from_structure(0, [])
     assert empty.dim == 0
-    assert killing_form(empty).gram.rows == 0
+    assert empty.killing_form().gram.rows == 0
     matrix_empty = LieAlgebra.from_matrices([])
-    assert trace_form(matrix_empty).gram.rows == 0
+    assert matrix_empty.trace_form().gram.rows == 0
 
 
 @pytest.mark.parametrize(
@@ -574,7 +569,7 @@ def test_sparse_bracket_matches_all_keys_formula(algebra, data):
     vec = st.lists(sparse_coeff, min_size=algebra.dim, max_size=algebra.dim)
     x = [rat(v) for v in data.draw(vec)]
     y = [rat(v) for v in data.draw(vec)]
-    got = algebra.bracket_coeffs(x, y)
+    got = bracket(algebra, x, y)
     assert got == all_keys_bracket(algebra, x, y)
     assert all(type(v) is Rational for v in got)
 

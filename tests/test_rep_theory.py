@@ -41,7 +41,7 @@ from liepq.so_pq import (
 )
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
-from conftest import block_pairing_basis, column_list, contains, restrict_by_solve
+from conftest import block_pairing_basis, column_list, contains, dense_kernel, restrict_by_solve
 
 
 def std_and_friends(p, q):
@@ -376,10 +376,12 @@ def test_eigensplit_filter_rejects_before_min_poly(rows, monkeypatch):
 
 
 def test_eigensplit_zero_matrix_is_one_block():
-    from liepq.rep_theory import rational_eigensplit
+    import liepq.rep_theory as rt
 
-    split = rational_eigensplit(Matrix.zeros(3, 3))
-    assert split == [(rat(0), Subspace.full(3))]
+    zero = Matrix.zeros(3, 3)
+    assert rt.rational_eigensplit(zero) == [rat(0)]
+    whole = [((), [{j: 1} for j in range(3)])]
+    assert rt._refine_blocks(whole, zero, [rat(0)]) == [((rat(0),), whole[0][1])]
 
 
 def test_eigensplit_jordan_block_rejected_by_min_poly(monkeypatch):
@@ -402,13 +404,20 @@ _SMALL_RATIONALS = st.builds(
 
 @given(
     st.lists(_SMALL_RATIONALS, min_size=1, max_size=4),
+    st.booleans(),
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_eigensplit_of_conjugated_diagonal(diag, data):
-    """P.D.P^-1 splits into the eigenspaces of D moved by P."""
-    from liepq.rep_theory import rational_eigensplit
+def test_eigensplit_of_conjugated_diagonal(diag, jordan, data):
+    """P.D.P^-1, for a diagonal D with a repeated entry, is diagonalizable:
+    `rational_eigensplit` returns the distinct entries of D, and
+    `_refine_blocks` from the whole-space block cuts out each eigenspace
+    ker(a - lam), the span of D's eigenvectors moved by P, as the dense
+    oracle does.  With a Jordan block in place of the repeated pair,
+    P.J.P^-1 is not diagonalizable and `rational_eigensplit` returns None."""
+    import liepq.rep_theory as rt
 
+    diag = diag + [data.draw(st.sampled_from(diag))]  # an entry repeated
     n = len(diag)
     ints = st.integers(min_value=-2, max_value=2)
     # P = L.U with unit triangular factors is invertible
@@ -421,14 +430,23 @@ def test_eigensplit_of_conjugated_diagonal(diag, data):
     lower = Matrix.from_sparse(n, n, lower)
     upper = Matrix.from_sparse(n, n, upper)
     p = lower @ upper
-    from liepq.exact_linalg import invert
-
+    if jordan:
+        # J = D + E_{k, n-1}, for diag[k] = diag[n-1] and k < n - 1: a
+        # Jordan block of size 2 on e_k, e_{n-1}
+        k = diag.index(diag[-1])
+        j = Matrix.diagonal(diag) + Matrix.from_sparse(n, n, {(k, n - 1): rat(1)})
+        assert rt.rational_eigensplit(p @ j @ invert(p)) is None
+        return
     a = p @ Matrix.diagonal(diag) @ invert(p)
-    expected = [
-        (lam, Subspace.from_vectors(n, [column_list(p, i) for i in range(n) if diag[i] == lam]))
-        for lam in sorted(set(diag))
-    ]
-    assert rational_eigensplit(a) == expected
+    eigenvalues = sorted(set(diag))
+    assert rt.rational_eigensplit(a) == eigenvalues
+    blocks = rt._refine_blocks([((), [{j: 1} for j in range(n)])], a, eigenvalues)
+    assert [key for key, _ in blocks] == [(lam,) for lam in eigenvalues]
+    for (_, rows), lam in zip(blocks, eigenvalues):
+        block = Subspace.from_vectors(n, [[row.get(j, 0) for j in range(n)] for row in rows])
+        moved = Subspace.from_vectors(n, [column_list(p, i) for i in range(n) if diag[i] == lam])
+        shifted = [[a[r, c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
+        assert block == moved == Subspace.from_vectors(n, dense_kernel(shifted, n))
 
 
 def _module_dim(expr, n):
@@ -571,8 +589,11 @@ def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypat
         rt, "_refine_blocks", lambda *args: refinements.append(args) or real(*args)
     )
     _assert_hom_matches_dense(v, w)
-    # a pool of two or more elements refined the split
-    assert bool(refinements) == dict(_REFINED_SPLITS)[(pq, expr_v, expr_w)]
+    # every pool member refines the blocks, the first one the whole-space
+    # block of key (); a second pool member refines a split
+    keys = [blocks[0][0] for blocks, *_ in refinements]
+    assert keys and keys[0] == ()
+    assert any(keys) == dict(_REFINED_SPLITS)[(pq, expr_v, expr_w)]
     if expr_v[0] == "sum" and expr_v[1] != expr_v[2]:
         # the summands of V split differently under some pool element
         first = _build_module(expr_v[1], p, q)
@@ -583,8 +604,8 @@ def test_hom_space_matches_dense_on_refined_splits(pq, expr_v, expr_w, monkeypat
             s1 = rt.rational_eigensplit(first.actions[a])
             s2 = rt.rational_eigensplit(second.actions[a])
             if s1 is not None and s2 is not None:
-                dims1 = [(lam, sp.dim) for lam, sp in s1]
-                dims2 = [(lam, sp.dim) for lam, sp in s2]
+                dims1 = [(key, len(rows)) for key, rows in _joint_blocks(first, [(a, s1)])]
+                dims2 = [(key, len(rows)) for key, rows in _joint_blocks(second, [(a, s2)])]
                 differ = differ or dims1 != dims2
         assert differ
 
@@ -649,7 +670,7 @@ def _replay_pool(v, w, monkeypatch):
             assert aw is w.actions[idx]
         if ew is not None:
             pool.append(idx)
-            members_v.append((idx, [lam for lam, _ in ev]))
+            members_v.append((idx, ev))
     if walked:
         # the pool collected before the last eigensplit left every block of V wide
         before = [m for m in members_v if m[0] < walked[-1]]
@@ -831,8 +852,9 @@ def _scored_initial_basis(v, w):
         ew = ev if w is v or w.actions[a] is v.actions[a] else rt.rational_eigensplit(w.actions[a])
         if ew is None:
             continue
-        dims_w = {lam: sp.dim for lam, sp in ew}
-        score = sum(sp.dim * dims_w.get(lam, 0) for lam, sp in ev)
+        dims_v = {key: len(rows) for key, rows in _joint_blocks(v, [(a, ev)])}
+        dims_w = {key: len(rows) for key, rows in _joint_blocks(w, [(a, ew)])}
+        score = sum(k * dims_w.get(key, 0) for key, k in dims_v.items())
         singles.append((a, score, ev, ew))
     if not singles:
         return None
@@ -843,15 +865,14 @@ def _scored_initial_basis(v, w):
             pool.append(cand)
         if len(pool) >= 8:
             break
-    _, _, ev, ew = pool[0]
-    blocks_v = [((lam,), sp._integer_rows()) for lam, sp in ev]
-    blocks_w = blocks_v if ew is ev else [((lam,), sp._integer_rows()) for lam, sp in ew]
-    for a, _, xv, xw in pool[1:]:
-        refined_v = rt._refine_blocks(blocks_v, v.actions[a], [lam for lam, _ in xv])
+    blocks_v = [((), [{j: 1} for j in range(v.module_dim)])]
+    blocks_w = blocks_v if w is v else [((), [{i: 1} for i in range(w.module_dim)])]
+    for a, _, xv, xw in pool:
+        refined_v = rt._refine_blocks(blocks_v, v.actions[a], xv)
         if blocks_w is blocks_v and xw is xv:
             refined_w = refined_v
         else:
-            refined_w = rt._refine_blocks(blocks_w, w.actions[a], [lam for lam, _ in xw])
+            refined_w = rt._refine_blocks(blocks_w, w.actions[a], xw)
         if refined_v is None or refined_w is None:
             break
         blocks_v, blocks_w = refined_v, refined_w
