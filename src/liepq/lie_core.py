@@ -459,7 +459,8 @@ def _gram_matrix(rows: dict, d: int, den: int) -> Matrix:
     zeros dropped."""
     data = {}
     for a, row in rows.items():
-        row = {b: s for b, s in row.items() if s}
+        if 0 in row.values():
+            row = {b: s for b, s in row.items() if s}
         if row:
             data[a] = row
     return _reduced(d, d, data, den)
