@@ -12,7 +12,7 @@ dict with at least {"status": "pass" | "fail" | "skipped"}.
 
 from __future__ import annotations
 
-from .errors import ContractError, UnknownSmallestModuleError
+from .errors import UnknownSmallestModuleError
 from .exact_linalg import (
     Matrix,
     Subspace,
@@ -21,9 +21,7 @@ from .exact_linalg import (
     kernel,
     proportionality,
 )
-from .lie_core import orthogonal_complement
 from .rep_theory import (
-    Representation,
     _map_defect,
     adjoint_rep,
     character_discrimination_test,
@@ -33,19 +31,20 @@ from .rep_theory import (
     invariant_skew_forms,
     invariant_symmetric_forms,
     is_irreducible,
-    restrict,
     wedge_square_rep,
 )
 from .so_pq import (
     SO31_SL2C,
     SO32_SP4R,
     SO33_SL4R,
+    _complement_defect,
     _deformation_family,
     _embedding_defect,
     _killing_block_constants,
     _so_centralizer,
     _so_maximality,
     _t1_equivariance_defect,
+    _t1_rank,
     deformed_algebra,
     dimension_bound,
     embedding_iso,
@@ -196,9 +195,12 @@ def check_tc_equivariance(p, q, c):
 
 
 def check_tc_iso_rank(p, q, c):
+    """rank T_c, n(n-1)/2 for c != 0 and 0 at c = 0: T_c = c.T_1 is checked
+    at each c, and rank T_1 is computed once per (p, q) (`_t1_rank`)."""
     n = p + q
-    tc = t_c(p, q, c)
-    rank = tc.cols - kernel(tc).dim
+    if t_c(p, q, c) != t_c(p, q, 1).scale(c):
+        return _fail(reason="T_c is not c.T_1")
+    rank = _t1_rank(p, q) if c else 0
     expected = n * (n - 1) // 2 if c != 0 else 0
     if rank != expected:
         return _fail(found=rank, expected=expected)
@@ -281,33 +283,21 @@ def check_killing_blocks(p, q, c):
 
 def check_complement_irreducible(p, q, c):
     """The trace-form orthogonal complement of the embedded so(p,q) inside
-    so(R^{n+1}, I_{p,q}(c)) is n-dimensional, invariant and irreducible."""
+    T = so(R^{n+1}, I_{p,q}(c)) is n-dimensional, invariant and irreducible.
+    The only work at c is dim T = m + n, m = dim so(p,q); given that, the
+    certified embedding, the standard action of so on the vectors and the
+    irreducibility of R^{p,q} prove it once per sign of c
+    (`_complement_defect`)."""
     n = p + q
     if c == 0:
         return _skip("the matrix-side pipeline needs c != 0")
-    emb = embedding_iso(p, q, c)
-    target = so_of_form(emb.target_form)
-    coord = target.coordinatizer()
-    m = n * (n - 1) // 2
-    embedded = [coord.express(im) for im in emb.images[:m]]
-    if any(v is None for v in embedded):
-        return _fail(reason="embedded so(p,q) not inside so_of_form basis span")
-    subalg = Subspace.from_vectors(target.dim, embedded)
-    beta = target.trace_form()
-    complement = orthogonal_complement(beta, subalg)
-    if complement.dim != n:
-        return _fail(reason=f"complement has dim {complement.dim}, expected {n}")
-    # the first m images are so(p,q)'s frozen basis, block-embedded, so they
-    # have its structure constants
-    actions = [target.ad_matrix(v) for v in embedded]
-    try:
-        module = restrict(Representation(so_pq_algebra(p, q), target.dim, actions), complement)
-    except ContractError:
-        return _fail(reason="complement is not invariant")
-    verdict = is_irreducible(module)
-    if verdict.status != "IRREDUCIBLE":
-        return _fail(reason=f"verdict {verdict.status}", endo_dim=verdict.endo_dim)
-    return _pass(dim=complement.dim)
+    dim, expected = so_of_form(ipq_c(p, q, c)).dim, n * (n + 1) // 2
+    if dim != expected:
+        return _fail(reason=f"so(R^{{n+1}}, I_{{p,q}}(c)) has dim {dim}, expected {expected}")
+    reason = _complement_defect(p, q, c > 0)
+    if reason is not None:
+        return _fail(reason=reason)
+    return _pass(dim=n)
 
 
 def check_character_identity(p, q, mu):

@@ -148,8 +148,8 @@ def _rat_list(flag, text):
             raise ContractError(f"{flag}: item {pos} is empty")
         value = _rat_token(flag, t)
         if value in seen:
-            raise ContractError(f"{flag}: {t!r} repeats the value of {seen[value]!r}")
-        seen[value] = t
+            raise ContractError(f"{flag}: item {pos} repeats item {seen[value]}")
+        seen[value] = pos
     return items
 
 
@@ -230,10 +230,10 @@ def cmd_verify(args) -> int:
     _signature_within_limit(args.p, args.q)
     c_list = _rat_list("--c-list", args.c_list)
     mu_list = _rat_list("--mu-list", args.mu_list)
-    for mu in mu_list:
+    for pos, mu in enumerate(mu_list, 1):
         value = rat(mu)
         if value <= 0 or value == 1:
-            raise ContractError(f"--mu-list: mu must be positive and different from 1, got {mu}")
+            raise ContractError(f"--mu-list: item {pos}: mu must be positive and different from 1")
     report = run_suite(args.suite, args.p, args.q, c_list, mu_list)
     if args.format == "human":
         for check in report["checks"]:

@@ -12,6 +12,7 @@ form, and E_ij + E_ji when i < p <= j.
 from __future__ import annotations
 
 import functools
+from math import lcm as _lcm
 from typing import NamedTuple
 
 from .errors import ContractError, ShapeMismatchError, UnknownSmallestModuleError, UnsupportedRealizationError
@@ -50,6 +51,7 @@ from .rep_theory import (
     _bracket_defect,
     dual_rep,
     invariant_symmetric_forms,
+    is_irreducible,
     restrict,
     wedge_square_rep,
 )
@@ -415,6 +417,70 @@ def _embedding_defect(p: int, q: int, positive: bool):
     return _graded_embedding_defect(family.joint, dict.fromkeys(family.vec, 1), form, images)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _complement_defect(p: int, q: int, positive: bool):
+    """Why, for some c of one sign branch, the trace-form complement of
+    rho_c(so) in T = so(R^{n+1}, I_{p,q}(c)) is not R^{p,q}, irreducible,
+    given dim T = m + n; or None.
+
+    (E), `_embedding_defect`: rho_c is injective, so T = rho_c(so) (+)
+    rho_c(V).  tr(rho(X_a).rho(e_i)) = 0 in every degree of c (checked
+    here on the branch parts) and the trace form is nondegenerate on
+    rho_c(so), so rho_c(V) is the complement.  By (E) and (G),
+    [rho X_a, rho e_i] = sum_k (X_a)_ki rho e_k: so acts on the basis
+    rho(e_i) by the standard matrices, and (R) decides the module.  The
+    c-free facts are `_standard_complement_defect`."""
+    reason = _embedding_defect(p, q, positive) or _standard_complement_defect(p, q)
+    if reason is not None:
+        return reason
+    _, images = _embedding_branch(p, q, positive)
+    m = len(images) - (p + q)
+    # tr(A.B) pairs entry (r, s) of A with entry (s, r) of B
+    partners = {}
+    for b, parts in enumerate(images[m:], m):
+        for e, y in enumerate(parts):
+            for r, row in y._data.items():
+                for s, w in row.items():
+                    partners.setdefault((s, r), []).append((b, e, Rational(w, y.den)))
+    for a, parts in enumerate(images[:m]):
+        traces = {}
+        for d, x in enumerate(parts):
+            for r, row in x._data.items():
+                for s, v in row.items():
+                    for b, e, w in partners.get((r, s), ()):
+                        key = (b, d + e)
+                        traces[key] = traces.get(key, 0) + Rational(v, x.den) * w
+        bad = [key for key, t in traces.items() if t]
+        if bad:
+            b, g = min(bad)
+            return f"tr(rho(X_{a}).rho(e_{b - m})) is not zero in degree {g}"
+    return None
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _standard_complement_defect(p: int, q: int):
+    """Why a c-free fact of `_complement_defect` fails, or None, once per
+    (p, q): (G) the base value of every key (X_a, e_i) is column i of X_a
+    on the vectors; the trace form of so(p,q), which is that of rho_c(so)
+    since the so images are the generators placed in a block, is
+    nondegenerate; and (R) R^{p,q} is irreducible."""
+    base = _deformation_family(p, q).base
+    std = standard_rep(p, q)
+    m, n = std.algebra.dim, std.module_dim
+    for a, gen in enumerate(std.actions):
+        columns = gen.transpose()._data
+        for i in range(n):
+            column = {m + k: _quotient(x, gen.den) for k, x in columns.get(i, {}).items()}
+            if base.get((a, m + i), {}) != column:
+                return f"[X_{a}, e_{i}] is not column {i} of X_{a} on the vectors"
+    if kernel(std.algebra.trace_form().gram).dim:
+        return "the trace form of so(p,q) is degenerate"
+    verdict = is_irreducible(std)
+    if verdict.status != "IRREDUCIBLE":
+        return f"R^{{p,q}} verdict {verdict.status}, endo_dim {verdict.endo_dim}"
+    return None
+
+
 def _graded_embedding_defect(algebra, degree, form, images):
     """Why the images fail to embed the graded algebra into so(form), or
     None; every certificate holds as an identity of polynomials in c.
@@ -422,7 +488,10 @@ def _graded_embedding_defect(algebra, degree, form, images):
     The structure constants of key (i, j) have degree degree.get((i, j), 0)
     in c, and form and each image are tuples of matrix parts, part d the
     coefficient of c^d.  Three certificates, in order:
-    - the form: A^t.F + F.A = 0 in every degree, for every image A;
+    - the form: A^t.F + F.A = 0 in every degree, for every image A, each
+      term -(A_d^t.F_e + F_e.A_d) one integer vector of
+      `_intertwining_defect(-A_d^t, F_e, A_d)`, brought to the terms'
+      common denominator and summed under degree d + e;
     - the brackets: `rep_theory._bracket_defect`, whose reason names the
       first failing pair and its lowest failing degree;
     - injectivity: on the matrix entries where every part of degree >= 1
@@ -431,14 +500,20 @@ def _graded_embedding_defect(algebra, degree, form, images):
       images independent for every c.
     """
     for parts in images:
+        terms = [
+            (d + e, _intertwining_defect(-x.transpose(), f, x))
+            for d, x in enumerate(parts)
+            if x._data
+            for e, f in enumerate(form)
+        ]
+        common = _lcm(1, *(den for _, (_, den) in terms))
         sums = {}
-        for d, x in enumerate(parts):
-            if x.is_zero():
-                continue
-            for e, f in enumerate(form):
-                term = x.transpose() @ f + f @ x
-                sums[d + e] = sums[d + e] + term if d + e in sums else term
-        bad = [g for g, s in sums.items() if not s.is_zero()]
+        for g, (vec, den) in terms:
+            acc = sums.setdefault(g, {})
+            k = common // den
+            for key, v in vec.items():
+                acc[key] = acc.get(key, 0) + k * v
+        bad = [g for g, acc in sums.items() if any(acc.values())]
         if bad:
             return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
     defect = _bracket_defect(algebra, images, degree)
@@ -512,6 +587,14 @@ def _t1_equivariance_defect(p: int, q: int):
         if _intertwining_defect(algebra.ad_basis_matrix(x), t1, wedge.actions[x])[0]:
             return x
     return None
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _t1_rank(p: int, q: int) -> int:
+    """rank T_1, once per (p, q): rank T_c = rank T_1 for every c != 0,
+    where T_c = c.T_1."""
+    t1 = t_c(p, q, 1)
+    return t1.cols - kernel(t1).dim
 
 
 def so_of_form(form: Matrix) -> LieAlgebra:

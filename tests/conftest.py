@@ -5,11 +5,13 @@ from math import lcm
 import pytest
 
 from liepq import so_pq
+from liepq.errors import ContractError
 from liepq.exact_linalg import (
     NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert, rat,
     solve_linear, wedge_square_index,
 )
-from liepq.lie_core import LieAlgebra, bracket, canonical_json
+from liepq.lie_core import LieAlgebra, bracket, canonical_json, orthogonal_complement
+from liepq.rep_theory import Representation, is_irreducible, restrict
 from liepq.so_pq import so_pq_algebra
 from liepq.weyl_enum import WeightVector
 
@@ -490,6 +492,47 @@ def per_c_deformed_algebra(p, q, c):
     for idx, (i, j) in enumerate(wedge_square_index(n)):
         entries.append((m + i, m + j, idx, -c if (i < p and j < p) else c))
     return LieAlgebra.from_structure(m + n, entries, validate=True)
+
+
+def per_c_complement(p, q, c):
+    """The matrix pipeline of one c != 0: (module, complement) with so(p,q)
+    acting on T = so(R^{n+1}, I_{p,q}(c)) through the ad matrices of its
+    embedded images, each in T's coordinates, and the trace-form
+    orthogonal complement of those images in T.  Raises ContractError when
+    an image is not in T."""
+    emb = so_pq.embedding_iso(p, q, c)
+    target = so_pq.so_of_form(emb.target_form)
+    coord = target.coordinatizer()
+    m = (p + q) * (p + q - 1) // 2
+    embedded = [coord.express(im) for im in emb.images[:m]]
+    if any(v is None for v in embedded):
+        raise ContractError("embedded so(p,q) not inside so_of_form basis span")
+    complement = orthogonal_complement(target.trace_form(), Subspace.from_vectors(target.dim, embedded))
+    # the first m images are so(p,q)'s frozen basis, block-embedded, so they
+    # have its structure constants
+    actions = [target.ad_matrix(v) for v in embedded]
+    return Representation(so_pq_algebra(p, q), target.dim, actions), complement
+
+
+def per_c_complement_verdict(p, q, c):
+    """The verdict of `check_complement_irreducible` by the per-c pipeline:
+    {"status": "pass", "dim": n} when the complement is n-dimensional,
+    invariant and irreducible, else {"status": "fail", "reason": ...}."""
+    n = p + q
+    try:
+        module, complement = per_c_complement(p, q, c)
+    except ContractError as exc:
+        return {"status": "fail", "reason": str(exc)}
+    if complement.dim != n:
+        return {"status": "fail", "reason": f"complement has dim {complement.dim}, expected {n}"}
+    try:
+        module = restrict(module, complement)
+    except ContractError:
+        return {"status": "fail", "reason": "complement is not invariant"}
+    verdict = is_irreducible(module)
+    if verdict.status != "IRREDUCIBLE":
+        return {"status": "fail", "reason": f"verdict {verdict.status}"}
+    return {"status": "pass", "dim": complement.dim}
 
 
 def three_run_family(p, q):

@@ -325,6 +325,36 @@ def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch, fresh_fa
     assert certified == 1
 
 
+def test_verify_appendix_certifies_the_complement_once(monkeypatch, fresh_family_memos):
+    """Seven values of c: R^{p,q} is decided irreducible once, no check
+    restricts a module to a complement, and the one per-c work of
+    complement_irreducible, the target's dimension, builds so_of_form once
+    per nonzero c."""
+    import liepq.checks as checks
+    import liepq.rep_theory as rt
+
+    calls = {"is_irreducible": 0, "restrict": 0, "so_of_form": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (checks, fresh_family_memos):
+        counted(module, "is_irreducible")
+        counted(module, "so_of_form")
+    for module in (rt, fresh_family_memos):
+        counted(module, "restrict")
+    assert not hasattr(checks, "restrict")
+    report = run_suite("appendix", 3, 1, ["2", "-1", "0", "1/3", "-5/2", "7", "-3/4"], [])
+    assert report["overall"] == "pass"
+    assert calls == {"is_irreducible": 1, "restrict": 0, "so_of_form": 6}
+
+
 def test_verify_refuses_bad_mu_before_any_work(capsys, monkeypatch):
     """A boost parameter mu <= 0 or mu = 1 is a domain error, refused whatever
     the suite (the report echoes mu_list), not a failed character check."""
@@ -376,10 +406,10 @@ def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
         ("--c-list", "1,,2", "item 2 is empty"),
         ("--c-list", ",1", "item 1 is empty"),
         ("--mu-list", "2,", "item 2 is empty"),
-        ("--c-list", "1,1/1", "'1/1' repeats the value of '1'"),
-        ("--c-list", "0,00/1", "'00/1' repeats the value of '0'"),
-        ("--c-list", "-1/2, 2,-2/4", "'-2/4' repeats the value of '-1/2'"),
-        ("--mu-list", "3/2,6/4", "'6/4' repeats the value of '3/2'"),
+        ("--c-list", "1,1/1", "item 2 repeats item 1"),
+        ("--c-list", "0,00/1", "item 2 repeats item 1"),
+        ("--c-list", "-1/2, 2,-2/4", "item 3 repeats item 1"),
+        ("--mu-list", "3/2,6/4", "item 2 repeats item 1"),
     ]
     for flag, value, message in cases:
         argv = ["verify", "--suite", "all", "--p", "3", "--q", "1", flag, value]
@@ -392,6 +422,18 @@ def test_verify_refuses_empty_items_and_repeated_values(capsys, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--c-list: item 4 is empty" in err and len(err) < 100
+    # a repeated value and a bad mu are named by position, not echoed
+    argv = ["verify", "--suite", "all", "--p", "3", "--q", "1", "--c-list", items + ",0," + "9" * 1000]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--c-list: item 5 repeats item 1" in err and len(err) < 100
+    big = "1" * cli.MAX_RAT_DIGITS
+    for mu_list, pos in ((big + "/" + big, 1), ("2,-" + big, 2)):
+        argv = ["verify", "--suite", "all", "--p", "3", "--q", "1", "--mu-list", mu_list]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--mu-list: item {pos}: mu must be positive" in err
+        assert len(err) < 100
 
 
 def test_an_exception_inside_a_check_fails_it_and_the_report_prints(capsys, monkeypatch):
@@ -563,13 +605,17 @@ def _unit(n, i, j):
     return Matrix.from_sparse(n, n, {(i, j): 1})
 
 
-def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch):
+def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch, fresh_family_memos):
+    """rank T_1 is read once per signature (`so_pq._t1_rank`), so a rank
+    drop of the whole line T_c = c.T_1 fails at every nonzero c."""
     import liepq.checks as checks
 
     # T_c followed by the projection that kills the first coordinate
-    monkeypatch.setattr(checks, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
-    result = checks.check_tc_iso_rank(2, 1, rat(1))
-    assert result == {"status": "fail", "found": 2, "expected": 3}
+    for module in (checks, fresh_family_memos):
+        monkeypatch.setattr(module, "t_c", lambda p, q, c: t_c(p, q, c) - _unit(3, 0, 0) @ t_c(p, q, c))
+    for c in (rat(1), rat(2), rat("-1/2")):
+        result = checks.check_tc_iso_rank(2, 1, c)
+        assert result == {"status": "fail", "found": 2, "expected": 3}
 
 
 def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch, fresh_family_memos):

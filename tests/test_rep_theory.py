@@ -41,7 +41,9 @@ from liepq.so_pq import (
 )
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
-from conftest import block_pairing_basis, column_list, contains, dense_kernel, restrict_by_solve
+from conftest import (
+    block_pairing_basis, column_list, contains, dense_kernel, per_c_complement, restrict_by_solve,
+)
 
 
 def std_and_friends(p, q):
@@ -206,7 +208,7 @@ def test_restrict_matches_the_solve_linear_oracle():
     (4,4) half-spin modules, and a submodule of a conjugated W + W whose
     basis has pivot entries 3 and actions a denominator 3."""
     cases = [
-        _complement_setting(p, n - p, rat(c))
+        per_c_complement(p, n - p, rat(c))
         for n in range(3, 7)
         for p in range(1, n)
         for c in ("-2", "-1", "-1/2", "1/2", "1", "2")
@@ -760,7 +762,7 @@ def test_complement_and_invariant_forms_start_from_one_map():
     the one map is the whole of the Hom space."""
     import liepq.rep_theory as rt
 
-    module = restrict(*_complement_setting(3, 1, rat(2)))
+    module = restrict(*per_c_complement(3, 1, rat(2)))
     assert len(rt._initial_hom_basis(module, module)) == 1
     assert is_irreducible(module).status == "IRREDUCIBLE"
     std = standard_rep(4, 4)
@@ -879,19 +881,6 @@ def _scored_initial_basis(v, w):
     return block_pairing_basis(v, w, blocks_v, blocks_w)
 
 
-def _complement_setting(p, q, c):
-    """so(p,q) acting on so(R^{n+1}, I_{p,q}(c)) through the embedding, and
-    the complement of its image, as in acceptance criterion 8."""
-    emb = embedding_iso(p, q, c)
-    target = so_of_form(emb.target_form)
-    coord = target.coordinatizer()
-    m = (p + q) * (p + q - 1) // 2
-    vectors = [coord.express(im) for im in emb.images[:m]]
-    complement = orthogonal_complement(target.trace_form(), Subspace.from_vectors(target.dim, vectors))
-    actions = [target.ad_matrix(x) for x in vectors]
-    return Representation(so_pq_algebra(p, q), target.dim, actions), complement
-
-
 def _oracle_module_pairs():
     from liepq.so_pq import half_spin_reps
 
@@ -901,7 +890,7 @@ def _oracle_module_pairs():
     spins = half_spin_reps(4, 4)
     for name, half in (("plus", spins.c_plus), ("minus", spins.c_minus)):
         yield f"half-spin forms {name}", (half, dual_rep(half))
-    module = restrict(*_complement_setting(3, 1, rat(2)))
+    module = restrict(*per_c_complement(3, 1, rat(2)))
     yield "complement (3,1) c=2", (module, module)
 
 

@@ -1,9 +1,10 @@
 """The appendix facts `verify` certifies once per signature or once per sign
 of c, read off the deformation family in `so_pq`, against the per-c
 computations they replace: the centralizer and the maximality closures of
-the so(p,q) block, the embedding into so(R^{n+1}, I_{p,q}(c)) and the
-Killing blocks; and the graded homomorphism pass they share with
-`Representation.validate`, against the pairwise oracle at three values of c."""
+the so(p,q) block, the embedding into so(R^{n+1}, I_{p,q}(c)), the Killing
+blocks, the irreducible complement and rank T_c; and the graded
+homomorphism pass they share with `Representation.validate`, against the
+pairwise oracle at three values of c."""
 
 from fractions import Fraction
 
@@ -26,7 +27,9 @@ from liepq.so_pq import (
     so_pq_algebra,
 )
 
-from conftest import closed_form_embedding, pairwise_validate, per_c_deformed_algebra
+from conftest import (
+    closed_form_embedding, pairwise_validate, per_c_complement_verdict, per_c_deformed_algebra,
+)
 
 SIGNATURES = [(p, n - p) for n in range(3, 7) for p in range(n + 1)]
 
@@ -260,3 +263,169 @@ def test_graded_pass_matches_the_pairwise_oracle_at_three_values_of_c(signature,
         assert failing == []
     else:
         assert defect[:2] == min(failing)
+
+
+rational_c = st.builds(
+    Fraction, st.integers(1, 40), st.integers(1, 12)
+).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SIGNATURES), rational_c)
+def test_complement_certificate_agrees_with_the_per_c_pipeline(signature, c):
+    """At a random rational c of either sign, `complement_irreducible`,
+    read off the per-sign certificate, has the verdict and the dimension of
+    the per-c matrix pipeline: the complement in so(R^{n+1}, I_{p,q}(c)),
+    the ad matrices, `restrict` and `is_irreducible`."""
+    from liepq.cli import run_check
+
+    p, q = signature
+    _, _, result = run_check("complement_irreducible", {"p": p, "q": q, "c": str(c)})
+    del result["elapsed_ms"]
+    assert result == per_c_complement_verdict(p, q, c) == {"status": "pass", "dim": p + q}
+
+
+def _complement_status(c):
+    from liepq.cli import run_check
+
+    return run_check("complement_irreducible", {"p": 3, "q": 1, "c": c})[2]["status"]
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fresh_family_memos, positive):
+    """E_{x,r} added to the image of X_0, x the extra coordinate and r the
+    place of coordinate 1: the complement check fails, and so does the
+    per-c pipeline.  With the embedding certificate forced to pass, the
+    orthogonality pass alone still refuses it: tr(rho(X_0).rho(e_1)) is
+    not zero."""
+    real = so_pq._embedding_branch
+
+    def bent(p, q, sign):
+        form, images = real(p, q, sign)
+        extra, r = (0, 2) if sign else (p + q, 1)
+        images = list(images)
+        images[0] = (images[0][0] + Matrix.from_sparse(p + q + 1, p + q + 1, {(extra, r): 1}), images[0][1])
+        return form, images
+
+    monkeypatch.setattr(so_pq, "_embedding_branch", bent)
+    c = "2" if positive else "-1/3"
+    assert _complement_status(c) == "fail"
+    assert per_c_complement_verdict(3, 1, Fraction(c))["status"] == "fail"
+    so_pq._complement_defect.cache_clear()
+    monkeypatch.setattr(so_pq, "_embedding_defect", lambda p, q, sign: None)
+    assert so_pq._complement_defect(3, 1, positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+
+
+def test_a_base_value_leaving_v_fails_the_complement(monkeypatch, fresh_family_memos):
+    """[X_0, e_0] with an so component X_1 added: the family's Jacobi pass
+    refuses it, so the check fails; and on a family that skips that pass,
+    (G) alone refuses it."""
+    family = _deformation_family(3, 1)
+    dim, base, vec = so_pq._deformation_constants(3, 1)
+    m = dim - 4
+    so_pq._deformation_family.cache_clear()
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base + [(0, m, 1, ONE)], vec))
+    assert _complement_status("2") == "fail"
+    bent = dict(family.base)
+    bent[(0, m)] = {**bent.get((0, m), {}), 1: ONE}
+    monkeypatch.setattr(so_pq, "_deformation_family", lambda p, q: family._replace(base=bent))
+    assert so_pq._standard_complement_defect(3, 1) == "[X_0, e_0] is not column 0 of X_0 on the vectors"
+
+
+def test_a_changed_entry_of_the_standard_action_fails_the_complement(monkeypatch, fresh_family_memos):
+    """One entry of X_0 in `standard_rep` changed: the family's brackets
+    are no longer the standard action, and (G) refuses it."""
+    real = so_pq.standard_rep
+
+    def bent(p, q):
+        rep = real(p, q)
+        actions = list(rep.actions)
+        actions[0] = actions[0] + Matrix.from_sparse(p + q, p + q, {(2, 3): 1})
+        return Representation(rep.algebra, rep.module_dim, actions)
+
+    monkeypatch.setattr(so_pq, "standard_rep", bent)
+    assert _complement_status("2") == "fail"
+    assert so_pq._standard_complement_defect(3, 1) == "[X_0, e_3] is not column 3 of X_0 on the vectors"
+
+
+def _form_defect_by_products(form, images):
+    """The form certificate by matrix products: the lowest degree in which
+    sum over d + e = g of A_d^t.F_e + F_e.A_d is not zero, for the first
+    image where one is, or None."""
+    for parts in images:
+        sums = {}
+        for d, x in enumerate(parts):
+            for e, f in enumerate(form):
+                term = x.transpose() @ f + f @ x
+                sums[d + e] = sums[d + e] + term if d + e in sums else term
+        bad = [g for g, s in sums.items() if not s.is_zero()]
+        if bad:
+            return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.booleans(),
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 99), st.integers(0, 4), st.integers(0, 4),
+                  st.integers(-2, 2), st.integers(1, 3)),
+        max_size=3,
+    ),
+)
+def test_form_certificate_matches_the_products(signature, positive, bends):
+    """The form certificate, one `_intertwining_defect` vector per term
+    summed over the terms' common denominator, against the products
+    A_d^t.F_e + F_e.A_d, on the branch with entries of either degree bent
+    by v/k, so that the terms of one degree have different denominators."""
+    p, q = signature
+    n = p + q
+    form, images = _embedding_branch(p, q, positive)
+    images = [list(parts) for parts in images]
+    for d, a, r, s, v, k in bends:
+        parts = images[a % len(images)]
+        parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r % (n + 1), s % (n + 1)): Fraction(v, k)})
+    expected = _form_defect_by_products(form, images)
+    reason = _graded_embedding_defect(_deformation_family(p, q).joint, {}, form, images)
+    if expected is None:
+        assert reason is None or not reason.startswith("image leaves")
+    else:
+        assert reason == expected
+
+
+def test_tc_iso_rank_reads_rank_t1_once_and_compares_t_c_at_each_c(monkeypatch, fresh_family_memos):
+    """rank T_1 is one kernel per (p, q); every c still compares T_c with
+    c.T_1, so a bent T_c fails at its own c and nowhere else."""
+    import liepq.checks as checks
+    from liepq.cli import run_check
+
+    kernels = []
+    real_kernel = so_pq.kernel
+    monkeypatch.setattr(so_pq, "kernel", lambda a: kernels.append(a.cols) or real_kernel(a))
+    ranks = {}
+    for c in ("2", "-1", "0", "1/3"):
+        _, _, result = run_check("tc_iso_rank", {"p": 3, "q": 1, "c": c})
+        ranks[c] = (result["status"], result["rank"])
+    assert ranks == {"2": ("pass", 6), "-1": ("pass", 6), "0": ("pass", 0), "1/3": ("pass", 6)}
+    assert kernels == [6]
+    real_t_c = checks.t_c
+
+    def bent(p, q, c):
+        t = real_t_c(p, q, c)
+        return t + Matrix.from_sparse(t.rows, t.cols, {(0, 1): 1}) if c == Fraction(1, 3) else t
+
+    monkeypatch.setattr(checks, "t_c", bent)
+    statuses = [run_check("tc_iso_rank", {"p": 3, "q": 1, "c": c})[2] for c in ("2", "1/3")]
+    assert statuses[0]["status"] == "pass"
+    assert statuses[1] == {"status": "fail", "reason": "T_c is not c.T_1", "elapsed_ms": statuses[1]["elapsed_ms"]}
+
+
+def test_an_inconclusive_standard_module_fails_the_complement(monkeypatch, fresh_family_memos):
+    """(R) decides the complement: an R^{p,q} verdict other than
+    IRREDUCIBLE fails the check with that verdict."""
+    from liepq.rep_theory import IrreducibilityVerdict
+
+    monkeypatch.setattr(so_pq, "is_irreducible", lambda rep: IrreducibilityVerdict("INCONCLUSIVE", endo_dim=2))
+    assert _complement_status("2") == "fail"
+    assert so_pq._standard_complement_defect(3, 1) == "R^{p,q} verdict INCONCLUSIVE, endo_dim 2"
