@@ -6,10 +6,11 @@ exit 2, and so does `verify` when `--c-list` or `--mu-list` is empty,
 has an empty item or repeats a value (equal as rationals); a rational
 token (`--c`, or an item of `--c-list` or `--mu-list`) whose numerator or
 denominator has more than MAX_RAT_DIGITS digits is refused with exit 2
-before any check runs; `irreps` refuses a rank or a dimension bound above
-its limits.  Only a `LiepqError` from the arguments exits 2: any exception
-inside a check fails that check, its reason led by the exception's type
-name, and the report still prints (exit 1).
+before any check runs, and so is an integer flag of more digits (a usage
+error); `irreps` refuses a rank or a dimension bound above its limits.
+Only a `LiepqError` from the arguments exits 2: any exception inside a
+check fails that check, its reason led by the exception's type name, and
+the report still prints (exit 1).
 `verify` runs the checks of `liepq.checks`, one after another.
 Reports are canonical JSON (sorted keys, checks ordered by name and
 parameters) so two runs differ only in elapsed_ms.
@@ -38,11 +39,12 @@ from .weyl_enum import enumerate_up_to_dim, root_system
 # n = 16, of which importing the package is about 8 ms.
 MAX_N = 16
 
-# Size limit of a rational token, on its numerator and its denominator each.
-# Reports print values such as a2 = c.r1 and the character residuals, which
-# grow to four times mu's digits; at 1000 digits every one stays below
-# Python's 4300-digit limit on int-to-str conversion, so every accepted
-# token gives a printable report.
+# Size limit of a rational token, on its numerator and its denominator each,
+# and of an integer flag's digits.  Reports print values such as a2 = c.r1
+# and the character residuals, which grow to four times mu's digits, and
+# `bound` prints n(n-1)/2, twice the digits of p + q; at 1000 digits every
+# one stays below Python's 4300-digit limit on int-to-str conversion, so
+# every accepted token gives a printable report.
 MAX_RAT_DIGITS = 1000
 
 # Limits of `irreps`.  Each Weyl dimension is one closed-form product of
@@ -155,9 +157,16 @@ def _rat_list(flag, text):
 
 def _integer(text):
     """An integer flag's value: ASCII digits after an optional sign, as in the
-    rational tokens (int() alone also reads other digits and underscores)."""
-    if not (text.isascii() and text.lstrip("+-").isdigit()):
+    rational tokens (int() alone also reads other digits and underscores),
+    at most MAX_RAT_DIGITS of them."""
+    digits = text.lstrip("+-")
+    if not (text.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    if len(digits) > MAX_RAT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer value: {len(digits)} digits exceed the size limit "
+            f"of {MAX_RAT_DIGITS} digits"
+        )
     return int(text)
 
 

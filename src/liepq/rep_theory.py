@@ -18,11 +18,15 @@ so one map per generator and vector of that eigenspace spans Hom_g(V, W)
 image rho_W(x) . phi - phi . rho_V(x) is one integer vector over a
 denominator from `_intertwining_defect`, one pass with no product matrix,
 and the kernel of the images is taken on those vectors over the lcm of
-their denominators.  `hom_space` and the brute-force `hom_space_dense`
-return the same canonical (reduced-echelon) basis.  `rational_eigensplit`
-only decides diagonalizability over Q, rejecting most non-splitting elements
-by the sign of tr(a^2) before any minimal polynomial; eigenspaces are cut
-out by `_refine_blocks` alone, for every pool member, the first included.
+their denominators.  `hom_space` and the brute-force `hom_space_dense`,
+one kernel of the whole stacked system built on the integer rows of the
+actions, return the same canonical (reduced-echelon) basis.  The invariant
+symmetric and skew forms are the two parts of one Hom_g(V, V*), solved
+once per module object and kept on it (`Representation`).
+`rational_eigensplit` only decides diagonalizability over Q, rejecting
+most non-splitting elements by the sign of tr(a^2) before any minimal
+polynomial; eigenspaces are cut out by `_refine_blocks` alone, for every
+pool member, the first included.
 """
 
 from __future__ import annotations
@@ -64,9 +68,16 @@ _DENSE_HOM_CAP = 4096
 
 
 class Representation:
-    """A LieAlgebra together with one action matrix per basis element."""
+    """A LieAlgebra together with one action matrix per basis element.
 
-    __slots__ = ("algebra", "module_dim", "actions")
+    `_dual_homs` holds the canonical basis of Hom_g(V, V*) once the first
+    invariant-form call has solved it, keyed by the tuple of action
+    matrices it was solved for: the symmetric and the skew forms of one
+    module object share one solve, and a module whose actions were
+    replaced since solves again.  It lives as long as the module object.
+    """
+
+    __slots__ = ("algebra", "module_dim", "actions", "_dual_homs")
 
     def __init__(self, algebra: LieAlgebra, module_dim: int, actions):
         actions = list(actions)
@@ -78,6 +89,7 @@ class Representation:
         self.algebra = algebra
         self.module_dim = module_dim
         self.actions = actions
+        self._dual_homs = None
 
     def validate(self):
         """Check the homomorphism property on every basis pair exactly: the
@@ -321,32 +333,39 @@ def hom_space(v: Representation, w: Representation):
 
 
 def hom_space_dense(v: Representation, w: Representation):
-    """Brute-force variant: one stacked kernel on the full intertwiner system.
+    """Brute-force variant: one stacked kernel on the full intertwiner system,
+    with no eigensplit and no spin.  Used as an independent cross-check on
+    small modules; it returns the canonical basis `hom_space` does.
 
-    Used as an independent cross-check on small modules.
+    Row a.m.n + i.n + j reads entry (i, j) of aw.phi - phi.av for basis
+    element a, in the unknowns phi[k, l] at k.n + l.  It is built on the
+    integer rows over D = lcm(aw.den, av.den): D.aw[i, k] from row i of aw
+    at k.n + j, and -D.av[l, j] from column j of av at i.n + l.  Scaling a
+    row leaves the kernel as it is; only key i.n + j takes two terms, and
+    an empty row is not stored.
     """
     _require_same_algebra(v, w)
     n, m = v.module_dim, w.module_dim
     if m * n > _DENSE_HOM_CAP:
         raise ContractError("dense hom solver capped; use hom_space")
-    rows = []
-    for a in range(v.algebra.dim):
-        av, aw = v.actions[a], w.actions[a]
-        # row index (i, j) of T(phi) = aw.phi - phi.av; unknowns phi[k, l]
+    data = {}
+    for a, (av, aw) in enumerate(zip(v.actions, w.actions)):
+        big = _lcm(av.den, aw.den)
+        fw, fv = big // aw.den, -(big // av.den)
+        columns = av.transpose()._data
         for i in range(m):
+            wrow = aw._data.get(i, {})
+            base = i * n
             for j in range(n):
-                row = [ZERO] * (m * n)
-                for k in range(m):
-                    c = aw[i, k]
-                    if c:
-                        row[k * n + j] += c
-                for l in range(n):
-                    c = av[l, j]
-                    if c:
-                        row[i * n + l] -= c
-                rows.append(row)
-    ker = kernel(Matrix.from_rows(rows)) if rows else Subspace.full(m * n)
-    return ker.basis_matrices(m, n)
+                row = {k * n + j: fw * x for k, x in wrow.items()}
+                for l, x in columns.get(j, {}).items():
+                    key = base + l
+                    row[key] = row.get(key, 0) + fv * x
+                if row.get(base + j, 1) == 0:
+                    del row[base + j]
+                if row:
+                    data[(a * m + i) * n + j] = row
+    return kernel(_trusted(v.algebra.dim * m * n, m * n, data)).basis_matrices(m, n)
 
 
 def _combine_int_rows(coeffs: dict, rows):
@@ -549,16 +568,30 @@ def _refine_blocks(blocks, x, eigenvalues):
 
 
 def invariant_symmetric_forms(v: Representation):
-    """Canonical basis of invariant symmetric gram matrices on the module."""
+    """Canonical basis of invariant symmetric gram matrices on the module:
+    the symmetric part of Hom_g(V, V*), solved once per module object and
+    shared with `invariant_skew_forms`."""
     return _invariant_forms(v, symmetric=True)
 
 
 def invariant_skew_forms(v: Representation):
+    """Canonical basis of invariant skew gram matrices on the module: the
+    skew part of the Hom_g(V, V*) that `invariant_symmetric_forms` shares."""
     return _invariant_forms(v, symmetric=False)
 
 
+def _dual_hom_basis(v):
+    """Hom_g(V, V*), from `v._dual_homs` while the actions are those it was
+    solved for; an unchanged module compares the same matrix objects, which
+    the tuple comparison accepts without reading an entry."""
+    actions = tuple(v.actions)
+    if v._dual_homs is None or v._dual_homs[0] != actions:
+        v._dual_homs = (actions, hom_space(v, dual_rep(v)))
+    return v._dual_homs[1]
+
+
 def _invariant_forms(v, symmetric):
-    homs = hom_space(v, dual_rep(v))
+    homs = _dual_hom_basis(v)
     if not homs:
         return []
     n = v.module_dim

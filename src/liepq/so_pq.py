@@ -958,11 +958,19 @@ def half_spin_reps(p: int, q: int) -> HalfSpinData:
     algebra = so_pq_algebra(4, 4)
     eta = ipq(4, 4)
     pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    index = {pair: k for k, pair in enumerate(pairs)}
     products = [mat_mul(gammas[a], gammas[b]) for a, b in pairs]
     actions = []
     for gen in algebra.basis:
+        # gamma_a gamma_b, a < b, has coefficient (gen . eta)[a, b] / 2, read
+        # off the nonzeros in the order of the pairs
         ai = mat_mul(gen, eta)
-        coeffs = {k: v / 2 for k, v in enumerate(ai[a, b] for a, b in pairs) if v}
+        coeffs = {
+            index[(a, b)]: _quotient(x, 2 * ai.den)
+            for a, row in sorted(ai._data.items())
+            for b, x in sorted(row.items())
+            if a < b
+        }
         actions.append(_combine_maps(products, coeffs, 16, 16))
     spinor = Representation(algebra, 16, actions)
     chi = gammas[0]

@@ -7,8 +7,8 @@ import pytest
 from liepq import so_pq
 from liepq.errors import ContractError
 from liepq.exact_linalg import (
-    NO_SOLUTION, ONE, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert, rat,
-    solve_linear, wedge_square_index,
+    NO_SOLUTION, ONE, ZERO, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert,
+    kernel, rat, solve_linear, wedge_square_index,
 )
 from liepq.lie_core import LieAlgebra, bracket, canonical_json, orthogonal_complement
 from liepq.rep_theory import Representation, is_irreducible, restrict
@@ -405,6 +405,32 @@ def dense_ratio(a, b):
     if len(ratios) > 1:
         return None
     return ratios.pop() if ratios else Fraction(0)
+
+
+def dense_hom_oracle(v, w):
+    """Canonical basis of Hom_g(V, W) from the stacked intertwiner system
+    built as dense rows of rationals: row (a, i, j) is entry (i, j) of
+    aw.phi - phi.av in the unknowns phi[k, l] at k.n + l, every coefficient
+    read as `aw[i, k]` and `av[l, j]`, zeros included, and the rows go
+    through `Matrix.from_rows`: the oracle for `hom_space_dense`."""
+    n, m = v.module_dim, w.module_dim
+    rows = []
+    for a in range(v.algebra.dim):
+        av, aw = v.actions[a], w.actions[a]
+        for i in range(m):
+            for j in range(n):
+                row = [ZERO] * (m * n)
+                for k in range(m):
+                    c = aw[i, k]
+                    if c:
+                        row[k * n + j] += c
+                for l in range(n):
+                    c = av[l, j]
+                    if c:
+                        row[i * n + l] -= c
+                rows.append(row)
+    ker = kernel(Matrix.from_rows(rows)) if rows else Subspace.full(m * n)
+    return ker.basis_matrices(m, n)
 
 
 def pairwise_validate(rep):

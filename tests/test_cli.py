@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import copy
+import io
 import json
 import re
 import subprocess
@@ -7,7 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from liepq import cli
 from liepq.cli import main, run_suite
 from liepq.exact_linalg import Matrix, rat
 from liepq.rep_theory import adjoint_rep, wedge_square_rep
@@ -508,6 +513,191 @@ def test_verify_at_p_zero_passes(capsys):
         out = capsys.readouterr().out
         assert code == 0, out
         assert out.endswith("# overall\tpass\n")
+
+
+def test_integer_flags_past_the_digit_limit_are_usage_errors(capsys):
+    """`bound` prints n(n-1)/2: from about 2150 digits of p that passed
+    Python's 4300-digit limit on int-to-str conversion and raised a
+    ValueError; an integer flag of more than MAX_RAT_DIGITS digits is now a
+    usage error whose message does not echo the value."""
+    big = "9" * cli.MAX_RAT_DIGITS
+    code, out = invoke(capsys, "bound", "--p", big, "--q", "1", "--format", "tsv")
+    assert code == 0 and len(out.split("\t")[4].strip()) == 2 * cli.MAX_RAT_DIGITS
+    for digits in (cli.MAX_RAT_DIGITS + 1, 2200, 5000):
+        for argv in (["bound", "--p", "9" * digits, "--q", "1"],
+                     ["irreps", "--type", "B", "--rank", "-" + "9" * digits, "--max-dim", "5"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{digits} digits exceed the size limit" in err and len(err) < 300
+
+
+# -- every subcommand on generated argv: exit 0, 1 or 2, and a report that parses
+
+_BIG = "9" * cli.MAX_RAT_DIGITS
+# non-ASCII digits and signs, a zero denominator, floats, blanks
+_MALFORMED = ["\uff13", "\u0662", "1/\uff12", "\u00bd", "\u00e9", "3\u00b2", "\u22121", "\u0663/4",
+              "1/0", "-0/0", "1.5", "1e3", "", " "]
+
+
+def _int_tokens(small):
+    """Integer flag values drawn from small or +-(10^MAX_RAT_DIGITS - 1),
+    the widest an integer flag takes, a nonnegative one written with or
+    without a plus sign."""
+    value = st.one_of(small, st.sampled_from([int(_BIG), -int(_BIG)]))
+    return st.builds(lambda x, plus: f"+{x}" if plus and x >= 0 else str(x), value, st.booleans())
+
+
+_SMALL_RATIONALS = st.builds(
+    lambda sign, num, den: f"{sign}{num}" if den is None else f"{sign}{num}/{den}",
+    st.sampled_from(["", "-", "+"]), st.integers(0, 40), st.one_of(st.none(), st.integers(1, 9)),
+)
+_RATIONALS = st.one_of(
+    _SMALL_RATIONALS,
+    st.builds(
+        lambda sign, num, den: f"{sign}{num}/{den}",
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["1", "7" * (cli.MAX_RAT_DIGITS - 1) + "1", _BIG, _BIG + "9"]),
+        st.sampled_from(["1", "3", _BIG, _BIG + "9"]),
+    ),
+    st.sampled_from(_MALFORMED),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _rational_lists(draw):
+    """Up to three tokens joined by commas, sometimes with the first one
+    repeated, as written or as an equal rational; half the lists hold
+    distinct small values only."""
+    if not draw(st.booleans()):
+        return ",".join(draw(st.lists(_SMALL_RATIONALS, min_size=1, max_size=3,
+                                      unique_by=rat)))
+    items = draw(st.lists(_RATIONALS, max_size=3))
+    if items and draw(st.booleans()):
+        first = items[0]
+        items.append(draw(st.sampled_from([first, f"{first}/1", f"2*{first}", f" {first} "])))
+    return ",".join(items)
+
+
+_SIGNATURES = st.one_of(
+    # every signature with 2 <= n <= 4, the lower limit included
+    st.sampled_from([(p, n - p) for n in (2, 3, 4) for p in range(n + 1)]),
+    # refused: n below 2, a negative entry, n past MAX_N
+    st.one_of(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)).filter(lambda pq: sum(pq) < 2),
+        st.tuples(st.integers(-2, 4), st.integers(-2, -1)),
+        st.tuples(st.sampled_from([cli.MAX_N + 1, cli.MAX_N + 2, int(_BIG)]), st.integers(-1, 4)),
+    ),
+)
+
+
+@st.composite
+def _signature(draw):
+    """The --p and --q flags of a drawn signature, in either order."""
+    p, q = draw(_SIGNATURES)
+    if draw(st.booleans()):
+        p, q = q, p
+    plus = draw(st.booleans())
+    return ["--p", f"+{p}" if plus and p >= 0 else str(p), "--q", str(q)]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["construct", "verify", "irreps", "bound"]))
+    if command == "construct":
+        argv = ["construct", *draw(_signature())]
+        if draw(st.booleans()):
+            argv += ["--c", draw(_RATIONALS)]
+        formats = ["json", "human"]
+    elif command == "verify":
+        argv = ["verify", "--suite", draw(st.sampled_from(["appendix", "section2", "all"])),
+                *draw(_signature())]
+        for flag in ("--c-list", "--mu-list"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_rational_lists())]
+        formats = ["json", "tsv", "human"]
+    elif command == "irreps":
+        rank = st.sampled_from([2, 3, cli.MAX_IRREPS_RANK, 1, 0, -1, cli.MAX_IRREPS_RANK + 1])
+        bound = st.one_of(st.integers(1, 60), st.sampled_from([cli.MAX_IRREPS_DIM, cli.MAX_IRREPS_DIM + 1, 0, -1]))
+        argv = ["irreps", "--type", draw(st.sampled_from("BD")), "--rank", draw(_int_tokens(rank)),
+                "--max-dim", draw(_int_tokens(bound))]
+        formats = ["tsv", "json", "human"]
+    else:
+        side = _int_tokens(st.one_of(st.integers(-3, 40), st.sampled_from([cli.MAX_N, cli.MAX_N + 1])))
+        argv = ["bound", "--p", draw(side), "--q", draw(side)]
+        formats = ["human", "json", "tsv"]
+    fmt = draw(st.sampled_from(formats))
+    return argv + ["--format", fmt], command, fmt
+
+
+_STATUSES = ("pass", "fail", "skipped")
+
+
+def _parsed_overall(command, fmt, out):
+    """The overall verdict of a printed report, asserting that every line
+    parses: "pass" for the commands that print no verdict.  Only an irreps
+    table with no weight and no note prints no line."""
+    lines = out.splitlines()
+    assert lines or (command, fmt) == ("irreps", "tsv")
+    if fmt == "json":
+        payload = json.loads(out)
+        if command != "verify":
+            return "pass"
+        assert payload["schema"] == "liepq-report/1"
+        assert all(check["status"] in _STATUSES for check in payload["checks"])
+        return payload["overall"]
+    if command == "verify" and fmt == "tsv":
+        tag, overall = lines[-1].split("\t")
+        assert tag == "# overall"
+        for line in lines[:-1]:
+            name, params, status, _reason = line.split("\t")
+            assert status in _STATUSES and isinstance(json.loads(params), dict)
+        return overall
+    if command == "verify":
+        for line in lines[:-1]:
+            status, name, rest = re.fullmatch(r"\[ *(\w+)\] (\w+) (.*)", line).groups()
+            assert status in _STATUSES
+            json.loads(rest.split("  (")[0])
+        return re.fullmatch(r"overall: (pass|fail)", lines[-1]).group(1)
+    if command == "construct":
+        assert re.fullmatch(r"\S.* with \(p, q\) = \(-?\d+, -?\d+\); dim = \d+", lines[0])
+    elif command == "irreps" and fmt == "tsv":
+        for line in lines:
+            if not line.startswith("# NOTE: "):
+                kind, rank, weight, dim = line.split("\t")
+                assert kind in "BD" and int(rank) > 0 and int(dim) > 0
+                assert all(rat(x) >= 0 for x in weight.split())
+    elif command == "irreps":
+        assert re.fullmatch(r"\d+ weight\(s\) with dim <= \d+", lines[-1])
+    elif fmt == "tsv":
+        assert [int(x) for x in lines[0].split("\t")]
+        assert len(lines[0].split("\t")) == 5
+    else:
+        assert re.fullmatch(r"dim G = \d+, m\(so\(\d+,\d+\)\) = \d+, dim G \+ m = \d+", lines[0])
+    return "pass"
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None)
+def test_every_subcommand_exits_0_1_or_2_on_generated_argv(case):
+    """Huge, signed, non-ASCII and repeated rationals, and signatures, ranks
+    and bounds at their limits and past them: main returns 0, 1 or 2 and
+    raises nothing; 0 and 1 print a report that parses and gives that exit
+    code, and 2 prints nothing but an error line."""
+    argv, command, fmt = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{command} exit {code}")
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        return
+    assert code in (0, 1) and err.getvalue() == ""
+    overall = _parsed_overall(command, fmt, out.getvalue())
+    assert code == (0 if overall == "pass" else 1)
 
 
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "liepq"

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liepq.errors import ContractError, NotStableError
-from liepq.exact_linalg import Matrix, Subspace, invert, kron, mat_mul, mat_vec, rat, rref
+from liepq.exact_linalg import Matrix, Subspace, invert, kernel, kron, mat_mul, mat_vec, rat, rref
 from liepq.ratpoly import char_poly, rational_roots
 from liepq.rep_theory import (
     Representation,
@@ -42,7 +42,8 @@ from liepq.so_pq import (
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
 from conftest import (
-    block_pairing_basis, column_list, contains, dense_kernel, per_c_complement, restrict_by_solve,
+    block_pairing_basis, column_list, contains, dense_hom_oracle, dense_kernel, per_c_complement,
+    restrict_by_solve,
 )
 
 
@@ -562,6 +563,102 @@ def test_conjugated_modules_feed_the_column_system_real_denominators(monkeypatch
     assert len(rt._initial_hom_basis(v, ad)) == 2
     _assert_hom_matches_dense(v, ad)
     assert max(dens) > 1
+
+
+
+# the modules of the dense builder's oracle test: R^{p,q}, the adjoint and wedge^2 R^{p,q}
+_ORACLE_MODULES = [("std",), ("ad",), ("wedge", ("std",))]
+
+
+def _drawn_conjugate(data, v):
+    """P^-1 rho P for a drawn invertible P with entries in {-1, 0, 1}."""
+    n = v.module_dim
+    cob = Matrix(n, n, data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n * n, max_size=n * n)))
+    assume(kernel(cob).dim == 0)
+    inverse = invert(cob)
+    return Representation(v.algebra, n, [inverse @ a @ cob for a in v.actions])
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.sampled_from(_ORACLE_MODULES),
+    st.sampled_from(_ORACLE_MODULES), st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_dense_hom_builder_matches_its_oracle_and_hom_space(pq, expr_v, expr_w, data):
+    """`hom_space_dense` builds its system on the integer rows of aw and the
+    columns of av; the oracle builds the same system entry by entry as dense
+    rationals.  Both, and `hom_space`, give the same canonical basis on
+    conjugated modules whose actions carry a denominator above 1."""
+    p, q = pq
+    v = _drawn_conjugate(data, _build_module(expr_v, p, q))
+    w = _drawn_conjugate(data, _build_module(expr_w, p, q))
+    assume(max(a.den for a in v.actions + w.actions) > 1)
+    dense = [h.entries for h in hom_space_dense(v, w)]
+    assert dense == [h.entries for h in dense_hom_oracle(v, w)]
+    assert dense == [h.entries for h in hom_space(v, w)]
+
+
+def test_dense_hom_builder_matches_its_oracle_on_the_criterion_modules():
+    for p, q in [(2, 1), (3, 1), (2, 2)]:
+        algebra, std = std_and_friends(p, q)
+        wedge, adj = wedge_square_rep(std), adjoint_rep(algebra)
+        for v, w in [(wedge, adj), (adj, wedge), (std, std), (std, dual_rep(std))]:
+            assert hom_space_dense(v, w) == dense_hom_oracle(v, w)
+
+
+def _hom_solves(monkeypatch):
+    """The Hom-space solves from here on, "End" for Hom(V, V) and "Hom"
+    for any other target."""
+    import liepq.rep_theory as rt
+
+    solves = []
+    real = rt.hom_space
+
+    def counted(v, w):
+        solves.append("End" if w is v else "Hom")
+        return real(v, w)
+
+    monkeypatch.setattr(rt, "hom_space", counted)
+    return solves
+
+
+def test_half_spin_check_solves_hom_v_vstar_once_per_module(monkeypatch):
+    """Per half-spin module: End(V) for irreducibility and one Hom(V, V*)
+    shared by the symmetric and the skew forms (six solves before)."""
+    from liepq.checks import check_half_spin
+
+    solves = _hom_solves(monkeypatch)
+    assert check_half_spin(4, 4)["status"] == "pass"
+    assert solves == ["End", "Hom", "End", "Hom"]
+
+
+def test_su2_collapse_check_solves_hom_ad_adstar_once(monkeypatch):
+    """The check's own symmetric forms and those of
+    `constrained_form_uniqueness` share one Hom(ad, ad*) (two before); the
+    complex structure J still solves End(ad)."""
+    from liepq.checks import check_su2_collapse
+
+    exceptional_iso(SO31_SL2C)  # memoized per process: solved before counting
+    solves = _hom_solves(monkeypatch)
+    assert check_su2_collapse(3, 1)["status"] == "pass"
+    assert solves == ["Hom", "End"]
+
+
+def test_shared_dual_hom_follows_replaced_actions():
+    """After the forms of R^{2,1} + R^{2,1} (3 symmetric, 1 skew), a
+    replaced action (the identity, which no nonzero phi = -phi meets) gives
+    the forms of the new actions, those of a freshly built module."""
+    algebra, std = std_and_friends(2, 1)
+    v = direct_sum(std, std)
+    assert len(invariant_symmetric_forms(v)) == 3
+    assert len(invariant_skew_forms(direct_sum(std, std))) == 1
+    v.actions[0] = Matrix.identity(6)
+    fresh = Representation(algebra, 6, list(v.actions))
+    assert invariant_skew_forms(v) == invariant_skew_forms(fresh) == []
+    assert invariant_symmetric_forms(v) == []
+    v.actions = list(direct_sum(std, std).actions)
+    assert len(invariant_skew_forms(v)) == 1
+    assert len(invariant_symmetric_forms(v)) == 3
 
 
 # (signature, V, W) and whether a second pool member refines the blocks

@@ -571,6 +571,31 @@ def test_half_spin_construction():
         assert len(invariant_skew_forms(half)) == 0
 
 
+def test_half_spin_actions_read_off_the_nonzeros_match_the_entry_reads():
+    """`half_spin_reps` reads each generator's spinor coefficients from the
+    nonzeros of gen . eta; the reference reads all 28 entries (a, b), a < b,
+    through `Matrix.__getitem__`.  The actions and both halves agree."""
+    from liepq.exact_linalg import _combine_maps, mat_mul
+
+    hs = half_spin_reps(4, 4)
+    algebra = so_pq_algebra(4, 4)
+    eta = ipq(4, 4)
+    gammas = clifford_gammas_44()
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    products = [mat_mul(gammas[a], gammas[b]) for a, b in pairs]
+    actions = []
+    for gen in algebra.basis:
+        ai = mat_mul(gen, eta)
+        coeffs = {k: v / 2 for k, v in enumerate(ai[a, b] for a, b in pairs) if v}
+        actions.append(_combine_maps(products, coeffs, 16, 16))
+    assert [a.entries for a in hs.spinor_rep.actions] == [a.entries for a in actions]
+    reference = Representation(algebra, 16, actions)
+    for half, space in ((hs.c_plus, hs.plus_space), (hs.c_minus, hs.minus_space)):
+        assert [a.entries for a in half.actions] == [
+            a.entries for a in restrict(reference, space).actions
+        ]
+
+
 def test_half_spin_gamma_equivariance():
     hs = half_spin_reps(4, 4)
     algebra = hs.spinor_rep.algebra
