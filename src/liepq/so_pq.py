@@ -963,12 +963,12 @@ def half_spin_reps(p: int, q: int) -> HalfSpinData:
     actions = []
     for gen in algebra.basis:
         # gamma_a gamma_b, a < b, has coefficient (gen . eta)[a, b] / 2, read
-        # off the nonzeros in the order of the pairs
+        # off the nonzeros
         ai = mat_mul(gen, eta)
         coeffs = {
             index[(a, b)]: _quotient(x, 2 * ai.den)
-            for a, row in sorted(ai._data.items())
-            for b, x in sorted(row.items())
+            for a, row in ai._data.items()
+            for b, x in row.items()
             if a < b
         }
         actions.append(_combine_maps(products, coeffs, 16, 16))
