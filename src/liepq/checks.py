@@ -233,19 +233,20 @@ def check_target_inertia(p, q, c):
 
 
 def check_sqrt_conjugation(p, q, c):
+    """For a perfect-square |c|, S.rho_c.S^{-1} lies in so(J), J = I_{p+1,q}
+    (c > 0) or I_{p,q+1} (c < 0), S = `sqrt_conjugation`: when S.J.S = F =
+    I_{p,q}(c), A = S.rho.S^{-1} has A^t.J + J.A = S^{-1}.(rho^t.F + F.rho).S^{-1},
+    which is zero by (E) (`_embedding_defect`)."""
     if c == 0:
         return _skip("needs c != 0")
     s = sqrt_conjugation(p, q, c)
     if s is None:
         return _skip("|c| is not a perfect rational square; certified via inertia instead")
-    sinv = sqrt_conjugation(p, q, 1 / c)  # sqrt|1/c| = 1/sqrt|c|, at the same place
     target = ipq(p + 1, q) if c > 0 else ipq(p, q + 1)
-    emb = embedding_iso(p, q, c)
-    for im in emb.images:
-        conj = s @ im @ sinv
-        if not (conj.transpose() @ target + target @ conj).is_zero():
-            return _fail(reason="sqrt conjugation left the classical so(p',q')")
-    return _pass()
+    if s @ target @ s != embedding_iso(p, q, c).target_form:
+        return _fail(reason="S.J.S is not I_{p,q}(c)")
+    reason = _embedding_defect(p, q, c > 0)
+    return _pass() if reason is None else _fail(reason=reason)
 
 
 def check_maximality(p, q, c):

@@ -206,13 +206,18 @@ def build_parser():
     return parser
 
 
+def _too_large(what, value, limit):
+    """The usage error for an integer past its limit; past 20 digits it names
+    the digit count, as `_integer` does, instead of echoing the value."""
+    shown = f"= {value}" if abs(value) < 10**20 else f"has {len(str(abs(value)))} digits and"
+    return ContractError(f"{what} {shown} exceeds the size limit {limit}")
+
+
 def _signature_within_limit(p, q) -> Signature:
     """The signature of so(p,q), refused below n = 2 and above MAX_N."""
     signature = Signature(p, q)
     if signature.n > MAX_N:
-        raise ContractError(
-            f"p + q = {signature.n} exceeds the size limit n <= {MAX_N}"
-        )
+        raise _too_large("p + q", signature.n, f"n <= {MAX_N}")
     if signature.n < 2:
         raise ContractError("so(p,q) needs p + q >= 2")
     return signature
@@ -271,9 +276,7 @@ def cmd_verify(args) -> int:
 
 def cmd_irreps(args) -> int:
     if args.rank > MAX_IRREPS_RANK:
-        raise ContractError(
-            f"--rank {args.rank} exceeds the size limit rank <= {MAX_IRREPS_RANK}"
-        )
+        raise _too_large("--rank", args.rank, f"rank <= {MAX_IRREPS_RANK}")
     if not 1 <= args.max_dim <= MAX_IRREPS_DIM:
         raise ContractError(f"--max-dim must be between 1 and {MAX_IRREPS_DIM}")
     rs = root_system(args.type, args.rank)

@@ -27,6 +27,7 @@ from .exact_linalg import (
     _echelon,
     _intertwining_defect,
     _quotient,
+    _reduced,
     _trusted,
     congruence_diagonalize,
     invert,
@@ -90,11 +91,11 @@ def ipq(p: int, q: int) -> Matrix:
 
 def ipq_c(p: int, q: int, c) -> Matrix:
     """diag(c, I_{p,q}) for c > 0 and diag(I_{p,q}, c) for c < 0: the
-    form F0 + c.F1 of `_branch_form` at c."""
+    form F0 + c.F1 of `_embedding_branch` at c."""
     c = rat(c)
     if c == 0:
         raise ContractError("ipq_c requires c != 0")
-    f0, f1 = _branch_form(p, q, c > 0)
+    (f0, f1), _ = _embedding_branch(p, q, c > 0)
     return f0 + f1.scale(c)
 
 
@@ -321,64 +322,48 @@ class EmbeddingIso(NamedTuple):
     images: list  # one (n+1) x (n+1) matrix per deformed-algebra basis index
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _shifted_so_block(p: int, q: int, shift: int) -> tuple:
-    """The so(p,q) basis moved into (n+1) x (n+1) matrices, each index
-    raised by shift (1 when the extra coordinate sits first, 0 when it sits
-    last, where the generators' own rows serve).  Memoized per (p, q,
-    shift): the matrices are immutable, so every embedding with that sign
-    of c shares them."""
-    n = p + q
-    return tuple(
-        _trusted(
-            n + 1, n + 1,
-            {i + shift: {j + shift: x for j, x in row.items()} for i, row in gen._data.items()}
-            if shift else gen._data,
-            gen.den,
-        )
-        for gen in so_pq_algebra(p, q).basis
-    )
-
-
 def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)): the branch of
     the sign of c (`_embedding_branch`) at c, images P + c.Q and target form
-    F0 + c.F1, the very polynomials `_embedding_defect` certifies."""
+    `ipq_c`, the very polynomials `_embedding_defect` certifies."""
     c = rat(c)
     if c == 0:
         raise ContractError("embedding_iso requires c != 0")
-    n = Signature(p, q).n
-    if n < 3:
+    _, images = _embedding_branch(p, q, c > 0)
+    if not images:
         raise ContractError("embedding_iso needs p + q >= 3")
-    (f0, f1), images = _embedding_branch(p, q, c > 0)
     images = [x if y.is_zero() else y.scale(c) + x for x, y in images]
-    return EmbeddingIso(p=p, q=q, c=c, target_form=f0 + f1.scale(c), images=images)
+    return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
 
 
-def _branch_form(p: int, q: int, positive: bool):
-    """(F0, F1) with I_{p,q}(c) = F0 + c.F1 for every c > 0 (positive) or
-    every c < 0: F1 = E_{x,x}, x the extra coordinate, first for c > 0."""
+@functools.lru_cache(maxsize=64, typed=True)
+def _embedding_branch(p: int, q: int, positive: bool):
+    """The embedding of one sign branch of c as polynomials in c, once per
+    (p, q, sign) as tuples of immutable matrices, read by `ipq_c`,
+    `embedding_iso`, `sqrt_conjugation` and the certificates: (form,
+    images), each a tuple of parts, part d the coefficient of c^d.  form is
+    (F0, F1), I_{p,q}(c) = F0 + c.F1, F1 = E_{x,x} for x the extra
+    coordinate, first (every other index raised by one) for c > 0 and last
+    for c < 0.  images holds one (P, Q) per deformed-algebra basis index
+    with image P + c.Q: the so(p,q) basis at the raised places with Q = 0,
+    then e_i with P = -eta_i.E_{x,r}, Q = E_{r,x}, r the place of coordinate
+    i; none below n = 3."""
     n = Signature(p, q).n
     shift, extra = (1, 0) if positive else (0, n)
     f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
-    return _trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}})
-
-
-def _embedding_branch(p: int, q: int, positive: bool):
-    """The embedding of one sign branch of c as polynomials in c: (form,
-    images), each a tuple of parts, part d the coefficient of c^d.  form is
-    `_branch_form`, and images holds one (P, Q) per deformed-algebra basis
-    index with image P + c.Q: the so block is c-free (Q = 0), and e_i has
-    P = -eta_i.E_{x,r} and Q = E_{r,x}, for r the place of coordinate i."""
-    n = p + q
-    shift, extra = (1, 0) if positive else (0, n)
+    form = (_trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}}))
+    if n < 3:
+        return form, ()
     zero = Matrix.zeros(n + 1, n + 1)
-    images = [(gen, zero) for gen in _shifted_so_block(p, q, shift)]
+    images = []
+    for gen in so_pq_algebra(p, q).basis:
+        rows = {i + shift: {j + shift: x for j, x in row.items()} for i, row in gen._data.items()}
+        images.append((_trusted(n + 1, n + 1, rows, gen.den), zero))
     for i in range(n):
         r = i + shift
         p_i = _trusted(n + 1, n + 1, {extra: {r: -1 if i < p else 1}})
         images.append((p_i, _trusted(n + 1, n + 1, {r: {extra: 1}})))
-    return _branch_form(p, q, positive), images
+    return form, tuple(images)
 
 
 # -- the deformation family's certificates ------------------------------
@@ -435,21 +420,25 @@ def _complement_defect(p: int, q: int, positive: bool):
         return reason
     _, images = _embedding_branch(p, q, positive)
     m = len(images) - (p + q)
-    # tr(A.B) pairs entry (r, s) of A with entry (s, r) of B
+    # tr(A.B) pairs entry (r, s) of A with entry (s, r) of B; on integer rows
+    # over the parts' common denominator D, each sum is D^2 x trace
+    big = _lcm(1, *(x.den for parts in images for x in parts))
     partners = {}
     for b, parts in enumerate(images[m:], m):
         for e, y in enumerate(parts):
+            k = big // y.den
             for r, row in y._data.items():
                 for s, w in row.items():
-                    partners.setdefault((s, r), []).append((b, e, Rational(w, y.den)))
+                    partners.setdefault((s, r), []).append((b, e, k * w))
     for a, parts in enumerate(images[:m]):
         traces = {}
         for d, x in enumerate(parts):
+            k = big // x.den
             for r, row in x._data.items():
                 for s, v in row.items():
                     for b, e, w in partners.get((r, s), ()):
                         key = (b, d + e)
-                        traces[key] = traces.get(key, 0) + Rational(v, x.den) * w
+                        traces[key] = traces.get(key, 0) + k * v * w
         bad = [key for key, t in traces.items() if t]
         if bad:
             b, g = min(bad)
@@ -544,27 +533,24 @@ def _killing_block_constants(p: int, q: int):
     zero in degrees 1 and 2, and the vector block is r1 x <.,.>_{p,q} in
     degree 1 and zero in degrees 0 and 2, so a2 = c.r1.  reason is None when
     all of this holds with a1 and r1 nonzero, and then K(c) has the block
-    form with nonzero constants for every c != 0."""
+    form with nonzero constants for every c != 0.  The blocks are read by
+    index range: the so block is the first m basis vectors, the vector
+    block the last n."""
     family = _deformation_family(p, q)
     grams = (family.k0, family.k1, family.k2)
     so = so_pq_algebra(p, q)
-    m, n = so.dim, p + q
-    # 0/1 inclusions of the so block (the first m basis vectors) and of the
-    # vector block (the last n)
-    s = Matrix.from_sparse(m + n, m, {(i, i): 1 for i in range(m)})
-    v = Matrix.from_sparse(m + n, n, {(m + i, i): 1 for i in range(n)})
-    st, vt = s.transpose(), v.transpose()
+    so_range, vec_range = range(so.dim), range(so.dim, family.dim)
     for d, k in enumerate(grams):
-        if not (st @ k @ v).is_zero():
+        if not _block(k, so_range, vec_range).is_zero():
             return f"mixed block is not zero in degree {d}", None, None
-    so_blocks = [st @ k @ s for k in grams]
+    so_blocks = [_block(k, so_range, so_range) for k in grams]
     a1 = proportionality(so_blocks[0], so.killing_form().gram)
     if a1 is None:
         return "so block not proportional to Killing(so(p,q))", None, None
     for d in (1, 2):
         if not so_blocks[d].is_zero():
             return f"so block is not zero in degree {d}", None, None
-    vec_blocks = [vt @ k @ v for k in grams]
+    vec_blocks = [_block(k, vec_range, vec_range) for k in grams]
     for d in (0, 2):
         if not vec_blocks[d].is_zero():
             return f"vector block is not zero in degree {d}", None, None
@@ -574,6 +560,13 @@ def _killing_block_constants(p: int, q: int):
     if not a1 or not r1:
         return "a proportionality constant vanished", None, None
     return None, a1, r1
+
+
+def _block(k: Matrix, rows: range, cols: range) -> Matrix:
+    """The block rows x cols of k, reindexed from 0, in canonical form."""
+    data = {i - rows.start: {j - cols.start: x for j, x in row.items() if j in cols}
+            for i, row in k._data.items() if i in rows}
+    return _reduced(len(rows), len(cols), {i: row for i, row in data.items() if row}, k.den)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -616,17 +609,16 @@ def so_of_form(form: Matrix) -> LieAlgebra:
 
 
 def sqrt_conjugation(p: int, q: int, c) -> Matrix | None:
-    """For perfect-square |c|: the diagonal S with S.so(I_{p,q}(c)).S^{-1}
-    landing in so(p+1,q) (c > 0) or so(p,q+1) (c < 0), sqrt|c| at the extra
-    coordinate of `_branch_form`; None otherwise."""
+    """For perfect-square |c|: the diagonal S with S.J.S = I_{p,q}(c), so
+    S.so(I_{p,q}(c)).S^{-1} = so(J), for J = I_{p+1,q} (c > 0) or I_{p,q+1}
+    (c < 0): sqrt|c| at the extra coordinate of `_embedding_branch`, 1
+    elsewhere.  None otherwise."""
     c = rat(c)
     if c == 0:
         raise ContractError("c must be nonzero")
-    _, f1 = _branch_form(p, q, c > 0)
+    (_, f1), _ = _embedding_branch(p, q, c > 0)
     s = rational_sqrt(abs(c))
-    if s is None:
-        return None
-    return Matrix.identity(f1.rows) + f1.scale(s - 1)
+    return None if s is None else Matrix.identity(f1.rows) + f1.scale(s - 1)
 
 
 # -- exceptional isomorphisms -----------------------------------------

@@ -561,6 +561,23 @@ def per_c_complement_verdict(p, q, c):
     return {"status": "pass", "dim": complement.dim}
 
 
+def per_image_sqrt_conjugation(p, q, c):
+    """The verdict of `check_sqrt_conjugation` at a perfect-square |c| by
+    conjugating every image: S.rho(x).S^{-1} for each image of
+    `embedding_iso(p, q, c)`, S = `sqrt_conjugation(p, q, c)` and S^{-1}
+    that of 1/c (sqrt|1/c| at the same place), must preserve the classical
+    form J = I_{p+1,q} (c > 0) or I_{p,q+1} (c < 0), by two products."""
+    c = rat(c)
+    s = so_pq.sqrt_conjugation(p, q, c)
+    sinv = so_pq.sqrt_conjugation(p, q, 1 / c)
+    target = so_pq.ipq(p + 1, q) if c > 0 else so_pq.ipq(p, q + 1)
+    for im in so_pq.embedding_iso(p, q, c).images:
+        conj = s @ im @ sinv
+        if not (conj.transpose() @ target + target @ conj).is_zero():
+            return {"status": "fail", "reason": "sqrt conjugation left the classical so(p',q')"}
+    return {"status": "pass"}
+
+
 def three_run_family(p, q):
     """(dim, base, vec, k0, k1, k2) of the family base + c.vec by three
     validated algebras: base, vec and base + vec, each built through

@@ -533,6 +533,38 @@ def test_integer_flags_past_the_digit_limit_are_usage_errors(capsys):
             assert f"{digits} digits exceed the size limit" in err and len(err) < 300
 
 
+def test_error_lines_at_the_largest_accepted_tokens_stay_short(capsys):
+    """Integer flags at +-(10^MAX_RAT_DIGITS - 1) and rational flags with a
+    numerator and a denominator of MAX_RAT_DIGITS digits, each in a command
+    that refuses it: the error line names the value's digit count or its
+    position and stays under 200 characters.  `_signature_within_limit`
+    and `irreps --rank` used to echo the whole integer, 1047 characters."""
+    big = "9" * cli.MAX_RAT_DIGITS
+    ratio = big + "/" + "7" * cli.MAX_RAT_DIGITS
+    cases = []
+    for value in (big, "-" + big):
+        cases += [
+            ["construct", "--p", value, "--q", "5"],
+            ["construct", "--p", "3", "--q", value, "--c", "1"],
+            ["verify", "--suite", "all", "--p", value, "--q", "5"],
+            ["verify", "--suite", "appendix", "--p", "3", "--q", value],
+            ["irreps", "--type", "B", "--rank", value, "--max-dim", "5"],
+            ["irreps", "--type", "D", "--rank", "4", "--max-dim", value],
+            ["bound", "--p", "-" + big, "--q", value],
+        ]
+    cases += [
+        ["construct", "--p", "3", "--q", "1", "--c", "0/" + big],
+        ["verify", "--suite", "appendix", "--p", "3", "--q", "1", "--c-list", f"{ratio},{ratio}"],
+        ["verify", "--suite", "section2", "--p", "3", "--q", "1", "--mu-list", "-" + ratio],
+        ["verify", "--suite", "section2", "--p", "3", "--q", "1", "--mu-list", f"{big}/{big}"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200, err[:80]
+
+
 # -- every subcommand on generated argv: exit 0, 1 or 2, and a report that parses
 
 _BIG = "9" * cli.MAX_RAT_DIGITS

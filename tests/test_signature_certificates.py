@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from liepq import so_pq
 from liepq.errors import ContractError
-from liepq.exact_linalg import ONE, Echelon, Matrix, Subspace, proportionality
+from liepq.exact_linalg import ONE, Echelon, Matrix, Subspace, proportionality, rational_sqrt
 from liepq.lie_core import centralizer, is_maximal_subalgebra
 from liepq.rep_theory import Representation, _bracket_defect
 from liepq.so_pq import (
@@ -25,10 +25,12 @@ from liepq.so_pq import (
     ipq,
     ipq_c,
     so_pq_algebra,
+    sqrt_conjugation,
 )
 
 from conftest import (
     closed_form_embedding, pairwise_validate, per_c_complement_verdict, per_c_deformed_algebra,
+    per_image_sqrt_conjugation,
 )
 
 SIGNATURES = [(p, n - p) for n in range(3, 7) for p in range(n + 1)]
@@ -316,6 +318,33 @@ def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fre
     assert so_pq._complement_defect(3, 1, positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
 
 
+@pytest.mark.parametrize("positive", [True, False])
+def test_the_trace_pass_sums_the_parts_over_their_common_denominator(monkeypatch, fresh_family_memos, positive):
+    """The image of X_0 bent by 1/2 at (x, r) in degree 0 and by 1/2 at
+    (r, x) and 1/3 at (r, r) in degree 1, x the extra coordinate and r the
+    place of coordinate 1: tr(rho(X_0).rho(e_1)) is 1/2 - 1/2 = 0 in degree
+    1, which a sum of the integer rows over their own denominators (2 and 6)
+    would read as 1 - 3; with the embedding certificate forced to pass, the
+    pass accepts the bend, and a bend of 1 at (x, r) alone it refuses."""
+    real = so_pq._embedding_branch
+    n = 4
+    x, r = (0, 2) if positive else (n, 1)
+
+    def bent(p, q, sign, entries):
+        form, images = real(p, q, sign)
+        parts = tuple(part + Matrix.from_sparse(n + 1, n + 1, entries[d]) for d, part in enumerate(images[0]))
+        return form, (parts,) + images[1:]
+
+    monkeypatch.setattr(so_pq, "_embedding_defect", lambda p, q, sign: None)
+    halves = [{(x, r): Fraction(1, 2)}, {(r, x): Fraction(1, 2), (r, r): Fraction(1, 3)}]
+    monkeypatch.setattr(so_pq, "_embedding_branch", lambda p, q, sign: bent(p, q, sign, halves))
+    assert so_pq._complement_defect(3, 1, positive) is None
+    so_pq._complement_defect.cache_clear()
+    ones = [{(x, r): 1}, {}]
+    monkeypatch.setattr(so_pq, "_embedding_branch", lambda p, q, sign: bent(p, q, sign, ones))
+    assert so_pq._complement_defect(3, 1, positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+
+
 def test_a_base_value_leaving_v_fails_the_complement(monkeypatch, fresh_family_memos):
     """[X_0, e_0] with an so component X_1 added: the family's Jacobi pass
     refuses it, so the check fails; and on a family that skips that pass,
@@ -429,3 +458,135 @@ def test_an_inconclusive_standard_module_fails_the_complement(monkeypatch, fresh
     monkeypatch.setattr(so_pq, "is_irreducible", lambda rep: IrreducibilityVerdict("INCONCLUSIVE", endo_dim=2))
     assert _complement_status("2") == "fail"
     assert so_pq._standard_complement_defect(3, 1) == "R^{p,q} verdict INCONCLUSIVE, endo_dim 2"
+
+
+# -- the sign branch: one memoized object behind every reader -------------
+
+SQUARE_C = ["1/4", "1", "9/4", "4", "-1/4", "-1", "-9/4", "-4"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SIGNATURES), st.sampled_from(SQUARE_C))
+def test_sqrt_conjugation_certificate_agrees_with_the_per_image_oracle(signature, c):
+    """At a perfect-square c of either sign, S.J.S = I_{p,q}(c) and the
+    embedding certificate of the sign give the verdict of conjugating every
+    image by S and testing it against J."""
+    from liepq.cli import run_check
+
+    p, q = signature
+    _, _, result = run_check("sqrt_conjugation", {"p": p, "q": q, "c": c})
+    del result["elapsed_ms"]
+    assert result == per_image_sqrt_conjugation(p, q, c) == {"status": "pass"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(SIGNATURES),
+    st.sampled_from(SQUARE_C),
+    st.data(),
+)
+def test_a_vector_image_bent_by_one_entry_fails_the_check_and_the_oracle(signature, c, data):
+    """One entry added to one part of one vector image: the diagonal form
+    I_{p,q}(c) has no zero on its diagonal, so the conjugate leaves so(J)
+    (the oracle), and the check refuses it through the embedding
+    certificate, which S.J.S = I_{p,q}(c) alone would not."""
+    import liepq.checks as checks
+
+    p, q = signature
+    n = p + q
+    real = so_pq._embedding_branch
+    i = data.draw(st.integers(0, n - 1), label="vector")
+    d = data.draw(st.integers(0, 1), label="part")
+    r = data.draw(st.integers(0, n), label="row")
+    s = data.draw(st.integers(0, n), label="column")
+
+    def bent(p, q, positive):
+        form, images = real(p, q, positive)
+        a = len(images) - n + i
+        parts = list(images[a])
+        parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r, s): 1})
+        return form, images[:a] + (tuple(parts),) + images[a + 1:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(so_pq, "_embedding_branch", bent)
+        so_pq._embedding_defect.cache_clear()
+        try:
+            assert per_image_sqrt_conjugation(p, q, c)["status"] == "fail"
+            result = checks.check_sqrt_conjugation(p, q, Fraction(c))
+        finally:
+            so_pq._embedding_defect.cache_clear()
+    assert result["status"] == "fail"
+    assert result["reason"].startswith("image leaves so(R^{n+1}, I_{p,q}(c)) in degree")
+
+
+@pytest.mark.parametrize("c", ["4", "9/4", "-1/4", "-4"])
+def test_a_sqrt_at_the_wrong_coordinate_fails_the_identity(monkeypatch, c):
+    """S with sqrt|c| on a coordinate other than the extra one: S.J.S is
+    not I_{p,q}(c), and the conjugated images leave so(J)."""
+    import liepq.checks as checks
+
+    p, q = 3, 1
+    n = p + q
+
+    def misplaced(p, q, c):
+        root = rational_sqrt(abs(c))
+        diagonal = [1] * (n + 1)
+        diagonal[2] = root  # the extra coordinate is 0 (c > 0) or n (c < 0)
+        return Matrix.diagonal(diagonal)
+
+    monkeypatch.setattr(checks, "sqrt_conjugation", misplaced)
+    monkeypatch.setattr(so_pq, "sqrt_conjugation", misplaced)
+    assert checks.check_sqrt_conjugation(p, q, Fraction(c)) == {
+        "status": "fail", "reason": "S.J.S is not I_{p,q}(c)"
+    }
+    assert per_image_sqrt_conjugation(p, q, c)["status"] == "fail"
+
+
+def test_every_reader_of_a_sign_shares_one_branch(fresh_family_memos):
+    """`embedding_iso` at several c, `ipq_c`, `sqrt_conjugation` and the
+    certificates of one sign build the branch once, as tuples; the so
+    images at two c of one sign are the same objects."""
+    from liepq.cli import run_check
+
+    p, q = 3, 1
+    m = 6
+    first, second = embedding_iso(p, q, 2), embedding_iso(p, q, Fraction(1, 3))
+    ipq_c(p, q, 5)
+    sqrt_conjugation(p, q, 4)
+    assert so_pq._embedding_defect(p, q, True) is None
+    assert so_pq._complement_defect(p, q, True) is None
+    assert run_check("sqrt_conjugation", {"p": p, "q": q, "c": "9/4"})[2]["status"] == "pass"
+    assert so_pq._embedding_branch.cache_info().misses == 1
+    assert all(a is b for a, b in zip(first.images[:m], second.images[:m]))
+    negative = embedding_iso(p, q, -1)
+    ipq_c(p, q, Fraction(-1, 2))
+    assert so_pq._embedding_defect(p, q, False) is None
+    assert so_pq._embedding_branch.cache_info().misses == 2
+    assert all(a is b for a, b in zip(negative.images[:m], embedding_iso(p, q, -3).images[:m]))
+    form, images = so_pq._embedding_branch(p, q, True)
+    assert type(form) is tuple and type(images) is tuple
+    assert all(type(parts) is tuple for parts in images)
+    assert so_pq._embedding_branch.cache_info().misses == 2
+
+
+def test_sqrt_conjugation_makes_at_most_two_products_once_the_memos_are_warm(monkeypatch):
+    """S.J.S is the only product at c; the conjugation of every image, four
+    products each, is gone."""
+    import sys
+
+    from liepq import exact_linalg
+    from liepq.cli import run_check
+
+    params = {"p": 4, "q": 4, "c": "4"}
+    assert run_check("sqrt_conjugation", params)[2]["status"] == "pass"
+    real, calls = exact_linalg.mat_mul, []
+
+    def counted(a, b):
+        calls.append((a.rows, b.cols))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liepq") and getattr(module, "mat_mul", None) is real:
+            monkeypatch.setattr(module, "mat_mul", counted)
+    assert run_check("sqrt_conjugation", params)[2]["status"] == "pass"
+    assert 0 < len(calls) <= 2
