@@ -357,12 +357,15 @@ def _embedding_branch(p: int, q: int, positive: bool):
     zero = Matrix.zeros(n + 1, n + 1)
     images = []
     for gen in so_pq_algebra(p, q).basis:
-        rows = {i + shift: {j + shift: x for j, x in row.items()} for i, row in gen._data.items()}
+        rows = gen._data  # for c < 0 the generators' own rows serve
+        if shift:
+            rows = {i + 1: {j + 1: x for j, x in row.items()} for i, row in rows.items()}
         images.append((_trusted(n + 1, n + 1, rows, gen.den), zero))
+    to_extra = {extra: 1}  # the one row of every Q, shared
     for i in range(n):
         r = i + shift
         p_i = _trusted(n + 1, n + 1, {extra: {r: -1 if i < p else 1}})
-        images.append((p_i, _trusted(n + 1, n + 1, {r: {extra: 1}})))
+        images.append((p_i, _trusted(n + 1, n + 1, {r: to_extra})))
     return form, tuple(images)
 
 
