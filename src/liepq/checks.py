@@ -4,8 +4,8 @@ Each check certifies one fact through one library routine: bracket
 compatibility through `rep_theory._bracket_defect` (`_map_defect`,
 `Representation.validate`), "A = r.B" through `proportionality`, ranks
 through `kernel`.  The facts that hold for every c, or every c of one
-sign, come from the deformation family's memoized certificates in
-`so_pq`; this module only reports them.  Every check takes p, q and,
+sign, are facts of the one record per signature in `so_pq` (`_family`);
+this module only reports them.  Every check takes p, q and,
 when `CHECKS` names one, an extra rational parameter, and returns a result
 dict with at least {"status": "pass" | "fail" | "skipped"}.
 """
@@ -37,14 +37,7 @@ from .so_pq import (
     SO31_SL2C,
     SO32_SP4R,
     SO33_SL4R,
-    _complement_defect,
-    _deformation_family,
-    _embedding_defect,
-    _killing_block_constants,
-    _so_centralizer,
-    _so_maximality,
-    _t1_equivariance_defect,
-    _t1_rank,
+    _family,
     deformed_algebra,
     dimension_bound,
     embedding_iso,
@@ -172,7 +165,7 @@ def check_smallest_module_enum(p, q):
 
 def check_deformed_jacobi(p, q, c):
     n = p + q
-    _deformation_family(p, q)  # certifies Jacobi exactly, for every rational c
+    _family(p, q).jacobi  # certifies Jacobi exactly, for every rational c, or raises
     return _pass(dim=n * (n + 1) // 2)
 
 
@@ -188,7 +181,7 @@ def check_deformed_radical(p, q, c):
 def check_tc_equivariance(p, q, c):
     if t_c(p, q, c) != t_c(p, q, 1).scale(c):
         return _fail(reason="T_c is not c.T_1")
-    x = _t1_equivariance_defect(p, q) if c else None
+    x = _family(p, q).t1_equivariance_defect if c else None
     if x is not None:
         return _fail(reason=f"T_c not equivariant at basis index {x}")
     return _pass()
@@ -196,11 +189,11 @@ def check_tc_equivariance(p, q, c):
 
 def check_tc_iso_rank(p, q, c):
     """rank T_c, n(n-1)/2 for c != 0 and 0 at c = 0: T_c = c.T_1 is checked
-    at each c, and rank T_1 is computed once per (p, q) (`_t1_rank`)."""
+    at each c, and rank T_1 is computed once per (p, q) (`_Family.t1_rank`)."""
     n = p + q
     if t_c(p, q, c) != t_c(p, q, 1).scale(c):
         return _fail(reason="T_c is not c.T_1")
-    rank = _t1_rank(p, q) if c else 0
+    rank = _family(p, q).t1_rank if c else 0
     expected = n * (n - 1) // 2 if c != 0 else 0
     if rank != expected:
         return _fail(found=rank, expected=expected)
@@ -211,12 +204,12 @@ def check_embedding(p, q, c):
     """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)): images in the
     target, brackets intertwined, injective.  Within one sign branch of c
     the images are P + c.Q and the form F0 + c.F1, so every defect is a
-    polynomial of degree <= 2 in c: `_embedding_defect` certifies it once
-    per (p, q, sign of c), every degree vanishing."""
+    polynomial of degree <= 2 in c: (E), `_Family.embedding_defect`,
+    certifies it once per (p, q, sign of c), every degree vanishing."""
     n = p + q
     if c == 0:
         return _skip("embedding_iso requires c != 0 (c = 0 is the semidirect product)")
-    reason = _embedding_defect(p, q, c > 0)
+    reason = _family(p, q).embedding_defect(c > 0)
     if reason is not None:
         return _fail(reason=reason)
     return _pass(dim=n * (n + 1) // 2)
@@ -236,7 +229,7 @@ def check_sqrt_conjugation(p, q, c):
     """For a perfect-square |c|, S.rho_c.S^{-1} lies in so(J), J = I_{p+1,q}
     (c > 0) or I_{p,q+1} (c < 0), S = `sqrt_conjugation`: when S.J.S = F =
     I_{p,q}(c), A = S.rho.S^{-1} has A^t.J + J.A = S^{-1}.(rho^t.F + F.rho).S^{-1},
-    which is zero by (E) (`_embedding_defect`)."""
+    which is zero by (E) (`_Family.embedding_defect`)."""
     if c == 0:
         return _skip("needs c != 0")
     s = sqrt_conjugation(p, q, c)
@@ -245,15 +238,15 @@ def check_sqrt_conjugation(p, q, c):
     target = ipq(p + 1, q) if c > 0 else ipq(p, q + 1)
     if s @ target @ s != embedding_iso(p, q, c).target_form:
         return _fail(reason="S.J.S is not I_{p,q}(c)")
-    reason = _embedding_defect(p, q, c > 0)
+    reason = _family(p, q).embedding_defect(c > 0)
     return _pass() if reason is None else _fail(reason=reason)
 
 
 def check_maximality(p, q, c):
     """so(p,q) is a maximal subalgebra of [.,.]_c: H + e_idx generates the
     whole algebra for every vector index.  Certified twice per (p, q), at
-    c = 0 and once for every c != 0 (`_so_maximality`)."""
-    maximal, witness = _so_maximality(p, q, c != 0)
+    c = 0 and once for every c != 0 (`_Family.maximality`)."""
+    maximal, witness = _family(p, q).maximality(c != 0)
     if not maximal:
         return _fail(witness=_subspace_payload(witness))
     return _pass()
@@ -261,8 +254,8 @@ def check_maximality(p, q, c):
 
 def check_centralizer(p, q, c):
     """The centralizer of so(p,q) in [.,.]_c is zero, certified once per
-    (p, q) on the c-free brackets (`_so_centralizer`)."""
-    cent = _so_centralizer(p, q)
+    (p, q) on the c-free brackets (`_Family.centralizer`)."""
+    cent = _family(p, q).centralizer
     if cent.dim != 0:
         return _fail(witness=_subspace_payload(cent))
     return _pass()
@@ -272,11 +265,11 @@ def check_killing_blocks(p, q, c):
     """Killing form of the deformed algebra restricted to blocks: zero on
     the mixed block, a1 x Killing(so(p,q)) on the so block, a2 x <.,.>_{p,q}
     on the vector block, with a1, a2 nonzero.  Read once per (p, q) off the
-    family's K0, K1 and K2 (`_killing_block_constants`): a1 is c-free and
+    family's K0, K1 and K2 (`_Family.killing_blocks`): a1 is c-free and
     a2 = c.r1."""
     if c == 0:
         return _skip("block proportionality with nonzero constants needs c != 0")
-    reason, a1, r1 = _killing_block_constants(p, q)
+    reason, a1, r1 = _family(p, q).killing_blocks
     if reason is not None:
         return _fail(reason=reason)
     return _pass(a1=str(a1), a2=str(c * r1))
@@ -288,14 +281,14 @@ def check_complement_irreducible(p, q, c):
     The only work at c is dim T = m + n, m = dim so(p,q); given that, the
     certified embedding, the standard action of so on the vectors and the
     irreducibility of R^{p,q} prove it once per sign of c
-    (`_complement_defect`)."""
+    (`_Family.complement_defect`)."""
     n = p + q
     if c == 0:
         return _skip("the matrix-side pipeline needs c != 0")
     dim, expected = so_of_form(ipq_c(p, q, c)).dim, n * (n + 1) // 2
     if dim != expected:
         return _fail(reason=f"so(R^{{n+1}}, I_{{p,q}}(c)) has dim {dim}, expected {expected}")
-    reason = _complement_defect(p, q, c > 0)
+    reason = _family(p, q).complement_defect(c > 0)
     if reason is not None:
         return _fail(reason=reason)
     return _pass(dim=n)
@@ -322,7 +315,7 @@ def check_half_spin(p, q):
     eta = ipq(4, 4)
     ident = Matrix.identity(16)
     for i in range(8):
-        for j in range(8):
+        for j in range(i, 8):  # the anticommutator is symmetric in i and j
             anti = hs.gammas[i] @ hs.gammas[j] + hs.gammas[j] @ hs.gammas[i]
             if anti != ident.scale(2 * eta[i, j]):
                 return _fail(reason=f"Clifford relation fails at ({i},{j})")

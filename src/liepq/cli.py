@@ -32,11 +32,11 @@ from .weyl_enum import enumerate_up_to_dim, root_system
 
 # Size limit of `verify` and `construct`, so that a large signature fails
 # fast instead of running for hours.  Measured with the pure-Python Fraction
-# backend (Python 3.11, shared 2-core Intel Xeon, whole process, median of 7
-# runs): `verify --suite all` takes 0.16 s at n = 8, 0.42 s at n = 12 and
-# 1.0 s at n = 16 (p = q), about 1.25x more per unit of n, and 1.0 s at
-# (16,0) and 0.8 s at (0,16); `construct --c 1` takes about 0.22 s at
-# n = 16, of which importing the package is about 8 ms.
+# backend (Python 3.11, shared 2-core Intel Xeon, whole process, median of 3
+# runs): `verify --suite all` takes 0.13 s at n = 8, 0.18 s at n = 12 and
+# 0.33 s at n = 16 (p = q), about 1.12x more per unit of n, and 0.39 s at
+# (16,0) and 0.41 s at (0,16); `construct --c 1` takes about 0.17 s at
+# n = 16, of which importing the package is about 40 ms.
 MAX_N = 16
 
 # Size limit of a rational token, on its numerator and its denominator each,

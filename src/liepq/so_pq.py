@@ -91,11 +91,11 @@ def ipq(p: int, q: int) -> Matrix:
 
 def ipq_c(p: int, q: int, c) -> Matrix:
     """diag(c, I_{p,q}) for c > 0 and diag(I_{p,q}, c) for c < 0: the
-    form F0 + c.F1 of `_embedding_branch` at c."""
+    form F0 + c.F1 of `_Family.branch` at c."""
     c = rat(c)
     if c == 0:
         raise ContractError("ipq_c requires c != 0")
-    (f0, f1), _ = _embedding_branch(p, q, c > 0)
+    (f0, f1), _ = _family(p, q).branch(c > 0)
     return f0 + f1.scale(c)
 
 
@@ -156,12 +156,14 @@ def t_c(p: int, q: int, c) -> Matrix:
     """Matrix of T_c : wedge^2 R^n -> so(p,q) in the frozen bases.
 
     T_c(u ^ v) = c<u,.>v - c<v,.>u; on basis bivectors the image is a single
-    generator, so the matrix has one entry per column.
-    """
+    generator, so the integer rows hold one entry per column: -c when both
+    coordinates are positive and c otherwise."""
     c = rat(c)
-    n = Signature(p, q).n
-    # row index equals generator index; a zero c gives the zero matrix
-    return Matrix.diagonal([-c if (i < p and j < p) else c for i, j in wedge_square_index(n)])
+    pairs = wedge_square_index(Signature(p, q).n)
+    a, b = int(c.numerator), int(c.denominator)
+    # row index equals generator index; a zero c gives the zero matrix, den 1
+    rows = {idx: {idx: -a if j < p else a} for idx, (_, j) in enumerate(pairs)} if a else {}
+    return _trusted(len(pairs), len(pairs), rows, b)
 
 
 class DeformedAlgebra(NamedTuple):
@@ -205,21 +207,6 @@ class DeformedAlgebra(NamedTuple):
         return data
 
 
-class _DeformationFamily(NamedTuple):
-    """The brackets [.,.]_c = base + c.vec on so(p,q) (+) R^{p,q}, certified
-    for every rational c, with the Killing gram K(c) = k0 + c.k1 + c^2.k2
-    and the algebras at c = 0 and c = 1."""
-
-    dim: int
-    base: dict  # structure tensor {(i, j): {k: constant}} free of c
-    vec: dict  # the coefficients of c: brackets of two vectors, all zero in base
-    k0: Matrix
-    k1: Matrix
-    k2: Matrix
-    base_algebra: LieAlgebra  # c = 0
-    joint: LieAlgebra  # c = 1
-
-
 def _so_block(p: int, q: int) -> Subspace:
     """The so(p,q) block of so(p,q) (+) R^{p,q}: its first m coordinates."""
     m = (p + q) * (p + q - 1) // 2
@@ -249,67 +236,271 @@ def _deformation_constants(p: int, q: int):
     return m + n, base, vec
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _deformation_family(p: int, q: int) -> _DeformationFamily:
-    """The family base + c.vec of so(p,q), its Jacobi identity certified
-    for every rational c by one graded pass, once per (p, q), with the
-    algebras at c = 0 and c = 1.
+def _per_branch(fact):
+    """A `_Family` fact of one branch of c (a sign of c, or c = 0 against
+    c != 0), kept under (its name, the branch) on its first read."""
+    def read(self, branch):
+        key = (fact.__name__, branch)
+        if key not in self._branches:
+            self._branches[key] = fact(self, branch)
+        return self._branches[key]
+    return functools.update_wrapper(read, fact)
 
-    Every key of vec brackets two vectors and no key of base does (checked
-    here): a bracket with an so index is c-free, a bracket of two vectors
-    is c times its value at c = 1, and one integer tensor holds both, the
-    joint algebra.  A term of the Jacobiator or of the Killing contraction
-    has the sum of the degrees of its two constants, so one Jacobi pass
-    over the joint tensor, filed by degree, gives J(c) = J(base) + c.M +
-    c^2.J(vec), all three zero exactly when J(c) = 0 for every c; one
-    Killing contraction filed the same way gives K(c) = K0 + c.K1 + c^2.K2.
-    Raises ContractError when the grading or a degree fails.
-    """
-    Signature(p, q)
-    if p + q < 3:
-        raise ContractError("the deformed bracket needs p + q >= 3")
-    dim, base, vec = _deformation_constants(p, q)
-    base = _tensor_from_entries(dim, base)
-    vec = _tensor_from_entries(dim, vec)
-    m = dim - (p + q)
-    if any(i < m for i, _ in vec):
-        raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
-    if any(i >= m for i, _ in base):
-        raise ContractError("a c-free bracket of the family brackets two vectors")
-    joint = {**base, **vec}
-    graded = LieAlgebra(ABSTRACT, dim, structure=joint, validate=False)
-    degree = dict.fromkeys(vec, 1)
-    graded._check_jacobi(degree)
-    k0, k1, k2 = graded._killing_grams(degree)
-    # fresh algebras on the same tensors, so the family keeps no integer
-    # copy of them until a certificate reads one: deformed_algebra never does
-    return _DeformationFamily(
-        dim, base, vec, k0, k1, k2,
-        LieAlgebra._certified(dim, base, k0),
-        LieAlgebra._certified(dim, joint, k0 + k1 + k2),
-    )
+
+class _Family:
+    """The facts of so(p,q) (+) R^{p,q} under [.,.]_c = base + c.vec that
+    hold for every rational c, or every c of one branch: one record per
+    (p, q), from `_family`.  Each fact is filled on its first read from only
+    the facts it rests on, and one that raises is not kept.  The Jacobi
+    pass and the Killing grams share an integer copy of base + vec that the
+    record keeps no longer than they need it; (E), `embedding_defect`,
+    reads the constants and the sign branch, not the Jacobi pass."""
+
+    def __init__(self, p: int, q: int):
+        n = Signature(p, q).n
+        self.p, self.q = p, q
+        self.m, self.dim = n * (n - 1) // 2, n * (n + 1) // 2
+        self._branches, self._graded_pair = {}, None
+
+    @functools.cached_property
+    def constants(self):
+        """(base, vec), the tensors {(i, j): {k: constant}} of the c-free
+        brackets and of the coefficients of c, graded (G): every key of vec
+        brackets two vectors and no key of base does.  Raises ContractError
+        below p + q = 3 or when the grading fails."""
+        if self.p + self.q < 3:
+            raise ContractError("the deformed bracket needs p + q >= 3")
+        dim, base, vec = _deformation_constants(self.p, self.q)
+        base, vec = _tensor_from_entries(dim, base), _tensor_from_entries(dim, vec)
+        if any(i < self.m for i, _ in vec):
+            raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
+        if any(i >= self.m for i, _ in base):
+            raise ContractError("a c-free bracket of the family brackets two vectors")
+        return base, vec
+
+    def _graded(self):
+        """(base + vec as one algebra, {key of vec: 1}), the degrees in c of
+        its constants: one integer tensor for the Jacobi pass and the Killing
+        grams, built for the first of them to run and dropped by the second."""
+        graded, self._graded_pair = self._graded_pair, None
+        if graded is None:
+            base, vec = self.constants
+            algebra = LieAlgebra(ABSTRACT, self.dim, structure={**base, **vec}, validate=False)
+            graded = self._graded_pair = algebra, dict.fromkeys(vec, 1)
+        return graded
+
+    @functools.cached_property
+    def jacobi(self) -> bool:
+        """True: one Jacobi pass over base + vec, filed by degree, gives
+        J(c) = J(base) + c.M + c^2.J(vec), all three zero exactly when J(c) = 0
+        for every rational c.  Raises ContractError naming triple and degree."""
+        graded, degree = self._graded()
+        graded._check_jacobi(degree)
+        return True
+
+    @functools.cached_property
+    def grams(self):
+        """(K0, K1, K2): the Killing gram K(c) = K0 + c.K1 + c^2.K2, one
+        contraction over base + vec filed by degree."""
+        graded, degree = self._graded()
+        return tuple(graded._killing_grams(degree))
+
+    @_per_branch
+    def algebra(self, deformed: bool) -> LieAlgebra:
+        """base + vec (c = 1) when deformed, else base (c = 0)."""
+        base, vec = self.constants
+        structure = {**base, **vec} if deformed else base
+        return LieAlgebra(ABSTRACT, self.dim, structure=structure, validate=False)
+
+    @functools.cached_property
+    def centralizer(self) -> Subspace:
+        """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
+        every c, 0 included: a bracket with an so index is a key of base, so
+        [x, h]_c = [x, h]_0 for every h in the block."""
+        return centralizer(self.algebra(False), _so_block(self.p, self.q))
+
+    @_per_branch
+    def maximality(self, deformed: bool):
+        """is_maximal_subalgebra of the so(p,q) block: at c = 0 on base, and
+        for every c != 0 (deformed) on base + vec, c = 1.  With the so block
+        of degree 0 and each e_idx of degree 1, [x, y]_c = c^(deg x . deg y)
+        [x, y]_1, so each closure, its verdict and its witness at c != 0 are
+        those at c = 1."""
+        return is_maximal_subalgebra(self.algebra(deformed), _so_block(self.p, self.q))
+
+    @_per_branch
+    def branch(self, positive: bool):
+        """The embedding of one sign of c as polynomials in c, read by `ipq_c`,
+        `embedding_iso`, `sqrt_conjugation` and the certificates: (form,
+        images), tuples of immutable matrix parts, part d the coefficient of
+        c^d.  form is (F0, F1), I_{p,q}(c) = F0 + c.F1, F1 = E_{x,x} for x the
+        extra coordinate, first (every other index raised by one) for c > 0
+        and last for c < 0.  images holds one (P, Q), image P + c.Q, per
+        deformed-algebra basis index: the so(p,q) basis at the raised places
+        with Q = 0, then e_i with P = -eta_i.E_{x,r}, Q = E_{r,x}, r the place
+        of coordinate i; none below n = 3."""
+        p, q = self.p, self.q
+        n = p + q
+        shift, extra = (1, 0) if positive else (0, n)
+        f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
+        form = (_trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}}))
+        if n < 3:
+            return form, ()
+        zero = Matrix.zeros(n + 1, n + 1)
+        images = []
+        for gen in so_pq_algebra(p, q).basis:
+            rows = gen._data  # for c < 0 the generators' own rows serve
+            if shift:
+                rows = {i + 1: {j + 1: x for j, x in row.items()} for i, row in rows.items()}
+            images.append((_trusted(n + 1, n + 1, rows, gen.den), zero))
+        to_extra = {extra: 1}  # the one row of every Q, shared
+        for i in range(n):
+            r = i + shift
+            p_i = _trusted(n + 1, n + 1, {extra: {r: -1 if i < p else 1}})
+            images.append((p_i, _trusted(n + 1, n + 1, {r: to_extra})))
+        return form, tuple(images)
+
+    @_per_branch
+    def embedding_defect(self, positive: bool):
+        """(E): why the embedding of [.,.]_c fails for some c of one sign, or
+        None: `_graded_embedding_defect` on base + vec, vec of degree 1, and
+        the branch; it rests on no Jacobi identity, so it runs no Jacobi pass."""
+        degree = dict.fromkeys(self.constants[1], 1)
+        return _graded_embedding_defect(self.algebra(True), degree, *self.branch(positive))
+
+    @_per_branch
+    def complement_defect(self, positive: bool):
+        """Why, for some c of one sign branch, the trace-form complement of
+        rho_c(so) in T = so(R^{n+1}, I_{p,q}(c)) is not R^{p,q}, irreducible,
+        given dim T = m + n; or None.  (E): rho_c is injective, so
+        T = rho_c(so) (+) rho_c(V).  tr(rho(X_a).rho(e_i)) = 0 in every degree
+        of c (checked here on the branch parts) and the trace form is
+        nondegenerate on rho_c(so), so rho_c(V) is the complement.  By (E) and
+        (G), [rho X_a, rho e_i] = sum_k (X_a)_ki rho e_k, and (R) decides the
+        module.  The c-free facts are `standard_complement_defect`."""
+        reason = self.embedding_defect(positive) or self.standard_complement_defect
+        if reason is not None:
+            return reason
+        _, images = self.branch(positive)
+        m = self.m
+        # tr(A.B) pairs entry (r, s) of A with entry (s, r) of B; on integer rows
+        # over the parts' common denominator D, each sum is D^2 x trace
+        big = _lcm(1, *(x.den for parts in images for x in parts))
+        partners = {}
+        for b, parts in enumerate(images[m:], m):
+            for e, y in enumerate(parts):
+                k = big // y.den
+                for r, row in y._data.items():
+                    for s, w in row.items():
+                        partners.setdefault((s, r), []).append((b, e, k * w))
+        for a, parts in enumerate(images[:m]):
+            traces = {}
+            for d, x in enumerate(parts):
+                k = big // x.den
+                for r, row in x._data.items():
+                    for s, v in row.items():
+                        for b, e, w in partners.get((r, s), ()):
+                            key = (b, d + e)
+                            traces[key] = traces.get(key, 0) + k * v * w
+            bad = [key for key, t in traces.items() if t]
+            if bad:
+                b, g = min(bad)
+                return f"tr(rho(X_{a}).rho(e_{b - m})) is not zero in degree {g}"
+        return None
+
+    @functools.cached_property
+    def standard_complement_defect(self):
+        """Why a c-free fact of `complement_defect` fails, or None: (G) the
+        base value of every key (X_a, e_i) is column i of X_a on the vectors;
+        the trace form of so(p,q), that of rho_c(so) (the generators placed in
+        a block), is nondegenerate; and (R) R^{p,q} is irreducible."""
+        base, _ = self.constants
+        std = standard_rep(self.p, self.q)
+        m, n = std.algebra.dim, std.module_dim
+        for a, gen in enumerate(std.actions):
+            columns = gen.transpose()._data
+            for i in range(n):
+                column = {m + k: _quotient(x, gen.den) for k, x in columns.get(i, {}).items()}
+                if base.get((a, m + i), {}) != column:
+                    return f"[X_{a}, e_{i}] is not column {i} of X_{a} on the vectors"
+        if kernel(std.algebra.trace_form().gram).dim:
+            return "the trace form of so(p,q) is degenerate"
+        verdict = is_irreducible(std)
+        if verdict.status != "IRREDUCIBLE":
+            return f"R^{{p,q}} verdict {verdict.status}, endo_dim {verdict.endo_dim}"
+        return None
+
+    @functools.cached_property
+    def killing_blocks(self):
+        """(reason, a1, r1) for K(c) = K0 + c.K1 + c^2.K2, block by block (the
+        so block the first m indices, the vector block the last n): the
+        mixed block vanishes in every degree, the so block is
+        a1 x Killing(so(p,q)) in degree 0 and the vector block r1 x <.,.>_{p,q}
+        in degree 1, both zero in the other degrees, so a2 = c.r1.  reason is
+        None when all of this holds with a1 and r1 nonzero."""
+        grams = self.grams
+        so_range, vec_range = range(self.m), range(self.m, self.dim)
+        for d, k in enumerate(grams):
+            if not _block(k, so_range, vec_range).is_zero():
+                return f"mixed block is not zero in degree {d}", None, None
+        so_blocks = [_block(k, so_range, so_range) for k in grams]
+        a1 = proportionality(so_blocks[0], so_pq_algebra(self.p, self.q).killing_form().gram)
+        if a1 is None:
+            return "so block not proportional to Killing(so(p,q))", None, None
+        for d in (1, 2):
+            if not so_blocks[d].is_zero():
+                return f"so block is not zero in degree {d}", None, None
+        vec_blocks = [_block(k, vec_range, vec_range) for k in grams]
+        for d in (0, 2):
+            if not vec_blocks[d].is_zero():
+                return f"vector block is not zero in degree {d}", None, None
+        r1 = proportionality(vec_blocks[1], ipq(self.p, self.q))
+        if r1 is None:
+            return "vector block not proportional to <.,.>_{p,q}", None, None
+        if not a1 or not r1:
+            return "a proportionality constant vanished", None, None
+        return None, a1, r1
+
+    @functools.cached_property
+    def t1_equivariance_defect(self):
+        """The first basis index x with ad(x).T_1 != T_1.wedge(x), or None:
+        equivariance is linear in T, and T_c = c.T_1."""
+        wedge = wedge_square_rep(standard_rep(self.p, self.q))
+        t1 = t_c(self.p, self.q, 1)
+        for x, action in enumerate(wedge.actions):
+            if _intertwining_defect(wedge.algebra.ad_basis_matrix(x), t1, action)[0]:
+                return x
+        return None
+
+    @functools.cached_property
+    def t1_rank(self) -> int:
+        """rank T_1: rank T_c = rank T_1 for every c != 0, where T_c = c.T_1."""
+        t1 = t_c(self.p, self.q, 1)
+        return t1.cols - kernel(t1).dim
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _family(p: int, q: int) -> _Family:
+    """The one `_Family` record of (p, q)."""
+    return _Family(p, q)
 
 
 def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
-    """The bracket [.,.]_c on so(p,q) (+) R^{p,q}, read off the family that
-    `_deformation_family` certifies for every c: no per-c Jacobi run, and
-    the Killing gram comes from the family's expansion in c."""
+    """The bracket [.,.]_c on so(p,q) (+) R^{p,q}, read off the record of
+    (p, q), whose Jacobi pass certifies it for every c: no per-c Jacobi
+    run, and the Killing gram comes from the expansion in c."""
     c = rat(c)
-    family = _deformation_family(p, q)
-    structure = dict(family.base)
+    family = _family(p, q)
+    base, vec = family.constants
+    family.jacobi  # certified for every rational c, or ContractError
+    structure = dict(base)
     if c:
-        for key, entry in family.vec.items():
+        for key, entry in vec.items():
             structure[key] = {k: c * v for k, v in entry.items()}
-    killing = family.k0 + family.k1.scale(c) + family.k2.scale(c * c)
-    m = family.dim - (p + q)
-    return DeformedAlgebra(
-        p=p,
-        q=q,
-        c=c,
-        algebra=LieAlgebra._certified(family.dim, structure, killing),
-        so_indices=tuple(range(m)),
-        vec_indices=tuple(range(m, family.dim)),
-    )
+    k0, k1, k2 = family.grams
+    m, dim = family.m, family.dim
+    algebra = LieAlgebra._certified(dim, structure, k0 + k1.scale(c) + k2.scale(c * c))
+    return DeformedAlgebra(p, q, c, algebra, tuple(range(m)), tuple(range(m, dim)))
 
 
 class EmbeddingIso(NamedTuple):
@@ -324,153 +515,16 @@ class EmbeddingIso(NamedTuple):
 
 def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)): the branch of
-    the sign of c (`_embedding_branch`) at c, images P + c.Q and target form
-    `ipq_c`, the very polynomials `_embedding_defect` certifies."""
+    the sign of c (`_Family.branch`) at c, images P + c.Q and target form
+    `ipq_c`, the very polynomials (E) certifies."""
     c = rat(c)
     if c == 0:
         raise ContractError("embedding_iso requires c != 0")
-    _, images = _embedding_branch(p, q, c > 0)
+    _, images = _family(p, q).branch(c > 0)
     if not images:
         raise ContractError("embedding_iso needs p + q >= 3")
     images = [x if y.is_zero() else y.scale(c) + x for x, y in images]
     return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _embedding_branch(p: int, q: int, positive: bool):
-    """The embedding of one sign branch of c as polynomials in c, once per
-    (p, q, sign) as tuples of immutable matrices, read by `ipq_c`,
-    `embedding_iso`, `sqrt_conjugation` and the certificates: (form,
-    images), each a tuple of parts, part d the coefficient of c^d.  form is
-    (F0, F1), I_{p,q}(c) = F0 + c.F1, F1 = E_{x,x} for x the extra
-    coordinate, first (every other index raised by one) for c > 0 and last
-    for c < 0.  images holds one (P, Q) per deformed-algebra basis index
-    with image P + c.Q: the so(p,q) basis at the raised places with Q = 0,
-    then e_i with P = -eta_i.E_{x,r}, Q = E_{r,x}, r the place of coordinate
-    i; none below n = 3."""
-    n = Signature(p, q).n
-    shift, extra = (1, 0) if positive else (0, n)
-    f0 = {i + shift: {i + shift: 1 if i < p else -1} for i in range(n)}
-    form = (_trusted(n + 1, n + 1, f0), _trusted(n + 1, n + 1, {extra: {extra: 1}}))
-    if n < 3:
-        return form, ()
-    zero = Matrix.zeros(n + 1, n + 1)
-    images = []
-    for gen in so_pq_algebra(p, q).basis:
-        rows = gen._data  # for c < 0 the generators' own rows serve
-        if shift:
-            rows = {i + 1: {j + 1: x for j, x in row.items()} for i, row in rows.items()}
-        images.append((_trusted(n + 1, n + 1, rows, gen.den), zero))
-    to_extra = {extra: 1}  # the one row of every Q, shared
-    for i in range(n):
-        r = i + shift
-        p_i = _trusted(n + 1, n + 1, {extra: {r: -1 if i < p else 1}})
-        images.append((p_i, _trusted(n + 1, n + 1, {r: to_extra})))
-    return form, tuple(images)
-
-
-# -- the deformation family's certificates ------------------------------
-# Each holds for every c at once, or for every c of one sign, and is
-# certified once per (p, q) (and sign) on the family.
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _so_centralizer(p: int, q: int) -> Subspace:
-    """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
-    every c, 0 included: a bracket with an so index is a key of base, so
-    [x, h]_c = [x, h]_0 for every h in the block."""
-    return centralizer(_deformation_family(p, q).base_algebra, _so_block(p, q))
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _so_maximality(p: int, q: int, deformed: bool):
-    """is_maximal_subalgebra of the so(p,q) block: at c = 0 on base, and
-    for every c != 0 (deformed) on the joint tensor, c = 1.  The so block
-    has degree 0 and each e_idx degree 1, and [x, y]_c = c^(deg x . deg y)
-    [x, y]_1 for such homogeneous x and y, so every iterated bracket of
-    the closure of H + e_idx at c is a nonzero multiple of the same
-    bracket at c = 1: the closures, the verdict and the witness are the
-    same for every c != 0."""
-    family = _deformation_family(p, q)
-    return is_maximal_subalgebra(family.joint if deformed else family.base_algebra, _so_block(p, q))
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _embedding_defect(p: int, q: int, positive: bool):
-    """Why the embedding of [.,.]_c fails for every c of one sign branch,
-    or None: `_graded_embedding_defect` on the family's joint tensor, its
-    vec constants of degree 1, and `_embedding_branch`."""
-    family = _deformation_family(p, q)
-    form, images = _embedding_branch(p, q, positive)
-    return _graded_embedding_defect(family.joint, dict.fromkeys(family.vec, 1), form, images)
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _complement_defect(p: int, q: int, positive: bool):
-    """Why, for some c of one sign branch, the trace-form complement of
-    rho_c(so) in T = so(R^{n+1}, I_{p,q}(c)) is not R^{p,q}, irreducible,
-    given dim T = m + n; or None.
-
-    (E), `_embedding_defect`: rho_c is injective, so T = rho_c(so) (+)
-    rho_c(V).  tr(rho(X_a).rho(e_i)) = 0 in every degree of c (checked
-    here on the branch parts) and the trace form is nondegenerate on
-    rho_c(so), so rho_c(V) is the complement.  By (E) and (G),
-    [rho X_a, rho e_i] = sum_k (X_a)_ki rho e_k: so acts on the basis
-    rho(e_i) by the standard matrices, and (R) decides the module.  The
-    c-free facts are `_standard_complement_defect`."""
-    reason = _embedding_defect(p, q, positive) or _standard_complement_defect(p, q)
-    if reason is not None:
-        return reason
-    _, images = _embedding_branch(p, q, positive)
-    m = len(images) - (p + q)
-    # tr(A.B) pairs entry (r, s) of A with entry (s, r) of B; on integer rows
-    # over the parts' common denominator D, each sum is D^2 x trace
-    big = _lcm(1, *(x.den for parts in images for x in parts))
-    partners = {}
-    for b, parts in enumerate(images[m:], m):
-        for e, y in enumerate(parts):
-            k = big // y.den
-            for r, row in y._data.items():
-                for s, w in row.items():
-                    partners.setdefault((s, r), []).append((b, e, k * w))
-    for a, parts in enumerate(images[:m]):
-        traces = {}
-        for d, x in enumerate(parts):
-            k = big // x.den
-            for r, row in x._data.items():
-                for s, v in row.items():
-                    for b, e, w in partners.get((r, s), ()):
-                        key = (b, d + e)
-                        traces[key] = traces.get(key, 0) + k * v * w
-        bad = [key for key, t in traces.items() if t]
-        if bad:
-            b, g = min(bad)
-            return f"tr(rho(X_{a}).rho(e_{b - m})) is not zero in degree {g}"
-    return None
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _standard_complement_defect(p: int, q: int):
-    """Why a c-free fact of `_complement_defect` fails, or None, once per
-    (p, q): (G) the base value of every key (X_a, e_i) is column i of X_a
-    on the vectors; the trace form of so(p,q), which is that of rho_c(so)
-    since the so images are the generators placed in a block, is
-    nondegenerate; and (R) R^{p,q} is irreducible."""
-    base = _deformation_family(p, q).base
-    std = standard_rep(p, q)
-    m, n = std.algebra.dim, std.module_dim
-    for a, gen in enumerate(std.actions):
-        columns = gen.transpose()._data
-        for i in range(n):
-            column = {m + k: _quotient(x, gen.den) for k, x in columns.get(i, {}).items()}
-            if base.get((a, m + i), {}) != column:
-                return f"[X_{a}, e_{i}] is not column {i} of X_{a} on the vectors"
-    if kernel(std.algebra.trace_form().gram).dim:
-        return "the trace form of so(p,q) is degenerate"
-    verdict = is_irreducible(std)
-    if verdict.status != "IRREDUCIBLE":
-        return f"R^{{p,q}} verdict {verdict.status}, endo_dim {verdict.endo_dim}"
-    return None
 
 
 def _graded_embedding_defect(algebra, degree, form, images):
@@ -528,41 +582,6 @@ def _graded_embedding_defect(algebra, degree, form, images):
     return None
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _killing_block_constants(p: int, q: int):
-    """(reason, a1, r1) for the Killing gram K(c) = K0 + c.K1 + c^2.K2 of
-    the family, block by block, once per (p, q): the mixed block vanishes
-    in every degree, the so block is a1 x Killing(so(p,q)) in degree 0 and
-    zero in degrees 1 and 2, and the vector block is r1 x <.,.>_{p,q} in
-    degree 1 and zero in degrees 0 and 2, so a2 = c.r1.  reason is None when
-    all of this holds with a1 and r1 nonzero, and then K(c) has the block
-    form with nonzero constants for every c != 0.  The blocks are read by
-    index range: the so block is the first m basis vectors, the vector
-    block the last n."""
-    family = _deformation_family(p, q)
-    grams = (family.k0, family.k1, family.k2)
-    so = so_pq_algebra(p, q)
-    so_range, vec_range = range(so.dim), range(so.dim, family.dim)
-    for d, k in enumerate(grams):
-        if not _block(k, so_range, vec_range).is_zero():
-            return f"mixed block is not zero in degree {d}", None, None
-    so_blocks = [_block(k, so_range, so_range) for k in grams]
-    a1 = proportionality(so_blocks[0], so.killing_form().gram)
-    if a1 is None:
-        return "so block not proportional to Killing(so(p,q))", None, None
-    for d in (1, 2):
-        if not so_blocks[d].is_zero():
-            return f"so block is not zero in degree {d}", None, None
-    vec_blocks = [_block(k, vec_range, vec_range) for k in grams]
-    for d in (0, 2):
-        if not vec_blocks[d].is_zero():
-            return f"vector block is not zero in degree {d}", None, None
-    r1 = proportionality(vec_blocks[1], ipq(p, q))
-    if r1 is None:
-        return "vector block not proportional to <.,.>_{p,q}", None, None
-    if not a1 or not r1:
-        return "a proportionality constant vanished", None, None
-    return None, a1, r1
 
 
 def _block(k: Matrix, rows: range, cols: range) -> Matrix:
@@ -571,26 +590,6 @@ def _block(k: Matrix, rows: range, cols: range) -> Matrix:
             for i, row in k._data.items() if i in rows}
     return _reduced(len(rows), len(cols), {i: row for i, row in data.items() if row}, k.den)
 
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _t1_equivariance_defect(p: int, q: int):
-    """The first basis index x with ad(x).T_1 != T_1.wedge(x), or None, once
-    per (p, q): equivariance is linear in T, and T_c = c.T_1."""
-    algebra = so_pq_algebra(p, q)
-    wedge = wedge_square_rep(standard_rep(p, q))
-    t1 = t_c(p, q, 1)
-    for x in range(algebra.dim):
-        if _intertwining_defect(algebra.ad_basis_matrix(x), t1, wedge.actions[x])[0]:
-            return x
-    return None
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _t1_rank(p: int, q: int) -> int:
-    """rank T_1, once per (p, q): rank T_c = rank T_1 for every c != 0,
-    where T_c = c.T_1."""
-    t1 = t_c(p, q, 1)
-    return t1.cols - kernel(t1).dim
 
 
 def so_of_form(form: Matrix) -> LieAlgebra:
@@ -614,12 +613,12 @@ def so_of_form(form: Matrix) -> LieAlgebra:
 def sqrt_conjugation(p: int, q: int, c) -> Matrix | None:
     """For perfect-square |c|: the diagonal S with S.J.S = I_{p,q}(c), so
     S.so(I_{p,q}(c)).S^{-1} = so(J), for J = I_{p+1,q} (c > 0) or I_{p,q+1}
-    (c < 0): sqrt|c| at the extra coordinate of `_embedding_branch`, 1
+    (c < 0): sqrt|c| at the extra coordinate of `_Family.branch`, 1
     elsewhere.  None otherwise."""
     c = rat(c)
     if c == 0:
         raise ContractError("c must be nonzero")
-    (_, f1), _ = _embedding_branch(p, q, c > 0)
+    (_, f1), _ = _family(p, q).branch(c > 0)
     s = rational_sqrt(abs(c))
     return None if s is None else Matrix.identity(f1.rows) + f1.scale(s - 1)
 

@@ -136,16 +136,43 @@ def frozen(m):
 
 @pytest.fixture
 def fresh_family_memos():
-    """liepq.so_pq with every memo cache of its namespace (each module-level
-    function with `cache_clear`, as `tests/test_frozen_rows.py` scans them)
-    emptied before and after the test, so that every per-signature
-    certificate reads the sources a test patches and none outlives it."""
-    memos = [value for value in vars(so_pq).values() if callable(getattr(value, "cache_clear", None))]
-    for memo in memos:
-        memo.cache_clear()
+    """liepq.so_pq with the memo of its per-signature records (`_family`)
+    emptied before and after the test, so that every record reads the
+    sources a test patches and none outlives it."""
+    so_pq._family.cache_clear()
     yield so_pq
-    for memo in memos:
-        memo.cache_clear()
+    so_pq._family.cache_clear()
+
+
+@pytest.fixture
+def record_builds(monkeypatch, fresh_family_memos):
+    """The (p, q) of every `so_pq._Family` record built during the test,
+    in order, from fresh memos: each fact of a record is filled at most
+    once, so one build per signature is one certificate of each fact."""
+    builds = []
+    init = so_pq._Family.__init__
+
+    def counted(self, p, q):
+        init(self, p, q)
+        builds.append((p, q))
+
+    monkeypatch.setattr(so_pq._Family, "__init__", counted)
+    return builds
+
+
+@pytest.fixture
+def jacobi_passes(monkeypatch):
+    """The dim of the algebra of every `LieAlgebra._check_jacobi` run
+    during the test, in order."""
+    passes = []
+    check = LieAlgebra._check_jacobi
+
+    def counted(alg, degree=None):
+        passes.append(alg.dim)
+        return check(alg, degree)
+
+    monkeypatch.setattr(LieAlgebra, "_check_jacobi", counted)
+    return passes
 
 
 @pytest.fixture(scope="session")

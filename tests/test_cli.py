@@ -18,8 +18,7 @@ from liepq.exact_linalg import Matrix, rat
 from liepq.rep_theory import adjoint_rep, wedge_square_rep
 from liepq.so_pq import (
     SO31_SL2C,
-    _deformation_family,
-    _embedding_branch,
+    _Family,
     deformed_algebra,
     exceptional_iso,
     ipq,
@@ -312,9 +311,9 @@ def test_run_suite_schema_fields():
             assert check["reason"]
 
 
-def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch, fresh_family_memos):
+def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch, record_builds, jacobi_passes):
     """One build per c, for deformed_radical, and every appendix check read
-    off one family certificate per (p, q), which check_deformed_jacobi
+    off one record per (p, q), whose one Jacobi pass check_deformed_jacobi
     reports."""
     import liepq.checks as checks
 
@@ -324,10 +323,10 @@ def test_verify_appendix_builds_each_deformed_algebra_once(monkeypatch, fresh_fa
         checks, "deformed_algebra", lambda p, q, c: calls.append(c) or real(p, q, c)
     )
     report = run_suite("appendix", 3, 1, ["2", "0", "-1/2"], [])
-    certified = fresh_family_memos._deformation_family.cache_info().misses
     assert report["overall"] == "pass"
     assert sorted(str(c) for c in calls) == ["-1/2", "0", "2"]
-    assert certified == 1
+    assert record_builds == [(3, 1)]
+    assert jacobi_passes == [10]
 
 
 def test_verify_appendix_certifies_the_complement_once(monkeypatch, fresh_family_memos):
@@ -828,7 +827,7 @@ def _unit(n, i, j):
 
 
 def test_tc_rank_check_fails_on_a_rank_drop(monkeypatch, fresh_family_memos):
-    """rank T_1 is read once per signature (`so_pq._t1_rank`), so a rank
+    """rank T_1 is read once per signature (`_Family.t1_rank`), so a rank
     drop of the whole line T_c = c.T_1 fails at every nonzero c."""
     import liepq.checks as checks
 
@@ -869,11 +868,13 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_
     with a nonzero bracket fails, in degree 0, on either sign branch."""
     import liepq.checks as checks
 
-    def doubled(p, q, positive):
-        form, images = _embedding_branch(p, q, positive)
+    real = _Family.branch
+
+    def doubled(record, positive):
+        form, images = real(record, positive)
         return form, [tuple(x.scale(2) for x in parts) for parts in images]
 
-    monkeypatch.setattr(fresh_family_memos, "_embedding_branch", doubled)
+    monkeypatch.setattr(_Family, "branch", doubled)
     i, j = min(deformed_algebra(2, 1, 1).algebra.structure)
     for c in (rat(1), rat("-1/2")):
         assert checks.check_embedding(2, 1, c) == {
@@ -888,11 +889,13 @@ def test_embedding_check_refuses_a_map_that_is_not_injective(monkeypatch, fresh_
     so only the injectivity test can refuse it."""
     import liepq.checks as checks
 
-    def zero(p, q, positive):
-        form, images = _embedding_branch(p, q, positive)
+    real = _Family.branch
+
+    def zero(record, positive):
+        form, images = real(record, positive)
         return form, [tuple(x.scale(0) for x in parts) for parts in images]
 
-    monkeypatch.setattr(fresh_family_memos, "_embedding_branch", zero)
+    monkeypatch.setattr(_Family, "branch", zero)
     assert checks.check_embedding(2, 1, rat(1)) == {
         "status": "fail", "reason": "embedding is not injective"
     }
@@ -907,14 +910,14 @@ def test_hom_check_refuses_a_t1_outside_the_hom_span(monkeypatch):
 
 
 @pytest.mark.parametrize("block", ["mixed", "so", "vector"])
-def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_family_memos, block):
-    """A symmetric bend of one block of the family's K0 fails that block."""
+def test_killing_blocks_check_names_the_failing_block(fresh_family_memos, block):
+    """A symmetric bend of one block of the record's K0 fails that block."""
     import liepq.checks as checks
-    family = _deformation_family(2, 1)
+    record = fresh_family_memos._family(2, 1)
     # so block: indices 0..2, vector block: 3..5
     i, j = {"mixed": (0, 4), "so": (0, 1), "vector": (3, 4)}[block]
-    bent = family._replace(k0=family.k0 + _unit(6, i, j) + _unit(6, j, i))
-    monkeypatch.setattr(fresh_family_memos, "_deformation_family", lambda p, q: bent)
+    k0, k1, k2 = record.grams
+    record.grams = (k0 + _unit(6, i, j) + _unit(6, j, i), k1, k2)
     result = checks.check_killing_blocks(2, 1, rat(1))
     assert result["status"] == "fail"
     assert result["reason"].startswith(f"{block} block")
@@ -932,15 +935,15 @@ def test_killing_blocks_check_names_the_failing_block(monkeypatch, fresh_family_
         ("k1", 3, 4, "vector block not proportional to <.,.>_{p,q}"),
     ],
 )
-def test_killing_blocks_check_names_the_failing_degree(monkeypatch, fresh_family_memos, gram, i, j, reason):
+def test_killing_blocks_check_names_the_failing_degree(fresh_family_memos, gram, i, j, reason):
     """a1 is read off the so block of K0 and a2 = c.r1 off the vector
     block of K1: any other degree of a block must vanish."""
     import liepq.checks as checks
-    family = _deformation_family(2, 1)
-    bend = getattr(family, gram) + _unit(6, i, j) + _unit(6, j, i)
-    monkeypatch.setattr(
-        fresh_family_memos, "_deformation_family", lambda p, q: family._replace(**{gram: bend})
-    )
+    record = fresh_family_memos._family(2, 1)
+    grams = list(record.grams)
+    d = int(gram[1])
+    grams[d] = grams[d] + _unit(6, i, j) + _unit(6, j, i)
+    record.grams = tuple(grams)
     assert checks.check_killing_blocks(2, 1, rat(3)) == {"status": "fail", "reason": reason}
 
 

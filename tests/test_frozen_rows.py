@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from liepq import exact_linalg
+from liepq import exact_linalg, so_pq
 from liepq.cli import main
 from liepq.exact_linalg import Matrix
 from liepq.so_pq import deformed_algebra, embedding_iso
@@ -25,6 +25,7 @@ from conftest import FrozenRow, freeze_rows
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ELAPSED = re.compile(r'"elapsed_ms":[-+0-9.eE]+,')
+MEMOS = (so_pq.so_pq_algebra, so_pq.exceptional_iso, so_pq._family)
 
 
 def _liepq_modules():
@@ -32,10 +33,11 @@ def _liepq_modules():
 
 
 def _clear_memo_caches():
-    for module in _liepq_modules():
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    """Empty the three memos of liepq: the so(p,q) algebras, the exceptional
+    isomorphisms and the per-signature records, which hold every matrix a
+    memo keeps (`test_the_memos_are_the_three_so_pq_ones` pins the list)."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture
@@ -58,6 +60,17 @@ def frozen_rows(monkeypatch):
     _clear_memo_caches()
     yield
     _clear_memo_caches()
+
+
+def test_the_memos_are_the_three_so_pq_ones():
+    """No module of liepq holds a memo that `_clear_memo_caches` misses."""
+    found = {
+        value
+        for module in _liepq_modules()
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    assert found == set(MEMOS)
 
 
 def _assert_frozen(m):

@@ -33,6 +33,7 @@ from liepq.so_pq import (
     embedding_iso,
     exceptional_iso,
     half_spin_reps,
+    ipq,
     sl2c_compact_form_vectors,
     so_of_form,
     so_pq_algebra,
@@ -630,6 +631,30 @@ def test_half_spin_check_solves_hom_v_vstar_once_per_module(monkeypatch):
     solves = _hom_solves(monkeypatch)
     assert check_half_spin(4, 4)["status"] == "pass"
     assert solves == ["End", "Hom", "End", "Hom"]
+
+
+@pytest.mark.parametrize("k, r, s", [(0, 0, 1), (3, 5, 5), (4, 2, 9), (7, 15, 0)])
+def test_half_spin_check_names_the_first_pair_a_bent_gamma_breaks(monkeypatch, k, r, s):
+    """The check visits only the pairs i <= j, the anticommutator being
+    symmetric in i and j: gamma_k bent by one entry still fails, at the
+    first of all 64 ordered pairs whose anticommutator is not
+    2.eta_ij.I."""
+    import liepq.checks as checks
+
+    hs = half_spin_reps(4, 4)
+    gammas = list(hs.gammas)
+    gammas[k] = gammas[k] + Matrix.from_sparse(16, 16, {(r, s): 1})
+    eta, ident = ipq(4, 4), Matrix.identity(16)
+    failing = [
+        (i, j)
+        for i in range(8)
+        for j in range(8)
+        if gammas[i] @ gammas[j] + gammas[j] @ gammas[i] != ident.scale(2 * eta[i, j])
+    ]
+    monkeypatch.setattr(checks, "half_spin_reps", lambda p, q: hs._replace(gammas=gammas))
+    assert checks.check_half_spin(4, 4) == {
+        "status": "fail", "reason": "Clifford relation fails at ({},{})".format(*min(failing))
+    }
 
 
 def test_su2_collapse_check_solves_hom_ad_adstar_once(monkeypatch):

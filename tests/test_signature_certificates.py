@@ -18,8 +18,8 @@ from liepq.exact_linalg import ONE, Echelon, Matrix, Subspace, proportionality, 
 from liepq.lie_core import centralizer, is_maximal_subalgebra
 from liepq.rep_theory import Representation, _bracket_defect
 from liepq.so_pq import (
-    _deformation_family,
-    _embedding_branch,
+    _Family,
+    _family,
     _graded_embedding_defect,
     embedding_iso,
     ipq,
@@ -92,14 +92,15 @@ def test_signature_certificates_equal_the_per_c_oracles(signature, c):
     p, q = signature
     alg = per_c_deformed_algebra(p, q, c)
     block = _so_block(p, q)
-    assert so_pq._so_centralizer(p, q) == centralizer(alg, block)
-    assert so_pq._so_maximality(p, q, True) == is_maximal_subalgebra(alg, block)
+    record = _family(p, q)
+    assert record.centralizer == centralizer(alg, block)
+    assert record.maximality(True) == is_maximal_subalgebra(alg, block)
     emb = embedding_iso(p, q, c)
     form, images = closed_form_embedding(p, q, c)
     assert emb.target_form == ipq_c(p, q, c) == form
     assert emb.images == images
-    assert so_pq._embedding_defect(p, q, c > 0) == _per_c_embedding_reason(alg, emb)
-    reason, a1, r1 = so_pq._killing_block_constants(p, q)
+    assert record.embedding_defect(c > 0) == _per_c_embedding_reason(alg, emb)
+    reason, a1, r1 = record.killing_blocks
     assert reason is None
     assert (a1, c * r1) == _per_c_killing_constants(alg, p, q)
 
@@ -110,15 +111,15 @@ def test_c_zero_certificates_equal_the_per_c_oracles(p, q):
     certified on base alone."""
     alg = per_c_deformed_algebra(p, q, 0)
     block = _so_block(p, q)
-    assert so_pq._so_centralizer(p, q) == centralizer(alg, block)
-    assert so_pq._so_maximality(p, q, False) == is_maximal_subalgebra(alg, block)
+    assert _family(p, q).centralizer == centralizer(alg, block)
+    assert _family(p, q).maximality(False) == is_maximal_subalgebra(alg, block)
 
 
-def test_suite_certifies_once_per_signature_and_sign(monkeypatch, fresh_family_memos):
-    """Five values of c: one centralizer, two maximality closure sets (c = 0
-    and c != 0), one embedding certificate per sign of c (its form's extra
-    coordinate first for c > 0 and last for c < 0) and one reading of the
-    Killing blocks."""
+def test_suite_certifies_once_per_signature_and_sign(monkeypatch, record_builds):
+    """Five values of c: one record, so one reading of the Killing blocks,
+    one centralizer, two maximality closure sets (c = 0 and c != 0) and one
+    embedding certificate per sign of c (its form's extra coordinate first
+    for c > 0 and last for c < 0)."""
     from liepq.cli import run_suite
 
     calls = {"centralizer": [], "maximality": [], "embedding": []}
@@ -138,10 +139,10 @@ def test_suite_certifies_once_per_signature_and_sign(monkeypatch, fresh_family_m
     report = run_suite("appendix", 3, 1, ["2", "-1", "0", "1/3", "-5/2"], [])
     assert report["overall"] == "pass"
     assert len(calls["centralizer"]) == 1
-    family = _deformation_family(3, 1)
-    assert sorted(calls["maximality"]) == [len(family.base), len(family.base) + len(family.vec)]
+    base, vec = _family(3, 1).constants
+    assert sorted(calls["maximality"]) == [len(base), len(base) + len(vec)]
     assert sorted(calls["embedding"]) == [0, 4]
-    assert so_pq._killing_block_constants.cache_info().misses == 1
+    assert record_builds == [(3, 1)]
     assert [c["status"] for c in report["checks"] if c["name"] == "embedding_iso"] == [
         "pass", "pass", "skipped", "pass", "pass"
     ]
@@ -164,7 +165,7 @@ def test_guard_refuses_a_family_graded_otherwise(monkeypatch, fresh_family_memos
         message = "c-free bracket of the family brackets two vectors"
     monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
     with pytest.raises(ContractError, match=message):
-        _deformation_family(3, 1)
+        _family(3, 1).constants
     for name in ("centralizer_trivial", "maximality", "embedding_iso", "killing_blocks"):
         _, _, result = run_check(name, {"p": 3, "q": 1, "c": "2"})
         assert result["status"] == "fail"
@@ -182,16 +183,15 @@ def test_perturbing_a_degree_1_image_entry_fails_the_embedding(signature, positi
     Q, or an so generator's zero part) is refused."""
     p, q = signature
     n = p + q
-    form, images = _embedding_branch(p, q, positive)
+    form, images = _family(p, q).branch(positive)
     a = data.draw(st.integers(0, len(images) - 1), label="image")
     r = data.draw(st.integers(0, n), label="row")
     s = data.draw(st.integers(0, n), label="column")
     bent = list(images)
     bent[a] = (images[a][0], images[a][1] + Matrix.from_sparse(n + 1, n + 1, {(r, s): 1}))
-    family = _deformation_family(p, q)
-    degree = dict.fromkeys(family.vec, 1)
-    assert _graded_embedding_defect(family.joint, degree, form, bent) is not None
-    assert _graded_embedding_defect(family.joint, degree, form, images) is None
+    joint, degree = _family(p, q).algebra(True), dict.fromkeys(_family(p, q).constants[1], 1)
+    assert _graded_embedding_defect(joint, degree, form, bent) is not None
+    assert _graded_embedding_defect(joint, degree, form, images) is None
 
 
 @pytest.mark.parametrize("positive", [True, False])
@@ -200,12 +200,12 @@ def test_a_degree_1_bend_inside_the_form_fails_the_brackets(positive):
     (X preserves F0 and misses the extra coordinate), so only the bracket
     certificate can refuse it, in a degree above 0."""
     p, q = 3, 1
-    form, images = _embedding_branch(p, q, positive)
+    form, images = _family(p, q).branch(positive)
     m = 6
     bent = list(images)
     bent[m] = (images[m][0], images[m][1] + images[0][0])
-    family = _deformation_family(p, q)
-    reason = _graded_embedding_defect(family.joint, dict.fromkeys(family.vec, 1), form, bent)
+    degree = dict.fromkeys(_family(p, q).constants[1], 1)
+    reason = _graded_embedding_defect(_family(p, q).algebra(True), degree, form, bent)
     assert reason.startswith("bracket not intertwined in degree ")
     assert not reason.startswith("bracket not intertwined in degree 0")
 
@@ -249,13 +249,13 @@ def test_graded_pass_matches_the_pairwise_oracle_at_three_values_of_c(signature,
     that fails at one of them."""
     p, q = signature
     n = p + q
-    family = _deformation_family(p, q)
-    _, images = _embedding_branch(p, q, positive)
+    joint, degree = _family(p, q).algebra(True), dict.fromkeys(_family(p, q).constants[1], 1)
+    _, images = _family(p, q).branch(positive)
     images = [list(parts) for parts in images]
     for d, a, r, s, v in bends:
         parts = images[a % len(images)]
         parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r % (n + 1), s % (n + 1)): v})
-    defect = _bracket_defect(family.joint, images, dict.fromkeys(family.vec, 1))
+    defect = _bracket_defect(joint, images, degree)
     failing = []
     for c in (Fraction(1), Fraction(2), Fraction(-1, 3)):
         rep = Representation(per_c_deformed_algebra(p, q, c), n + 1, [x + y.scale(c) for x, y in images])
@@ -300,22 +300,23 @@ def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fre
     per-c pipeline.  With the embedding certificate forced to pass, the
     orthogonality pass alone still refuses it: tr(rho(X_0).rho(e_1)) is
     not zero."""
-    real = so_pq._embedding_branch
+    real = _Family.branch
 
-    def bent(p, q, sign):
-        form, images = real(p, q, sign)
-        extra, r = (0, 2) if sign else (p + q, 1)
+    def bent(record, sign):
+        form, images = real(record, sign)
+        n = record.p + record.q
+        extra, r = (0, 2) if sign else (n, 1)
         images = list(images)
-        images[0] = (images[0][0] + Matrix.from_sparse(p + q + 1, p + q + 1, {(extra, r): 1}), images[0][1])
+        images[0] = (images[0][0] + Matrix.from_sparse(n + 1, n + 1, {(extra, r): 1}), images[0][1])
         return form, images
 
-    monkeypatch.setattr(so_pq, "_embedding_branch", bent)
+    monkeypatch.setattr(_Family, "branch", bent)
     c = "2" if positive else "-1/3"
     assert _complement_status(c) == "fail"
     assert per_c_complement_verdict(3, 1, Fraction(c))["status"] == "fail"
-    so_pq._complement_defect.cache_clear()
-    monkeypatch.setattr(so_pq, "_embedding_defect", lambda p, q, sign: None)
-    assert so_pq._complement_defect(3, 1, positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+    so_pq._family.cache_clear()
+    monkeypatch.setattr(_Family, "embedding_defect", lambda record, sign: None)
+    assert _family(3, 1).complement_defect(positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
 
 
 @pytest.mark.parametrize("positive", [True, False])
@@ -326,39 +327,39 @@ def test_the_trace_pass_sums_the_parts_over_their_common_denominator(monkeypatch
     1, which a sum of the integer rows over their own denominators (2 and 6)
     would read as 1 - 3; with the embedding certificate forced to pass, the
     pass accepts the bend, and a bend of 1 at (x, r) alone it refuses."""
-    real = so_pq._embedding_branch
+    real = _Family.branch
     n = 4
     x, r = (0, 2) if positive else (n, 1)
 
-    def bent(p, q, sign, entries):
-        form, images = real(p, q, sign)
+    def bent(record, sign, entries):
+        form, images = real(record, sign)
         parts = tuple(part + Matrix.from_sparse(n + 1, n + 1, entries[d]) for d, part in enumerate(images[0]))
         return form, (parts,) + images[1:]
 
-    monkeypatch.setattr(so_pq, "_embedding_defect", lambda p, q, sign: None)
+    monkeypatch.setattr(_Family, "embedding_defect", lambda record, sign: None)
     halves = [{(x, r): Fraction(1, 2)}, {(r, x): Fraction(1, 2), (r, r): Fraction(1, 3)}]
-    monkeypatch.setattr(so_pq, "_embedding_branch", lambda p, q, sign: bent(p, q, sign, halves))
-    assert so_pq._complement_defect(3, 1, positive) is None
-    so_pq._complement_defect.cache_clear()
+    monkeypatch.setattr(_Family, "branch", lambda record, sign: bent(record, sign, halves))
+    assert _family(3, 1).complement_defect(positive) is None
+    so_pq._family.cache_clear()
     ones = [{(x, r): 1}, {}]
-    monkeypatch.setattr(so_pq, "_embedding_branch", lambda p, q, sign: bent(p, q, sign, ones))
-    assert so_pq._complement_defect(3, 1, positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+    monkeypatch.setattr(_Family, "branch", lambda record, sign: bent(record, sign, ones))
+    assert _family(3, 1).complement_defect(positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
 
 
 def test_a_base_value_leaving_v_fails_the_complement(monkeypatch, fresh_family_memos):
-    """[X_0, e_0] with an so component X_1 added: the family's Jacobi pass
-    refuses it, so the check fails; and on a family that skips that pass,
-    (G) alone refuses it."""
-    family = _deformation_family(3, 1)
+    """[X_0, e_0] with an so component X_1 added: the check fails, and
+    both (E) and (G) refuse it on their own, neither running the Jacobi
+    pass, which refuses it too."""
     dim, base, vec = so_pq._deformation_constants(3, 1)
     m = dim - 4
-    so_pq._deformation_family.cache_clear()
     monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base + [(0, m, 1, ONE)], vec))
     assert _complement_status("2") == "fail"
-    bent = dict(family.base)
-    bent[(0, m)] = {**bent.get((0, m), {}), 1: ONE}
-    monkeypatch.setattr(so_pq, "_deformation_family", lambda p, q: family._replace(base=bent))
-    assert so_pq._standard_complement_defect(3, 1) == "[X_0, e_0] is not column 0 of X_0 on the vectors"
+    record = _family(3, 1)
+    assert record.embedding_defect(True).startswith("bracket not intertwined in degree 0")
+    assert record.standard_complement_defect == "[X_0, e_0] is not column 0 of X_0 on the vectors"
+    assert "jacobi" not in vars(record)
+    with pytest.raises(ContractError, match="Jacobi identity fails"):
+        record.jacobi
 
 
 def test_a_changed_entry_of_the_standard_action_fails_the_complement(monkeypatch, fresh_family_memos):
@@ -374,7 +375,7 @@ def test_a_changed_entry_of_the_standard_action_fails_the_complement(monkeypatch
 
     monkeypatch.setattr(so_pq, "standard_rep", bent)
     assert _complement_status("2") == "fail"
-    assert so_pq._standard_complement_defect(3, 1) == "[X_0, e_3] is not column 3 of X_0 on the vectors"
+    assert _family(3, 1).standard_complement_defect == "[X_0, e_3] is not column 3 of X_0 on the vectors"
 
 
 def _form_defect_by_products(form, images):
@@ -410,13 +411,13 @@ def test_form_certificate_matches_the_products(signature, positive, bends):
     by v/k, so that the terms of one degree have different denominators."""
     p, q = signature
     n = p + q
-    form, images = _embedding_branch(p, q, positive)
+    form, images = _family(p, q).branch(positive)
     images = [list(parts) for parts in images]
     for d, a, r, s, v, k in bends:
         parts = images[a % len(images)]
         parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r % (n + 1), s % (n + 1)): Fraction(v, k)})
     expected = _form_defect_by_products(form, images)
-    reason = _graded_embedding_defect(_deformation_family(p, q).joint, {}, form, images)
+    reason = _graded_embedding_defect(_family(p, q).algebra(True), {}, form, images)
     if expected is None:
         assert reason is None or not reason.startswith("image leaves")
     else:
@@ -457,7 +458,7 @@ def test_an_inconclusive_standard_module_fails_the_complement(monkeypatch, fresh
 
     monkeypatch.setattr(so_pq, "is_irreducible", lambda rep: IrreducibilityVerdict("INCONCLUSIVE", endo_dim=2))
     assert _complement_status("2") == "fail"
-    assert so_pq._standard_complement_defect(3, 1) == "R^{p,q} verdict INCONCLUSIVE, endo_dim 2"
+    assert _family(3, 1).standard_complement_defect == "R^{p,q} verdict INCONCLUSIVE, endo_dim 2"
 
 
 # -- the sign branch: one memoized object behind every reader -------------
@@ -494,27 +495,27 @@ def test_a_vector_image_bent_by_one_entry_fails_the_check_and_the_oracle(signatu
 
     p, q = signature
     n = p + q
-    real = so_pq._embedding_branch
+    real = _Family.branch
     i = data.draw(st.integers(0, n - 1), label="vector")
     d = data.draw(st.integers(0, 1), label="part")
     r = data.draw(st.integers(0, n), label="row")
     s = data.draw(st.integers(0, n), label="column")
 
-    def bent(p, q, positive):
-        form, images = real(p, q, positive)
+    def bent(record, positive):
+        form, images = real(record, positive)
         a = len(images) - n + i
         parts = list(images[a])
         parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r, s): 1})
         return form, images[:a] + (tuple(parts),) + images[a + 1:]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(so_pq, "_embedding_branch", bent)
-        so_pq._embedding_defect.cache_clear()
+        patch.setattr(_Family, "branch", bent)
+        so_pq._family.cache_clear()
         try:
             assert per_image_sqrt_conjugation(p, q, c)["status"] == "fail"
             result = checks.check_sqrt_conjugation(p, q, Fraction(c))
         finally:
-            so_pq._embedding_defect.cache_clear()
+            so_pq._family.cache_clear()
     assert result["status"] == "fail"
     assert result["reason"].startswith("image leaves so(R^{n+1}, I_{p,q}(c)) in degree")
 
@@ -542,31 +543,39 @@ def test_a_sqrt_at_the_wrong_coordinate_fails_the_identity(monkeypatch, c):
     assert per_image_sqrt_conjugation(p, q, c)["status"] == "fail"
 
 
-def test_every_reader_of_a_sign_shares_one_branch(fresh_family_memos):
+def test_every_reader_of_a_sign_shares_one_branch(monkeypatch, record_builds):
     """`embedding_iso` at several c, `ipq_c`, `sqrt_conjugation` and the
     certificates of one sign build the branch once, as tuples; the so
     images at two c of one sign are the same objects."""
     from liepq.cli import run_check
 
+    raw, built = _Family.branch.__wrapped__, []
+
+    def branch(record, positive):
+        built.append(positive)
+        return raw(record, positive)
+
+    monkeypatch.setattr(_Family, "branch", so_pq._per_branch(branch))
     p, q = 3, 1
     m = 6
     first, second = embedding_iso(p, q, 2), embedding_iso(p, q, Fraction(1, 3))
     ipq_c(p, q, 5)
     sqrt_conjugation(p, q, 4)
-    assert so_pq._embedding_defect(p, q, True) is None
-    assert so_pq._complement_defect(p, q, True) is None
+    assert _family(p, q).embedding_defect(True) is None
+    assert _family(p, q).complement_defect(True) is None
     assert run_check("sqrt_conjugation", {"p": p, "q": q, "c": "9/4"})[2]["status"] == "pass"
-    assert so_pq._embedding_branch.cache_info().misses == 1
+    assert built == [True]
     assert all(a is b for a, b in zip(first.images[:m], second.images[:m]))
     negative = embedding_iso(p, q, -1)
     ipq_c(p, q, Fraction(-1, 2))
-    assert so_pq._embedding_defect(p, q, False) is None
-    assert so_pq._embedding_branch.cache_info().misses == 2
+    assert _family(p, q).embedding_defect(False) is None
+    assert built == [True, False]
     assert all(a is b for a, b in zip(negative.images[:m], embedding_iso(p, q, -3).images[:m]))
-    form, images = so_pq._embedding_branch(p, q, True)
+    form, images = _family(p, q).branch(True)
     assert type(form) is tuple and type(images) is tuple
     assert all(type(parts) is tuple for parts in images)
-    assert so_pq._embedding_branch.cache_info().misses == 2
+    assert built == [True, False]
+    assert record_builds == [(3, 1)]
 
 
 def test_sqrt_conjugation_makes_at_most_two_products_once_the_memos_are_warm(monkeypatch):
@@ -590,3 +599,37 @@ def test_sqrt_conjugation_makes_at_most_two_products_once_the_memos_are_warm(mon
             monkeypatch.setattr(module, "mat_mul", counted)
     assert run_check("sqrt_conjugation", params)[2]["status"] == "pass"
     assert 0 < len(calls) <= 2
+
+
+def test_a_signature_sweep_builds_each_record_once(monkeypatch, record_builds):
+    """`embedding_iso` and (E) at c = 1 and c = -1 over the 39 signatures
+    with 3 <= n <= 8, twice: 78 (p, q, sign) keys, but one record per
+    signature, so the first sweep builds 39 records and 78 certificates and
+    the second builds none."""
+    certified = []
+    monkeypatch.setattr(
+        so_pq, "_graded_embedding_defect",
+        lambda *args: certified.append(args[2][1]) or _graded_embedding_defect(*args),
+    )
+    signatures = [(p, n - p) for n in range(3, 9) for p in range(n + 1)]
+    for sweep in range(2):
+        for p, q in signatures:
+            for c in (1, -1):
+                embedding_iso(p, q, c)
+                assert _family(p, q).embedding_defect(c > 0) is None
+        assert len(record_builds) == 39
+        assert len(certified) == 78
+    assert sorted(record_builds) == sorted(signatures)
+
+
+def test_a_lone_sqrt_check_runs_no_jacobi_pass(fresh_family_memos, jacobi_passes):
+    """(E) reads the constants and the sign branch, not the Jacobi pass: a
+    first sqrt_conjugation check at (8,8), c = 4, runs none, and
+    deformed_jacobi then runs the one pass of the record."""
+    from liepq.cli import run_check
+
+    params = {"p": 8, "q": 8, "c": "4"}
+    assert run_check("sqrt_conjugation", params)[2]["status"] == "pass"
+    assert jacobi_passes == []
+    assert run_check("deformed_jacobi", params)[2]["status"] == "pass"
+    assert jacobi_passes == [136]

@@ -243,6 +243,23 @@ def test_t_c_equivariance(pq, c):
         assert tc @ wedge.actions[x] == adjoint.actions[x] @ tc
 
 
+@pytest.mark.parametrize("c", ["0", "1", "-1", "1/2", "-1/2", "4/3"])
+def test_t_c_integer_rows_equal_the_diagonal_oracle(c):
+    """t_c, written as integer rows with one entry per column, is the
+    canonical matrix `Matrix.diagonal` gives for -c at every pair of
+    positive coordinates and c elsewhere, at every signature up to n = 8;
+    at n = 1, where wedge^2 R^1 has no basis, both refuse."""
+    c = rat(c)
+    for p in (0, 1):
+        with pytest.raises(ContractError, match="requires n >= 2"):
+            t_c(p, 1 - p, c)
+    for n in range(2, 9):
+        for p in range(n + 1):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            oracle = Matrix.diagonal([-c if (i < p and j < p) else c for i, j in pairs])
+            assert t_c(p, n - p, c) == oracle, (p, n - p)
+
+
 def test_deformed_requires_n3():
     with pytest.raises(ContractError):
         deformed_algebra(1, 1, 1)
@@ -298,7 +315,7 @@ def _doubled(entries, index):
 
 
 @pytest.mark.parametrize("part", ["so", "vec", "action"])
-def test_family_certification_catches_one_wrong_constant(monkeypatch, part):
+def test_family_certification_catches_one_wrong_constant(monkeypatch, fresh_family_memos, part):
     """Doubling one so(p,q) constant [X, Y], one action constant [X, e_i]
     or the coefficient of one [e_i, e_j] (c -> 2c) breaks the family's
     certificate for every c, in the degree of c where the broken terms
@@ -313,12 +330,8 @@ def test_family_certification_catches_one_wrong_constant(monkeypatch, part):
         acts = part == "action"
         base = _doubled(base, next(t for t, e in enumerate(base) if (e[1] >= so_dim) == acts))
     monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
-    so_pq._deformation_family.cache_clear()
-    try:
-        with pytest.raises(ContractError, match=f"Jacobi identity fails .* in degree {degree}"):
-            deformed_algebra(p, q, rat("1/2"))
-    finally:
-        so_pq._deformation_family.cache_clear()
+    with pytest.raises(ContractError, match=f"Jacobi identity fails .* in degree {degree}"):
+        deformed_algebra(p, q, rat("1/2"))
 
 
 @pytest.mark.parametrize(
@@ -344,20 +357,45 @@ def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_m
         monkeypatch.setattr(module, "t_c", lambda p, q, c: bent.scale(c))
     assert checks.check_tc_equivariance(p, q, rat(2))["status"] == "fail"
     with pytest.raises(ContractError, match="Jacobi identity fails .* in degree 1"):
-        so_pq._deformation_family(p, q)
+        so_pq._family(p, q).jacobi
 
 
 @pytest.mark.parametrize(
     "p, q", [(p, n - p) for n in range(3, 9) for p in range(n + 1)]
 )
 def test_graded_family_matches_three_run_oracle(p, q):
-    """The one graded pass gives the three validated algebras' base and vec
-    tensors and their Killing grams K0, K1 and K2, entry for entry."""
-    family = so_pq._deformation_family(p, q)
+    """The record's graded passes certify the three validated algebras'
+    base and vec tensors, and give their Killing grams K0, K1 and K2, entry
+    for entry."""
+    record = so_pq._family(p, q)
     dim, base, vec, k0, k1, k2 = three_run_family(p, q)
-    assert family.dim == dim
-    assert family.base == base and family.vec == vec
-    assert (family.k0, family.k1, family.k2) == (k0, k1, k2)
+    assert record.dim == dim
+    assert record.constants == (base, vec)
+    assert record.jacobi
+    assert record.grams == (k0, k1, k2)
+
+
+def test_deformed_algebra_shares_one_integer_tensor_and_keeps_none(monkeypatch, fresh_family_memos):
+    """The Jacobi pass and the Killing grams that `deformed_algebra` reads
+    run on one integer tensor of base + vec, and the record keeps neither
+    it nor an algebra of the family: only the constants, the grams and the
+    Jacobi verdict."""
+    built = []
+    integer_tensor = LieAlgebra._integer_tensor
+
+    def counted(alg):
+        if alg._int_tensor is None:
+            built.append(alg.dim)
+        return integer_tensor(alg)
+
+    monkeypatch.setattr(LieAlgebra, "_integer_tensor", counted)
+    for c in ("2", "0", "-1/3"):
+        assert deformed_algebra(3, 1, c).algebra.is_semisimple() == (c != "0")
+    record = so_pq._family(3, 1)
+    assert built == [10]
+    assert record._graded_pair is None and record._branches == {}
+    kept = {"p", "q", "m", "dim", "_branches", "_graded_pair", "constants", "jacobi", "grams"}
+    assert set(vars(record)) == kept
 
 
 def test_deformed_json_blocks():
