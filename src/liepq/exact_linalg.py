@@ -12,15 +12,24 @@ otherwise `fractions.Fraction`; both keep values in lowest terms with a
 positive denominator, and numerators and denominators enter the integer
 core through `int()` either way.
 
-The matrix kernels keep three rules.  Every result is built by `_trusted`
-(or `_reduced`, which ends in it), the one place a `Matrix` is made from
-integer rows.  An empty result is the zero matrix with den 1, whatever
-the operands' denominators are, and takes no gcd pass.  The per-row loops
-of the hot kernels (products, sums, scaling, negation, the division pass)
-are plain `for` loops, not comprehensions: on Python 3.11 every
-comprehension runs in a function frame of its own (PEP 709 inlines them
-only from 3.12), and that fixed cost outweighs the work on rows of one or
-two nonzeros, the common case of the deformation family's images.
+The matrix kernels keep four rules.  The hot kernels (`mat_mul`, sums
+and differences, `scale`, `transpose` and the gcd pass `_reduced`) write
+the four slots of their result themselves; `_trusted` is the builder
+everywhere else, the one other place a `Matrix` is made from integer
+rows.  An empty result is the zero matrix with den 1, whatever the
+operands' denominators are, and takes no gcd pass.  `a @ b` looks the
+module-level `mat_mul` up by name at call time, so that wrapping that
+name (as a tracer does) sees every product.  Every hot kernel, `Echelon`'s
+`reduce` and `insert` and the rational-to-integer intake (`_integer_rows`,
+`_over_common_den`, `_integer_list`) included, runs in one Python frame
+per call (two where `_reduced` ends it): its loops are plain `for` loops,
+not comprehensions.  On
+Python 3.11 every comprehension runs in a function frame of its own
+(PEP 709 inlines them only from 3.12), and that fixed cost outweighs the
+work on rows of one or two nonzeros, the common case of the deformation
+family's images.  The intake reads each scalar once, as `int(n), int(d)`
+from `as_integer_ratio()`, so the integer core sees Python ints on either
+backend.
 """
 
 from __future__ import annotations
@@ -82,12 +91,51 @@ def _isqrt_exact(n):
 def _over_common_den(vec: dict):
     """(ints, den): the nonzeros of a sparse vector of rationals (or ints) as
     integers over their least common denominator, vec = ints / den."""
+    out = {}
+    fracs = []
     den = 1
-    for x in vec.values():
-        d = x.denominator
-        if den % d:
-            den = _lcm(den, int(d))
-    return {k: int(x.numerator) * (den // int(x.denominator)) for k, x in vec.items() if x}, den
+    for k, x in vec.items():
+        n, d = x.as_integer_ratio()
+        if n:
+            out[k] = int(n)
+            if d != 1:
+                d = int(d)
+                fracs.append((k, d))
+                if den % d:
+                    den = _lcm(den, d)
+    if den != 1:
+        for k in out:
+            out[k] *= den
+        for k, d in fracs:
+            out[k] //= d
+    return out, den
+
+
+def _integer_list(values):
+    """(ints, den): a dense list of values, each through `rat()`, as its
+    nonzeros {index: int} over their least common denominator."""
+    out = {}
+    fracs = []
+    den = 1
+    for j, x in enumerate(values):
+        if x is ZERO:  # the zero that dense reads fill in
+            continue
+        if type(x) is not Rational:
+            x = rat(x)
+        n, d = x.as_integer_ratio()
+        if n:
+            out[j] = int(n)
+            if d != 1:
+                d = int(d)
+                fracs.append((j, d))
+                if den % d:
+                    den = _lcm(den, d)
+    if den != 1:
+        for j in out:
+            out[j] *= den
+        for j, d in fracs:
+            out[j] //= d
+    return out, den
 
 
 def _quotient(x: int, den: int) -> Rational:
@@ -115,9 +163,10 @@ class Matrix:
     (`m[i, j]`, `entries`, `row_list`, `sparse_row`, `trace`, ...) returns
     fresh rational scalars.  New matrices come from `Matrix(...)`, the
     named constructors or the `from_sparse` builder, which validate every
-    entry through `rat()`; every operation's result is built by
-    `_trusted`, an empty one with den 1, in per-row plain loops (see the
-    module docstring).
+    entry through `rat()`.  The hot operations (products, sums, scaling,
+    transposition) write their result's slots themselves, in per-row plain
+    loops; every other result is built by `_trusted`; an empty result has
+    den 1 (see the module docstring).
     """
 
     __slots__ = ("rows", "cols", "_data", "den")
@@ -236,7 +285,12 @@ class Matrix:
                     out[j] = {i: x}
                 else:
                     orow[i] = x
-        return _trusted(self.cols, self.rows, out, self.den)
+        m = object.__new__(Matrix)
+        m.rows = self.cols
+        m.cols = self.rows
+        m._data = out
+        m.den = self.den
+        return m
 
     def trace(self) -> Rational:
         if self.rows != self.cols:
@@ -271,7 +325,7 @@ class Matrix:
             frozenset((i, j, x) for i, row in self._data.items() for j, x in row.items()),
         ))
 
-    def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int = 1, what: str = "addition") -> "Matrix":
         """self + other (sign 1) or self - other (sign -1), on nonzeros.
 
         x +- 0 is x, 0 + x is x and 0 - x is -x.  Otherwise the result
@@ -289,7 +343,15 @@ class Matrix:
         da, db = self.den, other.den
         den = da if da == db else _lcm(da, db)
         fa, fb = den // da, sign * (den // db)
-        out = dict(self._data) if fa == 1 else _scaled_rows(self._data, fa)
+        if fa == 1:
+            out = dict(self._data)
+        else:
+            out = {}
+            for i, row in self._data.items():
+                srow = {}
+                for j, x in row.items():
+                    srow[j] = fa * x
+                out[i] = srow
         for i, orow in other._data.items():
             row = out.get(i)
             if row is None:
@@ -313,32 +375,54 @@ class Matrix:
                 out[i] = row
             else:
                 del out[i]
-        if den == 1:
-            return _trusted(self.rows, self.cols, out)
-        return _reduced(self.rows, self.cols, out, den)
+        if den != 1:
+            return _reduced(self.rows, self.cols, out, den)
+        m = object.__new__(Matrix)
+        m.rows = self.rows
+        m.cols = self.cols
+        m._data = out
+        m.den = 1
+        return m
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1, "addition")
+    __add__ = _combine
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return _trusted(self.rows, self.cols, _scaled_rows(self._data, -1), self.den)
+        return self.scale(-1)
 
     def scale(self, k) -> "Matrix":
-        k = rat(k)
-        kn, kd = int(k.numerator), int(k.denominator)
-        if not kn:
-            return _trusted(self.rows, self.cols, {})
+        if type(k) is not Rational:
+            k = rat(k)
+        kn, kd = k.as_integer_ratio()
+        kn, kd = int(kn), int(kd)
+        den = self.den
         if kd == 1:
             if kn == 1:
                 return self
             # the entries are coprime to den, so only gcd(den, k) cancels
-            g = _gcd(self.den, kn)
+            # (all of den when k is 0, which leaves the zero matrix, den 1)
+            g = _gcd(den, kn)
             kn //= g
-            return _trusted(self.rows, self.cols, _scaled_rows(self._data, kn), self.den // g)
-        return _reduced(self.rows, self.cols, _scaled_rows(self._data, kn), self.den * kd)
+            den //= g
+        else:
+            den *= kd
+        out = {}
+        if kn:
+            for i, row in self._data.items():
+                orow = {}
+                for j, x in row.items():
+                    orow[j] = kn * x
+                out[i] = orow
+        if kd != 1:
+            return _reduced(self.rows, self.cols, out, den)
+        m = object.__new__(Matrix)
+        m.rows = self.rows
+        m.cols = self.cols
+        m._data = out
+        m.den = den
+        return m
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -367,8 +451,9 @@ def _trusted(rows: int, cols: int, data: dict, den: int = 1) -> Matrix:
 
 
 def _reduced(rows: int, cols: int, data: dict, den: int) -> Matrix:
-    """`_trusted` after one gcd pass that brings den and the entries to
-    lowest terms; skipped when den is 1."""
+    """The Matrix of integer rows data over den, as `_trusted` takes them
+    but after one gcd pass that brings den and the entries to lowest
+    terms; skipped when den is 1."""
     if den != 1:
         g = den
         for row in data.values():
@@ -384,18 +469,12 @@ def _reduced(rows: int, cols: int, data: dict, den: int) -> Matrix:
                 out[i] = orow
             data = out
             den //= g
-    return _trusted(rows, cols, data, den)
-
-
-def _scaled_rows(data: dict, k: int) -> dict:
-    """Fresh integer rows k * data, for an int k != 0."""
-    out = {}
-    for i, row in data.items():
-        orow = {}
-        for j, x in row.items():
-            orow[j] = k * x
-        out[i] = orow
-    return out
+    m = object.__new__(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m._data = data
+    m.den = den
+    return m
 
 
 def _check_shape(rows: int, cols: int):
@@ -406,11 +485,27 @@ def _check_shape(rows: int, cols: int):
 def _integer_rows(data: dict):
     """(integer rows, den) for rows {i: {j: nonzero rational}}, over the
     least common denominator of all entries, which is already canonical."""
-    den = _lcm(1, *{int(x.denominator) for row in data.values() for x in row.values()})
-    return {
-        i: {j: int(x.numerator) * (den // int(x.denominator)) for j, x in row.items()}
-        for i, row in data.items()
-    }, den
+    out = {}
+    fracs = []
+    den = 1
+    for i, row in data.items():
+        orow = {}
+        for j, x in row.items():
+            n, d = x.as_integer_ratio()
+            orow[j] = int(n)
+            if d != 1:
+                d = int(d)
+                fracs.append((orow, j, d))
+                if den % d:
+                    den = _lcm(den, d)
+        out[i] = orow
+    if den != 1:
+        for orow in out.values():
+            for j in orow:
+                orow[j] *= den
+        for orow, j, d in fracs:
+            orow[j] //= d
+    return out, den
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -447,13 +542,22 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for l, y in brow.items():
                     acc[l] = get(l, 0) + x * y
         if 0 in acc.values():  # a sum cancelled
-            acc = {l: s for l, s in acc.items() if s}
+            row = {}
+            for l, s in acc.items():
+                if s:
+                    row[l] = s
+            acc = row
         if acc:
             out[i] = acc
     den = a.den * b.den
-    if den == 1 or not out:  # an empty product is the zero matrix, den 1
-        return _trusted(a.rows, b.cols, out)
-    return _reduced(a.rows, b.cols, out, den)
+    if den != 1 and out:
+        return _reduced(a.rows, b.cols, out, den)
+    m = object.__new__(Matrix)  # an empty product is the zero matrix, den 1
+    m.rows = a.rows
+    m.cols = b.cols
+    m._data = out
+    m.den = 1
+    return m
 
 
 def _intertwining_defect(a: Matrix, p: Matrix, b: Matrix):
@@ -516,7 +620,7 @@ def mat_vec(a: Matrix, v):
     """Product of a matrix with a coefficient list."""
     if a.cols != len(v):
         raise ShapeMismatchError("matrix-vector shape mismatch")
-    vec, vden = _over_common_den(dict(enumerate(v)))
+    vec, vden = _integer_list(v)
     den = a.den * vden
     out = [ZERO] * a.rows
     for i, s in _mat_vec_int(a._data, vec).items():
@@ -606,21 +710,33 @@ class Echelon:
         scale is the lcm of the leads of the rows used.
         """
         rows = self._rows
-        hits = [(rows[p], p, f) for p, f in vec.items() if p in rows]
+        hits = []
+        scale = 1
+        for p, f in vec.items():
+            row = rows.get(p)
+            if row is not None:
+                lead = row[p]
+                hits.append((row, lead, f))
+                if scale % lead:
+                    scale = _lcm(scale, lead)
         if not hits:
             return dict(vec), 1
-        scale = 1
-        for row, p, _ in hits:
-            lead = row[p]
-            if lead != 1:
-                scale = _lcm(scale, lead)
-        out = dict(vec) if scale == 1 else {k: x * scale for k, x in vec.items()}
+        if scale == 1:
+            out = dict(vec)
+        else:
+            out = {}
+            for k, x in vec.items():
+                out[k] = x * scale
         get = out.get
-        for row, p, f in hits:
-            f = -f * (scale // row[p])
+        for row, lead, f in hits:
+            f = -f * (scale // lead)
             for k, y in row.items():
-                out[k] = get(k, 0) + f * y
-        return {k: x for k, x in out.items() if x}, scale
+                s = get(k, 0) + f * y
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return out, scale
 
     def insert(self, vec: dict) -> bool:
         """Add the integer vector vec, left unchanged, to the span; False,
@@ -634,7 +750,8 @@ class Echelon:
         if vec[pivot] < 0:
             g = -g
         if g != 1:
-            vec = {k: x // g for k, x in vec.items()}
+            for k in vec:  # vec is reduce's fresh vector
+                vec[k] //= g
         lead = vec[pivot]
         for row in self._rows.values():
             f = row.get(pivot)
@@ -688,18 +805,6 @@ def _echelon(ncols: int, vectors) -> Echelon:
     return ech
 
 
-def _sparse_list(values) -> dict:
-    """A list of values as a sparse {index: value} vector, through `rat()`."""
-    out = {}
-    for j, x in enumerate(values):
-        if x is ZERO:  # the zero that dense reads fill in
-            continue
-        x = rat(x)
-        if x:
-            out[j] = x
-    return out
-
-
 def rref(rows):
     """Reduced row echelon form of a list of equal-length rows.
 
@@ -709,7 +814,7 @@ def rref(rows):
     """
     if not rows:
         return [], []
-    ech = _echelon(len(rows[0]), (_over_common_den(_sparse_list(r))[0] for r in rows))
+    ech = _echelon(len(rows[0]), (_integer_list(r)[0] for r in rows))
     return ech.dense_rows(), ech.pivots()
 
 
@@ -741,7 +846,7 @@ class Subspace:
             else:
                 if len(v) != ambient_dim:
                     raise ShapeMismatchError("vector length != ambient dimension")
-                ints.append(_over_common_den(_sparse_list(v))[0])
+                ints.append(_integer_list(v)[0])
         return cls(_echelon(ambient_dim, ints))
 
     @classmethod
@@ -798,7 +903,7 @@ class Subspace:
             ints, den = vector._flat(), vector.den
         else:
             size = len(vector)
-            ints, den = _over_common_den(_sparse_list(vector))
+            ints, den = _integer_list(vector)
         if size != self.ambient_dim:
             raise ShapeMismatchError("vector length != ambient dimension")
         if self._echelon.reduce(ints)[0]:

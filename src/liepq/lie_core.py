@@ -24,10 +24,10 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _integer_list,
     _integer_rows,
     _intertwining_defect,
     _mat_vec_int,
-    _over_common_den,
     _reduced,
     _trusted,
     kernel,
@@ -222,7 +222,7 @@ class LieAlgebra:
         """Matrix of ad(x) = [x, .] on the coefficient space."""
         if len(x) != self.dim:
             raise ShapeMismatchError("coefficient vector must have length dim")
-        return self._ad(*_over_common_den(dict(enumerate(x))))
+        return self._ad(*_integer_list(x))
 
     def ad_basis_matrix(self, i) -> Matrix:
         if not 0 <= i < self.dim:

@@ -43,12 +43,11 @@ from .exact_linalg import (
     Subspace,
     ZERO,
     _combine_maps,
+    _integer_list,
     _intertwining_defect,
     _mat_vec_int,
-    _over_common_den,
     _quotient,
     _reduced,
-    _sparse_list,
     _trusted,
     invert,
     kernel,
@@ -619,7 +618,7 @@ def cyclic_submodule(v: Representation, vector) -> Subspace:
         vector = vector.entries
     if len(vector) != v.module_dim:
         raise ShapeMismatchError("vector length != module dimension")
-    start = _over_common_den(_sparse_list(vector))[0]
+    start = _integer_list(vector)[0]
     ech = Echelon(v.module_dim)
     frontier = [start] if ech.insert(start) else []
     while frontier:

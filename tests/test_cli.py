@@ -699,7 +699,11 @@ def _parsed_overall(command, fmt, out):
             if not line.startswith("# NOTE: "):
                 kind, rank, weight, dim = line.split("\t")
                 assert kind in "BD" and int(rank) > 0 and int(dim) > 0
-                assert all(rat(x) >= 0 for x in weight.split())
+                # dominant in the epsilon basis: l_1 >= ... >= l_n >= 0 for B,
+                # l_1 >= ... >= l_{n-1} >= |l_n| for D (whose l_n may be negative)
+                lam = [rat(x) for x in weight.split()]
+                chain = lam + [0] if kind == "B" else lam[:-1] + [abs(lam[-1])]
+                assert all(x >= y for x, y in zip(chain, chain[1:]))
     elif command == "irreps":
         assert re.fullmatch(r"\d+ weight\(s\) with dim <= \d+", lines[-1])
     elif fmt == "tsv":

@@ -1,4 +1,6 @@
+import math
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from liepq.errors import ContractError, ShapeMismatchError
 from liepq.exact_linalg import (
-    Echelon,
     Matrix,
     kron,
     mat_vec,
@@ -16,7 +17,12 @@ from liepq.exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    Echelon,
+    _integer_list,
+    _integer_rows,
     _intertwining_defect,
+    _over_common_den,
+    _reduced,
     congruence_diagonalize,
     dump_matrix_text,
     inertia_of_diagonalizable_form,
@@ -272,9 +278,25 @@ def sparse_operands(draw):
     )
 
 
+def assert_integer_canonical(m):
+    """m's stored form is the canonical one every kernel must build: each
+    stored value a nonzero Python int, no empty row, den an int >= 1, and
+    gcd(den, entries) = 1 (an mpz entry or an unreduced den would still
+    compare equal to the same matrix built densely)."""
+    assert type(m.den) is int and m.den >= 1
+    g = m.den
+    for row in m._data.values():
+        assert row
+        for x in row.values():
+            assert type(x) is int and x
+            g = math.gcd(g, x)
+    assert g == 1
+
+
 def assert_exact_entries(result, expected):
     assert result.entries == expected
     assert all(type(x) is Rational for x in result.entries)
+    assert_integer_canonical(result)
 
 
 @given(sparse_operands(), st.integers(-12, 12))
@@ -296,8 +318,8 @@ def test_zero_skipping_ops_match_dense_formulas(operands, k_int):
         ):
             assert_exact_entries(result, expected)
             assert result == Matrix(n, m, expected)  # canonical: same den and rows
-    for scalar in (k, k_int):
-        expected = [scalar * x for x in a.entries]
+    for scalar in (k, k_int, "-9/4", Fraction(2, 3), 0, 1, -1):
+        expected = [Fraction(scalar) * x for x in a.entries]
         assert_exact_entries(a.scale(scalar), expected)
         assert a.scale(scalar) == Matrix(n, m, expected)
 
@@ -587,6 +609,7 @@ def assert_matches(result, rows, cols, expected):
     # a stored zero would break == against the same matrix built densely
     assert result == Matrix(rows, cols, flat(expected))
     assert hash(result) == hash(Matrix(rows, cols, flat(expected)))
+    assert_integer_canonical(result)
 
 
 @given(matrix_operands())
@@ -610,6 +633,8 @@ def test_matrix_ops_match_dense_oracle(operands):
     assert_matches(a.scale(1), n, m, da)
     assert_matches(a.scale(-1), n, m, [[-x for x in r] for r in da])
     assert_matches(a.scale(0), n, m, [[Fraction(0)] * m for _ in range(n)])
+    for scalar in (6, "-5/6", Fraction(3, 4)):
+        assert_matches(a.scale(scalar), n, m, [[Fraction(scalar) * x for x in r] for r in da])
     assert_matches(-a, n, m, [[-x for x in r] for r in da])
     assert_matches(a.transpose(), m, n, [[da[i][j] for i in range(n)] for j in range(m)])
     assert_matches(kron(a, b), n * b.rows, m * b.cols, dense_kron(da, db))
@@ -740,3 +765,82 @@ def test_no_in_place_entries_writes_in_the_library():
                  "m.entries[:] = []"):
         assert ENTRIES_WRITE.search(line)
     assert not ENTRIES_WRITE.search("if m.entries[0] == x:")
+
+
+# -- the rational-to-integer intake -----------------------------------------
+
+
+def sparse_list_oracle(values):
+    """A list of values as a sparse {index: value} vector, through `rat()`:
+    the sparse step the dense-list intake used to take before
+    `_over_common_den`."""
+    out = {}
+    for j, x in enumerate(values):
+        x = rat(x)
+        if x:
+            out[j] = x
+    return out
+
+
+mixed_values = st.one_of(
+    st.just(ZERO),
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+@given(st.lists(mixed_values, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_integer_list_matches_the_sparse_list_composition(values):
+    ints, den = _integer_list(values)
+    assert (ints, den) == _over_common_den(sparse_list_oracle(values))
+    assert type(den) is int and den == math.lcm(1, *(rat(x).denominator for x in values))
+    assert all(type(x) is int and x for x in ints.values())
+    assert {j: Fraction(x, den) for j, x in ints.items()} == {
+        j: Fraction(rat(x)) for j, x in enumerate(values) if rat(x)
+    }
+
+
+def test_dense_intake_refuses_floats():
+    """A float entry of a dense list is refused as rat() refuses it, also
+    where the list is a coefficient vector (the same holds for
+    `LieAlgebra.ad_matrix`, in test_lie_core.py)."""
+    m = Matrix.identity(2)
+    for values in ([0.5, 0], [1, 2.0]):
+        with pytest.raises(ContractError):
+            mat_vec(m, values)
+        with pytest.raises(ContractError):
+            _integer_list(values)
+    assert mat_vec(m, ["1/2", 3]) == [Fraction(1, 2), 3]
+
+
+# -- hot kernels run in one frame ---------------------------------------------
+
+# the kernels the module docstring holds to plain loops: on Python 3.11 a
+# comprehension or generator expression inside one runs in a frame of its own
+HOT_KERNELS = (
+    mat_mul, Matrix._combine, Matrix.scale, Matrix.transpose, _reduced, _integer_rows,
+    _over_common_den, _integer_list, Echelon.reduce, Echelon.insert,
+)
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def nested_code_names(code):
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield const.co_name
+            yield from nested_code_names(const)
+
+
+def test_hot_kernels_hold_no_comprehension():
+    found = {
+        fn.__qualname__: sorted(set(nested_code_names(fn.__code__)) & COMPREHENSIONS)
+        for fn in HOT_KERNELS
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+    assert Matrix.__add__ is Matrix._combine
+    # the walk does see a comprehension where one is
+    assert set(nested_code_names(Matrix.__hash__.__code__)) & COMPREHENSIONS

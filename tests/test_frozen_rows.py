@@ -3,9 +3,11 @@
 `Matrix` results may be operands and may share rows with them, which is
 safe only while no stored row is written after construction.  The fixture
 here makes every matrix the library builds store FrozenRow rows in a
-FrozenRow row map: it patches each module's binding of `_trusted` and the
-`Matrix(...)` constructor, and empties the memo caches so that no matrix
-built before the patch is reused.  An in-place write into a row anywhere in
+FrozenRow row map: it replaces the `Matrix._data` slot by a property whose
+setter stores the frozen rows, so that every construction path is caught
+(the constructors, `_trusted` and the kernels that write their result's
+slots themselves), and empties the memo caches so that no matrix built
+before the patch is reused.  An in-place write into a row anywhere in
 src/liepq then raises TypeError in the runs below.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from liepq import exact_linalg, so_pq
+from liepq import so_pq
 from liepq.cli import main
 from liepq.exact_linalg import Matrix
 from liepq.so_pq import deformed_algebra, embedding_iso
@@ -42,21 +44,12 @@ def _clear_memo_caches():
 
 @pytest.fixture
 def frozen_rows(monkeypatch):
-    original = exact_linalg._trusted
+    slot = Matrix.__dict__["_data"]
 
-    def trusted(rows, cols, data, den=1):
-        return original(rows, cols, freeze_rows(data), den)
+    def store(m, data):
+        slot.__set__(m, freeze_rows(data))
 
-    for module in _liepq_modules():
-        if getattr(module, "_trusted", None) is original:
-            monkeypatch.setattr(module, "_trusted", trusted)
-    init = Matrix.__init__
-
-    def frozen_init(self, rows, cols, entries):
-        init(self, rows, cols, entries)
-        self._data = freeze_rows(self._data)
-
-    monkeypatch.setattr(Matrix, "__init__", frozen_init)
+    monkeypatch.setattr(Matrix, "_data", property(slot.__get__, store))
     _clear_memo_caches()
     yield
     _clear_memo_caches()

@@ -841,3 +841,14 @@ def test_map_defect_refuses_an_abstract_target(so31):
     ])
     with pytest.raises(UnsupportedRealizationError):
         _map_defect(so31, abstract, Matrix.identity(so31.dim))
+
+
+def test_ad_matrix_reads_its_coefficients_through_rat():
+    """ad(x) takes the coefficient list as every dense intake does: 'p/q'
+    strings, ints and rationals, and a float is refused with a
+    ContractError."""
+    alg = so_pq_algebra(2, 1)
+    x = ["1/2", 0, 3]
+    assert alg.ad_matrix(x) == alg.ad_matrix([Rational(1, 2), Rational(0), Rational(3)])
+    with pytest.raises(ContractError):
+        alg.ad_matrix([0.5, 0, 0])
