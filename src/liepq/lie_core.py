@@ -27,7 +27,6 @@ from .exact_linalg import (
     _integer_list,
     _integer_rows,
     _intertwining_defect,
-    _mat_vec_int,
     _reduced,
     _trusted,
     kernel,
@@ -183,6 +182,11 @@ class LieAlgebra:
     # -- internals ----------------------------------------------------
 
     def coordinatizer(self) -> _Coordinatizer:
+        """The coordinate reader of the MATRIX basis, kept on the algebra:
+        the one a constructor attached (`from_matrices` keeps the echelon
+        it solved the commutators with; a closed-form basis may attach a
+        reader that needs no elimination), else an echelon
+        `_Coordinatizer` built on first use."""
         if self.realization != MATRIX:
             raise UnsupportedRealizationError("needs a MATRIX realization")
         if self._coordinatizer is None:
@@ -502,6 +506,10 @@ class BilinearForm:
         self.gram = gram
 
     def evaluate(self, x, y) -> Rational:
+        """x^t G y for coefficient lists x and y of length `on`; raises
+        ShapeMismatchError on any other length."""
+        if len(x) != self.on:
+            raise ShapeMismatchError("coefficient vectors must have length on")
         gx = mat_vec(self.gram, y)
         return sum((x[i] * gx[i] for i in range(self.on) if x[i]), ZERO)
 
@@ -548,14 +556,30 @@ def centralizer(algebra: LieAlgebra, subspace: Subspace) -> Subspace:
 
 def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
     """{x : form(x, h) = 0 for every h in the subspace}: the kernel of the
-    integer rows G h, for G the gram's integer rows and h the subspace's."""
+    integer rows G h, for G the gram's integer rows and h the subspace's.
+    The gram is symmetric (`BilinearForm` checks it), so G h is the sum of
+    h_l times row l of G, a walk over h's nonzeros and their rows only.
+    Raises ShapeMismatchError when the subspace is not in Q^form.on."""
+    if subspace.ambient_dim != form.on:
+        raise ShapeMismatchError("subspace lives in the wrong coefficient space")
     hs = subspace._integer_rows()
     if not hs:
         return Subspace.full(form.on)
     gram = form.gram._data
     equations = {}
     for r, h in enumerate(hs):
-        row = _mat_vec_int(gram, h)
+        row = {}
+        for l, x in h.items():
+            grow = gram.get(l)
+            if grow is not None:
+                for i, y in grow.items():
+                    row[i] = row.get(i, 0) + x * y
+        if 0 in row.values():  # a sum cancelled
+            nonzero = {}
+            for i, s in row.items():
+                if s:
+                    nonzero[i] = s
+            row = nonzero
         if row:
             equations[r] = row
     return kernel(_trusted(len(hs), form.on, equations))

@@ -162,10 +162,12 @@ def _int_poly_mul(p, q):
 
 
 def _apply_int_poly(q, big, v: dict) -> dict:
-    """q(A) v for an integer polynomial q, by Horner, as a sparse vector."""
+    """q(A) v for an integer polynomial q, by Horner, as a sparse vector;
+    A times a zero accumulator (the first step's) is skipped."""
     acc = {}
     for c in reversed(q):
-        acc = _mat_vec_int(big, acc)
+        if acc:
+            acc = _mat_vec_int(big, acc)
         if c:
             for j, x in v.items():
                 s = acc.get(j, 0) + c * x

@@ -14,7 +14,9 @@ breadth-first from its eigenspace vectors, those whose eigenspace in W is
 smallest first: an intertwiner maps a generator into the joint eigenspace
 of W with the same eigenvalues and commutes with every word of the spin,
 so one map per generator and vector of that eigenspace spans Hom_g(V, W)
-(with an empty pool the generators are unit vectors).  Each constraint
+(with an empty pool the generators are unit vectors); End(V) holds the
+identity, so a lone start map of Hom_g(V, V) is the identity, and no
+constraint is checked.  Each constraint
 image rho_W(x) . phi - phi . rho_V(x) is one integer vector over a
 denominator from `_intertwining_defect`, one pass with no product matrix,
 and the kernel of the images is taken on those vectors over the lcm of
@@ -266,7 +268,9 @@ def restrict(v: Representation, subspace: Subspace) -> Representation:
     entry lead_j, and the basis is the identity on the pivot columns, so the
     coordinates of a.b_j are its own entries there: column j of the
     restricted action is the integer vector a.row_j read at the pivots, over
-    a.den * lead_j.  a.row_j must reduce to zero against the echelon.
+    a.den * lead_j.  The rows are indexed by column once per call, so one
+    walk over each action's stored entries builds all k images a.row_j;
+    each must reduce to zero against the echelon.
     """
     if subspace.ambient_dim != v.module_dim:
         raise ShapeMismatchError("subspace lives in the wrong module")
@@ -276,14 +280,37 @@ def restrict(v: Representation, subspace: Subspace) -> Representation:
     leads = [row[p] for p, row in zip(pivots, rows)]
     den = _lcm(1, *leads)
     k = len(rows)
+    by_column = {}  # column c -> [(j, row_j[c])]
+    for j, row in enumerate(rows):
+        for c, x in row.items():
+            hits = by_column.get(c)
+            if hits is None:
+                by_column[c] = [(j, x)]
+            else:
+                hits.append((j, x))
     actions = []
     for a in v.actions:
+        images = []
+        for _ in range(k):
+            images.append({})
+        for i, arow in a._data.items():
+            for c, y in arow.items():
+                hits = by_column.get(c)
+                if hits is not None:
+                    for j, x in hits:
+                        image = images[j]
+                        image[i] = image.get(i, 0) + y * x
         data = {}
-        for j, (row, lead) in enumerate(zip(rows, leads)):
-            image = _mat_vec_int(a._data, row)
+        for j, image in enumerate(images):
+            if 0 in image.values():  # a sum cancelled
+                nonzero = {}
+                for i, s in image.items():
+                    if s:
+                        nonzero[i] = s
+                image = nonzero
             if ech.reduce(image)[0]:
                 raise ContractError("subspace is not invariant under the action")
-            f = den // lead
+            f = den // leads[j]
             for r, p in enumerate(pivots):
                 x = image.get(p)
                 if x is not None:
@@ -308,16 +335,20 @@ def hom_space(v: Representation, w: Representation):
 
     The maps start as `_initial_hom_basis`: one per spun generator of V and
     vector of W with the generator's eigenvalues under a commuting pool,
-    which span Hom_g(V, W).  Per basis element x, the images aw.phi - phi.av
-    of the current maps come from `_intertwining_defect` as integer vectors
-    over their denominators, and the maps are cut down to the combinations
-    whose image vanishes.
+    which span Hom_g(V, W).  End(V) (w is v) holds the identity, so a lone
+    start map is the identity (Schur's lemma read off the start) and is
+    returned as it is, with no constraint checked.  Otherwise, per basis
+    element x, the images aw.phi - phi.av of the current maps come from
+    `_intertwining_defect` as integer vectors over their denominators, and
+    the maps are cut down to the combinations whose image vanishes.
     """
     _require_same_algebra(v, w)
     n, m = v.module_dim, w.module_dim
     if n == 0 or m == 0:
         return []
     maps = _initial_hom_basis(v, w)
+    if w is v and len(maps) == 1:
+        return maps
     for a in range(v.algebra.dim):
         if not maps:
             return []
@@ -482,7 +513,10 @@ def _spun_maps(v, w, blocks_v, blocks_w):
     with phi(u_s) in the span of the z_{s,i}, so phi lies in the span of
     the Psi_{s,i}; a key that W lacks contributes no map.  A pair whose
     generators reach more than `_DENSE_HOM_CAP` maps is refused as soon as
-    they do, before any map is built.
+    they do, before any map is built.  When w is v and the generators give
+    one map, that map spans End(V), which holds the identity, so it is a
+    multiple of I: the identity is returned with no Z, no P^-1 and no
+    product.
     """
     n, m = v.module_dim, w.module_dim
     order = sorted(
@@ -526,6 +560,8 @@ def _spun_maps(v, w, blocks_v, blocks_w):
                     break
     if not any(gens):
         return []
+    if count == 1 and w is v:
+        return [Matrix.identity(n)]
     zs = [[{} for _ in block] for block in gens]  # the rows of each Z_{s,i}
     for k, (s, _, images) in enumerate(spun):
         for z, image in zip(zs[s], images):
@@ -537,8 +573,10 @@ def _spun_maps(v, w, blocks_v, blocks_w):
 
 def _refine_blocks(blocks, x, eigenvalues):
     """Split each block (key, integer basis rows) into its intersections with
-    the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,); from
-    the whole-space block of unit rows, the eigenspaces of x themselves.
+    the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).  The
+    block of key () must be the whole space of unit rows, B = I: its split
+    is the integer rows of ker(x - lam) themselves, with no transpose, no
+    product and no recombination.
 
     None when some block is not the sum of its intersections, that is when
     x does not act on the blocks as an operator commuting with their split.
@@ -547,13 +585,19 @@ def _refine_blocks(blocks, x, eigenvalues):
     out = []
     for key, rows in blocks:
         k = len(rows)
-        bt = _trusted(k, n, dict(enumerate(rows))).transpose()
-        xb = mat_mul(x, bt)
+        if key:
+            bt = _trusted(k, n, dict(enumerate(rows))).transpose()
+            xb = mat_mul(x, bt)
+        else:
+            xb = x
+            bt = Matrix.identity(n)
         found = 0
         for lam in eigenvalues:
             ker = kernel(xb - bt.scale(lam))
             if ker.dim:
-                split = [_combine_int_rows(c, rows) for c in ker._integer_rows()]
+                split = ker._integer_rows()
+                if key:
+                    split = [_combine_int_rows(c, rows) for c in split]
                 out.append((key + (lam,), split))
                 found += ker.dim
                 if found == k:

@@ -125,6 +125,9 @@ def _diagonal_so(diag) -> LieAlgebra:
     when they share exactly one index, and for x < y < z
     [X_xy, X_yz] = X_xz, [X_xy, X_xz] = -(d_x/d_y).X_yz and
     [X_xz, X_yz] = -(d_y/d_z).X_xy.
+
+    The algebra carries `_DiagonalCoordinates` as its coordinatizer, which
+    reads coordinates off the entries: no echelon is built.
     """
     n = len(diag)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # as wedge_square_index(n)
@@ -143,7 +146,47 @@ def _diagonal_so(diag) -> LieAlgebra:
             entries.append((xy, yz, xz, ONE))
             entries.append((xy, xz, yz, minus_ratio[xy]))
             entries.append((xz, yz, xy, minus_ratio[yz]))
-    return LieAlgebra.from_structure(len(pairs), entries, validate=False, basis=basis)
+    alg = LieAlgebra.from_structure(len(pairs), entries, validate=False, basis=basis)
+    alg._coordinatizer = _DiagonalCoordinates(diag, start)
+    return alg
+
+
+class _DiagonalCoordinates(_Coordinatizer):
+    """Coordinates in the closed-form basis X_ij = E_ij - (d_i/d_j).E_ji of
+    `_diagonal_so`, read off the entries with no elimination.
+
+    The coefficient of X_ij (i < j) in A is A_ij.  A lies in the span
+    exactly when its diagonal is zero, d_j.A_ji = -d_i.A_ij for every
+    stored (i, j) with i < j, and every stored (j, i) below the diagonal is
+    matched so: the reads are those of the echelon `_Coordinatizer` of the
+    same basis, through the same `express` and `express_sparse`.
+    """
+
+    def __init__(self, diag, start):
+        n = len(diag)
+        self.dim = n * (n - 1) // 2
+        self.shape = (n, n)
+        self.size = n * n
+        self.diag = diag
+        self.start = start  # pair (i, j) has index start[i] + j
+
+    def _express_flat(self, vec: dict, den: int):
+        n, diag, start = self.shape[0], self.diag, self.start
+        out = {}
+        below = 0
+        for k, x in vec.items():
+            i, j = divmod(k, n)
+            if i < j:
+                if diag[j] * vec.get(j * n + i, 0) != -diag[i] * x:
+                    return None
+                out[start[i] + j] = Rational(x, den)
+            elif i > j:
+                below += 1
+            else:
+                return None
+        # every entry above the diagonal has its partner below; any other
+        # entry below is unmatched
+        return out if below == len(out) else None
 
 
 def standard_rep(p: int, q: int) -> Representation:
@@ -597,10 +640,10 @@ def so_of_form(form: Matrix) -> LieAlgebra:
     kernel basis.
 
     A diagonal nondegenerate form, one whose every row holds exactly its
-    nonzero diagonal entry (I_{p,q}(c) is one), gets that basis and its
-    structure in closed form from `_diagonal_so`.  A degenerate or
-    non-diagonal symmetric form goes through the N^2 x N^2 kernel of
-    `_form_preserving_algebra`.
+    nonzero diagonal entry (I_{p,q}(c) is one), gets that basis, its
+    structure and its coordinate reader in closed form from `_diagonal_so`.
+    A degenerate or non-diagonal symmetric form goes through the N^2 x N^2
+    kernel of `_form_preserving_algebra`.
     """
     if not form.is_symmetric():
         raise ContractError("so_of_form requires a symmetric form")

@@ -7,8 +7,8 @@ import pytest
 from liepq import so_pq
 from liepq.errors import ContractError
 from liepq.exact_linalg import (
-    NO_SOLUTION, ONE, ZERO, Echelon, Matrix, Subspace, _quotient, _reduced, _trusted, invert,
-    kernel, rat, solve_linear, wedge_square_index,
+    NO_SOLUTION, ONE, ZERO, Echelon, Matrix, Subspace, _mat_vec_int, _quotient, _reduced, _trusted,
+    invert, kernel, rat, solve_linear, wedge_square_index,
 )
 from liepq.lie_core import LieAlgebra, bracket, canonical_json, orthogonal_complement
 from liepq.rep_theory import Representation, is_irreducible, restrict
@@ -93,6 +93,33 @@ def restrict_by_solve(v, subspace):
         sol, _ = solve_linear(b, a @ b)
         assert sol is not NO_SOLUTION
         actions.append(sol)
+    return actions
+
+
+def restrict_per_row(v, subspace):
+    """The actions of v restricted to an invariant subspace by one product
+    a.row_j per action and basis row, each reduced against the echelon and
+    read at the pivots: the per-row loop `rep_theory.restrict` ran before it
+    walked each action once, kept as its oracle.  Raises ContractError when
+    the subspace is not invariant."""
+    ech = subspace._echelon
+    pivots = subspace.pivot_columns()
+    rows = subspace._integer_rows()
+    leads = [row[p] for p, row in zip(pivots, rows)]
+    den = lcm(1, *leads)
+    k = len(rows)
+    actions = []
+    for a in v.actions:
+        data = {}
+        for j, (row, lead) in enumerate(zip(rows, leads)):
+            image = _mat_vec_int(a._data, row)
+            if ech.reduce(image)[0]:
+                raise ContractError("subspace is not invariant under the action")
+            for r, p in enumerate(pivots):
+                x = image.get(p)
+                if x is not None:
+                    data.setdefault(r, {})[j] = x * (den // lead)
+        actions.append(_reduced(k, k, data, a.den * den))
     return actions
 
 

@@ -18,9 +18,11 @@ from liepq.exact_linalg import (
     Subspace,
     inertia_of_diagonalizable_form,
     mat_mul,
+    mat_vec,
     rat,
 )
 from liepq.lie_core import (
+    BilinearForm,
     LieAlgebra,
     _Coordinatizer,
     bracket,
@@ -45,6 +47,7 @@ from conftest import (
     contains,
     contains_subspace,
     dense_express,
+    dense_kernel,
     dense_rref,
     pairwise_defect,
     pairwise_trace_gram,
@@ -360,6 +363,41 @@ def test_orthogonal_complement_trivial(so31):
     beta = so31.trace_form()
     assert orthogonal_complement(beta, Subspace.full(6)).dim == 0
     assert orthogonal_complement(beta, zero_subspace(6)) == Subspace.full(6)
+
+
+def test_orthogonal_complement_checks_the_ambient_dimension():
+    """A subspace of Q^3 or Q^1 against a form on Q^2 is a shape error, as
+    it is for `centralizer`, not all of Q^2 or a line."""
+    form = BilinearForm(2, Matrix.identity(2))
+    for ambient in (3, 1):
+        with pytest.raises(ShapeMismatchError):
+            orthogonal_complement(form, Subspace.full(ambient))
+    line = Subspace.from_vectors(2, [[1, 1]])
+    assert orthogonal_complement(form, line) == Subspace.from_vectors(2, [[1, -1]])
+
+
+def test_bilinear_form_evaluate_checks_both_lengths():
+    form = BilinearForm(2, Matrix.identity(2))
+    assert form.evaluate([1, 2], [1, 1]) == 3
+    for x, y in (([1, 2, 99], [1, 1]), ([1], [1, 1]), ([1, 2], [1, 1, 1])):
+        with pytest.raises(ShapeMismatchError):
+            form.evaluate(x, y)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orthogonal_complement_matches_a_dense_oracle(n, data):
+    """Random symmetric grams, degenerate ones included, against the dense
+    kernel of the rows G.h for h the subspace's canonical basis."""
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            entries[(i, j)] = entries[(j, i)] = data.draw(small_matrix_entry)
+    form = BilinearForm(n, Matrix.from_sparse(n, n, entries))
+    vector = st.lists(small_matrix_entry, min_size=n, max_size=n)
+    sub = Subspace.from_vectors(n, data.draw(st.lists(vector, max_size=n)))
+    rows = [mat_vec(form.gram, h) for h in sub.basis_rows()]
+    assert orthogonal_complement(form, sub).basis_rows() == dense_kernel(rows, n)
 
 
 def test_beta_complement_of_so21_in_so31(so31):

@@ -81,3 +81,18 @@ def test_gcd():
 
 def test_poly_eval():
     assert poly_eval(p(1, 2, 3), rat(2)) == rat(17)
+
+
+def test_apply_int_poly_skips_the_empty_first_horner_step(monkeypatch):
+    """q(A) v for q = x^2 - 5x - 2, the characteristic polynomial of A,
+    takes deg q = 2 products, none of them on the empty accumulator."""
+    import liepq.ratpoly as rp
+
+    a = Matrix.from_rows([[1, 2], [3, 4]])
+    products = []
+    real = rp._mat_vec_int
+    monkeypatch.setattr(rp, "_mat_vec_int", lambda data, vec: products.append(vec) or real(data, vec))
+    assert rp._apply_int_poly([-2, -5, 1], a._data, {0: 1}) == {}
+    assert products == [{0: 1}, {0: -4, 1: 3}]
+    assert rp._apply_int_poly([3], a._data, {1: 2}) == {1: 6}
+    assert len(products) == 2

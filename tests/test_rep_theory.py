@@ -44,7 +44,7 @@ from liepq.lie_core import LieAlgebra, orthogonal_complement
 
 from conftest import (
     block_pairing_basis, column_list, contains, dense_hom_oracle, dense_kernel, per_c_complement,
-    restrict_by_solve,
+    restrict_by_solve, restrict_per_row,
 )
 
 
@@ -228,6 +228,47 @@ def test_restrict_matches_the_solve_linear_oracle():
     assert len(cases) == 87
     for v, subspace in cases:
         assert restrict(v, subspace).actions == restrict_by_solve(v, subspace)
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 0)]),
+    st.sampled_from([("std",), ("ad",), ("sum", ("std",), ("std",)), ("sum", ("std",), ("ad",))]),
+    st.integers(0, 2**16), st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_restrict_matches_the_per_row_loop(pq, expr, seed, data):
+    """One walk per action gives the matrices of the former per-row loop on
+    conjugated modules, restricted to the cyclic submodule of a drawn
+    vector (invariant) and to the span of drawn vectors (mostly not): both
+    raise ContractError on the same subspaces."""
+    v = _conjugated(_build_module(expr, *pq), seed)
+    n = v.module_dim
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    spanned = Subspace.from_vectors(n, data.draw(st.lists(entries, min_size=1, max_size=3)))
+    subspaces = [spanned, cyclic_submodule(v, data.draw(entries))]
+    for subspace in subspaces:
+        try:
+            expected = restrict_per_row(v, subspace)
+        except ContractError:
+            with pytest.raises(ContractError, match="not invariant"):
+                restrict(v, subspace)
+            continue
+        assert restrict(v, subspace).actions == expected
+
+
+def test_restrict_matches_the_per_row_loop_on_the_criterion_modules():
+    """The complement modules of criterion 8 and the (4,4) half-spin
+    modules, and the error on a line of R^{2,1}, which no boost keeps."""
+    cases = [per_c_complement(p, n - p, rat(c)) for n in (3, 4, 5) for p in range(1, n) for c in ("-1/2", "2")]
+    hs = half_spin_reps(4, 4)
+    cases += [(hs.spinor_rep, hs.plus_space), (hs.spinor_rep, hs.minus_space)]
+    for v, subspace in cases:
+        assert restrict(v, subspace).actions == restrict_per_row(v, subspace)
+    _, std = std_and_friends(2, 1)
+    line = Subspace.from_vectors(3, [[1, 0, 0]])
+    for solver in (restrict, restrict_per_row):
+        with pytest.raises(ContractError, match="not invariant"):
+            solver(std, line)
 
 
 def test_beta_complement_restricts_to_standard_module():
@@ -890,6 +931,87 @@ def test_complement_and_invariant_forms_start_from_one_map():
     std = standard_rep(4, 4)
     assert len(rt._initial_hom_basis(std, dual_rep(std))) == 1
     assert len(invariant_symmetric_forms(std)) == 1
+
+
+def _end_modules():
+    """(module, one-map start) params: restricted complements, standard
+    modules and the (4,4) half-spins start End from one map; compact R^3,
+    ROADMAP item 1's conjugated W + W, a direct sum and the diagonal
+    abelian algebra on R^3 start from several."""
+    for p, q, c in [(2, 1, "2"), (3, 1, "2"), (2, 2, "-1/2"), (4, 1, "1/2"), (3, 2, "-2")]:
+        yield pytest.param(restrict(*per_c_complement(p, q, rat(c))), True, id=f"complement-{p},{q}-c={c}")
+    for p, q in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 4)]:
+        yield pytest.param(standard_rep(p, q), True, id=f"R^{{{p},{q}}}")
+    spins = half_spin_reps(4, 4)
+    yield pytest.param(spins.c_plus, True, id="half-spin-plus")
+    yield pytest.param(spins.c_minus, True, id="half-spin-minus")
+    yield pytest.param(standard_rep(3, 0), False, id="R^3-of-so(3)")
+    algebra = so_pq_algebra(2, 1)
+    cob = Matrix(6, 6, [1, 0, -1, 0, 0, 0, 1, -1, 1, 0, 1, 0, -1, 0, -1, 1, 0, -1,
+                        1, 1, 0, 1, -1, 1, 1, 0, -1, -1, 0, 0, -1, 0, 1, 0, 1, 0])
+    twice = [invert(cob) @ kron(Matrix.identity(2), b) @ cob for b in algebra.basis]
+    yield pytest.param(Representation(algebra, 6, twice), False, id="W+W")
+    yield pytest.param(direct_sum(standard_rep(2, 1), adjoint_rep(algebra)), False, id="R^{2,1}+ad")
+    yield pytest.param(_diagonal_abelian_module(3), False, id="diagonal-abelian")
+
+
+@pytest.mark.parametrize("v,one_map", list(_end_modules()))
+def test_end_matches_dense_with_and_without_a_one_map_start(v, one_map):
+    """hom_space(v, v) returns a lone start map, the identity, with no
+    constraint checked; where the start has several maps the constraint
+    kernels run.  Either way the basis is the dense solver's."""
+    import liepq.rep_theory as rt
+
+    start = rt._initial_hom_basis(v, v)
+    assert (len(start) == 1) == one_map
+    if one_map:
+        assert start == [Matrix.identity(v.module_dim)]
+    _assert_hom_matches_dense(v, v)
+
+
+def test_end_of_the_complement_runs_no_constraint_and_no_inverse(monkeypatch):
+    """Count guard: End of the (3,1), c = 2 restricted complement starts
+    from one map, so it calls neither `_intertwining_defect` nor `invert`,
+    and the closed-form so(R^5, I_{3,1}(2)) reads coordinates with no
+    echelon insert."""
+    import sys
+
+    import liepq.exact_linalg as exact_linalg
+    from liepq.exact_linalg import Echelon
+    from liepq.lie_core import _Coordinatizer
+    from liepq.so_pq import ipq_c
+
+    module = restrict(*per_c_complement(3, 1, rat(2)))
+    form = ipq_c(3, 1, rat(2))
+    calls = dict.fromkeys(["_intertwining_defect", "invert", "insert"], 0)
+    for name in ("_intertwining_defect", "invert"):
+        real = getattr(exact_linalg, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "liepq" and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    real_insert = Echelon.insert
+
+    def counted_insert(self, vec):
+        calls["insert"] += 1
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    assert hom_space(module, module) == [Matrix.identity(4)]
+    assert calls["_intertwining_defect"] == calls["invert"] == 0
+    calls["insert"] = 0
+    target = so_of_form(form)
+    coord = target.coordinatizer()
+    assert coord.express(target.basis[3]) == [0, 0, 0, 1] + [0] * 6
+    assert calls["insert"] == 0
+    # the counters are live
+    _Coordinatizer(target.basis)
+    hom_space(standard_rep(3, 0), standard_rep(3, 0))
+    assert calls["insert"] and calls["_intertwining_defect"] and calls["invert"]
 
 
 _SUMMANDS = st.sampled_from([("std",), ("ad",), ("dual", ("std",)), ("wedge", ("std",))])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liepq import so_pq
-from liepq.errors import ContractError, UnknownSmallestModuleError, UnsupportedRealizationError
+from liepq.errors import ContractError, ShapeMismatchError, UnknownSmallestModuleError, UnsupportedRealizationError
 from liepq.exact_linalg import (
     Matrix,
     Subspace,
@@ -15,8 +15,9 @@ from liepq.exact_linalg import (
     inertia_of_diagonalizable_form,
     rat,
     rref,
+    wedge_square_index,
 )
-from liepq.lie_core import LieAlgebra
+from liepq.lie_core import LieAlgebra, _Coordinatizer
 from liepq.ratpoly import min_poly
 from liepq.rep_theory import (
     Representation,
@@ -484,6 +485,46 @@ def test_closed_form_so_of_a_rational_diagonal_matches_the_kernel_path(diag):
     alg = so_of_form(form)
     assert_same_algebra(alg, so_pq._form_preserving_algebra(form))
     alg._check_jacobi()
+
+
+@given(st.lists(st.integers(-6, 6).filter(bool), min_size=2, max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_coordinates_match_the_echelon_coordinatizer(diag, data):
+    """The reader `_diagonal_so` attaches, against the echelon
+    `_Coordinatizer` of the same basis: an in-span combination with
+    rational coefficients, a one-entry perturbation of it, a diagonal
+    entry, a pair with one entry missing, and a matrix of the wrong shape."""
+    alg = so_pq._diagonal_so(diag)
+    reader = alg.coordinatizer()
+    assert isinstance(reader, so_pq._DiagonalCoordinates)
+    oracle = _Coordinatizer(alg.basis)
+    n = len(diag)
+    coeffs = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, "1/2", "-5/3"]), min_size=alg.dim, max_size=alg.dim))
+    inside = Matrix.zeros(n, n)
+    for c, b in zip(coeffs, alg.basis):
+        inside = inside + b.scale(rat(c))
+    bump = data.draw(nonzero_rationals)
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    k = data.draw(st.integers(0, n - 1))
+    x, y = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    partnered = inside + alg.basis[wedge_square_index(n).index((x, y))].scale(bump)
+    entries = {(r, s): partnered[r, s] for r in range(n) for s in range(n)}
+    del entries[data.draw(st.sampled_from([(x, y), (y, x)]))]
+    cases = [
+        inside,
+        inside + Matrix.from_sparse(n, n, {(i, j): bump}),
+        inside + Matrix.from_sparse(n, n, {(k, k): bump}),
+        Matrix.from_sparse(n, n, entries),
+    ]
+    for m in cases:
+        assert reader.express_sparse(m) == oracle.express_sparse(m)
+        assert reader.express(m) == oracle.express(m)
+    assert reader.express(inside) == [rat(c) for c in coeffs]
+    for shape in ((n + 1, n + 1), (n, n + 1)):
+        wrong = Matrix.zeros(*shape)
+        for coord in (reader, oracle):
+            with pytest.raises(ShapeMismatchError):
+                coord.express(wrong)
 
 
 @pytest.mark.parametrize(
