@@ -14,14 +14,15 @@ core through `int()` either way.
 
 The matrix kernels keep four rules.  The hot kernels (`mat_mul`, sums
 and differences, `scale`, `transpose` and the gcd pass `_reduced`) write
-the four slots of their result themselves; `_trusted` is the builder
-everywhere else, the one other place a `Matrix` is made from integer
-rows.  An empty result is the zero matrix with den 1, whatever the
-operands' denominators are, and takes no gcd pass.  `a @ b` looks the
+the four slots of their result themselves; rows a caller accumulated,
+cancelled zeros and all, become a `Matrix` through `_accumulated`, and
+`_trusted` wraps every other result made from integer rows.  An empty
+result is the zero matrix with den 1, whatever the operands'
+denominators are, and takes no gcd pass.  `a @ b` looks the
 module-level `mat_mul` up by name at call time, so that wrapping that
 name (as a tracer does) sees every product.  Every hot kernel, `Echelon`'s
-`reduce` and `insert` and the rational-to-integer intake (`_integer_rows`,
-`_over_common_den`, `_integer_list`) included, runs in one Python frame
+`reduce` and `insert`, `_accumulated` and the rational-to-integer intake
+(`_integer_rows`, `_integer_list`) included, runs in one Python frame
 per call (two where `_reduced` ends it): its loops are plain `for` loops,
 not comprehensions.  On
 Python 3.11 every comprehension runs in a function frame of its own
@@ -86,29 +87,6 @@ def rational_sqrt(value):
 def _isqrt_exact(n):
     r = _math.isqrt(int(n))
     return r if r * r == n else None
-
-
-def _over_common_den(vec: dict):
-    """(ints, den): the nonzeros of a sparse vector of rationals (or ints) as
-    integers over their least common denominator, vec = ints / den."""
-    out = {}
-    fracs = []
-    den = 1
-    for k, x in vec.items():
-        n, d = x.as_integer_ratio()
-        if n:
-            out[k] = int(n)
-            if d != 1:
-                d = int(d)
-                fracs.append((k, d))
-                if den % d:
-                    den = _lcm(den, d)
-    if den != 1:
-        for k in out:
-            out[k] *= den
-        for k, d in fracs:
-            out[k] //= d
-    return out, den
 
 
 def _integer_list(values):
@@ -477,6 +455,24 @@ def _reduced(rows: int, cols: int, data: dict, den: int) -> Matrix:
     return m
 
 
+def _accumulated(rows: int, cols: int, acc: dict, den: int) -> Matrix:
+    """The Matrix of integer rows {i: {j: int}} over den that a caller
+    accumulated: a row holding a cancelled zero is rebuilt without it, an
+    empty row is dropped, and `_reduced` brings the form to lowest terms.
+    The rows of acc are handed over as `_trusted` takes them."""
+    data = {}
+    for i, row in acc.items():
+        if 0 in row.values():
+            nonzero = {}
+            for j, x in row.items():
+                if x:
+                    nonzero[j] = x
+            row = nonzero
+        if row:
+            data[i] = row
+    return _reduced(rows, cols, data, den)
+
+
 def _check_shape(rows: int, cols: int):
     if rows < 0 or cols < 0:
         raise ShapeMismatchError(f"negative matrix shape {rows}x{cols}")
@@ -592,28 +588,22 @@ def _intertwining_defect(a: Matrix, p: Matrix, b: Matrix):
     return acc, a.den * p.den * b.den
 
 
-def _combine_maps(maps, coeffs: dict, m, n):
-    """The m x n matrix sum of coeffs[i] * maps[i], exactly, for sparse
-    coefficients {i: rational or int}; computed on the integer rows over
-    the lcm of the maps' denominators."""
-    cs, cden = _over_common_den(coeffs)
+def _combine_maps(maps, coeffs: dict, m, n, cden=1):
+    """The m x n matrix sum of coeffs[i] * maps[i] / cden, exactly, for sparse
+    integer coefficients {i: int} over one positive cden; computed on the
+    integer rows over the lcm of the maps' denominators."""
     den = 1
-    for i in cs:
+    for i in coeffs:
         den = _lcm(den, maps[i].den)
     acc = {}
-    for i, c in cs.items():
+    for i, c in coeffs.items():
         phi = maps[i]
         f = c * (den // phi.den)
         for r, row in phi._data.items():
             arow = acc.setdefault(r, {})
             for j, x in row.items():
                 arow[j] = arow.get(j, 0) + f * x
-    data = {}
-    for r, row in acc.items():
-        row = {j: x for j, x in row.items() if x}
-        if row:
-            data[r] = row
-    return _reduced(m, n, data, den * cden)
+    return _accumulated(m, n, acc, den * cden)
 
 
 def mat_vec(a: Matrix, v):
@@ -1113,6 +1103,9 @@ def load_matrix_text(text: str) -> Matrix:
     tokens = text.split()
     if len(tokens) < 2:
         raise ContractError("matrix text needs a 'rows cols' header")
+    # ASCII digits, as for integer flags: int() also reads underscores and other digits
+    if not all(t.isascii() and t.isdigit() for t in tokens[:2]):
+        raise ContractError(f"matrix text header needs two unsigned integers: {' '.join(tokens[:2])!r}")
     rows, cols = int(tokens[0]), int(tokens[1])
     body = tokens[2:]
     if len(body) != rows * cols:

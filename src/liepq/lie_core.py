@@ -24,10 +24,10 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _accumulated,
     _integer_list,
     _integer_rows,
     _intertwining_defect,
-    _reduced,
     _trusted,
     kernel,
     mat_vec,
@@ -248,13 +248,7 @@ class LieAlgebra:
                         out[k] = {j: f * v}
                     else:
                         row[j] = row.get(j, 0) + f * v
-        data = {}
-        for k, row in out.items():
-            if 0 in row.values():
-                row = {j: v for j, v in row.items() if v}
-            if row:
-                data[k] = row
-        return _reduced(d, d, data, den * xden)
+        return _accumulated(d, d, out, den * xden)
 
     def _check_jacobi(self, degree=None):
         """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for
@@ -339,7 +333,7 @@ class LieAlgebra:
                 for b, s in row.items():
                     out = graded[a // d + b // d].setdefault(a % d, {})
                     out[b % d] = out.get(b % d, 0) + s
-        return [_gram_matrix(rows, d, den * den) for rows in graded]
+        return [_accumulated(d, d, rows, den * den) for rows in graded]
 
     def trace_form(self) -> "BilinearForm":
         """tr(b_a b_b), on the integer rows over the lcm of the basis
@@ -355,7 +349,7 @@ class LieAlgebra:
             for i, row in b._data.items():
                 for j, x in row.items():
                     slots.setdefault((i, j), []).append((a, x * f))
-        return BilinearForm(d, _gram_matrix(_trace_contraction(slots), d, den * den))
+        return BilinearForm(d, _accumulated(d, d, _trace_contraction(slots), den * den))
 
     def theta_involution(self) -> Matrix:
         """Matrix of X -> -X^t in the basis; NotStableError if the basis is
@@ -458,18 +452,6 @@ def _trace_contraction(slots) -> dict:
     return gram
 
 
-def _gram_matrix(rows: dict, d: int, den: int) -> Matrix:
-    """The d x d matrix of integer gram rows {a: {b: s}} over den, its
-    zeros dropped."""
-    data = {}
-    for a, row in rows.items():
-        if 0 in row.values():
-            row = {b: s for b, s in row.items() if s}
-        if row:
-            data[a] = row
-    return _reduced(d, d, data, den)
-
-
 def _bracket(structure, x: dict, y: dict) -> dict:
     """[x, y] for sparse vectors over a sparse structure tensor, rational or
     integer, as a sparse vector."""
@@ -568,21 +550,13 @@ def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
     gram = form.gram._data
     equations = {}
     for r, h in enumerate(hs):
-        row = {}
+        row = equations[r] = {}
         for l, x in h.items():
             grow = gram.get(l)
             if grow is not None:
                 for i, y in grow.items():
                     row[i] = row.get(i, 0) + x * y
-        if 0 in row.values():  # a sum cancelled
-            nonzero = {}
-            for i, s in row.items():
-                if s:
-                    nonzero[i] = s
-            row = nonzero
-        if row:
-            equations[r] = row
-    return kernel(_trusted(len(hs), form.on, equations))
+    return kernel(_accumulated(len(hs), form.on, equations, 1))
 
 
 def _close(algebra: LieAlgebra, ech: Echelon, vectors: list, closed: int):

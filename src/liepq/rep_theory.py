@@ -44,11 +44,11 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _accumulated,
     _combine_maps,
     _integer_list,
     _intertwining_defect,
     _mat_vec_int,
-    _quotient,
     _reduced,
     _trusted,
     invert,
@@ -198,8 +198,7 @@ def _map_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
     n = dst.basis[0].rows
     images = []
     for j in range(src.dim):
-        coeffs = {k: _quotient(x, phi.den) for k, x in columns.get(j, {}).items()}
-        images.append((_combine_maps(dst.basis, coeffs, n, n),))
+        images.append((_combine_maps(dst.basis, columns.get(j, {}), n, n, phi.den),))
     defect = _bracket_defect(src, images, {})
     return None if defect is None else defect[:2]
 
@@ -239,12 +238,7 @@ def wedge_square_rep(v: Representation) -> Representation:
                     row, c = (index[(i, k)], c) if i < k else (index[(k, i)], -c)
                     r = out.setdefault(row, {})
                     r[col] = r.get(col, 0) + c
-        data = {}
-        for row, r in out.items():
-            r = {col: c for col, c in r.items() if c}
-            if r:
-                data[row] = r
-        actions.append(_reduced(m, m, data, a.den))
+        actions.append(_accumulated(m, m, out, a.den))
     return Representation(v.algebra, m, actions)
 
 
@@ -359,7 +353,7 @@ def hom_space(v: Representation, w: Representation):
         # integer kernel rows are multiples of the canonical ones: the same span
         ker = kernel(_column_system(images, m * n))
         maps = [_combine_maps(maps, coeffs, m, n) for coeffs in ker._integer_rows()]
-    return _canonical_maps(maps, m, n)
+    return Subspace.from_vectors(m * n, maps).basis_matrices(m, n)
 
 
 def hom_space_dense(v: Representation, w: Representation):
@@ -371,8 +365,7 @@ def hom_space_dense(v: Representation, w: Representation):
     element a, in the unknowns phi[k, l] at k.n + l.  It is built on the
     integer rows over D = lcm(aw.den, av.den): D.aw[i, k] from row i of aw
     at k.n + j, and -D.av[l, j] from column j of av at i.n + l.  Scaling a
-    row leaves the kernel as it is; only key i.n + j takes two terms, and
-    an empty row is not stored.
+    row leaves the kernel as it is; only key i.n + j takes two terms.
     """
     _require_same_algebra(v, w)
     n, m = v.module_dim, w.module_dim
@@ -391,11 +384,8 @@ def hom_space_dense(v: Representation, w: Representation):
                 for l, x in columns.get(j, {}).items():
                     key = base + l
                     row[key] = row.get(key, 0) + fv * x
-                if row.get(base + j, 1) == 0:
-                    del row[base + j]
-                if row:
-                    data[(a * m + i) * n + j] = row
-    return kernel(_trusted(v.algebra.dim * m * n, m * n, data)).basis_matrices(m, n)
+                data[(a * m + i) * n + j] = row
+    return kernel(_accumulated(v.algebra.dim * m * n, m * n, data, 1)).basis_matrices(m, n)
 
 
 def _combine_int_rows(coeffs: dict, rows):
@@ -422,14 +412,6 @@ def _column_system(images, size):
         for r, x in vec.items():
             data.setdefault(r, {})[c] = x * f
     return _trusted(size, len(images), data)
-
-
-def _canonical_maps(maps, m, n):
-    """The canonical reduced echelon basis of the span of m x n maps."""
-    ech = Echelon(m * n)
-    for phi in maps:
-        ech.insert(phi._flat())
-    return Subspace(ech).basis_matrices(m, n)
 
 
 def rational_eigensplit(a: Matrix):
@@ -649,7 +631,7 @@ def _invariant_forms(v, symmetric):
         diffs.append(({k: x for k, x in vec.items() if x}, h.den))
     ker = kernel(_column_system(diffs, n * n))
     out = [_combine_maps(homs, coeffs, n, n) for coeffs in ker._integer_rows()]
-    return _canonical_maps(out, n, n)
+    return Subspace.from_vectors(n * n, out).basis_matrices(n, n)
 
 
 # -- submodules and irreducibility ------------------------------------
@@ -691,8 +673,10 @@ def is_irreducible(v: Representation) -> IrreducibilityVerdict:
     (i) one-dimensional endomorphism space certifies irreducibility;
     (ii) factor characteristic polynomials of endomorphisms and spin factor
     kernels, any proper invariant kernel certifies reducibility;
-    (iii) a 2- or 4-dimensional endomorphism algebra with no detected zero
-    divisor is a division algebra, certifying irreducibility.
+    (iii) a 2-dimensional endomorphism algebra Q[e] with no such kernel is
+    a field, e's minimal polynomial being irreducible, which certifies
+    irreducibility.  Any other is INCONCLUSIVE: a 4-dimensional one may be
+    M_2(Q), whose candidates can all have irreducible char polynomials.
     """
     algebra = v.algebra
     abelian_path = algebra.is_abelian() and algebra.dim > 0
@@ -730,8 +714,8 @@ def is_irreducible(v: Representation) -> IrreducibilityVerdict:
         if len(endos) == 2 and n == 2 and not cap_hit:
             return IrreducibilityVerdict("IRREDUCIBLE", endo_dim=2)
         return IrreducibilityVerdict("INCONCLUSIVE", endo_dim=len(endos))
-    if len(endos) in (2, 4) and not cap_hit:
-        return IrreducibilityVerdict("IRREDUCIBLE", endo_dim=len(endos))
+    if len(endos) == 2 and not cap_hit:
+        return IrreducibilityVerdict("IRREDUCIBLE", endo_dim=2)
     return IrreducibilityVerdict("INCONCLUSIVE", endo_dim=len(endos))
 
 
@@ -765,7 +749,10 @@ def _is_scalar_multiple(m, identity):
 
 
 def wedge_action(g: Matrix) -> Matrix:
-    """Induced action of an invertible g on wedge^2 (2x2 minors)."""
+    """Induced action of an invertible g on wedge^2 (2x2 minors); raises
+    ShapeMismatchError when g is not square."""
+    if g.rows != g.cols:
+        raise ShapeMismatchError(f"wedge action of a non-square {g.rows}x{g.cols} matrix")
     n = g.rows
     pairs = wedge_square_index(n)
     m = len(pairs)
@@ -938,6 +925,7 @@ def constrained_form_uniqueness(
     ker = kernel(Matrix.from_rows(constraint_rows))
     if ker.dim == 0:
         return ConstrainedFormVerdict(0, None, None)
-    coeffs = ker.basis_rows()[0]
-    surviving = _combine_maps(forms, dict(enumerate(coeffs)), n, n)
+    # the canonical first kernel row: its integer row over the pivot entry
+    pivot, coeffs = ker.pivot_columns()[0], ker._integer_rows()[0]
+    surviving = _combine_maps(forms, coeffs, n, n, coeffs[pivot])
     return ConstrainedFormVerdict(ker.dim, surviving, proportionality(surviving, kill.gram))

@@ -23,11 +23,11 @@ from .exact_linalg import (
     Rational,
     Subspace,
     ZERO,
+    _accumulated,
     _combine_maps,
     _echelon,
     _intertwining_defect,
     _quotient,
-    _reduced,
     _trusted,
     congruence_diagonalize,
     invert,
@@ -44,6 +44,7 @@ from .lie_core import (
     LieAlgebra,
     _Coordinatizer,
     _tensor_from_entries,
+    _trace_contraction,
     centralizer,
     is_maximal_subalgebra,
 )
@@ -417,7 +418,8 @@ class _Family:
         rho_c(so) in T = so(R^{n+1}, I_{p,q}(c)) is not R^{p,q}, irreducible,
         given dim T = m + n; or None.  (E): rho_c is injective, so
         T = rho_c(so) (+) rho_c(V).  tr(rho(X_a).rho(e_i)) = 0 in every degree
-        of c (checked here on the branch parts) and the trace form is
+        of c (checked here on the branch parts: one `_trace_contraction` over
+        them all, read on its so x V rows) and the trace form is
         nondegenerate on rho_c(so), so rho_c(V) is the complement.  By (E) and
         (G), [rho X_a, rho e_i] = sum_k (X_a)_ki rho e_k, and (R) decides the
         module.  The c-free facts are `standard_complement_defect`."""
@@ -425,26 +427,27 @@ class _Family:
         if reason is not None:
             return reason
         _, images = self.branch(positive)
-        m = self.m
-        # tr(A.B) pairs entry (r, s) of A with entry (s, r) of B; on integer rows
-        # over the parts' common denominator D, each sum is D^2 x trace
+        m, count = self.m, len(images)
+        # on integer rows over the parts' common denominator D, each sum is
+        # D^2 x trace; part e of image b is the contraction's index
+        # b + e.count, the degree lift `_killing_grams` uses
         big = _lcm(1, *(x.den for parts in images for x in parts))
-        partners = {}
-        for b, parts in enumerate(images[m:], m):
-            for e, y in enumerate(parts):
-                k = big // y.den
-                for r, row in y._data.items():
-                    for s, w in row.items():
-                        partners.setdefault((s, r), []).append((b, e, k * w))
-        for a, parts in enumerate(images[:m]):
-            traces = {}
-            for d, x in enumerate(parts):
+        slots = {}
+        for b, parts in enumerate(images):
+            for e, x in enumerate(parts):
                 k = big // x.den
                 for r, row in x._data.items():
                     for s, v in row.items():
-                        for b, e, w in partners.get((r, s), ()):
-                            key = (b, d + e)
-                            traces[key] = traces.get(key, 0) + k * v * w
+                        slots.setdefault((r, s), []).append((b + e * count, k * v))
+        gram = _trace_contraction(slots)
+        for a, parts in enumerate(images[:m]):
+            traces = {}  # (b, degree) -> D^2 tr(rho(X_a).rho(e_{b - m})) in that degree
+            for d in range(len(parts)):
+                for index, t in gram.get(a + d * count, {}).items():
+                    e, b = divmod(index, count)
+                    if b >= m:
+                        key = (b, d + e)
+                        traces[key] = traces.get(key, 0) + t
             bad = [key for key, t in traces.items() if t]
             if bad:
                 b, g = min(bad)
@@ -631,7 +634,7 @@ def _block(k: Matrix, rows: range, cols: range) -> Matrix:
     """The block rows x cols of k, reindexed from 0, in canonical form."""
     data = {i - rows.start: {j - cols.start: x for j, x in row.items() if j in cols}
             for i, row in k._data.items() if i in rows}
-    return _reduced(len(rows), len(cols), {i: row for i, row in data.items() if row}, k.den)
+    return _accumulated(len(rows), len(cols), data, k.den)
 
 
 
@@ -1003,12 +1006,12 @@ def half_spin_reps(p: int, q: int) -> HalfSpinData:
         # off the nonzeros
         ai = mat_mul(gen, eta)
         coeffs = {
-            index[(a, b)]: _quotient(x, 2 * ai.den)
+            index[(a, b)]: x
             for a, row in ai._data.items()
             for b, x in row.items()
             if a < b
         }
-        actions.append(_combine_maps(products, coeffs, 16, 16))
+        actions.append(_combine_maps(products, coeffs, 16, 16, 2 * ai.den))
     spinor = Representation(algebra, 16, actions)
     chi = gammas[0]
     for g in gammas[1:]:

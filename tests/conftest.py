@@ -691,3 +691,61 @@ def dense_congruence_diagonalize(b):
                 row_op(i, k, f)
                 col_op(i, k, f)
     return Matrix.from_rows(p), [m[i][i] for i in range(n)]
+
+
+def over_common_den(vec: dict):
+    """(ints, den): the nonzeros of a sparse vector of rationals (or ints) as
+    integers over their least common denominator, vec = ints / den: the
+    sparse intake `exact_linalg` once fed `_combine_maps` through, kept as
+    the oracle of `_integer_list`."""
+    out = {}
+    fracs = []
+    den = 1
+    for k, x in vec.items():
+        n, d = x.as_integer_ratio()
+        if n:
+            out[k] = int(n)
+            if d != 1:
+                d = int(d)
+                fracs.append((k, d))
+                if den % d:
+                    den = lcm(den, d)
+    if den != 1:
+        for k in out:
+            out[k] *= den
+        for k, d in fracs:
+            out[k] //= d
+    return out, den
+
+
+def partners_trace_defect(images, m):
+    """The trace pass of `so_pq._Family.complement_defect` by its old
+    partners loop, kept as the oracle of the one `_trace_contraction` it
+    reads now: the entry (r, s) of each part e of each vector image b >= m
+    is filed as a partner of slot (s, r), and each entry of each part d of
+    each so image a meets the partners of its own slot, into the sum
+    D^2 tr(rho(X_a).rho(e_{b - m})) of degree d + e over the parts' common
+    denominator D.  The reason for the first so index a with a nonzero sum,
+    at its least (b, degree), or None."""
+    big = lcm(1, *(x.den for parts in images for x in parts))
+    partners = {}
+    for b, parts in enumerate(images[m:], m):
+        for e, y in enumerate(parts):
+            k = big // y.den
+            for r, row in y._data.items():
+                for s, w in row.items():
+                    partners.setdefault((s, r), []).append((b, e, k * w))
+    for a, parts in enumerate(images[:m]):
+        traces = {}
+        for d, x in enumerate(parts):
+            k = big // x.den
+            for r, row in x._data.items():
+                for s, v in row.items():
+                    for b, e, w in partners.get((r, s), ()):
+                        key = (b, d + e)
+                        traces[key] = traces.get(key, 0) + k * v * w
+        bad = [key for key, t in traces.items() if t]
+        if bad:
+            b, g = min(bad)
+            return f"tr(rho(X_{a}).rho(e_{b - m})) is not zero in degree {g}"
+    return None

@@ -20,8 +20,8 @@ from liepq.exact_linalg import (
     Echelon,
     _integer_list,
     _integer_rows,
+    _accumulated,
     _intertwining_defect,
-    _over_common_den,
     _reduced,
     congruence_diagonalize,
     dump_matrix_text,
@@ -46,6 +46,7 @@ from conftest import (
     dense_solve,
     frozen,
     gaussian_inertia,
+    over_common_den,
 )
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -388,6 +389,16 @@ def test_public_constructors_still_validate_entries():
             load_matrix_text(f"1 1\n{body}\n")
     with pytest.raises(ShapeMismatchError):
         Matrix(2, 2, [1, 2, 3])
+
+
+@pytest.mark.parametrize("header", ["x y", "1_0 1", "\u0663 1", "-1 2", "1 +1", "1 2/1"])
+def test_matrix_text_header_needs_two_ascii_digit_strings(header):
+    """The header is refused as the integer flags are: int() alone raises a
+    bare ValueError on "x y", reads "1_0" and Arabic-Indic digits, and takes
+    "-1 2" to a body of -2 entries."""
+    with pytest.raises(ContractError, match="header"):
+        load_matrix_text(f"{header}\n1 2\n")
+    assert load_matrix_text("01 2\n1 2\n") == Matrix(1, 2, [1, 2])
 
 
 # -- the sparse echelon against the dense Fraction oracle -------------------
@@ -773,7 +784,7 @@ def test_no_in_place_entries_writes_in_the_library():
 def sparse_list_oracle(values):
     """A list of values as a sparse {index: value} vector, through `rat()`:
     the sparse step the dense-list intake used to take before
-    `_over_common_den`."""
+    `over_common_den`."""
     out = {}
     for j, x in enumerate(values):
         x = rat(x)
@@ -796,7 +807,7 @@ mixed_values = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_integer_list_matches_the_sparse_list_composition(values):
     ints, den = _integer_list(values)
-    assert (ints, den) == _over_common_den(sparse_list_oracle(values))
+    assert (ints, den) == over_common_den(sparse_list_oracle(values))
     assert type(den) is int and den == math.lcm(1, *(rat(x).denominator for x in values))
     assert all(type(x) is int and x for x in ints.values())
     assert {j: Fraction(x, den) for j, x in ints.items()} == {
@@ -823,7 +834,7 @@ def test_dense_intake_refuses_floats():
 # comprehension or generator expression inside one runs in a frame of its own
 HOT_KERNELS = (
     mat_mul, Matrix._combine, Matrix.scale, Matrix.transpose, _reduced, _integer_rows,
-    _over_common_den, _integer_list, Echelon.reduce, Echelon.insert,
+    _accumulated, _integer_list, Echelon.reduce, Echelon.insert,
 )
 COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 

@@ -21,6 +21,7 @@ from liepq.exact_linalg import (
     NO_SOLUTION,
     Rational,
     Subspace,
+    _accumulated,
     _combine_maps,
     invert,
     kernel,
@@ -363,11 +364,40 @@ def test_coordinatizer_tags_each_basis_matrix_with_its_own_den(n, data):
 @given(st.lists(over_den(2, 3), min_size=1, max_size=4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_combine_maps_is_exact_for_rational_coefficients(maps, data):
-    coeffs = data.draw(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
-                                min_size=len(maps), max_size=len(maps)))
-    expected = [[sum((c * dense(phi)[i][j] for c, phi in zip(coeffs, maps)), Fraction(0))
+    """Integer coefficients over one cden: the rational coefficient of map
+    i is coeffs[i] / cden."""
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(maps), max_size=len(maps)))
+    cden = data.draw(st.integers(1, 12))
+    expected = [[sum((Fraction(c, cden) * dense(phi)[i][j] for c, phi in zip(coeffs, maps)), Fraction(0))
                  for j in range(3)] for i in range(2)]
-    assert_canonical(_combine_maps(maps, dict(enumerate(coeffs)), 2, 3), expected)
+    assert_canonical(_combine_maps(maps, dict(enumerate(coeffs)), 2, 3, cden), expected)
+
+
+@st.composite
+def accumulated_rows(draw, rows, cols):
+    """Integer rows {i: {j: int}} as an accumulation leaves them: some rows
+    empty, some entries a cancelled zero, some rows all zeros."""
+    acc = {}
+    for i in range(rows):
+        kind = draw(st.sampled_from(["absent", "empty", "zeros", "mixed", "mixed"]))
+        if kind == "absent":
+            continue
+        row = {}
+        if kind != "empty":
+            for j in draw(st.lists(st.integers(0, cols - 1), unique=True, max_size=cols)):
+                row[j] = 0 if kind == "zeros" else draw(st.integers(-12, 12))
+        acc[i] = row
+    return acc
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 10**6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_accumulated_rows_come_out_canonical(rows, cols, den, data):
+    """`_accumulated` drops the cancelled zeros and the empty rows and
+    brings den and the entries to lowest terms, for any positive den."""
+    acc = data.draw(accumulated_rows(rows, cols))
+    expected = [[Fraction(acc.get(i, {}).get(j, 0), den) for j in range(cols)] for i in range(rows)]
+    assert_canonical(_accumulated(rows, cols, acc, den), expected)
 
 
 # -- min_poly and rational_roots ----------------------------------------------

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liepq.errors import ContractError, NotStableError
+from liepq.errors import ContractError, NotStableError, ShapeMismatchError
 from liepq.exact_linalg import Matrix, Subspace, invert, kernel, kron, mat_mul, mat_vec, rat, rref
 from liepq.ratpoly import char_poly, rational_roots
 from liepq.rep_theory import (
@@ -168,6 +168,51 @@ def test_is_irreducible_11_abelian_path():
     assert contains(verdict.witness, [1, 1]) or contains(verdict.witness, [1, -1])
 
 
+def conjugated_double(p, q, entries):
+    """W (+) W, W the standard module of so(p,q), in the basis of the
+    columns of the n x n matrix P of the entries (n = 2 dim W): the actions
+    P^-1 (I_2 (x) b) P."""
+    algebra = so_pq_algebra(p, q)
+    n = 2 * (p + q)
+    P = Matrix(n, n, entries)
+    Pinv = invert(P)
+    return Representation(algebra, n, [Pinv @ kron(Matrix.identity(2), b) @ P for b in algebra.basis]), Pinv
+
+
+FOUR_DIM_REPRODUCER = [1, 0, -1, 0, 0, 0, 1, -1, 1, 0, 1, 0, -1, 0, -1, 1, 0, -1,
+                       1, 1, 0, 1, -1, 1, 1, 0, -1, -1, 0, 0, -1, 0, 1, 0, 1, 0]
+
+
+def test_a_four_dimensional_endomorphism_algebra_is_not_certified():
+    """W (+) W of so(2,1) in a conjugated basis: End is M_2(Q), whose
+    candidates all have irreducible characteristic polynomials here, and
+    the module has a 3-dimensional submodule.  It is not IRREDUCIBLE."""
+    rep, Pinv = conjugated_double(2, 1, FOUR_DIM_REPRODUCER)
+    verdict = is_irreducible(rep)
+    assert verdict.status == "INCONCLUSIVE" and verdict.endo_dim == 4
+    assert cyclic_submodule(rep, [Pinv[i, 0] for i in range(6)]).dim == 3
+
+
+@given(st.lists(st.sampled_from([-1, 0, 1]), min_size=36, max_size=36))
+@example(FOUR_DIM_REPRODUCER)
+@settings(max_examples=25, deadline=None)
+def test_conjugated_doubles_are_never_certified_irreducible(entries):
+    """W (+) W of so(2,1) in the basis of any invertible P with entries in
+    {-1, 0, 1} is reducible: the verdict is never IRREDUCIBLE, and a
+    REDUCIBLE witness is a proper subspace closed under every action."""
+    P = Matrix(6, 6, entries)
+    assume(kernel(P).dim == 0)
+    rep, _ = conjugated_double(2, 1, entries)
+    verdict = is_irreducible(rep)
+    assert verdict.status != "IRREDUCIBLE"
+    if verdict.status == "REDUCIBLE":
+        witness = verdict.witness
+        assert 0 < witness.dim < 6
+        for row in witness.basis_rows():
+            for a in rep.actions:
+                assert contains(witness, mat_vec(a, row))
+
+
 def test_is_irreducible_rejects_zero_module():
     algebra, std = std_and_friends(2, 1)
     with pytest.raises(ContractError):
@@ -293,6 +338,11 @@ def test_beta_complement_restricts_to_standard_module():
 
 def test_wedge_action_identity():
     assert wedge_action(Matrix.identity(4)) == Matrix.identity(6)
+
+
+def test_wedge_action_refuses_a_non_square_matrix():
+    with pytest.raises(ShapeMismatchError):
+        wedge_action(Matrix.zeros(2, 3))
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=16, max_size=16))

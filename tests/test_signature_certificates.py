@@ -29,8 +29,8 @@ from liepq.so_pq import (
 )
 
 from conftest import (
-    closed_form_embedding, pairwise_validate, per_c_complement_verdict, per_c_deformed_algebra,
-    per_image_sqrt_conjugation,
+    closed_form_embedding, pairwise_validate, partners_trace_defect, per_c_complement_verdict,
+    per_c_deformed_algebra, per_image_sqrt_conjugation,
 )
 
 SIGNATURES = [(p, n - p) for n in range(3, 7) for p in range(n + 1)]
@@ -344,6 +344,42 @@ def test_the_trace_pass_sums_the_parts_over_their_common_denominator(monkeypatch
     ones = [{(x, r): 1}, {}]
     monkeypatch.setattr(_Family, "branch", lambda record, sign: bent(record, sign, ones))
     assert _family(3, 1).complement_defect(positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+
+
+def _trace_pass(p, q, positive, images):
+    """The trace pass of `complement_defect` alone, on the given branch
+    images: a fresh record with (E) and the c-free facts read as passing."""
+    record = _Family(p, q)
+    record.__dict__["standard_complement_defect"] = None
+    record._branches[("embedding_defect", positive)] = None
+    record._branches[("branch", positive)] = (None, images)
+    return record.complement_defect(positive)
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES)
+def test_the_trace_contraction_matches_the_partners_loop(p, q):
+    """The one `_trace_contraction` of the trace pass gives the verdict and
+    the reason of the partners loop it replaced, on both branches and on
+    one-entry bends of an so image onto the extra row or column, of 1 in
+    degree 0 and of 1/2 in degree 1, at every place r."""
+    n = p + q
+    m = n * (n - 1) // 2
+    for positive in (True, False):
+        _, images = _Family(p, q).branch(positive)
+        assert _trace_pass(p, q, positive, images) is None
+        assert partners_trace_defect(images, m) is None
+        extra = 0 if positive else n
+        for a in sorted({0, m // 2, m - 1}):
+            for r in range(n + 1):
+                for entry in ((extra, r), (r, extra)):
+                    for d, value in ((0, ONE), (1, Fraction(1, 2))):
+                        parts = list(images[a])
+                        parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {entry: value})
+                        bent = images[:a] + (tuple(parts),) + images[a + 1:]
+                        reason = partners_trace_defect(bent, m)
+                        assert _trace_pass(p, q, positive, bent) == reason
+                        if r != extra:
+                            assert reason is not None and reason.startswith(f"tr(rho(X_{a}).")
 
 
 def test_a_base_value_leaving_v_fails_the_complement(monkeypatch, fresh_family_memos):

@@ -650,7 +650,8 @@ def test_half_spin_construction():
 def test_half_spin_actions_read_off_the_nonzeros_match_the_entry_reads():
     """`half_spin_reps` reads each generator's spinor coefficients from the
     nonzeros of gen . eta; the reference reads all 28 entries (a, b), a < b,
-    through `Matrix.__getitem__`.  The actions and both halves agree."""
+    through `Matrix.__getitem__`, each coefficient entry / 2 passed as an
+    integer over 4 * ai.den.  The actions and both halves agree."""
     from liepq.exact_linalg import _combine_maps, mat_mul
 
     hs = half_spin_reps(4, 4)
@@ -662,8 +663,8 @@ def test_half_spin_actions_read_off_the_nonzeros_match_the_entry_reads():
     actions = []
     for gen in algebra.basis:
         ai = mat_mul(gen, eta)
-        coeffs = {k: v / 2 for k, v in enumerate(ai[a, b] for a, b in pairs) if v}
-        actions.append(_combine_maps(products, coeffs, 16, 16))
+        coeffs = {k: int(v * 2 * ai.den) for k, v in enumerate(ai[a, b] for a, b in pairs) if v}
+        actions.append(_combine_maps(products, coeffs, 16, 16, 4 * ai.den))
     assert [a.entries for a in hs.spinor_rep.actions] == [a.entries for a in actions]
     reference = Representation(algebra, 16, actions)
     for half, space in ((hs.c_plus, hs.plus_space), (hs.c_minus, hs.minus_space)):
