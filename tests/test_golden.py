@@ -8,7 +8,9 @@ rows; construct_p2_q2_cm3_4, at a negative fractional c, before the
 deformed bracket was read off one certified family per signature;
 verify_all_p3_q2 (the sp(4,R) isomorphism) and verify_all_p0_q5 (theta on
 a compact form) before theta and the isomorphisms were checked by the
-bracket pass of `Representation.validate`; the tsv and human reports of
+bracket pass of `Representation.validate`; verify_all_p2_q2,
+verify_all_p8_q8 and verify_all_p5_q0 before the family certificates were
+read at the representatives c = 0, 1 and -1 of the grading; the tsv and human reports of
 `verify`, and the `irreps` and `bound` fixtures, before the checks moved out
 of `liepq.cli`; irreps_b8_max1000, irreps_d3_max300 and irreps_d2_max60
 before the Weyl dimension became the closed-form product on doubled integer
@@ -34,6 +36,9 @@ CASES = [
     ("verify_all_p3_q3", ["verify", "--suite", "all", "--p", "3", "--q", "3", "--format", "json"]),
     ("verify_all_p4_q4", ["verify", "--suite", "all", "--p", "4", "--q", "4", "--format", "json"]),
     ("verify_all_p0_q5", ["verify", "--suite", "all", "--p", "0", "--q", "5", "--format", "json"]),
+    ("verify_all_p2_q2", ["verify", "--suite", "all", "--p", "2", "--q", "2", "--format", "json"]),
+    ("verify_all_p8_q8", ["verify", "--suite", "all", "--p", "8", "--q", "8", "--format", "json"]),
+    ("verify_all_p5_q0", ["verify", "--suite", "all", "--p", "5", "--q", "0", "--format", "json"]),
     ("construct_p3_q1_c1", ["construct", "--p", "3", "--q", "1", "--c", "1"]),
     ("construct_p2_q2_cm3_4", ["construct", "--p", "2", "--q", "2", "--c=-3/4"]),
     ("construct_p4_q4", ["construct", "--p", "4", "--q", "4"]),
