@@ -202,10 +202,11 @@ def check_tc_iso_rank(p, q, c):
 
 def check_embedding(p, q, c):
     """The embedding of [.,.]_c into so(R^{n+1}, I_{p,q}(c)): images in the
-    target, brackets intertwined, injective.  Within one sign branch of c
-    the images are P + c.Q and the form F0 + c.F1, so every defect is a
-    polynomial of degree <= 2 in c: (E), `_Family.embedding_defect`,
-    certifies it once per (p, q, sign of c), every degree vanishing."""
+    target, brackets intertwined, injective.  Within one sign s of c the
+    images are P + c.Q and the form F0 + c.F1, all conjugate by one
+    diagonal rescaling to those at c = s: (E), `_Family.embedding_defect`,
+    checks the supports that make them so and certifies the embedding at
+    c = s, once per (p, q, sign of c)."""
     n = p + q
     if c == 0:
         return _skip("embedding_iso requires c != 0 (c = 0 is the semidirect product)")
@@ -265,7 +266,7 @@ def check_killing_blocks(p, q, c):
     """Killing form of the deformed algebra restricted to blocks: zero on
     the mixed block, a1 x Killing(so(p,q)) on the so block, a2 x <.,.>_{p,q}
     on the vector block, with a1, a2 nonzero.  Read once per (p, q) off the
-    family's K0, K1 and K2 (`_Family.killing_blocks`): a1 is c-free and
+    family's K(c) = K0 + c.K1 (`_Family.killing_blocks`): a1 is c-free and
     a2 = c.r1."""
     if c == 0:
         return _skip("block proportionality with nonzero constants needs c != 0")

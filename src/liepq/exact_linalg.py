@@ -57,16 +57,22 @@ _RAT_TOKEN = _re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", _re.ASCII)
 
 
 def rat(value) -> Rational:
-    """Coerce ints, 'p/q' strings and rational types to the scalar in use."""
+    """Coerce ints, 'p/q' strings and rational types to the scalar in use;
+    anything else, a bool or a float included, raises ContractError."""
     if type(value) is Rational:
         return value  # already exact and normalized; scalars are immutable
     if isinstance(value, float):
         raise ContractError("floats are not accepted; use 'p/q' strings or ints")
+    if isinstance(value, bool):
+        raise ContractError(f"bools are not rationals: {value!r}")
     if isinstance(value, str):
         value = value.strip()
         if not _RAT_TOKEN.match(value):
             raise ContractError(f"not a 'p/q' rational token: {value!r}")
-    return Rational(value)
+    try:
+        return Rational(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"not a rational: {value!r}") from exc
 
 
 def rational_sqrt(value):

@@ -250,7 +250,7 @@ class LieAlgebra:
                         row[j] = row.get(j, 0) + f * v
         return _accumulated(d, d, out, den * xden)
 
-    def _check_jacobi(self, degree=None):
+    def _check_jacobi(self):
         """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for
         every basis triple i < j < k, over the nonzero brackets only.
 
@@ -261,18 +261,12 @@ class LieAlgebra:
         with a repeated index satisfies the identity by antisymmetry, and one
         that no term reaches sums to zero.  The sums run on integers: every
         constant times the common denominator of all of them.
-
-        A graded family passes degree, {(i, j): d} for the brackets of
-        nonzero degree d: each term is then filed under the sum of the
-        degrees of its two brackets, and the identity must hold in every
-        degree on its own.
         """
         # brackets[l]: (c, inner, sign) with [b_l, b_c] = sign * inner for
         # every c with a nonzero bracket
         _, scaled, brackets = self._integer_tensor()
         sums = {}
         for (a, b), entry in scaled.items():
-            g = degree.get((a, b), 0) if degree else 0
             for l, v in entry.items():
                 for c, inner, sign in brackets.get(l, ()):
                     if c > b:
@@ -283,8 +277,6 @@ class LieAlgebra:
                         key, f = (a, c, b), -v * sign
                     else:
                         continue
-                    if degree:
-                        key += (g + degree.get((l, c) if l < c else (c, l), 0),)
                     acc = sums.get(key)
                     if acc is None:
                         sums[key] = acc = {}
@@ -292,48 +284,27 @@ class LieAlgebra:
                         acc[m] = acc.get(m, 0) + f * w
         failing = [key for key, acc in sums.items() if any(acc.values())]
         if failing:
-            i, j, k, *d = min(failing)
-            at = f" in degree {d[0]}" if d else ""
-            raise ContractError(f"Jacobi identity fails on basis triple ({i},{j},{k}){at}")
+            i, j, k = min(failing)
+            raise ContractError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     # -- spec operations ----------------------------------------------
 
     def killing_form(self) -> "BilinearForm":
-        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j."""
+        """K(b_a, b_b) = tr(ad b_a . ad b_b) = sum over j, k of c_{aj}^k c_{bk}^j,
+        contracted over the nonzero integer structure constants only, so the
+        sums come over the square of their denominator: entry (k, j) of
+        ad(b_a) is den * c_{aj}^k, filed under slot (k, j) for
+        `_trace_contraction`."""
         if self._killing is None:
-            self._killing = BilinearForm(self.dim, self._killing_grams()[0])
+            d = self.dim
+            den, scaled, _ = self._integer_tensor()
+            slots = {}
+            for (i, j), entry in scaled.items():
+                for k, v in entry.items():
+                    slots.setdefault((k, j), []).append((i, v))
+                    slots.setdefault((k, i), []).append((j, -v))
+            self._killing = BilinearForm(d, _accumulated(d, d, _trace_contraction(slots), den * den))
         return self._killing
-
-    def _killing_grams(self, degree=None) -> list:
-        """The Killing gram, contracted over the nonzero integer structure
-        constants only, so the sums come over the square of their
-        denominator: entry (k, j) of ad(b_a) is den * c_{aj}^k, filed under
-        slot (k, j) for `_trace_contraction`.
-
-        Ungraded, the list holds the one gram.  A graded family passes
-        degree as `_check_jacobi` takes it, and gets the grams of degree 0
-        up to twice the top degree: a constant of degree e is filed under
-        a + e.dim, and the product of two constants lands in the gram of
-        the sum of their degrees.
-        """
-        d = self.dim
-        top = max(degree.values(), default=0) if degree else 0
-        den, scaled, _ = self._integer_tensor()
-        slots = {}
-        for (i, j), entry in scaled.items():
-            lift = d * degree.get((i, j), 0) if degree else 0
-            for k, v in entry.items():
-                slots.setdefault((k, j), []).append((i + lift, v))
-                slots.setdefault((k, i), []).append((j + lift, -v))
-        gram = _trace_contraction(slots)
-        graded = [gram]
-        if top:  # split the lifted indices into the gram of each degree
-            graded = [{} for _ in range(2 * top + 1)]
-            for a, row in gram.items():
-                for b, s in row.items():
-                    out = graded[a // d + b // d].setdefault(a % d, {})
-                    out[b % d] = out.get(b % d, 0) + s
-        return [_accumulated(d, d, rows, den * den) for rows in graded]
 
     def trace_form(self) -> "BilinearForm":
         """tr(b_a b_b), on the integer rows over the lcm of the basis

@@ -94,93 +94,77 @@ class Representation:
 
     def validate(self):
         """Check the homomorphism property on every basis pair exactly: the
-        degree-0 case of `_bracket_defect`, whose error names the
+        `_bracket_defect` of the actions, whose error names the
         lexicographically first failing pair."""
-        defect = _bracket_defect(self.algebra, [(a,) for a in self.actions], {})
+        defect = _bracket_defect(self.algebra, self.actions)
         if defect is not None:
-            a, b, _ = defect
+            a, b = defect
             raise ContractError(f"homomorphism property fails on basis pair ({a},{b})")
 
     def __repr__(self):
         return f"Representation(dim {self.module_dim} of algebra dim {self.algebra.dim})"
 
 
-def _bracket_defect(algebra: LieAlgebra, images, degree):
-    """The first (a, b, g), a < b, with [rho_a, rho_b] - rho [b_a, b_b]
-    nonzero in degree g of c, or None.  images holds one tuple of matrix
-    parts per basis element, part d the coefficient of c^d, and the
-    constants of key (i, j) have degree degree.get((i, j), 0).
+def _bracket_defect(algebra: LieAlgebra, images):
+    """The first (a, b), a < b, with [rho_a, rho_b] != rho [b_a, b_b], or
+    None, for one image matrix per basis element.
 
-    On integer rows R = D.rho over the parts' common denominator D and the
+    On integer rows R = D.rho over the images' common denominator D and the
     integer tensor (den * constant), the property reads den [R_a, R_b] =
     D sum_k (den c_ab^k) R_k.  One pass per a files every term of every pair
-    (a, b > a), in the degree that adds up those of its factors, in one
-    accumulator per row keyed by (b.slots + degree).n + column: each entry
+    (a, b > a) in one accumulator per row keyed by b.n + column: each entry
     of R_a meets the row and the column of the R_b side by side that it
     multiplies, then the brackets of a subtract their terms.
     """
     if not images:
         return None
-    n = images[0][0].cols
+    n = images[0].cols
     den, _, brackets = algebra._integer_tensor()
-    big = _lcm(1, *(x.den for parts in images for x in parts))
+    big = _lcm(1, *(x.den for x in images))
     ints = [
-        [
-            (d, {r: {c: v * (big // x.den) for c, v in row.items()} for r, row in x._data.items()})
-            for d, x in enumerate(parts)
-            if x._data
-        ]
-        for parts in images
+        {r: {c: v * (big // x.den) for c, v in row.items()} for r, row in x._data.items()}
+        for x in images
     ]
-    top = max((d for parts in ints for d, _ in parts), default=0)
-    slots = max(2 * top, top + max(degree.values(), default=0)) + 1
-    # row t and column t of each part e of each R_b, b > a, side by side
+    # row t and column t of each R_b, b > a, side by side
     side, below = {}, {}
-    for b, parts in enumerate(ints):
-        for e, rows in parts:
-            base = (b * slots + e) * n
-            for r, row in rows.items():
-                block = side.setdefault(r, {})
-                for c, x in row.items():
-                    block[base + c] = x
-                    below.setdefault(c, {})[base + r] = x
-    for a, parts in enumerate(ints):
-        for e, rows in parts:
-            base = (a * slots + e) * n
-            for r, row in rows.items():
-                block = side[r]
-                for c in row:
-                    del block[base + c]
-                    del below[c][base + r]
+    for b, rows in enumerate(ints):
+        base = b * n
+        for r, row in rows.items():
+            block = side.setdefault(r, {})
+            for c, x in row.items():
+                block[base + c] = x
+                below.setdefault(c, {})[base + r] = x
+    for a, rows in enumerate(ints):
+        base = a * n
+        for r, row in rows.items():
+            block = side[r]
+            for c in row:
+                del block[base + c]
+                del below[c][base + r]
         acc = {}
-        for d, rows in parts:
-            shift = d * n
-            for r, row in rows.items():
-                out = acc.setdefault(r, {})
-                for t, x in row.items():
-                    x *= den
-                    for key, y in side.get(t, {}).items():  # R_a R_b
-                        key += shift
-                        out[key] = out.get(key, 0) + x * y
-                    for key, y in below.get(r, {}).items():  # - R_b R_a
-                        u = key % n  # entry (u, r) of R_b
-                        other = acc.setdefault(u, {})
-                        key += shift + t - u
-                        other[key] = other.get(key, 0) - y * x
+        for r, row in rows.items():
+            out = acc.setdefault(r, {})
+            for t, x in row.items():
+                x *= den
+                for key, y in side.get(t, {}).items():  # R_a R_b
+                    out[key] = out.get(key, 0) + x * y
+                for key, y in below.get(r, {}).items():  # - R_b R_a
+                    u = key % n  # entry (u, r) of R_b
+                    other = acc.setdefault(u, {})
+                    key += t - u
+                    other[key] = other.get(key, 0) - y * x
         for b, entry, sign in brackets.get(a, ()):
             if b > a:
-                g = degree.get((a, b), 0)
+                base = b * n
                 for k, s in entry.items():
                     f = sign * s * big
-                    for e, rows in ints[k]:
-                        base = (b * slots + g + e) * n
-                        for r, row in rows.items():
-                            out = acc.setdefault(r, {})
-                            for c, y in row.items():
-                                out[base + c] = out.get(base + c, 0) - f * y
+                    for r, row in ints[k].items():
+                        out = acc.setdefault(r, {})
+                        for c, y in row.items():
+                            out[base + c] = out.get(base + c, 0) - f * y
         bad = [key // n for out in acc.values() for key, x in out.items() if x]
         if bad:
-            return (a, *divmod(min(bad), slots))
+            return a, min(bad)
     return None
 
 
@@ -188,19 +172,16 @@ def _map_defect(src: LieAlgebra, dst: LieAlgebra, phi: Matrix):
     """The first basis pair (i, j), i < j, with phi[b_i, b_j] != [phi b_i,
     phi b_j], or None: phi (column j the image of b_j) is a homomorphism
     exactly when the matrices sum_k phi[k, j].B_k of dst's MATRIX basis, an
-    independent basis closed under the commutator, represent src, which the
-    degree-0 `_bracket_defect` decides."""
+    independent basis closed under the commutator, represent src, which
+    `_bracket_defect` decides."""
     if phi.rows != dst.dim or phi.cols != src.dim:
         raise ShapeMismatchError("phi must be a dim(dst) x dim(src) matrix")
     if dst.realization != MATRIX:
         raise UnsupportedRealizationError("the target needs a MATRIX realization")
     columns = phi.transpose()._data
     n = dst.basis[0].rows
-    images = []
-    for j in range(src.dim):
-        images.append((_combine_maps(dst.basis, columns.get(j, {}), n, n, phi.den),))
-    defect = _bracket_defect(src, images, {})
-    return None if defect is None else defect[:2]
+    images = [_combine_maps(dst.basis, columns.get(j, {}), n, n, phi.den) for j in range(src.dim)]
+    return _bracket_defect(src, images)
 
 
 def adjoint_rep(algebra: LieAlgebra) -> Representation:

@@ -12,7 +12,6 @@ form, and E_ij + E_ji when i < p <= j.
 from __future__ import annotations
 
 import functools
-from math import lcm as _lcm
 from typing import NamedTuple
 
 from .errors import ContractError, ShapeMismatchError, UnknownSmallestModuleError, UnsupportedRealizationError
@@ -28,6 +27,7 @@ from .exact_linalg import (
     _echelon,
     _intertwining_defect,
     _quotient,
+    _reduced,
     _trusted,
     congruence_diagonalize,
     invert,
@@ -44,7 +44,6 @@ from .lie_core import (
     LieAlgebra,
     _Coordinatizer,
     _tensor_from_entries,
-    _trace_contraction,
     centralizer,
     is_maximal_subalgebra,
 )
@@ -295,91 +294,125 @@ class _Family:
     """The facts of so(p,q) (+) R^{p,q} under [.,.]_c = base + c.vec that
     hold for every rational c, or every c of one branch: one record per
     (p, q), from `_family`.  Each fact is filled on its first read from only
-    the facts it rests on, and one that raises is not kept.  The Jacobi
-    pass and the Killing grams share an integer copy of base + vec that the
-    record keeps no longer than they need it; (E), `embedding_defect`,
-    reads the constants and the sign branch, not the Jacobi pass."""
+    the facts it rests on, and one that raises is not kept.
+
+    Every fact is read at the representative of its branch of c, c = 0, 1
+    or -1, by one grading lemma (the Inonu-Wigner contraction picture).
+    Give so(p,q) weight 0 and the vectors weight 1.  Under (G), which
+    `constants` checks, a constant c_ij^k of [.,.]_c is
+    c^((w_i + w_j - w_k)/2) times that of [.,.]_1.  Hence:
+    - each Jacobi term on a triple (x, y, z) at coordinate u is homogeneous
+      in c, of degree (w_x + w_y + w_z - w_u)/2, so Jacobi holds for every
+      c, 0 included, once it holds at c = 1 (`jacobi`);
+    - each Killing term at (x, y) has degree (w_x + w_y)/2, so
+      K(c) = K0 + c.K1, K0 the so rows of K(1) and K1 its vector rows: an
+      odd weight sum has no term, so the mixed block is 0, and no term has
+      degree 2 (`grams`);
+    - for c != 0 of sign s, with t^2 = |c| and S = diag(t at the extra
+      coordinate x, 1 elsewhere), e -> t.e carries [.,.]_c onto [.,.]_s,
+      and on the supports `embedding_defect` checks rho_c(X) =
+      S^-1.rho_s(X).S, rho_c(e) = t.S^-1.rho_s(e).S and S^-1.F_c.S^-1 = F_s,
+      so (E) holds on the whole branch once it holds at c = s.
+    The Jacobi pass and the Killing grams share an integer copy of
+    [.,.]_1 that the record keeps no longer than they need it; (E) reads
+    the constants and the sign branch, not the Jacobi pass."""
 
     def __init__(self, p: int, q: int):
         n = Signature(p, q).n
         self.p, self.q = p, q
         self.m, self.dim = n * (n - 1) // 2, n * (n + 1) // 2
-        self._branches, self._graded_pair = {}, None
+        self._branches, self._shared_copy = {}, None
 
     @functools.cached_property
     def constants(self):
         """(base, vec), the tensors {(i, j): {k: constant}} of the c-free
         brackets and of the coefficients of c, graded (G): every key of vec
-        brackets two vectors and no key of base does.  Raises ContractError
-        below p + q = 3 or when the grading fails."""
+        brackets two vectors into so(p,q); every key of base holds an so
+        index, a bracket of two so indices lands in so(p,q) and one of an so
+        index and a vector lands in the vectors.  Raises ContractError below
+        p + q = 3 or when the grading fails."""
         if self.p + self.q < 3:
             raise ContractError("the deformed bracket needs p + q >= 3")
         dim, base, vec = _deformation_constants(self.p, self.q)
         base, vec = _tensor_from_entries(dim, base), _tensor_from_entries(dim, vec)
-        if any(i < self.m for i, _ in vec):
+        m = self.m
+        if any(i < m for i, _ in vec):
             raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
-        if any(i >= self.m for i, _ in base):
+        if any(i >= m for i, _ in base):
             raise ContractError("a c-free bracket of the family brackets two vectors")
+        if any(k >= m for entry in vec.values() for k in entry):
+            raise ContractError("a c-dependent bracket of two vectors leaves so(p,q)")
+        if any(k >= m for (_, j), entry in base.items() if j < m for k in entry):
+            raise ContractError("a c-free bracket of two so(p,q) indices leaves so(p,q)")
+        if any(k < m for (_, j), entry in base.items() if j >= m for k in entry):
+            raise ContractError("a c-free bracket of so(p,q) and a vector leaves the vectors")
         return base, vec
 
-    def _graded(self):
-        """(base + vec as one algebra, {key of vec: 1}), the degrees in c of
-        its constants: one integer tensor for the Jacobi pass and the Killing
-        grams, built for the first of them to run and dropped by the second."""
-        graded, self._graded_pair = self._graded_pair, None
-        if graded is None:
-            base, vec = self.constants
-            algebra = LieAlgebra(ABSTRACT, self.dim, structure={**base, **vec}, validate=False)
-            graded = self._graded_pair = algebra, dict.fromkeys(vec, 1)
-        return graded
+    def _bracket(self, sign: int) -> LieAlgebra:
+        """A fresh [.,.]_sign for sign in {0, 1, -1}: base, base + vec or
+        base - vec."""
+        base, vec = self.constants
+        structure = dict(base)
+        if sign:
+            for key, entry in vec.items():
+                structure[key] = entry if sign > 0 else {k: -v for k, v in entry.items()}
+        return LieAlgebra(ABSTRACT, self.dim, structure=structure, validate=False)
+
+    def _shared(self) -> LieAlgebra:
+        """[.,.]_1, one integer tensor for the Jacobi pass and the Killing
+        grams, built for the first of them to run and dropped by the
+        second."""
+        shared, self._shared_copy = self._shared_copy, None
+        if shared is None:
+            shared = self._shared_copy = self._bracket(1)
+        return shared
 
     @functools.cached_property
     def jacobi(self) -> bool:
-        """True: one Jacobi pass over base + vec, filed by degree, gives
-        J(c) = J(base) + c.M + c^2.J(vec), all three zero exactly when J(c) = 0
-        for every rational c.  Raises ContractError naming triple and degree."""
-        graded, degree = self._graded()
-        graded._check_jacobi(degree)
+        """True: Jacobi holds at c = 1, so for every rational c by the
+        grading.  Raises ContractError naming the triple."""
+        self._shared()._check_jacobi()
         return True
 
     @functools.cached_property
     def grams(self):
-        """(K0, K1, K2): the Killing gram K(c) = K0 + c.K1 + c^2.K2, one
-        contraction over base + vec filed by degree."""
-        graded, degree = self._graded()
-        return tuple(graded._killing_grams(degree))
+        """(K0, K1): the Killing gram K(c) = K0 + c.K1, K0 the rows of K(1)
+        at the so indices and K1 those at the vector indices."""
+        gram, m, d = self._shared().killing_form().gram, self.m, self.dim
+        k0 = {i: row for i, row in gram._data.items() if i < m}
+        k1 = {i: row for i, row in gram._data.items() if i >= m}
+        return _reduced(d, d, k0, gram.den), _reduced(d, d, k1, gram.den)
 
     @_per_branch
-    def algebra(self, deformed: bool) -> LieAlgebra:
-        """base + vec (c = 1) when deformed, else base (c = 0)."""
-        base, vec = self.constants
-        structure = {**base, **vec} if deformed else base
-        return LieAlgebra(ABSTRACT, self.dim, structure=structure, validate=False)
+    def algebra(self, sign: int) -> LieAlgebra:
+        """[.,.]_sign, the representative of the branch of c of that sign
+        (sign 0 for c = 0)."""
+        return self._bracket(sign)
 
     @functools.cached_property
     def centralizer(self) -> Subspace:
         """The centralizer of the so(p,q) block in [.,.]_c, one subspace for
         every c, 0 included: a bracket with an so index is a key of base, so
         [x, h]_c = [x, h]_0 for every h in the block."""
-        return centralizer(self.algebra(False), _so_block(self.p, self.q))
+        return centralizer(self.algebra(0), _so_block(self.p, self.q))
 
     @_per_branch
     def maximality(self, deformed: bool):
         """is_maximal_subalgebra of the so(p,q) block: at c = 0 on base, and
-        for every c != 0 (deformed) on base + vec, c = 1.  With the so block
-        of degree 0 and each e_idx of degree 1, [x, y]_c = c^(deg x . deg y)
-        [x, y]_1, so each closure, its verdict and its witness at c != 0 are
-        those at c = 1."""
-        return is_maximal_subalgebra(self.algebra(deformed), _so_block(self.p, self.q))
+        for every c != 0 (deformed) on base + vec, c = 1.  For c != 0 each
+        constant of [.,.]_c is a nonzero multiple of that of [.,.]_1 (the
+        grading of the class), so each closure, its verdict and its witness
+        at c != 0 are those at c = 1."""
+        return is_maximal_subalgebra(self.algebra(int(deformed)), _so_block(self.p, self.q))
 
     @_per_branch
     def branch(self, positive: bool):
         """The embedding of one sign of c as polynomials in c, read by `ipq_c`,
-        `embedding_iso`, `sqrt_conjugation` and the certificates: (form,
-        images), tuples of immutable matrix parts, part d the coefficient of
-        c^d.  form is (F0, F1), I_{p,q}(c) = F0 + c.F1, F1 = E_{x,x} for x the
-        extra coordinate, first (every other index raised by one) for c > 0
-        and last for c < 0.  images holds one (P, Q), image P + c.Q, per
+        `embedding_iso`, `sqrt_conjugation` and (E): (form, images), tuples
+        of immutable matrix parts, part d the coefficient of c^d.  form is
+        (F0, F1), I_{p,q}(c) = F0 + c.F1, F1 = E_{x,x} for x the extra
+        coordinate, first (every other index raised by one) for c > 0 and
+        last for c < 0.  images holds one (P, Q), image P + c.Q, per
         deformed-algebra basis index: the so(p,q) basis at the raised places
         with Q = 0, then e_i with P = -eta_i.E_{x,r}, Q = E_{r,x}, r the place
         of coordinate i; none below n = 3."""
@@ -406,53 +439,43 @@ class _Family:
 
     @_per_branch
     def embedding_defect(self, positive: bool):
-        """(E): why the embedding of [.,.]_c fails for some c of one sign, or
-        None: `_graded_embedding_defect` on base + vec, vec of degree 1, and
-        the branch; it rests on no Jacobi identity, so it runs no Jacobi pass."""
-        degree = dict.fromkeys(self.constants[1], 1)
-        return _graded_embedding_defect(self.algebra(True), degree, *self.branch(positive))
+        """(E): why the embedding of [.,.]_c fails for some c of one sign s,
+        or None.  First the supports of the branch parts that the grading
+        lemma rests on, x the extra coordinate: F1 = E_{x,x} and F0 off row
+        and column x; every so image c-free and off row and column x; every
+        vector image with its P part in row x and its Q part in column x,
+        never at (x, x).  Then `_embedding_defect` at the representative
+        c = s.  It rests on no Jacobi identity, so it runs no Jacobi pass."""
+        (f0, f1), images = self.branch(positive)
+        m = self.m
+        x = 0 if positive else self.p + self.q
+        if f1 != _trusted(f1.rows, f1.cols, {x: {x: 1}}) or not _off(f0, x):
+            return "the form is not F0 + c.E_{x,x} with F0 off row and column x"
+        for a, (y, z) in enumerate(images[:m]):
+            if z._data or not _off(y, x):
+                return f"the image of X_{a} depends on c or meets the extra coordinate"
+        for i, (y, z) in enumerate(images[m:]):
+            if not set(y._data) <= {x} or x in y._data.get(x, ()):
+                return f"the c-free part of the image of e_{i} leaves row x"
+            if x in z._data or any(set(row) != {x} for row in z._data.values()):
+                return f"the c part of the image of e_{i} leaves column x"
+        s = 1 if positive else -1
+        images = [y if not z._data else y + z.scale(s) for y, z in images]
+        return _embedding_defect(self.algebra(s), f0 + f1.scale(s), images)
 
     @_per_branch
     def complement_defect(self, positive: bool):
         """Why, for some c of one sign branch, the trace-form complement of
         rho_c(so) in T = so(R^{n+1}, I_{p,q}(c)) is not R^{p,q}, irreducible,
         given dim T = m + n; or None.  (E): rho_c is injective, so
-        T = rho_c(so) (+) rho_c(V).  tr(rho(X_a).rho(e_i)) = 0 in every degree
-        of c (checked here on the branch parts: one `_trace_contraction` over
-        them all, read on its so x V rows) and the trace form is
-        nondegenerate on rho_c(so), so rho_c(V) is the complement.  By (E) and
-        (G), [rho X_a, rho e_i] = sum_k (X_a)_ki rho e_k, and (R) decides the
-        module.  The c-free facts are `standard_complement_defect`."""
-        reason = self.embedding_defect(positive) or self.standard_complement_defect
-        if reason is not None:
-            return reason
-        _, images = self.branch(positive)
-        m, count = self.m, len(images)
-        # on integer rows over the parts' common denominator D, each sum is
-        # D^2 x trace; part e of image b is the contraction's index
-        # b + e.count, the degree lift `_killing_grams` uses
-        big = _lcm(1, *(x.den for parts in images for x in parts))
-        slots = {}
-        for b, parts in enumerate(images):
-            for e, x in enumerate(parts):
-                k = big // x.den
-                for r, row in x._data.items():
-                    for s, v in row.items():
-                        slots.setdefault((r, s), []).append((b + e * count, k * v))
-        gram = _trace_contraction(slots)
-        for a, parts in enumerate(images[:m]):
-            traces = {}  # (b, degree) -> D^2 tr(rho(X_a).rho(e_{b - m})) in that degree
-            for d in range(len(parts)):
-                for index, t in gram.get(a + d * count, {}).items():
-                    e, b = divmod(index, count)
-                    if b >= m:
-                        key = (b, d + e)
-                        traces[key] = traces.get(key, 0) + t
-            bad = [key for key, t in traces.items() if t]
-            if bad:
-                b, g = min(bad)
-                return f"tr(rho(X_{a}).rho(e_{b - m})) is not zero in degree {g}"
-        return None
+        T = rho_c(so) (+) rho_c(V).  On the supports (E) checks, rho_c(X_a)
+        has no entry in row or column x and rho_c(e_i) has entries only
+        there, so every term of tr(rho_c(X_a).rho_c(e_i)) vanishes; the trace
+        form is nondegenerate on rho_c(so), so rho_c(V) is the complement.
+        By (E) and (G), [rho X_a, rho e_i] = sum_k (X_a)_ki rho e_k, and (R)
+        decides the module.  The c-free facts are
+        `standard_complement_defect`."""
+        return self.embedding_defect(positive) or self.standard_complement_defect
 
     @functools.cached_property
     def standard_complement_defect(self):
@@ -478,29 +501,19 @@ class _Family:
 
     @functools.cached_property
     def killing_blocks(self):
-        """(reason, a1, r1) for K(c) = K0 + c.K1 + c^2.K2, block by block (the
-        so block the first m indices, the vector block the last n): the
-        mixed block vanishes in every degree, the so block is
-        a1 x Killing(so(p,q)) in degree 0 and the vector block r1 x <.,.>_{p,q}
-        in degree 1, both zero in the other degrees, so a2 = c.r1.  reason is
-        None when all of this holds with a1 and r1 nonzero."""
-        grams = self.grams
+        """(reason, a1, r1) for K(c) = K0 + c.K1, block by block (the so
+        block the first m indices, the vector block the last n): the mixed
+        block vanishes, the so block of K0 is a1 x Killing(so(p,q)) and the
+        vector block of K1 is r1 x <.,.>_{p,q}, so a2 = c.r1.  reason is None
+        when all of this holds with a1 and r1 nonzero."""
+        k0, k1 = self.grams
         so_range, vec_range = range(self.m), range(self.m, self.dim)
-        for d, k in enumerate(grams):
-            if not _block(k, so_range, vec_range).is_zero():
-                return f"mixed block is not zero in degree {d}", None, None
-        so_blocks = [_block(k, so_range, so_range) for k in grams]
-        a1 = proportionality(so_blocks[0], so_pq_algebra(self.p, self.q).killing_form().gram)
+        if not (_block(k0, so_range, vec_range).is_zero() and _block(k1, vec_range, so_range).is_zero()):
+            return "mixed block is not zero", None, None
+        a1 = proportionality(_block(k0, so_range, so_range), so_pq_algebra(self.p, self.q).killing_form().gram)
         if a1 is None:
             return "so block not proportional to Killing(so(p,q))", None, None
-        for d in (1, 2):
-            if not so_blocks[d].is_zero():
-                return f"so block is not zero in degree {d}", None, None
-        vec_blocks = [_block(k, vec_range, vec_range) for k in grams]
-        for d in (0, 2):
-            if not vec_blocks[d].is_zero():
-                return f"vector block is not zero in degree {d}", None, None
-        r1 = proportionality(vec_blocks[1], ipq(self.p, self.q))
+        r1 = proportionality(_block(k1, vec_range, vec_range), ipq(self.p, self.q))
         if r1 is None:
             return "vector block not proportional to <.,.>_{p,q}", None, None
         if not a1 or not r1:
@@ -533,8 +546,8 @@ def _family(p: int, q: int) -> _Family:
 
 def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
     """The bracket [.,.]_c on so(p,q) (+) R^{p,q}, read off the record of
-    (p, q), whose Jacobi pass certifies it for every c: no per-c Jacobi
-    run, and the Killing gram comes from the expansion in c."""
+    (p, q), whose Jacobi pass at c = 1 certifies it for every c: no per-c
+    Jacobi run, and the Killing gram is K0 + c.K1."""
     c = rat(c)
     family = _family(p, q)
     base, vec = family.constants
@@ -543,9 +556,9 @@ def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
     if c:
         for key, entry in vec.items():
             structure[key] = {k: c * v for k, v in entry.items()}
-    k0, k1, k2 = family.grams
+    k0, k1 = family.grams
     m, dim = family.m, family.dim
-    algebra = LieAlgebra._certified(dim, structure, k0 + k1.scale(c) + k2.scale(c * c))
+    algebra = LieAlgebra._certified(dim, structure, k0 + k1.scale(c))
     return DeformedAlgebra(p, q, c, algebra, tuple(range(m)), tuple(range(m, dim)))
 
 
@@ -573,61 +586,28 @@ def embedding_iso(p: int, q: int, c) -> EmbeddingIso:
     return EmbeddingIso(p=p, q=q, c=c, target_form=ipq_c(p, q, c), images=images)
 
 
-def _graded_embedding_defect(algebra, degree, form, images):
-    """Why the images fail to embed the graded algebra into so(form), or
-    None; every certificate holds as an identity of polynomials in c.
-
-    The structure constants of key (i, j) have degree degree.get((i, j), 0)
-    in c, and form and each image are tuples of matrix parts, part d the
-    coefficient of c^d.  Three certificates, in order:
-    - the form: A^t.F + F.A = 0 in every degree, for every image A, each
-      term -(A_d^t.F_e + F_e.A_d) one integer vector of
-      `_intertwining_defect(-A_d^t, F_e, A_d)`, brought to the terms'
-      common denominator and summed under degree d + e;
-    - the brackets: `rep_theory._bracket_defect`, whose reason names the
-      first failing pair and its lowest failing degree;
-    - injectivity: on the matrix entries where every part of degree >= 1
-      of every image vanishes, an image equals its part of degree 0 for
-      every c, so those restricted parts being independent proves the
-      images independent for every c.
-    """
-    for parts in images:
-        terms = [
-            (d + e, _intertwining_defect(-x.transpose(), f, x))
-            for d, x in enumerate(parts)
-            if x._data
-            for e, f in enumerate(form)
-        ]
-        common = _lcm(1, *(den for _, (_, den) in terms))
-        sums = {}
-        for g, (vec, den) in terms:
-            acc = sums.setdefault(g, {})
-            k = common // den
-            for key, v in vec.items():
-                acc[key] = acc.get(key, 0) + k * v
-        bad = [g for g, acc in sums.items() if any(acc.values())]
-        if bad:
-            return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
-    defect = _bracket_defect(algebra, images, degree)
+def _embedding_defect(algebra, form, images):
+    """Why the images (one matrix per basis element) fail to embed algebra
+    into so(form), or None.  Three certificates, in order: every image A
+    has A^t.form + form.A = 0, the integer vector of
+    `_intertwining_defect(-A^t, form, A)`; `rep_theory._bracket_defect`
+    finds no failing pair; the images are independent."""
+    for y in images:
+        if _intertwining_defect(-y.transpose(), form, y)[0]:
+            return "image leaves so(R^{n+1}, I_{p,q}(c))"
+    defect = _bracket_defect(algebra, images)
     if defect is not None:
-        a, b, g = defect
-        return (
-            f"bracket not intertwined in degree {g}: "
-            f"homomorphism property fails on basis pair ({a},{b})"
-        )
-    lifted = set()  # the entries where some part of degree >= 1 is nonzero
-    for parts in images:
-        for x in parts[1:]:
-            lifted.update(x._flat())
-    n = form[0].rows
-    ech = Echelon(n * n)
-    for parts in images:
-        vec = {k: v for k, v in parts[0]._flat().items() if k not in lifted}
-        if not ech.insert(vec):
-            return "embedding is not injective"
+        a, b = defect
+        return f"bracket not intertwined: homomorphism property fails on basis pair ({a},{b})"
+    ech = Echelon(form.rows * form.rows)
+    if not all(ech.insert(y._flat()) for y in images):
+        return "embedding is not injective"
     return None
 
 
+def _off(x: Matrix, i: int) -> bool:
+    """Whether x has no entry in row i or column i."""
+    return i not in x._data and all(i not in row for row in x._data.values())
 
 
 def _block(k: Matrix, rows: range, cols: range) -> Matrix:
@@ -635,7 +615,6 @@ def _block(k: Matrix, rows: range, cols: range) -> Matrix:
     data = {i - rows.start: {j - cols.start: x for j, x in row.items() if j in cols}
             for i, row in k._data.items() if i in rows}
     return _accumulated(len(rows), len(cols), data, k.den)
-
 
 
 def so_of_form(form: Matrix) -> LieAlgebra:

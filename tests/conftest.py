@@ -194,9 +194,9 @@ def jacobi_passes(monkeypatch):
     passes = []
     check = LieAlgebra._check_jacobi
 
-    def counted(alg, degree=None):
+    def counted(alg):
         passes.append(alg.dim)
-        return check(alg, degree)
+        return check(alg)
 
     monkeypatch.setattr(LieAlgebra, "_check_jacobi", counted)
     return passes
@@ -555,12 +555,17 @@ def block_pairing_basis(v, w, blocks_v, blocks_w):
     return maps
 
 
-def per_c_deformed_algebra(p, q, c):
+def per_c_deformed_algebra(p, q, c, constants=None):
     """The bracket [.,.]_c built and Jacobi-validated for this one c: every
     constant of so(p,q) (+) R^{p,q} through `from_structure`, with the
     action [X, e_i] = X e_i and [e_i, e_j] = -c X_ij for i < j < p, c X_ij
-    otherwise."""
+    otherwise.  With constants, (dim, base, vec) entries as
+    `so_pq._deformation_constants` lists them, the bracket base + c.vec of
+    those entries instead."""
     c = rat(c)
+    if constants is not None:
+        dim, base, vec = constants
+        return LieAlgebra.from_structure(dim, base + [(i, j, k, c * v) for i, j, k, v in vec], validate=True)
     n = p + q
     so = so_pq_algebra(p, q)
     m = so.dim
@@ -719,9 +724,9 @@ def over_common_den(vec: dict):
 
 
 def partners_trace_defect(images, m):
-    """The trace pass of `so_pq._Family.complement_defect` by its old
-    partners loop, kept as the oracle of the one `_trace_contraction` it
-    reads now: the entry (r, s) of each part e of each vector image b >= m
+    """The trace pass `so_pq._Family.complement_defect` ran before it read
+    every trace tr(rho(X_a).rho(e_i)) as zero off the supports of (E), by
+    its partners loop: the entry (r, s) of each part e of each vector image b >= m
     is filed as a partner of slot (s, r), and each entry of each part d of
     each so image a meets the partners of its own slot, into the sum
     D^2 tr(rho(X_a).rho(e_{b - m})) of degree d + e over the parts' common

@@ -867,9 +867,10 @@ def test_tc_equivariance_check_names_the_first_failing_index(monkeypatch, fresh_
 
 
 def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_memos):
-    """Doubled images stay in so(R^{n+1}, I_{p,q}(c)), but their brackets
-    are four times, not twice, the images of the brackets: the first pair
-    with a nonzero bracket fails, in degree 0, on either sign branch."""
+    """Doubled images stay in so(R^{n+1}, I_{p,q}(c)) and on their supports,
+    but their brackets are four times, not twice, the images of the
+    brackets: the first pair with a nonzero bracket fails, on either sign
+    branch."""
     import liepq.checks as checks
 
     real = _Family.branch
@@ -883,7 +884,7 @@ def test_embedding_check_names_the_first_failing_pair(monkeypatch, fresh_family_
     for c in (rat(1), rat("-1/2")):
         assert checks.check_embedding(2, 1, c) == {
             "status": "fail",
-            "reason": "bracket not intertwined in degree 0: "
+            "reason": "bracket not intertwined: "
             f"homomorphism property fails on basis pair ({i},{j})",
         }
 
@@ -915,13 +916,15 @@ def test_hom_check_refuses_a_t1_outside_the_hom_span(monkeypatch):
 
 @pytest.mark.parametrize("block", ["mixed", "so", "vector"])
 def test_killing_blocks_check_names_the_failing_block(fresh_family_memos, block):
-    """A symmetric bend of one block of the record's K0 fails that block."""
+    """A symmetric bend of one block of K(c) = K0 + c.K1, the so and mixed
+    blocks in K0 and the vector block in K1, fails that block."""
     import liepq.checks as checks
     record = fresh_family_memos._family(2, 1)
     # so block: indices 0..2, vector block: 3..5
     i, j = {"mixed": (0, 4), "so": (0, 1), "vector": (3, 4)}[block]
-    k0, k1, k2 = record.grams
-    record.grams = (k0 + _unit(6, i, j) + _unit(6, j, i), k1, k2)
+    k0, k1 = record.grams
+    bend = _unit(6, i, j) + _unit(6, j, i)
+    record.grams = (k0, k1 + bend) if block == "vector" else (k0 + bend, k1)
     result = checks.check_killing_blocks(2, 1, rat(1))
     assert result["status"] == "fail"
     assert result["reason"].startswith(f"{block} block")
@@ -930,18 +933,15 @@ def test_killing_blocks_check_names_the_failing_block(fresh_family_memos, block)
 @pytest.mark.parametrize(
     "gram, i, j, reason",
     [
-        ("k1", 0, 4, "mixed block is not zero in degree 1"),
-        ("k2", 0, 5, "mixed block is not zero in degree 2"),
-        ("k1", 0, 1, "so block is not zero in degree 1"),
-        ("k2", 1, 2, "so block is not zero in degree 2"),
-        ("k0", 3, 4, "vector block is not zero in degree 0"),
-        ("k2", 3, 4, "vector block is not zero in degree 2"),
+        ("k0", 1, 3, "mixed block is not zero"),
+        ("k1", 0, 5, "mixed block is not zero"),
+        ("k0", 1, 2, "so block not proportional to Killing(so(p,q))"),
         ("k1", 3, 4, "vector block not proportional to <.,.>_{p,q}"),
     ],
 )
-def test_killing_blocks_check_names_the_failing_degree(fresh_family_memos, gram, i, j, reason):
+def test_killing_blocks_check_names_the_failing_gram(fresh_family_memos, gram, i, j, reason):
     """a1 is read off the so block of K0 and a2 = c.r1 off the vector
-    block of K1: any other degree of a block must vanish."""
+    block of K1; the mixed block of K(1) is checked in both."""
     import liepq.checks as checks
     record = fresh_family_memos._family(2, 1)
     grams = list(record.grams)

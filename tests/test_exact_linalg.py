@@ -374,6 +374,22 @@ def test_rat_token_grammar():
             rat(token)
 
 
+def test_rat_refuses_bools_and_values_the_scalar_type_does_not_take():
+    """True is an int to Python but not a rational to liepq, as for
+    `Signature` and the structure entries; None, a complex number, a list
+    and a non-finite Decimal raise ContractError, not TypeError or
+    ValueError.  Ints, rationals and Decimals that are finite still go
+    through, the scalar type first."""
+    from decimal import Decimal
+
+    for bad in (True, False, None, 1 + 2j, [1], Decimal("NaN"), Decimal("Infinity")):
+        with pytest.raises(ContractError):
+            rat(bad)
+    x = Rational(2, 3)
+    assert rat(x) is x
+    assert rat(-7) == Rational(-7) and rat(Decimal("0.25")) == Rational(1, 4)
+
+
 def test_public_constructors_still_validate_entries():
     for bad in (0.5, "1/0", "2/-3", "x"):
         with pytest.raises(ContractError):

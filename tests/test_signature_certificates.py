@@ -2,10 +2,12 @@
 of c, read off the deformation family in `so_pq`, against the per-c
 computations they replace: the centralizer and the maximality closures of
 the so(p,q) block, the embedding into so(R^{n+1}, I_{p,q}(c)), the Killing
-blocks, the irreducible complement and rank T_c; and the graded
-homomorphism pass they share with `Representation.validate`, against the
-pairwise oracle at three values of c."""
+blocks, the irreducible complement and rank T_c; the grading those
+certificates rest on, checked on the constants and on the supports of the
+branch; and the homomorphism pass they share with `Representation.validate`,
+read at c = 1 or -1, against the pairwise oracle at three values of c."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,8 @@ from liepq.lie_core import centralizer, is_maximal_subalgebra
 from liepq.rep_theory import Representation, _bracket_defect
 from liepq.so_pq import (
     _Family,
+    _embedding_defect,
     _family,
-    _graded_embedding_defect,
     embedding_iso,
     ipq,
     ipq_c,
@@ -88,7 +90,8 @@ def test_signature_certificates_equal_the_per_c_oracles(signature, c):
     verdict and witness, the embedding verdict and the Killing constants
     equal the certificates of the signature (or of the sign of c), and
     `embedding_iso` and `ipq_c`, the branch polynomials at c, are the
-    closed-form matrices of the formulas."""
+    closed-form matrices of the formulas; the whole Killing gram of
+    `deformed_algebra`, K0 + c.K1, is that of the algebra."""
     p, q = signature
     alg = per_c_deformed_algebra(p, q, c)
     block = _so_block(p, q)
@@ -103,6 +106,7 @@ def test_signature_certificates_equal_the_per_c_oracles(signature, c):
     reason, a1, r1 = record.killing_blocks
     assert reason is None
     assert (a1, c * r1) == _per_c_killing_constants(alg, p, q)
+    assert so_pq.deformed_algebra(p, q, c).algebra.killing_form().gram == alg.killing_form().gram
 
 
 @pytest.mark.parametrize("p, q", SIGNATURES)
@@ -118,8 +122,8 @@ def test_c_zero_certificates_equal_the_per_c_oracles(p, q):
 def test_suite_certifies_once_per_signature_and_sign(monkeypatch, record_builds):
     """Five values of c: one record, so one reading of the Killing blocks,
     one centralizer, two maximality closure sets (c = 0 and c != 0) and one
-    embedding certificate per sign of c (its form's extra coordinate first
-    for c > 0 and last for c < 0)."""
+    embedding certificate per sign of c, read at c = 1 and c = -1 (the
+    negative index of the form at c is q, then q + 1)."""
     from liepq.cli import run_suite
 
     calls = {"centralizer": [], "maximality": [], "embedding": []}
@@ -133,15 +137,15 @@ def test_suite_certifies_once_per_signature_and_sign(monkeypatch, record_builds)
         counted("maximality", is_maximal_subalgebra, lambda alg, sub: len(alg.structure)),
     )
     monkeypatch.setattr(
-        so_pq, "_graded_embedding_defect",
-        counted("embedding", _graded_embedding_defect, lambda alg, deg, form, images: min(form[1]._data)),
+        so_pq, "_embedding_defect",
+        counted("embedding", _embedding_defect, lambda alg, form, images: sum(form[i, i] < 0 for i in range(5))),
     )
     report = run_suite("appendix", 3, 1, ["2", "-1", "0", "1/3", "-5/2"], [])
     assert report["overall"] == "pass"
     assert len(calls["centralizer"]) == 1
     base, vec = _family(3, 1).constants
     assert sorted(calls["maximality"]) == [len(base), len(base) + len(vec)]
-    assert sorted(calls["embedding"]) == [0, 4]
+    assert sorted(calls["embedding"]) == [1, 2]
     assert record_builds == [(3, 1)]
     assert [c["status"] for c in report["checks"] if c["name"] == "embedding_iso"] == [
         "pass", "pass", "skipped", "pass", "pass"
@@ -172,6 +176,102 @@ def test_guard_refuses_a_family_graded_otherwise(monkeypatch, fresh_family_memos
         assert message in result["reason"]
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("vec", "a c-dependent bracket of two vectors leaves so(p,q)"),
+        ("so x so", "a c-free bracket of two so(p,q) indices leaves so(p,q)"),
+        ("so x V", "a c-free bracket of so(p,q) and a vector leaves the vectors"),
+    ],
+)
+def test_each_value_rule_of_the_grading_refuses_its_own_mutation(monkeypatch, fresh_family_memos, rule, message):
+    """A key of the right kind with a value of the wrong weight: [e_0, e_1]
+    with an e_2 part, [X_0, X_1] with an e_0 part, [X_0, e_0] with an X_1
+    part.  The keys pass, the values do not, and each check that reads the
+    record fails with the rule's own reason."""
+    from liepq.cli import run_check
+
+    dim, base, vec = so_pq._deformation_constants(3, 1)
+    m = dim - 4
+    if rule == "vec":
+        vec = vec + [(m, m + 1, m + 2, ONE)]
+    else:
+        base = base + [(0, 1, m, ONE)] if rule == "so x so" else base + [(0, m, 1, ONE)]
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
+    with pytest.raises(ContractError, match=re.escape(message)):
+        _family(3, 1).constants
+    for name in ("deformed_jacobi", "embedding_iso", "killing_blocks", "complement_irreducible"):
+        _, _, result = run_check(name, {"p": 3, "q": 1, "c": "2"})
+        assert result["status"] == "fail"
+        assert message in result["reason"]
+
+
+def _bent_branch(p, q, positive, rule):
+    """The branch of the sign with one part moved off its support, for
+    each support rule: F1 doubled, or F0 given an entry at (x, x); X_0's image given a c part, or an entry
+    at (x, r); P of e_0 given an entry off row x; Q of e_0 given one off
+    column x, or at (x, x)."""
+    n = p + q
+    (f0, f1), images = _family(p, q).branch(positive)
+    x, r = (0, 1) if positive else (n, 0)
+    m = n * (n - 1) // 2
+    images = list(images)
+
+    def unit(i, j):
+        return Matrix.from_sparse(n + 1, n + 1, {(i, j): 1})
+
+    if rule == "form":
+        f1 = f1.scale(2)
+    elif rule == "form at x":
+        f0 = f0 + unit(x, x)
+    elif rule == "so c part":
+        images[0] = (images[0][0], unit(r, r + 1))
+    elif rule == "so at x":
+        images[0] = (images[0][0] + unit(x, r), images[0][1])
+    elif rule == "P":
+        images[m] = (images[m][0] + unit(r, r + 1), images[m][1])
+    elif rule == "Q":
+        images[m] = (images[m][0], images[m][1] + unit(r + 1, r))
+    else:  # Q at (x, x)
+        images[m] = (images[m][0], images[m][1] + unit(x, x))
+    return (f0, f1), tuple(images)
+
+
+SUPPORT_REASONS = {
+    "form": "the form is not F0 + c.E_{x,x} with F0 off row and column x",
+    "form at x": "the form is not F0 + c.E_{x,x} with F0 off row and column x",
+    "so c part": "the image of X_0 depends on c or meets the extra coordinate",
+    "so at x": "the image of X_0 depends on c or meets the extra coordinate",
+    "P": "the c-free part of the image of e_0 leaves row x",
+    "Q": "the c part of the image of e_0 leaves column x",
+    "Q at x": "the c part of the image of e_0 leaves column x",
+}
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("rule", list(SUPPORT_REASONS))
+def test_each_support_rule_of_the_branch_refuses_its_own_mutation(positive, rule):
+    """One part of the branch moved off the support the grading lemma needs
+    is refused by (E) with the reason of its rule, before any certificate
+    at the representative runs."""
+    for p, q in ((3, 1), (2, 2), (1, 2)):
+        assert _certificate(p, q, positive, _bent_branch(p, q, positive, rule)) == SUPPORT_REASONS[rule]
+
+
+def _certificate(p, q, positive, branch):
+    """(E) of a fresh record of (p, q) whose branch of the sign is the
+    given (form, images)."""
+    record = _Family(p, q)
+    record._branches[("branch", positive)] = branch
+    return record.embedding_defect(positive)
+
+
+def _at_sign(branch, sign):
+    """(form, images) of a branch at c = sign: F0 + sign.F1 and P + sign.Q."""
+    (f0, f1), images = branch
+    return f0 + f1.scale(sign), [y + z.scale(sign) for y, z in images]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([(2, 1), (3, 1), (2, 2), (1, 3)]),
@@ -180,43 +280,43 @@ def test_guard_refuses_a_family_graded_otherwise(monkeypatch, fresh_family_memos
 )
 def test_perturbing_a_degree_1_image_entry_fails_the_embedding(signature, positive, data):
     """Adding 1 to any entry of the degree-1 part of any image (a vector's
-    Q, or an so generator's zero part) is refused."""
+    Q, or an so generator's zero part) is refused: on an so image or off
+    column x by the supports, in column x by the form at the
+    representative."""
     p, q = signature
     n = p + q
-    form, images = _family(p, q).branch(positive)
+    branch = _family(p, q).branch(positive)
+    form, images = branch
     a = data.draw(st.integers(0, len(images) - 1), label="image")
     r = data.draw(st.integers(0, n), label="row")
     s = data.draw(st.integers(0, n), label="column")
     bent = list(images)
     bent[a] = (images[a][0], images[a][1] + Matrix.from_sparse(n + 1, n + 1, {(r, s): 1}))
-    joint, degree = _family(p, q).algebra(True), dict.fromkeys(_family(p, q).constants[1], 1)
-    assert _graded_embedding_defect(joint, degree, form, bent) is not None
-    assert _graded_embedding_defect(joint, degree, form, images) is None
+    assert _certificate(p, q, positive, (form, tuple(bent))) is not None
+    assert _certificate(p, q, positive, branch) is None
 
 
 @pytest.mark.parametrize("positive", [True, False])
 def test_a_degree_1_bend_inside_the_form_fails_the_brackets(positive):
     """Q_i + X for an so generator X keeps every image in so(I_{p,q}(c))
-    (X preserves F0 and misses the extra coordinate), so only the bracket
-    certificate can refuse it, in a degree above 0."""
+    (X preserves F0 and misses the extra coordinate) but takes Q off
+    column x, so the supports refuse it; at the representative c = s, where
+    the grading no longer speaks for every c, only the bracket certificate
+    can refuse it, and it does."""
     p, q = 3, 1
     form, images = _family(p, q).branch(positive)
     m = 6
     bent = list(images)
     bent[m] = (images[m][0], images[m][1] + images[0][0])
-    degree = dict.fromkeys(_family(p, q).constants[1], 1)
-    reason = _graded_embedding_defect(_family(p, q).algebra(True), degree, form, bent)
-    assert reason.startswith("bracket not intertwined in degree ")
-    assert not reason.startswith("bracket not intertwined in degree 0")
+    assert _certificate(p, q, positive, (form, tuple(bent))) == "the c part of the image of e_0 leaves column x"
+    sign = 1 if positive else -1
+    reason = _embedding_defect(_family(p, q).algebra(sign), *_at_sign((form, bent), sign))
+    assert reason.startswith("bracket not intertwined: ")
 
 
-def test_injectivity_is_read_off_the_entries_no_degree_1_part_touches():
-    """rho_a = E_01 and rho_b = E_02 + c.(E_01 - E_02) commute (row 0
-    only) and stay in so of the zero form for every c, and their degree-0
-    parts are independent, yet at c = 1 they are equal: only the entries
-    where every degree-1 part vanishes may decide injectivity, and there
-    both degree-0 parts are 0.  With the degree-1 part E_03 instead, they
-    decide it."""
+def test_injectivity_is_read_off_the_images():
+    """Two images that commute and stay in so of the zero form: equal, they
+    are refused as not injective; independent, they pass."""
     from liepq.lie_core import LieAlgebra
 
     def row0(*cells):
@@ -224,10 +324,24 @@ def test_injectivity_is_read_off_the_entries_no_degree_1_part_touches():
 
     zero = Matrix.zeros(4, 4)
     abelian = LieAlgebra.from_structure(2, [])
-    images = [(row0((1, 1)), zero), (row0((2, 1)), row0((1, 1), (2, -1)))]
-    assert _graded_embedding_defect(abelian, {}, (zero,), images) == "embedding is not injective"
-    images[1] = (images[1][0], row0((3, 1)))
-    assert _graded_embedding_defect(abelian, {}, (zero,), images) is None
+    assert _embedding_defect(abelian, zero, [row0((1, 1)), row0((1, 1))]) == "embedding is not injective"
+    assert _embedding_defect(abelian, zero, [row0((1, 1)), row0((3, 1))]) is None
+
+
+def _support_bend(images, n, x, m, bend):
+    """images with v added where the supports allow it: at (r, s) off row
+    and column x of an so image, at (x, s) of a vector's P (d = 0) or at
+    (r, x) of its Q (d = 1)."""
+    d, a, r, s, v = bend
+    others = [i for i in range(n + 1) if i != x]
+    a, r, s = a % len(images), others[r % n], others[s % n]
+    if a < m:
+        cell, d = (r, s), 0
+    else:
+        cell = (x, s) if d == 0 else (r, x)
+    parts = list(images[a])
+    parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {cell: v})
+    return images[:a] + [tuple(parts)] + images[a + 1:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,30 +355,24 @@ def test_injectivity_is_read_off_the_entries_no_degree_1_part_touches():
     ),
 )
 def test_graded_pass_matches_the_pairwise_oracle_at_three_values_of_c(signature, positive, bends):
-    """`_bracket_defect` on the branch's parts, some entries of their degree-0
-    and degree-1 parts bent, against `pairwise_validate` on the images
-    P + c.Q of the algebra built at c = 1, 2 and -1/3.  Every defect is a
-    polynomial of degree <= 2 in c, zero exactly when it vanishes at three
-    points, so the first failing pair of the graded pass is the first pair
-    that fails at one of them."""
+    """`_bracket_defect` at the representative c = s = +-1, on the branch
+    with entries bent where the supports allow, against `pairwise_validate`
+    on the images P + c.Q of the algebra built at c = s, 2s and s/3: by the
+    grading the pairs that fail at one c of the branch fail at every c of
+    it, so each c has the first failing pair of the representative."""
     p, q = signature
     n = p + q
-    joint, degree = _family(p, q).algebra(True), dict.fromkeys(_family(p, q).constants[1], 1)
+    m = n * (n - 1) // 2
+    x = 0 if positive else n
+    sign = 1 if positive else -1
     _, images = _family(p, q).branch(positive)
-    images = [list(parts) for parts in images]
-    for d, a, r, s, v in bends:
-        parts = images[a % len(images)]
-        parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r % (n + 1), s % (n + 1)): v})
-    defect = _bracket_defect(joint, images, degree)
-    failing = []
-    for c in (Fraction(1), Fraction(2), Fraction(-1, 3)):
-        rep = Representation(per_c_deformed_algebra(p, q, c), n + 1, [x + y.scale(c) for x, y in images])
-        failing.append(pairwise_validate(rep))
-    failing = [pair for pair in failing if pair is not None]
-    if defect is None:
-        assert failing == []
-    else:
-        assert defect[:2] == min(failing)
+    images = list(images)
+    for bend in bends:
+        images = _support_bend(images, n, x, m, bend)
+    defect = _bracket_defect(_family(p, q).algebra(sign), [y + z.scale(sign) for y, z in images])
+    for c in (Fraction(sign), Fraction(2 * sign), Fraction(sign, 3)):
+        rep = Representation(per_c_deformed_algebra(p, q, c), n + 1, [y + z.scale(c) for y, z in images])
+        assert pairwise_validate(rep) == defect
 
 
 rational_c = st.builds(
@@ -297,9 +405,8 @@ def _complement_status(c):
 def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fresh_family_memos, positive):
     """E_{x,r} added to the image of X_0, x the extra coordinate and r the
     place of coordinate 1: the complement check fails, and so does the
-    per-c pipeline.  With the embedding certificate forced to pass, the
-    orthogonality pass alone still refuses it: tr(rho(X_0).rho(e_1)) is
-    not zero."""
+    per-c pipeline.  tr(rho(X_0).rho(e_1)) is no longer zero, and the
+    support rule of (E) that makes every such trace vanish refuses it."""
     real = _Family.branch
 
     def bent(record, sign):
@@ -314,59 +421,36 @@ def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fre
     c = "2" if positive else "-1/3"
     assert _complement_status(c) == "fail"
     assert per_c_complement_verdict(3, 1, Fraction(c))["status"] == "fail"
-    so_pq._family.cache_clear()
-    monkeypatch.setattr(_Family, "embedding_defect", lambda record, sign: None)
-    assert _family(3, 1).complement_defect(positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+    assert _family(3, 1).complement_defect(positive) == SO_IMAGE_OFF_X.format(a=0)
 
 
-@pytest.mark.parametrize("positive", [True, False])
-def test_the_trace_pass_sums_the_parts_over_their_common_denominator(monkeypatch, fresh_family_memos, positive):
-    """The image of X_0 bent by 1/2 at (x, r) in degree 0 and by 1/2 at
-    (r, x) and 1/3 at (r, r) in degree 1, x the extra coordinate and r the
-    place of coordinate 1: tr(rho(X_0).rho(e_1)) is 1/2 - 1/2 = 0 in degree
-    1, which a sum of the integer rows over their own denominators (2 and 6)
-    would read as 1 - 3; with the embedding certificate forced to pass, the
-    pass accepts the bend, and a bend of 1 at (x, r) alone it refuses."""
-    real = _Family.branch
-    n = 4
-    x, r = (0, 2) if positive else (n, 1)
-
-    def bent(record, sign, entries):
-        form, images = real(record, sign)
-        parts = tuple(part + Matrix.from_sparse(n + 1, n + 1, entries[d]) for d, part in enumerate(images[0]))
-        return form, (parts,) + images[1:]
-
-    monkeypatch.setattr(_Family, "embedding_defect", lambda record, sign: None)
-    halves = [{(x, r): Fraction(1, 2)}, {(r, x): Fraction(1, 2), (r, r): Fraction(1, 3)}]
-    monkeypatch.setattr(_Family, "branch", lambda record, sign: bent(record, sign, halves))
-    assert _family(3, 1).complement_defect(positive) is None
-    so_pq._family.cache_clear()
-    ones = [{(x, r): 1}, {}]
-    monkeypatch.setattr(_Family, "branch", lambda record, sign: bent(record, sign, ones))
-    assert _family(3, 1).complement_defect(positive) == "tr(rho(X_0).rho(e_1)) is not zero in degree 1"
+SO_IMAGE_OFF_X = "the image of X_{a} depends on c or meets the extra coordinate"
 
 
-def _trace_pass(p, q, positive, images):
-    """The trace pass of `complement_defect` alone, on the given branch
-    images: a fresh record with (E) and the c-free facts read as passing."""
+def _complement_certificate(p, q, positive, images):
+    """`complement_defect` of a fresh record whose branch of the sign has
+    the given images, with the c-free facts read as passing."""
     record = _Family(p, q)
     record.__dict__["standard_complement_defect"] = None
-    record._branches[("embedding_defect", positive)] = None
-    record._branches[("branch", positive)] = (None, images)
+    form, _ = record.branch(positive)
+    record._branches[("branch", positive)] = (form, images)
     return record.complement_defect(positive)
 
 
 @pytest.mark.parametrize("p, q", SIGNATURES)
 def test_the_trace_contraction_matches_the_partners_loop(p, q):
-    """The one `_trace_contraction` of the trace pass gives the verdict and
-    the reason of the partners loop it replaced, on both branches and on
-    one-entry bends of an so image onto the extra row or column, of 1 in
-    degree 0 and of 1/2 in degree 1, at every place r."""
+    """The partners loop, the trace pass `complement_defect` used to run
+    over the branch parts, and the certificate that replaced it with the
+    supports of (E): both accept the unbent branches, and on one-entry bends
+    of an so image onto the extra row or column, of 1 in degree 0 and of
+    1/2 in degree 1, at every place r, the certificate refuses every bend
+    the loop refuses (and the bends at (x, x) as well), naming the same so
+    image."""
     n = p + q
     m = n * (n - 1) // 2
     for positive in (True, False):
         _, images = _Family(p, q).branch(positive)
-        assert _trace_pass(p, q, positive, images) is None
+        assert _complement_certificate(p, q, positive, images) is None
         assert partners_trace_defect(images, m) is None
         extra = 0 if positive else n
         for a in sorted({0, m // 2, m - 1}):
@@ -376,26 +460,27 @@ def test_the_trace_contraction_matches_the_partners_loop(p, q):
                         parts = list(images[a])
                         parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {entry: value})
                         bent = images[:a] + (tuple(parts),) + images[a + 1:]
+                        assert _complement_certificate(p, q, positive, bent) == SO_IMAGE_OFF_X.format(a=a)
                         reason = partners_trace_defect(bent, m)
-                        assert _trace_pass(p, q, positive, bent) == reason
                         if r != extra:
                             assert reason is not None and reason.startswith(f"tr(rho(X_{a}).")
 
 
 def test_a_base_value_leaving_v_fails_the_complement(monkeypatch, fresh_family_memos):
-    """[X_0, e_0] with an so component X_1 added: the check fails, and
-    both (E) and (G) refuse it on their own, neither running the Jacobi
-    pass, which refuses it too."""
+    """[X_0, e_0] with an so component X_1 added: the check fails, and the
+    grading (G) of the constants refuses it, so every fact of the record
+    does: (E), the c-free facts of the complement and the Jacobi pass."""
     dim, base, vec = so_pq._deformation_constants(3, 1)
     m = dim - 4
     monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base + [(0, m, 1, ONE)], vec))
     assert _complement_status("2") == "fail"
     record = _family(3, 1)
-    assert record.embedding_defect(True).startswith("bracket not intertwined in degree 0")
-    assert record.standard_complement_defect == "[X_0, e_0] is not column 0 of X_0 on the vectors"
-    assert "jacobi" not in vars(record)
-    with pytest.raises(ContractError, match="Jacobi identity fails"):
-        record.jacobi
+    message = r"a c-free bracket of so\(p,q\) and a vector leaves the vectors"
+    readers = [lambda: record.embedding_defect(True), lambda: record.standard_complement_defect,
+               lambda: record.jacobi]
+    for read in readers:
+        with pytest.raises(ContractError, match=message):
+            read()
 
 
 def test_a_changed_entry_of_the_standard_action_fails_the_complement(monkeypatch, fresh_family_memos):
@@ -415,18 +500,11 @@ def test_a_changed_entry_of_the_standard_action_fails_the_complement(monkeypatch
 
 
 def _form_defect_by_products(form, images):
-    """The form certificate by matrix products: the lowest degree in which
-    sum over d + e = g of A_d^t.F_e + F_e.A_d is not zero, for the first
-    image where one is, or None."""
-    for parts in images:
-        sums = {}
-        for d, x in enumerate(parts):
-            for e, f in enumerate(form):
-                term = x.transpose() @ f + f @ x
-                sums[d + e] = sums[d + e] + term if d + e in sums else term
-        bad = [g for g, s in sums.items() if not s.is_zero()]
-        if bad:
-            return f"image leaves so(R^{{n+1}}, I_{{p,q}}(c)) in degree {min(bad)}"
+    """The form certificate by matrix products: the reason for the first
+    image A with A^t.F + F.A not zero, or None."""
+    for x in images:
+        if not (x.transpose() @ form + form @ x).is_zero():
+            return "image leaves so(R^{n+1}, I_{p,q}(c))"
     return None
 
 
@@ -435,25 +513,24 @@ def _form_defect_by_products(form, images):
     st.sampled_from([(2, 1), (3, 1), (2, 2)]),
     st.booleans(),
     st.lists(
-        st.tuples(st.integers(0, 1), st.integers(0, 99), st.integers(0, 4), st.integers(0, 4),
-                  st.integers(-2, 2), st.integers(1, 3)),
+        st.tuples(st.integers(0, 99), st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2), st.integers(1, 3)),
         max_size=3,
     ),
 )
 def test_form_certificate_matches_the_products(signature, positive, bends):
-    """The form certificate, one `_intertwining_defect` vector per term
-    summed over the terms' common denominator, against the products
-    A_d^t.F_e + F_e.A_d, on the branch with entries of either degree bent
-    by v/k, so that the terms of one degree have different denominators."""
+    """The form certificate, one `_intertwining_defect` vector per image,
+    against the products A^t.F + F.A, on the branch at its representative
+    c = s with entries bent by v/k, so that the images have different
+    denominators."""
     p, q = signature
     n = p + q
-    form, images = _family(p, q).branch(positive)
-    images = [list(parts) for parts in images]
-    for d, a, r, s, v, k in bends:
-        parts = images[a % len(images)]
-        parts[d] = parts[d] + Matrix.from_sparse(n + 1, n + 1, {(r % (n + 1), s % (n + 1)): Fraction(v, k)})
+    sign = 1 if positive else -1
+    form, images = _at_sign(_family(p, q).branch(positive), sign)
+    for a, r, s, v, k in bends:
+        a = a % len(images)
+        images[a] = images[a] + Matrix.from_sparse(n + 1, n + 1, {(r % (n + 1), s % (n + 1)): Fraction(v, k)})
     expected = _form_defect_by_products(form, images)
-    reason = _graded_embedding_defect(_family(p, q).algebra(True), {}, form, images)
+    reason = _embedding_defect(_family(p, q).algebra(sign), form, images)
     if expected is None:
         assert reason is None or not reason.startswith("image leaves")
     else:
@@ -553,7 +630,11 @@ def test_a_vector_image_bent_by_one_entry_fails_the_check_and_the_oracle(signatu
         finally:
             so_pq._family.cache_clear()
     assert result["status"] == "fail"
-    assert result["reason"].startswith("image leaves so(R^{n+1}, I_{p,q}(c)) in degree")
+    assert result["reason"] in {
+        f"the c-free part of the image of e_{i} leaves row x",
+        f"the c part of the image of e_{i} leaves column x",
+        "image leaves so(R^{n+1}, I_{p,q}(c))",
+    }
 
 
 @pytest.mark.parametrize("c", ["4", "9/4", "-1/4", "-4"])
@@ -644,8 +725,8 @@ def test_a_signature_sweep_builds_each_record_once(monkeypatch, record_builds):
     the second builds none."""
     certified = []
     monkeypatch.setattr(
-        so_pq, "_graded_embedding_defect",
-        lambda *args: certified.append(args[2][1]) or _graded_embedding_defect(*args),
+        so_pq, "_embedding_defect",
+        lambda *args: certified.append(args[1]) or _embedding_defect(*args),
     )
     signatures = [(p, n - p) for n in range(3, 9) for p in range(n + 1)]
     for sweep in range(2):

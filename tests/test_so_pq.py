@@ -315,24 +315,39 @@ def _doubled(entries, index):
     return entries[:index] + [(i, j, k, 2 * v)] + entries[index + 1:]
 
 
+def _one_doubled(p, q, part):
+    """(dim, base, vec) of `so_pq._deformation_constants` with one so(p,q)
+    constant [X, Y] ("so"), one action constant [X, e_i] ("action") or the
+    coefficient of one [e_i, e_j] ("vec") doubled."""
+    dim, base, vec = so_pq._deformation_constants(p, q)
+    so_dim = dim - (p + q)
+    if part == "vec":
+        return dim, base, _doubled(vec, 0)
+    acts = part == "action"
+    return dim, _doubled(base, next(t for t, e in enumerate(base) if (e[1] >= so_dim) == acts)), vec
+
+
 @pytest.mark.parametrize("part", ["so", "vec", "action"])
 def test_family_certification_catches_one_wrong_constant(monkeypatch, fresh_family_memos, part):
     """Doubling one so(p,q) constant [X, Y], one action constant [X, e_i]
-    or the coefficient of one [e_i, e_j] (c -> 2c) breaks the family's
-    certificate for every c, in the degree of c where the broken terms
-    sit: J(base) for the first two, the cross term for the last."""
-    p, q = 3, 1
-    dim, base, vec = so_pq._deformation_constants(p, q)
-    so_dim = dim - (p + q)
-    degree = 1 if part == "vec" else 0
-    if part == "vec":
-        vec = _doubled(vec, 0)
-    else:
-        acts = part == "action"
-        base = _doubled(base, next(t for t, e in enumerate(base) if (e[1] >= so_dim) == acts))
-    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
-    with pytest.raises(ContractError, match=f"Jacobi identity fails .* in degree {degree}"):
-        deformed_algebra(p, q, rat("1/2"))
+    or the coefficient of one [e_i, e_j] (c -> 2c) keeps the grading but
+    breaks the family's certificate: the Jacobi pass at c = 1 refuses it."""
+    constants = _one_doubled(3, 1, part)
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: constants)
+    assert so_pq._family(3, 1).constants  # the grading holds
+    with pytest.raises(ContractError, match=r"Jacobi identity fails on basis triple \(\d+,\d+,\d+\)$"):
+        deformed_algebra(3, 1, rat("1/2"))
+
+
+@given(st.sampled_from(["so", "vec", "action"]), rational_c.filter(bool))
+@settings(max_examples=15, deadline=None)
+def test_a_doubled_constant_fails_the_per_c_builder_at_each_sign(part, c):
+    """The constants of `test_family_certification_catches_one_wrong_constant`,
+    built and Jacobi-validated at a random c of each sign, fail there too."""
+    constants = _one_doubled(3, 1, part)
+    for x in (c, -c):
+        with pytest.raises(ContractError, match="Jacobi identity fails"):
+            per_c_deformed_algebra(3, 1, x, constants)
 
 
 @pytest.mark.parametrize(
@@ -343,8 +358,8 @@ def test_family_certification_catches_one_wrong_constant(monkeypatch, fresh_fami
 def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_memos, p, q, bend):
     """The vector brackets are read off T_1, so a T_1 with one sign flipped,
     or with an entry added off its diagonal (read by column: [e_0, e_2]
-    gains an X_01 part), fails `tc_equivariance` and makes the family
-    refuse Jacobi in degree 1, the cross term of so and the vectors."""
+    gains an X_01 part), keeps the grading but fails `tc_equivariance` and
+    makes the family refuse Jacobi at c = 1."""
     import liepq.checks as checks
 
     t1 = t_c(p, q, 1)
@@ -357,7 +372,8 @@ def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_m
     for module in (checks, fresh_family_memos):
         monkeypatch.setattr(module, "t_c", lambda p, q, c: bent.scale(c))
     assert checks.check_tc_equivariance(p, q, rat(2))["status"] == "fail"
-    with pytest.raises(ContractError, match="Jacobi identity fails .* in degree 1"):
+    assert so_pq._family(p, q).constants
+    with pytest.raises(ContractError, match=r"Jacobi identity fails on basis triple \(\d+,\d+,\d+\)$"):
         so_pq._family(p, q).jacobi
 
 
@@ -365,21 +381,23 @@ def test_a_bent_t1_fails_equivariance_and_the_family(monkeypatch, fresh_family_m
     "p, q", [(p, n - p) for n in range(3, 9) for p in range(n + 1)]
 )
 def test_graded_family_matches_three_run_oracle(p, q):
-    """The record's graded passes certify the three validated algebras'
-    base and vec tensors, and give their Killing grams K0, K1 and K2, entry
-    for entry."""
+    """The record's passes at c = 1 certify the three validated algebras'
+    base and vec tensors, whose K2 is 0, and give their Killing grams: K0
+    holds the so rows of K(1) and K1 its vector rows, entry for entry."""
     record = so_pq._family(p, q)
     dim, base, vec, k0, k1, k2 = three_run_family(p, q)
     assert record.dim == dim
     assert record.constants == (base, vec)
     assert record.jacobi
-    assert record.grams == (k0, k1, k2)
+    assert k2.is_zero()
+    assert record.grams == (k0, k1)
+    assert all(i < record.m for i in k0._data) and all(i >= record.m for i in k1._data)
 
 
 def test_deformed_algebra_shares_one_integer_tensor_and_keeps_none(monkeypatch, fresh_family_memos):
     """The Jacobi pass and the Killing grams that `deformed_algebra` reads
-    run on one integer tensor of base + vec, and the record keeps neither
-    it nor an algebra of the family: only the constants, the grams and the
+    run on one integer tensor of [.,.]_1, and the record keeps neither it
+    nor an algebra of the family: only the constants, the grams and the
     Jacobi verdict."""
     built = []
     integer_tensor = LieAlgebra._integer_tensor
@@ -394,8 +412,8 @@ def test_deformed_algebra_shares_one_integer_tensor_and_keeps_none(monkeypatch, 
         assert deformed_algebra(3, 1, c).algebra.is_semisimple() == (c != "0")
     record = so_pq._family(3, 1)
     assert built == [10]
-    assert record._graded_pair is None and record._branches == {}
-    kept = {"p", "q", "m", "dim", "_branches", "_graded_pair", "constants", "jacobi", "grams"}
+    assert record._shared_copy is None and record._branches == {}
+    kept = {"p", "q", "m", "dim", "_branches", "_shared_copy", "constants", "jacobi", "grams"}
     assert set(vars(record)) == kept
 
 
