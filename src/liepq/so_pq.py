@@ -460,7 +460,7 @@ class _Family:
             if x in z._data or any(set(row) != {x} for row in z._data.values()):
                 return f"the c part of the image of e_{i} leaves column x"
         s = 1 if positive else -1
-        images = [y if not z._data else y + z.scale(s) for y, z in images]
+        images = [y + z.scale(s) for y, z in images]
         return _embedding_defect(self.algebra(s), f0 + f1.scale(s), images)
 
     @_per_branch

@@ -934,14 +934,15 @@ def test_killing_blocks_check_names_the_failing_block(fresh_family_memos, block)
     "gram, i, j, reason",
     [
         ("k0", 1, 3, "mixed block is not zero"),
-        ("k1", 0, 5, "mixed block is not zero"),
+        ("k1", 0, 4, "mixed block is not zero"),
         ("k0", 1, 2, "so block not proportional to Killing(so(p,q))"),
         ("k1", 3, 4, "vector block not proportional to <.,.>_{p,q}"),
     ],
 )
-def test_killing_blocks_check_names_the_failing_gram(fresh_family_memos, gram, i, j, reason):
-    """a1 is read off the so block of K0 and a2 = c.r1 off the vector
-    block of K1; the mixed block of K(1) is checked in both."""
+def test_killing_blocks_check_names_the_failing_degree(fresh_family_memos, gram, i, j, reason):
+    """A symmetric bend of the gram of one degree in c, K0 or K1: a1 is
+    read off the so block of K0 and a2 = c.r1 off the vector block of K1,
+    and the mixed block is checked in both."""
     import liepq.checks as checks
     record = fresh_family_memos._family(2, 1)
     grams = list(record.grams)

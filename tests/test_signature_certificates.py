@@ -206,11 +206,25 @@ def test_each_value_rule_of_the_grading_refuses_its_own_mutation(monkeypatch, fr
         assert message in result["reason"]
 
 
+def _certificate(p, q, positive, branch):
+    """(E) of a fresh record of (p, q) whose branch of the sign is the
+    given (form, images)."""
+    record = _Family(p, q)
+    record._branches[("branch", positive)] = branch
+    return record.embedding_defect(positive)
+
+
+def _at_sign(branch, sign):
+    """(form, images) of a branch at c = sign: F0 + sign.F1 and P + sign.Q."""
+    (f0, f1), images = branch
+    return f0 + f1.scale(sign), [y + z.scale(sign) for y, z in images]
+
+
 def _bent_branch(p, q, positive, rule):
     """The branch of the sign with one part moved off its support, for
-    each support rule: F1 doubled, or F0 given an entry at (x, x); X_0's image given a c part, or an entry
-    at (x, r); P of e_0 given an entry off row x; Q of e_0 given one off
-    column x, or at (x, x)."""
+    each support rule: F1 doubled, or F0 given an entry at (x, x); X_0's
+    image given a c part, or an entry at (x, r); P of e_0 given an entry
+    off row x; Q of e_0 given one off column x, or at (x, x)."""
     n = p + q
     (f0, f1), images = _family(p, q).branch(positive)
     x, r = (0, 1) if positive else (n, 0)
@@ -256,20 +270,6 @@ def test_each_support_rule_of_the_branch_refuses_its_own_mutation(positive, rule
     at the representative runs."""
     for p, q in ((3, 1), (2, 2), (1, 2)):
         assert _certificate(p, q, positive, _bent_branch(p, q, positive, rule)) == SUPPORT_REASONS[rule]
-
-
-def _certificate(p, q, positive, branch):
-    """(E) of a fresh record of (p, q) whose branch of the sign is the
-    given (form, images)."""
-    record = _Family(p, q)
-    record._branches[("branch", positive)] = branch
-    return record.embedding_defect(positive)
-
-
-def _at_sign(branch, sign):
-    """(form, images) of a branch at c = sign: F0 + sign.F1 and P + sign.Q."""
-    (f0, f1), images = branch
-    return f0 + f1.scale(sign), [y + z.scale(sign) for y, z in images]
 
 
 @settings(max_examples=25, deadline=None)
@@ -401,6 +401,9 @@ def _complement_status(c):
     return run_check("complement_irreducible", {"p": 3, "q": 1, "c": c})[2]["status"]
 
 
+SO_IMAGE_OFF_X = "the image of X_{a} depends on c or meets the extra coordinate"
+
+
 @pytest.mark.parametrize("positive", [True, False])
 def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fresh_family_memos, positive):
     """E_{x,r} added to the image of X_0, x the extra coordinate and r the
@@ -422,9 +425,6 @@ def test_a_vector_component_on_an_so_image_fails_the_complement(monkeypatch, fre
     assert _complement_status(c) == "fail"
     assert per_c_complement_verdict(3, 1, Fraction(c))["status"] == "fail"
     assert _family(3, 1).complement_defect(positive) == SO_IMAGE_OFF_X.format(a=0)
-
-
-SO_IMAGE_OFF_X = "the image of X_{a} depends on c or meets the extra coordinate"
 
 
 def _complement_certificate(p, q, positive, images):
