@@ -36,7 +36,9 @@ from .weyl_enum import enumerate_up_to_dim, root_system
 # runs): `verify --suite all` takes 0.13 s at n = 8, 0.18 s at n = 12 and
 # 0.33 s at n = 16 (p = q), about 1.12x more per unit of n, and 0.39 s at
 # (16,0) and 0.41 s at (0,16); `construct --c 1` takes about 0.17 s at
-# n = 16, of which importing the package is about 40 ms.
+# n = 16, of which importing the package is about 40 ms.  With peak RSS
+# (median of 3): 0.26 s and 22 MB at (8,8); past the limit, with MAX_N
+# raised, 2.7 s and 60 MB at (16,16) and 5.3 s and 102 MB at (20,20).
 MAX_N = 16
 
 # Size limit of a rational token, on its numerator and its denominator each,

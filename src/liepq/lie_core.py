@@ -251,41 +251,57 @@ class LieAlgebra:
         return _accumulated(d, d, out, den * xden)
 
     def _check_jacobi(self):
-        """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for
-        every basis triple i < j < k, over the nonzero brackets only.
+        """[[b_x, b_y], b_z] + [[b_y, b_z], b_x] + [[b_z, b_x], b_y] = 0 for
+        every basis triple x < y < z, over the nonzero brackets only, one
+        smallest index x at a time.
 
-        Each nonzero bracket [b_a, b_b] = sum of v b_l (a < b) meets each
-        nonzero [b_l, b_c] with c outside {a, b}; the term v [b_l, b_c]
-        belongs to the sorted triple of a, b, c, with sign -1 when c lies
-        between a and b (the term is then -[[b_k, b_i], b_j]).  A triple
-        with a repeated index satisfies the identity by antisymmetry, and one
-        that no term reaches sums to zero.  The sums run on integers: every
-        constant times the common denominator of all of them.
+        The terms [[b_x, b_j], b_c] come from x's own brackets: each
+        [b_x, b_j] = sum of v b_l (j > x) meets each nonzero [b_l, b_c] with
+        c > x, c != j, and the term belongs to (x, j, c), or to (x, c, j)
+        with sign -1 when c < j (it is then -[[b_z, b_x], b_y]).  The terms
+        [[b_y, b_z], b_x] come from the index l -> [(y, z, v)] of the
+        brackets [b_y, b_z] with a b_l part v: each nonzero [b_l, b_x] meets
+        those with y > x.  The term of (x, y, z) at b_m goes under the flat
+        key (y.d + z).d + m, and x's sums are checked and dropped before
+        x + 1, so the first failing x and its least key name the
+        lexicographically first failing triple.  A triple with a repeated
+        index satisfies the identity by antisymmetry.  The sums run on
+        integers: every constant times the common denominator of all of them.
         """
         # brackets[l]: (c, inner, sign) with [b_l, b_c] = sign * inner for
         # every c with a nonzero bracket
         _, scaled, brackets = self._integer_tensor()
-        sums = {}
-        for (a, b), entry in scaled.items():
+        d = self.dim
+        holds = {}  # l -> (y, z, v) by y descending
+        for (y, z), entry in sorted(scaled.items(), reverse=True):
             for l, v in entry.items():
-                for c, inner, sign in brackets.get(l, ()):
-                    if c > b:
-                        key, f = (a, b, c), v * sign
-                    elif c < a:
-                        key, f = (c, a, b), v * sign
-                    elif a < c < b:
-                        key, f = (a, c, b), -v * sign
-                    else:
-                        continue
-                    acc = sums.get(key)
-                    if acc is None:
-                        sums[key] = acc = {}
-                    for m, w in inner.items():
-                        acc[m] = acc.get(m, 0) + f * w
-        failing = [key for key, acc in sums.items() if any(acc.values())]
-        if failing:
-            i, j, k = min(failing)
-            raise ContractError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+                holds.setdefault(l, []).append((y, z, v))
+        for x, own in sorted(brackets.items()):
+            sums = {}
+            get = sums.get
+            for j, entry, sign in own:
+                if sign > 0:  # j > x: [b_x, b_j] = entry
+                    for l, v in entry.items():
+                        for c, inner, s in brackets.get(l, ()):
+                            if c <= x or c == j:
+                                continue
+                            if c > j:
+                                key, f = (j * d + c) * d, v * s
+                            else:
+                                key, f = (c * d + j) * d, -v * s
+                            for m, w in inner.items():
+                                sums[key + m] = get(key + m, 0) + f * w
+                # [b_j, b_x] = -sign * entry, under each [b_y, b_z] with a b_j part
+                for y, z, v in holds.get(j, ()):
+                    if y <= x:
+                        break
+                    key, f = (y * d + z) * d, -v * sign
+                    for m, w in entry.items():
+                        sums[key + m] = get(key + m, 0) + f * w
+            failing = [key for key, total in sums.items() if total]
+            if failing:
+                y, z = divmod(min(failing) // d, d)
+                raise ContractError(f"Jacobi identity fails on basis triple ({x},{y},{z})")
 
     # -- spec operations ----------------------------------------------
 
@@ -331,10 +347,10 @@ class LieAlgebra:
         d = self.dim
         out = {}
         for j, b in enumerate(self.basis):
-            coeffs = coord.express(-b.transpose())
+            coeffs = coord.express_sparse(-b.transpose())
             if coeffs is None:
                 raise NotStableError("basis is not stable under X -> -X^t")
-            for i, c in enumerate(coeffs):
+            for i, c in coeffs.items():
                 out[(i, j)] = c
         return Matrix.from_sparse(d, d, out)
 

@@ -751,10 +751,10 @@ def adjoint_action(g: Matrix, algebra: LieAlgebra) -> Matrix:
     d = algebra.dim
     out = {}
     for j, b in enumerate(algebra.basis):
-        coeffs = coord.express(mat_mul(mat_mul(g, b), ginv))
+        coeffs = coord.express_sparse(mat_mul(mat_mul(g, b), ginv))
         if coeffs is None:
             raise NotStableError("conjugation leaves the span of the basis")
-        for i, c in enumerate(coeffs):
+        for i, c in coeffs.items():
             out[(i, j)] = c
     return Matrix.from_sparse(d, d, out)
 

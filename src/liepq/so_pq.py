@@ -43,7 +43,6 @@ from .lie_core import (
     ABSTRACT,
     LieAlgebra,
     _Coordinatizer,
-    _tensor_from_entries,
     centralizer,
     is_maximal_subalgebra,
 )
@@ -121,8 +120,9 @@ def _diagonal_so(diag) -> LieAlgebra:
     The basis is the canonical kernel basis of `_form_preserving_algebra`:
     X_ij = E_ij - (d_i/d_j).E_ji for i < j, in lexicographic order, each as
     canonical integer rows (with d_i/d_j = a/b in lowest terms, b > 0,
-    {i: {j: b}, j: {i: -a}} over b).  Two of them bracket to a nonzero only
-    when they share exactly one index, and for x < y < z
+    {i: {j: b}, j: {i: -a}} over b, each distinct unit row one shared
+    dict).  Two of them bracket to a nonzero only when they share exactly
+    one index, and for x < y < z
     [X_xy, X_yz] = X_xz, [X_xy, X_xz] = -(d_x/d_y).X_yz and
     [X_xz, X_yz] = -(d_y/d_z).X_xy.
 
@@ -133,11 +133,11 @@ def _diagonal_so(diag) -> LieAlgebra:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # as wedge_square_index(n)
     # pair (i, j) has index start[i] + j
     start = [i * n - i * (i + 3) // 2 - 1 for i in range(n)]
-    basis, minus_ratio = [], []
+    basis, minus_ratio, units = [], [], {}
     for i, j in pairs:
         r = Rational(diag[i], diag[j])
         a, b = int(r.numerator), int(r.denominator)
-        basis.append(_trusted(n, n, {i: {j: b}, j: {i: -a}}, b))
+        basis.append(_trusted(n, n, {i: _unit_row(units, j, b), j: _unit_row(units, i, -a)}, b))
         minus_ratio.append(-r)
     entries = []
     for xy, (x, y) in enumerate(pairs):
@@ -257,26 +257,37 @@ def _so_block(p: int, q: int) -> Subspace:
 
 
 def _deformation_constants(p: int, q: int):
-    """(dim, base, vec): the structure entries (i, j, k, value) of the
+    """(base, vec), the tensors {(i, j): {k: constant}} (i < j) of the
     c-free brackets, [so, so] and the action [X, e_i] = X e_i, and of the
     coefficients of c, [e_i, e_j] = T_1(e_i ^ e_j) for i < j, read off
-    column idx of `t_c(p, q, 1)`, idx the place of (i, j)."""
+    column idx of `t_c(p, q, 1)`, idx the place of (i, j).  The [so, so]
+    entries are those of `so_pq_algebra(p, q).structure` themselves, and
+    the action's one-entry rows are shared, one dict per distinct row."""
     so = so_pq_algebra(p, q)
     m, n = so.dim, p + q
-    base = [(i, j, k, v) for (i, j), entry in so.structure.items() for k, v in entry.items()]
+    base, units = dict(so.structure), {}
     for a, gen in enumerate(so.basis):
-        # [X, e_i] = X e_i = sum over k of X_ki e_k
+        # [X, e_i] = X e_i = sum over k of X_ki e_k, one k per column
         for i, column in gen.transpose()._data.items():
-            for k, x in column.items():
-                base.append((a, m + i, m + k, _quotient(x, gen.den)))
+            (k, x), = column.items()
+            base[(a, m + i)] = _unit_row(units, m + k, _quotient(x, gen.den))
     t1 = t_c(p, q, 1)
     columns = t1.transpose()._data
-    vec = [
-        (m + i, m + j, k, _quotient(x, t1.den))
+    vec = {
+        (m + i, m + j): {k: _quotient(x, t1.den) for k, x in columns[idx].items()}
         for idx, (i, j) in enumerate(wedge_square_index(n))
-        for k, x in columns.get(idx, {}).items()
-    ]
-    return m + n, base, vec
+        if idx in columns
+    }
+    return base, vec
+
+
+def _unit_row(units: dict, j: int, v) -> dict:
+    """The row {j: v}, built on the first ask and kept in units under
+    (j, v), so that equal unit rows are one shared dict."""
+    row = units.get((j, v))
+    if row is None:
+        row = units[(j, v)] = {j: v}
+    return row
 
 
 def _per_branch(fact):
@@ -313,15 +324,16 @@ class _Family:
       and on the supports `embedding_defect` checks rho_c(X) =
       S^-1.rho_s(X).S, rho_c(e) = t.S^-1.rho_s(e).S and S^-1.F_c.S^-1 = F_s,
       so (E) holds on the whole branch once it holds at c = s.
-    The Jacobi pass and the Killing grams share an integer copy of
-    [.,.]_1 that the record keeps no longer than they need it; (E) reads
-    the constants and the sign branch, not the Jacobi pass."""
+    The Jacobi pass, the Killing grams, (E) at c > 0 and the c != 0
+    maximality closure read one [.,.]_1, `algebra(1)`, and its one integer
+    tensor; `deformed_algebra` drops it again when its own read built it.
+    (E) reads the constants and the sign branch, not the Jacobi pass."""
 
     def __init__(self, p: int, q: int):
         n = Signature(p, q).n
         self.p, self.q = p, q
         self.m, self.dim = n * (n - 1) // 2, n * (n + 1) // 2
-        self._branches, self._shared_copy = {}, None
+        self._branches = {}
 
     @functools.cached_property
     def constants(self):
@@ -333,8 +345,7 @@ class _Family:
         p + q = 3 or when the grading fails."""
         if self.p + self.q < 3:
             raise ContractError("the deformed bracket needs p + q >= 3")
-        dim, base, vec = _deformation_constants(self.p, self.q)
-        base, vec = _tensor_from_entries(dim, base), _tensor_from_entries(dim, vec)
+        base, vec = _deformation_constants(self.p, self.q)
         m = self.m
         if any(i < m for i, _ in vec):
             raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
@@ -358,27 +369,18 @@ class _Family:
                 structure[key] = entry if sign > 0 else {k: -v for k, v in entry.items()}
         return LieAlgebra(ABSTRACT, self.dim, structure=structure, validate=False)
 
-    def _shared(self) -> LieAlgebra:
-        """[.,.]_1, one integer tensor for the Jacobi pass and the Killing
-        grams, built for the first of them to run and dropped by the
-        second."""
-        shared, self._shared_copy = self._shared_copy, None
-        if shared is None:
-            shared = self._shared_copy = self._bracket(1)
-        return shared
-
     @functools.cached_property
     def jacobi(self) -> bool:
         """True: Jacobi holds at c = 1, so for every rational c by the
         grading.  Raises ContractError naming the triple."""
-        self._shared()._check_jacobi()
+        self.algebra(1)._check_jacobi()
         return True
 
     @functools.cached_property
     def grams(self):
         """(K0, K1): the Killing gram K(c) = K0 + c.K1, K0 the rows of K(1)
         at the so indices and K1 those at the vector indices."""
-        gram, m, d = self._shared().killing_form().gram, self.m, self.dim
+        gram, m, d = self.algebra(1).killing_form().gram, self.m, self.dim
         k0 = {i: row for i, row in gram._data.items() if i < m}
         k1 = {i: row for i, row in gram._data.items() if i >= m}
         return _reduced(d, d, k0, gram.den), _reduced(d, d, k1, gram.den)
@@ -424,11 +426,14 @@ class _Family:
         if n < 3:
             return form, ()
         zero = Matrix.zeros(n + 1, n + 1)
-        images = []
+        images, units = [], {}
         for gen in so_pq_algebra(p, q).basis:
             rows = gen._data  # for c < 0 the generators' own rows serve
-            if shift:
-                rows = {i + 1: {j + 1: x for j, x in row.items()} for i, row in rows.items()}
+            if shift:  # one entry per row, shifted into a shared unit row
+                rows = {}
+                for i, row in gen._data.items():
+                    (j, x), = row.items()
+                    rows[i + 1] = _unit_row(units, j + 1, x)
             images.append((_trusted(n + 1, n + 1, rows, gen.den), zero))
         to_extra = {extra: 1}  # the one row of every Q, shared
         for i in range(n):
@@ -547,16 +552,23 @@ def _family(p: int, q: int) -> _Family:
 def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
     """The bracket [.,.]_c on so(p,q) (+) R^{p,q}, read off the record of
     (p, q), whose Jacobi pass at c = 1 certifies it for every c: no per-c
-    Jacobi run, and the Killing gram is K0 + c.K1."""
+    Jacobi run, and the Killing gram is K0 + c.K1.  The [.,.]_1 those two
+    facts read is dropped again unless the record held it before, so a
+    reader of [.,.]_c alone leaves only the facts on the record."""
     c = rat(c)
     family = _family(p, q)
     base, vec = family.constants
-    family.jacobi  # certified for every rational c, or ContractError
+    kept = ("algebra", 1) in family._branches
+    try:
+        family.jacobi  # certified for every rational c, or ContractError
+        k0, k1 = family.grams
+    finally:
+        if not kept:
+            family._branches.pop(("algebra", 1), None)
     structure = dict(base)
     if c:
         for key, entry in vec.items():
             structure[key] = {k: c * v for k, v in entry.items()}
-    k0, k1 = family.grams
     m, dim = family.m, family.dim
     algebra = LieAlgebra._certified(dim, structure, k0 + k1.scale(c))
     return DeformedAlgebra(p, q, c, algebra, tuple(range(m)), tuple(range(m, dim)))

@@ -391,6 +391,12 @@ def dense_express(basis, m):
     return [row[k] for row in reduced]
 
 
+def dense_basis_map(basis, images):
+    """The matrix whose column j holds the coefficients of images[j] in the
+    basis, each by `dense_express`."""
+    return Matrix.from_rows([dense_express(basis, m) for m in images]).transpose()
+
+
 def gaussian_inertia(rows):
     """Sylvester inertia (n+, n-, n0) of a symmetric matrix by symmetric
     Gaussian congruence on a dense copy, shearing a zero diagonal entry with
@@ -559,17 +565,18 @@ def per_c_deformed_algebra(p, q, c, constants=None):
     """The bracket [.,.]_c built and Jacobi-validated for this one c: every
     constant of so(p,q) (+) R^{p,q} through `from_structure`, with the
     action [X, e_i] = X e_i and [e_i, e_j] = -c X_ij for i < j < p, c X_ij
-    otherwise.  With constants, (dim, base, vec) entries as
-    `so_pq._deformation_constants` lists them, the bracket base + c.vec of
-    those entries instead."""
+    otherwise.  With constants, the (base, vec) tensors of
+    `so_pq._deformation_constants`, the bracket base + c.vec of those
+    tensors instead."""
     c = rat(c)
-    if constants is not None:
-        dim, base, vec = constants
-        return LieAlgebra.from_structure(dim, base + [(i, j, k, c * v) for i, j, k, v in vec], validate=True)
     n = p + q
+    if constants is not None:
+        base, vec = constants
+        entries = tensor_entries(base) + [(i, j, k, c * v) for i, j, k, v in tensor_entries(vec)]
+        return LieAlgebra.from_structure(n * (n + 1) // 2, entries, validate=True)
     so = so_pq_algebra(p, q)
     m = so.dim
-    entries = [(i, j, k, v) for (i, j), entry in so.structure.items() for k, v in entry.items()]
+    entries = tensor_entries(so.structure)
     for a, gen in enumerate(so.basis):
         for i, column in gen.transpose()._data.items():
             for k, x in column.items():
@@ -637,13 +644,28 @@ def per_image_sqrt_conjugation(p, q, c):
     return {"status": "pass"}
 
 
+def tensor_entries(tensor):
+    """The entries (i, j, k, value) of a structure tensor {(i, j): {k: value}}."""
+    return [(i, j, k, v) for (i, j), entry in tensor.items() for k, v in entry.items()]
+
+
+def with_constant(tensor, i, j, k, value):
+    """A copy of the tensor with value added to the coefficient of b_k in
+    [b_i, b_j], i < j: the changed bracket is a new dict, so the entries the
+    tensor shares with other algebras are never written."""
+    entry = dict(tensor.get((i, j), {}))
+    entry[k] = entry.get(k, 0) + value
+    return {**tensor, (i, j): entry}
+
+
 def three_run_family(p, q):
     """(dim, base, vec, k0, k1, k2) of the family base + c.vec by three
     validated algebras: base, vec and base + vec, each built through
     `from_structure` with its own Jacobi run, and K1 = K(base + vec) - K0 -
     K2.  J(base) = 0, J(vec) = 0 and J(base + vec) = 0 force the cross term
     to vanish, so the three runs certify the family for every c."""
-    dim, base, vec = so_pq._deformation_constants(p, q)
+    base, vec = map(tensor_entries, so_pq._deformation_constants(p, q))
+    dim = (p + q) * (p + q + 1) // 2
     b = LieAlgebra.from_structure(dim, base)
     v = LieAlgebra.from_structure(dim, vec)
     joint = LieAlgebra.from_structure(dim, base + vec)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from liepq.so_pq import (
     SO31_SL2C,
     SO32_SP4R,
     SO33_SL4R,
+    _Family,
     deformed_algebra,
     exceptional_iso,
     so_pq_algebra,
@@ -46,6 +48,7 @@ from conftest import (
     algebra_from_json_dict,
     contains,
     contains_subspace,
+    dense_basis_map,
     dense_express,
     dense_kernel,
     dense_rref,
@@ -262,6 +265,15 @@ def test_theta_is_automorphism(so31):
     theta = so31.theta_involution()
     assert _map_defect(so31, so31, theta) is None
     assert pairwise_defect(so31, so31, theta) is None
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 0), (3, 1), (2, 2), (4, 1), (3, 3)])
+def test_theta_matches_the_dense_oracle(p, q):
+    """The sparse reads of theta give the matrix whose column j holds the
+    coordinates of -X_j^t by one dense elimination."""
+    algebra = so_pq_algebra(p, q)
+    expected = dense_basis_map(algebra.basis, [-b.transpose() for b in algebra.basis])
+    assert algebra.theta_involution() == expected
 
 
 def test_theta_not_stable():
@@ -784,9 +796,13 @@ def perturbed(algebra, i, j, k, delta):
     return LieAlgebra.from_structure(algebra.dim, entries, validate=False)
 
 
+EXCEPTIONAL = [SO31_SL2C, SO32_SP4R, SO33_SL4R]
+
 jacobi_test_algebras = st.one_of(
     st.builds(lambda pq, c: deformed_algebra(*pq, c).algebra, signatures_3_to_5, small_height_c),
     st.builds(lambda pq: so_pq_algebra(*pq), signatures_3_to_5),
+    # brackets with several terms: sl(2,C)_R, sp(4,R) and sl(4,R)
+    st.sampled_from(EXCEPTIONAL).map(lambda name: exceptional_iso(name).small_algebra),
 )
 
 
@@ -802,6 +818,46 @@ def test_sparse_jacobi_matches_all_triples_oracle(algebra, data):
     delta = rat(data.draw(st.sampled_from(["1", "-1", "2", "1/2", "-2/3"])))
     bad = perturbed(algebra, i, j, k, delta)
     assert sparse_jacobi_failure(bad) == jacobi_message(all_triples_jacobi_failure(bad))
+
+
+@pytest.mark.parametrize("name", EXCEPTIONAL)
+def test_sparse_jacobi_names_triples_that_only_the_outer_terms_reach(name):
+    """Perturbations of [b_y, b_z] whose first failing triple is (x, y, z),
+    x < y, with no b_y part in [b_x, b_y] and no b_z part in [b_x, b_z]:
+    [[b_x, b_y], b_z] and [[b_z, b_x], b_y] keep their values, so only the
+    [[b_y, b_z], b_x] term, read through the index of the brackets that
+    hold each b_l, sees the change.  The message is the oracle's."""
+    algebra = exceptional_iso(name).small_algebra
+    seen = 0
+    for y, z in sorted(algebra.structure):
+        for k in range(algebra.dim):
+            bad = perturbed(algebra, y, z, k, rat(-2))
+            triple = all_triples_jacobi_failure(bad)
+            if triple is None or triple[1:] != (y, z) or triple[0] >= y:
+                continue
+            x = triple[0]
+            if y in algebra.structure_entry(x, y) or z in algebra.structure_entry(x, z):
+                continue
+            assert sparse_jacobi_failure(bad) == jacobi_message(triple)
+            seen += 1
+        if seen >= 3:
+            break
+    assert seen >= 3
+
+
+def test_the_jacobi_pass_peaks_below_1_mb_at_8_8():
+    """The pass keeps the sums of one smallest index at a time: on
+    [.,.]_1 at (8,8), dim 136, its peak under tracemalloc, past the integer
+    tensor, stays below 1 MB (9.1 MB when every triple's sums were kept)."""
+    algebra = _Family(8, 8).algebra(1)
+    algebra._integer_tensor()
+    tracemalloc.start()
+    try:
+        algebra._check_jacobi()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("c", [rat(2), rat("2/3")])

@@ -43,7 +43,7 @@ from liepq.so_pq import (
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
 from conftest import (
-    block_pairing_basis, column_list, contains, dense_hom_oracle, dense_kernel, per_c_complement,
+    block_pairing_basis, column_list, contains, dense_basis_map, dense_hom_oracle, dense_kernel, per_c_complement,
     restrict_by_solve, restrict_per_row,
 )
 
@@ -377,6 +377,37 @@ def test_adjoint_action_boost_rational():
     # group action: Ad(g)Ad(g) = Ad(g^2)
     g2 = boost_element(rat(16)).matrix_on_v
     assert mat_mul(ad_g, ad_g) == adjoint_action(g2, algebra)
+
+
+def _rational_isometry(p, q):
+    """A rational element of O(p,q) off the diagonal: the rotation by
+    (3/5, 4/5) in the first plane of two coordinates of one sign, then,
+    when both signs occur, the boost by (5/4, 3/4) in the plane of
+    coordinates 0 and p."""
+    n = p + q
+    ident = {(k, k): 1 for k in range(n)}
+    g = Matrix.identity(n)
+    i, j = (0, 1) if p >= 2 else (p, p + 1)
+    if j < n:
+        a, b = rat("3/5"), rat("4/5")
+        g = Matrix.from_sparse(n, n, {**ident, (i, i): a, (j, j): a, (i, j): b, (j, i): -b})
+    if p and q:
+        a, b = rat("5/4"), rat("3/4")
+        g = g @ Matrix.from_sparse(n, n, {**ident, (0, 0): a, (p, p): a, (0, p): b, (p, 0): b})
+    return g
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 0), (3, 1), (2, 2), (1, 3), (3, 3)])
+def test_adjoint_action_matches_the_dense_oracle(p, q):
+    """Ad(g) read sparsely equals the matrix whose column j holds the
+    coordinates of g.X_j.g^-1 by one dense elimination."""
+    algebra = so_pq_algebra(p, q)
+    g = _rational_isometry(p, q)
+    assert g.transpose() @ ipq(p, q) @ g == ipq(p, q)
+    ginv = invert(g)
+    expected = dense_basis_map(algebra.basis, [g @ b @ ginv for b in algebra.basis])
+    assert expected != Matrix.identity(algebra.dim)
+    assert adjoint_action(g, algebra) == expected
 
 
 def test_adjoint_action_not_stable():

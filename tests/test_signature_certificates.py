@@ -32,7 +32,7 @@ from liepq.so_pq import (
 
 from conftest import (
     closed_form_embedding, pairwise_validate, partners_trace_defect, per_c_complement_verdict,
-    per_c_deformed_algebra, per_image_sqrt_conjugation,
+    per_c_deformed_algebra, per_image_sqrt_conjugation, with_constant,
 )
 
 SIGNATURES = [(p, n - p) for n in range(3, 7) for p in range(n + 1)]
@@ -159,15 +159,16 @@ def test_guard_refuses_a_family_graded_otherwise(monkeypatch, fresh_family_memos
     on: the family refuses it, and each check fails on it."""
     from liepq.cli import run_check
 
-    dim, base, vec = so_pq._deformation_constants(3, 1)
-    m = dim - 4
+    base, vec = so_pq._deformation_constants(3, 1)
+    m = so_pq.so_pq_algebra(3, 1).dim
     if part == "vec":
-        vec = vec + [(0, m, m + 1, ONE)]
+        vec = with_constant(vec, 0, m, m + 1, ONE)
         message = "c-dependent bracket of the family has an so"
     else:
-        base, vec = base + vec[:1], vec[1:]
+        first = next(iter(vec))
+        base, vec = {**base, first: vec[first]}, {key: e for key, e in vec.items() if key != first}
         message = "c-free bracket of the family brackets two vectors"
-    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (base, vec))
     with pytest.raises(ContractError, match=message):
         _family(3, 1).constants
     for name in ("centralizer_trivial", "maximality", "embedding_iso", "killing_blocks"):
@@ -191,13 +192,13 @@ def test_each_value_rule_of_the_grading_refuses_its_own_mutation(monkeypatch, fr
     record fails with the rule's own reason."""
     from liepq.cli import run_check
 
-    dim, base, vec = so_pq._deformation_constants(3, 1)
-    m = dim - 4
+    base, vec = so_pq._deformation_constants(3, 1)
+    m = so_pq.so_pq_algebra(3, 1).dim
     if rule == "vec":
-        vec = vec + [(m, m + 1, m + 2, ONE)]
+        vec = with_constant(vec, m, m + 1, m + 2, ONE)
     else:
-        base = base + [(0, 1, m, ONE)] if rule == "so x so" else base + [(0, m, 1, ONE)]
-    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base, vec))
+        base = with_constant(base, 0, 1, m, ONE) if rule == "so x so" else with_constant(base, 0, m, 1, ONE)
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (base, vec))
     with pytest.raises(ContractError, match=re.escape(message)):
         _family(3, 1).constants
     for name in ("deformed_jacobi", "embedding_iso", "killing_blocks", "complement_irreducible"):
@@ -470,9 +471,9 @@ def test_a_base_value_leaving_v_fails_the_complement(monkeypatch, fresh_family_m
     """[X_0, e_0] with an so component X_1 added: the check fails, and the
     grading (G) of the constants refuses it, so every fact of the record
     does: (E), the c-free facts of the complement and the Jacobi pass."""
-    dim, base, vec = so_pq._deformation_constants(3, 1)
-    m = dim - 4
-    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (dim, base + [(0, m, 1, ONE)], vec))
+    base, vec = so_pq._deformation_constants(3, 1)
+    m = so_pq.so_pq_algebra(3, 1).dim
+    monkeypatch.setattr(so_pq, "_deformation_constants", lambda p, q: (with_constant(base, 0, m, 1, ONE), vec))
     assert _complement_status("2") == "fail"
     record = _family(3, 1)
     message = r"a c-free bracket of so\(p,q\) and a vector leaves the vectors"

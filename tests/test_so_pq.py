@@ -51,7 +51,7 @@ from liepq.so_pq import (
 
 from conftest import (
     closed_form_embedding, fresh_so_pq, pairwise_defect, per_c_deformed_algebra,
-    per_image_sqrt_conjugation, three_run_family,
+    per_image_sqrt_conjugation, three_run_family, with_constant,
 )
 
 C_GRID = [rat(x) for x in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
@@ -310,21 +310,22 @@ def test_deformed_algebra_matches_the_per_c_builder(pq, c):
     assert alg.killing_form().gram == fresh.killing_form().gram
 
 
-def _doubled(entries, index):
-    i, j, k, v = entries[index]
-    return entries[:index] + [(i, j, k, 2 * v)] + entries[index + 1:]
+def _doubled(tensor, key):
+    """The tensor with the first constant of the bracket at key doubled."""
+    k, v = next(iter(tensor[key].items()))
+    return with_constant(tensor, *key, k, v)
 
 
 def _one_doubled(p, q, part):
-    """(dim, base, vec) of `so_pq._deformation_constants` with one so(p,q)
+    """(base, vec) of `so_pq._deformation_constants` with one so(p,q)
     constant [X, Y] ("so"), one action constant [X, e_i] ("action") or the
     coefficient of one [e_i, e_j] ("vec") doubled."""
-    dim, base, vec = so_pq._deformation_constants(p, q)
-    so_dim = dim - (p + q)
+    base, vec = so_pq._deformation_constants(p, q)
+    so_dim = so_pq_algebra(p, q).dim
     if part == "vec":
-        return dim, base, _doubled(vec, 0)
+        return base, _doubled(vec, next(iter(vec)))
     acts = part == "action"
-    return dim, _doubled(base, next(t for t, e in enumerate(base) if (e[1] >= so_dim) == acts)), vec
+    return _doubled(base, next(key for key in base if (key[1] >= so_dim) == acts)), vec
 
 
 @pytest.mark.parametrize("part", ["so", "vec", "action"])
@@ -412,9 +413,44 @@ def test_deformed_algebra_shares_one_integer_tensor_and_keeps_none(monkeypatch, 
         assert deformed_algebra(3, 1, c).algebra.is_semisimple() == (c != "0")
     record = so_pq._family(3, 1)
     assert built == [10]
-    assert record._shared_copy is None and record._branches == {}
-    kept = {"p", "q", "m", "dim", "_branches", "_shared_copy", "constants", "jacobi", "grams"}
+    assert record._branches == {}
+    kept = {"p", "q", "m", "dim", "_branches", "constants", "jacobi", "grams"}
     assert set(vars(record)) == kept
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (2, 2), (0, 5), (4, 4), (6, 2)])
+def test_the_family_shares_the_brackets_and_unit_rows_of_so_pq(fresh_family_memos, p, q):
+    """Every so x so bracket of the family's constants is the entry of
+    `so_pq_algebra(p, q).structure` itself, and equal one-entry rows are
+    one dict: the rows of the so(p,q) basis, the action brackets
+    [X, e_i] and the rows of the so images of the c > 0 branch."""
+    so = so_pq_algebra(p, q)
+    base, _ = so_pq._family(p, q).constants
+    assert {key for key in base if key[1] < so.dim} == set(so.structure)
+    assert all(base[key] is entry for key, entry in so.structure.items())
+    _, images = so_pq._family(p, q).branch(True)
+    for rows in (
+        [row for b in so.basis for row in b._data.values()],
+        [entry for key, entry in base.items() if key[1] >= so.dim],
+        [row for y, _ in images[:so.dim] for row in y._data.values()],
+    ):
+        assert all(len(row) == 1 for row in rows)
+        kept = {}
+        assert all(kept.setdefault(tuple(row.items()), row) is row for row in rows)
+
+
+def test_verify_reads_one_bracket_at_c_1(monkeypatch, fresh_family_memos):
+    """`liepq verify --suite all` at (4,4) builds [.,.]_1 once: the Jacobi
+    pass, the Killing grams, (E) at c > 0 and the c != 0 maximality closure
+    all read `algebra(1)`, and `deformed_algebra` leaves it on the record
+    that held it."""
+    from liepq.cli import DEFAULT_C_LIST, DEFAULT_MU_LIST, run_suite
+
+    signs = []
+    real = so_pq._Family._bracket
+    monkeypatch.setattr(so_pq._Family, "_bracket", lambda self, sign: signs.append(sign) or real(self, sign))
+    assert run_suite("all", 4, 4, DEFAULT_C_LIST, DEFAULT_MU_LIST)["overall"] == "pass"
+    assert signs == [1, -1, 0]
 
 
 def test_deformed_json_blocks():
