@@ -2,12 +2,17 @@
 
 A LieAlgebra is either a MATRIX realization (a basis of d x d matrices whose
 commutators stay in the exact span of the basis) or an ABSTRACT realization
-(a dimension plus a structure-constant tensor).  Both share one sparse
-structure-tensor code path; operations that need actual matrices say so.
+(a dimension plus a structure-constant tensor).  Both hold one thing: one
+sparse integer structure tensor, every constant times one common
+denominator, which each constructor writes directly and which the Jacobi
+check, the Killing form, ad matrices, closures and the Hom solver read.  The
+rational constants (`LieAlgebra.structure`) are a read-only view of it,
+built on the first read.  Operations that need actual matrices say so.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math as _math
 
@@ -26,8 +31,8 @@ from .exact_linalg import (
     ZERO,
     _accumulated,
     _integer_list,
-    _integer_rows,
     _intertwining_defect,
+    _quotient,
     _trusted,
     kernel,
     mat_vec,
@@ -46,9 +51,10 @@ class _Coordinatizer:
     entries followed by a tag 1.  A matrix in the span then reduces to zero
     on its entries and to minus its coefficients on the tags; a basis is
     dependent exactly when some pivot lands on a tag.  Every read goes
-    through one flat path, `_express_flat`, on a row-major integer vector
-    over a denominator: a matrix's stored rows (`express_sparse`) or a
-    commutator straight from `_intertwining_defect` (`from_matrices`).
+    through one flat path, `_express_int`, on a row-major integer vector
+    over a denominator: a matrix's stored rows (`express_sparse`, through
+    `_express_flat`) or a commutator straight from `_intertwining_defect`
+    (`from_matrices`, which keeps the integer coefficients).
     """
 
     def __init__(self, basis):
@@ -86,34 +92,49 @@ class _Coordinatizer:
         """The nonzero coefficients {i: c} of the matrix whose row-major
         flattening is the integer vector vec over den (any positive den,
         reduced or not), or None if it is outside the span."""
+        found = self._express_int(vec, den)
+        if found is None:
+            return None
+        coeffs, den = found
+        out = {}
+        for i, v in coeffs.items():
+            out[i] = Rational(v, den)
+        return out
+
+    def _express_int(self, vec: dict, den: int):
+        """(coeffs, d): the nonzero coefficients of the matrix vec / den, as
+        `_express_flat` reads it, as integers {i: int} over d > 0 (not
+        necessarily in lowest terms), or None if it is outside the span."""
         size = self.size
         reduced, scale = self.echelon.reduce(vec)
-        den *= scale
         out = {}
         for k, v in reduced.items():
             if k < size:
                 return None
-            out[k - size] = Rational(-v, den)
-        return out
+            out[k - size] = -v
+        return out, den * scale
 
 
 class LieAlgebra:
-    """Immutable Lie algebra with a cached sparse structure tensor.
+    """Immutable Lie algebra held as one sparse integer structure tensor.
 
-    structure maps (i, j) with i < j to {k: coefficient of b_k in [b_i, b_j]};
-    antisymmetry fills in the rest and diagonal brackets vanish.  The
-    Jacobi check, the Killing form and ad matrices run on one cached integer
-    copy of it: every constant times the lcm of all their denominators.
+    `_tensor` is (den, rows): rows maps (i, j) with i < j to {k: int}, the
+    nonzero coefficients of b_k in den * [b_i, b_j]; antisymmetry fills in
+    the rest and diagonal brackets vanish.  The form is canonical: den > 0,
+    no zero and no empty row is stored, and den and the entries have gcd 1,
+    so two algebras have equal tensors exactly when their brackets agree.
+    Equal rows may be one shared dict; no one writes a row.  `structure` is
+    the rational view of the tensor, {(i, j): {k: coefficient}}, built on
+    its first read; the certificates read the tensor only.
     """
 
-    def __init__(self, realization, dim, basis=None, structure=None, validate=True):
+    def __init__(self, realization, dim, tensor, basis=None, validate=True):
         self.realization = realization
         self.dim = dim
         self.basis = basis
-        self.structure = structure if structure is not None else {}
+        self._tensor = _lowest_terms(*tensor)
         self._killing = None
         self._coordinatizer = None
-        self._int_tensor = None
         if validate:
             self._check_jacobi()
 
@@ -126,28 +147,39 @@ class LieAlgebra:
 
         Each commutator [b_i, b_j] comes from `_intertwining_defect` as one
         integer vector over a denominator and is reduced in the
-        coordinatizer's echelon as it is; no product matrix is built.
+        coordinatizer's echelon as it is; no product matrix is built.  The
+        echelon's integer coefficients of each bracket, over their own
+        denominator, enter the tensor over the lcm of those denominators.
         """
         basis = list(basis)
         coord = _Coordinatizer(basis)
-        structure = {}
+        rows, dens = {}, {}  # each nonzero bracket's integer row and its denominator
         d = len(basis)
         # b_i b_j vanishes by support when no column of b_i is a row of b_j
-        rows = [b._data.keys() for b in basis]
+        supports = [b._data.keys() for b in basis]
         cols = [set().union(*b._data.values()) for b in basis]
         for i in range(d):
             bi = basis[i]
             for j in range(i + 1, d):
-                if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+                if cols[i].isdisjoint(supports[j]) and cols[j].isdisjoint(supports[i]):
                     continue
-                entry = coord._express_flat(*_intertwining_defect(bi, basis[j], bi))
-                if entry is None:
+                found = coord._express_int(*_intertwining_defect(bi, basis[j], bi))
+                if found is None:
                     raise NotClosedError(
                         f"[b_{i}, b_{j}] is outside the span of the basis"
                     )
-                if entry:
-                    structure[(i, j)] = entry
-        alg = cls(MATRIX, d, basis=basis, structure=structure, validate=validate)
+                row, row_den = found
+                if row:
+                    rows[(i, j)] = row
+                    dens[(i, j)] = row_den
+        den = _math.lcm(*dens.values())
+        if den != 1:
+            for key, row in rows.items():
+                f = den // dens[key]
+                if f != 1:
+                    for k in row:  # the echelon's fresh vector
+                        row[k] *= f
+        alg = cls(MATRIX, d, (den, rows), basis=basis, validate=validate)
         alg._coordinatizer = coord
         return alg
 
@@ -158,24 +190,85 @@ class LieAlgebra:
         commutators the entries are.  Nothing checks the entries against
         the basis: a caller passes a basis only with a structure it has
         derived in closed form.  Raises ContractError when basis does not
-        hold exactly dim matrices, or holds matrices of mixed shapes."""
-        structure = _tensor_from_entries(dim, entries)
+        hold exactly dim matrices, or holds matrices of mixed shapes.
+
+        The tensor is built in one pass over the entries: an int value is
+        taken as it is and any other goes through `rat()`, repeated entries
+        add up, (j, i) enters (i, j) negated and zeros are dropped.  The
+        common denominator grows, and the rows so far are rescaled, only
+        when a value's denominator does not divide it.  Equal one-entry rows
+        are one shared dict.  Raises ContractError on an index that is not
+        an int in [0, dim) (a bool or a float included) or a bracket
+        [b_i, b_i]."""
+        rows = {}
+        units = {}  # (k, v) -> the one shared row {k: v}
+        den = 1
+        summed = False  # only a sum can leave a zero to drop
+        for entry in entries:
+            i, j, k, value = entry
+            if not (type(i) is type(j) is type(k) is int
+                    and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ContractError(f"structure entry {entry!r} needs int indices in [0, {dim})")
+            if type(value) is int:
+                v, d = value, 1
+            else:
+                v, d = rat(value).as_integer_ratio()
+                v, d = int(v), int(d)
+            if not v:
+                continue
+            if i == j:
+                raise ContractError("[x, x] must vanish: bad structure entry")
+            if den % d:
+                f = d // _math.gcd(den, d)
+                den *= f
+                rows, units = _scaled_rows(rows, f, 1)
+            v *= den // d
+            if i > j:
+                i, j, v = j, i, -v
+            row = rows.get((i, j))
+            if row is None:
+                row = units.get((k, v))
+                if row is None:
+                    row = units[(k, v)] = {k: v}
+                rows[(i, j)] = row
+                continue
+            if len(row) == 1:  # perhaps a shared unit row: write a copy
+                row = rows[(i, j)] = dict(row)
+            if k in row:
+                row[k] += v
+                summed = True
+            else:
+                row[k] = v
+        if summed:
+            for key in list(rows):
+                row = rows[key]
+                if 0 in row.values():
+                    row = {k: v for k, v in row.items() if v}
+                    if not row:
+                        del rows[key]
+                        continue
+                if len(row) == 1:
+                    (k, v), = row.items()
+                    row = units.setdefault((k, v), row)
+                rows[key] = row
         if basis is None:
-            return cls(ABSTRACT, dim, structure=structure, validate=validate)
+            return cls(ABSTRACT, dim, (den, rows), validate=validate)
         basis = list(basis)
         if len(basis) != dim:
             raise ContractError(f"basis holds {len(basis)} matrices for an algebra of dim {dim}")
         if len({(b.rows, b.cols) for b in basis}) > 1:
             raise ContractError("basis matrices of mixed shapes")
-        return cls(MATRIX, dim, basis=basis, structure=structure, validate=validate)
+        return cls(MATRIX, dim, (den, rows), basis=basis, validate=validate)
 
     @classmethod
-    def _certified(cls, dim, structure, killing: Matrix) -> "LieAlgebra":
-        """ABSTRACT realization of a structure tensor whose Jacobi identity
-        and Killing gram the caller has already certified: nothing is
-        checked again.  The brackets of structure may be shared with other
-        algebras, as no algebra changes its structure."""
-        alg = cls(ABSTRACT, dim, structure=structure, validate=False)
+    def _certified(cls, dim, tensor, structure, killing: Matrix) -> "LieAlgebra":
+        """ABSTRACT realization of an integer tensor whose Jacobi identity
+        and Killing gram the caller has already certified, with its rational
+        view structure: nothing is checked or converted again.  The rows of
+        both may be shared with other algebras, as no algebra changes its
+        tensor or its view."""
+        alg = cls(ABSTRACT, dim, tensor, validate=False)
+        alg.structure = structure
         alg._killing = BilinearForm(dim, killing)
         return alg
 
@@ -193,20 +286,24 @@ class LieAlgebra:
             self._coordinatizer = _Coordinatizer(self.basis)
         return self._coordinatizer
 
-    def _integer_tensor(self):
-        """(den, scaled, brackets), cached: den is the lcm of the structure
-        constants' denominators, scaled[(i, j)] = {k: den * c_ij^k} for
-        i < j, and brackets[i] lists (j, entry, sign) with
-        den * [b_i, b_j] = sign * entry for every j with a nonzero bracket
-        (entry is shared with scaled, not copied)."""
-        if self._int_tensor is None:
-            scaled, den = _integer_rows(self.structure)
-            brackets = {}
-            for (i, j), entry in scaled.items():
-                brackets.setdefault(i, []).append((j, entry, 1))
-                brackets.setdefault(j, []).append((i, entry, -1))
-            self._int_tensor = (den, scaled, brackets)
-        return self._int_tensor
+    @functools.cached_property
+    def structure(self) -> dict:
+        """The rational constants {(i, j): {k: coefficient of b_k in
+        [b_i, b_j]}}, i < j, a view of the integer tensor built on the
+        first read (or handed over by `_certified`) and kept: one dict per
+        distinct row of the tensor.  Read only: its rows may be shared."""
+        return _rational_view(*self._tensor)
+
+    @functools.cached_property
+    def _brackets(self) -> dict:
+        """brackets[i]: (j, entry, sign) with den * [b_i, b_j] =
+        sign * entry for every j with a nonzero bracket (entry is the
+        tensor's row, not a copy), built on first use."""
+        brackets = {}
+        for (i, j), entry in self._tensor[1].items():
+            brackets.setdefault(i, []).append((j, entry, 1))
+            brackets.setdefault(j, []).append((i, entry, -1))
+        return brackets
 
     def structure_entry(self, i, j):
         """Sparse bracket [b_i, b_j] as {k: coefficient}."""
@@ -220,7 +317,7 @@ class LieAlgebra:
     def _bracket_int(self, x: dict, y: dict) -> dict:
         """den * [x, y] for sparse integer vectors, on the integer tensor: a
         positive multiple of the bracket, all that spans and membership read."""
-        return _bracket(self._integer_tensor()[1], x, y)
+        return _bracket(self._tensor[1], x, y)
 
     def ad_matrix(self, x) -> Matrix:
         """Matrix of ad(x) = [x, .] on the coefficient space."""
@@ -237,7 +334,8 @@ class LieAlgebra:
         """ad(x) for x = (sparse integer vector) / xden: column j of ad(b_i)
         is [b_i, b_j], read off the integer brackets of each i in x."""
         d = self.dim
-        den, _, brackets = self._integer_tensor()
+        den = self._tensor[0]
+        brackets = self._brackets
         out = {}
         for i, xi in x.items():
             for j, entry, sign in brackets.get(i, ()):
@@ -270,10 +368,10 @@ class LieAlgebra:
         """
         # brackets[l]: (c, inner, sign) with [b_l, b_c] = sign * inner for
         # every c with a nonzero bracket
-        _, scaled, brackets = self._integer_tensor()
+        brackets = self._brackets
         d = self.dim
         holds = {}  # l -> (y, z, v) by y descending
-        for (y, z), entry in sorted(scaled.items(), reverse=True):
+        for (y, z), entry in sorted(self._tensor[1].items(), reverse=True):
             for l, v in entry.items():
                 holds.setdefault(l, []).append((y, z, v))
         for x, own in sorted(brackets.items()):
@@ -313,9 +411,9 @@ class LieAlgebra:
         `_trace_contraction`."""
         if self._killing is None:
             d = self.dim
-            den, scaled, _ = self._integer_tensor()
+            den, rows = self._tensor
             slots = {}
-            for (i, j), entry in scaled.items():
+            for (i, j), entry in rows.items():
                 for k, v in entry.items():
                     slots.setdefault((k, j), []).append((i, v))
                     slots.setdefault((k, i), []).append((j, -v))
@@ -359,7 +457,7 @@ class LieAlgebra:
         return kernel(self.killing_form().gram).dim == 0
 
     def is_abelian(self) -> bool:
-        return not self.structure
+        return not self._tensor[1]
 
     def to_json_dict(self) -> dict:
         if self.realization == MATRIX:
@@ -378,40 +476,53 @@ class LieAlgebra:
         return {"realization": "abstract", "dim": self.dim, "structure": entries}
 
 
-def _tensor_from_entries(dim, entries) -> dict:
-    """The sparse structure tensor {(i, j): {k: c}}, i < j, of entries
-    (i, j, k, value): values go through `rat()`, repeated entries add up,
-    (j, i) enters (i, j) negated and zeros are dropped.  Raises
-    ContractError on an index that is not an int in [0, dim) (a bool or a
-    float included) or a bracket [b_i, b_i]."""
-    structure = {}
-    summed = False  # only a sum can leave a zero to drop
-    for entry in entries:
-        i, j, k, value = entry
-        if not (type(i) is type(j) is type(k) is int
-                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ContractError(f"structure entry {entry!r} needs int indices in [0, {dim})")
-        value = rat(value)
-        if not value:
-            continue
-        if i == j:
-            raise ContractError("[x, x] must vanish: bad structure entry")
-        if i > j:
-            i, j, value = j, i, -value
-        row = structure.get((i, j))
-        if row is None:
-            structure[(i, j)] = {k: value}
-        elif k in row:
-            row[k] += value
-            summed = True
-        else:
-            row[k] = value
-    if summed:
-        for key in list(structure):
-            structure[key] = {k: v for k, v in structure[key].items() if v}
-            if not structure[key]:
-                del structure[key]
-    return structure
+def _lowest_terms(den: int, rows: dict):
+    """(den, rows) with den and every entry divided by their gcd: the rows
+    themselves when it is 1, new ones otherwise."""
+    g = den
+    for row in rows.values():
+        if g == 1:
+            return den, rows
+        g = _math.gcd(g, *row.values())
+    if g == 1:
+        return den, rows
+    return den // g, _scaled_rows(rows, 1, g)[0]
+
+
+def _scaled_rows(rows: dict, f: int, g: int):
+    """(f / g times the integer rows, units), for g dividing every entry
+    times f: new rows, one dict per distinct row object of rows, so rows
+    shared stay shared, and units, (k, v) -> the one-entry row {k: v} among
+    them."""
+    out, seen, units = {}, {}, {}
+    for key, row in rows.items():
+        new = seen.get(id(row))
+        if new is None:
+            new = seen[id(row)] = {}
+            for k, v in row.items():
+                new[k] = v * f // g
+            if len(new) == 1:
+                units[(k, new[k])] = new
+        out[key] = new
+    return out, units
+
+
+def _rational_view(den: int, rows: dict) -> dict:
+    """The rational tensor {(i, j): {k: v / den}} of integer rows over den:
+    one dict per distinct row object of rows and one scalar per distinct
+    integer, so rows shared in the tensor are shared in the view."""
+    view, seen, scalars = {}, {}, {}
+    for key, row in rows.items():
+        out = seen.get(id(row))
+        if out is None:
+            out = seen[id(row)] = {}
+            for k, v in row.items():
+                x = scalars.get(v)
+                if x is None:
+                    x = scalars[v] = _quotient(v, den)
+                out[k] = x
+        view[key] = out
+    return view
 
 
 def _trace_contraction(slots) -> dict:

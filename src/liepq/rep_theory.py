@@ -46,9 +46,11 @@ from .exact_linalg import (
     ZERO,
     _accumulated,
     _combine_maps,
+    _echelon,
     _integer_list,
     _intertwining_defect,
     _mat_vec_int,
+    _null_space,
     _reduced,
     _trusted,
     invert,
@@ -119,7 +121,8 @@ def _bracket_defect(algebra: LieAlgebra, images):
     if not images:
         return None
     n = images[0].cols
-    den, _, brackets = algebra._integer_tensor()
+    den = algebra._tensor[0]
+    brackets = algebra._brackets
     big = _lcm(1, *(x.den for x in images))
     ints = [
         {r: {c: v * (big // x.den) for c, v in row.items()} for r, row in x._data.items()}
@@ -298,7 +301,7 @@ def _require_same_algebra(v: Representation, w: Representation):
     av, aw = v.algebra, w.algebra
     if av is aw:
         return
-    if av.dim != aw.dim or av.structure != aw.structure:
+    if av.dim != aw.dim or av._tensor != aw._tensor:
         raise ContractError("representations are over different algebras")
 
 
@@ -433,15 +436,15 @@ def _initial_hom_basis(v, w):
     and a bound on those of the others.  With an empty pool the key is ()
     and the generators are unit vectors.
     """
-    algebra = v.algebra
+    brackets = v.algebra._tensor[1]
     n, m = v.module_dim, w.module_dim
     blocks_v = [((), [{j: 1} for j in range(n)])]
     blocks_w = blocks_v if m == n else [((), [{i: 1} for i in range(m)])]
     pool = []
-    for a in range(algebra.dim):
+    for a in range(v.algebra.dim):
         if pool and any(len(rows) == 1 for _, rows in blocks_v):
             break
-        if any(algebra.structure_entry(b, a) for b in pool):
+        if any((b, a) in brackets for b in pool):  # pool members precede a
             continue
         ev = rational_eigensplit(v.actions[a])
         if ev is None:
@@ -535,28 +538,67 @@ def _spun_maps(v, w, blocks_v, blocks_w):
 
 
 def _refine_blocks(blocks, x, eigenvalues):
-    """Split each block (key, integer basis rows) into its intersections with
-    the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).  The
-    block of key () must be the whole space of unit rows, B = I: its split
-    is the integer rows of ker(x - lam) themselves, with no transpose, no
-    product and no recombination.
+    """Split each block (key, integer basis rows b_j) into its intersections
+    with the eigenspaces of x, B . ker((x - lam) B^t), keyed key + (lam,).
+
+    For lam = a/b and x = X/D (X the integer rows of x), the kernel is that
+    of the integer rows of b.D.(x - lam).B^t: row r holds
+    b.(X B^t)[r, j] - a.D.(b_j)_r at column j, built from x's stored rows
+    with no matrix temporary; X B^t is taken once per block, for every lam.
+    The block of key () must be the whole space of unit rows, B = I: its
+    system is b.X - a.D.I, and its split is the integer kernel rows
+    themselves, with no recombination.
 
     None when some block is not the sum of its intersections, that is when
     x does not act on the blocks as an operator commuting with their split.
     """
+    data, den = x._data, x.den
     n = x.rows
     out = []
     for key, rows in blocks:
         k = len(rows)
         if key:
-            bt = _trusted(k, n, dict(enumerate(rows))).transpose()
-            xb = mat_mul(x, bt)
+            bt = {}  # row r of B^t: {j: (b_j)_r}
+            for j, row in enumerate(rows):
+                for r, y in row.items():
+                    col = bt.get(r)
+                    if col is None:
+                        bt[r] = {j: y}
+                    else:
+                        col[j] = y
+            xbt = {}  # the rows of X B^t, cancelled zeros and all
+            for r, xrow in data.items():
+                acc = {}
+                for t, y in xrow.items():
+                    col = bt.get(t)
+                    if col is not None:
+                        for j, z in col.items():
+                            acc[j] = acc.get(j, 0) + y * z
+                xbt[r] = acc
         else:
-            xb = x
-            bt = Matrix.identity(n)
+            xbt = data
         found = 0
         for lam in eigenvalues:
-            ker = kernel(xb - bt.scale(lam))
+            a, b = lam.as_integer_ratio()
+            a, b = int(a) * den, int(b)
+            system = []
+            for r in (range(n) if a else xbt):
+                row = {}
+                xrow = xbt.get(r)
+                if xrow:
+                    for j, y in xrow.items():
+                        if y:
+                            row[j] = b * y
+                if a:
+                    for j, y in (bt.get(r, {}) if key else {r: 1}).items():
+                        s = row.get(j, 0) - a * y
+                        if s:
+                            row[j] = s
+                        else:
+                            del row[j]
+                if row:
+                    system.append(row)
+            ker = _null_space(_echelon(k, system), k)
             if ker.dim:
                 split = ker._integer_rows()
                 if key:

@@ -12,6 +12,7 @@ form, and E_ij + E_ji when i < p <= j.
 from __future__ import annotations
 
 import functools
+from math import gcd as _gcd, lcm as _lcm
 from typing import NamedTuple
 
 from .errors import ContractError, ShapeMismatchError, UnknownSmallestModuleError, UnsupportedRealizationError
@@ -43,6 +44,8 @@ from .lie_core import (
     ABSTRACT,
     LieAlgebra,
     _Coordinatizer,
+    _rational_view,
+    _scaled_rows,
     centralizer,
     is_maximal_subalgebra,
 )
@@ -124,7 +127,9 @@ def _diagonal_so(diag) -> LieAlgebra:
     dict).  Two of them bracket to a nonzero only when they share exactly
     one index, and for x < y < z
     [X_xy, X_yz] = X_xz, [X_xy, X_xz] = -(d_x/d_y).X_yz and
-    [X_xz, X_yz] = -(d_y/d_z).X_xy.
+    [X_xz, X_yz] = -(d_y/d_z).X_xy.  The constants go to
+    `LieAlgebra.from_structure` as ints, and only a ratio that is not an
+    integer as a rational; for I_{p,q} every one is 1 or -1.
 
     The algebra carries `_DiagonalCoordinates` as its coordinatizer, which
     reads coordinates off the entries: no echelon is built.
@@ -135,15 +140,17 @@ def _diagonal_so(diag) -> LieAlgebra:
     start = [i * n - i * (i + 3) // 2 - 1 for i in range(n)]
     basis, minus_ratio, units = [], [], {}
     for i, j in pairs:
-        r = Rational(diag[i], diag[j])
-        a, b = int(r.numerator), int(r.denominator)
+        g = _gcd(diag[i], diag[j])
+        a, b = diag[i] // g, diag[j] // g
+        if b < 0:
+            a, b = -a, -b
         basis.append(_trusted(n, n, {i: _unit_row(units, j, b), j: _unit_row(units, i, -a)}, b))
-        minus_ratio.append(-r)
+        minus_ratio.append(-a if b == 1 else Rational(-a, b))
     entries = []
     for xy, (x, y) in enumerate(pairs):
         for z in range(y + 1, n):
             xz, yz = start[x] + z, start[y] + z
-            entries.append((xy, yz, xz, ONE))
+            entries.append((xy, yz, xz, 1))
             entries.append((xy, xz, yz, minus_ratio[xy]))
             entries.append((xz, yz, xy, minus_ratio[yz]))
     alg = LieAlgebra.from_structure(len(pairs), entries, validate=False, basis=basis)
@@ -257,28 +264,36 @@ def _so_block(p: int, q: int) -> Subspace:
 
 
 def _deformation_constants(p: int, q: int):
-    """(base, vec), the tensors {(i, j): {k: constant}} (i < j) of the
-    c-free brackets, [so, so] and the action [X, e_i] = X e_i, and of the
-    coefficients of c, [e_i, e_j] = T_1(e_i ^ e_j) for i < j, read off
-    column idx of `t_c(p, q, 1)`, idx the place of (i, j).  The [so, so]
-    entries are those of `so_pq_algebra(p, q).structure` themselves, and
-    the action's one-entry rows are shared, one dict per distinct row."""
+    """(den, base, vec): the integer tensors {(i, j): {k: den * constant}}
+    (i < j), over one common den, of the c-free brackets, [so, so] and the
+    action [X, e_i] = X e_i, and of the coefficients of c,
+    [e_i, e_j] = T_1(e_i ^ e_j) for i < j, read off column idx of
+    `t_c(p, q, 1)`, idx the place of (i, j).  den is the lcm of the
+    denominators of so(p,q)'s tensor, its basis and T_1, all 1 for I_{p,q};
+    when it is the tensor's own, the [so, so] rows are those of
+    `so_pq_algebra(p, q)`'s tensor themselves.  The action's one-entry rows
+    are shared, one dict per distinct row."""
     so = so_pq_algebra(p, q)
     m, n = so.dim, p + q
-    base, units = dict(so.structure), {}
+    so_den, so_rows = so._tensor
+    t1 = t_c(p, q, 1)
+    den = _lcm(so_den, t1.den, *(gen.den for gen in so.basis))
+    base = dict(so_rows) if den == so_den else _scaled_rows(so_rows, den // so_den, 1)[0]
+    units = {}
     for a, gen in enumerate(so.basis):
+        f = den // gen.den
         # [X, e_i] = X e_i = sum over k of X_ki e_k, one k per column
         for i, column in gen.transpose()._data.items():
             (k, x), = column.items()
-            base[(a, m + i)] = _unit_row(units, m + k, _quotient(x, gen.den))
-    t1 = t_c(p, q, 1)
+            base[(a, m + i)] = _unit_row(units, m + k, x * f)
+    f = den // t1.den
     columns = t1.transpose()._data
     vec = {
-        (m + i, m + j): {k: _quotient(x, t1.den) for k, x in columns[idx].items()}
+        (m + i, m + j): {k: x * f for k, x in columns[idx].items()}
         for idx, (i, j) in enumerate(wedge_square_index(n))
         if idx in columns
     }
-    return base, vec
+    return den, base, vec
 
 
 def _unit_row(units: dict, j: int, v) -> dict:
@@ -327,7 +342,10 @@ class _Family:
     The Jacobi pass, the Killing grams, (E) at c > 0 and the c != 0
     maximality closure read one [.,.]_1, `algebra(1)`, and its one integer
     tensor; `deformed_algebra` drops it again when its own read built it.
-    (E) reads the constants and the sign branch, not the Jacobi pass."""
+    (E) reads the constants and the sign branch, not the Jacobi pass.
+    Every fact works on integer rows; the one rational piece of the record
+    is `base_structure`, the view every [.,.]_c of `deformed_algebra`
+    shares."""
 
     def __init__(self, p: int, q: int):
         n = Signature(p, q).n
@@ -337,15 +355,16 @@ class _Family:
 
     @functools.cached_property
     def constants(self):
-        """(base, vec), the tensors {(i, j): {k: constant}} of the c-free
-        brackets and of the coefficients of c, graded (G): every key of vec
+        """(den, base, vec), the integer tensors {(i, j): {k: den * constant}}
+        of the c-free brackets and of the coefficients of c, over one common
+        den, graded (G): every key of vec
         brackets two vectors into so(p,q); every key of base holds an so
         index, a bracket of two so indices lands in so(p,q) and one of an so
         index and a vector lands in the vectors.  Raises ContractError below
         p + q = 3 or when the grading fails."""
         if self.p + self.q < 3:
             raise ContractError("the deformed bracket needs p + q >= 3")
-        base, vec = _deformation_constants(self.p, self.q)
+        den, base, vec = _deformation_constants(self.p, self.q)
         m = self.m
         if any(i < m for i, _ in vec):
             raise ContractError("a c-dependent bracket of the family has an so(p,q) index")
@@ -357,17 +376,24 @@ class _Family:
             raise ContractError("a c-free bracket of two so(p,q) indices leaves so(p,q)")
         if any(k < m for (_, j), entry in base.items() if j >= m for k in entry):
             raise ContractError("a c-free bracket of so(p,q) and a vector leaves the vectors")
-        return base, vec
+        return den, base, vec
+
+    @functools.cached_property
+    def base_structure(self) -> dict:
+        """The rational view of base, one dict per distinct row: the c-free
+        brackets of every [.,.]_c that `deformed_algebra` hands out."""
+        den, base, _ = self.constants
+        return _rational_view(den, base)
 
     def _bracket(self, sign: int) -> LieAlgebra:
         """A fresh [.,.]_sign for sign in {0, 1, -1}: base, base + vec or
-        base - vec."""
-        base, vec = self.constants
-        structure = dict(base)
+        base - vec, on the integer rows of the constants."""
+        den, base, vec = self.constants
+        rows = dict(base)
         if sign:
             for key, entry in vec.items():
-                structure[key] = entry if sign > 0 else {k: -v for k, v in entry.items()}
-        return LieAlgebra(ABSTRACT, self.dim, structure=structure, validate=False)
+                rows[key] = entry if sign > 0 else {k: -v for k, v in entry.items()}
+        return LieAlgebra(ABSTRACT, self.dim, (den, rows), validate=False)
 
     @functools.cached_property
     def jacobi(self) -> bool:
@@ -488,14 +514,16 @@ class _Family:
         base value of every key (X_a, e_i) is column i of X_a on the vectors;
         the trace form of so(p,q), that of rho_c(so) (the generators placed in
         a block), is nondegenerate; and (R) R^{p,q} is irreducible."""
-        base, _ = self.constants
+        den, base, _ = self.constants
         std = standard_rep(self.p, self.q)
         m, n = std.algebra.dim, std.module_dim
         for a, gen in enumerate(std.actions):
             columns = gen.transpose()._data
             for i in range(n):
-                column = {m + k: _quotient(x, gen.den) for k, x in columns.get(i, {}).items()}
-                if base.get((a, m + i), {}) != column:
+                # both sides over den * gen.den
+                column = {m + k: x * den for k, x in columns.get(i, {}).items()}
+                entry = {k: v * gen.den for k, v in base.get((a, m + i), {}).items()}
+                if entry != column:
                     return f"[X_{a}, e_{i}] is not column {i} of X_{a} on the vectors"
         if kernel(std.algebra.trace_form().gram).dim:
             return "the trace form of so(p,q) is degenerate"
@@ -554,10 +582,14 @@ def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
     (p, q), whose Jacobi pass at c = 1 certifies it for every c: no per-c
     Jacobi run, and the Killing gram is K0 + c.K1.  The [.,.]_1 those two
     facts read is dropped again unless the record held it before, so a
-    reader of [.,.]_c alone leaves only the facts on the record."""
+    reader of [.,.]_c alone leaves only the facts on the record.
+
+    For c = a/b the integer tensor is b.base + a.vec over b.den, the base
+    rows themselves when b = 1; the rational view shares the record's
+    `base_structure` rows, so every c of a signature shares them."""
     c = rat(c)
     family = _family(p, q)
-    base, vec = family.constants
+    den, base, vec = family.constants
     kept = ("algebra", 1) in family._branches
     try:
         family.jacobi  # certified for every rational c, or ContractError
@@ -565,12 +597,21 @@ def deformed_algebra(p: int, q: int, c) -> DeformedAlgebra:
     finally:
         if not kept:
             family._branches.pop(("algebra", 1), None)
-    structure = dict(base)
-    if c:
+    a, b = int(c.numerator), int(c.denominator)
+    rows, structure = {}, dict(family.base_structure)
+    if a:
         for key, entry in vec.items():
-            structure[key] = {k: c * v for k, v in entry.items()}
+            row, view = {}, {}
+            for k, v in entry.items():
+                row[k] = a * v
+                view[k] = _quotient(a * v, b * den)
+            rows[key] = row
+            structure[key] = view
+    # the vector rows first: a gcd pass over a fractional c's tensor meets
+    # a row of a.vec before the rows of b.base
+    rows.update(base if b == 1 else _scaled_rows(base, b, 1)[0])
     m, dim = family.m, family.dim
-    algebra = LieAlgebra._certified(dim, structure, k0 + k1.scale(c))
+    algebra = LieAlgebra._certified(dim, (den * b, rows), structure, k0 + k1.scale(c))
     return DeformedAlgebra(p, q, c, algebra, tuple(range(m)), tuple(range(m, dim)))
 
 

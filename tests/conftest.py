@@ -8,10 +8,10 @@ from liepq import so_pq
 from liepq.errors import ContractError
 from liepq.exact_linalg import (
     NO_SOLUTION, ONE, ZERO, Echelon, Matrix, Subspace, _mat_vec_int, _quotient, _reduced, _trusted,
-    invert, kernel, rat, solve_linear, wedge_square_index,
+    invert, kernel, mat_mul, rat, solve_linear, wedge_square_index,
 )
 from liepq.lie_core import LieAlgebra, bracket, canonical_json, orthogonal_complement
-from liepq.rep_theory import Representation, is_irreducible, restrict
+from liepq.rep_theory import Representation, _combine_int_rows, is_irreducible, restrict
 from liepq.so_pq import so_pq_algebra
 from liepq.weyl_enum import WeightVector
 
@@ -565,25 +565,105 @@ def per_c_deformed_algebra(p, q, c, constants=None):
     """The bracket [.,.]_c built and Jacobi-validated for this one c: every
     constant of so(p,q) (+) R^{p,q} through `from_structure`, with the
     action [X, e_i] = X e_i and [e_i, e_j] = -c X_ij for i < j < p, c X_ij
-    otherwise.  With constants, the (base, vec) tensors of
+    otherwise.  With constants, the (den, base, vec) integer tensors of
     `so_pq._deformation_constants`, the bracket base + c.vec of those
-    tensors instead."""
+    tensors over den instead."""
     c = rat(c)
     n = p + q
     if constants is not None:
-        base, vec = constants
-        entries = tensor_entries(base) + [(i, j, k, c * v) for i, j, k, v in tensor_entries(vec)]
+        den, base, vec = constants
+        entries = (tensor_entries(rational_tensor(den, base))
+                   + [(i, j, k, c * v) for i, j, k, v in tensor_entries(rational_tensor(den, vec))])
         return LieAlgebra.from_structure(n * (n + 1) // 2, entries, validate=True)
+    return LieAlgebra.from_structure(n * (n + 1) // 2, per_c_deformed_entries(p, q, c), validate=True)
+
+
+def per_c_deformed_entries(p, q, c):
+    """The entries (i, j, k, rational) of [.,.]_c on so(p,q) (+) R^{p,q}
+    that `per_c_deformed_algebra` builds: so(p,q)'s closed-form constants,
+    the action [X, e_i] = X e_i and [e_i, e_j] = -c X_ij for i < j < p,
+    c X_ij otherwise."""
+    c = rat(c)
+    n = p + q
     so = so_pq_algebra(p, q)
     m = so.dim
-    entries = tensor_entries(so.structure)
+    entries = closed_form_so_entries([1] * p + [-1] * q)
     for a, gen in enumerate(so.basis):
         for i, column in gen.transpose()._data.items():
             for k, x in column.items():
                 entries.append((a, m + i, m + k, _quotient(x, gen.den)))
     for idx, (i, j) in enumerate(wedge_square_index(n)):
         entries.append((m + i, m + j, idx, -c if (i < p and j < p) else c))
-    return LieAlgebra.from_structure(m + n, entries, validate=True)
+    return entries
+
+
+def closed_form_so_entries(diag):
+    """The entries (i, j, k, rational) of so(R^N, diag(d_0, ..., d_{N-1}))
+    in the basis X_ij = E_ij - (d_i/d_j).E_ji (i < j, lexicographic): for
+    x < y < z, [X_xy, X_yz] = X_xz, [X_xy, X_xz] = -(d_x/d_y).X_yz and
+    [X_xz, X_yz] = -(d_y/d_z).X_xy, each constant a rational."""
+    n = len(diag)
+    index = {pair: idx for idx, pair in enumerate(wedge_square_index(n))}
+    entries = []
+    for x, y, z in itertools.combinations(range(n), 3):
+        xy, xz, yz = index[(x, y)], index[(x, z)], index[(y, z)]
+        entries.append((xy, yz, xz, ONE))
+        entries.append((xy, xz, yz, -rat(diag[x]) / diag[y]))
+        entries.append((xz, yz, xy, -rat(diag[y]) / diag[z]))
+    return entries
+
+
+def tensor_from_entries(dim, entries) -> dict:
+    """The rational structure tensor {(i, j): {k: c}}, i < j, of entries
+    (i, j, k, value) by the obvious loop: values go through `rat()`,
+    repeated entries add up, (j, i) enters (i, j) negated and zeros are
+    dropped.  Raises ContractError on an index that is not an int in
+    [0, dim) (a bool or a float included) or a bracket [b_i, b_i], with
+    the messages of `LieAlgebra.from_structure`."""
+    structure = {}
+    for entry in entries:
+        i, j, k, value = entry
+        if not (type(i) is type(j) is type(k) is int
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ContractError(f"structure entry {entry!r} needs int indices in [0, {dim})")
+        value = rat(value)
+        if not value:
+            continue
+        if i == j:
+            raise ContractError("[x, x] must vanish: bad structure entry")
+        if i > j:
+            i, j, value = j, i, -value
+        row = structure.setdefault((i, j), {})
+        row[k] = row.get(k, 0) + value
+    out = {}
+    for key, row in structure.items():
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            out[key] = row
+    return out
+
+
+def matrix_refine_blocks(blocks, x, eigenvalues):
+    """`rep_theory._refine_blocks` by the Matrix formula: each block (key,
+    integer rows B) split into B . ker((x - lam) B^t) for every lam, keyed
+    key + (lam,), through `mat_mul`, `scale`, `-` and `kernel`; None when
+    some block is not the sum of its pieces."""
+    n = x.rows
+    out = []
+    for key, rows in blocks:
+        bt = _trusted(len(rows), n, dict(enumerate(rows))).transpose()
+        xb = mat_mul(x, bt)
+        found = 0
+        for lam in eigenvalues:
+            ker = kernel(xb - bt.scale(lam))
+            if ker.dim:
+                out.append((key + (lam,), [_combine_int_rows(c, rows) for c in ker._integer_rows()]))
+                found += ker.dim
+                if found == len(rows):
+                    break
+        if found != len(rows):
+            return None
+    return out
 
 
 def per_c_complement(p, q, c):
@@ -649,6 +729,12 @@ def tensor_entries(tensor):
     return [(i, j, k, v) for (i, j), entry in tensor.items() for k, v in entry.items()]
 
 
+def rational_tensor(den, rows):
+    """The rational tensor {(i, j): {k: v / den}} of integer rows over den,
+    one fresh scalar per entry."""
+    return {key: {k: rat(v) / den for k, v in row.items()} for key, row in rows.items()}
+
+
 def with_constant(tensor, i, j, k, value):
     """A copy of the tensor with value added to the coefficient of b_k in
     [b_i, b_j], i < j: the changed bracket is a new dict, so the entries the
@@ -664,7 +750,8 @@ def three_run_family(p, q):
     `from_structure` with its own Jacobi run, and K1 = K(base + vec) - K0 -
     K2.  J(base) = 0, J(vec) = 0 and J(base + vec) = 0 force the cross term
     to vanish, so the three runs certify the family for every c."""
-    base, vec = map(tensor_entries, so_pq._deformation_constants(p, q))
+    den, base, vec = so_pq._deformation_constants(p, q)
+    base, vec = (tensor_entries(rational_tensor(den, rows)) for rows in (base, vec))
     dim = (p + q) * (p + q + 1) // 2
     b = LieAlgebra.from_structure(dim, base)
     v = LieAlgebra.from_structure(dim, vec)

@@ -65,7 +65,7 @@ def test_traced_seed_1_round_calls_every_required_layer(workload):
     every layer REQUIRED names for the workload, and every verdict passes.
     A library change that stops a workload calling a required layer fails
     here, not only in the traced benchmark run."""
-    env = dict(os.environ, LIEPQ_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", workload,

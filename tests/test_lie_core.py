@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from liepq.exact_linalg import (
     Matrix,
     Rational,
     Subspace,
+    _integer_rows,
     inertia_of_diagonalizable_form,
     mat_mul,
     mat_vec,
@@ -46,6 +48,7 @@ from liepq.so_pq import (
 
 from conftest import (
     algebra_from_json_dict,
+    closed_form_so_entries,
     contains,
     contains_subspace,
     dense_basis_map,
@@ -54,6 +57,8 @@ from conftest import (
     dense_rref,
     pairwise_defect,
     pairwise_trace_gram,
+    per_c_deformed_entries,
+    tensor_from_entries,
     to_json,
     unit_matrix,
     zero_subspace,
@@ -164,9 +169,12 @@ def test_from_matrices_matches_the_all_pairs_loop(basis):
     """Skipping the pairs whose products vanish by support changes neither
     the structure constants nor the first pair found outside the span."""
     try:
-        found = LieAlgebra.from_matrices(basis, validate=False).structure
+        alg = LieAlgebra.from_matrices(basis, validate=False)
     except NotClosedError as exc:
         found = str(exc)
+    else:
+        assert_tensor_is_its_view(alg)
+        found = alg.structure
     assert found == all_pairs_structure(basis)
 
 
@@ -488,6 +496,117 @@ def test_dim_zero_algebra():
     assert empty.killing_form().gram.rows == 0
     matrix_empty = LieAlgebra.from_matrices([])
     assert matrix_empty.trace_form().gram.rows == 0
+
+
+def assert_tensor_is_its_view(alg):
+    """The stored integer tensor is the integer rows of the rational view
+    over their least common denominator: one tensor, one view of it."""
+    rows, den = _integer_rows(alg.structure)
+    assert alg._tensor == (den, rows)
+
+
+def assert_one_entry_rows_shared(rows):
+    """Equal one-entry rows of the tensor are one dict."""
+    kept = {}
+    assert all(kept.setdefault(tuple(row.items()), row) is row for row in rows.values() if len(row) == 1)
+
+
+entry_values = st.one_of(
+    st.integers(-4, 4),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def structure_entries(draw):
+    """(dim, entries): entries (i, j, k, value) with i != j in either order,
+    int, 'p/q' and Fraction values, zeros among them, some entries repeated
+    and some cancelled by (j, i, k, value) or (i, j, k, -value)."""
+    dim = draw(st.integers(2, 5))
+    index = st.integers(0, dim - 1)
+    pairs = st.tuples(index, index).filter(lambda ij: ij[0] != ij[1])
+    entries = [(i, j, draw(index), draw(entry_values))
+               for i, j in draw(st.lists(pairs, max_size=12))]
+    for i, j, k, value in draw(st.lists(st.sampled_from(entries), max_size=6)) if entries else []:
+        how = draw(st.sampled_from(["repeat", "swap", "negate"]))
+        if how == "repeat":
+            entries.append((i, j, k, value))
+        elif how == "swap":
+            entries.append((j, i, k, value))
+        else:
+            entries.append((i, j, k, -rat(value)))
+    return dim, draw(st.permutations(entries))
+
+
+@given(structure_entries())
+@settings(max_examples=150, deadline=None)
+def test_from_structure_tensor_matches_the_rational_loop(drawn):
+    """`from_structure` builds its integer tensor in one pass: its view is
+    the rational tensor of the obvious loop, the tensor is the view's
+    integer rows, and equal one-entry rows are one dict."""
+    dim, entries = drawn
+    alg = LieAlgebra.from_structure(dim, entries, validate=False)
+    assert alg.structure == tensor_from_entries(dim, entries)
+    assert_tensor_is_its_view(alg)
+    assert_one_entry_rows_shared(alg._tensor[1])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(1, 1, 0, 1), (1, 1, 0, "2/3"), (0, 1, 0, 0.5), (0, 1, 0, True), (0, 1, False, 1),
+     (2.0, 1, 0, "1/2")],
+    ids=["[x, x]", "[x, x] rational", "float value", "bool value", "bool k", "float i"],
+)
+def test_from_structure_refuses_what_the_rational_loop_refuses(entry):
+    """[x, x], values that are not rationals and bool or float indices are
+    refused with the loop's message (the index messages are pinned by
+    `test_from_structure_refuses_an_index_outside_the_algebra`)."""
+    entries = [(0, 1, 0, 1), entry]
+    with pytest.raises(ContractError) as expected:
+        tensor_from_entries(2, entries)
+    with pytest.raises(ContractError, match=re.escape(str(expected.value))):
+        LieAlgebra.from_structure(2, entries)
+
+
+SIGNATURES_3_TO_8 = [(p, n - p) for n in range(3, 9) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES_3_TO_8)
+def test_so_pq_tensor_matches_its_closed_form(p, q):
+    """so(p,q) at every signature with 3 <= n <= 8: the view is the rational
+    tensor of the closed-form constants, the tensor its integer rows, and
+    equal one-entry rows are one dict."""
+    alg = so_pq_algebra(p, q)
+    assert alg.structure == tensor_from_entries(alg.dim, closed_form_so_entries([1] * p + [-1] * q))
+    assert_tensor_is_its_view(alg)
+    assert_one_entry_rows_shared(alg._tensor[1])
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [[1, 1, 1], [2, 3, 3, -3], [3, 3, -3, 2], [1, -5, 2, 7], [-4, 6, 9, -1, 2]],
+)
+def test_diagonal_so_of_form_tensor_matches_its_closed_form(diag):
+    """so_of_form of a diagonal form, ratios that are not integers among
+    them: the view is the closed-form rational tensor, and the tensor its
+    integer rows."""
+    from liepq.so_pq import so_of_form
+
+    alg = so_of_form(Matrix.diagonal(diag))
+    assert alg.structure == tensor_from_entries(alg.dim, closed_form_so_entries(diag))
+    assert_tensor_is_its_view(alg)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (2, 2), (0, 4), (3, 3), (4, 4)])
+@pytest.mark.parametrize("c", ["0", "1", "-1", "2/3", "-2/3"])
+def test_deformed_algebra_tensor_matches_the_per_c_entries(p, q, c):
+    """[.,.]_c read off the record: the view is the rational tensor of the
+    per-c entries and the tensor is its integer rows."""
+    alg = deformed_algebra(p, q, c).algebra
+    dim = alg.dim
+    assert alg.structure == tensor_from_entries(dim, per_c_deformed_entries(p, q, c))
+    assert_tensor_is_its_view(alg)
 
 
 @pytest.mark.parametrize(
@@ -848,9 +967,10 @@ def test_sparse_jacobi_names_triples_that_only_the_outer_terms_reach(name):
 def test_the_jacobi_pass_peaks_below_1_mb_at_8_8():
     """The pass keeps the sums of one smallest index at a time: on
     [.,.]_1 at (8,8), dim 136, its peak under tracemalloc, past the integer
-    tensor, stays below 1 MB (9.1 MB when every triple's sums were kept)."""
+    tensor's bracket index, stays below 1 MB (9.1 MB when every triple's
+    sums were kept)."""
     algebra = _Family(8, 8).algebra(1)
-    algebra._integer_tensor()
+    assert algebra._brackets  # built before the pass is traced
     tracemalloc.start()
     try:
         algebra._check_jacobi()

@@ -43,8 +43,8 @@ from liepq.so_pq import (
 from liepq.lie_core import LieAlgebra, orthogonal_complement
 
 from conftest import (
-    block_pairing_basis, column_list, contains, dense_basis_map, dense_hom_oracle, dense_kernel, per_c_complement,
-    restrict_by_solve, restrict_per_row,
+    block_pairing_basis, column_list, contains, dense_basis_map, dense_hom_oracle, dense_kernel,
+    matrix_refine_blocks, per_c_complement, restrict_by_solve, restrict_per_row,
 )
 
 
@@ -573,6 +573,44 @@ def test_eigensplit_of_conjugated_diagonal(diag, jordan, data):
         moved = Subspace.from_vectors(n, [column_list(p, i) for i in range(n) if diag[i] == lam])
         shifted = [[a[r, c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
         assert block == moved == Subspace.from_vectors(n, dense_kernel(shifted, n))
+
+
+@given(
+    st.lists(_SMALL_RATIONALS, min_size=1, max_size=4),
+    st.lists(_SMALL_RATIONALS, min_size=5, max_size=5),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_refine_blocks_matches_the_matrix_formula(diag, other, with_zero, data):
+    """`_refine_blocks` on integer rows gives the blocks
+    B . ker((x - lam) B^t) of the Matrix formula, None included, for
+    x = P.D.P^-1 with an eigenvalue 0 or not: from the whole space (the
+    unkeyed block), from the keyed blocks of a commuting P.E.P^-1, and from
+    keyed blocks of unit rows that x need not respect."""
+    import liepq.rep_theory as rt
+
+    if with_zero:
+        diag = diag + [rat(0)]
+    n = len(diag)
+    ints = st.integers(min_value=-2, max_value=2)
+    lower = {(i, i): rat(1) for i in range(n)}
+    upper = dict(lower)
+    for i in range(n):
+        for j in range(i):
+            lower[(i, j)] = rat(data.draw(ints))
+            upper[(j, i)] = rat(data.draw(ints))
+    p = Matrix.from_sparse(n, n, lower) @ Matrix.from_sparse(n, n, upper)
+    pinv = invert(p)
+    x = p @ Matrix.diagonal(diag) @ pinv
+    y = p @ Matrix.diagonal(other[:n]) @ pinv
+    eigenvalues = sorted(set(diag))
+    whole = [((), [{j: 1} for j in range(n)])]
+    by_y = matrix_refine_blocks(whole, y, sorted(set(other[:n])))
+    cut = data.draw(st.integers(0, n))
+    units = [((rat(0),), [{j: 1} for j in range(cut)]), ((rat(1),), [{j: 1} for j in range(cut, n)])]
+    for blocks in (whole, by_y, [block for block in units if block[1]]):
+        assert rt._refine_blocks(blocks, x, eigenvalues) == matrix_refine_blocks(blocks, x, eigenvalues)
 
 
 def _module_dim(expr, n):
@@ -1246,6 +1284,33 @@ def _validation_modules():
 
 
 _VALIDATION_MODULES = list(_validation_modules())
+
+
+def test_complement_pipeline_and_end_never_read_the_rational_view(monkeypatch):
+    """The module certificates read each algebra's integer tensor only:
+    the complement pipeline at (3,2) and (4,2), so_of_form, trace form,
+    ad_matrix, from_matrices, restrict and is_irreducible, and End of the
+    standard module and of the complement, never read `structure`."""
+    def refuse(algebra):
+        raise AssertionError("the rational view of a structure tensor was read")
+
+    monkeypatch.setattr(LieAlgebra, "structure", property(refuse))
+    for p, q in [(3, 2), (4, 2)]:
+        n = p + q
+        m = n * (n - 1) // 2
+        for c in ("2", "-2/3"):
+            emb = embedding_iso(p, q, c)
+            target = so_of_form(emb.target_form)
+            coord = target.coordinatizer()
+            embedded = [coord.express(im) for im in emb.images[:m]]
+            complement = orthogonal_complement(target.trace_form(), Subspace.from_vectors(target.dim, embedded))
+            h = LieAlgebra.from_matrices(emb.images[:m], validate=False)
+            module = restrict(Representation(h, target.dim, [target.ad_matrix(v) for v in embedded]), complement)
+            assert module.module_dim == n
+            assert is_irreducible(module).status == "IRREDUCIBLE"
+            assert len(hom_space(module, module)) == 1
+        v = standard_rep(p, q)
+        assert len(hom_space(v, v)) == 1
 
 
 def test_validate_passes_on_the_unperturbed_modules():

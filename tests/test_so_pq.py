@@ -51,7 +51,7 @@ from liepq.so_pq import (
 
 from conftest import (
     closed_form_embedding, fresh_so_pq, pairwise_defect, per_c_deformed_algebra,
-    per_image_sqrt_conjugation, three_run_family, with_constant,
+    per_image_sqrt_conjugation, rational_tensor, three_run_family, with_constant,
 )
 
 C_GRID = [rat(x) for x in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")]
@@ -317,15 +317,15 @@ def _doubled(tensor, key):
 
 
 def _one_doubled(p, q, part):
-    """(base, vec) of `so_pq._deformation_constants` with one so(p,q)
+    """(den, base, vec) of `so_pq._deformation_constants` with one so(p,q)
     constant [X, Y] ("so"), one action constant [X, e_i] ("action") or the
     coefficient of one [e_i, e_j] ("vec") doubled."""
-    base, vec = so_pq._deformation_constants(p, q)
+    den, base, vec = so_pq._deformation_constants(p, q)
     so_dim = so_pq_algebra(p, q).dim
     if part == "vec":
-        return base, _doubled(vec, next(iter(vec)))
+        return den, base, _doubled(vec, next(iter(vec)))
     acts = part == "action"
-    return _doubled(base, next(key for key in base if (key[1] >= so_dim) == acts)), vec
+    return den, _doubled(base, next(key for key in base if (key[1] >= so_dim) == acts)), vec
 
 
 @pytest.mark.parametrize("part", ["so", "vec", "action"])
@@ -388,7 +388,8 @@ def test_graded_family_matches_three_run_oracle(p, q):
     record = so_pq._family(p, q)
     dim, base, vec, k0, k1, k2 = three_run_family(p, q)
     assert record.dim == dim
-    assert record.constants == (base, vec)
+    den, *constants = record.constants
+    assert [rational_tensor(den, rows) for rows in constants] == [base, vec]
     assert record.jacobi
     assert k2.is_zero()
     assert record.grams == (k0, k1)
@@ -398,45 +399,49 @@ def test_graded_family_matches_three_run_oracle(p, q):
 def test_deformed_algebra_shares_one_integer_tensor_and_keeps_none(monkeypatch, fresh_family_memos):
     """The Jacobi pass and the Killing grams that `deformed_algebra` reads
     run on one integer tensor of [.,.]_1, and the record keeps neither it
-    nor an algebra of the family: only the constants, the grams and the
-    Jacobi verdict."""
+    nor an algebra of the family: only the constants, their rational base
+    view, the grams and the Jacobi verdict."""
     built = []
-    integer_tensor = LieAlgebra._integer_tensor
-
-    def counted(alg):
-        if alg._int_tensor is None:
-            built.append(alg.dim)
-        return integer_tensor(alg)
-
-    monkeypatch.setattr(LieAlgebra, "_integer_tensor", counted)
+    bracket = so_pq._Family._bracket
+    monkeypatch.setattr(so_pq._Family, "_bracket", lambda record, sign: built.append(sign) or bracket(record, sign))
     for c in ("2", "0", "-1/3"):
         assert deformed_algebra(3, 1, c).algebra.is_semisimple() == (c != "0")
     record = so_pq._family(3, 1)
-    assert built == [10]
+    assert built == [1]
     assert record._branches == {}
-    kept = {"p", "q", "m", "dim", "_branches", "constants", "jacobi", "grams"}
+    kept = {"p", "q", "m", "dim", "_branches", "constants", "base_structure", "jacobi", "grams"}
     assert set(vars(record)) == kept
 
 
 @pytest.mark.parametrize("p, q", [(2, 1), (3, 1), (2, 2), (0, 5), (4, 4), (6, 2)])
 def test_the_family_shares_the_brackets_and_unit_rows_of_so_pq(fresh_family_memos, p, q):
-    """Every so x so bracket of the family's constants is the entry of
-    `so_pq_algebra(p, q).structure` itself, and equal one-entry rows are
-    one dict: the rows of the so(p,q) basis, the action brackets
-    [X, e_i] and the rows of the so images of the c > 0 branch."""
+    """Every so x so row of the family's constants is the row of
+    `so_pq_algebra(p, q)`'s integer tensor itself, and equal one-entry rows
+    are one dict: the rows of the so(p,q) basis and of its tensor, the
+    action brackets [X, e_i], the rows of the so images of the c > 0
+    branch, and the rows of the base view that every [.,.]_c shares."""
     so = so_pq_algebra(p, q)
-    base, _ = so_pq._family(p, q).constants
-    assert {key for key in base if key[1] < so.dim} == set(so.structure)
-    assert all(base[key] is entry for key, entry in so.structure.items())
-    _, images = so_pq._family(p, q).branch(True)
-    for rows in (
+    den, rows = so._tensor
+    record = so_pq._family(p, q)
+    assert record.constants[0] == den == 1
+    base = record.constants[1]
+    assert {key for key in base if key[1] < so.dim} == set(rows)
+    assert all(base[key] is entry for key, entry in rows.items())
+    view = record.base_structure
+    for c in ("2", "-2/3", "0"):
+        structure = deformed_algebra(p, q, c).algebra.structure
+        assert all(structure[key] is entry for key, entry in view.items())
+    _, images = record.branch(True)
+    for one_entry in (
         [row for b in so.basis for row in b._data.values()],
+        list(rows.values()),
         [entry for key, entry in base.items() if key[1] >= so.dim],
         [row for y, _ in images[:so.dim] for row in y._data.values()],
+        list(view.values()),
     ):
-        assert all(len(row) == 1 for row in rows)
+        assert all(len(row) == 1 for row in one_entry)
         kept = {}
-        assert all(kept.setdefault(tuple(row.items()), row) is row for row in rows)
+        assert all(kept.setdefault(tuple(row.items()), row) is row for row in one_entry)
 
 
 def test_verify_reads_one_bracket_at_c_1(monkeypatch, fresh_family_memos):
